@@ -30,9 +30,10 @@ from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, as_vector
 COMPLEMENT_MAX_COLS = 24
 FULL_SPARK_MAX_SUBSETS = 5_000_000
 
-# Above this many stacked d x d Grams the partition scan streams instead of
-# batching (memory, not correctness).
-_BATCH_ENTRY_CAP = 1 << 26
+# Batched kernels work on at most this many stacked matrix entries at a time
+# (memory, not correctness): partition Grams are built and diagonalized, and
+# column subsets ranked, one chunk at a time.
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(eq=False, frozen=True)
@@ -173,37 +174,62 @@ def _full_spark(key: Key) -> CertificateReport:
             f"C({D},{d}) = {comb(D, d)} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
         )
     a = key.matrix
-    for cols in itertools.combinations(range(D), d):
-        if numerics.rank(a[:, cols], key.tol) < d:
-            return CertificateReport(False, tuple(c + 1 for c in cols), method)
-    return CertificateReport(True, None, method)
+    subsets = itertools.combinations(range(D), d)
+    per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
+    while True:
+        # one chunk of d-subsets in lexicographic order, one row each
+        chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
+        cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
+        if cols.size == 0:
+            return CertificateReport(True, None, method)
+        deficient = numerics.ranks(a[:, cols].transpose(1, 0, 2), key.tol) < d
+        if deficient.any():
+            first = cols[int(np.argmax(deficient))]
+            return CertificateReport(False, tuple(int(c) + 1 for c in first), method)
 
 
-def _popcounts(n_masks: int) -> np.ndarray:
-    masks = np.arange(n_masks, dtype=np.int64)
-    counts = np.zeros(n_masks, dtype=np.int64)
+def _popcounts(masks: np.ndarray) -> np.ndarray:
+    masks = masks.copy()
+    counts = np.zeros_like(masks)
     while masks.any():
         counts += masks & 1
         masks >>= 1
     return counts
 
 
-def _partition_grams(a: np.ndarray) -> np.ndarray:
-    """Gram matrices A[I] A[I]^T for every subset I avoiding the last column.
+def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
+    """Complete a table of subset Grams from its entry 0, in place.
 
-    Subsets are encoded as masks in [0, 2^(D-1)); entry ``mask`` is filled by
-    adding one column outer product to the Gram of ``mask`` without its
-    lowest set bit.
+    Entry ``m`` (m < 2^len(outers)) becomes entry 0 plus the outer products of
+    the bits set in ``m``, added highest bit first: each entry is the entry
+    without its lowest set bit plus that bit's outer product.
     """
-    d, D = a.shape
-    n_masks = 1 << (D - 1)
-    outers = np.einsum("ik,jk->kij", a, a)
-    grams = np.zeros((n_masks, d, d))
-    for b in range(D - 2, -1, -1):
-        prefix = np.arange(1 << (D - 2 - b), dtype=np.int64)
+    for b in range(len(outers) - 1, -1, -1):
+        prefix = np.arange(1 << (len(outers) - 1 - b), dtype=np.int64)
         idx = (prefix << (b + 1)) | (1 << b)
         grams[idx] = grams[idx - (1 << b)] + outers[b]
-    return grams
+
+
+def _gram_chunks(a: np.ndarray):
+    """Yield ``(start, grams)``: A[I] A[I]^T for every subset I avoiding the last column.
+
+    Subsets are masks in [0, 2^(D-1)), split into a high prefix and the low
+    bits that fit one chunk of at most _CHUNK_ENTRIES entries. The prefix
+    Grams and then each chunk are completed by the same lowest-bit recurrence
+    (_fill_grams), so every entry is the same sum, in the same order, as in a
+    single table over all masks.
+    """
+    d, D = a.shape
+    bits = D - 1
+    low = min(bits, max(0, (_CHUNK_ENTRIES // (d * d)).bit_length() - 1))
+    outers = np.einsum("ik,jk->kij", a, a)
+    seeds = np.zeros((1 << (bits - low), d, d))
+    _fill_grams(seeds, outers[low:bits])
+    for prefix, seed in enumerate(seeds):
+        grams = np.empty((1 << low, d, d))
+        grams[0] = seed
+        _fill_grams(grams, outers[:low])
+        yield prefix << low, grams
 
 
 # A Gram eigenvalue ratio above this is trusted as full rank outright;
@@ -212,58 +238,82 @@ def _partition_grams(a: np.ndarray) -> np.ndarray:
 _GRAM_TRUST_RATIO = 1e-12
 
 
-def _rank_d_sides(key: Key) -> tuple[np.ndarray, np.ndarray]:
-    """For every canonical partition mask, whether each side has rank d.
+@dataclass(frozen=True, eq=False)
+class PartitionScan:
+    """Smallest Gram eigenvalues of both sides of every column partition.
 
-    Masks run over subsets I of {1..D-1} (column D always on the complement
-    side), so each unordered partition {I, I^c} appears exactly once and the
-    enumerated mask is the canonical (smaller) one. A clearly positive
-    smallest Gram eigenvalue settles a side immediately; borderline sides
-    (exactly singular ones land here) fall back to numerics.rank, which is
-    the defining criterion.
+    Index ``mask`` runs over the subsets I of columns 1..D-1 (column D is
+    always on the complement side), so each unordered partition {I, I^c}
+    appears once, under its canonical (smaller) mask. ``counts`` is |I|;
+    ``lam_min_i`` and ``lam_min_c`` are the smallest eigenvalues of
+    A[I] A[I]^T and A[I^c] A[I^c]^T as eigvalsh returns them. ``trusted_i``
+    and ``trusted_c`` mark sides the Gram alone settles as rank d: at least d
+    columns, and a smallest eigenvalue positive and above _GRAM_TRUST_RATIO
+    times the largest.
     """
-    a = key.matrix
+
+    counts: np.ndarray
+    lam_min_i: np.ndarray
+    lam_min_c: np.ndarray
+    trusted_i: np.ndarray
+    trusted_c: np.ndarray
+
+
+def partition_scan(key: Key) -> PartitionScan:
+    """Diagonalize both sides' Grams of every column partition (memoized).
+
+    One scan serves both partition searches: the complement property reads
+    its verdicts from the trusted flags, and the lower Lipschitz constant
+    screens partitions with the smallest eigenvalues.
+    """
+    return _cached(key, "partition_scan", lambda: _partition_scan(key))
+
+
+def _partition_scan(key: Key) -> PartitionScan:
     d, D = key.d, key.D
+    if D > COMPLEMENT_MAX_COLS:
+        raise SearchTooLarge(
+            f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
+        )
+    a = key.matrix
     n_masks = 1 << (D - 1)
-    counts = _popcounts(n_masks)
-
-    if n_masks * d * d <= _BATCH_ENTRY_CAP:
-        grams = _partition_grams(a)
+    total = a @ a.T
+    counts = np.empty(n_masks, dtype=np.uint8)
+    lam_min_i, lam_min_c = np.empty(n_masks), np.empty(n_masks)
+    trusted_i, trusted_c = np.empty(n_masks, dtype=bool), np.empty(n_masks, dtype=bool)
+    for start, grams in _gram_chunks(a):
+        rows = slice(start, start + len(grams))
+        size = _popcounts(np.arange(rows.start, rows.stop))
         eig_i = np.linalg.eigvalsh(grams)
-        eig_c = np.linalg.eigvalsh((a @ a.T)[None, :, :] - grams)
-        lam_min_i, lam_max_i = eig_i[:, 0], eig_i[:, -1]
-        lam_min_c, lam_max_c = eig_c[:, 0], eig_c[:, -1]
-    else:
-        lam_min_i = np.empty(n_masks)
-        lam_max_i = np.empty(n_masks)
-        lam_min_c = np.empty(n_masks)
-        lam_max_c = np.empty(n_masks)
-        for mask in range(n_masks):
-            cols = [k for k in range(D) if mask >> k & 1]
-            gram = a[:, cols] @ a[:, cols].T if cols else np.zeros((d, d))
-            ev = np.linalg.eigvalsh(gram)
-            evc = np.linalg.eigvalsh(a @ a.T - gram)
-            lam_min_i[mask], lam_max_i[mask] = ev[0], ev[-1]
-            lam_min_c[mask], lam_max_c[mask] = evc[0], evc[-1]
+        eig_c = np.linalg.eigvalsh(total - grams)
+        counts[rows] = size
+        lam_min_i[rows], lam_min_c[rows] = eig_i[:, 0], eig_c[:, 0]
+        trusted_i[rows] = _trusted(eig_i, size >= d)
+        trusted_c[rows] = _trusted(eig_c, D - size >= d)
+    return PartitionScan(counts, lam_min_i, lam_min_c, trusted_i, trusted_c)
 
-    def trusted_ok(lam_min, lam_max, m):
-        return (m >= d) & (lam_min > _GRAM_TRUST_RATIO * lam_max) & (lam_min > 0.0)
 
-    ok_i = trusted_ok(lam_min_i, lam_max_i, counts)
-    ok_c = trusted_ok(lam_min_c, lam_max_c, D - counts)
-    ambiguous_i = (counts >= d) & ~ok_i
-    ambiguous_c = (D - counts >= d) & ~ok_c
+def _trusted(eig: np.ndarray, enough_columns: np.ndarray) -> np.ndarray:
+    low, high = eig[:, 0], eig[:, -1]
+    return enough_columns & (low > _GRAM_TRUST_RATIO * high) & (low > 0.0)
 
-    # only partitions still undecided on both sides matter for the verdict
-    for mask in np.nonzero(~(ok_i | ok_c) & (ambiguous_i | ambiguous_c))[0]:
-        mask = int(mask)
-        if ambiguous_i[mask]:
-            cols = [k for k in range(D) if mask >> k & 1]
-            ok_i[mask] = numerics.rank(a[:, cols], key.tol) == d
-        if not ok_i[mask] and ambiguous_c[mask]:
-            cols = [k for k in range(D) if not mask >> k & 1]
-            ok_c[mask] = numerics.rank(a[:, cols], key.tol) == d
-    return ok_i, ok_c
+
+def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
+    """Whether the columns selected by each mask have rank d (numerics.rank's
+    criterion); a side with fewer than d columns never does."""
+    d, D = key.d, key.D
+    a = key.matrix
+    full = np.zeros(col_masks.shape, dtype=bool)
+    per_chunk = max(1, _CHUNK_ENTRIES // (d * D))
+    for start in range(0, col_masks.size, per_chunk):
+        masks = col_masks[start:start + per_chunk]
+        member = ((masks[:, None] >> np.arange(D)) & 1).astype(bool)
+        sizes = member.sum(axis=1)
+        for k in np.unique(sizes[sizes >= d]):
+            rows = np.flatnonzero(sizes == k)
+            cols = np.nonzero(member[rows])[1].reshape(-1, k)
+            full[start + rows] = numerics.ranks(a[:, cols].transpose(1, 0, 2), key.tol) == d
+    return full
 
 
 def has_complement_property(key: Key) -> CertificateReport:
@@ -281,12 +331,16 @@ def _complement_property(key: Key) -> CertificateReport:
         raise SearchTooLarge(
             f"complement-property search is capped at D <= {COMPLEMENT_MAX_COLS}, got {key.D}"
         )
-    ok_i, ok_c = _rank_d_sides(key)
-    bad = ~(ok_i | ok_c)
-    if not bad.any():
+    scan = partition_scan(key)
+    # sides the Gram could not settle (exactly singular ones land here) are
+    # re-decided with numerics.rank's criterion, the defining one
+    masks = np.flatnonzero(~(scan.trusted_i | scan.trusted_c))
+    ok = _rank_d(key, masks)
+    ok[~ok] = _rank_d(key, ((1 << key.D) - 1) ^ masks[~ok])
+    bad = masks[~ok]
+    if bad.size == 0:
         return CertificateReport(True, None, method)
-    witness = Partition(int(np.argmax(bad)), key.D)
-    return CertificateReport(False, witness, method)
+    return CertificateReport(False, Partition(int(bad[0]), key.D), method)
 
 
 def is_phase_retrievable(key: Key) -> CertificateReport:

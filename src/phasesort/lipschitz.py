@@ -16,8 +16,8 @@ import numpy as np
 
 from . import numerics
 from .encoders import alpha, beta, dist_hat_H, dist_hat_V
-from .errors import AchievementFailure, LipschitzViolation, SearchTooLarge
-from .frame_keys import COMPLEMENT_MAX_COLS, Key, Partition
+from .errors import AchievementFailure, LipschitzViolation
+from .frame_keys import Key, Partition, PartitionScan, _cached, partition_scan
 
 
 def upper_constant(key: Key) -> float:
@@ -29,26 +29,70 @@ def upper_constant(key: Key) -> float:
 # smallest-mask tie-break is stable against last-ulp differences.
 _TIE_WINDOW = 1e-12
 
+# Error allowance of the Gram screen, in units of eps * (D + d) * B0 for a
+# singular value (its SVD error and the bracket's own rounding) and of
+# eps * (D + d) * d * B0^2 for a Gram eigenvalue (the Gram sums and
+# eigvalsh). Both are generous over the backward-error bounds; a wider
+# bracket only sends a few more partitions to the exact pass.
+_SCREEN_SLACK = 64.0
+
+# Keys with B0 outside this range could under- or overflow in the Gram
+# entries; their partitions all go to the exact pass.
+_SCREEN_RANGE = (2.0**-400, 2.0**400)
+
+# Partitions bracketed per batch (memory, not correctness).
+_SCREEN_CHUNK = 1 << 16
+
 
 def lower_constant(key: Key) -> tuple[float, Partition]:
-    """Optimal lower Lipschitz constant with its minimizing partition.
+    """Optimal lower Lipschitz constant with its minimizing partition (memoized).
 
-    Every unordered partition {I, I^c} is visited exactly once (masks over
-    subsets that avoid the last column, ascending, which are exactly the
-    canonical representatives). A side with fewer than d columns contributes
-    sigma_d = 0. Ties within a tiny relative window keep the earlier, i.e.
-    smaller, mask.
+    The value of a partition {I, I^c} is hypot(sigma_d(A[I]), sigma_d(A[I^c]))
+    with both singular values from numerics.sigma_k; a side with fewer than d
+    columns contributes sigma_d = 0. The result is that of visiting every
+    canonical mask in ascending order (masks over subsets that avoid the last
+    column) and taking a mask as the new best when its value is below the best
+    so far by more than the tie window _TIE_WINDOW * max(1, B0); ties thus keep
+    the earlier, i.e. smaller, mask.
+
+    Only a few masks are visited, with the same bits as a full visit:
+
+    - Bracket. The partition scan gives each side's smallest Gram eigenvalue
+      lambda, equal to sigma_d^2 up to the error of the Gram sums and of
+      eigvalsh, both at most c * eps * (D + d) * d * B0^2. Widened further by
+      the SVD error, of order eps * (D + d) * B0, this puts the value the
+      visit computes in a bracket [lo, hi] per mask.
+    - Possible records. The best so far always lies in [runmin, runmin + tie],
+      where runmin is the smallest value so far. So a mask can become the best
+      only if its value is below runmin, hence below prev_hi, the smallest hi
+      of the masks before it (infinite for mask 0). Masks with lo >= prev_hi
+      are skipped.
+    - Exact pass. The remaining masks are visited in ascending order with the
+      full visit's body and test. Every mask that becomes the best in the full
+      visit is among them, so each sees the same best as in the full visit
+      and decides the same way. A mask with lo >= best - tie cannot pass the
+      test, now or after the best drops; such masks are dropped whenever the
+      best changes.
+
+    A0 therefore always comes from exact SVD values, never from the screen.
+    Near-singular keys, whose values all sit inside the bracket's width, send
+    many masks to the exact pass; the result is the same, only slower.
     """
+    return _cached(key, "lower_constant", lambda: _lower_constant(key))
+
+
+def _lower_constant(key: Key) -> tuple[float, Partition]:
     d, D = key.d, key.D
-    if D > COMPLEMENT_MAX_COLS:
-        raise SearchTooLarge(
-            f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
-        )
+    scan = partition_scan(key)
     a = key.matrix
-    tie = _TIE_WINDOW * max(1.0, upper_constant(key))
+    b0 = upper_constant(key)
+    tie = _TIE_WINDOW * max(1.0, b0)
+    masks, lo = _screen(scan, d, D, b0)
     best_val = np.inf
     best_mask = 0
-    for mask in range(1 << (D - 1)):
+    while masks.size:
+        mask = int(masks[0])
+        masks, lo = masks[1:], lo[1:]
         part = Partition(mask, D)
         cols_i = part.column_indices0()
         cols_c = part.complement().column_indices0()
@@ -58,7 +102,40 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
         if val < best_val - tie:
             best_val = val
             best_mask = mask
+            keep = lo < best_val - tie
+            masks, lo = masks[keep], lo[keep]
     return best_val, Partition(best_mask, D)
+
+
+def _side_bracket(lam, full, err_lam, err_s):
+    """Bracket of sigma_d for sides with Gram eigenvalue ``lam``; 0 where not ``full``."""
+    lo = np.maximum(np.sqrt(np.maximum(lam - err_lam, 0.0)) - err_s, 0.0)
+    hi = np.sqrt(np.maximum(lam + err_lam, 0.0)) + err_s
+    return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
+
+
+def _screen(scan: PartitionScan, d: int, D: int, b0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks that may become the best, ascending, with the lower ends of their brackets."""
+    n_masks = scan.counts.size
+    if not _SCREEN_RANGE[0] <= b0 <= _SCREEN_RANGE[1]:
+        return np.arange(n_masks), np.zeros(n_masks)
+    err_s = _SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
+    err_lam = err_s * d * b0
+    kept_masks, kept_lo = [], []
+    run_hi = np.inf
+    for start in range(0, n_masks, _SCREEN_CHUNK):
+        rows = slice(start, start + _SCREEN_CHUNK)
+        counts = scan.counts[rows]
+        lo_i, hi_i = _side_bracket(scan.lam_min_i[rows], counts >= d, err_lam, err_s)
+        lo_c, hi_c = _side_bracket(scan.lam_min_c[rows], D - counts >= d, err_lam, err_s)
+        lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
+        hi = np.hypot(hi_i, hi_c) + err_s
+        prev_hi = np.minimum.accumulate(np.concatenate(([run_hi], hi[:-1])))
+        run_hi = min(prev_hi[-1], hi[-1])
+        keep = np.flatnonzero(lo < prev_hi)
+        kept_masks.append(keep + start)
+        kept_lo.append(lo[keep])
+    return np.concatenate(kept_masks), np.concatenate(kept_lo)
 
 
 @dataclass(frozen=True)

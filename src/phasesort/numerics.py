@@ -137,9 +137,19 @@ def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     The cutoff is rank_tol_factor * max(rows, cols) * sigma_1, so rank
     decisions are invariant under scaling of the matrix.
     """
-    a = as_matrix(m)
-    s = singular_values(a)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = tol.rank_tol_factor * max(a.shape) * s[0]
-    return int(np.count_nonzero(s > cutoff))
+    return int(ranks(as_matrix(m)[None], tol)[0])
+
+
+def ranks(stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Numerical rank of each matrix in an (n, rows, cols) stack.
+
+    One batched SVD; each matrix gets rank's cutoff from its own sigma_1, and
+    its singular values are the same bits as for the matrix on its own.
+    """
+    a = np.asarray(stack, dtype=np.float64)
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    cutoff = tol.rank_tol_factor * max(a.shape[1:]) * s[:, :1]
+    return np.count_nonzero(s > cutoff, axis=1)

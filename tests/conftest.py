@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,49 @@ from phasesort import Key
 
 # Reference key used throughout: columns (1,0), (0,1), (1,1).
 A_REF = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+def _adversarial_matrices():
+    """Keys that stress the partition searches: ties, repeated and missing
+    columns, too few columns, extreme scale, near-singular splits."""
+    rng = np.random.Generator(np.random.PCG64(4242))
+    near = rng.standard_normal((3, 9))
+    near[:, 5] = near[:, 0] + 1e-9 * near[:, 1]
+    return {
+        "identity": np.eye(3),
+        "identity-twice": np.hstack([np.eye(3), np.eye(3)]),
+        "repeated-columns": np.repeat(rng.standard_normal((3, 4)), 2, axis=1),
+        "too-few-columns": rng.standard_normal((4, 6)),
+        "integer-ties": rng.integers(-2, 3, size=(3, 9)).astype(float),
+        "all-ones": np.ones((2, 6)),
+        "zero": np.zeros((3, 6)),
+        "scaled-1e6": 1e6 * rng.standard_normal((3, 9)),
+        "scaled-1e-200": 1e-200 * rng.standard_normal((3, 7)),
+        "near-singular": near,
+        # one split is decided by the exact rank of a d-column side: side I
+        # of {1,2} | {3}, and the complement side of {1} | {2,3}
+        "near-parallel-first": np.array([[1.0, 1.0, 0.0], [0.0, 1e-8, 1.0]]),
+        "near-parallel-last": np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1e-8]]),
+        "rank-deficient": rng.standard_normal((3, 2)) @ rng.standard_normal((2, 10)),
+    }
+
+
+ADVERSARIAL = _adversarial_matrices()
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*args, cwd=None):
+    """Run ``python -m phasesort`` in a child process and capture its output.
+
+    The package's ``src`` directory is prepended to the child's PYTHONPATH as
+    an absolute path, so the child imports this checkout from any ``cwd``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "phasesort", *args], capture_output=True, cwd=cwd, env=env
+    )
 
 
 @pytest.fixture

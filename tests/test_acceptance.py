@@ -6,8 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import functools
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -34,7 +32,7 @@ from phasesort import (
 )
 from phasesort.matrixio import parse_matrix, save_matrix, serialize_matrix
 
-from conftest import A_REF, sym2x2_eigenvalues
+from conftest import A_REF, run_cli, sym2x2_eigenvalues
 
 
 def criterion(num, desc):
@@ -224,20 +222,14 @@ def test_criterion_9_embedding_dimensions():
     assert emb.size == 2 * D == 18
 
 
-def _run_cli(*args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "phasesort", *args], capture_output=True, cwd=cwd
-    )
-
-
 @criterion(10, "CLI byte determinism and bit-exact matrix file round-trip")
 def test_criterion_10_cli_determinism(tmp_path):
     keyfile = tmp_path / "key.txt"
     outs = []
     for run in range(2):
         out = tmp_path / f"key{run}.txt"
-        res = _run_cli("keygen", "--rows", "3", "--cols", "6", "--seed", "2024",
-                       "--out", str(out), cwd=tmp_path)
+        res = run_cli("keygen", "--rows", "3", "--cols", "6", "--seed", "2024",
+                      "--out", str(out), cwd=tmp_path)
         assert res.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -248,8 +240,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         ("bounds", str(keyfile)),
         ("verify", str(keyfile), "--samples", "50", "--seed", "9"),
     ):
-        r1 = _run_cli(*command, cwd=tmp_path)
-        r2 = _run_cli(*command, cwd=tmp_path)
+        r1 = run_cli(*command, cwd=tmp_path)
+        r2 = run_cli(*command, cwd=tmp_path)
         assert r1.returncode == r2.returncode
         assert r1.stdout == r2.stdout and r1.stdout
         json.loads(r1.stdout)  # stays valid JSON

@@ -1,21 +1,11 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from phasesort.matrixio import load_matrix, save_matrix
 
-from conftest import A_REF
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "phasesort", *args],
-        capture_output=True,
-        cwd=cwd,
-    )
+from conftest import A_REF, run_cli
 
 
 @pytest.fixture

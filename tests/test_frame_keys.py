@@ -21,7 +21,7 @@ from phasesort import (
     synthesis_left_inverse,
 )
 
-from conftest import A_REF
+from conftest import A_REF, ADVERSARIAL
 
 
 def test_generate_key_deterministic():
@@ -190,18 +190,117 @@ def test_complement_fast_path_matches_reference_deficient():
         assert rep.witness.mask == mask
 
 
-def test_complement_streaming_fallback_matches_batch(monkeypatch):
-    # force the per-mask path that normally only serves very large D
+def _partition_grams_reference(a: np.ndarray) -> np.ndarray:
+    """Single-table Gram build over all masks avoiding the last column."""
+    d, D = a.shape
+    n_masks = 1 << (D - 1)
+    outers = np.einsum("ik,jk->kij", a, a)
+    grams = np.zeros((n_masks, d, d))
+    for b in range(D - 2, -1, -1):
+        prefix = np.arange(1 << (D - 2 - b), dtype=np.int64)
+        idx = (prefix << (b + 1)) | (1 << b)
+        grams[idx] = grams[idx - (1 << b)] + outers[b]
+    return grams
+
+
+def _complement_gram_reference(key: Key) -> tuple[bool, int | None]:
+    """Gram-trust verdict with a per-mask exact-rank fallback, one table."""
+    d, D = key.d, key.D
+    a = key.matrix
+    n_masks = 1 << (D - 1)
+    counts = np.array([bin(m).count("1") for m in range(n_masks)])
+    grams = _partition_grams_reference(a)
+    eig_i = np.linalg.eigvalsh(grams)
+    eig_c = np.linalg.eigvalsh((a @ a.T)[None, :, :] - grams)
+    ratio = frame_keys._GRAM_TRUST_RATIO
+    ok_i = (counts >= d) & (eig_i[:, 0] > ratio * eig_i[:, -1]) & (eig_i[:, 0] > 0.0)
+    ok_c = (D - counts >= d) & (eig_c[:, 0] > ratio * eig_c[:, -1]) & (eig_c[:, 0] > 0.0)
+    for mask in np.nonzero(~(ok_i | ok_c))[0]:
+        mask = int(mask)
+        cols = [k for k in range(D) if mask >> k & 1]
+        comp = [k for k in range(D) if not mask >> k & 1]
+        if len(cols) >= d:
+            ok_i[mask] = rank(a[:, cols], key.tol) == d
+        if not ok_i[mask] and len(comp) >= d:
+            ok_c[mask] = rank(a[:, comp], key.tol) == d
+    bad = ~(ok_i | ok_c)
+    return (True, None) if not bad.any() else (False, int(np.argmax(bad)))
+
+
+@pytest.mark.parametrize("entries", [1, 9, 40, 1 << 20])
+@pytest.mark.parametrize("d,D", [(1, 1), (2, 5), (3, 8), (4, 9)])
+def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
+    a = generate_key(d, D, 70 + d + D).matrix
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    chunks = list(frame_keys._gram_chunks(a))
+    assert [start for start, _ in chunks] == list(
+        range(0, 1 << (D - 1), len(chunks[0][1]))
+    )
+    grams = np.concatenate([g for _, g in chunks])
+    assert grams.tobytes() == _partition_grams_reference(a).tobytes()
+
+
+def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     mat = generate_key(3, 6, 78).matrix.copy()
     mat[:, 5] = mat[:, 0]
+    whole = frame_keys.partition_scan(Key(mat))
     batch = has_complement_property(Key(mat))
-    monkeypatch.setattr(frame_keys, "_BATCH_ENTRY_CAP", 1)
-    streamed = has_complement_property(Key(mat))
-    assert streamed.verdict == batch.verdict
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
+    chunked = frame_keys.partition_scan(Key(mat))
+    for field in ("counts", "lam_min_i", "lam_min_c", "trusted_i", "trusted_c"):
+        assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
+    rep = has_complement_property(Key(mat))
+    assert rep.verdict == batch.verdict
     if not batch.verdict:
-        assert streamed.witness.mask == batch.witness.mask
-    streamed_ref = has_complement_property(Key(A_REF))
-    assert streamed_ref.verdict
+        assert rep.witness.mask == batch.witness.mask
+    assert has_complement_property(Key(A_REF)).verdict
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_complement_matches_gram_reference_adversarial(name):
+    key = Key(ADVERSARIAL[name])
+    verdict, mask = _complement_gram_reference(key)
+    rep = has_complement_property(key)
+    assert rep.verdict == verdict
+    assert (rep.witness.mask if rep.witness is not None else None) == mask
+    assert (verdict, mask) == _complement_reference(key)
+
+
+@pytest.mark.parametrize("d,D,seed", [(3, 8, 1), (4, 12, 1), (4, 10, 5), (3, 11, 6)])
+def test_complement_matches_gram_reference_seeded(monkeypatch, d, D, seed):
+    key = generate_key(d, D, seed)
+    mat = key.matrix.copy()
+    mat[:, D - 1] = mat[:, 0]  # forces exact-rank fallbacks
+    for k in (key, Key(mat)):
+        expected = _complement_gram_reference(k)
+        rep = has_complement_property(k)
+        assert (rep.verdict, rep.witness.mask if rep.witness else None) == expected
+        monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 16)
+        rep = has_complement_property(Key(k.matrix))
+        assert (rep.verdict, rep.witness.mask if rep.witness else None) == expected
+        monkeypatch.undo()
+
+
+def _full_spark_reference(key: Key):
+    for cols in itertools.combinations(range(key.D), key.d):
+        if rank(key.matrix[:, cols], key.tol) < key.d:
+            return False, tuple(c + 1 for c in cols)
+    return True, None
+
+
+@pytest.mark.parametrize("entries", [1, 30, 1 << 20])
+def test_full_spark_batched_matches_loop(monkeypatch, entries):
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    keys = [generate_key(3, 7, 5), generate_key(4, 9, 6), Key(A_REF), Key(np.eye(3))]
+    late = generate_key(3, 8, 7).matrix.copy()
+    late[:, 7] = late[:, 6] * 2.0  # deficient only with both of the last two columns
+    keys.append(Key(late))
+    keys += [Key(m) for m in ADVERSARIAL.values()]
+    for key in keys:
+        if key.D < key.d:
+            continue
+        rep = is_full_spark(key)
+        assert (rep.verdict, rep.witness) == _full_spark_reference(key)
 
 
 def test_phase_retrievable_reference_and_identity():

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasesort import (
     AchievementFailure,
     Key,
     LipschitzViolation,
+    Partition,
     SearchTooLarge,
     alpha,
     build_report,
@@ -17,9 +20,38 @@ from phasesort import (
     ratio_scan,
     upper_constant,
 )
+from phasesort import lipschitz, numerics, verify
+from phasesort.frame_keys import partition_scan
 from phasesort.lipschitz import LipschitzReport
 
-from conftest import A_REF, sym2x2_eigenvalues
+from conftest import A_REF, ADVERSARIAL, sym2x2_eigenvalues
+
+
+def _lower_constant_loop(key: Key) -> tuple[float, int]:
+    """Every canonical mask in ascending order, two SVDs each: the oracle."""
+    d, D = key.d, key.D
+    a = key.matrix
+    tie = lipschitz._TIE_WINDOW * max(1.0, upper_constant(key))
+    best_val = np.inf
+    best_mask = 0
+    for mask in range(1 << (D - 1)):
+        part = Partition(mask, D)
+        cols_i = part.column_indices0()
+        cols_c = part.complement().column_indices0()
+        s_i = numerics.sigma_k(a[:, cols_i], d) if len(cols_i) >= d else 0.0
+        s_c = numerics.sigma_k(a[:, cols_c], d) if len(cols_c) >= d else 0.0
+        val = float(np.hypot(s_i, s_c))
+        if val < best_val - tie:
+            best_val = val
+            best_mask = mask
+    return best_val, best_mask
+
+
+def _assert_matches_loop(matrix):
+    a0, part = lower_constant(Key(matrix))
+    ref_a0, ref_mask = _lower_constant_loop(Key(matrix))
+    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+    assert part.mask == ref_mask
 
 
 def test_upper_constant_reference(a_ref_key):
@@ -226,3 +258,60 @@ def test_a0_never_exceeds_b0():
         key = generate_key(d, D, 6000 + seed)
         a0, _ = lower_constant(key)
         assert a0 <= upper_constant(key) + 1e-12
+
+
+@pytest.mark.parametrize("d,D", [(3, 8), (4, 12), (4, 16), (8, 15)])
+def test_lower_constant_matches_loop_seeded(d, D):
+    _assert_matches_loop(generate_key(d, D, 1).matrix)
+
+
+def test_screen_keeps_few_masks():
+    key = generate_key(4, 16, 1)
+    masks, _ = lipschitz._screen(partition_scan(key), 4, 16, upper_constant(key))
+    assert 0 < masks.size <= 64  # of 32768
+    assert masks[0] == 0 and np.all(np.diff(masks) > 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
+    key = generate_key(3, 9, 4)
+    scan, b0 = partition_scan(key), upper_constant(key)
+    whole = lipschitz._screen(scan, 3, 9, b0)
+    monkeypatch.setattr(lipschitz, "_SCREEN_CHUNK", chunk)
+    chunked = lipschitz._screen(scan, 3, 9, b0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, chunked))
+    _assert_matches_loop(key.matrix)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_lower_constant_matches_loop_adversarial(name):
+    _assert_matches_loop(ADVERSARIAL[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.integers(1, 9).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    )
+)
+def test_lower_constant_matches_loop_hypothesis(matrix):
+    _assert_matches_loop(matrix)
+
+
+def test_lower_constant_memoized(monkeypatch):
+    calls = []
+    search = lipschitz._lower_constant
+    monkeypatch.setattr(lipschitz, "_lower_constant", lambda key: calls.append(1) or search(key))
+    key = generate_key(3, 6, 9)
+    first = lower_constant(key)
+    assert lower_constant(key) is first
+    verify.run_battery(key, 5, 1)
+    assert len(calls) == 1
+    lower_constant(Key(key.matrix))
+    assert len(calls) == 2

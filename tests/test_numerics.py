@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasesort import DimensionError, SvdResult, ToleranceConfig, least_squares, rank, sigma_k, svd
+from phasesort.numerics import ranks
 
 from conftest import A_REF, sym2x2_eigenvalues
 
@@ -155,3 +156,15 @@ def test_svd_result_is_plain_dataclass():
     res = svd(np.eye(2))
     assert isinstance(res, SvdResult)
     assert res.singular_values.shape == (2,)
+
+
+def test_ranks_match_rank_per_matrix():
+    rng = np.random.Generator(np.random.PCG64(11))
+    stack = rng.standard_normal((40, 3, 5))
+    stack[3] = 0.0
+    stack[7, :, 4] = stack[7, :, 0]
+    stack[9] = np.outer(stack[9, :, 0], np.ones(5))
+    stack[12] *= 1e-300
+    got = ranks(stack)
+    assert got.tolist() == [rank(m) for m in stack]
+    assert got[3] == 0 and got[9] == 1
