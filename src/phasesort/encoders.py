@@ -11,23 +11,46 @@ the raw analysis operator.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, SearchTooLarge, UnsupportedN
-from .frame_keys import Key, analysis
-from .numerics import as_matrix, as_vector
+from .frame_keys import Key, analysis, analysis_many
+from .numerics import as_matrix, as_stack, as_vector, row_norms
 
 # n! permutations are enumerated explicitly; refuse beyond this row count.
 MAX_ROWS_FOR_METRIC = 8
+
+# Stacked entries the row-permutation metric builds at a time (memory, not
+# correctness).
+_METRIC_CHUNK = 1 << 20
 
 
 def alpha(key: Key, x) -> np.ndarray:
     """Entrywise absolute value of the frame coefficients |A^T x|."""
     return np.abs(analysis(key, x))
+
+
+def alpha_many(key: Key, xs) -> np.ndarray:
+    """alpha of every row of an (m, d) stack; row i has the bits of alpha(key, xs[i])."""
+    return np.abs(analysis_many(key, xs))
+
+
+def _sort_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable nonincreasing sort of every column of each (n, D) matrix of a stack.
+
+    Returns the sorted stack and the permutations as a (..., D, n) int64
+    stack: entry [..., k, i] is the output row of input row i in column k.
+    """
+    *lead, n, cols = a.shape
+    order = np.argsort(-a, axis=-2, kind="stable")
+    perms = np.empty((*lead, cols, n), dtype=np.int64)
+    rows = np.broadcast_to(np.arange(n)[:, None], order.shape)
+    np.put_along_axis(np.swapaxes(perms, -1, -2), order, rows, axis=-2)
+    return np.take_along_axis(a, order, axis=-2), perms
 
 
 def sort_desc_columns(m) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -37,17 +60,8 @@ def sort_desc_columns(m) -> tuple[np.ndarray, list[np.ndarray]]:
     relative order. The k-th returned permutation ``p`` maps input positions
     to output positions: output row p[i] of column k is input row i.
     """
-    a = as_matrix(m)
-    n = a.shape[0]
-    sorted_cols = np.empty_like(a)
-    perms = []
-    for k in range(a.shape[1]):
-        order = np.argsort(-a[:, k], kind="stable")
-        sorted_cols[:, k] = a[order, k]
-        p = np.empty(n, dtype=np.int64)
-        p[order] = np.arange(n)
-        perms.append(p)
-    return sorted_cols, perms
+    sorted_cols, perms = _sort_desc(as_matrix(m))
+    return sorted_cols, list(perms)
 
 
 @dataclass(frozen=True)
@@ -68,11 +82,21 @@ def beta(key: Key, config) -> BetaEmbedding:
     Defined for any number of rows n >= 1; permuting the rows of X leaves
     the output matrix unchanged.
     """
-    x = as_matrix(config)
-    if x.shape[1] != key.d:
-        raise DimensionError(f"configuration has {x.shape[1]} columns, key expects {key.d}")
-    sorted_cols, perms = sort_desc_columns(x @ key.matrix)
-    return BetaEmbedding(sorted_cols, perms)
+    matrices, perms = beta_many(key, as_matrix(config)[None])
+    return BetaEmbedding(matrices[0], list(perms[0]))
+
+
+def beta_many(key: Key, configs) -> tuple[np.ndarray, np.ndarray]:
+    """beta of every configuration of an (m, n, d) stack.
+
+    Returns the sorted (m, n, D) matrices and their (m, D, n) permutations,
+    perms[i, k] being beta(key, configs[i]).perms[k]; one stacked product and
+    one stable argsort, so every item has the bits of its single call.
+    """
+    x = as_stack(configs, 3)
+    if x.shape[2] != key.d:
+        raise DimensionError(f"configuration has {x.shape[2]} columns, key expects {key.d}")
+    return _sort_desc(x @ key.matrix)
 
 
 def beta_tilde(key: Key, config) -> np.ndarray:
@@ -80,12 +104,19 @@ def beta_tilde(key: Key, config) -> np.ndarray:
 
     Output length is d + D, with a nonnegative tail.
     """
-    x = as_matrix(config)
-    if x.shape[0] != 2:
-        raise UnsupportedN(f"modified encoder needs exactly 2 rows, got {x.shape[0]}")
-    if x.shape[1] != key.d:
-        raise DimensionError(f"configuration has {x.shape[1]} columns, key expects {key.d}")
-    return np.concatenate([0.5 * (x[0] + x[1]), alpha(key, x[0] - x[1])])
+    return beta_tilde_many(key, as_matrix(config)[None])[0]
+
+
+def beta_tilde_many(key: Key, configs) -> np.ndarray:
+    """beta_tilde of every configuration of an (m, 2, d) stack, as (m, d + D)."""
+    x = as_stack(configs, 3)
+    if x.shape[1] != 2:
+        raise UnsupportedN(f"modified encoder needs exactly 2 rows, got {x.shape[1]}")
+    if x.shape[2] != key.d:
+        raise DimensionError(f"configuration has {x.shape[2]} columns, key expects {key.d}")
+    return np.concatenate(
+        [0.5 * (x[:, 0] + x[:, 1]), alpha_many(key, x[:, 0] - x[:, 1])], axis=1
+    )
 
 
 def hadamard_split(embedding) -> tuple[np.ndarray, np.ndarray]:
@@ -95,11 +126,13 @@ def hadamard_split(embedding) -> tuple[np.ndarray, np.ndarray]:
     alpha(key, x1 - x2) and the sum row equals analysis(key, x1 + x2):
     sorting each column put max(u, v) on top of min(u, v), and
     max - min = |u - v| while max + min = u + v, exactly, in floats too.
+    A stack of (m, 2, D) embeddings gives (m, D) differences and sums.
     """
-    b = embedding.matrix if isinstance(embedding, BetaEmbedding) else as_matrix(embedding)
-    if b.shape[0] != 2:
-        raise UnsupportedN(f"hadamard split needs exactly 2 rows, got {b.shape[0]}")
-    return b[0] - b[1], b[0] + b[1]
+    b = embedding.matrix if isinstance(embedding, BetaEmbedding) else np.asarray(embedding)
+    b = as_stack(b, 3) if b.ndim == 3 else as_matrix(b)
+    if b.shape[-2] != 2:
+        raise UnsupportedN(f"hadamard split needs exactly 2 rows, got {b.shape[-2]}")
+    return b[..., 0, :] - b[..., 1, :], b[..., 0, :] + b[..., 1, :]
 
 
 def dist_hat_H(x, y) -> float:
@@ -107,7 +140,13 @@ def dist_hat_H(x, y) -> float:
     a, b = as_vector(x), as_vector(y)
     if a.shape != b.shape:
         raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+    return float(dist_hat_H_many(a[None], b[None])[0])
+
+
+def dist_hat_H_many(xs, ys) -> np.ndarray:
+    """dist_hat_H of every row pair of two (m, d) stacks; each has its single call's bits."""
+    a, b = _stack_pair(xs, ys, 2)
+    return np.minimum(row_norms(a - b), row_norms(a + b))
 
 
 def dist_hat_V(x, y) -> tuple[float, tuple[int, ...]]:
@@ -118,19 +157,47 @@ def dist_hat_V(x, y) -> tuple[float, tuple[int, ...]]:
     minimizer found. The returned permutation ``p`` means the aligned second
     argument is Y[p, :].
     """
-    a, b = as_matrix(x), as_matrix(y)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
+    dist, perm = dist_hat_V_many(as_matrix(x)[None], as_matrix(y)[None])
+    return float(dist[0]), tuple(int(i) for i in perm[0])
+
+
+def dist_hat_V_many(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """dist_hat_V of every pair of two (m, n, d) stacks.
+
+    Returns the (m,) distances and the (m, n) minimizing row orders, each
+    with its single call's bits and first-minimizer tie-break: the n! orders
+    are rated in lexicographic order and a later order only wins when
+    strictly closer.
+    """
+    a, b = _stack_pair(xs, ys, 3)
+    m, n, d = a.shape
     if n > MAX_ROWS_FOR_METRIC:
         raise SearchTooLarge(
             f"row-permutation metric is capped at n <= {MAX_ROWS_FOR_METRIC}, got {n}"
         )
-    best = math.inf
-    best_perm = tuple(range(n))
-    for perm in itertools.permutations(range(n)):
-        dist = float(np.linalg.norm(a - b[perm, :]))
-        if dist < best:
-            best = dist
-            best_perm = perm
-    return best, best_perm
+    orders = _row_orders(n)
+    best = np.full(m, np.inf)
+    best_order = np.zeros(m, dtype=np.intp)
+    step = max(1, _METRIC_CHUNK // max(1, m * n * d))
+    for start in range(0, len(orders), step):
+        chunk = orders[start:start + step]
+        dist = row_norms((a[:, None] - b[:, chunk]).reshape(m, len(chunk), n * d))
+        first = np.argmin(dist, axis=1)
+        low = dist[np.arange(m), first]
+        better = low < best
+        best[better] = low[better]
+        best_order[better] = start + first[better]
+    return best, orders[best_order]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_orders(n: int) -> np.ndarray:
+    """All n! row orders as an (n!, n) array, lexicographic from the identity."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+
+
+def _stack_pair(xs, ys, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    a, b = as_stack(xs, ndim), as_stack(ys, ndim)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch: {a.shape[1:]} vs {b.shape[1:]}")
+    return a, b

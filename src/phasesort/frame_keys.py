@@ -23,7 +23,7 @@ from .errors import (
     NotAFrame,
     SearchTooLarge,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, as_vector
+from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, as_stack, as_vector
 
 # Exhaustive-search refusal caps. Beyond these the operations raise
 # SearchTooLarge instead of degrading to sampling.
@@ -127,10 +127,19 @@ def generate_key(d: int, D: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL) 
 
 def analysis(key: Key, x) -> np.ndarray:
     """Apply the analysis operator: the vector of inner products A^T x."""
-    v = as_vector(x)
-    if v.shape[0] != key.d:
-        raise DimensionError(f"signal has length {v.shape[0]}, key expects {key.d}")
-    return key.matrix.T @ v
+    return analysis_many(key, as_vector(x)[None])[0]
+
+
+def analysis_many(key: Key, xs) -> np.ndarray:
+    """A^T x for every row x of an (m, d) stack, as an (m, D) stack.
+
+    One stacked matrix-vector product, so row i has the bits of
+    analysis(key, xs[i]).
+    """
+    x = as_stack(xs, 2)
+    if x.shape[1] != key.d:
+        raise DimensionError(f"signal has length {x.shape[1]}, key expects {key.d}")
+    return (key.matrix.T @ x[:, :, None])[:, :, 0]
 
 
 def synthesis_left_inverse(key: Key, y) -> np.ndarray:
@@ -139,12 +148,22 @@ def synthesis_left_inverse(key: Key, y) -> np.ndarray:
     Returns the minimum-norm least-squares solution of A^T x = y, which
     recovers x exactly from analysis(key, x) whenever the key has rank d.
     """
-    v = as_vector(y)
-    if v.shape[0] != key.D:
-        raise DimensionError(f"coefficients have length {v.shape[0]}, key expects {key.D}")
-    if numerics.rank(key.matrix, key.tol) < key.d:
+    return synthesis_left_inverse_many(key, as_vector(y)[None])[0]
+
+
+def synthesis_left_inverse_many(key: Key, ys) -> np.ndarray:
+    """synthesis_left_inverse of every row of an (m, D) stack, as (m, d).
+
+    The frame check (a rank SVD) runs once per key. All rows are solved by
+    one least-squares call; a batch of one keeps the bits of the vector
+    solve, larger batches may differ from it in the last bits.
+    """
+    y = as_stack(ys, 2)
+    if y.shape[1] != key.D:
+        raise DimensionError(f"coefficients have length {y.shape[1]}, key expects {key.D}")
+    if not _cached(key, "frame", lambda: numerics.rank(key.matrix, key.tol) == key.d):
         raise NotAFrame("key matrix is rank deficient; columns do not span")
-    return numerics.least_squares(key.matrix.T, v)
+    return numerics.least_squares(key.matrix.T, y.T).T
 
 
 def _cached(key: Key, name: str, compute):

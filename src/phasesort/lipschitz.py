@@ -15,7 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .encoders import alpha, beta, dist_hat_H, dist_hat_V
+from .encoders import (
+    alpha,
+    alpha_many,
+    beta,
+    beta_many,
+    dist_hat_H,
+    dist_hat_H_many,
+    dist_hat_V,
+    dist_hat_V_many,
+)
 from .errors import AchievementFailure, LipschitzViolation
 from .frame_keys import Key, Partition, PartitionScan, _cached, partition_scan
 
@@ -343,50 +352,26 @@ def ratio_scan(
         raise ValueError("samples must be >= 1")
     report = build_report(key)
     a0, b0 = report.A0, report.B0
-    d = key.d
 
-    beta_ratios: list[float] = []
-    alpha_ratios: list[float] = []
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
-        while True:
-            x_cfg = rng.standard_normal((2, d))
-            y_cfg = rng.standard_normal((2, d))
-            dv = dist_hat_V(x_cfg, y_cfg)[0]
-            if dv > _MIN_PAIR_DISTANCE:
-                break
-        gap = float(np.linalg.norm(beta(key, x_cfg).matrix - beta(key, y_cfg).matrix))
-        beta_ratios.append(gap / dv)
-        while True:
-            x_sig = rng.standard_normal(d)
-            y_sig = rng.standard_normal(d)
-            dh = dist_hat_H(x_sig, y_sig)
-            if dh > _MIN_PAIR_DISTANCE:
-                break
-        gap = float(np.linalg.norm(alpha(key, x_sig) - alpha(key, y_sig)))
-        alpha_ratios.append(gap / dh)
-
+    pairs = _sample_pairs(key.d, samples, seed)
     if include_witnesses:
         w = report.witnesses
-        pairs_v = [(w.X_max, w.Y_max)]
-        pairs_h = [(w.x_max, w.y_max)]
+        extra = [(w.X_max, w.Y_max, w.x_max, w.y_max)]
         if not report.degenerate_lower:
-            pairs_v.append((w.X_min, w.Y_min))
-            pairs_h.append((w.x_min, w.y_min))
-        for xc, yc in pairs_v:
-            dv = dist_hat_V(xc, yc)[0]
-            gap = float(np.linalg.norm(beta(key, xc).matrix - beta(key, yc).matrix))
-            beta_ratios.append(gap / dv)
-        for xs, ys in pairs_h:
-            dh = dist_hat_H(xs, ys)
-            gap = float(np.linalg.norm(alpha(key, xs) - alpha(key, ys)))
-            alpha_ratios.append(gap / dh)
+            extra.append((w.X_min, w.Y_min, w.x_min, w.y_min))
+        pairs = [np.concatenate([s, [e[k] for e in extra]]) for k, s in enumerate(pairs)]
+    x_cfg, y_cfg, x_sig, y_sig = pairs
+    gaps = beta_many(key, x_cfg)[0] - beta_many(key, y_cfg)[0]
+    dv = dist_hat_V_many(x_cfg, y_cfg)[0]
+    beta_ratios = numerics.row_norms(gaps.reshape(len(gaps), -1)) / dv
+    gaps = alpha_many(key, x_sig) - alpha_many(key, y_sig)
+    alpha_ratios = numerics.row_norms(gaps) / dist_hat_H_many(x_sig, y_sig)
 
     result = RatioScanReport(
-        min_ratio=min(beta_ratios),
-        max_ratio=max(beta_ratios),
-        alpha_min_ratio=min(alpha_ratios),
-        alpha_max_ratio=max(alpha_ratios),
+        min_ratio=float(beta_ratios.min()),
+        max_ratio=float(beta_ratios.max()),
+        alpha_min_ratio=float(alpha_ratios.min()),
+        alpha_max_ratio=float(alpha_ratios.max()),
     )
     slack = key.tol.consistency_tol
     for lo, hi, label in (
@@ -398,3 +383,38 @@ def ratio_scan(
                 f"{label} ratios [{lo!r}, {hi!r}] escape [{a0!r}, {b0!r}]"
             )
     return result
+
+
+def _sample_pairs(d: int, samples: int, seed: int) -> list[np.ndarray]:
+    """The pairs ratio_scan rates: (samples, 2, d) configurations and (samples, d) signals.
+
+    Sample i draws from its own substream, as _draw_pairs does. Both pairs
+    come from one draw of 6d normals, which are the loop's draws unless a
+    pair is too close; those samples are drawn again with the loop itself.
+    """
+    z = np.empty((samples, 6 * d))
+    for i in range(samples):
+        z[i] = _sample_rng(seed, i).standard_normal(6 * d)
+    x_cfg = z[:, : 2 * d].reshape(samples, 2, d)
+    y_cfg = z[:, 2 * d: 4 * d].reshape(samples, 2, d)
+    x_sig, y_sig = z[:, 4 * d: 5 * d], z[:, 5 * d:]
+    close = dist_hat_V_many(x_cfg, y_cfg)[0] <= _MIN_PAIR_DISTANCE
+    close |= dist_hat_H_many(x_sig, y_sig) <= _MIN_PAIR_DISTANCE
+    for i in np.flatnonzero(close):
+        x_cfg[i], y_cfg[i], x_sig[i], y_sig[i] = _draw_pairs(_sample_rng(seed, i), d)
+    return [x_cfg, y_cfg, x_sig, y_sig]
+
+
+def _draw_pairs(rng: np.random.Generator, d: int):
+    """One sample's configuration pair and signal pair, each redrawn while too close."""
+    while True:
+        x_cfg = rng.standard_normal((2, d))
+        y_cfg = rng.standard_normal((2, d))
+        if dist_hat_V(x_cfg, y_cfg)[0] > _MIN_PAIR_DISTANCE:
+            break
+    while True:
+        x_sig = rng.standard_normal(d)
+        y_sig = rng.standard_normal(d)
+        if dist_hat_H(x_sig, y_sig) > _MIN_PAIR_DISTANCE:
+            break
+    return x_cfg, y_cfg, x_sig, y_sig

@@ -59,6 +59,30 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def as_stack(v, ndim: int) -> np.ndarray:
+    """Coerce to an ndim-D float64 stack of at least one item, all entries finite.
+
+    Axis 0 indexes the items; callers check the item shape themselves.
+    """
+    a = np.asarray(v, dtype=np.float64)
+    if a.ndim != ndim or a.shape[0] < 1:
+        raise DimensionError(f"expected a non-empty {ndim}-D stack, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("stack entries must be finite (no NaN/Inf)")
+    return a
+
+
+def row_norms(stack) -> np.ndarray:
+    """Euclidean norm of every row (last axis) of a stack.
+
+    Each row's norm has the bits of np.linalg.norm of that row alone, which is
+    sqrt(row @ row): the stacked (1, n) @ (n, 1) products go to the same BLAS
+    dot, so batched and one-at-a-time code make identical decisions.
+    """
+    a = np.ascontiguousarray(stack, dtype=np.float64)
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Singular values (nonincreasing) with aligned singular vectors.
@@ -120,9 +144,15 @@ def sigma_k(m, k: int) -> float:
 
 
 def least_squares(m, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of M z = b (pseudoinverse apply)."""
+    """Minimum-norm least-squares solution of M z = b (pseudoinverse apply).
+
+    ``b`` is a vector, or a matrix whose columns are solved in one LAPACK
+    call. A one-column matrix gives the bits of the vector's solution; with
+    more columns each may differ from its own solve in the last bits.
+    """
     a = as_matrix(m)
-    rhs = as_vector(b)
+    rhs = np.asarray(b, dtype=np.float64)
+    rhs = as_matrix(rhs) if rhs.ndim == 2 else as_vector(rhs)
     if a.shape[0] != rhs.shape[0]:
         raise DimensionError(
             f"matrix has {a.shape[0]} rows but right-hand side has length {rhs.shape[0]}"

@@ -13,17 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lipschitz
-from .encoders import alpha, beta, beta_tilde, dist_hat_H, dist_hat_V, hadamard_split
+from .encoders import (
+    alpha_many,
+    beta_many,
+    beta_tilde_many,
+    dist_hat_H_many,
+    dist_hat_V_many,
+    hadamard_split,
+)
 from .errors import PhasesortError
 from .frame_keys import (
     Key,
-    analysis,
+    analysis_many,
     has_complement_property,
     is_full_spark,
     is_phase_retrievable,
     is_universal_key,
 )
-from .inversion import invert_beta, invert_beta_tilde, omega
+from .inversion import invert_beta_many, invert_beta_tilde_many, omega_many
+from .numerics import row_norms
 
 SKIPPED = "skipped (not injective)"
 
@@ -75,209 +83,149 @@ def minmax_identity_failures(u: np.ndarray, v: np.ndarray) -> int:
     return failures
 
 
-def _rel_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) <= tol * max(
-        1.0, float(np.linalg.norm(np.asarray(b)))
+def _rel_close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Per row: |a - b| <= tol * max(1, |b|)."""
+    return row_norms(a - b) <= tol * np.maximum(1.0, row_norms(b))
+
+
+# Each check below draws all its samples from its generator, checks them with
+# the stacked encoders, decoders and metrics, and returns how many failed.
+# Running each in its own call frees its arrays before the next one starts.
+
+def _minmax(key: Key, rng: np.random.Generator, samples: int):
+    """Lattice identities on random pairs."""
+    u = rng.standard_normal(samples)
+    v = rng.standard_normal(samples)
+    return minmax_identity_failures(u, v)
+
+
+def _hadamard_split(key: Key, rng: np.random.Generator, samples: int):
+    """The sorted embedding against the magnitude/analysis split."""
+    cfg = rng.standard_normal((samples, 2, key.d))
+    diff, total = hadamard_split(beta_many(key, cfg)[0])
+    bad = ~_rel_close(diff, alpha_many(key, cfg[:, 0] - cfg[:, 1]), 1e-12)
+    bad |= ~_rel_close(total, analysis_many(key, cfg[:, 0] + cfg[:, 1]), 1e-12)
+    return np.count_nonzero(bad)
+
+
+def _alpha_sign(key: Key, rng: np.random.Generator, samples: int):
+    """Sign invariance of alpha, bitwise."""
+    x = rng.standard_normal((samples, key.d))
+    return np.count_nonzero(np.any(alpha_many(key, x) != alpha_many(key, -x), axis=1))
+
+
+def _beta_permutation(key: Key, rng: np.random.Generator, samples: int):
+    """Row-permutation invariance of beta, bitwise, on configurations of 1-4 rows.
+
+    The row counts are drawn with the rows, so the draws are made one by one;
+    the check runs once per row count.
+    """
+    by_rows: dict[int, tuple[list, list]] = {}
+    for _ in range(samples):
+        n = int(rng.integers(1, 5))
+        cfgs, perms = by_rows.setdefault(n, ([], []))
+        cfgs.append(rng.standard_normal((n, key.d)))
+        perms.append(rng.permutation(n))
+    bad = 0
+    for cfgs, perms in by_rows.values():
+        cfg = np.array(cfgs)
+        permuted = np.take_along_axis(cfg, np.array(perms)[:, :, None], axis=1)
+        bad += np.count_nonzero(
+            np.any(beta_many(key, cfg)[0] != beta_many(key, permuted)[0], axis=(1, 2))
+        )
+    return bad
+
+
+def _auxiliary_set(key: Key, rng: np.random.Generator, samples: int):
+    """Split of the squared magnitude gap along the comparison set."""
+    xy = rng.standard_normal((samples, 2, key.d))
+    x, y = xy[:, 0], xy[:, 1]
+    lhs = np.sum((alpha_many(key, x) - alpha_many(key, y)) ** 2, axis=1)
+    cd = analysis_many(key, x - y)
+    cs = analysis_many(key, x + y)
+    in_s = np.abs(cd) <= np.abs(cs)
+    # the sum over the set plus the sum over its complement, other terms zeroed
+    rhs = np.sum(np.where(in_s, cd, 0.0) ** 2, axis=1)
+    rhs += np.sum(np.where(in_s, 0.0, cs) ** 2, axis=1)
+    return np.count_nonzero(np.abs(lhs - rhs) > 1e-12 * np.maximum(1.0, np.abs(rhs)))
+
+
+def _quotient_stack(key: Key, rng: np.random.Generator, samples: int):
+    """Sign-quotient distance equals stacked permutation-quotient distance / sqrt(2)."""
+    xy = rng.standard_normal((samples, 2, key.d))
+    x, y = xy[:, 0], xy[:, 1]
+    stacked = dist_hat_V_many(np.stack([x, -x], axis=1), np.stack([y, -y], axis=1))[0]
+    gap = np.abs(dist_hat_H_many(x, y) - stacked / np.sqrt(2.0))
+    return np.count_nonzero(gap > 1e-12 * np.maximum(1.0, stacked))
+
+
+def _roundtrip_alpha(key: Key, rng: np.random.Generator, samples: int):
+    x = rng.standard_normal((samples, key.d))
+    rec = omega_many(key, alpha_many(key, x)).x
+    return np.count_nonzero(dist_hat_H_many(rec, x) > 1e-8 * np.maximum(1.0, row_norms(x)))
+
+
+def _roundtrip_beta(key: Key, rng: np.random.Generator, samples: int):
+    cfg = rng.standard_normal((samples, 2, key.d))
+    rec = invert_beta_many(key, beta_many(key, cfg)[0])
+    return _config_mismatch(rec, cfg)
+
+
+def _roundtrip_beta_tilde(key: Key, rng: np.random.Generator, samples: int):
+    cfg = rng.standard_normal((samples, 2, key.d))
+    rec = invert_beta_tilde_many(key, beta_tilde_many(key, cfg))
+    return _config_mismatch(rec, cfg)
+
+
+def _config_mismatch(rec: np.ndarray, cfg: np.ndarray) -> int:
+    scale = np.maximum(1.0, row_norms(cfg.reshape(len(cfg), -1)))
+    return np.count_nonzero(dist_hat_V_many(rec, cfg)[0] > 1e-8 * scale)
+
+
+# Sampled properties in substream order: substreams 0-5 hold for every key,
+# 6-8 need an injective one.
+_INVARIANTS = (
+    ("minmax-identities", _minmax),
+    ("hadamard-split-identity", _hadamard_split),
+    ("alpha-sign-invariance", _alpha_sign),
+    ("beta-permutation-invariance", _beta_permutation),
+    ("auxiliary-set-decomposition", _auxiliary_set),
+    ("quotient-metric-stack", _quotient_stack),
+)
+_ROUNDTRIPS = (
+    ("roundtrip-alpha", _roundtrip_alpha),
+    ("roundtrip-beta", _roundtrip_beta),
+    ("roundtrip-beta-tilde", _roundtrip_beta_tilde),
+)
+
+
+def _sampled(key: Key, samples: int, seed: int, stream: int, name: str, check):
+    bad = int(check(key, _rng(seed, stream), samples))
+    return PropertyResult(
+        name, "pass" if bad == 0 else "fail", samples, "" if bad == 0 else f"{bad} violations"
     )
 
 
 def run_battery(key: Key, samples: int, seed: int) -> list[PropertyResult]:
     """Run every invariant against one key; deterministic given (key, samples, seed)."""
-    d = key.d
-    results: list[PropertyResult] = []
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     injective = is_phase_retrievable(key).verdict
-
-    # lattice identities on random pairs
-    rng = _rng(seed, 0)
-    u = rng.standard_normal(samples)
-    v = rng.standard_normal(samples)
-    bad = minmax_identity_failures(u, v)
-    results.append(
-        PropertyResult(
-            "minmax-identities",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    # sorted embedding against magnitude/analysis split
-    rng = _rng(seed, 1)
-    bad = 0
-    for _ in range(samples):
-        cfg = rng.standard_normal((2, d))
-        diff, total = hadamard_split(beta(key, cfg))
-        if not _rel_close(diff, alpha(key, cfg[0] - cfg[1]), 1e-12):
-            bad += 1
-        elif not _rel_close(total, analysis(key, cfg[0] + cfg[1]), 1e-12):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "hadamard-split-identity",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    # encoder invariances, bitwise
-    rng = _rng(seed, 2)
-    bad = 0
-    for _ in range(samples):
-        x = rng.standard_normal(d)
-        if not np.array_equal(alpha(key, x), alpha(key, -x)):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "alpha-sign-invariance",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    rng = _rng(seed, 3)
-    bad = 0
-    for _ in range(samples):
-        n = int(rng.integers(1, 5))
-        cfg = rng.standard_normal((n, d))
-        perm = rng.permutation(n)
-        if not np.array_equal(beta(key, cfg).matrix, beta(key, cfg[perm]).matrix):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "beta-permutation-invariance",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    # split of the squared magnitude gap along the comparison set
-    rng = _rng(seed, 4)
-    bad = 0
-    a = key.matrix
-    for _ in range(samples):
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        lhs = float(np.sum((alpha(key, x) - alpha(key, y)) ** 2))
-        cd = a.T @ (x - y)
-        cs = a.T @ (x + y)
-        in_s = np.abs(cd) <= np.abs(cs)
-        rhs = float(np.sum(cd[in_s] ** 2) + np.sum(cs[~in_s] ** 2))
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "auxiliary-set-decomposition",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    # sign-quotient distance equals stacked permutation-quotient distance / sqrt(2)
-    rng = _rng(seed, 5)
-    bad = 0
-    for _ in range(samples):
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        stacked = dist_hat_V(np.vstack([x, -x]), np.vstack([y, -y]))[0]
-        if abs(dist_hat_H(x, y) - stacked / np.sqrt(2.0)) > 1e-12 * max(1.0, stacked):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "quotient-metric-stack",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    # certificate cross-agreements
-    problems: list[str] = []
-    pr = is_phase_retrievable(key)
-    uk = is_universal_key(key)
-    if pr.verdict != uk.verdict:
-        problems.append("phase-retrievable != universal-key")
-    if key.D == 2 * key.d - 1 and is_full_spark(key).verdict != uk.verdict:
-        problems.append("full-spark != universal-key at D = 2d-1")
-    if key.D < 2 * key.d - 1 and uk.verdict:
-        problems.append("universal despite D < 2d-1")
-    a0, _ = lipschitz.lower_constant(key)
-    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * max(
-        1.0, lipschitz.upper_constant(key)
-    )
-    if a0_positive != has_complement_property(key).verdict:
-        problems.append("A0 positivity disagrees with complement property")
-    results.append(
-        PropertyResult(
-            "certificate-agreement",
-            "pass" if not problems else "fail",
-            4,
-            "; ".join(problems),
-        )
-    )
+    results = [
+        _sampled(key, samples, seed, stream, name, check)
+        for stream, (name, check) in enumerate(_INVARIANTS)
+    ]
+    results.append(_certificate_agreement(key))
 
     # decoders and the sandwich need an injective key
     if not injective:
-        for name in (
-            "roundtrip-alpha",
-            "roundtrip-beta",
-            "roundtrip-beta-tilde",
-            "lipschitz-sandwich",
-            "achievement",
-        ):
-            results.append(PropertyResult(name, SKIPPED, 0))
-        return results
+        skipped = [name for name, _ in _ROUNDTRIPS] + ["lipschitz-sandwich", "achievement"]
+        return results + [PropertyResult(name, SKIPPED, 0) for name in skipped]
 
-    rng = _rng(seed, 6)
-    bad = 0
-    for _ in range(samples):
-        x = rng.standard_normal(d)
-        rec = omega(key, alpha(key, x)).x
-        if dist_hat_H(rec, x) > 1e-8 * max(1.0, float(np.linalg.norm(x))):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "roundtrip-alpha",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    rng = _rng(seed, 7)
-    bad = 0
-    for _ in range(samples):
-        cfg = rng.standard_normal((2, d))
-        rec = invert_beta(key, beta(key, cfg).matrix)
-        if dist_hat_V(rec, cfg)[0] > 1e-8 * max(1.0, float(np.linalg.norm(cfg))):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "roundtrip-beta",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
-
-    rng = _rng(seed, 8)
-    bad = 0
-    for _ in range(samples):
-        cfg = rng.standard_normal((2, d))
-        rec = invert_beta_tilde(key, beta_tilde(key, cfg))
-        if dist_hat_V(rec, cfg)[0] > 1e-8 * max(1.0, float(np.linalg.norm(cfg))):
-            bad += 1
-    results.append(
-        PropertyResult(
-            "roundtrip-beta-tilde",
-            "pass" if bad == 0 else "fail",
-            samples,
-            "" if bad == 0 else f"{bad} violations",
-        )
-    )
+    results += [
+        _sampled(key, samples, seed, stream, name, check)
+        for stream, (name, check) in enumerate(_ROUNDTRIPS, start=len(_INVARIANTS))
+    ]
 
     try:
         lipschitz.ratio_scan(key, samples, seed, include_witnesses=True)
@@ -293,3 +241,28 @@ def run_battery(key: Key, samples: int, seed: int) -> list[PropertyResult]:
         results.append(PropertyResult("achievement", "fail", 4, str(exc)))
 
     return results
+
+
+def _certificate_agreement(key: Key) -> PropertyResult:
+    """Cross-agreement of the certificates and the sign of A0."""
+    problems: list[str] = []
+    pr = is_phase_retrievable(key)
+    uk = is_universal_key(key)
+    if pr.verdict != uk.verdict:
+        problems.append("phase-retrievable != universal-key")
+    if key.D == 2 * key.d - 1 and is_full_spark(key).verdict != uk.verdict:
+        problems.append("full-spark != universal-key at D = 2d-1")
+    if key.D < 2 * key.d - 1 and uk.verdict:
+        problems.append("universal despite D < 2d-1")
+    a0, _ = lipschitz.lower_constant(key)
+    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * max(
+        1.0, lipschitz.upper_constant(key)
+    )
+    if a0_positive != has_complement_property(key).verdict:
+        problems.append("A0 positivity disagrees with complement property")
+    return PropertyResult(
+        "certificate-agreement",
+        "pass" if not problems else "fail",
+        4,
+        "; ".join(problems),
+    )

@@ -1,0 +1,396 @@
+"""One-at-a-time reference implementations for the stacked kernels.
+
+These are the decoders, encoders, metrics, verify battery and ratio sampler
+as they were before the kernels were batched: plain Python loops over
+samples, sign patterns, columns and row orders, built on numpy alone. The
+batched code must reproduce them, bit for bit where the docstrings of the
+kernels say so.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from phasesort import lipschitz
+from phasesort.errors import (
+    AmbiguityDetected,
+    DimensionError,
+    NotAFrame,
+    NotInRange,
+    NotPhaseRetrievable,
+    PhasesortError,
+    SearchTooLarge,
+    UnsupportedN,
+)
+from phasesort.frame_keys import (
+    has_complement_property,
+    is_full_spark,
+    is_phase_retrievable,
+    is_universal_key,
+)
+from phasesort.inversion import (
+    _ORBIT_GAP,
+    RecoveryResult,
+    _gray_sign_patterns,
+    _greedy_pivot_columns,
+)
+from phasesort.numerics import as_matrix, as_vector, rank
+from phasesort.verify import SKIPPED, PropertyResult, _rng, minmax_identity_failures
+
+
+# --- encoders and metrics ---------------------------------------------------
+
+def analysis(key, x):
+    v = as_vector(x)
+    if v.shape[0] != key.d:
+        raise DimensionError(f"signal has length {v.shape[0]}, key expects {key.d}")
+    return key.matrix.T @ v
+
+
+def alpha(key, x):
+    return np.abs(analysis(key, x))
+
+
+def sort_desc_columns(m):
+    a = as_matrix(m)
+    n = a.shape[0]
+    sorted_cols = np.empty_like(a)
+    perms = []
+    for k in range(a.shape[1]):
+        order = np.argsort(-a[:, k], kind="stable")
+        sorted_cols[:, k] = a[order, k]
+        p = np.empty(n, dtype=np.int64)
+        p[order] = np.arange(n)
+        perms.append(p)
+    return sorted_cols, perms
+
+
+def beta(key, config):
+    """Sorted matrix and permutations, as a (matrix, perms) pair."""
+    x = as_matrix(config)
+    if x.shape[1] != key.d:
+        raise DimensionError(f"configuration has {x.shape[1]} columns, key expects {key.d}")
+    return sort_desc_columns(x @ key.matrix)
+
+
+def beta_tilde(key, config):
+    x = as_matrix(config)
+    if x.shape[0] != 2:
+        raise UnsupportedN(f"modified encoder needs exactly 2 rows, got {x.shape[0]}")
+    if x.shape[1] != key.d:
+        raise DimensionError(f"configuration has {x.shape[1]} columns, key expects {key.d}")
+    return np.concatenate([0.5 * (x[0] + x[1]), alpha(key, x[0] - x[1])])
+
+
+def dist_hat_H(x, y):
+    a, b = as_vector(x), as_vector(y)
+    if a.shape != b.shape:
+        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+
+
+def dist_hat_V(x, y):
+    a, b = as_matrix(x), as_matrix(y)
+    if a.shape != b.shape:
+        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    n = a.shape[0]
+    if n > 8:
+        raise SearchTooLarge(f"row-permutation metric is capped at n <= 8, got {n}")
+    best = math.inf
+    best_perm = tuple(range(n))
+    for perm in itertools.permutations(range(n)):
+        dist = float(np.linalg.norm(a - b[perm, :]))
+        if dist < best:
+            best = dist
+            best_perm = perm
+    return best, best_perm
+
+
+# --- decoders ---------------------------------------------------------------
+
+def _canonicalize_sign(x, rank_tol_factor):
+    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    if scale == 0.0:
+        return 1.0
+    lead = int(np.argmax(np.abs(x) > rank_tol_factor * scale))
+    return -1.0 if x[lead] < 0.0 else 1.0
+
+
+def omega(key, y, certificate=is_phase_retrievable):
+    yv = as_vector(y)
+    if yv.shape[0] != key.D:
+        raise DimensionError(f"measurements have length {yv.shape[0]}, key expects {key.D}")
+    if not certificate(key).verdict:
+        raise NotPhaseRetrievable("key fails the phase-retrievability certificate")
+    tol = key.tol
+    y_norm = float(np.linalg.norm(yv))
+    accept_tol = tol.consistency_tol * max(1.0, y_norm)
+    if float(np.min(yv)) < -accept_tol:
+        raise NotInRange("measurements have significantly negative entries")
+    if y_norm <= tol.consistency_tol:
+        return RecoveryResult(np.zeros(key.d), y_norm, np.ones(0), ())
+    a = key.matrix
+    d = key.d
+    pivot_scale = tol.rank_tol_factor * max(a.shape) * float(np.linalg.norm(a))
+    pivots = _greedy_pivot_columns(a, d, pivot_scale)
+    a_piv = a[:, pivots]
+    eps = _gray_sign_patterns(d)
+    rhs = (eps * yv[pivots]).T
+    candidates = np.linalg.solve(a_piv.T, rhs)
+    residuals = np.linalg.norm(np.abs(a.T @ candidates) - yv[:, None], axis=0)
+    consistent = residuals <= accept_tol
+    if not consistent.any():
+        raise NotInRange(
+            f"no sign pattern is consistent (best residual {residuals.min():.3e}, "
+            f"tolerance {accept_tol:.3e})"
+        )
+    first = int(np.argmax(consistent))
+    x = candidates[:, first]
+    x_scale = max(1.0, float(np.linalg.norm(x)))
+    for j in np.nonzero(consistent)[0]:
+        if j != first and dist_hat_H(candidates[:, j], x) > _ORBIT_GAP * x_scale:
+            raise AmbiguityDetected(
+                "two consistent candidates on distinct orbits; key cannot be injective"
+            )
+    flip = _canonicalize_sign(x, tol.rank_tol_factor)
+    return RecoveryResult(flip * x, float(residuals[first]), flip * eps[first], tuple(pivots))
+
+
+def synthesis_left_inverse(key, y):
+    v = as_vector(y)
+    if v.shape[0] != key.D:
+        raise DimensionError(f"coefficients have length {v.shape[0]}, key expects {key.D}")
+    if rank(key.matrix, key.tol) < key.d:
+        raise NotAFrame("key matrix is rank deficient; columns do not span")
+    return np.linalg.lstsq(key.matrix.T, v, rcond=None)[0]
+
+
+def invert_beta(key, embedding):
+    yq = as_matrix(embedding)
+    if yq.shape != (2, key.D):
+        raise DimensionError(f"expected a 2 x {key.D} embedding, got {yq.shape}")
+    if not np.all(yq[0] >= yq[1]):
+        raise NotInRange("embedding columns are not sorted nonincreasing")
+    mean_part = synthesis_left_inverse(key, yq[0] + yq[1])
+    diff_part = omega(key, yq[0] - yq[1]).x
+    decoded = np.vstack([0.5 * (mean_part + diff_part), 0.5 * (mean_part - diff_part)])
+    err = float(np.linalg.norm(beta(key, decoded)[0] - yq))
+    bound = key.tol.consistency_tol * max(1.0, float(np.linalg.norm(yq)))
+    if err > bound:
+        raise NotInRange(f"re-encoding residual {err:.3e} exceeds tolerance {bound:.3e}")
+    return decoded
+
+
+def invert_beta_tilde(key, y):
+    yv = as_vector(y)
+    if yv.shape[0] != key.d + key.D:
+        raise DimensionError(f"expected a vector of length {key.d + key.D}, got {yv.shape[0]}")
+    mean_part = yv[: key.d]
+    diff_part = omega(key, yv[key.d:]).x
+    decoded = np.vstack([mean_part + 0.5 * diff_part, mean_part - 0.5 * diff_part])
+    err = float(np.linalg.norm(beta_tilde(key, decoded) - yv))
+    bound = key.tol.consistency_tol * max(1.0, float(np.linalg.norm(yv)))
+    if err > bound:
+        raise NotInRange(f"re-encoding residual {err:.3e} exceeds tolerance {bound:.3e}")
+    return decoded
+
+
+# --- sampler and battery ----------------------------------------------------
+
+def ratio_scan(key, samples, seed, include_witnesses=False):
+    """The per-sample ratio loop; reads lipschitz's build_report and
+    _MIN_PAIR_DISTANCE at call time, so both can be patched."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    report = lipschitz.build_report(key)
+    a0, b0 = report.A0, report.B0
+    d = key.d
+    limit = lipschitz._MIN_PAIR_DISTANCE
+    beta_ratios, alpha_ratios = [], []
+    for i in range(samples):
+        rng = lipschitz._sample_rng(seed, i)
+        while True:
+            x_cfg = rng.standard_normal((2, d))
+            y_cfg = rng.standard_normal((2, d))
+            dv = dist_hat_V(x_cfg, y_cfg)[0]
+            if dv > limit:
+                break
+        gap = float(np.linalg.norm(beta(key, x_cfg)[0] - beta(key, y_cfg)[0]))
+        beta_ratios.append(gap / dv)
+        while True:
+            x_sig = rng.standard_normal(d)
+            y_sig = rng.standard_normal(d)
+            dh = dist_hat_H(x_sig, y_sig)
+            if dh > limit:
+                break
+        gap = float(np.linalg.norm(alpha(key, x_sig) - alpha(key, y_sig)))
+        alpha_ratios.append(gap / dh)
+    if include_witnesses:
+        w = report.witnesses
+        pairs_v = [(w.X_max, w.Y_max)]
+        pairs_h = [(w.x_max, w.y_max)]
+        if not report.degenerate_lower:
+            pairs_v.append((w.X_min, w.Y_min))
+            pairs_h.append((w.x_min, w.y_min))
+        for xc, yc in pairs_v:
+            dv = dist_hat_V(xc, yc)[0]
+            beta_ratios.append(float(np.linalg.norm(beta(key, xc)[0] - beta(key, yc)[0])) / dv)
+        for xs, ys in pairs_h:
+            dh = dist_hat_H(xs, ys)
+            alpha_ratios.append(float(np.linalg.norm(alpha(key, xs) - alpha(key, ys))) / dh)
+    result = lipschitz.RatioScanReport(
+        min(beta_ratios), max(beta_ratios), min(alpha_ratios), max(alpha_ratios)
+    )
+    slack = key.tol.consistency_tol
+    for lo, hi, label in (
+        (result.min_ratio, result.max_ratio, "beta"),
+        (result.alpha_min_ratio, result.alpha_max_ratio, "alpha"),
+    ):
+        if lo < a0 - slack or hi > b0 + slack:
+            raise lipschitz.LipschitzViolation(
+                f"{label} ratios [{lo!r}, {hi!r}] escape [{a0!r}, {b0!r}]"
+            )
+    return result
+
+
+def _rel_close(a, b, tol):
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) <= tol * max(
+        1.0, float(np.linalg.norm(np.asarray(b)))
+    )
+
+
+def _result(name, bad, count):
+    return PropertyResult(
+        name, "pass" if bad == 0 else "fail", count, "" if bad == 0 else f"{bad} violations"
+    )
+
+
+def run_battery(key, samples, seed):
+    """The per-sample property loops of the verify battery."""
+    d = key.d
+    results = []
+    injective = is_phase_retrievable(key).verdict
+
+    rng = _rng(seed, 0)
+    u = rng.standard_normal(samples)
+    v = rng.standard_normal(samples)
+    results.append(_result("minmax-identities", minmax_identity_failures(u, v), samples))
+
+    rng = _rng(seed, 1)
+    bad = 0
+    for _ in range(samples):
+        cfg = rng.standard_normal((2, d))
+        b = beta(key, cfg)[0]
+        diff, total = b[0] - b[1], b[0] + b[1]
+        if not _rel_close(diff, alpha(key, cfg[0] - cfg[1]), 1e-12):
+            bad += 1
+        elif not _rel_close(total, analysis(key, cfg[0] + cfg[1]), 1e-12):
+            bad += 1
+    results.append(_result("hadamard-split-identity", bad, samples))
+
+    rng = _rng(seed, 2)
+    bad = 0
+    for _ in range(samples):
+        x = rng.standard_normal(d)
+        if not np.array_equal(alpha(key, x), alpha(key, -x)):
+            bad += 1
+    results.append(_result("alpha-sign-invariance", bad, samples))
+
+    rng = _rng(seed, 3)
+    bad = 0
+    for _ in range(samples):
+        n = int(rng.integers(1, 5))
+        cfg = rng.standard_normal((n, d))
+        perm = rng.permutation(n)
+        if not np.array_equal(beta(key, cfg)[0], beta(key, cfg[perm])[0]):
+            bad += 1
+    results.append(_result("beta-permutation-invariance", bad, samples))
+
+    rng = _rng(seed, 4)
+    bad = 0
+    a = key.matrix
+    for _ in range(samples):
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(d)
+        lhs = float(np.sum((alpha(key, x) - alpha(key, y)) ** 2))
+        cd = a.T @ (x - y)
+        cs = a.T @ (x + y)
+        in_s = np.abs(cd) <= np.abs(cs)
+        rhs = float(np.sum(cd[in_s] ** 2) + np.sum(cs[~in_s] ** 2))
+        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
+            bad += 1
+    results.append(_result("auxiliary-set-decomposition", bad, samples))
+
+    rng = _rng(seed, 5)
+    bad = 0
+    for _ in range(samples):
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(d)
+        stacked = dist_hat_V(np.vstack([x, -x]), np.vstack([y, -y]))[0]
+        if abs(dist_hat_H(x, y) - stacked / np.sqrt(2.0)) > 1e-12 * max(1.0, stacked):
+            bad += 1
+    results.append(_result("quotient-metric-stack", bad, samples))
+
+    problems = []
+    uk = is_universal_key(key)
+    if is_phase_retrievable(key).verdict != uk.verdict:
+        problems.append("phase-retrievable != universal-key")
+    if key.D == 2 * key.d - 1 and is_full_spark(key).verdict != uk.verdict:
+        problems.append("full-spark != universal-key at D = 2d-1")
+    if key.D < 2 * key.d - 1 and uk.verdict:
+        problems.append("universal despite D < 2d-1")
+    a0, _ = lipschitz.lower_constant(key)
+    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * max(
+        1.0, lipschitz.upper_constant(key)
+    )
+    if a0_positive != has_complement_property(key).verdict:
+        problems.append("A0 positivity disagrees with complement property")
+    results.append(PropertyResult(
+        "certificate-agreement", "pass" if not problems else "fail", 4, "; ".join(problems)
+    ))
+
+    if not injective:
+        for name in ("roundtrip-alpha", "roundtrip-beta", "roundtrip-beta-tilde",
+                     "lipschitz-sandwich", "achievement"):
+            results.append(PropertyResult(name, SKIPPED, 0))
+        return results
+
+    rng = _rng(seed, 6)
+    bad = 0
+    for _ in range(samples):
+        x = rng.standard_normal(d)
+        if dist_hat_H(omega(key, alpha(key, x)).x, x) > 1e-8 * max(1.0, np.linalg.norm(x)):
+            bad += 1
+    results.append(_result("roundtrip-alpha", bad, samples))
+
+    rng = _rng(seed, 7)
+    bad = 0
+    for _ in range(samples):
+        cfg = rng.standard_normal((2, d))
+        rec = invert_beta(key, beta(key, cfg)[0])
+        if dist_hat_V(rec, cfg)[0] > 1e-8 * max(1.0, float(np.linalg.norm(cfg))):
+            bad += 1
+    results.append(_result("roundtrip-beta", bad, samples))
+
+    rng = _rng(seed, 8)
+    bad = 0
+    for _ in range(samples):
+        cfg = rng.standard_normal((2, d))
+        rec = invert_beta_tilde(key, beta_tilde(key, cfg))
+        if dist_hat_V(rec, cfg)[0] > 1e-8 * max(1.0, float(np.linalg.norm(cfg))):
+            bad += 1
+    results.append(_result("roundtrip-beta-tilde", bad, samples))
+
+    try:
+        ratio_scan(key, samples, seed, include_witnesses=True)
+        results.append(PropertyResult("lipschitz-sandwich", "pass", samples))
+    except PhasesortError as exc:
+        results.append(PropertyResult("lipschitz-sandwich", "fail", samples, str(exc)))
+
+    try:
+        lipschitz.check_achievement(key, lipschitz.build_report(key))
+        results.append(PropertyResult("achievement", "pass", 4))
+    except PhasesortError as exc:
+        results.append(PropertyResult("achievement", "fail", 4, str(exc)))
+    return results

@@ -294,3 +294,11 @@ def test_reports_write_to_file(a_ref_file, tmp_path):
     res = run_cli("check", a_ref_file, "--out", str(out))
     assert res.returncode == 0
     assert out.read_bytes() == res.stdout
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_rejects_nonpositive_samples(a_ref_file, samples):
+    res = run_cli("verify", a_ref_file, "--samples", samples)
+    assert res.returncode == 2
+    assert b"samples must be >= 1" in res.stderr
+    assert res.stdout == b""

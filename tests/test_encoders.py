@@ -6,17 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from phasesort import (
     DimensionError,
     Key,
     SearchTooLarge,
     UnsupportedN,
     alpha,
+    alpha_many,
     analysis,
+    analysis_many,
     beta,
+    beta_many,
     beta_tilde,
+    beta_tilde_many,
     dist_hat_H,
+    dist_hat_H_many,
     dist_hat_V,
+    dist_hat_V_many,
+    encoders,
     generate_key,
     hadamard_split,
     sort_desc_columns,
@@ -234,3 +242,107 @@ def test_embedding_sizes_at_minimal_width():
     cfg = np.random.Generator(np.random.PCG64(42)).standard_normal((2, d))
     assert beta_tilde(key, cfg).shape == (d + D,)
     assert beta(key, cfg).matrix.size == 2 * D
+
+
+# --- stacked encoders and metrics against the one-at-a-time oracles ----------
+
+def _tied_matrix(rng, n, cols):
+    """Entries from a small set, with signed zeros, so columns have many ties."""
+    return rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=(n, cols))
+
+
+def test_sort_desc_columns_matches_column_loop():
+    rng = np.random.Generator(np.random.PCG64(37))
+    for n in range(1, 7):
+        for m in (_tied_matrix(rng, n, 5), rng.standard_normal((n, 4))):
+            out, perms = sort_desc_columns(m)
+            want, want_perms = oracles.sort_desc_columns(m)
+            assert out.tobytes() == want.tobytes()  # signed zeros included
+            assert len(perms) == len(want_perms)
+            for p, q in zip(perms, want_perms):
+                assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+
+
+def test_beta_many_matches_single_and_oracle():
+    rng = np.random.Generator(np.random.PCG64(38))
+    key = generate_key(3, 8, 9)
+    for n in (1, 2, 4):
+        cfg = np.concatenate([rng.standard_normal((6, n, 3)), _tied_matrix(rng, 6 * n, 3)
+                              .reshape(6, n, 3)])
+        matrices, perms = beta_many(key, cfg)
+        for i, c in enumerate(cfg):
+            single = beta(key, c)
+            want, want_perms = oracles.beta(key, c)
+            assert matrices[i].tobytes() == single.matrix.tobytes() == want.tobytes()
+            assert np.array_equal(perms[i], single.perms) and np.array_equal(perms[i], want_perms)
+
+
+def test_stacked_encoders_match_single_calls_bitwise():
+    rng = np.random.Generator(np.random.PCG64(39))
+    for d, D, seed in ((3, 8, 1), (4, 12, 2), (1, 3, 3)):
+        key = generate_key(d, D, seed)
+        x = rng.standard_normal((20, d))
+        cfg = rng.standard_normal((20, 2, d))
+        a, t = alpha_many(key, x), beta_tilde_many(key, cfg)
+        an = analysis_many(key, x)
+        for i in range(20):
+            assert an[i].tobytes() == analysis(key, x[i]).tobytes()
+            assert a[i].tobytes() == alpha(key, x[i]).tobytes()
+            assert a[i].tobytes() == oracles.alpha(key, x[i]).tobytes()
+            assert t[i].tobytes() == beta_tilde(key, cfg[i]).tobytes()
+            assert t[i].tobytes() == oracles.beta_tilde(key, cfg[i]).tobytes()
+    with pytest.raises(UnsupportedN):
+        beta_tilde_many(key, np.zeros((2, 3, 1)))
+    with pytest.raises(DimensionError):
+        beta_many(key, np.zeros((2, 2, 2)))
+
+
+def test_hadamard_split_of_a_stack():
+    key = generate_key(3, 8, 4)
+    cfg = np.random.Generator(np.random.PCG64(40)).standard_normal((5, 2, 3))
+    diff, total = hadamard_split(beta_many(key, cfg)[0])
+    for i in range(5):
+        d_i, t_i = hadamard_split(beta(key, cfg[i]))
+        assert diff[i].tobytes() == d_i.tobytes() and total[i].tobytes() == t_i.tobytes()
+
+
+def test_dist_hat_H_many_matches_single_and_oracle():
+    rng = np.random.Generator(np.random.PCG64(43))
+    for d in (1, 3, 9):
+        x, y = rng.standard_normal((30, d)), rng.standard_normal((30, d))
+        y[0] = -x[0]
+        got = dist_hat_H_many(x, y)
+        for i in range(30):
+            assert got[i] == dist_hat_H(x[i], y[i]) == oracles.dist_hat_H(x[i], y[i])
+    with pytest.raises(DimensionError):
+        dist_hat_H_many(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+def test_dist_hat_V_many_matches_single_and_oracle():
+    rng = np.random.Generator(np.random.PCG64(44))
+    for n in range(1, 6):
+        x, y = rng.standard_normal((8, n, 2)), rng.standard_normal((8, n, 2))
+        dist, perm = dist_hat_V_many(x, y)
+        for i in range(8):
+            want = oracles.dist_hat_V(x[i], y[i])
+            assert dist_hat_V(x[i], y[i]) == want
+            assert (dist[i], tuple(perm[i])) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_dist_hat_V_many_keeps_first_minimizer_on_ties(monkeypatch, chunk):
+    # rows repeat, so several row orders reach the minimum; small chunks split
+    # the orders across batches and must still keep the lexicographic first
+    monkeypatch.setattr(encoders, "_METRIC_CHUNK", chunk)
+    rng = np.random.Generator(np.random.PCG64(45))
+    for n in (2, 3, 4):
+        base = rng.integers(-1, 2, size=(6, n, 2)).astype(float)
+        x = base.copy()
+        x[:, -1] = x[:, 0]
+        y = x[:, ::-1] + 0.0
+        dist, perm = dist_hat_V_many(x, y)
+        for i in range(6):
+            assert (dist[i], tuple(perm[i])) == oracles.dist_hat_V(x[i], y[i])
+    tied_x = np.zeros((1, 3, 2))
+    dist, perm = dist_hat_V_many(tied_x, tied_x)
+    assert dist[0] == 0.0 and tuple(perm[0]) == (0, 1, 2)

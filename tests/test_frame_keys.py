@@ -19,8 +19,10 @@ from phasesort import (
     is_universal_key,
     rank,
     synthesis_left_inverse,
+    synthesis_left_inverse_many,
 )
 
+import oracles
 from conftest import A_REF, ADVERSARIAL
 
 
@@ -99,6 +101,30 @@ def test_synthesis_rejects_rank_deficient():
     key = Key(np.array([[1.0, 2.0], [2.0, 4.0]]))  # rank 1
     with pytest.raises(NotAFrame):
         synthesis_left_inverse(key, [1.0, 1.0])
+    with pytest.raises(NotAFrame):
+        synthesis_left_inverse_many(key, [[1.0, 1.0]])
+
+
+def test_synthesis_frame_check_runs_once_per_key(monkeypatch):
+    calls = []
+    real_rank = frame_keys.numerics.rank
+    monkeypatch.setattr(frame_keys.numerics, "rank", lambda *a: calls.append(1) or real_rank(*a))
+    key = generate_key(3, 7, 5)
+    y = np.random.Generator(np.random.PCG64(23)).standard_normal((4, 7))
+    for row in y:
+        synthesis_left_inverse(key, row)
+    synthesis_left_inverse_many(key, y)
+    assert len(calls) == 1
+
+
+def test_synthesis_single_call_keeps_vector_lstsq_bits():
+    key = generate_key(4, 12, 6)
+    y = np.random.Generator(np.random.PCG64(24)).standard_normal((10, 12))
+    many = synthesis_left_inverse_many(key, y)
+    for i, row in enumerate(y):
+        single = synthesis_left_inverse(key, row)
+        assert single.tobytes() == oracles.synthesis_left_inverse(key, row).tobytes()
+        np.testing.assert_allclose(many[i], single, rtol=0, atol=1e-14)
 
 
 def test_full_spark_reference():

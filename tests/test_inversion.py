@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import phasesort.inversion as inversion
+import oracles
 from phasesort import (
     AmbiguityDetected,
     DimensionError,
@@ -9,17 +10,24 @@ from phasesort import (
     NotInRange,
     NotPhaseRetrievable,
     alpha,
+    alpha_many,
     beta,
+    beta_many,
     beta_tilde,
+    beta_tilde_many,
     dist_hat_H,
     dist_hat_V,
     generate_key,
     invert_beta,
+    invert_beta_many,
     invert_beta_tilde,
+    invert_beta_tilde_many,
+    is_phase_retrievable,
     omega,
+    omega_many,
 )
 
-from conftest import A_REF, brute_force_magnitude_recovery
+from conftest import A_REF, ADVERSARIAL, brute_force_magnitude_recovery
 
 
 def test_omega_reference_measurements(a_ref_key):
@@ -192,3 +200,156 @@ def test_decoded_orbit_matches_not_rows():
     d_plain = np.linalg.norm(rec - cfg)
     assert d_quot <= 1e-8
     assert d_plain == pytest.approx(d_quot, abs=1e-8) or d_plain > d_quot
+
+
+# --- stacked decoders against the one-at-a-time oracles ----------------------
+
+def _same_recovery(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.residual == want.residual
+    assert got.sign_pattern.tobytes() == want.sign_pattern.tobytes()
+    assert got.pivot_columns == want.pivot_columns
+
+
+def _measurement_rows(key, rng, m):
+    """Encoded random signals, with zero and near-zero rows mixed in."""
+    y = alpha_many(key, rng.standard_normal((m, key.d)))
+    y[1] = 0.0
+    y[3] *= 1e-12
+    return y
+
+
+@pytest.mark.parametrize("d, D, seed", [(3, 8, 1), (4, 12, 2), (2, 3, 3), (5, 9, 4)])
+def test_omega_many_rows_match_single_and_oracle(d, D, seed):
+    key = generate_key(d, D, seed)
+    y = _measurement_rows(key, np.random.Generator(np.random.PCG64(60 + seed)), 40)
+    batch = omega_many(key, y)
+    assert batch.trivial[1] and batch.trivial[3]
+    for i, row in enumerate(y):
+        _same_recovery(batch.result(i), omega(key, row))
+        _same_recovery(omega(key, row), oracles.omega(key, row))
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_omega_many_adversarial_keys(name):
+    key = Key(ADVERSARIAL[name])
+    if not is_phase_retrievable(key).verdict:
+        with pytest.raises(NotPhaseRetrievable):
+            omega_many(key, np.zeros((2, key.D)))
+        return
+    y = _measurement_rows(key, np.random.Generator(np.random.PCG64(61)), 12)
+    batch = omega_many(key, y)
+    for i, row in enumerate(y):
+        _same_recovery(batch.result(i), oracles.omega(key, row))
+
+
+def _raises_like_single(batch_call, single_call):
+    """The batch raises the type and message of the single call on its first bad row."""
+    with pytest.raises(Exception) as single:
+        single_call()
+    with pytest.raises(type(single.value)) as batch:
+        batch_call()
+    assert str(batch.value) == str(single.value)
+
+
+def test_omega_many_error_parity(a_ref_key):
+    good, zero = [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]
+    negative, inconsistent = [1.0, -2.0, 3.0], [1.0, 2.0, 0.0]
+    for rows in ([good, negative, inconsistent], [zero, inconsistent, negative]):
+        first_bad = rows[1]
+        _raises_like_single(lambda: omega_many(a_ref_key, rows),
+                            lambda: oracles.omega(a_ref_key, first_bad))
+    with pytest.raises(DimensionError):
+        omega_many(a_ref_key, np.zeros((2, 4)))
+    with pytest.raises(DimensionError):
+        omega_many(a_ref_key, np.zeros(3))
+    with pytest.raises(NotPhaseRetrievable):
+        omega_many(Key(np.eye(2)), [[0.0, 0.0], [1.0, -1.0]])
+
+
+def test_omega_many_ambiguity_parity(monkeypatch):
+    key = Key(np.eye(2))
+    fake = type("R", (), {"verdict": True})()
+    monkeypatch.setattr(inversion, "is_phase_retrievable", lambda k: fake)
+    # a zero row passes, the next row is ambiguous; a negative row wins when first
+    for rows, first_bad in (([[0.0, 0.0], [1.0, 2.0]], [1.0, 2.0]),
+                            ([[1.0, -2.0], [1.0, 2.0]], [1.0, -2.0])):
+        _raises_like_single(lambda: omega_many(key, rows),
+                            lambda: oracles.omega(key, first_bad, certificate=lambda k: fake))
+
+
+def test_omega_many_chunks_keep_bits_and_first_error(monkeypatch, a_ref_key):
+    key = generate_key(4, 12, 2)
+    y = _measurement_rows(key, np.random.Generator(np.random.PCG64(62)), 30)
+    whole = omega_many(key, y)
+    monkeypatch.setattr(inversion, "_SOLVE_CHUNK", 1)  # one row per chunk
+    chunked = omega_many(key, y)
+    for i in range(len(y)):
+        _same_recovery(chunked.result(i), whole.result(i))
+    good, inconsistent = [1.0, 2.0, 3.0], [1.0, 2.0, 0.0]
+    rows = [good, good, inconsistent, [1.0, 2.0, 0.5], [1.0, -2.0, 3.0]]
+    _raises_like_single(lambda: omega_many(a_ref_key, rows),
+                        lambda: oracles.omega(a_ref_key, inconsistent))
+
+
+def test_omega_many_caches_the_sign_search():
+    key = generate_key(3, 8, 5)
+    omega_many(key, alpha_many(key, np.ones((1, 3))))
+    cached = key._cache["sign_search"]
+    omega(key, alpha(key, [1.0, -2.0, 0.5]))
+    assert key._cache["sign_search"] is cached
+
+
+@pytest.mark.parametrize("d, D, seed", [(3, 8, 1), (4, 12, 2), (2, 4, 3)])
+def test_invert_beta_many_matches_single_calls(d, D, seed):
+    key = generate_key(d, D, seed)
+    rng = np.random.Generator(np.random.PCG64(70 + seed))
+    cfg = rng.standard_normal((30, 2, d))
+    cfg[2] = 0.0
+    emb = beta_many(key, cfg)[0]
+    got = invert_beta_many(key, emb)
+    for i in range(len(cfg)):
+        single = invert_beta(key, emb[i])
+        # the batch shares one least-squares call for the pseudoinverse
+        scale = max(1.0, np.abs(single).max())
+        np.testing.assert_allclose(got[i], single, rtol=0, atol=1e-14 * scale)
+        assert single.tobytes() == oracles.invert_beta(key, emb[i]).tobytes()
+
+    tilde = beta_tilde_many(key, cfg)
+    got = invert_beta_tilde_many(key, tilde)
+    for i in range(len(cfg)):
+        assert got[i].tobytes() == invert_beta_tilde(key, tilde[i]).tobytes()
+        assert got[i].tobytes() == oracles.invert_beta_tilde(key, tilde[i]).tobytes()
+
+
+def test_invert_beta_many_error_parity(a_ref_key):
+    cfg = np.array([[0.3, 1.1], [-0.4, 0.2]])
+    good = beta(a_ref_key, cfg).matrix
+    unsorted = good[::-1].copy()
+    corrupted = good.copy()
+    corrupted[0, 0] += 0.5
+    for rows in ([good, unsorted, corrupted], [good, corrupted, unsorted]):
+        _raises_like_single(lambda: invert_beta_many(a_ref_key, rows),
+                            lambda: oracles.invert_beta(a_ref_key, rows[1]))
+    with pytest.raises(DimensionError):
+        invert_beta_many(a_ref_key, np.zeros((2, 2, 4)))
+    # a key failing the certificate fails every row, unless row 0 failed earlier
+    ident = Key(np.eye(2))
+    ok = np.array([[1.0, 1.0], [0.0, 0.0]])
+    _raises_like_single(lambda: invert_beta_many(ident, [ok, ok[::-1]]),
+                        lambda: oracles.invert_beta(ident, ok))
+    _raises_like_single(lambda: invert_beta_many(ident, [ok[::-1], ok]),
+                        lambda: oracles.invert_beta(ident, ok[::-1]))
+
+
+def test_invert_beta_tilde_many_error_parity(a_ref_key):
+    good = beta_tilde(a_ref_key, np.array([[0.3, 1.1], [-0.4, 0.2]]))
+    negative = good.copy()
+    negative[3] = -1.0
+    corrupted = good.copy()
+    corrupted[2] += 0.5
+    for rows in ([good, negative, corrupted], [good, corrupted, negative]):
+        _raises_like_single(lambda: invert_beta_tilde_many(a_ref_key, rows),
+                            lambda: oracles.invert_beta_tilde(a_ref_key, rows[1]))
+    with pytest.raises(DimensionError):
+        invert_beta_tilde_many(a_ref_key, np.zeros((2, 4)))

@@ -1,0 +1,77 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+import oracles
+from phasesort import Key, LipschitzViolation, generate_key, lipschitz, ratio_scan, verify
+from phasesort.verify import run_battery
+
+from conftest import A_REF
+
+KEYS = {
+    "3x8": lambda: generate_key(3, 8, 11),
+    "4x12": lambda: generate_key(4, 12, 12),
+    "a-ref": lambda: Key(A_REF),
+    "identity": lambda: Key(np.eye(2)),  # not injective: the skipped branch
+}
+
+
+@pytest.mark.parametrize("samples", [1, 7, 200])
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_battery_matches_loop_oracle(name, samples):
+    key = KEYS[name]()
+    got = run_battery(key, samples, seed=5)
+    assert got == oracles.run_battery(KEYS[name](), samples, seed=5)
+    assert all(r.status != "fail" for r in got)
+
+
+def test_battery_counts_violations(monkeypatch):
+    # every sample fails the two patched properties and is counted once
+    monkeypatch.setattr(verify, "exact_half_identities", lambda u, v: False)
+    monkeypatch.setattr(verify, "hadamard_split", lambda b: (b[:, 0] + 1.0, b[:, 0] + b[:, 1]))
+    results = {r.name: r for r in run_battery(KEYS["3x8"](), 7, seed=2)}
+    for name in ("minmax-identities", "hadamard-split-identity"):
+        assert (results[name].status, results[name].detail) == ("fail", "7 violations")
+    assert results["roundtrip-beta"].status == "pass"
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_battery_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        run_battery(Key(A_REF), samples, seed=0)
+
+
+def _assert_reports_close(got, want):
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert abs(g - w) <= 1e-14 * abs(w)
+
+
+@pytest.mark.parametrize("witnesses", [False, True])
+@pytest.mark.parametrize("name", ["3x8", "4x12", "a-ref"])
+def test_ratio_scan_matches_loop_oracle(name, witnesses):
+    key = KEYS[name]()
+    got = ratio_scan(key, 300, seed=8, include_witnesses=witnesses)
+    _assert_reports_close(got, oracles.ratio_scan(key, 300, seed=8, include_witnesses=witnesses))
+
+
+def test_ratio_scan_redraws_close_pairs_like_the_loop(monkeypatch):
+    # a large minimum distance sends many samples through the redraw loop
+    monkeypatch.setattr(lipschitz, "_MIN_PAIR_DISTANCE", 2.5)
+    key = KEYS["3x8"]()
+    got = ratio_scan(key, 200, seed=3)
+    _assert_reports_close(got, oracles.ratio_scan(key, 200, seed=3))
+
+
+def test_ratio_scan_violation_verdict_matches_loop(monkeypatch):
+    # a claimed B0 below the true one must be falsified by both samplers alike
+    real = lipschitz.build_report
+    monkeypatch.setattr(lipschitz, "build_report",
+                        lambda key: dataclasses.replace(real(key), B0=0.5 * real(key).B0))
+    key = KEYS["4x12"]()
+    with pytest.raises(LipschitzViolation) as want:
+        oracles.ratio_scan(key, 100, seed=1)
+    with pytest.raises(LipschitzViolation) as got:
+        ratio_scan(key, 100, seed=1)
+    assert str(got.value) == str(want.value)
