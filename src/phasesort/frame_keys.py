@@ -6,6 +6,21 @@ independent), the complement property (every column split leaves one spanning
 side), and the derived phase-retrievable / universal-key verdicts. When
 D = 2d - 1 the first two are equivalent and the code cross-checks them
 against each other, refusing to return silently inconsistent answers.
+
+Two exhaustive scans back them, each run at most once per key:
+
+- The subset scan (subset_scan) takes the singular values of the C(D, d)
+  d-column submatrices, one stacked SVD per chunk. Full spark reads its
+  verdict from it. It also certifies the complement property outright when
+  D >= 2d - 1 and every d-subset has rank d with a margin: a full-spark
+  frame with D >= 2d - 1 has the complement property (Balan, Casazza and
+  Edidin, "On signal reconstruction without phase", ACHA 2006), and the
+  margin makes the floating-point verdict the same.
+- The partition scan (partition_scan) diagonalizes the Grams of the spanning
+  sides of all 2^(D-1) column partitions. The complement property falls back
+  to it when the subset certificate does not apply, and it is the only source
+  of a false verdict and its witness. The lower Lipschitz constant A0 always
+  needs it.
 """
 
 from __future__ import annotations
@@ -134,9 +149,11 @@ def analysis_many(key: Key, xs) -> np.ndarray:
     """A^T x for every row x of an (m, d) stack, as an (m, D) stack.
 
     One stacked matrix-vector product, so row i has the bits of
-    analysis(key, xs[i]).
+    analysis(key, xs[i]). The stack is made contiguous first: BLAS takes
+    another path for strided vectors, so the bits would otherwise depend on
+    the memory layout of the input.
     """
-    x = as_stack(xs, 2)
+    x = np.ascontiguousarray(as_stack(xs, 2))
     if x.shape[1] != key.d:
         raise DimensionError(f"signal has length {x.shape[1]}, key expects {key.d}")
     return (key.matrix.T @ x[:, :, None])[:, :, 0]
@@ -183,11 +200,35 @@ def is_full_spark(key: Key) -> CertificateReport:
 
 
 def _full_spark(key: Key) -> CertificateReport:
+    scan = subset_scan(key)
+    return CertificateReport(scan.deficient is None, scan.deficient, "exhaustive-d-subsets")
+
+
+@dataclass(frozen=True, eq=False)
+class SubsetScan:
+    """d-subsets of columns ranked in lexicographic order.
+
+    ``deficient`` is the first subset (1-based column indices) that
+    numerics.rank's criterion finds rank deficient, or None when there is
+    none; the scan stops at the chunk that holds it. ``sigma_d_min`` is the
+    smallest d-th singular value of the subsets ranked, so of all of them
+    when none is deficient.
+    """
+
+    deficient: tuple[int, ...] | None
+    sigma_d_min: float
+
+
+def subset_scan(key: Key) -> SubsetScan:
+    """Singular values of every d-column submatrix, chunk by chunk (memoized)."""
+    return _cached(key, "subset_scan", lambda: _subset_scan(key))
+
+
+def _subset_scan(key: Key) -> SubsetScan:
     d, D = key.d, key.D
-    method = "exhaustive-d-subsets"
     if D < d:
         # fewer than d columns can never span
-        return CertificateReport(False, tuple(range(1, D + 1)), method)
+        return SubsetScan(tuple(range(1, D + 1)), 0.0)
     if comb(D, d) > FULL_SPARK_MAX_SUBSETS:
         raise SearchTooLarge(
             f"C({D},{d}) = {comb(D, d)} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
@@ -195,16 +236,19 @@ def _full_spark(key: Key) -> CertificateReport:
     a = key.matrix
     subsets = itertools.combinations(range(D), d)
     per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
+    sigma_d_min = np.inf
     while True:
         # one chunk of d-subsets in lexicographic order, one row each
         chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
         cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
         if cols.size == 0:
-            return CertificateReport(True, None, method)
-        deficient = numerics.ranks(a[:, cols].transpose(1, 0, 2), key.tol) < d
+            return SubsetScan(None, float(sigma_d_min))
+        s = numerics.singular_values_many(a[:, cols].transpose(1, 0, 2))
+        sigma_d_min = min(sigma_d_min, s[:, d - 1].min())
+        deficient = numerics.ranks_from_singular_values(s, d, key.tol) < d
         if deficient.any():
             first = cols[int(np.argmax(deficient))]
-            return CertificateReport(False, tuple(int(c) + 1 for c in first), method)
+            return SubsetScan(tuple(int(c) + 1 for c in first), float(sigma_d_min))
 
 
 def _popcounts(masks: np.ndarray) -> np.ndarray:
@@ -216,39 +260,45 @@ def _popcounts(masks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
-    """Complete a table of subset Grams from its entry 0, in place.
+def _fill_grams(grams: np.ndarray, outers: np.ndarray, slot: np.ndarray) -> None:
+    """Complete a table of subset Grams from the entry of mask 0, in place.
 
-    Entry ``m`` (m < 2^len(outers)) becomes entry 0 plus the outer products of
-    the bits set in ``m``, added highest bit first: each entry is the entry
-    without its lowest set bit plus that bit's outer product.
+    The entry of mask ``m`` (m < 2^len(outers)) is stored in row ``slot[m]``
+    and becomes the entry of mask 0 plus the outer products of the bits set
+    in ``m``, added highest bit first: each entry is the entry without its
+    lowest set bit plus that bit's outer product.
     """
     for b in range(len(outers) - 1, -1, -1):
         prefix = np.arange(1 << (len(outers) - 1 - b), dtype=np.int64)
         idx = (prefix << (b + 1)) | (1 << b)
-        grams[idx] = grams[idx - (1 << b)] + outers[b]
+        grams[slot[idx]] = grams[slot[idx - (1 << b)]] + outers[b]
 
 
 def _gram_chunks(a: np.ndarray):
-    """Yield ``(start, grams)``: A[I] A[I]^T for every subset I avoiding the last column.
+    """Yield ``(masks, grams)``: A[I] A[I]^T for every subset I avoiding the last column.
 
     Subsets are masks in [0, 2^(D-1)), split into a high prefix and the low
     bits that fit one chunk of at most _CHUNK_ENTRIES entries. The prefix
     Grams and then each chunk are completed by the same lowest-bit recurrence
     (_fill_grams), so every entry is the same sum, in the same order, as in a
-    single table over all masks.
+    single table over all masks. A chunk's rows are ordered by the popcount
+    of their low bits, ties by mask: ``grams[k]`` belongs to ``masks[k]``, so
+    within a chunk |I| never decreases.
     """
     d, D = a.shape
     bits = D - 1
     low = min(bits, max(0, (_CHUNK_ENTRIES // (d * d)).bit_length() - 1))
     outers = np.einsum("ik,jk->kij", a, a)
     seeds = np.zeros((1 << (bits - low), d, d))
-    _fill_grams(seeds, outers[low:bits])
+    _fill_grams(seeds, outers[low:bits], np.arange(len(seeds)))
+    order = np.argsort(_popcounts(np.arange(1 << low)), kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
     for prefix, seed in enumerate(seeds):
         grams = np.empty((1 << low, d, d))
-        grams[0] = seed
-        _fill_grams(grams, outers[:low])
-        yield prefix << low, grams
+        grams[slot[0]] = seed
+        _fill_grams(grams, outers[:low], slot)
+        yield (prefix << low) + order, grams
 
 
 # A Gram eigenvalue ratio above this is trusted as full rank outright;
@@ -265,10 +315,11 @@ class PartitionScan:
     always on the complement side), so each unordered partition {I, I^c}
     appears once, under its canonical (smaller) mask. ``counts`` is |I|;
     ``lam_min_i`` and ``lam_min_c`` are the smallest eigenvalues of
-    A[I] A[I]^T and A[I^c] A[I^c]^T as eigvalsh returns them. ``trusted_i``
-    and ``trusted_c`` mark sides the Gram alone settles as rank d: at least d
-    columns, and a smallest eigenvalue positive and above _GRAM_TRUST_RATIO
-    times the largest.
+    A[I] A[I]^T and A[I^c] A[I^c]^T as eigvalsh returns them, for sides with
+    at least d columns, and 0 for the others, which are not diagonalized.
+    ``trusted_i`` and ``trusted_c`` mark sides the Gram alone settles as rank
+    d: at least d columns, and a smallest eigenvalue positive and above
+    _GRAM_TRUST_RATIO times the largest.
     """
 
     counts: np.ndarray
@@ -279,11 +330,12 @@ class PartitionScan:
 
 
 def partition_scan(key: Key) -> PartitionScan:
-    """Diagonalize both sides' Grams of every column partition (memoized).
+    """Diagonalize the spanning sides' Grams of every column partition (memoized).
 
     One scan serves both partition searches: the complement property reads
-    its verdicts from the trusted flags, and the lower Lipschitz constant
-    screens partitions with the smallest eigenvalues.
+    its verdicts from the trusted flags when the subset certificate does not
+    settle it, and the lower Lipschitz constant screens partitions with the
+    smallest eigenvalues.
     """
     return _cached(key, "partition_scan", lambda: _partition_scan(key))
 
@@ -298,23 +350,29 @@ def _partition_scan(key: Key) -> PartitionScan:
     n_masks = 1 << (D - 1)
     total = a @ a.T
     counts = np.empty(n_masks, dtype=np.uint8)
-    lam_min_i, lam_min_c = np.empty(n_masks), np.empty(n_masks)
-    trusted_i, trusted_c = np.empty(n_masks, dtype=bool), np.empty(n_masks, dtype=bool)
-    for start, grams in _gram_chunks(a):
-        rows = slice(start, start + len(grams))
-        size = _popcounts(np.arange(rows.start, rows.stop))
-        eig_i = np.linalg.eigvalsh(grams)
-        eig_c = np.linalg.eigvalsh(total - grams)
-        counts[rows] = size
-        lam_min_i[rows], lam_min_c[rows] = eig_i[:, 0], eig_c[:, 0]
-        trusted_i[rows] = _trusted(eig_i, size >= d)
-        trusted_c[rows] = _trusted(eig_c, D - size >= d)
+    lam_min_i, lam_min_c = np.zeros(n_masks), np.zeros(n_masks)
+    trusted_i, trusted_c = np.zeros(n_masks, dtype=bool), np.zeros(n_masks, dtype=bool)
+    for masks, grams in _gram_chunks(a):
+        size = _popcounts(masks)
+        counts[masks] = size
+        # |I| is sorted within the chunk, so the sides with at least d columns
+        # are a tail (I) and a head (I^c) of it: slices, never copies
+        first_i = int(np.searchsorted(size, d))
+        stop_c = int(np.searchsorted(size, D - d, side="right"))
+        _diagonalize(grams[first_i:], masks[first_i:], lam_min_i, trusted_i)
+        head = grams[:stop_c]
+        np.subtract(total, head, out=head)
+        _diagonalize(head, masks[:stop_c], lam_min_c, trusted_c)
     return PartitionScan(counts, lam_min_i, lam_min_c, trusted_i, trusted_c)
 
 
-def _trusted(eig: np.ndarray, enough_columns: np.ndarray) -> np.ndarray:
+def _diagonalize(grams: np.ndarray, masks: np.ndarray, lam_min: np.ndarray,
+                 trusted: np.ndarray) -> None:
+    """Record the smallest eigenvalue and the trust flag of each Gram under its mask."""
+    eig = np.linalg.eigvalsh(grams)
     low, high = eig[:, 0], eig[:, -1]
-    return enough_columns & (low > _GRAM_TRUST_RATIO * high) & (low > 0.0)
+    lam_min[masks] = low
+    trusted[masks] = (low > _GRAM_TRUST_RATIO * high) & (low > 0.0)
 
 
 def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
@@ -338,8 +396,10 @@ def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
 def has_complement_property(key: Key) -> CertificateReport:
     """Check that every column split leaves at least one rank-d side.
 
-    All 2^(D-1) unordered partitions are examined; the witness is the
-    violating partition with the smallest canonical mask.
+    The verdict is that of examining all 2^(D-1) unordered partitions; the
+    witness is the violating partition with the smallest canonical mask. The
+    partition scan runs only when the subset certificate
+    (_subsets_certify_complement) does not already settle a true verdict.
     """
     return _cached(key, "complement", lambda: _complement_property(key))
 
@@ -350,6 +410,8 @@ def _complement_property(key: Key) -> CertificateReport:
         raise SearchTooLarge(
             f"complement-property search is capped at D <= {COMPLEMENT_MAX_COLS}, got {key.D}"
         )
+    if _subsets_certify_complement(key):
+        return CertificateReport(True, None, method)
     scan = partition_scan(key)
     # sides the Gram could not settle (exactly singular ones land here) are
     # re-decided with numerics.rank's criterion, the defining one
@@ -360,6 +422,54 @@ def _complement_property(key: Key) -> CertificateReport:
     if bad.size == 0:
         return CertificateReport(True, None, method)
     return CertificateReport(False, Partition(int(bad[0]), key.D), method)
+
+
+# Margin of the subset certificate over the rank cutoff it relies on. The
+# cutoff factor is taken as at least _SUBSET_CERT_FLOOR, far above the
+# rounding of an SVD (a modest multiple of eps * sigma_1), so that the
+# margin holds in floating point even for a key with a tinier tolerance.
+_SUBSET_CERT_MARGIN = 16.0
+_SUBSET_CERT_FLOOR = 1e-12
+
+
+def _subsets_certify_complement(key: Key) -> bool:
+    """Whether the subset scan shows that the partition scan's verdict is true.
+
+    Requires D >= 2d - 1, no rank-deficient d-subset and, with m the smallest
+    sigma_d(A_T) over d-subsets T and f = max(rank_tol_factor,
+    _SUBSET_CERT_FLOOR), m > _SUBSET_CERT_MARGIN * f * D * sigma_1(A). Then:
+
+    - Some side S of each partition has at least d columns, as D >= 2d - 1.
+      Without the margin this is the theorem that a full-spark frame with
+      D >= 2d - 1 has the complement property (Balan, Casazza and Edidin,
+      "On signal reconstruction without phase", ACHA 2006).
+    - Interlacing. For T a d-subset of S, A_S A_S^T is A_T A_T^T plus the
+      outer products of the other columns of S, so sigma_d(A_S) >=
+      sigma_d(A_T) >= m; and A_S A_S^T <= A A^T, so sigma_1(A_S) <=
+      sigma_1(A). Exactly, then, sigma_d(A_S) > 16 * f * |S| * sigma_1(A_S):
+      sixteen times numerics.rank's cutoff for A_S.
+    - Rounding. Each computed singular value (m, sigma_1(A), and those of
+      A_S in the scan's exact-rank fallback) is within a modest multiple of
+      eps * sigma_1(A) of the exact one, far inside the margin of
+      15 * f * sigma_1(A) >= 1.5e-11 * sigma_1(A). So numerics.rank gives
+      A_S rank d.
+
+    In the partition scan each partition's side S is then either trusted
+    from its Gram or re-decided as rank d by the fallback: every partition
+    passes and the verdict is true. The Gram values never enter the
+    argument, so it holds at any scale of the key. A false answer decides
+    nothing; the caller then runs the partition scan. Keys beyond the subset
+    scan's cap get a false answer, so the certificate never raises
+    SearchTooLarge.
+    """
+    d, D = key.d, key.D
+    if D < 2 * d - 1 or comb(D, d) > FULL_SPARK_MAX_SUBSETS:
+        return False
+    scan = subset_scan(key)
+    if scan.deficient is not None:
+        return False
+    factor = max(key.tol.rank_tol_factor, _SUBSET_CERT_FLOOR)
+    return scan.sigma_d_min > _SUBSET_CERT_MARGIN * factor * D * numerics.sigma_k(key.matrix, 1)
 
 
 def is_phase_retrievable(key: Key) -> CertificateReport:

@@ -177,9 +177,25 @@ def ranks(stack, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     its singular values are the same bits as for the matrix on its own.
     """
     a = np.asarray(stack, dtype=np.float64)
+    return ranks_from_singular_values(singular_values_many(a), max(a.shape[1:]), tol)
+
+
+def singular_values_many(stack) -> np.ndarray:
+    """Singular values (nonincreasing) of each matrix in an (n, rows, cols) stack.
+
+    One batched SVD; row i has the bits of singular_values(stack[i]).
+    """
+    a = np.asarray(stack, dtype=np.float64)
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    cutoff = tol.rank_tol_factor * max(a.shape[1:]) * s[:, :1]
+
+
+def ranks_from_singular_values(s: np.ndarray, size: int, tol: ToleranceConfig) -> np.ndarray:
+    """rank's criterion applied to rows of nonincreasing singular values.
+
+    ``size`` is the larger dimension of the matrices the rows belong to.
+    """
+    cutoff = tol.rank_tol_factor * size * s[:, :1]
     return np.count_nonzero(s > cutoff, axis=1)

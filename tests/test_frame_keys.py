@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasesort.frame_keys as frame_keys
+from phasesort import cli, lipschitz, numerics
 from phasesort import (
     DimensionError,
     InternalInconsistency,
@@ -12,6 +15,8 @@ from phasesort import (
     Partition,
     SearchTooLarge,
     analysis,
+    analysis_many,
+    build_report,
     generate_key,
     has_complement_property,
     is_full_spark,
@@ -21,6 +26,8 @@ from phasesort import (
     synthesis_left_inverse,
     synthesis_left_inverse_many,
 )
+from phasesort.matrixio import save_matrix
+from phasesort.numerics import DEFAULT_TOL, ToleranceConfig
 
 import oracles
 from conftest import A_REF, ADVERSARIAL
@@ -79,6 +86,15 @@ def test_analysis_linearity():
 def test_analysis_dimension_error():
     with pytest.raises(DimensionError):
         analysis(Key(A_REF), [1.0, 2.0, 3.0])
+
+
+def test_analysis_bits_do_not_depend_on_layout():
+    key = generate_key(3, 8, 11)
+    u = build_report(key).u  # a column of the SVD's U: a strided vector
+    assert not u.flags.c_contiguous
+    assert analysis(key, u).tobytes() == analysis(key, u.copy()).tobytes()
+    left = numerics.svd(key.matrix).left_vectors
+    assert analysis_many(key, left.T).tobytes() == analysis_many(key, left.T.copy()).tobytes()
 
 
 def test_synthesis_left_inverse_roundtrip():
@@ -259,10 +275,15 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     a = generate_key(d, D, 70 + d + D).matrix
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
     chunks = list(frame_keys._gram_chunks(a))
-    assert [start for start, _ in chunks] == list(
-        range(0, 1 << (D - 1), len(chunks[0][1]))
-    )
-    grams = np.concatenate([g for _, g in chunks])
+    size = len(chunks[0][1])
+    for k, (masks, _) in enumerate(chunks):
+        # each chunk holds one block of masks, rows ordered by popcount
+        assert sorted(masks.tolist()) == list(range(k * size, (k + 1) * size))
+        assert np.all(np.diff(frame_keys._popcounts(masks)) >= 0)
+    assert len(chunks) * size == 1 << (D - 1)
+    masks = np.concatenate([m for m, _ in chunks])
+    grams = np.empty((masks.size, d, d))
+    grams[masks] = np.concatenate([g for _, g in chunks])
     assert grams.tobytes() == _partition_grams_reference(a).tobytes()
 
 
@@ -405,3 +426,168 @@ def test_full_spark_matches_bruteforce_minors():
             for c in itertools.combinations(range(5), 2)
         ]
         assert is_full_spark(key).verdict == all(abs(v) > 1e-12 for v in dets)
+
+
+def _scan_only(matrix, tol=DEFAULT_TOL):
+    """(verdict, witness, method) of the complement property from the partition
+    scan alone, with the subset certificate switched off."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(frame_keys, "_subsets_certify_complement", lambda key: False)
+        rep = has_complement_property(Key(matrix, tol))
+    return rep.verdict, rep.witness, rep.method
+
+
+def _assert_shortcut_matches_scan(matrix, tol=DEFAULT_TOL):
+    rep = has_complement_property(Key(matrix, tol))
+    assert (rep.verdict, rep.witness, rep.method) == _scan_only(matrix, tol)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_complement_shortcut_matches_scan_adversarial(name):
+    _assert_shortcut_matches_scan(ADVERSARIAL[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.integers(1, 9).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    )
+)
+def test_complement_shortcut_matches_scan_hypothesis(matrix):
+    _assert_shortcut_matches_scan(matrix)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_complement_shortcut_settles_minimal_keys(d):
+    for seed in range(3):
+        key = generate_key(d, 2 * d - 1, 900 + 10 * d + seed)
+        assert frame_keys._subsets_certify_complement(key)
+        assert _assert_shortcut_matches_scan(key.matrix).verdict
+        assert "partition_scan" not in key._cache
+
+
+def test_complement_shortcut_declines_too_few_columns():
+    key = generate_key(4, 6, 3)
+    assert not frame_keys._subsets_certify_complement(key)
+    assert not _assert_shortcut_matches_scan(key.matrix).verdict
+
+
+@pytest.mark.parametrize("gap,settled,spark", [
+    (1e-7, True, True),  # far above the rank cutoff: the certificate settles it
+    (1e-9, False, True),  # within its margin: the partition scan decides
+    (3e-11, False, False),  # below the rank cutoff: a deficient subset
+])
+def test_complement_shortcut_on_nearly_dependent_subset(gap, settled, spark):
+    mat = generate_key(3, 5, 9).matrix.copy()
+    # columns 1, 2, 5 are dependent up to a relative ``gap``
+    mat[:, 4] = mat[:, 0] + mat[:, 1] + gap * mat[:, 2]
+    key = Key(mat)
+    assert is_full_spark(key).verdict == spark
+    assert frame_keys._subsets_certify_complement(key) == settled
+    rep = _assert_shortcut_matches_scan(mat)
+    assert has_complement_property(key) == rep
+    assert ("partition_scan" in key._cache) != settled
+    # the split {3, 4} | {1, 2, 5} has no side its Gram alone can settle
+    scan = frame_keys.partition_scan(Key(mat))
+    split = 0b01100  # I = {3, 4}; column 5 is always on the complement side
+    assert not (scan.trusted_i[split] or scan.trusted_c[split])
+
+
+@pytest.mark.parametrize("factor", [1e-16, 1e-9, 1e-6])
+def test_complement_shortcut_follows_the_key_tolerance(factor):
+    tol = ToleranceConfig(rank_tol_factor=factor)
+    for gap in (1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
+        mat = generate_key(3, 5, 9).matrix.copy()
+        mat[:, 4] = mat[:, 0] + mat[:, 1] + gap * mat[:, 2]
+        _assert_shortcut_matches_scan(mat, tol)
+
+
+def test_complement_certificate_never_hits_the_subset_cap(monkeypatch):
+    key = generate_key(3, 7, 5)
+    expected = has_complement_property(key)
+    monkeypatch.setattr(frame_keys, "FULL_SPARK_MAX_SUBSETS", 10)  # C(7, 3) = 35
+    with pytest.raises(SearchTooLarge):
+        is_full_spark(Key(key.matrix))
+    rep = has_complement_property(Key(key.matrix))
+    assert (rep.verdict, rep.witness, rep.method) == (
+        expected.verdict, expected.witness, expected.method)
+
+
+def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
+    mat = generate_key(3, 8, 7).matrix.copy()
+    mat[:, 3] = mat[:, 0] - mat[:, 1]  # first deficient subset: (1, 2, 4)
+    calls = []
+    real = numerics.singular_values_many
+    monkeypatch.setattr(numerics, "singular_values_many",
+                        lambda stack: calls.append(len(stack)) or real(stack))
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)  # one subset per chunk
+    rep = is_full_spark(Key(mat))
+    assert (rep.verdict, rep.witness) == (False, (1, 2, 4))
+    assert calls == [1, 1]  # (1, 2, 3), then (1, 2, 4)
+
+
+@pytest.mark.parametrize("entries", [9, 1 << 20])
+def test_subset_scan_smallest_sigma_d_matches_loop(monkeypatch, entries):
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    key = generate_key(3, 7, 12)
+    smallest = min(
+        numerics.sigma_k(key.matrix[:, cols], 3)
+        for cols in itertools.combinations(range(7), 3)
+    )
+    scan = frame_keys.subset_scan(key)
+    assert scan.deficient is None
+    assert np.float64(scan.sigma_d_min).tobytes() == np.float64(smallest).tobytes()
+
+
+def _count_partition_scans(monkeypatch) -> list:
+    calls = []
+    real = frame_keys.partition_scan
+
+    def counted(key):
+        calls.append(key.matrix.shape)
+        return real(key)
+
+    monkeypatch.setattr(frame_keys, "partition_scan", counted)
+    monkeypatch.setattr(lipschitz, "partition_scan", counted)
+    return calls
+
+
+def _key_file(tmp_path, d, D) -> str:
+    path = str(tmp_path / f"key-{d}x{D}.txt")
+    save_matrix(path, generate_key(d, D, 1).matrix)
+    return path
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (4, 12)])
+def test_check_and_decode_run_no_partition_scan(monkeypatch, tmp_path, capsys, d, D):
+    calls = _count_partition_scans(monkeypatch)
+    keyfile = _key_file(tmp_path, d, D)
+    assert cli.main(["check", keyfile]) == 0
+    config = str(tmp_path / "config.txt")
+    save_matrix(config, np.random.Generator(np.random.PCG64(d + D)).standard_normal((2, d)))
+    for encoder in ("beta", "beta-tilde"):
+        encoded, decoded = str(tmp_path / f"{encoder}.txt"), str(tmp_path / "back.txt")
+        argv = ["--encoder", encoder, "--key", keyfile]
+        assert cli.main(["encode", *argv, "--input", config, "--out", encoded]) == 0
+        assert cli.main(["decode", *argv, "--input", encoded, "--out", decoded]) == 0
+    assert calls == []
+
+
+def test_bounds_runs_one_partition_scan(monkeypatch, tmp_path, capsys):
+    calls = _count_partition_scans(monkeypatch)
+    assert cli.main(["bounds", _key_file(tmp_path, 4, 12)]) == 0
+    assert calls == [(4, 12)]
+
+
+def test_verify_runs_one_partition_scan_per_key(monkeypatch, tmp_path, capsys):
+    calls = _count_partition_scans(monkeypatch)
+    for d, D in ((3, 8), (4, 12)):
+        assert cli.main(["verify", _key_file(tmp_path, d, D), "--samples", "20"]) == 0
+    assert calls == [(3, 8), (4, 12)]
