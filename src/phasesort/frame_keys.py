@@ -19,8 +19,11 @@ Two exhaustive scans back them, each run at most once per key:
 - The partition scan (partition_scan) diagonalizes the Grams of the spanning
   sides of all 2^(D-1) column partitions. The complement property falls back
   to it when the subset certificate does not apply, and it is the only source
-  of a false verdict and its witness. The lower Lipschitz constant A0 always
-  needs it.
+  of a false verdict and its witness.
+
+The lower Lipschitz constant A0 (lipschitz.lower_constant) needs neither: it
+walks the same partition Grams (_gram_chunks) itself and diagonalizes only
+the partitions a shifted-Cholesky test cannot rule out.
 """
 
 from __future__ import annotations
@@ -332,10 +335,8 @@ class PartitionScan:
 def partition_scan(key: Key) -> PartitionScan:
     """Diagonalize the spanning sides' Grams of every column partition (memoized).
 
-    One scan serves both partition searches: the complement property reads
-    its verdicts from the trusted flags when the subset certificate does not
-    settle it, and the lower Lipschitz constant screens partitions with the
-    smallest eigenvalues.
+    The complement property reads its verdicts from the trusted flags when
+    the subset certificate does not settle it.
     """
     return _cached(key, "partition_scan", lambda: _partition_scan(key))
 

@@ -25,8 +25,15 @@ from .encoders import (
     dist_hat_V,
     dist_hat_V_many,
 )
-from .errors import AchievementFailure, LipschitzViolation
-from .frame_keys import Key, Partition, PartitionScan, _cached, partition_scan
+from .errors import AchievementFailure, LipschitzViolation, SearchTooLarge
+from .frame_keys import (
+    COMPLEMENT_MAX_COLS,
+    Key,
+    Partition,
+    _cached,
+    _gram_chunks,
+    _popcounts,
+)
 
 
 def upper_constant(key: Key) -> float:
@@ -49,8 +56,9 @@ _SCREEN_SLACK = 64.0
 # entries; their partitions all go to the exact pass.
 _SCREEN_RANGE = (2.0**-400, 2.0**400)
 
-# Partitions bracketed per batch (memory, not correctness).
-_SCREEN_CHUNK = 1 << 16
+# Gram entries per block of the screen, which bounds its memory; a block
+# holds at most this many entries of each side's Grams.
+_SCREEN_ENTRIES = 1 << 16
 
 
 def lower_constant(key: Key) -> tuple[float, Partition]:
@@ -62,21 +70,41 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
     canonical mask in ascending order (masks over subsets that avoid the last
     column) and taking a mask as the new best when its value is below the best
     so far by more than the tie window _TIE_WINDOW * max(1, B0); ties thus keep
-    the earlier, i.e. smaller, mask.
+    the earlier, i.e. smaller, mask. Keys with D > COMPLEMENT_MAX_COLS raise
+    SearchTooLarge.
 
     Only a few masks are visited, with the same bits as a full visit:
 
-    - Bracket. The partition scan gives each side's smallest Gram eigenvalue
-      lambda, equal to sigma_d^2 up to the error of the Gram sums and of
-      eigvalsh, both at most c * eps * (D + d) * d * B0^2. Widened further by
-      the SVD error, of order eps * (D + d) * B0, this puts the value the
-      visit computes in a bracket [lo, hi] per mask.
+    - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
+      sigma_d^2 up to the error of the Gram sums and of eigvalsh, both at most
+      err_lam = c * eps * (D + d) * d * B0^2. Widened further by the SVD error
+      err_s, of order eps * (D + d) * B0, this puts the value the visit
+      computes in a bracket [lo, hi] per mask (_side_bracket).
     - Possible records. The best so far always lies in [runmin, runmin + tie],
       where runmin is the smallest value so far. So a mask can become the best
       only if its value is below runmin, hence below prev_hi, the smallest hi
       of the masks before it (infinite for mask 0). Masks with lo >= prev_hi
       are skipped.
-    - Exact pass. The remaining masks are visited in ascending order with the
+    - Settled masks. The screen walks the masks in blocks of ascending masks
+      and keeps hi_run, the smallest hi so far, so that hi_run at the start of
+      a block is >= prev_hi of every mask in it. Each mask of a block after
+      the first is tested before any eigvalsh:
+      numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
+      lambda_min(G) >= tau - e, with e of order d^2 * eps * B0^2 (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1;
+      tau stays near B0^2 or below, as hi_run <= hi of mask 0, whose value
+      sigma_d(A) <= B0 bounds every partition's);
+      eigvalsh's lambda is within a like amount of lambda_min(G), and the two
+      together stay below err_lam. The shifts are those at which the bracket
+      algebra gives lo >= hi_run, raised by err_lam: one spanning side at
+      (hi_run + 2 err_s)^2 + 2 err_lam, or both sides at
+      ((hi_run + err_s) / sqrt(2) + err_s)^2 + 2 err_lam. A mask that passes
+      either test would get an eigvalsh bracket with lo >= hi_run >= prev_hi,
+      so the rule above skips it, and its hi >= lo cannot lower prev_hi for
+      the masks after it. Such a mask is settled without a bracket. The other
+      masks are bracketed from eigvalsh, so the screen keeps exactly the masks
+      the full bracket of every mask would keep.
+    - Exact pass. The kept masks are visited in ascending order with the
       full visit's body and test. Every mask that becomes the best in the full
       visit is among them, so each sees the same best as in the full visit
       and decides the same way. A mask with lo >= best - tie cannot pass the
@@ -87,21 +115,48 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
     Near-singular keys, whose values all sit inside the bracket's width, send
     many masks to the exact pass; the result is the same, only slower.
     """
+    return lower_constant_search(key).result
+
+
+@dataclass(frozen=True, eq=False)
+class LowerConstantSearch:
+    """Result of the A0 search with the work it did, in masks.
+
+    ``result`` is (A0, I0). Of the 2^(D-1) canonical masks, ``settled`` were
+    ruled out by the shifted-Cholesky test, ``diagonalized`` were bracketed
+    with eigvalsh, and ``visited`` got the exact SVD values; visited masks
+    are among the kept ones, which are among the diagonalized ones (keys
+    with B0 outside _SCREEN_RANGE skip the screen: every mask is kept).
+    """
+
+    result: tuple[float, Partition]
+    settled: int
+    diagonalized: int
+    visited: int
+
+
+def lower_constant_search(key: Key) -> LowerConstantSearch:
+    """lower_constant's search and its work counts (memoized)."""
     return _cached(key, "lower_constant", lambda: _lower_constant(key))
 
 
-def _lower_constant(key: Key) -> tuple[float, Partition]:
+def _lower_constant(key: Key) -> LowerConstantSearch:
     d, D = key.d, key.D
-    scan = partition_scan(key)
+    if D > COMPLEMENT_MAX_COLS:
+        raise SearchTooLarge(
+            f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
+        )
     a = key.matrix
     b0 = upper_constant(key)
     tie = _TIE_WINDOW * max(1.0, b0)
-    masks, lo = _screen(scan, d, D, b0)
+    masks, lo, settled, diagonalized = _screen(key, b0)
     best_val = np.inf
     best_mask = 0
+    visited = 0
     while masks.size:
         mask = int(masks[0])
         masks, lo = masks[1:], lo[1:]
+        visited += 1
         part = Partition(mask, D)
         cols_i = part.column_indices0()
         cols_c = part.complement().column_indices0()
@@ -113,7 +168,7 @@ def _lower_constant(key: Key) -> tuple[float, Partition]:
             best_mask = mask
             keep = lo < best_val - tie
             masks, lo = masks[keep], lo[keep]
-    return best_val, Partition(best_mask, D)
+    return LowerConstantSearch((best_val, Partition(best_mask, D)), settled, diagonalized, visited)
 
 
 def _side_bracket(lam, full, err_lam, err_s):
@@ -123,28 +178,75 @@ def _side_bracket(lam, full, err_lam, err_s):
     return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
 
 
-def _screen(scan: PartitionScan, d: int, D: int, b0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks that may become the best, ascending, with the lower ends of their brackets."""
-    n_masks = scan.counts.size
+def _screen(key: Key, b0: float) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Masks that may become the best, ascending, with the lower ends of their
+    brackets, and the numbers of masks settled and diagonalized."""
+    d, D = key.d, key.D
     if not _SCREEN_RANGE[0] <= b0 <= _SCREEN_RANGE[1]:
-        return np.arange(n_masks), np.zeros(n_masks)
+        n_masks = 1 << (D - 1)
+        return np.arange(n_masks), np.zeros(n_masks), 0, 0
     err_s = _SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
     err_lam = err_s * d * b0
+    a = key.matrix
+    total = a @ a.T
     kept_masks, kept_lo = [], []
-    run_hi = np.inf
-    for start in range(0, n_masks, _SCREEN_CHUNK):
-        rows = slice(start, start + _SCREEN_CHUNK)
-        counts = scan.counts[rows]
-        lo_i, hi_i = _side_bracket(scan.lam_min_i[rows], counts >= d, err_lam, err_s)
-        lo_c, hi_c = _side_bracket(scan.lam_min_c[rows], D - counts >= d, err_lam, err_s)
-        lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
-        hi = np.hypot(hi_i, hi_c) + err_s
-        prev_hi = np.minimum.accumulate(np.concatenate(([run_hi], hi[:-1])))
-        run_hi = min(prev_hi[-1], hi[-1])
-        keep = np.flatnonzero(lo < prev_hi)
-        kept_masks.append(keep + start)
-        kept_lo.append(lo[keep])
-    return np.concatenate(kept_masks), np.concatenate(kept_lo)
+    hi_run = np.inf
+    settled = diagonalized = 0
+    per_block = max(1, _SCREEN_ENTRIES // (d * d))
+    for masks, grams in _gram_chunks(a):
+        # the chunk holds masks first .. stop - 1, mask m in row rows[m - first]
+        first, stop = int(masks[0]), int(masks[0]) + masks.size
+        rows = np.empty_like(masks)
+        rows[masks - first] = np.arange(masks.size)
+        start = first
+        while start < stop:
+            # blocks double from one mask up to per_block masks: the first
+            # masks lower hi_run soon, and later blocks amortize the overhead
+            end = min(stop, start + per_block, max(1, 2 * start))
+            block = np.arange(start, end)
+            counts = _popcounts(block)
+            full_i, full_c = counts >= d, D - counts >= d
+            gi = grams[rows[block - first]]
+            gc = np.subtract(total, gi)
+            unsettled = np.flatnonzero(~_settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam))
+            settled += block.size - unsettled.size
+            diagonalized += unsettled.size
+            lam_i, lam_c = (_lam_min(g[unsettled], full[unsettled])
+                            for g, full in ((gi, full_i), (gc, full_c)))
+            lo_i, hi_i = _side_bracket(lam_i, full_i[unsettled], err_lam, err_s)
+            lo_c, hi_c = _side_bracket(lam_c, full_c[unsettled], err_lam, err_s)
+            lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
+            hi = np.hypot(hi_i, hi_c) + err_s
+            prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
+            hi_run = prev_hi[-1]
+            keep = np.flatnonzero(lo < prev_hi[:-1])
+            kept_masks.append(block[unsettled[keep]])
+            kept_lo.append(lo[keep])
+            start = end
+    return np.concatenate(kept_masks), np.concatenate(kept_lo), settled, diagonalized
+
+
+def _lam_min(grams: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Grams of spanning sides; 0 for the others."""
+    lam = np.zeros(full.size)
+    lam[full] = np.linalg.eigvalsh(grams[full])[:, 0]
+    return lam
+
+
+def _settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam) -> np.ndarray:
+    """Masks of a block whose bracket would have lo >= hi_run (see lower_constant)."""
+    ok = np.zeros(full_i.size, dtype=bool)
+    if hi_run == np.inf:
+        return ok
+    one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
+    both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
+    for g, full in ((gi, full_i), (gc, full_c)):
+        rows = np.flatnonzero(full & ~ok)
+        ok[rows] = numerics.shifted_cholesky_ok(g[rows], one_side)
+    rows = np.flatnonzero(full_i & full_c & ~ok)
+    rows = rows[numerics.shifted_cholesky_ok(gi[rows], both_sides)]
+    ok[rows] = numerics.shifted_cholesky_ok(gc[rows], both_sides)
+    return ok
 
 
 @dataclass(frozen=True)

@@ -199,3 +199,36 @@ def ranks_from_singular_values(s: np.ndarray, size: int, tol: ToleranceConfig) -
     """
     cutoff = tol.rank_tol_factor * size * s[:, :1]
     return np.count_nonzero(s > cutoff, axis=1)
+
+
+def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
+    """Whether an unpivoted Cholesky factorization of G - tau * I runs to
+    completion with positive pivots, for each G of an (n, d, d) symmetric stack.
+
+    Success proves lambda_min(G) >= tau - e with e of order d^2 * eps *
+    max(||G||_2, tau): the computed factor R satisfies R^T R = G - tau * I +
+    dG with |dG| <= gamma_(d+1) |R^T| |R| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 10.1), and, for tau >= 0,
+    || |R^T| |R| ||_2 <= trace(R^T R) <= d * ||G||_2 up to second order; the
+    rounding of the shifted diagonal adds eps * max(||G||_2, tau). Failure
+    proves nothing.
+
+    The stack is copied once into structure-of-arrays layout (d, d, n), so
+    each of the d right-looking elimination steps is a few vectorized
+    operations over all n matrices; there is no per-matrix LAPACK call.
+    """
+    a = np.asarray(stack, dtype=np.float64)
+    n, d = a.shape[0], a.shape[-1]
+    w = a.transpose(1, 2, 0).copy()
+    diag = np.arange(d)
+    w[diag, diag] -= tau
+    ok = np.ones(n, dtype=bool)
+    for k in range(d):
+        pivot = w[k, k]
+        ok &= pivot > 0.0
+        if k == d - 1 or not ok.any():
+            break
+        # rows that already failed get a unit pivot; their values are never read
+        r = w[k, k + 1:] / np.sqrt(np.where(ok, pivot, 1.0))
+        w[k + 1:, k + 1:] -= r[:, None] * r[None, :]
+    return ok

@@ -4,7 +4,9 @@ These are the decoders, encoders, metrics, verify battery and ratio sampler
 as they were before the kernels were batched: plain Python loops over
 samples, sign patterns, columns and row orders, built on numpy alone. The
 batched code must reproduce them, bit for bit where the docstrings of the
-kernels say so.
+kernels say so. The A0 search is here as it was before its screen settled
+partitions with the shifted-Cholesky test: every partition bracketed from
+the eigenvalues of the partition scan.
 """
 
 import itertools
@@ -24,10 +26,12 @@ from phasesort.errors import (
     UnsupportedN,
 )
 from phasesort.frame_keys import (
+    Partition,
     has_complement_property,
     is_full_spark,
     is_phase_retrievable,
     is_universal_key,
+    partition_scan,
 )
 from phasesort.inversion import (
     _ORBIT_GAP,
@@ -35,7 +39,7 @@ from phasesort.inversion import (
     _gray_sign_patterns,
     _greedy_pivot_columns,
 )
-from phasesort.numerics import as_matrix, as_vector, rank
+from phasesort.numerics import as_matrix, as_vector, rank, sigma_k
 from phasesort.verify import SKIPPED, PropertyResult, _rng, minmax_identity_failures
 
 
@@ -194,6 +198,60 @@ def invert_beta_tilde(key, y):
     if err > bound:
         raise NotInRange(f"re-encoding residual {err:.3e} exceeds tolerance {bound:.3e}")
     return decoded
+
+
+# --- the A0 search with a bracket for every partition -----------------------
+
+def lower_constant_screen(key):
+    """The masks the A0 search may visit, ascending, with their bracket lower
+    ends: every mask bracketed from partition_scan's smallest eigenvalues,
+    kept when its lower end is below the smallest upper end before it. Reads
+    lipschitz's screen constants at call time, so they can be patched."""
+    d, D = key.d, key.D
+    scan = partition_scan(key)
+    b0 = lipschitz.upper_constant(key)
+    n_masks = scan.counts.size
+    if not lipschitz._SCREEN_RANGE[0] <= b0 <= lipschitz._SCREEN_RANGE[1]:
+        return np.arange(n_masks), np.zeros(n_masks)
+    err_s = lipschitz._SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
+    err_lam = err_s * d * b0
+    sides = []
+    for lam, full in ((scan.lam_min_i, scan.counts >= d), (scan.lam_min_c, D - scan.counts >= d)):
+        lo = np.maximum(np.sqrt(np.maximum(lam - err_lam, 0.0)) - err_s, 0.0)
+        hi = np.sqrt(np.maximum(lam + err_lam, 0.0)) + err_s
+        sides.append((np.where(full, lo, 0.0), np.where(full, hi, 0.0)))
+    (lo_i, hi_i), (lo_c, hi_c) = sides
+    lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
+    hi = np.hypot(hi_i, hi_c) + err_s
+    prev_hi = np.minimum.accumulate(np.concatenate(([np.inf], hi[:-1])))
+    keep = np.flatnonzero(lo < prev_hi)
+    return keep, lo[keep]
+
+
+def lower_constant(key):
+    """(A0, mask of I0): lower_constant_screen's masks visited in ascending
+    order with two SVDs each, dropping masks that can no longer pass."""
+    d, D = key.d, key.D
+    a = key.matrix
+    tie = lipschitz._TIE_WINDOW * max(1.0, lipschitz.upper_constant(key))
+    masks, lo = lower_constant_screen(key)
+    best_val = np.inf
+    best_mask = 0
+    while masks.size:
+        mask = int(masks[0])
+        masks, lo = masks[1:], lo[1:]
+        part = Partition(mask, D)
+        cols_i = part.column_indices0()
+        cols_c = part.complement().column_indices0()
+        s_i = sigma_k(a[:, cols_i], d) if len(cols_i) >= d else 0.0
+        s_c = sigma_k(a[:, cols_c], d) if len(cols_c) >= d else 0.0
+        val = float(np.hypot(s_i, s_c))
+        if val < best_val - tie:
+            best_val = val
+            best_mask = mask
+            keep = lo < best_val - tie
+            masks, lo = masks[keep], lo[keep]
+    return best_val, best_mask
 
 
 # --- sampler and battery ----------------------------------------------------

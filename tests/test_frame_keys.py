@@ -555,7 +555,8 @@ def _count_partition_scans(monkeypatch) -> list:
         return real(key)
 
     monkeypatch.setattr(frame_keys, "partition_scan", counted)
-    monkeypatch.setattr(lipschitz, "partition_scan", counted)
+    # lipschitz no longer imports it; the binding catches a return of that import
+    monkeypatch.setattr(lipschitz, "partition_scan", counted, raising=False)
     return calls
 
 
@@ -580,14 +581,27 @@ def test_check_and_decode_run_no_partition_scan(monkeypatch, tmp_path, capsys, d
     assert calls == []
 
 
+def _count_lower_constant_searches(monkeypatch) -> list:
+    calls = []
+    real = lipschitz._lower_constant
+    monkeypatch.setattr(lipschitz, "_lower_constant",
+                        lambda key: calls.append(key.matrix.shape) or real(key))
+    return calls
+
+
 def test_bounds_runs_one_partition_scan(monkeypatch, tmp_path, capsys):
     calls = _count_partition_scans(monkeypatch)
+    searches = _count_lower_constant_searches(monkeypatch)
     assert cli.main(["bounds", _key_file(tmp_path, 4, 12)]) == 0
-    assert calls == [(4, 12)]
+    # the name predates the A0 screen that builds its own Grams: now no scan
+    assert calls == []
+    assert searches == [(4, 12)]
 
 
 def test_verify_runs_one_partition_scan_per_key(monkeypatch, tmp_path, capsys):
     calls = _count_partition_scans(monkeypatch)
+    searches = _count_lower_constant_searches(monkeypatch)
     for d, D in ((3, 8), (4, 12)):
         assert cli.main(["verify", _key_file(tmp_path, d, D), "--samples", "20"]) == 0
-    assert calls == [(3, 8), (4, 12)]
+    assert calls == []
+    assert searches == [(3, 8), (4, 12)]

@@ -20,10 +20,10 @@ from phasesort import (
     ratio_scan,
     upper_constant,
 )
-from phasesort import lipschitz, numerics, verify
-from phasesort.frame_keys import partition_scan
+from phasesort import frame_keys, lipschitz, numerics, verify
 from phasesort.lipschitz import LipschitzReport
 
+import oracles
 from conftest import A_REF, ADVERSARIAL, sym2x2_eigenvalues
 
 
@@ -265,22 +265,67 @@ def test_lower_constant_matches_loop_seeded(d, D):
     _assert_matches_loop(generate_key(d, D, 1).matrix)
 
 
+def _screen(key):
+    return lipschitz._screen(key, upper_constant(key))
+
+
 def test_screen_keeps_few_masks():
-    key = generate_key(4, 16, 1)
-    masks, _ = lipschitz._screen(partition_scan(key), 4, 16, upper_constant(key))
+    masks, lo, settled, diagonalized = _screen(generate_key(4, 16, 1))
     assert 0 < masks.size <= 64  # of 32768
     assert masks[0] == 0 and np.all(np.diff(masks) > 0)
+    assert settled + diagonalized == 1 << 15
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, "gram-chunks-of-one-mask"])
 def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
+    # by default the 256 masks are one Gram chunk, in blocks of 1, 1, 2, ..., 128
     key = generate_key(3, 9, 4)
-    scan, b0 = partition_scan(key), upper_constant(key)
-    whole = lipschitz._screen(scan, 3, 9, b0)
-    monkeypatch.setattr(lipschitz, "_SCREEN_CHUNK", chunk)
-    chunked = lipschitz._screen(scan, 3, 9, b0)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, chunked))
+    masks, lo, _, _ = _screen(key)
+    if chunk == "gram-chunks-of-one-mask":
+        monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
+    else:
+        monkeypatch.setattr(lipschitz, "_SCREEN_ENTRIES", 9 * chunk)  # blocks of <= chunk masks
+    blocked = _screen(Key(key.matrix))
+    assert blocked[0].tobytes() == masks.tobytes() and blocked[1].tobytes() == lo.tobytes()
+    assert blocked[2] + blocked[3] == 1 << 8
     _assert_matches_loop(key.matrix)
+
+
+def _assert_screen_matches_oracle(key):
+    masks, lo, _, _ = _screen(key)
+    ref_masks, ref_lo = oracles.lower_constant_screen(Key(key.matrix))
+    assert masks.tobytes() == ref_masks.tobytes() and lo.tobytes() == ref_lo.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_screen_matches_full_bracket_oracle_adversarial(name):
+    _assert_screen_matches_oracle(Key(ADVERSARIAL[name]))
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18)])
+def test_screen_matches_full_bracket_oracle(d, D):
+    key = generate_key(d, D, 1)
+    _assert_screen_matches_oracle(key)
+    a0, part = lower_constant(key)
+    ref_a0, ref_mask = oracles.lower_constant(Key(key.matrix))
+    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+    assert part.mask == ref_mask
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15)])
+def test_search_settles_most_masks(d, D):
+    search = lipschitz.lower_constant_search(generate_key(d, D, 1))
+    assert search.settled + search.diagonalized == 1 << (D - 1)
+    assert search.settled >= 0.9 * (1 << (D - 1))
+    assert 0 < search.visited <= 64
+
+
+@pytest.mark.parametrize("scale", [2.0**-450, 2.0**450])
+def test_keys_outside_the_screen_range_skip_it(scale):
+    matrix = A_REF * scale
+    _assert_matches_loop(matrix)
+    search = lipschitz.lower_constant_search(Key(matrix))
+    assert (search.settled, search.diagonalized) == (0, 0)  # every mask kept
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasesort import DimensionError, SvdResult, ToleranceConfig, least_squares, rank, sigma_k, svd
+from phasesort import numerics
 from phasesort.numerics import ranks
 
 from conftest import A_REF, sym2x2_eigenvalues
@@ -168,3 +169,60 @@ def test_ranks_match_rank_per_matrix():
     got = ranks(stack)
     assert got.tolist() == [rank(m) for m in stack]
     assert got[3] == 0 and got[9] == 1
+
+
+def _test_grams() -> dict:
+    """Symmetric positive semidefinite Grams of every kind the A0 screen meets."""
+    rng = np.random.Generator(np.random.PCG64(71))
+    grams = {"zero-3": np.zeros((3, 3)), "zero-1": np.zeros((1, 1))}
+    for d in range(1, 7):
+        grams[f"identity-{d}"] = np.eye(d)
+        for n in (d, 2 * d + 1):
+            a = rng.standard_normal((d, n))
+            grams[f"random-{d}x{n}"] = a @ a.T
+        cols = rng.standard_normal((d, max(1, d - 1)))
+        grams[f"repeated-columns-{d}"] = np.repeat(cols, 3, axis=1) @ np.repeat(cols, 3, axis=1).T
+        a = rng.standard_normal((d, max(1, d - 2))) @ rng.standard_normal((max(1, d - 2), 2 * d))
+        grams[f"rank-deficient-{d}"] = a @ a.T
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        for exponent in (8, 12, 15, 17):
+            scales = np.logspace(0, -exponent, d)
+            grams[f"ill-conditioned-{d}-1e{exponent}"] = (q * scales) @ q.T
+    for scale in (1e-150, 1e150):
+        a = rng.standard_normal((4, 9))
+        grams[f"scaled-{scale:g}"] = scale * (a @ a.T)
+    return grams
+
+
+GRAMS = _test_grams()
+
+
+@pytest.mark.parametrize("name", sorted(GRAMS))
+def test_shifted_cholesky_never_settles_below_the_shift(name):
+    g = GRAMS[name]
+    d = g.shape[0]
+    eps = np.finfo(float).eps
+    lam = float(np.linalg.eigvalsh(g)[0])
+    norm = float(np.linalg.norm(g, 2))
+    unit = eps * max(norm, np.finfo(float).tiny)
+    taus = [lam + k * unit for k in (-1e4, -100, -10, -1, 0, 1, 10, 100, 1e4)]
+    taus += [lam * f for f in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0)] + [0.0, -norm, norm, 2 * norm]
+    stack = np.repeat(g[None], len(taus), axis=0)
+    before = stack.copy()
+    ok = np.array([numerics.shifted_cholesky_ok(g[None], tau)[0] for tau in taus])
+    assert g.tobytes() == stack[0].tobytes()  # a stack of one is not factored in place
+    for tau, passed in zip(taus, ok):
+        # e of the docstring plus eigvalsh's error, far below the screen's err_lam
+        err = 4 * (d + 1) ** 2 * eps * max(norm, abs(tau))
+        if passed:
+            assert lam >= tau - err, (tau, lam)
+        if lam - tau >= 32 * (d + 1) ** 2 * eps * max(norm, abs(tau)) and lam - tau > 0:
+            assert passed, (tau, lam)
+    # one tau over a stack gives the answers of the matrices one by one
+    for tau, passed in zip(taus, ok):
+        assert np.array_equal(numerics.shifted_cholesky_ok(stack, tau), np.full(len(taus), passed))
+    assert stack.tobytes() == before.tobytes()
+
+
+def test_shifted_cholesky_empty_stack():
+    assert numerics.shifted_cholesky_ok(np.zeros((0, 3, 3)), 1.0).shape == (0,)
