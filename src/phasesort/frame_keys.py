@@ -9,13 +9,16 @@ against each other, refusing to return silently inconsistent answers.
 
 Two exhaustive scans back them, each run at most once per key:
 
-- The subset scan (subset_scan) takes the singular values of the C(D, d)
-  d-column submatrices, one stacked SVD per chunk. Full spark reads its
-  verdict from it. It also certifies the complement property outright when
-  D >= 2d - 1 and every d-subset has rank d with a margin: a full-spark
-  frame with D >= 2d - 1 has the complement property (Balan, Casazza and
-  Edidin, "On signal reconstruction without phase", ACHA 2006), and the
-  margin makes the floating-point verdict the same.
+- The subset scan (subset_scan) ranks the C(D, d) d-column submatrices.
+  Each chunk's d x d Grams are gathered from one A^T A and tested with a
+  shifted Cholesky factorization, which places almost every subset's
+  sigma_d above the certificate margin; only the others get a stacked SVD,
+  so the verdict and witness are those of an SVD of every subset. Full
+  spark reads its verdict from it. It also certifies the complement
+  property outright when D >= 2d - 1 and every d-subset has rank d with a
+  margin: a full-spark frame with D >= 2d - 1 has the complement property
+  (Balan, Casazza and Edidin, "On signal reconstruction without phase",
+  ACHA 2006), and the margin makes the floating-point verdict the same.
 - The partition scan (partition_scan) diagonalizes the Grams of the spanning
   sides of all 2^(D-1) column partitions. The complement property falls back
   to it when the subset certificate does not apply, and it is the only source
@@ -209,21 +212,62 @@ def _full_spark(key: Key) -> CertificateReport:
 
 @dataclass(frozen=True, eq=False)
 class SubsetScan:
-    """d-subsets of columns ranked in lexicographic order.
+    """d-subsets of columns ranked in lexicographic order, with the work done.
 
     ``deficient`` is the first subset (1-based column indices) that
     numerics.rank's criterion finds rank deficient, or None when there is
-    none; the scan stops at the chunk that holds it. ``sigma_d_min`` is the
-    smallest d-th singular value of the subsets ranked, so of all of them
-    when none is deficient.
+    none; the scan stops at the chunk that holds it. ``clears_margin`` is
+    whether sigma_d(A_T), as the SVD computes it, is above the complement
+    certificate's margin (_certificate_margin) for every d-subset T; it is
+    false when a subset is deficient. Of the subsets ranked, ``settled`` were
+    shown above the margin by a shifted-Cholesky test of their Gram, and
+    ``decomposed`` got an SVD (keys with sigma_1(A) outside
+    numerics.GRAM_SCREEN_RANGE skip the test: every subset gets an SVD).
     """
 
     deficient: tuple[int, ...] | None
-    sigma_d_min: float
+    clears_margin: bool
+    settled: int
+    decomposed: int
 
 
 def subset_scan(key: Key) -> SubsetScan:
-    """Singular values of every d-column submatrix, chunk by chunk (memoized)."""
+    """Rank every d-column submatrix, chunk by chunk (memoized).
+
+    The verdict, the first deficient subset and clears_margin are those of
+    an SVD of every subset; only the subsets a shifted-Cholesky test of
+    their Gram cannot place above the margin get one:
+
+    - Shift. With b = sigma_1(A) as numerics.sigma_k computes it and M the
+      margin, the test runs at tau = (M + err_s)^2 + err_lam, where err_s =
+      c * eps * (D + d) * b and err_lam = err_s * d * b, c being
+      numerics.GRAM_SCREEN_SLACK.
+    - Gram entries. G = A^T A is formed once; the subset Gram G[T, T] is
+      gathered from it, so each entry is a length-d dot product of two
+      columns, within gamma_d * b^2 of the exact one (a column's norm is at
+      most sigma_1(A)), and the gathered Gram within d * gamma_d * b^2 in
+      the 2-norm.
+    - Cholesky. numerics.shifted_cholesky_ok succeeding proves
+      lambda_min(G[T, T]) >= tau - e, with e the factorization's backward
+      error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 10.1) plus the rounding of the shifted diagonal: at most about
+      (d + 1)^2 * eps * max(||G[T, T]||, tau). A first pivot G_11 - tau > 0
+      means tau < ||G[T, T]|| <= b^2 (1 + d * gamma_d), so e is about
+      (d + 1)^2 * eps * b^2. With the entry error this is far below err_lam
+      >= 2 * c * eps * d^2 * b^2, which also covers the few ulps by which b
+      may differ from the exact sigma_1(A).
+    - SVD. The exact sigma_d(A_T)^2 is lambda_min of the exact Gram, hence
+      above tau - err_lam = (M + err_s)^2, and the SVD computes sigma_d(A_T)
+      within a modest multiple of eps * ||A_T|| <= eps * b of it, far below
+      err_s. So the computed sigma_d(A_T) is above M.
+
+    M is at least numerics.rank's cutoff for a d x d subset (D >= d, and M
+    has a factor of 16 over it), so a settled subset is neither deficient
+    nor below the margin; the others get the stacked SVD, in lexicographic
+    order, and numerics.rank's criterion. Keys with b outside
+    numerics.GRAM_SCREEN_RANGE skip the test, since their Gram entries and
+    tau could under- or overflow.
+    """
     return _cached(key, "subset_scan", lambda: _subset_scan(key))
 
 
@@ -231,27 +275,44 @@ def _subset_scan(key: Key) -> SubsetScan:
     d, D = key.d, key.D
     if D < d:
         # fewer than d columns can never span
-        return SubsetScan(tuple(range(1, D + 1)), 0.0)
+        return SubsetScan(tuple(range(1, D + 1)), False, 0, 0)
     if comb(D, d) > FULL_SPARK_MAX_SUBSETS:
         raise SearchTooLarge(
             f"C({D},{d}) = {comb(D, d)} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
         )
     a = key.matrix
+    sigma_1 = numerics.sigma_k(a, 1)
+    margin = _certificate_margin(key, sigma_1)
+    tau = None
+    if numerics.GRAM_SCREEN_RANGE[0] <= sigma_1 <= numerics.GRAM_SCREEN_RANGE[1]:
+        err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * sigma_1
+        tau = (margin + err_s) * (margin + err_s) + err_s * d * sigma_1
+        gram = a.T @ a
     subsets = itertools.combinations(range(D), d)
     per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
-    sigma_d_min = np.inf
+    clears_margin = True
+    settled = decomposed = 0
     while True:
         # one chunk of d-subsets in lexicographic order, one row each
         chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
         cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
         if cols.size == 0:
-            return SubsetScan(None, float(sigma_d_min))
+            return SubsetScan(None, clears_margin, settled, decomposed)
+        if tau is not None:
+            # the chunk's Grams G[T, T], gathered straight into (d, d, n) layout
+            t = np.ascontiguousarray(cols.T)  # else the gathered stack is strided
+            above = numerics._shifted_cholesky_ok_inplace(gram[t[:, None], t[None, :]], tau)
+            settled += int(np.count_nonzero(above))
+            cols = cols[~above]
+            if cols.size == 0:
+                continue
+        decomposed += len(cols)
         s = numerics.singular_values_many(a[:, cols].transpose(1, 0, 2))
-        sigma_d_min = min(sigma_d_min, s[:, d - 1].min())
+        clears_margin &= bool(s[:, d - 1].min() > margin)
         deficient = numerics.ranks_from_singular_values(s, d, key.tol) < d
         if deficient.any():
             first = cols[int(np.argmax(deficient))]
-            return SubsetScan(tuple(int(c) + 1 for c in first), float(sigma_d_min))
+            return SubsetScan(tuple(int(c) + 1 for c in first), False, settled, decomposed)
 
 
 def _popcounts(masks: np.ndarray) -> np.ndarray:
@@ -433,12 +494,19 @@ _SUBSET_CERT_MARGIN = 16.0
 _SUBSET_CERT_FLOOR = 1e-12
 
 
+def _certificate_margin(key: Key, sigma_1: float) -> float:
+    """The bound every sigma_d(A_T) must exceed for the subset certificate."""
+    factor = max(key.tol.rank_tol_factor, _SUBSET_CERT_FLOOR)
+    return _SUBSET_CERT_MARGIN * factor * key.D * sigma_1
+
+
 def _subsets_certify_complement(key: Key) -> bool:
     """Whether the subset scan shows that the partition scan's verdict is true.
 
-    Requires D >= 2d - 1, no rank-deficient d-subset and, with m the smallest
-    sigma_d(A_T) over d-subsets T and f = max(rank_tol_factor,
-    _SUBSET_CERT_FLOOR), m > _SUBSET_CERT_MARGIN * f * D * sigma_1(A). Then:
+    Requires D >= 2d - 1 and the subset scan's clears_margin: no
+    rank-deficient d-subset and, with f = max(rank_tol_factor,
+    _SUBSET_CERT_FLOOR), sigma_d(A_T) > m = _SUBSET_CERT_MARGIN * f * D *
+    sigma_1(A) for every d-subset T. Then:
 
     - Some side S of each partition has at least d columns, as D >= 2d - 1.
       Without the margin this is the theorem that a full-spark frame with
@@ -449,15 +517,15 @@ def _subsets_certify_complement(key: Key) -> bool:
       sigma_d(A_T) >= m; and A_S A_S^T <= A A^T, so sigma_1(A_S) <=
       sigma_1(A). Exactly, then, sigma_d(A_S) > 16 * f * |S| * sigma_1(A_S):
       sixteen times numerics.rank's cutoff for A_S.
-    - Rounding. Each computed singular value (m, sigma_1(A), and those of
-      A_S in the scan's exact-rank fallback) is within a modest multiple of
-      eps * sigma_1(A) of the exact one, far inside the margin of
-      15 * f * sigma_1(A) >= 1.5e-11 * sigma_1(A). So numerics.rank gives
-      A_S rank d.
+    - Rounding. Each computed singular value (sigma_d(A_T), sigma_1(A), and
+      those of A_S in the scan's exact-rank fallback) is within a modest
+      multiple of eps * sigma_1(A) of the exact one, far inside the margin
+      of 15 * f * sigma_1(A) >= 1.5e-11 * sigma_1(A). So numerics.rank
+      gives A_S rank d.
 
     In the partition scan each partition's side S is then either trusted
     from its Gram or re-decided as rank d by the fallback: every partition
-    passes and the verdict is true. The Gram values never enter the
+    passes and the verdict is true. The partition Grams never enter the
     argument, so it holds at any scale of the key. A false answer decides
     nothing; the caller then runs the partition scan. Keys beyond the subset
     scan's cap get a false answer, so the certificate never raises
@@ -466,11 +534,7 @@ def _subsets_certify_complement(key: Key) -> bool:
     d, D = key.d, key.D
     if D < 2 * d - 1 or comb(D, d) > FULL_SPARK_MAX_SUBSETS:
         return False
-    scan = subset_scan(key)
-    if scan.deficient is not None:
-        return False
-    factor = max(key.tol.rank_tol_factor, _SUBSET_CERT_FLOOR)
-    return scan.sigma_d_min > _SUBSET_CERT_MARGIN * factor * D * numerics.sigma_k(key.matrix, 1)
+    return subset_scan(key).clears_margin
 
 
 def is_phase_retrievable(key: Key) -> CertificateReport:

@@ -45,17 +45,6 @@ def upper_constant(key: Key) -> float:
 # smallest-mask tie-break is stable against last-ulp differences.
 _TIE_WINDOW = 1e-12
 
-# Error allowance of the Gram screen, in units of eps * (D + d) * B0 for a
-# singular value (its SVD error and the bracket's own rounding) and of
-# eps * (D + d) * d * B0^2 for a Gram eigenvalue (the Gram sums and
-# eigvalsh). Both are generous over the backward-error bounds; a wider
-# bracket only sends a few more partitions to the exact pass.
-_SCREEN_SLACK = 64.0
-
-# Keys with B0 outside this range could under- or overflow in the Gram
-# entries; their partitions all go to the exact pass.
-_SCREEN_RANGE = (2.0**-400, 2.0**400)
-
 # Gram entries per block of the screen, which bounds its memory; a block
 # holds at most this many entries of each side's Grams.
 _SCREEN_ENTRIES = 1 << 16
@@ -69,9 +58,10 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
     columns contributes sigma_d = 0. The result is that of visiting every
     canonical mask in ascending order (masks over subsets that avoid the last
     column) and taking a mask as the new best when its value is below the best
-    so far by more than the tie window _TIE_WINDOW * max(1, B0); ties thus keep
-    the earlier, i.e. smaller, mask. Keys with D > COMPLEMENT_MAX_COLS raise
-    SearchTooLarge.
+    so far by more than the tie window _TIE_WINDOW * B0; ties thus keep the
+    earlier, i.e. smaller, mask. The window is relative, so scaling the key by
+    a power of two scales A0 by it and keeps I0. Keys with
+    D > COMPLEMENT_MAX_COLS raise SearchTooLarge.
 
     Only a few masks are visited, with the same bits as a full visit:
 
@@ -79,7 +69,8 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       sigma_d^2 up to the error of the Gram sums and of eigvalsh, both at most
       err_lam = c * eps * (D + d) * d * B0^2. Widened further by the SVD error
       err_s, of order eps * (D + d) * B0, this puts the value the visit
-      computes in a bracket [lo, hi] per mask (_side_bracket).
+      computes in a bracket [lo, hi] per mask (_side_bracket); c is
+      numerics.GRAM_SCREEN_SLACK.
     - Possible records. The best so far always lies in [runmin, runmin + tie],
       where runmin is the smallest value so far. So a mask can become the best
       only if its value is below runmin, hence below prev_hi, the smallest hi
@@ -126,7 +117,8 @@ class LowerConstantSearch:
     ruled out by the shifted-Cholesky test, ``diagonalized`` were bracketed
     with eigvalsh, and ``visited`` got the exact SVD values; visited masks
     are among the kept ones, which are among the diagonalized ones (keys
-    with B0 outside _SCREEN_RANGE skip the screen: every mask is kept).
+    with B0 outside numerics.GRAM_SCREEN_RANGE skip the screen: every mask is
+    kept).
     """
 
     result: tuple[float, Partition]
@@ -148,7 +140,7 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
         )
     a = key.matrix
     b0 = upper_constant(key)
-    tie = _TIE_WINDOW * max(1.0, b0)
+    tie = _TIE_WINDOW * b0
     masks, lo, settled, diagonalized = _screen(key, b0)
     best_val = np.inf
     best_mask = 0
@@ -182,10 +174,11 @@ def _screen(key: Key, b0: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Masks that may become the best, ascending, with the lower ends of their
     brackets, and the numbers of masks settled and diagonalized."""
     d, D = key.d, key.D
-    if not _SCREEN_RANGE[0] <= b0 <= _SCREEN_RANGE[1]:
+    if not numerics.GRAM_SCREEN_RANGE[0] <= b0 <= numerics.GRAM_SCREEN_RANGE[1]:
+        # the Gram entries could under- or overflow: every mask to the exact pass
         n_masks = 1 << (D - 1)
         return np.arange(n_masks), np.zeros(n_masks), 0, 0
-    err_s = _SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
+    err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
     err_lam = err_s * d * b0
     a = key.matrix
     total = a @ a.T
@@ -355,7 +348,7 @@ def build_report(key: Key) -> LipschitzReport:
         X_min=np.vstack([u1 + u2, zeros]),
         Y_min=np.vstack([u1, u2]),
     )
-    degenerate = a0 <= key.tol.rank_tol_factor * max(key.d, key.D) * max(1.0, b0)
+    degenerate = a0 <= key.tol.rank_tol_factor * max(key.d, key.D) * b0
     return LipschitzReport(
         A0=a0,
         B0=b0,

@@ -201,6 +201,19 @@ def ranks_from_singular_values(s: np.ndarray, size: int, tol: ToleranceConfig) -
     return np.count_nonzero(s > cutoff, axis=1)
 
 
+# Error allowance of the Gram screens (lipschitz's A0 screen and frame_keys'
+# subset scan), in units of eps * (D + d) * sigma_1 for a singular value and
+# of eps * (D + d) * d * sigma_1^2 for a Gram eigenvalue, sigma_1 being that
+# of the d x D key. Both are generous over the backward-error bounds the
+# screens rely on; a wider allowance only sends a few more matrices to the
+# exact path.
+GRAM_SCREEN_SLACK = 64.0
+
+# Keys whose sigma_1 lies outside this range skip the Gram screens: their
+# Gram entries and shifts could under- or overflow.
+GRAM_SCREEN_RANGE = (2.0**-400, 2.0**400)
+
+
 def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     """Whether an unpivoted Cholesky factorization of G - tau * I runs to
     completion with positive pivots, for each G of an (n, d, d) symmetric stack.
@@ -213,13 +226,22 @@ def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     rounding of the shifted diagonal adds eps * max(||G||_2, tau). Failure
     proves nothing.
 
-    The stack is copied once into structure-of-arrays layout (d, d, n), so
-    each of the d right-looking elimination steps is a few vectorized
-    operations over all n matrices; there is no per-matrix LAPACK call.
+    The stack is copied once into structure-of-arrays layout (d, d, n) for
+    _shifted_cholesky_ok_inplace.
     """
     a = np.asarray(stack, dtype=np.float64)
-    n, d = a.shape[0], a.shape[-1]
-    w = a.transpose(1, 2, 0).copy()
+    return _shifted_cholesky_ok_inplace(a.transpose(1, 2, 0).copy(), tau)
+
+
+def _shifted_cholesky_ok_inplace(w: np.ndarray, tau: float) -> np.ndarray:
+    """shifted_cholesky_ok of each matrix w[:, :, i] of a (d, d, n) float64
+    stack, which is overwritten.
+
+    Each of the d right-looking elimination steps updates the upper triangle
+    of the trailing block row by row, each row one vectorized operation over
+    all n matrices; there is no per-matrix LAPACK call.
+    """
+    d, n = w.shape[0], w.shape[-1]
     diag = np.arange(d)
     w[diag, diag] -= tau
     ok = np.ones(n, dtype=bool)
@@ -230,5 +252,7 @@ def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
             break
         # rows that already failed get a unit pivot; their values are never read
         r = w[k, k + 1:] / np.sqrt(np.where(ok, pivot, 1.0))
-        w[k + 1:, k + 1:] -= r[:, None] * r[None, :]
+        # the factorization reads only the upper triangle: update just that
+        for i in range(k + 1, d):
+            w[i, i:] -= r[i - k - 1] * r[i - k - 1:]
     return ok

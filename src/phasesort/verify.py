@@ -255,9 +255,7 @@ def _certificate_agreement(key: Key) -> PropertyResult:
     if key.D < 2 * key.d - 1 and uk.verdict:
         problems.append("universal despite D < 2d-1")
     a0, _ = lipschitz.lower_constant(key)
-    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * max(
-        1.0, lipschitz.upper_constant(key)
-    )
+    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * lipschitz.upper_constant(key)
     if a0_positive != has_complement_property(key).verdict:
         problems.append("A0 positivity disagrees with complement property")
     return PropertyResult(

@@ -6,7 +6,9 @@ samples, sign patterns, columns and row orders, built on numpy alone. The
 batched code must reproduce them, bit for bit where the docstrings of the
 kernels say so. The A0 search is here as it was before its screen settled
 partitions with the shifted-Cholesky test: every partition bracketed from
-the eigenvalues of the partition scan.
+the eigenvalues of the partition scan. The d-subset scan is here as it was
+before the same test settled subsets: one SVD of every subset. So is the
+shifted-Cholesky kernel as it was, updating the whole trailing block.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from phasesort import lipschitz
+from phasesort import frame_keys, lipschitz, numerics
 from phasesort.errors import (
     AmbiguityDetected,
     DimensionError,
@@ -49,7 +51,7 @@ def analysis(key, x):
     v = as_vector(x)
     if v.shape[0] != key.d:
         raise DimensionError(f"signal has length {v.shape[0]}, key expects {key.d}")
-    return key.matrix.T @ v
+    return key.matrix.T @ np.ascontiguousarray(v)
 
 
 def alpha(key, x):
@@ -206,14 +208,14 @@ def lower_constant_screen(key):
     """The masks the A0 search may visit, ascending, with their bracket lower
     ends: every mask bracketed from partition_scan's smallest eigenvalues,
     kept when its lower end is below the smallest upper end before it. Reads
-    lipschitz's screen constants at call time, so they can be patched."""
+    the screen constants at call time, so they can be patched."""
     d, D = key.d, key.D
     scan = partition_scan(key)
     b0 = lipschitz.upper_constant(key)
     n_masks = scan.counts.size
-    if not lipschitz._SCREEN_RANGE[0] <= b0 <= lipschitz._SCREEN_RANGE[1]:
+    if not numerics.GRAM_SCREEN_RANGE[0] <= b0 <= numerics.GRAM_SCREEN_RANGE[1]:
         return np.arange(n_masks), np.zeros(n_masks)
-    err_s = lipschitz._SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
+    err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
     err_lam = err_s * d * b0
     sides = []
     for lam, full in ((scan.lam_min_i, scan.counts >= d), (scan.lam_min_c, D - scan.counts >= d)):
@@ -233,7 +235,7 @@ def lower_constant(key):
     order with two SVDs each, dropping masks that can no longer pass."""
     d, D = key.d, key.D
     a = key.matrix
-    tie = lipschitz._TIE_WINDOW * max(1.0, lipschitz.upper_constant(key))
+    tie = lipschitz._TIE_WINDOW * lipschitz.upper_constant(key)
     masks, lo = lower_constant_screen(key)
     best_val = np.inf
     best_mask = 0
@@ -252,6 +254,60 @@ def lower_constant(key):
             keep = lo < best_val - tie
             masks, lo = masks[keep], lo[keep]
     return best_val, best_mask
+
+
+# --- the d-subset scan with an SVD of every subset ---------------------------
+
+def subset_scan(key):
+    """(first deficient d-subset or None, smallest sigma_d ranked): every
+    subset's singular values from a stacked SVD, chunk by chunk in
+    lexicographic order, stopping at the chunk with a deficient subset.
+    Reads frame_keys._CHUNK_ENTRIES at call time, so it can be patched."""
+    d, D = key.d, key.D
+    if D < d:
+        return tuple(range(1, D + 1)), 0.0
+    a = key.matrix
+    subsets = itertools.combinations(range(D), d)
+    per_chunk = max(1, frame_keys._CHUNK_ENTRIES // (d * d))
+    sigma_d_min = np.inf
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
+        cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
+        if cols.size == 0:
+            return None, float(sigma_d_min)
+        s = numerics.singular_values_many(a[:, cols].transpose(1, 0, 2))
+        sigma_d_min = min(sigma_d_min, s[:, d - 1].min())
+        deficient = numerics.ranks_from_singular_values(s, d, key.tol) < d
+        if deficient.any():
+            first = cols[int(np.argmax(deficient))]
+            return tuple(int(c) + 1 for c in first), float(sigma_d_min)
+
+
+def subset_decision(key):
+    """(first deficient d-subset or None, whether every subset's sigma_d is
+    above the complement certificate's margin), from subset_scan."""
+    deficient, sigma_d_min = subset_scan(key)
+    factor = max(key.tol.rank_tol_factor, frame_keys._SUBSET_CERT_FLOOR)
+    margin = frame_keys._SUBSET_CERT_MARGIN * factor * key.D * sigma_k(key.matrix, 1)
+    return deficient, deficient is None and sigma_d_min > margin
+
+
+def shifted_cholesky_ok(stack, tau):
+    """The shifted-Cholesky test updating the whole trailing block each step."""
+    a = np.asarray(stack, dtype=np.float64)
+    n, d = a.shape[0], a.shape[-1]
+    w = a.transpose(1, 2, 0).copy()
+    diag = np.arange(d)
+    w[diag, diag] -= tau
+    ok = np.ones(n, dtype=bool)
+    for k in range(d):
+        pivot = w[k, k]
+        ok &= pivot > 0.0
+        if k == d - 1 or not ok.any():
+            break
+        r = w[k, k + 1:] / np.sqrt(np.where(ok, pivot, 1.0))
+        w[k + 1:, k + 1:] -= r[:, None] * r[None, :]
+    return ok
 
 
 # --- sampler and battery ----------------------------------------------------
@@ -399,9 +455,7 @@ def run_battery(key, samples, seed):
     if key.D < 2 * key.d - 1 and uk.verdict:
         problems.append("universal despite D < 2d-1")
     a0, _ = lipschitz.lower_constant(key)
-    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * max(
-        1.0, lipschitz.upper_constant(key)
-    )
+    a0_positive = a0 > key.tol.rank_tol_factor * max(key.d, key.D) * lipschitz.upper_constant(key)
     if a0_positive != has_complement_property(key).verdict:
         problems.append("A0 positivity disagrees with complement property")
     results.append(PropertyResult(

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -523,18 +524,30 @@ def test_complement_certificate_never_hits_the_subset_cap(monkeypatch):
 def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
     mat = generate_key(3, 8, 7).matrix.copy()
     mat[:, 3] = mat[:, 0] - mat[:, 1]  # first deficient subset: (1, 2, 4)
-    calls = []
-    real = numerics.singular_values_many
+    svds, chunks = [], []
+    real_svd = numerics.singular_values_many
     monkeypatch.setattr(numerics, "singular_values_many",
-                        lambda stack: calls.append(len(stack)) or real(stack))
+                        lambda stack: svds.append(stack.copy()) or real_svd(stack))
+    real_test = numerics._shifted_cholesky_ok_inplace
+    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
+                        lambda w, tau: chunks.append(w.shape[-1]) or real_test(w, tau))
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)  # one subset per chunk
-    rep = is_full_spark(Key(mat))
+    key = Key(mat)
+    rep = is_full_spark(key)
     assert (rep.verdict, rep.witness) == (False, (1, 2, 4))
-    assert calls == [1, 1]  # (1, 2, 3), then (1, 2, 4)
+    # (1, 2, 3) is settled by its Gram; (1, 2, 4) gets the only SVD, and the
+    # scan stops after its chunk
+    assert chunks == [1, 1]
+    assert len(svds) == 1 and svds[0].tobytes() == mat[:, [0, 1, 3]][None].tobytes()
+    scan = frame_keys.subset_scan(key)
+    assert (scan.settled, scan.decomposed, scan.clears_margin) == (1, 1, False)
 
 
 @pytest.mark.parametrize("entries", [9, 1 << 20])
 def test_subset_scan_smallest_sigma_d_matches_loop(monkeypatch, entries):
+    # the scan keeps no minimum, but its margin decision pins the smallest
+    # sigma_d bit for bit: with the margin moved onto the loop's smallest
+    # value the decision is false, one ulp below it true
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
     key = generate_key(3, 7, 12)
     smallest = min(
@@ -542,8 +555,115 @@ def test_subset_scan_smallest_sigma_d_matches_loop(monkeypatch, entries):
         for cols in itertools.combinations(range(7), 3)
     )
     scan = frame_keys.subset_scan(key)
-    assert scan.deficient is None
-    assert np.float64(scan.sigma_d_min).tobytes() == np.float64(smallest).tobytes()
+    assert scan.deficient is None and scan.clears_margin
+    assert scan.settled + scan.decomposed == 35
+    for margin, clears in ((smallest, False), (np.nextafter(smallest, 0.0), True)):
+        monkeypatch.setattr(frame_keys, "_certificate_margin", lambda key, sigma_1: margin)
+        scan = frame_keys.subset_scan(Key(key.matrix))
+        assert scan.deficient is None and scan.clears_margin == clears
+        assert scan.decomposed >= 1  # the smallest subset cannot be settled
+
+
+def _assert_subset_scan_matches_oracle(matrix, tol=DEFAULT_TOL):
+    """Full spark's verdict, witness and method, the certificate's decision
+    and the scan's own decision all equal the SVD-scan oracle's."""
+    key = Key(matrix, tol)
+    deficient, clears = oracles.subset_decision(Key(matrix, tol))
+    rep = is_full_spark(key)
+    assert (rep.verdict, rep.witness, rep.method) == (
+        deficient is None, deficient, "exhaustive-d-subsets")
+    assert frame_keys._subsets_certify_complement(key) == (clears and key.D >= 2 * key.d - 1)
+    scan = frame_keys.subset_scan(key)
+    assert (scan.deficient, scan.clears_margin) == (deficient, clears)
+    if deficient is None and key.D >= key.d:
+        assert scan.settled + scan.decomposed == math.comb(key.D, key.d)
+    return scan
+
+
+@pytest.mark.parametrize("factor", [1e-16, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_subset_scan_matches_svd_oracle_adversarial(name, factor):
+    _assert_subset_scan_matches_oracle(ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.integers(1, 10).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    )
+)
+def test_subset_scan_matches_svd_oracle_hypothesis(matrix):
+    _assert_subset_scan_matches_oracle(matrix)
+
+
+def _planted_key(seed, target, factor):
+    """A 3x6 key whose subset (1, 2, 6) has sigma_d close to ``target``
+    times the bound it is named after: the certificate margin, or
+    numerics.rank's cutoff for a 3 x 3 subset."""
+    tol = ToleranceConfig(rank_tol_factor=factor)
+    base = generate_key(3, 6, seed).matrix
+
+    def build(gap):
+        mat = base.copy()
+        mat[:, 5] = mat[:, 0] + mat[:, 1] + gap * mat[:, 2]
+        sub = numerics.singular_values(mat[:, [0, 1, 5]])
+        bound = (frame_keys._certificate_margin(Key(mat, tol), numerics.sigma_k(mat, 1))
+                 if target[0] == "margin" else factor * 3 * sub[0])
+        return mat, sub[2] / bound
+
+    gap = 1e-6
+    for _ in range(4):  # sigma_d is close to linear in the gap
+        mat, ratio = build(gap)
+        gap *= target[1] / ratio
+    mat, ratio = build(gap)
+    return mat, tol, ratio
+
+
+@pytest.mark.parametrize("factor", [1e-12, 1e-9])
+@pytest.mark.parametrize("target", [("margin", 1 + 1e-3), ("margin", 1 - 1e-3),
+                                    ("cutoff", 1 + 1e-3), ("cutoff", 1 - 1e-3)])
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_subset_scan_matches_svd_oracle_near_its_bounds(seed, target, factor):
+    mat, tol, ratio = _planted_key(seed, target, factor)
+    assert (ratio > 1.0) == (target[1] > 1.0)  # the planted subset is on the intended side
+    scan = _assert_subset_scan_matches_oracle(mat, tol)
+    deficient, clears = oracles.subset_decision(Key(mat, tol))
+    if target[0] == "margin":
+        assert deficient is None and clears == (ratio > 1.0)
+    else:
+        assert (deficient is None) == (ratio > 1.0) and not clears
+    assert scan.decomposed >= 1  # the planted subset got an SVD
+
+
+@pytest.mark.parametrize("exponent", [-530, -450, 450])
+@pytest.mark.parametrize("name", ["rank-deficient", "repeated-columns", "identity-twice",
+                                  "near-parallel-first", "near-singular"])
+def test_subset_scan_skips_the_screen_out_of_range(name, exponent):
+    matrix = ADVERSARIAL[name] * 2.0**exponent
+    scan = _assert_subset_scan_matches_oracle(matrix)
+    assert scan.settled == 0
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-9, 3e-11])
+def test_subset_scan_matches_svd_oracle_near_dependent(gap):
+    mat = generate_key(3, 5, 9).matrix.copy()
+    mat[:, 4] = mat[:, 0] + mat[:, 1] + gap * mat[:, 2]
+    for factor in (1e-16, 1e-12, 1e-9, 1e-6):
+        _assert_subset_scan_matches_oracle(mat, ToleranceConfig(rank_tol_factor=factor))
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (10, 19)])
+def test_subset_scan_settles_most_subsets(d, D):
+    scan = frame_keys.subset_scan(generate_key(d, D, 1))
+    assert scan.deficient is None and scan.clears_margin
+    assert scan.settled + scan.decomposed == math.comb(D, d)
+    assert scan.settled >= 0.99 * math.comb(D, d)
 
 
 def _count_partition_scans(monkeypatch) -> list:

@@ -1,0 +1,114 @@
+"""Invariances of the constants and certificates, checked without an oracle.
+
+A0 and B0 are singular values of column submatrices of the key, and every
+certificate is a rank statement about them. So scaling the key by c > 0
+scales A0 and B0 by c and keeps every verdict, witness and I0; flipping the
+sign of a column or applying an orthogonal Q on the left changes no singular
+value. Scaling by a power of two is exact in every floating-point operation
+of the searches, so there the results must scale bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from phasesort import (
+    Key,
+    build_report,
+    generate_key,
+    has_complement_property,
+    is_full_spark,
+    is_phase_retrievable,
+    is_universal_key,
+)
+from phasesort import frame_keys
+
+from conftest import ADVERSARIAL
+
+KEYS = {"4x12": generate_key(4, 12, 1).matrix, "8x15": generate_key(8, 15, 1).matrix}
+KEYS.update({name: m for name, m in ADVERSARIAL.items() if np.any(m)})
+
+EXPONENTS = (-450, -40, 40, 450)
+
+# LAPACK's SVD (dgesdd) rescales a matrix whose largest entry lies outside
+# [2^-459, 2^459] (sqrt(safe minimum) / precision and its inverse) by a
+# factor that is not a power of two, so there the last bits of the singular
+# values move.
+_LAPACK_UNSCALED = (2.0**-459, 2.0**459)
+
+# (key, exponent) pairs whose scaled copy holds the key exactly: 2^-450
+# times the scaled-1e-200 key would underflow to zero
+SCALINGS = [
+    (name, k) for name in sorted(KEYS) for k in EXPONENTS
+    if np.array_equal(KEYS[name] * 2.0**k / 2.0**k, KEYS[name])
+]
+
+
+def _certificates(key):
+    reports = (f(key) for f in (is_full_spark, has_complement_property, is_phase_retrievable,
+                                is_universal_key))
+    return [(r.verdict, r.witness, r.method) for r in reports]
+
+
+def _subset_decision(key):
+    scan = frame_keys.subset_scan(key)
+    return scan.deficient, scan.clears_margin
+
+
+def _lapack_rescales(matrix):
+    top = float(np.abs(matrix).max())
+    return not _LAPACK_UNSCALED[0] <= top <= _LAPACK_UNSCALED[1]
+
+
+@pytest.mark.parametrize("name,k", SCALINGS)
+def test_power_of_two_scaling(name, k):
+    matrix, c = KEYS[name], 2.0**k
+    key, scaled = Key(matrix), Key(matrix * c)
+    rep, rep_c = build_report(key), build_report(scaled)
+    assert rep_c.I0 == rep.I0
+    if _lapack_rescales(matrix) or _lapack_rescales(matrix * c):
+        # scaled-1e6 and scaled-1e-200 times 2^450: LAPACK's own rescaling
+        # moves the last bits, not the searches
+        assert abs(rep_c.A0 - c * rep.A0) <= 1e-14 * c * rep.A0
+        assert abs(rep_c.B0 - c * rep.B0) <= 1e-14 * c * rep.B0
+    else:
+        assert np.float64(rep_c.A0).tobytes() == np.float64(c * rep.A0).tobytes()
+        assert np.float64(rep_c.B0).tobytes() == np.float64(c * rep.B0).tobytes()
+    assert rep_c.degenerate_lower == rep.degenerate_lower
+    assert _certificates(scaled) == _certificates(key)
+    assert _subset_decision(scaled) == _subset_decision(key)
+
+
+def test_scalings_cover_both_paths():
+    # the bit-for-bit branch runs inside and outside the Gram screens' range,
+    # and the rescaled branch runs at all
+    rescaled = [(n, k) for n, k in SCALINGS
+                if _lapack_rescales(KEYS[n]) or _lapack_rescales(KEYS[n] * 2.0**k)]
+    assert sorted(rescaled) == [("scaled-1e-200", -40), ("scaled-1e-200", 40),
+                                ("scaled-1e-200", 450), ("scaled-1e6", 450)]
+    assert ("4x12", 450) in SCALINGS and ("4x12", -450) in SCALINGS
+    assert len(SCALINGS) == 4 * len(KEYS) - 1
+
+
+def _assert_constants_close(matrix, moved):
+    # singular values carry an absolute error of order eps * B0, so B0 is
+    # the scale of the comparison, as in numerics.rank's cutoff
+    rep, rep_m = build_report(Key(matrix)), build_report(Key(moved))
+    assert abs(rep_m.B0 - rep.B0) <= 1e-12 * rep.B0
+    assert abs(rep_m.A0 - rep.A0) <= 1e-12 * rep.B0
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_column_sign_flips(name):
+    matrix = KEYS[name]
+    rng = np.random.Generator(np.random.PCG64(sum(map(ord, name))))
+    for _ in range(3):
+        _assert_constants_close(matrix, matrix * rng.choice([-1.0, 1.0], matrix.shape[1]))
+
+
+@pytest.mark.parametrize("name", sorted(KEYS))
+def test_left_orthogonal_transform(name):
+    matrix = KEYS[name]
+    rng = np.random.Generator(np.random.PCG64(sum(map(ord, name))))
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((matrix.shape[0],) * 2))
+        _assert_constants_close(matrix, q @ matrix)

@@ -31,7 +31,7 @@ def _lower_constant_loop(key: Key) -> tuple[float, int]:
     """Every canonical mask in ascending order, two SVDs each: the oracle."""
     d, D = key.d, key.D
     a = key.matrix
-    tie = lipschitz._TIE_WINDOW * max(1.0, upper_constant(key))
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
     best_val = np.inf
     best_mask = 0
     for mask in range(1 << (D - 1)):
@@ -87,7 +87,7 @@ def test_lower_constant_positive_iff_complement_property():
         D = d + seed % (d + 3)
         key = generate_key(d, D, 3000 + seed)
         a0, _ = lower_constant(key)
-        threshold = key.tol.rank_tol_factor * max(d, D) * max(1.0, upper_constant(key))
+        threshold = key.tol.rank_tol_factor * max(d, D) * upper_constant(key)
         assert (a0 > threshold) == has_complement_property(key).verdict
 
 

@@ -7,6 +7,7 @@ from phasesort import DimensionError, SvdResult, ToleranceConfig, least_squares,
 from phasesort import numerics
 from phasesort.numerics import ranks
 
+import oracles
 from conftest import A_REF, sym2x2_eigenvalues
 
 
@@ -222,6 +223,16 @@ def test_shifted_cholesky_never_settles_below_the_shift(name):
     for tau, passed in zip(taus, ok):
         assert np.array_equal(numerics.shifted_cholesky_ok(stack, tau), np.full(len(taus), passed))
     assert stack.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_shifted_cholesky_matches_full_update_oracle(d):
+    # updating only the upper triangle keeps the bits it reads, so every answer
+    stack = np.stack([g for g in GRAMS.values() if g.shape[0] == d])
+    lam = np.linalg.eigvalsh(stack)[:, 0]
+    for tau in np.concatenate([lam, lam * (1 + 1e-9), lam * (1 - 1e-9), [0.0, 1e-12, 1.0]]):
+        want = oracles.shifted_cholesky_ok(stack, tau)
+        assert np.array_equal(numerics.shifted_cholesky_ok(stack, tau), want)
 
 
 def test_shifted_cholesky_empty_stack():
