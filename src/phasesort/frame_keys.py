@@ -19,14 +19,15 @@ Two exhaustive scans back them, each run at most once per key:
   margin: a full-spark frame with D >= 2d - 1 has the complement property
   (Balan, Casazza and Edidin, "On signal reconstruction without phase",
   ACHA 2006), and the margin makes the floating-point verdict the same.
-- The partition scan (partition_scan) diagonalizes the Grams of the spanning
-  sides of all 2^(D-1) column partitions. The complement property falls back
-  to it when the subset certificate does not apply, and it is the only source
-  of a false verdict and its witness.
+- The complement walk (_complement_walk) visits the 2^(D-1) column
+  partitions in ascending blocks and stops at the first violating split; a
+  shifted-Cholesky test trusts most spanning sides without an eigenvalue. The
+  complement property falls back to it when the subset certificate does not
+  apply, and it is the only source of a false verdict and its witness.
 
-The lower Lipschitz constant A0 (lipschitz.lower_constant) needs neither: it
-walks the same partition Grams (_gram_chunks) itself and diagonalizes only
-the partitions a shifted-Cholesky test cannot rule out.
+The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
+ascending blocks (_partition_blocks) with its own Cholesky screen and
+diagonalizes only the partitions that screen cannot rule out.
 """
 
 from __future__ import annotations
@@ -52,9 +53,13 @@ COMPLEMENT_MAX_COLS = 24
 FULL_SPARK_MAX_SUBSETS = 5_000_000
 
 # Batched kernels work on at most this many stacked matrix entries at a time
-# (memory, not correctness): partition Grams are built and diagonalized, and
-# column subsets ranked, one chunk at a time.
+# (memory, not correctness): partition Grams are built, and column subsets
+# ranked, one chunk at a time.
 _CHUNK_ENTRIES = 1 << 20
+
+# Gram entries per block of the partition walks, which bounds their memory; a
+# block holds at most this many entries of each side's Grams.
+_SCREEN_ENTRIES = 1 << 16
 
 
 @dataclass(eq=False, frozen=True)
@@ -365,76 +370,39 @@ def _gram_chunks(a: np.ndarray):
         yield (prefix << low) + order, grams
 
 
+def _partition_blocks(a: np.ndarray):
+    """Yield ``(masks, gi, gc, full_i, full_c)`` for every canonical mask, in
+    blocks of ascending masks.
+
+    ``gi`` holds the Grams A[I] A[I]^T of the block's masks, with
+    _gram_chunks' bits, and ``gc`` those of the complements, A A^T - gi,
+    formed per block; ``full_i`` and ``full_c`` mark the sides with at least
+    d columns. Blocks double from one mask up to _SCREEN_ENTRIES Gram entries
+    per side: the first masks come soon, and later blocks amortize the
+    overhead.
+    """
+    d, D = a.shape
+    total = a @ a.T
+    per_block = max(1, _SCREEN_ENTRIES // (d * d))
+    for masks, grams in _gram_chunks(a):
+        # the chunk holds masks first .. stop - 1, mask m in row rows[m - first]
+        first, stop = int(masks[0]), int(masks[0]) + masks.size
+        rows = np.empty_like(masks)
+        rows[masks - first] = np.arange(masks.size)
+        start = first
+        while start < stop:
+            end = min(stop, start + per_block, max(1, 2 * start))
+            block = np.arange(start, end)
+            counts = _popcounts(block)
+            gi = grams[rows[block - first]]
+            yield block, gi, np.subtract(total, gi), counts >= d, D - counts >= d
+            start = end
+
+
 # A Gram eigenvalue ratio above this is trusted as full rank outright;
 # squaring into the Gram costs half the precision, so ratios below it are
 # re-decided on the submatrix itself with the exact rank criterion.
 _GRAM_TRUST_RATIO = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionScan:
-    """Smallest Gram eigenvalues of both sides of every column partition.
-
-    Index ``mask`` runs over the subsets I of columns 1..D-1 (column D is
-    always on the complement side), so each unordered partition {I, I^c}
-    appears once, under its canonical (smaller) mask. ``counts`` is |I|;
-    ``lam_min_i`` and ``lam_min_c`` are the smallest eigenvalues of
-    A[I] A[I]^T and A[I^c] A[I^c]^T as eigvalsh returns them, for sides with
-    at least d columns, and 0 for the others, which are not diagonalized.
-    ``trusted_i`` and ``trusted_c`` mark sides the Gram alone settles as rank
-    d: at least d columns, and a smallest eigenvalue positive and above
-    _GRAM_TRUST_RATIO times the largest.
-    """
-
-    counts: np.ndarray
-    lam_min_i: np.ndarray
-    lam_min_c: np.ndarray
-    trusted_i: np.ndarray
-    trusted_c: np.ndarray
-
-
-def partition_scan(key: Key) -> PartitionScan:
-    """Diagonalize the spanning sides' Grams of every column partition (memoized).
-
-    The complement property reads its verdicts from the trusted flags when
-    the subset certificate does not settle it.
-    """
-    return _cached(key, "partition_scan", lambda: _partition_scan(key))
-
-
-def _partition_scan(key: Key) -> PartitionScan:
-    d, D = key.d, key.D
-    if D > COMPLEMENT_MAX_COLS:
-        raise SearchTooLarge(
-            f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
-        )
-    a = key.matrix
-    n_masks = 1 << (D - 1)
-    total = a @ a.T
-    counts = np.empty(n_masks, dtype=np.uint8)
-    lam_min_i, lam_min_c = np.zeros(n_masks), np.zeros(n_masks)
-    trusted_i, trusted_c = np.zeros(n_masks, dtype=bool), np.zeros(n_masks, dtype=bool)
-    for masks, grams in _gram_chunks(a):
-        size = _popcounts(masks)
-        counts[masks] = size
-        # |I| is sorted within the chunk, so the sides with at least d columns
-        # are a tail (I) and a head (I^c) of it: slices, never copies
-        first_i = int(np.searchsorted(size, d))
-        stop_c = int(np.searchsorted(size, D - d, side="right"))
-        _diagonalize(grams[first_i:], masks[first_i:], lam_min_i, trusted_i)
-        head = grams[:stop_c]
-        np.subtract(total, head, out=head)
-        _diagonalize(head, masks[:stop_c], lam_min_c, trusted_c)
-    return PartitionScan(counts, lam_min_i, lam_min_c, trusted_i, trusted_c)
-
-
-def _diagonalize(grams: np.ndarray, masks: np.ndarray, lam_min: np.ndarray,
-                 trusted: np.ndarray) -> None:
-    """Record the smallest eigenvalue and the trust flag of each Gram under its mask."""
-    eig = np.linalg.eigvalsh(grams)
-    low, high = eig[:, 0], eig[:, -1]
-    lam_min[masks] = low
-    trusted[masks] = (low > _GRAM_TRUST_RATIO * high) & (low > 0.0)
 
 
 def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
@@ -460,8 +428,9 @@ def has_complement_property(key: Key) -> CertificateReport:
 
     The verdict is that of examining all 2^(D-1) unordered partitions; the
     witness is the violating partition with the smallest canonical mask. The
-    partition scan runs only when the subset certificate
-    (_subsets_certify_complement) does not already settle a true verdict.
+    complement walk (_complement_walk) runs only when the subset certificate
+    (_subsets_certify_complement) does not already settle a true verdict, and
+    stops at the witness.
     """
     return _cached(key, "complement", lambda: _complement_property(key))
 
@@ -474,16 +443,67 @@ def _complement_property(key: Key) -> CertificateReport:
         )
     if _subsets_certify_complement(key):
         return CertificateReport(True, None, method)
-    scan = partition_scan(key)
-    # sides the Gram could not settle (exactly singular ones land here) are
-    # re-decided with numerics.rank's criterion, the defining one
-    masks = np.flatnonzero(~(scan.trusted_i | scan.trusted_c))
-    ok = _rank_d(key, masks)
-    ok[~ok] = _rank_d(key, ((1 << key.D) - 1) ^ masks[~ok])
-    bad = masks[~ok]
-    if bad.size == 0:
-        return CertificateReport(True, None, method)
-    return CertificateReport(False, Partition(int(bad[0]), key.D), method)
+    witness = _complement_walk(key)
+    return CertificateReport(witness is None, witness, method)
+
+
+def _complement_walk(key: Key) -> Partition | None:
+    """The violating partition with the smallest canonical mask, or None.
+
+    A side is trusted when it has at least d columns and eigvalsh finds the
+    smallest eigenvalue of its Gram positive and above _GRAM_TRUST_RATIO times
+    the largest; a partition with no trusted side is re-decided with
+    numerics.rank's criterion (_rank_d), side I first. The walk stops at the
+    first of _partition_blocks' ascending blocks that holds a violation.
+
+    Most sides are trusted without eigvalsh, by numerics.shifted_cholesky_ok
+    at tau = _GRAM_TRUST_RATIO * (b^2 + err_lam) + 2 * err_lam, with b =
+    sigma_1(A) as numerics.sigma_k computes it and err_lam = c * eps * (D + d)
+    * d * b^2, c being numerics.GRAM_SCREEN_SLACK:
+
+    - Largest eigenvalue. A side's exact Gram is at most A A^T, so its
+      lambda_max is at most sigma_1(A)^2. The computed Gram (a sum of at most
+      D outer products, or A A^T minus one) is within a small multiple of
+      eps * D * d * b^2 of it, and eigvalsh adds a like error, so eigvalsh's
+      largest eigenvalue is below b^2 + err_lam.
+    - Smallest eigenvalue. Success proves lambda_min(G) >= tau - e for the
+      computed Gram G, with e of order (d + 1)^2 * eps * b^2 as tau < b^2
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 10.1), and eigvalsh's smallest eigenvalue is within a modest
+      multiple of d * eps * b^2 of lambda_min(G). Each error is below err_lam
+      >= 2 * c * eps * d^2 * b^2, so eigvalsh's smallest eigenvalue is above
+      _GRAM_TRUST_RATIO * (b^2 + err_lam) > 0: eigvalsh trusts the side.
+
+    So the accepted splits, the verdict and the witness are those of
+    diagonalizing every spanning side. Keys with b outside
+    numerics.GRAM_SCREEN_RANGE skip the test, since their Gram entries and
+    tau could under- or overflow.
+    """
+    d, D = key.d, key.D
+    b = numerics.sigma_k(key.matrix, 1)
+    tau = None
+    if numerics.GRAM_SCREEN_RANGE[0] <= b <= numerics.GRAM_SCREEN_RANGE[1]:
+        err_lam = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * d * b * b
+        tau = _GRAM_TRUST_RATIO * (b * b + err_lam) + 2.0 * err_lam
+    for masks, gi, gc, full_i, full_c in _partition_blocks(key.matrix):
+        trusted = np.zeros(masks.size, dtype=bool)
+        sides = ((gi, full_i), (gc, full_c))
+        if tau is not None:
+            for grams, full in sides:
+                rows = np.flatnonzero(full & ~trusted)
+                trusted[rows] = numerics.shifted_cholesky_ok(grams[rows], tau)
+        for grams, full in sides:
+            rows = np.flatnonzero(full & ~trusted)
+            eig = np.linalg.eigvalsh(grams[rows])
+            trusted[rows] = (eig[:, 0] > _GRAM_TRUST_RATIO * eig[:, -1]) & (eig[:, 0] > 0.0)
+        # sides the Gram could not settle (exactly singular ones land here) are
+        # re-decided with numerics.rank's criterion, the defining one
+        rest = masks[~trusted]
+        ok = _rank_d(key, rest)
+        ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])
+        if not ok.all():
+            return Partition(int(rest[np.argmin(ok)]), D)
+    return None
 
 
 # Margin of the subset certificate over the rank cutoff it relies on. The
@@ -501,7 +521,7 @@ def _certificate_margin(key: Key, sigma_1: float) -> float:
 
 
 def _subsets_certify_complement(key: Key) -> bool:
-    """Whether the subset scan shows that the partition scan's verdict is true.
+    """Whether the subset scan shows that the complement walk's verdict is true.
 
     Requires D >= 2d - 1 and the subset scan's clears_margin: no
     rank-deficient d-subset and, with f = max(rank_tol_factor,
@@ -518,16 +538,16 @@ def _subsets_certify_complement(key: Key) -> bool:
       sigma_1(A). Exactly, then, sigma_d(A_S) > 16 * f * |S| * sigma_1(A_S):
       sixteen times numerics.rank's cutoff for A_S.
     - Rounding. Each computed singular value (sigma_d(A_T), sigma_1(A), and
-      those of A_S in the scan's exact-rank fallback) is within a modest
+      those of A_S in the walk's exact-rank fallback) is within a modest
       multiple of eps * sigma_1(A) of the exact one, far inside the margin
       of 15 * f * sigma_1(A) >= 1.5e-11 * sigma_1(A). So numerics.rank
       gives A_S rank d.
 
-    In the partition scan each partition's side S is then either trusted
+    In the complement walk each partition's side S is then either trusted
     from its Gram or re-decided as rank d by the fallback: every partition
     passes and the verdict is true. The partition Grams never enter the
     argument, so it holds at any scale of the key. A false answer decides
-    nothing; the caller then runs the partition scan. Keys beyond the subset
+    nothing; the caller then runs the walk. Keys beyond the subset
     scan's cap get a false answer, so the certificate never raises
     SearchTooLarge.
     """

@@ -31,8 +31,7 @@ from .frame_keys import (
     Key,
     Partition,
     _cached,
-    _gram_chunks,
-    _popcounts,
+    _partition_blocks,
 )
 
 
@@ -44,10 +43,6 @@ def upper_constant(key: Key) -> float:
 # Relative window inside which partition values count as tied, so the
 # smallest-mask tie-break is stable against last-ulp differences.
 _TIE_WINDOW = 1e-12
-
-# Gram entries per block of the screen, which bounds its memory; a block
-# holds at most this many entries of each side's Grams.
-_SCREEN_ENTRIES = 1 << 16
 
 
 def lower_constant(key: Key) -> tuple[float, Partition]:
@@ -76,10 +71,10 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       only if its value is below runmin, hence below prev_hi, the smallest hi
       of the masks before it (infinite for mask 0). Masks with lo >= prev_hi
       are skipped.
-    - Settled masks. The screen walks the masks in blocks of ascending masks
-      and keeps hi_run, the smallest hi so far, so that hi_run at the start of
-      a block is >= prev_hi of every mask in it. Each mask of a block after
-      the first is tested before any eigvalsh:
+    - Settled masks. The screen walks the masks in the ascending blocks of
+      frame_keys._partition_blocks and keeps hi_run, the smallest hi so far,
+      so that hi_run at the start of a block is >= prev_hi of every mask in
+      it. Each mask of a block after the first is tested before any eigvalsh:
       numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
       lambda_min(G) >= tau - e, with e of order d^2 * eps * B0^2 (Higham,
       Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1;
@@ -180,42 +175,24 @@ def _screen(key: Key, b0: float) -> tuple[np.ndarray, np.ndarray, int, int]:
         return np.arange(n_masks), np.zeros(n_masks), 0, 0
     err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
     err_lam = err_s * d * b0
-    a = key.matrix
-    total = a @ a.T
     kept_masks, kept_lo = [], []
     hi_run = np.inf
     settled = diagonalized = 0
-    per_block = max(1, _SCREEN_ENTRIES // (d * d))
-    for masks, grams in _gram_chunks(a):
-        # the chunk holds masks first .. stop - 1, mask m in row rows[m - first]
-        first, stop = int(masks[0]), int(masks[0]) + masks.size
-        rows = np.empty_like(masks)
-        rows[masks - first] = np.arange(masks.size)
-        start = first
-        while start < stop:
-            # blocks double from one mask up to per_block masks: the first
-            # masks lower hi_run soon, and later blocks amortize the overhead
-            end = min(stop, start + per_block, max(1, 2 * start))
-            block = np.arange(start, end)
-            counts = _popcounts(block)
-            full_i, full_c = counts >= d, D - counts >= d
-            gi = grams[rows[block - first]]
-            gc = np.subtract(total, gi)
-            unsettled = np.flatnonzero(~_settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam))
-            settled += block.size - unsettled.size
-            diagonalized += unsettled.size
-            lam_i, lam_c = (_lam_min(g[unsettled], full[unsettled])
-                            for g, full in ((gi, full_i), (gc, full_c)))
-            lo_i, hi_i = _side_bracket(lam_i, full_i[unsettled], err_lam, err_s)
-            lo_c, hi_c = _side_bracket(lam_c, full_c[unsettled], err_lam, err_s)
-            lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
-            hi = np.hypot(hi_i, hi_c) + err_s
-            prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
-            hi_run = prev_hi[-1]
-            keep = np.flatnonzero(lo < prev_hi[:-1])
-            kept_masks.append(block[unsettled[keep]])
-            kept_lo.append(lo[keep])
-            start = end
+    for block, gi, gc, full_i, full_c in _partition_blocks(key.matrix):
+        unsettled = np.flatnonzero(~_settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam))
+        settled += block.size - unsettled.size
+        diagonalized += unsettled.size
+        lam_i, lam_c = (_lam_min(g[unsettled], full[unsettled])
+                        for g, full in ((gi, full_i), (gc, full_c)))
+        lo_i, hi_i = _side_bracket(lam_i, full_i[unsettled], err_lam, err_s)
+        lo_c, hi_c = _side_bracket(lam_c, full_c[unsettled], err_lam, err_s)
+        lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
+        hi = np.hypot(hi_i, hi_c) + err_s
+        prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
+        hi_run = prev_hi[-1]
+        keep = np.flatnonzero(lo < prev_hi[:-1])
+        kept_masks.append(block[unsettled[keep]])
+        kept_lo.append(lo[keep])
     return np.concatenate(kept_masks), np.concatenate(kept_lo), settled, diagonalized
 
 

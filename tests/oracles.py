@@ -4,15 +4,19 @@ These are the decoders, encoders, metrics, verify battery and ratio sampler
 as they were before the kernels were batched: plain Python loops over
 samples, sign patterns, columns and row orders, built on numpy alone. The
 batched code must reproduce them, bit for bit where the docstrings of the
-kernels say so. The A0 search is here as it was before its screen settled
+kernels say so. The partition scan is here as it was before the complement
+property walked the partitions in ascending blocks: eigvalsh on every
+spanning side of every partition, with the complement verdict read from its
+trust flags. The A0 search is here as it was before its screen settled
 partitions with the shifted-Cholesky test: every partition bracketed from
-the eigenvalues of the partition scan. The d-subset scan is here as it was
+the eigenvalues of that scan. The d-subset scan is here as it was
 before the same test settled subsets: one SVD of every subset. So is the
 shifted-Cholesky kernel as it was, updating the whole trailing block.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from phasesort.frame_keys import (
     is_full_spark,
     is_phase_retrievable,
     is_universal_key,
-    partition_scan,
 )
 from phasesort.inversion import (
     _ORBIT_GAP,
@@ -200,6 +203,52 @@ def invert_beta_tilde(key, y):
     if err > bound:
         raise NotInRange(f"re-encoding residual {err:.3e} exceeds tolerance {bound:.3e}")
     return decoded
+
+
+# --- the partition scan: eigvalsh on every spanning side ---------------------
+
+def partition_scan(key):
+    """Smallest Gram eigenvalues and trust flags of both sides of every
+    canonical mask, as arrays indexed by mask: ``counts`` (|I|),
+    ``lam_min_i``/``lam_min_c`` (eigvalsh's smallest eigenvalue of the Grams
+    of I and I^c; 0 for sides with fewer than d columns, which are not
+    diagonalized) and ``trusted_i``/``trusted_c`` (at least d columns and a
+    smallest eigenvalue positive and above _GRAM_TRUST_RATIO times the
+    largest). Reads frame_keys._CHUNK_ENTRIES at call time, so it can be
+    patched."""
+    d, D = key.d, key.D
+    a = key.matrix
+    n_masks = 1 << (D - 1)
+    total = a @ a.T
+    counts = np.empty(n_masks, dtype=np.uint8)
+    lam_min = {"i": np.zeros(n_masks), "c": np.zeros(n_masks)}
+    trusted = {"i": np.zeros(n_masks, dtype=bool), "c": np.zeros(n_masks, dtype=bool)}
+    for masks, grams in frame_keys._gram_chunks(a):
+        size = frame_keys._popcounts(masks)
+        counts[masks] = size
+        for side, full, g in (("i", size >= d, grams), ("c", D - size >= d, total - grams)):
+            eig = np.linalg.eigvalsh(g[full])
+            low, high = eig[:, 0], eig[:, -1]
+            lam_min[side][masks[full]] = low
+            trusted[side][masks[full]] = (
+                (low > frame_keys._GRAM_TRUST_RATIO * high) & (low > 0.0))
+    return SimpleNamespace(counts=counts, lam_min_i=lam_min["i"], lam_min_c=lam_min["c"],
+                           trusted_i=trusted["i"], trusted_c=trusted["c"])
+
+
+def complement_property(key):
+    """(verdict, witness, method) of the complement property from
+    partition_scan, without the subset certificate: the partitions with no
+    trusted side are re-decided with numerics.rank's criterion
+    (frame_keys._rank_d), side I first, and the witness is the smallest
+    violating mask."""
+    scan = partition_scan(key)
+    masks = np.flatnonzero(~(scan.trusted_i | scan.trusted_c))
+    ok = frame_keys._rank_d(key, masks)
+    ok[~ok] = frame_keys._rank_d(key, ((1 << key.D) - 1) ^ masks[~ok])
+    bad = masks[~ok]
+    witness = Partition(int(bad[0]), key.D) if bad.size else None
+    return witness is None, witness, "exhaustive-partitions"
 
 
 # --- the A0 search with a bracket for every partition -----------------------

@@ -291,16 +291,18 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
 def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     mat = generate_key(3, 6, 78).matrix.copy()
     mat[:, 5] = mat[:, 0]
-    whole = frame_keys.partition_scan(Key(mat))
+    whole = oracles.partition_scan(Key(mat))
     batch = has_complement_property(Key(mat))
+    assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
-    chunked = frame_keys.partition_scan(Key(mat))
+    chunked = oracles.partition_scan(Key(mat))
     for field in ("counts", "lam_min_i", "lam_min_c", "trusted_i", "trusted_c"):
         assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
-    rep = has_complement_property(Key(mat))
-    assert rep.verdict == batch.verdict
-    if not batch.verdict:
-        assert rep.witness.mask == batch.witness.mask
+    for entries in (frame_keys._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
+        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+        rep = has_complement_property(Key(mat))
+        assert (rep.verdict, rep.witness, rep.method) == (
+            batch.verdict, batch.witness, batch.method)
     assert has_complement_property(Key(A_REF)).verdict
 
 
@@ -439,8 +441,12 @@ def _scan_only(matrix, tol=DEFAULT_TOL):
 
 
 def _assert_shortcut_matches_scan(matrix, tol=DEFAULT_TOL):
+    """The certificate agrees with the complement walk, and the walk with the
+    partition-scan oracle: verdict, witness and method."""
     rep = has_complement_property(Key(matrix, tol))
-    assert (rep.verdict, rep.witness, rep.method) == _scan_only(matrix, tol)
+    walk = _scan_only(matrix, tol)
+    assert (rep.verdict, rep.witness, rep.method) == walk
+    assert walk == oracles.complement_property(Key(matrix, tol))
     return rep
 
 
@@ -466,12 +472,14 @@ def test_complement_shortcut_matches_scan_hypothesis(matrix):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
-def test_complement_shortcut_settles_minimal_keys(d):
+def test_complement_shortcut_settles_minimal_keys(monkeypatch, d):
+    walks = _count_complement_walks(monkeypatch)
     for seed in range(3):
         key = generate_key(d, 2 * d - 1, 900 + 10 * d + seed)
         assert frame_keys._subsets_certify_complement(key)
+        assert has_complement_property(key).verdict
+        assert not any(k is key for k in walks)
         assert _assert_shortcut_matches_scan(key.matrix).verdict
-        assert "partition_scan" not in key._cache
 
 
 def test_complement_shortcut_declines_too_few_columns():
@@ -482,21 +490,22 @@ def test_complement_shortcut_declines_too_few_columns():
 
 @pytest.mark.parametrize("gap,settled,spark", [
     (1e-7, True, True),  # far above the rank cutoff: the certificate settles it
-    (1e-9, False, True),  # within its margin: the partition scan decides
+    (1e-9, False, True),  # within its margin: the complement walk decides
     (3e-11, False, False),  # below the rank cutoff: a deficient subset
 ])
-def test_complement_shortcut_on_nearly_dependent_subset(gap, settled, spark):
+def test_complement_shortcut_on_nearly_dependent_subset(monkeypatch, gap, settled, spark):
     mat = generate_key(3, 5, 9).matrix.copy()
     # columns 1, 2, 5 are dependent up to a relative ``gap``
     mat[:, 4] = mat[:, 0] + mat[:, 1] + gap * mat[:, 2]
     key = Key(mat)
     assert is_full_spark(key).verdict == spark
     assert frame_keys._subsets_certify_complement(key) == settled
-    rep = _assert_shortcut_matches_scan(mat)
-    assert has_complement_property(key) == rep
-    assert ("partition_scan" in key._cache) != settled
+    walks = _count_complement_walks(monkeypatch)
+    rep = has_complement_property(key)
+    assert walks == ([] if settled else [key])
+    assert _assert_shortcut_matches_scan(mat) == rep
     # the split {3, 4} | {1, 2, 5} has no side its Gram alone can settle
-    scan = frame_keys.partition_scan(Key(mat))
+    scan = oracles.partition_scan(Key(mat))
     split = 0b01100  # I = {3, 4}; column 5 is always on the complement side
     assert not (scan.trusted_i[split] or scan.trusted_c[split])
 
@@ -504,7 +513,7 @@ def test_complement_shortcut_on_nearly_dependent_subset(gap, settled, spark):
 @pytest.mark.parametrize("factor", [1e-16, 1e-9, 1e-6])
 def test_complement_shortcut_follows_the_key_tolerance(factor):
     tol = ToleranceConfig(rank_tol_factor=factor)
-    for gap in (1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
+    for gap in (1e-3, 1e-5, 1e-7, 1e-9, 3e-11, 1e-12):
         mat = generate_key(3, 5, 9).matrix.copy()
         mat[:, 4] = mat[:, 0] + mat[:, 1] + gap * mat[:, 2]
         _assert_shortcut_matches_scan(mat, tol)
@@ -519,6 +528,87 @@ def test_complement_certificate_never_hits_the_subset_cap(monkeypatch):
     rep = has_complement_property(Key(key.matrix))
     assert (rep.verdict, rep.witness, rep.method) == (
         expected.verdict, expected.witness, expected.method)
+
+
+@pytest.mark.parametrize("factor", [1e-16, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_complement_walk_matches_scan_oracle_adversarial(name, factor):
+    _assert_shortcut_matches_scan(ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
+
+
+@pytest.mark.parametrize("d,D,seed", [(2, 2, 1), (3, 4, 2), (4, 6, 3), (5, 8, 4), (6, 10, 5),
+                                      (8, 14, 1)])
+def test_complement_walk_matches_scan_oracle_too_few_columns(d, D, seed):
+    # D < 2d - 1: the verdict is false, the subset certificate never applies
+    mat = generate_key(d, D, seed).matrix
+    dup = mat.copy()
+    dup[:, 2 % D] = dup[:, 0]  # a repeated column moves the first violation
+    for m in (mat, dup):
+        assert not _assert_shortcut_matches_scan(m).verdict
+
+
+@pytest.mark.parametrize("entries", [1, 40])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_complement_walk_chunks_match_scan_oracle(monkeypatch, name, entries):
+    # Gram chunks of one mask; walk blocks of one mask, or of up to 40 // d^2
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+    for factor in (1e-12, 1e-6):
+        _assert_shortcut_matches_scan(ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
+
+
+def test_complement_walk_stops_at_the_first_violation(monkeypatch):
+    key = generate_key(8, 14, 1)
+    walked = []
+    real = frame_keys._partition_blocks
+
+    def counted(a):
+        for block in real(a):
+            walked.append(block[0].size)
+            yield block
+
+    monkeypatch.setattr(frame_keys, "_partition_blocks", counted)
+    rep = has_complement_property(key)
+    assert (rep.verdict, rep.witness) == (False, Partition(127, 14))
+    # both sides of mask 2^(D-d+1) - 1 have fewer than d columns
+    assert 0 < sum(walked) <= 1 << (14 - 8 + 1)
+    assert (rep.verdict, rep.witness, rep.method) == oracles.complement_property(key)
+
+
+def _near_trust_ratio_key(d, seed, delta):
+    """A d x (d + 2) key: d columns with singular values 1, ..., 1 and
+    sqrt(_GRAM_TRUST_RATIO * (1 + delta)), so that their Gram sits at the
+    trust ratio with a largest eigenvalue of about B0^2, and two tiny columns
+    along their weakest direction."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    sv = np.ones(d)
+    sv[-1] = np.sqrt(frame_keys._GRAM_TRUST_RATIO * (1.0 + delta))
+    return np.hstack([u @ np.diag(sv) @ v, 1e-9 * np.outer(u[:, -1], [1.0, 2.0])])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_complement_walk_settles_only_sides_eigvalsh_trusts(monkeypatch, d):
+    settled = []
+    real = numerics.shifted_cholesky_ok
+
+    def recorded(stack, tau):
+        ok = real(stack, tau)
+        settled.append(stack[ok])
+        return ok
+
+    monkeypatch.setattr(numerics, "shifted_cholesky_ok", recorded)
+    # within rounding of the ratio, and once far enough above it to settle
+    for seed in range(10):
+        for delta in [*np.linspace(-3e-4, 3e-4, 25), 3.0]:
+            mat = _near_trust_ratio_key(d, seed, delta)
+            for factor in (1e-12, 1e-6):  # at 1e-6 the planted side is rank deficient
+                _assert_shortcut_matches_scan(mat, ToleranceConfig(rank_tol_factor=factor))
+    grams = np.concatenate(settled)
+    assert grams.shape[0] > 0
+    eig = np.linalg.eigvalsh(grams)
+    assert np.all((eig[:, 0] > frame_keys._GRAM_TRUST_RATIO * eig[:, -1]) & (eig[:, 0] > 0.0))
 
 
 def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
@@ -666,17 +756,13 @@ def test_subset_scan_settles_most_subsets(d, D):
     assert scan.settled >= 0.99 * math.comb(D, d)
 
 
-def _count_partition_scans(monkeypatch) -> list:
+def _count_complement_walks(monkeypatch) -> list:
+    """Keys the complement walk runs on: outside the A0 search, the only code
+    that walks the column partitions."""
     calls = []
-    real = frame_keys.partition_scan
-
-    def counted(key):
-        calls.append(key.matrix.shape)
-        return real(key)
-
-    monkeypatch.setattr(frame_keys, "partition_scan", counted)
-    # lipschitz no longer imports it; the binding catches a return of that import
-    monkeypatch.setattr(lipschitz, "partition_scan", counted, raising=False)
+    real = frame_keys._complement_walk
+    monkeypatch.setattr(frame_keys, "_complement_walk",
+                        lambda key: calls.append(key) or real(key))
     return calls
 
 
@@ -688,7 +774,7 @@ def _key_file(tmp_path, d, D) -> str:
 
 @pytest.mark.parametrize("d,D", [(4, 16), (4, 12)])
 def test_check_and_decode_run_no_partition_scan(monkeypatch, tmp_path, capsys, d, D):
-    calls = _count_partition_scans(monkeypatch)
+    calls = _count_complement_walks(monkeypatch)
     keyfile = _key_file(tmp_path, d, D)
     assert cli.main(["check", keyfile]) == 0
     config = str(tmp_path / "config.txt")
@@ -710,16 +796,17 @@ def _count_lower_constant_searches(monkeypatch) -> list:
 
 
 def test_bounds_runs_one_partition_scan(monkeypatch, tmp_path, capsys):
-    calls = _count_partition_scans(monkeypatch)
+    calls = _count_complement_walks(monkeypatch)
     searches = _count_lower_constant_searches(monkeypatch)
     assert cli.main(["bounds", _key_file(tmp_path, 4, 12)]) == 0
-    # the name predates the A0 screen that builds its own Grams: now no scan
+    # the name predates the A0 screen that walks the Grams itself: now no
+    # complement walk
     assert calls == []
     assert searches == [(4, 12)]
 
 
 def test_verify_runs_one_partition_scan_per_key(monkeypatch, tmp_path, capsys):
-    calls = _count_partition_scans(monkeypatch)
+    calls = _count_complement_walks(monkeypatch)
     searches = _count_lower_constant_searches(monkeypatch)
     for d, D in ((3, 8), (4, 12)):
         assert cli.main(["verify", _key_file(tmp_path, d, D), "--samples", "20"]) == 0

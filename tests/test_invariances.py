@@ -4,7 +4,8 @@ A0 and B0 are singular values of column submatrices of the key, and every
 certificate is a rank statement about them. So scaling the key by c > 0
 scales A0 and B0 by c and keeps every verdict, witness and I0; flipping the
 sign of a column or applying an orthogonal Q on the left changes no singular
-value. Scaling by a power of two is exact in every floating-point operation
+value, and permuting the columns relabels the partitions. Scaling by a power
+of two is exact in every floating-point operation
 of the searches, so there the results must scale bit for bit.
 """
 
@@ -13,6 +14,7 @@ import pytest
 
 from phasesort import (
     Key,
+    Partition,
     build_report,
     generate_key,
     has_complement_property,
@@ -24,7 +26,17 @@ from phasesort import frame_keys
 
 from conftest import ADVERSARIAL
 
-KEYS = {"4x12": generate_key(4, 12, 1).matrix, "8x15": generate_key(8, 15, 1).matrix}
+def _near_dependent():
+    """3x5 key whose columns 1, 2, 5 are dependent up to 1e-9: too close for
+    the subset certificate, so the complement property walks the partitions."""
+    mat = generate_key(3, 5, 9).matrix.copy()
+    mat[:, 4] = mat[:, 0] + mat[:, 1] + 1e-9 * mat[:, 2]
+    return mat
+
+
+KEYS = {"4x12": generate_key(4, 12, 1).matrix, "8x15": generate_key(8, 15, 1).matrix,
+        "5x8": generate_key(5, 8, 1).matrix,  # D < 2d - 1: the walk finds a violation
+        "near-dependent-1e-9": _near_dependent()}
 KEYS.update({name: m for name, m in ADVERSARIAL.items() if np.any(m)})
 
 EXPONENTS = (-450, -40, 40, 450)
@@ -112,3 +124,31 @@ def test_left_orthogonal_transform(name):
     for _ in range(3):
         q, _ = np.linalg.qr(rng.standard_normal((matrix.shape[0],) * 2))
         _assert_constants_close(matrix, q @ matrix)
+
+
+def _permuted(part, perm):
+    """The canonical partition of the key with columns ``perm`` that holds the
+    columns of ``part``."""
+    mask = sum(1 << j for j, k in enumerate(perm) if part.mask >> k & 1)
+    return Partition(mask, part.size).canonical()
+
+
+@pytest.mark.parametrize("name", ["4x12", "8x15"])
+def test_column_permutation(name):
+    matrix = KEYS[name]
+    rep = build_report(Key(matrix))
+    rng = np.random.Generator(np.random.PCG64(sum(map(ord, name))))
+    for _ in range(3):
+        perm = rng.permutation(matrix.shape[1])
+        _assert_constants_close(matrix, matrix[:, perm])
+        assert build_report(Key(matrix[:, perm])).I0 == _permuted(rep.I0, perm)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_column_permutation_keeps_verdicts(name):
+    matrix = ADVERSARIAL[name]
+    expected = [f(Key(matrix)).verdict for f in (is_full_spark, has_complement_property)]
+    rng = np.random.Generator(np.random.PCG64(sum(map(ord, name))))
+    for _ in range(3):
+        moved = Key(matrix[:, rng.permutation(matrix.shape[1])])
+        assert [f(moved).verdict for f in (is_full_spark, has_complement_property)] == expected

@@ -284,7 +284,7 @@ def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
     if chunk == "gram-chunks-of-one-mask":
         monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
     else:
-        monkeypatch.setattr(lipschitz, "_SCREEN_ENTRIES", 9 * chunk)  # blocks of <= chunk masks
+        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9 * chunk)  # blocks of <= chunk masks
     blocked = _screen(Key(key.matrix))
     assert blocked[0].tobytes() == masks.tobytes() and blocked[1].tobytes() == lo.tobytes()
     assert blocked[2] + blocked[3] == 1 << 8
