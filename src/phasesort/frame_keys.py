@@ -329,72 +329,54 @@ def _popcounts(masks: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _fill_grams(grams: np.ndarray, outers: np.ndarray, slot: np.ndarray) -> None:
+def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
     """Complete a table of subset Grams from the entry of mask 0, in place.
 
-    The entry of mask ``m`` (m < 2^len(outers)) is stored in row ``slot[m]``
-    and becomes the entry of mask 0 plus the outer products of the bits set
-    in ``m``, added highest bit first: each entry is the entry without its
-    lowest set bit plus that bit's outer product.
+    Row ``m`` (m < 2^len(outers)) becomes the entry of mask 0 plus the outer
+    products of the bits set in ``m``, added highest bit first: each entry is
+    the entry without its lowest set bit plus that bit's outer product.
     """
     for b in range(len(outers) - 1, -1, -1):
         prefix = np.arange(1 << (len(outers) - 1 - b), dtype=np.int64)
         idx = (prefix << (b + 1)) | (1 << b)
-        grams[slot[idx]] = grams[slot[idx - (1 << b)]] + outers[b]
-
-
-def _gram_chunks(a: np.ndarray):
-    """Yield ``(masks, grams)``: A[I] A[I]^T for every subset I avoiding the last column.
-
-    Subsets are masks in [0, 2^(D-1)), split into a high prefix and the low
-    bits that fit one chunk of at most _CHUNK_ENTRIES entries. The prefix
-    Grams and then each chunk are completed by the same lowest-bit recurrence
-    (_fill_grams), so every entry is the same sum, in the same order, as in a
-    single table over all masks. A chunk's rows are ordered by the popcount
-    of their low bits, ties by mask: ``grams[k]`` belongs to ``masks[k]``, so
-    within a chunk |I| never decreases.
-    """
-    d, D = a.shape
-    bits = D - 1
-    low = min(bits, max(0, (_CHUNK_ENTRIES // (d * d)).bit_length() - 1))
-    outers = np.einsum("ik,jk->kij", a, a)
-    seeds = np.zeros((1 << (bits - low), d, d))
-    _fill_grams(seeds, outers[low:bits], np.arange(len(seeds)))
-    order = np.argsort(_popcounts(np.arange(1 << low)), kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    for prefix, seed in enumerate(seeds):
-        grams = np.empty((1 << low, d, d))
-        grams[slot[0]] = seed
-        _fill_grams(grams, outers[:low], slot)
-        yield (prefix << low) + order, grams
+        grams[idx] = grams[idx - (1 << b)] + outers[b]
 
 
 def _partition_blocks(a: np.ndarray):
     """Yield ``(masks, gi, gc, full_i, full_c)`` for every canonical mask, in
     blocks of ascending masks.
 
-    ``gi`` holds the Grams A[I] A[I]^T of the block's masks, with
-    _gram_chunks' bits, and ``gc`` those of the complements, A A^T - gi,
-    formed per block; ``full_i`` and ``full_c`` mark the sides with at least
-    d columns. Blocks double from one mask up to _SCREEN_ENTRIES Gram entries
-    per side: the first masks come soon, and later blocks amortize the
-    overhead.
+    ``gi`` holds the Grams A[I] A[I]^T of the block's masks, for the subsets I
+    that avoid the last column, and ``gc`` those of the complements, A A^T -
+    gi, formed per block; ``full_i`` and ``full_c`` mark the sides with at
+    least d columns. The masks [0, 2^(D-1)) are split into a high prefix and
+    the low bits that fit one chunk of at most _CHUNK_ENTRIES entries. The
+    prefix Grams and then each chunk are completed by the same lowest-bit
+    recurrence (_fill_grams), so every entry is the same sum, in the same
+    order, as in a single table over all masks. Blocks double from one mask up
+    to _SCREEN_ENTRIES Gram entries per side: the first masks come soon, and
+    later blocks amortize the overhead.
     """
     d, D = a.shape
+    bits = D - 1
+    low = min(bits, max(0, (_CHUNK_ENTRIES // (d * d)).bit_length() - 1))
+    outers = np.einsum("ik,jk->kij", a, a)
+    seeds = np.zeros((1 << (bits - low), d, d))
+    _fill_grams(seeds, outers[low:bits])
     total = a @ a.T
     per_block = max(1, _SCREEN_ENTRIES // (d * d))
-    for masks, grams in _gram_chunks(a):
-        # the chunk holds masks first .. stop - 1, mask m in row rows[m - first]
-        first, stop = int(masks[0]), int(masks[0]) + masks.size
-        rows = np.empty_like(masks)
-        rows[masks - first] = np.arange(masks.size)
+    for prefix, seed in enumerate(seeds):
+        # the chunk holds masks first .. stop - 1, mask m in row m - first
+        first, stop = prefix << low, (prefix + 1) << low
+        grams = np.empty((1 << low, d, d))
+        grams[0] = seed
+        _fill_grams(grams, outers[:low])
         start = first
         while start < stop:
             end = min(stop, start + per_block, max(1, 2 * start))
             block = np.arange(start, end)
             counts = _popcounts(block)
-            gi = grams[rows[block - first]]
+            gi = grams[start - first:end - first]
             yield block, gi, np.subtract(total, gi), counts >= d, D - counts >= d
             start = end
 

@@ -403,11 +403,6 @@ class RatioScanReport:
 _MIN_PAIR_DISTANCE = 1e-6
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # one substream per sample, so results do not depend on chunking
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
-
-
 def ratio_scan(
     key: Key, samples: int, seed: int, include_witnesses: bool = False
 ) -> RatioScanReport:
@@ -460,33 +455,18 @@ def ratio_scan(
 def _sample_pairs(d: int, samples: int, seed: int) -> list[np.ndarray]:
     """The pairs ratio_scan rates: (samples, 2, d) configurations and (samples, d) signals.
 
-    Sample i draws from its own substream, as _draw_pairs does. Both pairs
-    come from one draw of 6d normals, which are the loop's draws unless a
-    pair is too close; those samples are drawn again with the loop itself.
+    One generator draws a (samples, 6, d) block of normals; row i holds sample
+    i's configuration pair and signal pair. Rows where either pair is within
+    _MIN_PAIR_DISTANCE are drawn again whole, in ascending order, from the
+    same generator, until none is close.
     """
-    z = np.empty((samples, 6 * d))
-    for i in range(samples):
-        z[i] = _sample_rng(seed, i).standard_normal(6 * d)
-    x_cfg = z[:, : 2 * d].reshape(samples, 2, d)
-    y_cfg = z[:, 2 * d: 4 * d].reshape(samples, 2, d)
-    x_sig, y_sig = z[:, 4 * d: 5 * d], z[:, 5 * d:]
-    close = dist_hat_V_many(x_cfg, y_cfg)[0] <= _MIN_PAIR_DISTANCE
-    close |= dist_hat_H_many(x_sig, y_sig) <= _MIN_PAIR_DISTANCE
-    for i in np.flatnonzero(close):
-        x_cfg[i], y_cfg[i], x_sig[i], y_sig[i] = _draw_pairs(_sample_rng(seed, i), d)
-    return [x_cfg, y_cfg, x_sig, y_sig]
-
-
-def _draw_pairs(rng: np.random.Generator, d: int):
-    """One sample's configuration pair and signal pair, each redrawn while too close."""
-    while True:
-        x_cfg = rng.standard_normal((2, d))
-        y_cfg = rng.standard_normal((2, d))
-        if dist_hat_V(x_cfg, y_cfg)[0] > _MIN_PAIR_DISTANCE:
-            break
-    while True:
-        x_sig = rng.standard_normal(d)
-        y_sig = rng.standard_normal(d)
-        if dist_hat_H(x_sig, y_sig) > _MIN_PAIR_DISTANCE:
-            break
-    return x_cfg, y_cfg, x_sig, y_sig
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = rng.standard_normal((samples, 6, d))
+    rows = np.arange(samples)
+    while rows.size:
+        w = z[rows]
+        close = dist_hat_V_many(w[:, 0:2], w[:, 2:4])[0] <= _MIN_PAIR_DISTANCE
+        close |= dist_hat_H_many(w[:, 4], w[:, 5]) <= _MIN_PAIR_DISTANCE
+        rows = rows[close]
+        z[rows] = rng.standard_normal((rows.size, 6, d))
+    return [z[:, 0:2], z[:, 2:4], z[:, 4], z[:, 5]]

@@ -214,19 +214,16 @@ def partition_scan(key):
     of I and I^c; 0 for sides with fewer than d columns, which are not
     diagonalized) and ``trusted_i``/``trusted_c`` (at least d columns and a
     smallest eigenvalue positive and above _GRAM_TRUST_RATIO times the
-    largest). Reads frame_keys._CHUNK_ENTRIES at call time, so it can be
-    patched."""
-    d, D = key.d, key.D
-    a = key.matrix
+    largest). Reads frame_keys._CHUNK_ENTRIES and _SCREEN_ENTRIES at call
+    time, so they can be patched."""
+    D = key.D
     n_masks = 1 << (D - 1)
-    total = a @ a.T
     counts = np.empty(n_masks, dtype=np.uint8)
     lam_min = {"i": np.zeros(n_masks), "c": np.zeros(n_masks)}
     trusted = {"i": np.zeros(n_masks, dtype=bool), "c": np.zeros(n_masks, dtype=bool)}
-    for masks, grams in frame_keys._gram_chunks(a):
-        size = frame_keys._popcounts(masks)
-        counts[masks] = size
-        for side, full, g in (("i", size >= d, grams), ("c", D - size >= d, total - grams)):
+    for masks, gi, gc, full_i, full_c in frame_keys._partition_blocks(key.matrix):
+        counts[masks] = frame_keys._popcounts(masks)
+        for side, full, g in (("i", full_i, gi), ("c", full_c, gc)):
             eig = np.linalg.eigvalsh(g[full])
             low, high = eig[:, 0], eig[:, -1]
             lam_min[side][masks[full]] = low
@@ -361,32 +358,47 @@ def shifted_cholesky_ok(stack, tau):
 
 # --- sampler and battery ----------------------------------------------------
 
+def _pairs(row, d):
+    """A row of 6d normals as its configuration pair and signal pair."""
+    return (row[:2 * d].reshape(2, d), row[2 * d:4 * d].reshape(2, d),
+            row[4 * d:5 * d], row[5 * d:])
+
+
+def sample_pairs(d, samples, seed):
+    """ratio_scan's draws as a (samples, 6d) array, one row per sample: a
+    block of normals from one generator, then the rows whose configuration or
+    signal pair is within _MIN_PAIR_DISTANCE (read at call time) drawn again
+    one at a time, ascending, in rounds until none is close."""
+    limit = lipschitz._MIN_PAIR_DISTANCE
+
+    def close(row):
+        x_cfg, y_cfg, x_sig, y_sig = _pairs(row, d)
+        return dist_hat_V(x_cfg, y_cfg)[0] <= limit or dist_hat_H(x_sig, y_sig) <= limit
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = rng.standard_normal((samples, 6 * d))
+    redraw = [i for i in range(samples) if close(z[i])]
+    while redraw:
+        for i in redraw:
+            z[i] = rng.standard_normal(6 * d)
+        redraw = [i for i in redraw if close(z[i])]
+    return z
+
+
 def ratio_scan(key, samples, seed, include_witnesses=False):
-    """The per-sample ratio loop; reads lipschitz's build_report and
-    _MIN_PAIR_DISTANCE at call time, so both can be patched."""
+    """The per-sample ratio loop over sample_pairs' rows; reads lipschitz's
+    build_report and _MIN_PAIR_DISTANCE at call time, so both can be patched."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     report = lipschitz.build_report(key)
     a0, b0 = report.A0, report.B0
-    d = key.d
-    limit = lipschitz._MIN_PAIR_DISTANCE
     beta_ratios, alpha_ratios = [], []
-    for i in range(samples):
-        rng = lipschitz._sample_rng(seed, i)
-        while True:
-            x_cfg = rng.standard_normal((2, d))
-            y_cfg = rng.standard_normal((2, d))
-            dv = dist_hat_V(x_cfg, y_cfg)[0]
-            if dv > limit:
-                break
+    for row in sample_pairs(key.d, samples, seed):
+        x_cfg, y_cfg, x_sig, y_sig = _pairs(row, key.d)
+        dv = dist_hat_V(x_cfg, y_cfg)[0]
         gap = float(np.linalg.norm(beta(key, x_cfg)[0] - beta(key, y_cfg)[0]))
         beta_ratios.append(gap / dv)
-        while True:
-            x_sig = rng.standard_normal(d)
-            y_sig = rng.standard_normal(d)
-            dh = dist_hat_H(x_sig, y_sig)
-            if dh > limit:
-                break
+        dh = dist_hat_H(x_sig, y_sig)
         gap = float(np.linalg.norm(alpha(key, x_sig) - alpha(key, y_sig)))
         alpha_ratios.append(gap / dh)
     if include_witnesses:

@@ -275,17 +275,15 @@ def _complement_gram_reference(key: Key) -> tuple[bool, int | None]:
 def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     a = generate_key(d, D, 70 + d + D).matrix
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
-    chunks = list(frame_keys._gram_chunks(a))
-    size = len(chunks[0][1])
-    for k, (masks, _) in enumerate(chunks):
-        # each chunk holds one block of masks, rows ordered by popcount
-        assert sorted(masks.tolist()) == list(range(k * size, (k + 1) * size))
-        assert np.all(np.diff(frame_keys._popcounts(masks)) >= 0)
-    assert len(chunks) * size == 1 << (D - 1)
-    masks = np.concatenate([m for m, _ in chunks])
-    grams = np.empty((masks.size, d, d))
-    grams[masks] = np.concatenate([g for _, g in chunks])
-    assert grams.tobytes() == _partition_grams_reference(a).tobytes()
+    blocks = list(frame_keys._partition_blocks(a))
+    # the blocks cover every mask once, in ascending order
+    masks = np.concatenate([m for m, *_ in blocks])
+    assert masks.tolist() == list(range(1 << (D - 1)))
+    table = _partition_grams_reference(a)
+    gi = np.concatenate([gi for _, gi, *_ in blocks])
+    gc = np.concatenate([gc for _, _, gc, *_ in blocks])
+    assert gi.tobytes() == table.tobytes()
+    assert gc.tobytes() == (a @ a.T - table).tobytes()
 
 
 def test_complement_chunked_scan_matches_single_chunk(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from phasesort import Key, LipschitzViolation, generate_key, lipschitz, ratio_scan, verify
+from phasesort.encoders import dist_hat_H_many, dist_hat_V_many
 from phasesort.verify import run_battery
 
 from conftest import A_REF
@@ -77,3 +78,43 @@ def test_ratio_scan_violation_verdict_matches_loop(monkeypatch):
     with pytest.raises(LipschitzViolation) as got:
         ratio_scan(key, 100, seed=1)
     assert str(got.value) == str(want.value)
+
+
+def _split(z, d):
+    n = len(z)
+    return [z[:, :2 * d].reshape(n, 2, d), z[:, 2 * d:4 * d].reshape(n, 2, d),
+            z[:, 4 * d:5 * d], z[:, 5 * d:]]
+
+
+def _assert_pairs_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("d,samples,seed", [(2, 1, 0), (3, 50, 8), (4, 300, 1)])
+def test_sample_pairs_are_one_block_when_none_is_close(d, samples, seed):
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal((samples, 6 * d))
+    x_cfg, y_cfg, x_sig, y_sig = want = _split(z, d)
+    assert dist_hat_V_many(x_cfg, y_cfg)[0].min() > lipschitz._MIN_PAIR_DISTANCE
+    assert dist_hat_H_many(x_sig, y_sig).min() > lipschitz._MIN_PAIR_DISTANCE
+    _assert_pairs_equal(lipschitz._sample_pairs(d, samples, seed), want)
+
+
+def test_sample_pairs_redraw_until_far(monkeypatch):
+    # most rows of the first block are close: many rounds of redraws
+    monkeypatch.setattr(lipschitz, "_MIN_PAIR_DISTANCE", 2.5)
+    x_cfg, y_cfg, x_sig, y_sig = got = lipschitz._sample_pairs(3, 200, 3)
+    assert dist_hat_V_many(x_cfg, y_cfg)[0].min() > 2.5
+    assert dist_hat_H_many(x_sig, y_sig).min() > 2.5
+    _assert_pairs_equal(got, _split(oracles.sample_pairs(3, 200, 3), 3))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 8])
+def test_sample_pairs_share_no_draw_with_the_battery(seed):
+    # the battery's property streams are verify._rng(seed, k), k = 0..8
+    d, samples = 3, 50
+    pairs = lipschitz._sample_pairs(d, samples, seed)
+    rows = np.concatenate([p.reshape(samples, -1) for p in pairs], axis=1)
+    for k in range(9):
+        first = verify._rng(seed, k).standard_normal(6 * d)
+        assert not np.any(np.all(rows == first, axis=1)), k
