@@ -320,26 +320,22 @@ def _subset_scan(key: Key) -> SubsetScan:
             return SubsetScan(tuple(int(c) + 1 for c in first), False, settled, decomposed)
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    masks = masks.copy()
-    counts = np.zeros_like(masks)
-    while masks.any():
-        counts += masks & 1
-        masks >>= 1
-    return counts
-
-
 def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
     """Complete a table of subset Grams from the entry of mask 0, in place.
 
     Row ``m`` (m < 2^len(outers)) becomes the entry of mask 0 plus the outer
     products of the bits set in ``m``, added highest bit first: each entry is
-    the entry without its lowest set bit plus that bit's outer product.
+    the entry without its lowest set bit plus that bit's outer product. Bit b
+    is one add over a strided view of the contiguous table, whose axes are
+    the bits above b, bit b, and the bits below it: the rows with bit b set
+    and no lower bit are written from the rows without bit b, filled by the
+    higher bits before. The sums and their order are those of filling the
+    rows one at a time.
     """
-    for b in range(len(outers) - 1, -1, -1):
-        prefix = np.arange(1 << (len(outers) - 1 - b), dtype=np.int64)
-        idx = (prefix << (b + 1)) | (1 << b)
-        grams[idx] = grams[idx - (1 << b)] + outers[b]
+    n, d = len(outers), grams.shape[-1]
+    for b in range(n - 1, -1, -1):
+        g = grams.reshape(1 << (n - 1 - b), 2, 1 << b, d, d)
+        np.add(g[:, 0, 0], outers[b], out=g[:, 1, 0])
 
 
 def _partition_blocks(a: np.ndarray):
@@ -352,9 +348,11 @@ def _partition_blocks(a: np.ndarray):
     least d columns. The masks [0, 2^(D-1)) are split into a high prefix and
     the low bits that fit one chunk of at most _CHUNK_ENTRIES entries. The
     prefix Grams and then each chunk are completed by the same lowest-bit
-    recurrence (_fill_grams), so every entry is the same sum, in the same
-    order, as in a single table over all masks. Blocks double from one mask up
-    to _SCREEN_ENTRIES Gram entries per side: the first masks come soon, and
+    recurrence, one add over a strided view per bit (_fill_grams), so every
+    entry is the same sum, in the same order, as in a single table over all
+    masks. A mask's column count is a lookup in one table over the low bits
+    plus its prefix's count. Blocks double from one mask up to
+    _SCREEN_ENTRIES Gram entries per side: the first masks come soon, and
     later blocks amortize the overhead.
     """
     d, D = a.shape
@@ -363,6 +361,9 @@ def _partition_blocks(a: np.ndarray):
     outers = np.einsum("ik,jk->kij", a, a)
     seeds = np.zeros((1 << (bits - low), d, d))
     _fill_grams(seeds, outers[low:bits])
+    low_counts = np.zeros(1 << low, dtype=np.int64)
+    for b in range(low):
+        low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
     total = a @ a.T
     per_block = max(1, _SCREEN_ENTRIES // (d * d))
     for prefix, seed in enumerate(seeds):
@@ -374,10 +375,10 @@ def _partition_blocks(a: np.ndarray):
         start = first
         while start < stop:
             end = min(stop, start + per_block, max(1, 2 * start))
-            block = np.arange(start, end)
-            counts = _popcounts(block)
+            counts = low_counts[start - first:end - first] + prefix.bit_count()
             gi = grams[start - first:end - first]
-            yield block, gi, np.subtract(total, gi), counts >= d, D - counts >= d
+            yield (np.arange(start, end), gi, np.subtract(total, gi),
+                   counts >= d, D - counts >= d)
             start = end
 
 
@@ -439,7 +440,8 @@ def _complement_walk(key: Key) -> Partition | None:
     first of _partition_blocks' ascending blocks that holds a violation.
 
     Most sides are trusted without eigvalsh, by numerics.shifted_cholesky_ok
-    at tau = _GRAM_TRUST_RATIO * (b^2 + err_lam) + 2 * err_lam, with b =
+    (one numerics.shifted_cholesky_ok_gathered call per side and block) at
+    tau = _GRAM_TRUST_RATIO * (b^2 + err_lam) + 2 * err_lam, with b =
     sigma_1(A) as numerics.sigma_k computes it and err_lam = c * eps * (D + d)
     * d * b^2, c being numerics.GRAM_SCREEN_SLACK:
 
@@ -473,7 +475,7 @@ def _complement_walk(key: Key) -> Partition | None:
         if tau is not None:
             for grams, full in sides:
                 rows = np.flatnonzero(full & ~trusted)
-                trusted[rows] = numerics.shifted_cholesky_ok(grams[rows], tau)
+                trusted[rows] = numerics.shifted_cholesky_ok_gathered(((grams, rows),), tau)
         for grams, full in sides:
             rows = np.flatnonzero(full & ~trusted)
             eig = np.linalg.eigvalsh(grams[rows])

@@ -204,18 +204,31 @@ def _lam_min(grams: np.ndarray, full: np.ndarray) -> np.ndarray:
 
 
 def _settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam) -> np.ndarray:
-    """Masks of a block whose bracket would have lo >= hi_run (see lower_constant)."""
+    """Masks of a block whose bracket would have lo >= hi_run (see lower_constant).
+
+    A mask is settled when a spanning side passes the one-side test, or both
+    sides span and pass the both-sides test. The sides still undecided are
+    gathered into at most three calls of numerics.shifted_cholesky_ok_gathered:
+    side I where it spans and side C where only C spans, then side C where
+    both span and I failed, both at the one-side shift; then both sides of
+    the rest at the both-sides shift. The kernel works elementwise over the
+    Grams of a call, so each Gram's verdict is the one it would get alone,
+    whatever else shares the call and in whichever order the calls run: each
+    mask gets the boolean of the rule above.
+    """
     ok = np.zeros(full_i.size, dtype=bool)
     if hi_run == np.inf:
         return ok
     one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
     both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
-    for g, full in ((gi, full_i), (gc, full_c)):
-        rows = np.flatnonzero(full & ~ok)
-        ok[rows] = numerics.shifted_cholesky_ok(g[rows], one_side)
+    rows_i, rows_c = np.flatnonzero(full_i), np.flatnonzero(full_c & ~full_i)
+    passed = numerics.shifted_cholesky_ok_gathered(((gi, rows_i), (gc, rows_c)), one_side)
+    ok[rows_i], ok[rows_c] = passed[:rows_i.size], passed[rows_i.size:]
     rows = np.flatnonzero(full_i & full_c & ~ok)
-    rows = rows[numerics.shifted_cholesky_ok(gi[rows], both_sides)]
-    ok[rows] = numerics.shifted_cholesky_ok(gc[rows], both_sides)
+    ok[rows] = numerics.shifted_cholesky_ok_gathered(((gc, rows),), one_side)
+    rows = np.flatnonzero(full_i & full_c & ~ok)
+    passed = numerics.shifted_cholesky_ok_gathered(((gi, rows), (gc, rows)), both_sides)
+    ok[rows] = passed[:rows.size] & passed[rows.size:]
     return ok
 
 

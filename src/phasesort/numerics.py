@@ -226,11 +226,34 @@ def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     rounding of the shifted diagonal adds eps * max(||G||_2, tau). Failure
     proves nothing.
 
-    The stack is copied once into structure-of-arrays layout (d, d, n) for
-    _shifted_cholesky_ok_inplace.
+    The stack is gathered into structure-of-arrays layout (d, d, n) by
+    shifted_cholesky_ok_gathered.
     """
     a = np.asarray(stack, dtype=np.float64)
-    return _shifted_cholesky_ok_inplace(a.transpose(1, 2, 0).copy(), tau)
+    return shifted_cholesky_ok_gathered(((a, np.arange(a.shape[0])),), tau)
+
+
+def shifted_cholesky_ok_gathered(parts, tau: float) -> np.ndarray:
+    """shifted_cholesky_ok of stack[rows] for every ``(stack, rows)`` pair of
+    ``parts``, concatenated in order, with one call of the kernel.
+
+    The selected matrices of each (m, d, d) stack are gathered and copied,
+    transposed, straight into their columns of one (d * d, n) buffer, the
+    (d, d, n) layout of _shifted_cholesky_ok_inplace. The kernel works
+    elementwise over n, so each matrix gets the verdict it would get alone.
+    No rows, no call.
+    """
+    parts = [(np.asarray(stack, dtype=np.float64), rows) for stack, rows in parts]
+    n = sum(len(rows) for _, rows in parts)
+    if not n:
+        return np.zeros(0, dtype=bool)
+    d = parts[0][0].shape[-1]
+    w = np.empty((d * d, n))
+    start = 0
+    for stack, rows in parts:
+        np.copyto(w[:, start:start + len(rows)], np.take(stack.reshape(-1, d * d), rows, axis=0).T)
+        start += len(rows)
+    return _shifted_cholesky_ok_inplace(w.reshape(d, d, n), tau)
 
 
 def _shifted_cholesky_ok_inplace(w: np.ndarray, tau: float) -> np.ndarray:

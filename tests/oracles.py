@@ -11,7 +11,11 @@ trust flags. The A0 search is here as it was before its screen settled
 partitions with the shifted-Cholesky test: every partition bracketed from
 the eigenvalues of that scan. The d-subset scan is here as it was
 before the same test settled subsets: one SVD of every subset. So is the
-shifted-Cholesky kernel as it was, updating the whole trailing block.
+shifted-Cholesky kernel as it was, updating the whole trailing block. So
+are the pieces of the partition walk as they were before it worked on
+strided views and gathered buffers: the Gram table filled through index
+arrays, popcounts by a loop over the bits, and the screen's settled test
+with one Cholesky call per side and shift.
 """
 
 import itertools
@@ -205,6 +209,46 @@ def invert_beta_tilde(key, y):
     return decoded
 
 
+# --- the partition walk's pieces, one index array or one call at a time ------
+
+def popcounts(masks):
+    """Number of set bits of every mask, one bit at a time."""
+    masks = masks.copy()
+    counts = np.zeros_like(masks)
+    while masks.any():
+        counts += masks & 1
+        masks >>= 1
+    return counts
+
+
+def fill_grams(grams, outers):
+    """frame_keys._fill_grams through index arrays: for each bit b, highest
+    first, the rows with bit b set and no lower bit become the row without
+    bit b plus outers[b]."""
+    for b in range(len(outers) - 1, -1, -1):
+        prefix = np.arange(1 << (len(outers) - 1 - b), dtype=np.int64)
+        idx = (prefix << (b + 1)) | (1 << b)
+        grams[idx] = grams[idx - (1 << b)] + outers[b]
+
+
+def settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
+    """lipschitz._settled with four Cholesky calls: side I, then side C of the
+    masks not yet settled, at the one-side shift; then side I and, where it
+    passed, side C of the rest at the both-sides shift."""
+    ok = np.zeros(full_i.size, dtype=bool)
+    if hi_run == np.inf:
+        return ok
+    one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
+    both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
+    for g, full in ((gi, full_i), (gc, full_c)):
+        rows = np.flatnonzero(full & ~ok)
+        ok[rows] = numerics.shifted_cholesky_ok(g[rows], one_side)
+    rows = np.flatnonzero(full_i & full_c & ~ok)
+    rows = rows[numerics.shifted_cholesky_ok(gi[rows], both_sides)]
+    ok[rows] = numerics.shifted_cholesky_ok(gc[rows], both_sides)
+    return ok
+
+
 # --- the partition scan: eigvalsh on every spanning side ---------------------
 
 def partition_scan(key):
@@ -222,7 +266,7 @@ def partition_scan(key):
     lam_min = {"i": np.zeros(n_masks), "c": np.zeros(n_masks)}
     trusted = {"i": np.zeros(n_masks, dtype=bool), "c": np.zeros(n_masks, dtype=bool)}
     for masks, gi, gc, full_i, full_c in frame_keys._partition_blocks(key.matrix):
-        counts[masks] = frame_keys._popcounts(masks)
+        counts[masks] = popcounts(masks)
         for side, full, g in (("i", full_i, gi), ("c", full_c, gc)):
             eig = np.linalg.eigvalsh(g[full])
             low, high = eig[:, 0], eig[:, -1]

@@ -286,6 +286,50 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     assert gc.tobytes() == (a @ a.T - table).tobytes()
 
 
+@pytest.mark.parametrize("entries", [9, frame_keys._CHUNK_ENTRIES])
+def test_fill_grams_matches_index_oracle(monkeypatch, entries):
+    real = frame_keys._fill_grams
+    bits = []
+
+    def checked(grams, outers):
+        want = grams.copy()
+        oracles.fill_grams(want, outers)
+        real(grams, outers)
+        assert grams.tobytes() == want.tobytes()
+        bits.append(len(outers))
+
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(frame_keys, "_fill_grams", checked)
+    seed_bits, chunk_bits = set(), set()
+    for D in range(1, 14):
+        bits.clear()
+        for _ in frame_keys._partition_blocks(generate_key(3, D, 90 + D).matrix):
+            pass
+        seed_bits.add(bits[0])
+        chunk_bits.update(bits[1:])
+    # d = 3: at 9 entries the seed table holds every bit and each chunk none,
+    # at the default the other way round
+    every, none = set(range(13)), {0}
+    assert (seed_bits, chunk_bits) == ((every, none) if entries == 9 else (none, every))
+
+
+@pytest.mark.parametrize("chunk_masks", [16, None])
+def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
+    # full_i and full_c for every d in 1..13 pin each mask's column count; in
+    # chunks of 16 masks the count is a low-bit lookup plus the prefix's count
+    D = 13
+    counts = oracles.popcounts(np.arange(1 << (D - 1)))
+    for d in range(1, D + 1):
+        if chunk_masks:
+            monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", chunk_masks * d * d)
+        walked = 0
+        for masks, _, _, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 5).matrix):
+            assert np.array_equal(full_i, counts[masks] >= d)
+            assert np.array_equal(full_c, D - counts[masks] >= d)
+            walked += masks.size
+        assert walked == 1 << (D - 1)
+
+
 def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     mat = generate_key(3, 6, 78).matrix.copy()
     mat[:, 5] = mat[:, 0]
@@ -589,14 +633,14 @@ def _near_trust_ratio_key(d, seed, delta):
 @pytest.mark.parametrize("d", [3, 4])
 def test_complement_walk_settles_only_sides_eigvalsh_trusts(monkeypatch, d):
     settled = []
-    real = numerics.shifted_cholesky_ok
+    real = numerics.shifted_cholesky_ok_gathered
 
-    def recorded(stack, tau):
-        ok = real(stack, tau)
-        settled.append(stack[ok])
+    def recorded(parts, tau):
+        ok = real(parts, tau)
+        settled.append(np.concatenate([stack[rows] for stack, rows in parts])[ok])
         return ok
 
-    monkeypatch.setattr(numerics, "shifted_cholesky_ok", recorded)
+    monkeypatch.setattr(numerics, "shifted_cholesky_ok_gathered", recorded)
     # within rounding of the ratio, and once far enough above it to settle
     for seed in range(10):
         for delta in [*np.linspace(-3e-4, 3e-4, 25), 3.0]:

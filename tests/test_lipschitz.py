@@ -320,6 +320,47 @@ def test_search_settles_most_masks(d, D):
     assert 0 < search.visited <= 64
 
 
+@pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
+    (4, 16, 32605, 163, 31), (8, 15, 16348, 36, 31), (5, 18, 130925, 147, 38)])
+def test_search_work_is_pinned(d, D, settled, diagonalized, visited):
+    key = generate_key(d, D, 1)
+    search = lipschitz.lower_constant_search(key)
+    assert (search.settled, search.diagonalized, search.visited) == (settled, diagonalized, visited)
+    a0, part = search.result
+    ref_a0, ref_mask = oracles.lower_constant(Key(key.matrix))
+    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+    assert part.mask == ref_mask
+
+
+_SETTLED_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matrix
+                                   for d, D in ((4, 16), (8, 15), (5, 18), (5, 8))}}
+
+
+@pytest.mark.parametrize("name", sorted(_SETTLED_KEYS))
+def test_settled_matches_four_call_oracle(monkeypatch, name):
+    # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
+    # has D < 2d - 1
+    matrix = _SETTLED_KEYS[name]
+    real = lipschitz._settled
+    settled = []
+
+    def checked(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
+        for h in (np.inf, hi_run):
+            ok = real(gi, gc, full_i, full_c, h, err_s, err_lam)
+            assert ok.tobytes() == oracles.settled(gi, gc, full_i, full_c, h, err_s, err_lam).tobytes()
+        settled.append(int(np.count_nonzero(ok)))
+        return ok
+
+    monkeypatch.setattr(lipschitz, "_settled", checked)
+    search = lipschitz.lower_constant_search(Key(matrix))
+    assert sum(settled) == search.settled
+    if matrix.shape[1] <= 12:  # and in blocks of one mask
+        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9)
+        settled.clear()
+        search = lipschitz.lower_constant_search(Key(matrix))
+        assert sum(settled) == search.settled
+
+
 @pytest.mark.parametrize("scale", [2.0**-450, 2.0**450])
 def test_keys_outside_the_screen_range_skip_it(scale):
     matrix = A_REF * scale
