@@ -44,8 +44,18 @@ def _sort_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the sorted stack and the permutations as a (..., D, n) int64
     stack: entry [..., k, i] is the output row of input row i in column k.
+
+    Two rows are ordered by one comparison per column, with the bits and
+    perms of the stable argsort used for other row counts: equal entries
+    (0.0 against -0.0 too) keep their row order, and a NaN sinks to the
+    bottom row as the argsort puts it last.
     """
     *lead, n, cols = a.shape
+    if n == 2:
+        top, bottom = a[..., 0, :], a[..., 1, :]
+        keep = (top >= bottom) | np.isnan(bottom)
+        values = np.stack([np.where(keep, top, bottom), np.where(keep, bottom, top)], axis=-2)
+        return values, np.stack([~keep, keep], axis=-1).astype(np.int64)
     order = np.argsort(-a, axis=-2, kind="stable")
     perms = np.empty((*lead, cols, n), dtype=np.int64)
     rows = np.broadcast_to(np.arange(n)[:, None], order.shape)
@@ -91,7 +101,7 @@ def beta_many(key: Key, configs) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the sorted (m, n, D) matrices and their (m, D, n) permutations,
     perms[i, k] being beta(key, configs[i]).perms[k]; one stacked product and
-    one stable argsort, so every item has the bits of its single call.
+    one stacked sort, so every item has the bits of its single call.
     """
     x = as_stack(configs, 3)
     if x.shape[2] != key.d:

@@ -10,7 +10,9 @@ the accepted orbit is unique.
 Each decoder is a stacked kernel (``omega_many``, ``invert_beta_many``,
 ``invert_beta_tilde_many``) that decodes a batch of rows at once; the
 single-row functions call it with a batch of one. The pivots, the pivot
-block and the sign patterns are computed once per key.
+block and the sign patterns are computed once per key, and ``omega_many``
+solves a chunk of rows as one system with all their sign patterns as
+right-hand sides, so the pivot block is factored once per chunk.
 """
 
 from __future__ import annotations
@@ -179,11 +181,11 @@ def omega(key: Key, y) -> RecoveryResult:
 def omega_many(key: Key, ys) -> RecoveryBatch:
     """omega of every row of an (m, D) stack of measurements.
 
-    All rows are solved by one broadcast solve against the cached pivot
-    block; each row keeps its own zero shortcut, range checks, ambiguity
-    check and sign canonicalization, and has the bits of its single call.
-    A failing row raises what its single call raises, the first such row
-    winning.
+    Each chunk of rows is one solve against the cached pivot block, with
+    every row's sign patterns as right-hand sides. Each row keeps its own
+    zero shortcut, range checks, ambiguity check and sign canonicalization,
+    and has the bits of its single call. A failing row raises what its
+    single call raises, the first such row winning.
     """
     y = as_stack(ys, 2)
     if y.shape[1] != key.D:
@@ -225,11 +227,20 @@ def _omega_rows(key: Key, y: np.ndarray, errors: _RowErrors) -> RecoveryBatch:
 
 def _sign_search_rows(key: Key, y: np.ndarray, accept_tol: np.ndarray, rows: np.ndarray,
                       errors: _RowErrors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recovered x, residual and sign pattern of the nonzero measurement rows ``rows``."""
+    """Recovered x, residual and sign pattern of the nonzero measurement rows ``rows``.
+
+    Every row's sign patterns are the right-hand sides of one solve against
+    the pivot block, laid out (d, rows * patterns), so LAPACK factors the
+    block once per chunk; a stacked right-hand side would be broadcast and
+    factor it once per row. Each column of the solve is that of the row's
+    single call (a one-row batch makes the very call, nrhs = 2^(d-1)).
+    """
     pivots, a_piv_t, patterns = _sign_search(key)
-    rhs = (patterns * y[:, None, pivots]).transpose(0, 2, 1)
-    candidates = np.linalg.solve(a_piv_t, rhs)                    # (n, d, patterns)
+    n_rows, (n_pat, d) = len(rows), patterns.shape
+    rhs = (patterns * y[:, None, pivots]).transpose(2, 0, 1).reshape(d, n_rows * n_pat)
+    candidates = np.linalg.solve(a_piv_t, rhs)
     del rhs
+    candidates = candidates.reshape(d, n_rows, n_pat).transpose(1, 0, 2)  # (n, d, patterns)
     # residual norms as np.linalg.norm(..., axis=1) computes them, but with
     # one (n, D, patterns) temporary instead of three
     res = key.matrix.T @ candidates

@@ -117,19 +117,20 @@ def _alpha_sign(key: Key, rng: np.random.Generator, samples: int):
 def _beta_permutation(key: Key, rng: np.random.Generator, samples: int):
     """Row-permutation invariance of beta, bitwise, on configurations of 1-4 rows.
 
-    The row counts are drawn with the rows, so the draws are made one by one;
-    the check runs once per row count.
+    Every sample's row count is drawn in one block; then, for 1 to 4 rows in
+    turn, that group's configurations are drawn as one block of normals and
+    its row orders as one ``permuted`` block, and checked by one pair of
+    stacked encodings.
     """
-    by_rows: dict[int, tuple[list, list]] = {}
-    for _ in range(samples):
-        n = int(rng.integers(1, 5))
-        cfgs, perms = by_rows.setdefault(n, ([], []))
-        cfgs.append(rng.standard_normal((n, key.d)))
-        perms.append(rng.permutation(n))
+    counts = rng.integers(1, 5, samples)
     bad = 0
-    for cfgs, perms in by_rows.values():
-        cfg = np.array(cfgs)
-        permuted = np.take_along_axis(cfg, np.array(perms)[:, :, None], axis=1)
+    for n in range(1, 5):
+        k = int(np.count_nonzero(counts == n))
+        if k == 0:
+            continue
+        cfg = rng.standard_normal((k, n, key.d))
+        perms = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+        permuted = np.take_along_axis(cfg, perms[:, :, None], axis=1)
         bad += np.count_nonzero(
             np.any(beta_many(key, cfg)[0] != beta_many(key, permuted)[0], axis=(1, 2))
         )

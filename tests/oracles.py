@@ -15,7 +15,11 @@ shifted-Cholesky kernel as it was, updating the whole trailing block. So
 are the pieces of the partition walk as they were before it worked on
 strided views and gathered buffers: the Gram table filled through index
 arrays, popcounts by a loop over the bits, and the screen's settled test
-with one Cholesky call per side and shift.
+with one Cholesky call per side and shift. The column sort is here as it
+was before two-row stacks were ordered by one comparison: one stable
+argsort for every row count. The battery's permutation loop draws in the
+kernel's blocked order (row counts, then each row count's configurations
+and row orders) but checks one sample at a time.
 """
 
 import itertools
@@ -77,6 +81,17 @@ def sort_desc_columns(m):
         p[order] = np.arange(n)
         perms.append(p)
     return sorted_cols, perms
+
+
+def sort_desc(a):
+    """Stable nonincreasing sort of every column of each (n, D) matrix of a stack,
+    by one argsort for every row count, with (..., D, n) int64 perms."""
+    *lead, n, cols = a.shape
+    order = np.argsort(-a, axis=-2, kind="stable")
+    perms = np.empty((*lead, cols, n), dtype=np.int64)
+    rows = np.broadcast_to(np.arange(n)[:, None], order.shape)
+    np.put_along_axis(np.swapaxes(perms, -1, -2), order, rows, axis=-2)
+    return np.take_along_axis(a, order, axis=-2), perms
 
 
 def beta(key, config):
@@ -516,14 +531,18 @@ def run_battery(key, samples, seed):
             bad += 1
     results.append(_result("alpha-sign-invariance", bad, samples))
 
+    # row counts first, then each row count's configurations and row orders;
+    # a row count no sample drew gets empty blocks, which draw nothing
     rng = _rng(seed, 3)
     bad = 0
-    for _ in range(samples):
-        n = int(rng.integers(1, 5))
-        cfg = rng.standard_normal((n, d))
-        perm = rng.permutation(n)
-        if not np.array_equal(beta(key, cfg)[0], beta(key, cfg[perm])[0]):
-            bad += 1
+    counts = rng.integers(1, 5, samples)
+    for n in range(1, 5):
+        k = int(np.count_nonzero(counts == n))
+        cfgs = rng.standard_normal((k, n, d))
+        perms = rng.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+        for cfg, perm in zip(cfgs, perms):
+            if not np.array_equal(beta(key, cfg)[0], beta(key, cfg[perm])[0]):
+                bad += 1
     results.append(_result("beta-permutation-invariance", bad, samples))
 
     rng = _rng(seed, 4)

@@ -31,7 +31,7 @@ from phasesort import (
 )
 from phasesort.verify import exact_half_identities
 
-from conftest import A_REF
+from conftest import A_REF, ADVERSARIAL
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -275,6 +275,54 @@ def test_beta_many_matches_single_and_oracle():
             want, want_perms = oracles.beta(key, c)
             assert matrices[i].tobytes() == single.matrix.tobytes() == want.tobytes()
             assert np.array_equal(perms[i], single.perms) and np.array_equal(perms[i], want_perms)
+
+
+def _same_sort(got, want):
+    (values, perms), (want_values, want_perms) = got, want
+    assert values.shape == want_values.shape and values.tobytes() == want_values.tobytes()
+    assert perms.dtype == want_perms.dtype == np.int64
+    assert perms.shape == want_perms.shape and perms.tobytes() == want_perms.tobytes()
+
+
+# two rows go through the one-comparison sort, the other row counts through the argsort
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sort_desc_matches_argsort_oracle(n):
+    rng = np.random.Generator(np.random.PCG64(46))
+    specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0]
+    stacks = [
+        rng.standard_normal((n, 5)),
+        _tied_matrix(rng, n, 7),
+        _tied_matrix(rng, 9 * n, 7).reshape(9, n, 7),
+        rng.choice(specials, size=(40, n, 6)),
+        np.repeat(rng.standard_normal((4, n, 1)), 3, axis=2),  # repeated columns
+        np.repeat(rng.standard_normal((4, 1, 3)), n, axis=1),  # every row equal
+    ]
+    if n == 2:  # every ordered pair of special values, as one column each
+        stacks.append(np.array(list(itertools.product(specials, repeat=2))).T)
+    for a in stacks:
+        _same_sort(encoders._sort_desc(a), oracles.sort_desc(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_beta_many_matches_argsort_oracle_on_adversarial_keys(name, n):
+    key = Key(ADVERSARIAL[name])
+    rng = np.random.Generator(np.random.PCG64(47))
+    cfg = np.concatenate([
+        rng.standard_normal((6, n, key.d)),
+        _tied_matrix(rng, 6 * n, key.d).reshape(6, n, key.d),
+        np.repeat(rng.standard_normal((2, 1, key.d)), n, axis=1),
+    ])
+    _same_sort(beta_many(key, cfg), oracles.sort_desc(cfg @ key.matrix))
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.lists(finite_floats, min_size=36, max_size=36))
+@settings(max_examples=60, deadline=None)
+def test_sort_desc_matches_argsort_oracle_hypothesis(n, m, entries):
+    cols = len(entries) // (m * n)
+    a = np.array(entries[: m * n * cols]).reshape(m, n, cols)
+    _same_sort(encoders._sort_desc(a), oracles.sort_desc(a))
+    _same_sort(encoders._sort_desc(a[0]), oracles.sort_desc(a[0]))
 
 
 def test_stacked_encoders_match_single_calls_bitwise():

@@ -9,6 +9,7 @@ from phasesort import (
     Key,
     NotInRange,
     NotPhaseRetrievable,
+    PhasesortError,
     alpha,
     alpha_many,
     beta,
@@ -290,6 +291,44 @@ def test_omega_many_chunks_keep_bits_and_first_error(monkeypatch, a_ref_key):
     rows = [good, good, inconsistent, [1.0, 2.0, 0.5], [1.0, -2.0, 3.0]]
     _raises_like_single(lambda: omega_many(a_ref_key, rows),
                         lambda: oracles.omega(a_ref_key, inconsistent))
+
+
+_CHUNK_EDGE_KEYS = {
+    "3x8": lambda: generate_key(3, 8, 21),
+    "4x12": lambda: generate_key(4, 12, 22),
+    "5x9": lambda: generate_key(5, 9, 23),
+    **{name: (lambda m=m: Key(m)) for name, m in ADVERSARIAL.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNK_EDGE_KEYS))
+def test_omega_many_one_solve_per_chunk_at_chunk_edges(monkeypatch, name):
+    # each chunk solves all its rows' sign patterns against one pivot-block
+    # factorization; a row must keep its single call's bits, and a batch must
+    # raise its first failing row's error, wherever the chunk boundary falls
+    key = _CHUNK_EDGE_KEYS[name]()
+    if not is_phase_retrievable(key).verdict:
+        with pytest.raises(NotPhaseRetrievable):
+            omega_many(key, np.ones((4, key.D)))
+        return
+    per_chunk = 3
+    patterns = 1 << (key.d - 1)
+    monkeypatch.setattr(inversion, "_SOLVE_CHUNK", per_chunk * key.D * patterns)
+    rng = np.random.Generator(np.random.PCG64(63))
+    for m in (per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
+        y = alpha_many(key, rng.standard_normal((m, key.d)))
+        want, failing = {}, []
+        for i, row in enumerate(y):
+            try:
+                want[i] = oracles.omega(key, row)
+            except PhasesortError:
+                failing.append(i)
+        if failing:
+            _raises_like_single(lambda: omega_many(key, y),
+                                lambda: oracles.omega(key, y[failing[0]]))
+        batch = omega_many(key, y[list(want)])
+        for i, j in enumerate(want):
+            _same_recovery(batch.result(i), want[j])
 
 
 def test_omega_many_caches_the_sign_search():

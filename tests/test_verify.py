@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -34,6 +35,27 @@ def test_battery_counts_violations(monkeypatch):
     results = {r.name: r for r in run_battery(KEYS["3x8"](), 7, seed=2)}
     for name in ("minmax-identities", "hadamard-split-identity"):
         assert (results[name].status, results[name].detail) == ("fail", "7 violations")
+    assert results["roundtrip-beta"].status == "pass"
+
+
+def test_battery_counts_permutation_violations_of_one_row_count(monkeypatch):
+    # the permuted copy of every 3-row configuration encodes differently, so
+    # exactly the samples drawn with 3 rows fail
+    real, calls = verify.beta_many, itertools.count()
+
+    def beta_many(key, cfg):
+        b, perms = real(key, cfg)
+        if cfg.shape[1] == 3 and next(calls) % 2:
+            b = b + 1.0
+        return b, perms
+
+    monkeypatch.setattr(verify, "beta_many", beta_many)
+    samples, seed = 50, 2
+    k_3 = int(np.count_nonzero(verify._rng(seed, 3).integers(1, 5, samples) == 3))
+    assert 0 < k_3 < samples
+    results = {r.name: r for r in run_battery(KEYS["3x8"](), samples, seed)}
+    got = results["beta-permutation-invariance"]
+    assert (got.status, got.count, got.detail) == ("fail", samples, f"{k_3} violations")
     assert results["roundtrip-beta"].status == "pass"
 
 
