@@ -20,10 +20,14 @@ Two exhaustive scans back them, each run at most once per key:
   (Balan, Casazza and Edidin, "On signal reconstruction without phase",
   ACHA 2006), and the margin makes the floating-point verdict the same.
 - The complement walk (_complement_walk) visits the 2^(D-1) column
-  partitions in ascending blocks and stops at the first violating split; a
-  shifted-Cholesky test trusts most spanning sides without an eigenvalue. The
-  complement property falls back to it when the subset certificate does not
-  apply, and it is the only source of a false verdict and its witness.
+  partitions in ascending blocks and stops at the first violating split. A
+  side spans when numerics.rank's criterion gives it rank d; the subset
+  scan's shifted-Cholesky test, at the same margin shift (_margin_shift),
+  settles most spanning sides from their Grams, and numerics.rank decides
+  the rest, so the verdict and witness are those of the rank of every side.
+  The complement property falls back to the walk when the subset certificate
+  does not apply, and it is the only source of a false verdict and its
+  witness.
 
 The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
 ascending blocks (_partition_blocks) with its own Cholesky screen and
@@ -244,8 +248,9 @@ def subset_scan(key: Key) -> SubsetScan:
     their Gram cannot place above the margin get one:
 
     - Shift. With b = sigma_1(A) as numerics.sigma_k computes it and M the
-      margin, the test runs at tau = (M + err_s)^2 + err_lam, where err_s =
-      c * eps * (D + d) * b and err_lam = err_s * d * b, c being
+      margin, the test runs at tau = (M + err_s)^2 + err_lam (_margin_shift),
+      where err_s = c * eps * (D + d) * b and err_lam = err_s * d * b are
+      numerics._gram_screen_errors' allowances, c being
       numerics.GRAM_SCREEN_SLACK.
     - Gram entries. G = A^T A is formed once; the subset Gram G[T, T] is
       gathered from it, so each entry is a length-d dot product of two
@@ -286,13 +291,8 @@ def _subset_scan(key: Key) -> SubsetScan:
             f"C({D},{d}) = {comb(D, d)} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
         )
     a = key.matrix
-    sigma_1 = numerics.sigma_k(a, 1)
-    margin = _certificate_margin(key, sigma_1)
-    tau = None
-    if numerics.GRAM_SCREEN_RANGE[0] <= sigma_1 <= numerics.GRAM_SCREEN_RANGE[1]:
-        err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * sigma_1
-        tau = (margin + err_s) * (margin + err_s) + err_s * d * sigma_1
-        gram = a.T @ a
+    margin, tau = _margin_shift(key)
+    gram = a.T @ a if tau is not None else None
     subsets = itertools.combinations(range(D), d)
     per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
     clears_margin = True
@@ -382,12 +382,6 @@ def _partition_blocks(a: np.ndarray):
             start = end
 
 
-# A Gram eigenvalue ratio above this is trusted as full rank outright;
-# squaring into the Gram costs half the precision, so ratios below it are
-# re-decided on the submatrix itself with the exact rank criterion.
-_GRAM_TRUST_RATIO = 1e-12
-
-
 def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
     """Whether the columns selected by each mask have rank d (numerics.rank's
     criterion); a side with fewer than d columns never does."""
@@ -419,70 +413,52 @@ def has_complement_property(key: Key) -> CertificateReport:
 
 
 def _complement_property(key: Key) -> CertificateReport:
-    method = "exhaustive-partitions"
     if key.D > COMPLEMENT_MAX_COLS:
         raise SearchTooLarge(
             f"complement-property search is capped at D <= {COMPLEMENT_MAX_COLS}, got {key.D}"
         )
-    if _subsets_certify_complement(key):
-        return CertificateReport(True, None, method)
-    witness = _complement_walk(key)
-    return CertificateReport(witness is None, witness, method)
+    witness = None if _subsets_certify_complement(key) else _complement_walk(key)
+    return CertificateReport(witness is None, witness, "exhaustive-partitions")
 
 
 def _complement_walk(key: Key) -> Partition | None:
     """The violating partition with the smallest canonical mask, or None.
 
-    A side is trusted when it has at least d columns and eigvalsh finds the
-    smallest eigenvalue of its Gram positive and above _GRAM_TRUST_RATIO times
-    the largest; a partition with no trusted side is re-decided with
-    numerics.rank's criterion (_rank_d), side I first. The walk stops at the
-    first of _partition_blocks' ascending blocks that holds a violation.
+    A side spans when numerics.rank's criterion gives it rank d. The walk
+    visits the masks in _partition_blocks' ascending blocks and stops at the
+    first block that holds a partition with no spanning side. Most spanning
+    sides are settled from their Grams by numerics.shifted_cholesky_ok (one
+    numerics.shifted_cholesky_ok_gathered call per side and block) at the
+    subset scan's shift tau = (M + err_s)^2 + err_lam (_margin_shift); the
+    partitions with no settled side are decided by numerics.rank's criterion
+    (_rank_d), side I first.
 
-    Most sides are trusted without eigvalsh, by numerics.shifted_cholesky_ok
-    (one numerics.shifted_cholesky_ok_gathered call per side and block) at
-    tau = _GRAM_TRUST_RATIO * (b^2 + err_lam) + 2 * err_lam, with b =
-    sigma_1(A) as numerics.sigma_k computes it and err_lam = c * eps * (D + d)
-    * d * b^2, c being numerics.GRAM_SCREEN_SLACK:
-
-    - Largest eigenvalue. A side's exact Gram is at most A A^T, so its
-      lambda_max is at most sigma_1(A)^2. The computed Gram (a sum of at most
-      D outer products, or A A^T minus one) is within a small multiple of
-      eps * D * d * b^2 of it, and eigvalsh adds a like error, so eigvalsh's
-      largest eigenvalue is below b^2 + err_lam.
-    - Smallest eigenvalue. Success proves lambda_min(G) >= tau - e for the
-      computed Gram G, with e of order (d + 1)^2 * eps * b^2 as tau < b^2
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      section 10.1), and eigvalsh's smallest eigenvalue is within a modest
-      multiple of d * eps * b^2 of lambda_min(G). Each error is below err_lam
-      >= 2 * c * eps * d^2 * b^2, so eigvalsh's smallest eigenvalue is above
-      _GRAM_TRUST_RATIO * (b^2 + err_lam) > 0: eigvalsh trusts the side.
-
-    So the accepted splits, the verdict and the witness are those of
-    diagonalizing every spanning side. Keys with b outside
-    numerics.GRAM_SCREEN_RANGE skip the test, since their Gram entries and
-    tau could under- or overflow.
+    A side S that factors has rank d, by subset_scan's argument with A_S in
+    place of A_T. Its Gram is a sum of at most D outer products, or A A^T
+    minus one, so it is within a small multiple of eps * D * d * b^2 of the
+    exact A_S A_S^T in the 2-norm (b = sigma_1(A) bounds every row norm);
+    with the factorization's backward error this is below err_lam, so the
+    exact sigma_d(A_S) is above M + err_s and the computed one above M. And
+    M has a factor of 16 over numerics.rank's cutoff for A_S, rank_tol_factor
+    * max(d, |S|) * sigma_1(A_S), which is at most rank_tol_factor * D * b up
+    to rounding. So the verdict and the witness are those of numerics.rank on
+    both sides of every partition. Keys with b outside
+    numerics.GRAM_SCREEN_RANGE form no Gram: every partition goes to
+    _rank_d, in blocks of ascending masks.
     """
     d, D = key.d, key.D
-    b = numerics.sigma_k(key.matrix, 1)
-    tau = None
-    if numerics.GRAM_SCREEN_RANGE[0] <= b <= numerics.GRAM_SCREEN_RANGE[1]:
-        err_lam = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * d * b * b
-        tau = _GRAM_TRUST_RATIO * (b * b + err_lam) + 2.0 * err_lam
-    for masks, gi, gc, full_i, full_c in _partition_blocks(key.matrix):
-        trusted = np.zeros(masks.size, dtype=bool)
-        sides = ((gi, full_i), (gc, full_c))
-        if tau is not None:
-            for grams, full in sides:
-                rows = np.flatnonzero(full & ~trusted)
-                trusted[rows] = numerics.shifted_cholesky_ok_gathered(((grams, rows),), tau)
+    _, tau = _margin_shift(key)
+    if tau is None:  # no Gram: every split of a block goes to _rank_d
+        n, step = 1 << (D - 1), max(1, _SCREEN_ENTRIES // (d * d))
+        blocks = ((np.arange(s, min(n, s + step)), ()) for s in range(0, n, step))
+    else:
+        blocks = ((m, ((gi, fi), (gc, fc))) for m, gi, gc, fi, fc in _partition_blocks(key.matrix))
+    for masks, sides in blocks:
+        settled = np.zeros(masks.size, dtype=bool)
         for grams, full in sides:
-            rows = np.flatnonzero(full & ~trusted)
-            eig = np.linalg.eigvalsh(grams[rows])
-            trusted[rows] = (eig[:, 0] > _GRAM_TRUST_RATIO * eig[:, -1]) & (eig[:, 0] > 0.0)
-        # sides the Gram could not settle (exactly singular ones land here) are
-        # re-decided with numerics.rank's criterion, the defining one
-        rest = masks[~trusted]
+            rows = np.flatnonzero(full & ~settled)
+            settled[rows] = numerics.shifted_cholesky_ok_gathered(((grams, rows),), tau)
+        rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])
         if not ok.all():
@@ -502,6 +478,19 @@ def _certificate_margin(key: Key, sigma_1: float) -> float:
     """The bound every sigma_d(A_T) must exceed for the subset certificate."""
     factor = max(key.tol.rank_tol_factor, _SUBSET_CERT_FLOOR)
     return _SUBSET_CERT_MARGIN * factor * key.D * sigma_1
+
+
+def _margin_shift(key: Key) -> tuple[float, float | None]:
+    """(M, tau): the certificate margin M and the shift at which a Gram that
+    factors has sigma_d above M (see subset_scan), or None for tau when the
+    key's sigma_1 is outside numerics.GRAM_SCREEN_RANGE and no Gram may be
+    read."""
+    sigma_1 = numerics.sigma_k(key.matrix, 1)
+    margin = _certificate_margin(key, sigma_1)
+    errors = numerics._gram_screen_errors(sigma_1, key.d, key.D)
+    if errors is None:
+        return margin, None
+    return margin, (margin + errors[0]) * (margin + errors[0]) + errors[1]
 
 
 def _subsets_certify_complement(key: Key) -> bool:
@@ -527,9 +516,9 @@ def _subsets_certify_complement(key: Key) -> bool:
       of 15 * f * sigma_1(A) >= 1.5e-11 * sigma_1(A). So numerics.rank
       gives A_S rank d.
 
-    In the complement walk each partition's side S is then either trusted
-    from its Gram or re-decided as rank d by the fallback: every partition
-    passes and the verdict is true. The partition Grams never enter the
+    In the complement walk each partition's side S is then either settled
+    from its Gram or given rank d by numerics.rank: every partition passes
+    and the verdict is true. The partition Grams never enter the
     argument, so it holds at any scale of the key. A false answer decides
     nothing; the caller then runs the walk. Keys beyond the subset
     scan's cap get a false answer, so the certificate never raises

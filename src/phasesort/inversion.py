@@ -82,8 +82,8 @@ def _gray_sign_patterns(d: int) -> np.ndarray:
     return eps
 
 
-# Consistent candidates further apart than this (relative) cannot share an
-# orbit and prove the certificate wrong.
+# Consistent candidates further apart than this (relative) lie on distinct
+# orbits, which the measurements do not tell apart within the tolerance.
 _ORBIT_GAP = 1e-6
 
 # Residual entries (rows x D x sign patterns) the sign search builds at a
@@ -172,8 +172,10 @@ def omega(key: Key, y) -> RecoveryResult:
     sign patterns on the pivot subset are evaluated; the candidate with the
     smallest enumeration index whose residual against the full measurement
     vector is within consistency_tol is accepted. Finding consistent
-    candidates on two distinct orbits raises AmbiguityDetected, since it
-    contradicts the certificate.
+    candidates on two distinct orbits raises AmbiguityDetected, with their
+    distance and the acceptance tolerance: the measurements of the two orbits
+    differ by less than the tolerance, which a certified but ill-conditioned
+    key (A0 small against consistency_tol) can allow.
     """
     return omega_many(key, as_vector(y)[None]).result(0)
 
@@ -263,9 +265,10 @@ def _sign_search_rows(key: Key, y: np.ndarray, accept_tol: np.ndarray, rows: np.
     if others.any():  # only a second consistent candidate can be ambiguous
         apart = np.minimum(row_norms(cands - xs[:, None]), row_norms(cands + xs[:, None]))
         x_scale = np.maximum(1.0, row_norms(xs))
-        ambiguous = (others & (apart > _ORBIT_GAP * x_scale[:, None])).any(axis=1)
-        errors.add(ambiguous, lambda _: AmbiguityDetected(
-            "two consistent candidates on distinct orbits; key cannot be injective"
+        far = others & (apart > _ORBIT_GAP * x_scale[:, None])
+        errors.add(far.any(axis=1), lambda j: AmbiguityDetected(
+            f"two consistent candidates on distinct orbits, {apart[j, np.argmax(far[j])]:.3e} "
+            f"apart up to sign, fit within the acceptance tolerance {accept_tol[j]:.3e}"
         ), rows=rows)
 
     # canonical sign: the leading entry above the rank tolerance is positive

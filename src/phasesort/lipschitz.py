@@ -168,13 +168,12 @@ def _side_bracket(lam, full, err_lam, err_s):
 def _screen(key: Key, b0: float) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Masks that may become the best, ascending, with the lower ends of their
     brackets, and the numbers of masks settled and diagonalized."""
-    d, D = key.d, key.D
-    if not numerics.GRAM_SCREEN_RANGE[0] <= b0 <= numerics.GRAM_SCREEN_RANGE[1]:
+    errors = numerics._gram_screen_errors(b0, key.d, key.D)
+    if errors is None:
         # the Gram entries could under- or overflow: every mask to the exact pass
-        n_masks = 1 << (D - 1)
+        n_masks = 1 << (key.D - 1)
         return np.arange(n_masks), np.zeros(n_masks), 0, 0
-    err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
-    err_lam = err_s * d * b0
+    err_s, err_lam = errors
     kept_masks, kept_lo = [], []
     hi_run = np.inf
     settled = diagonalized = 0

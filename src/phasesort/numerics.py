@@ -201,17 +201,27 @@ def ranks_from_singular_values(s: np.ndarray, size: int, tol: ToleranceConfig) -
     return np.count_nonzero(s > cutoff, axis=1)
 
 
-# Error allowance of the Gram screens (lipschitz's A0 screen and frame_keys'
-# subset scan), in units of eps * (D + d) * sigma_1 for a singular value and
-# of eps * (D + d) * d * sigma_1^2 for a Gram eigenvalue, sigma_1 being that
-# of the d x D key. Both are generous over the backward-error bounds the
-# screens rely on; a wider allowance only sends a few more matrices to the
-# exact path.
+# Error allowance of the Gram screens (lipschitz's A0 screen, frame_keys'
+# subset scan and complement walk), in units of eps * (D + d) * sigma_1 for a
+# singular value and of eps * (D + d) * d * sigma_1^2 for a Gram eigenvalue,
+# sigma_1 being that of the d x D key. Both are generous over the
+# backward-error bounds the screens rely on; a wider allowance only sends a
+# few more matrices to the exact path.
 GRAM_SCREEN_SLACK = 64.0
 
 # Keys whose sigma_1 lies outside this range skip the Gram screens: their
 # Gram entries and shifts could under- or overflow.
 GRAM_SCREEN_RANGE = (2.0**-400, 2.0**400)
+
+
+def _gram_screen_errors(sigma_1: float, d: int, D: int) -> tuple[float, float] | None:
+    """(err_s, err_lam), the Gram screens' allowances for a singular value and
+    a Gram eigenvalue of a d x D key with largest singular value sigma_1, or
+    None when sigma_1 is outside GRAM_SCREEN_RANGE and no Gram may be read."""
+    if not GRAM_SCREEN_RANGE[0] <= sigma_1 <= GRAM_SCREEN_RANGE[1]:
+        return None
+    err_s = GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * sigma_1
+    return err_s, err_s * d * sigma_1
 
 
 def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:

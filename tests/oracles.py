@@ -4,10 +4,11 @@ These are the decoders, encoders, metrics, verify battery and ratio sampler
 as they were before the kernels were batched: plain Python loops over
 samples, sign patterns, columns and row orders, built on numpy alone. The
 batched code must reproduce them, bit for bit where the docstrings of the
-kernels say so. The partition scan is here as it was before the complement
-property walked the partitions in ascending blocks: eigvalsh on every
-spanning side of every partition, with the complement verdict read from its
-trust flags. The A0 search is here as it was before its screen settled
+kernels say so. The complement property is here as its definition:
+numerics.rank of both sides of every partition, one partition at a time.
+The partition scan is here as it was before the A0 search walked the
+partitions in ascending blocks: eigvalsh on every spanning side of every
+partition. The A0 search is here as it was before its screen settled
 partitions with the shifted-Cholesky test: every partition bracketed from
 the eigenvalues of that scan. The d-subset scan is here as it was
 before the same test settled subsets: one SVD of every subset. So is the
@@ -177,9 +178,11 @@ def omega(key, y, certificate=is_phase_retrievable):
     x = candidates[:, first]
     x_scale = max(1.0, float(np.linalg.norm(x)))
     for j in np.nonzero(consistent)[0]:
-        if j != first and dist_hat_H(candidates[:, j], x) > _ORBIT_GAP * x_scale:
+        gap = dist_hat_H(candidates[:, j], x)
+        if j != first and gap > _ORBIT_GAP * x_scale:
             raise AmbiguityDetected(
-                "two consistent candidates on distinct orbits; key cannot be injective"
+                f"two consistent candidates on distinct orbits, {gap:.3e} "
+                f"apart up to sign, fit within the acceptance tolerance {accept_tol:.3e}"
             )
     flip = _canonicalize_sign(x, tol.rank_tol_factor)
     return RecoveryResult(flip * x, float(residuals[first]), flip * eps[first], tuple(pivots))
@@ -267,44 +270,41 @@ def settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
 # --- the partition scan: eigvalsh on every spanning side ---------------------
 
 def partition_scan(key):
-    """Smallest Gram eigenvalues and trust flags of both sides of every
-    canonical mask, as arrays indexed by mask: ``counts`` (|I|),
-    ``lam_min_i``/``lam_min_c`` (eigvalsh's smallest eigenvalue of the Grams
-    of I and I^c; 0 for sides with fewer than d columns, which are not
-    diagonalized) and ``trusted_i``/``trusted_c`` (at least d columns and a
-    smallest eigenvalue positive and above _GRAM_TRUST_RATIO times the
-    largest). Reads frame_keys._CHUNK_ENTRIES and _SCREEN_ENTRIES at call
-    time, so they can be patched."""
+    """Smallest Gram eigenvalues of both sides of every canonical mask, as
+    arrays indexed by mask: ``counts`` (|I|) and ``lam_min_i``/``lam_min_c``
+    (eigvalsh's smallest eigenvalue of the Grams of I and I^c; 0 for sides
+    with fewer than d columns, which are not diagonalized). Reads
+    frame_keys._CHUNK_ENTRIES and _SCREEN_ENTRIES at call time, so they can
+    be patched."""
     D = key.D
     n_masks = 1 << (D - 1)
     counts = np.empty(n_masks, dtype=np.uint8)
     lam_min = {"i": np.zeros(n_masks), "c": np.zeros(n_masks)}
-    trusted = {"i": np.zeros(n_masks, dtype=bool), "c": np.zeros(n_masks, dtype=bool)}
     for masks, gi, gc, full_i, full_c in frame_keys._partition_blocks(key.matrix):
         counts[masks] = popcounts(masks)
         for side, full, g in (("i", full_i, gi), ("c", full_c, gc)):
-            eig = np.linalg.eigvalsh(g[full])
-            low, high = eig[:, 0], eig[:, -1]
-            lam_min[side][masks[full]] = low
-            trusted[side][masks[full]] = (
-                (low > frame_keys._GRAM_TRUST_RATIO * high) & (low > 0.0))
-    return SimpleNamespace(counts=counts, lam_min_i=lam_min["i"], lam_min_c=lam_min["c"],
-                           trusted_i=trusted["i"], trusted_c=trusted["c"])
+            lam_min[side][masks[full]] = np.linalg.eigvalsh(g[full])[:, 0]
+    return SimpleNamespace(counts=counts, lam_min_i=lam_min["i"], lam_min_c=lam_min["c"])
 
+
+# --- the complement property by its definition ------------------------------
 
 def complement_property(key):
-    """(verdict, witness, method) of the complement property from
-    partition_scan, without the subset certificate: the partitions with no
-    trusted side are re-decided with numerics.rank's criterion
-    (frame_keys._rank_d), side I first, and the witness is the smallest
-    violating mask."""
-    scan = partition_scan(key)
-    masks = np.flatnonzero(~(scan.trusted_i | scan.trusted_c))
-    ok = frame_keys._rank_d(key, masks)
-    ok[~ok] = frame_keys._rank_d(key, ((1 << key.D) - 1) ^ masks[~ok])
-    bad = masks[~ok]
-    witness = Partition(int(bad[0]), key.D) if bad.size else None
-    return witness is None, witness, "exhaustive-partitions"
+    """(verdict, witness, method) of the complement property without the
+    subset certificate: each canonical mask in ascending order, one at a
+    time, passes when a side with at least d columns has numerics.rank d,
+    and the witness is the first mask that does not."""
+    d, D = key.d, key.D
+    a = key.matrix
+    for mask in range(1 << (D - 1)):
+        cols = [k for k in range(D) if mask >> k & 1]
+        comp = [k for k in range(D) if not mask >> k & 1]
+        ok = (len(cols) >= d and rank(a[:, cols], key.tol) == d) or (
+            len(comp) >= d and rank(a[:, comp], key.tol) == d
+        )
+        if not ok:
+            return False, Partition(mask, D), "exhaustive-partitions"
+    return True, None, "exhaustive-partitions"
 
 
 # --- the A0 search with a bracket for every partition -----------------------

@@ -196,29 +196,15 @@ def test_full_spark_cap():
         is_full_spark(Key(np.ones((15, 30))))
 
 
-def _complement_reference(key: Key) -> tuple[bool, int | None]:
-    """Direct per-partition check with the SVD-based rank, as a slow oracle."""
-    d, D = key.d, key.D
-    a = key.matrix
-    for mask in range(1 << (D - 1)):
-        cols = [k for k in range(D) if mask >> k & 1]
-        comp = [k for k in range(D) if not mask >> k & 1]
-        ok = (len(cols) >= d and rank(a[:, cols], key.tol) == d) or (
-            len(comp) >= d and rank(a[:, comp], key.tol) == d
-        )
-        if not ok:
-            return False, mask
-    return True, None
+def _complement(key: Key):
+    rep = has_complement_property(key)
+    return rep.verdict, rep.witness, rep.method
 
 
 @pytest.mark.parametrize("d,D,seed", [(2, 3, 0), (2, 4, 1), (3, 5, 2), (3, 6, 3), (4, 7, 4)])
 def test_complement_fast_path_matches_reference(d, D, seed):
     key = generate_key(d, D, seed)
-    verdict, mask = _complement_reference(key)
-    rep = has_complement_property(key)
-    assert rep.verdict == verdict
-    if not verdict:
-        assert rep.witness.mask == mask
+    assert _complement(key) == oracles.complement_property(key)
 
 
 def test_complement_fast_path_matches_reference_deficient():
@@ -226,11 +212,7 @@ def test_complement_fast_path_matches_reference_deficient():
     mat[:, 4] = mat[:, 1]  # duplicate a column
     mat[:, 5] = 0.0  # and zero one
     key = Key(mat)
-    verdict, mask = _complement_reference(key)
-    rep = has_complement_property(key)
-    assert rep.verdict == verdict
-    if not verdict:
-        assert rep.witness.mask == mask
+    assert _complement(key) == oracles.complement_property(key)
 
 
 def _partition_grams_reference(a: np.ndarray) -> np.ndarray:
@@ -244,30 +226,6 @@ def _partition_grams_reference(a: np.ndarray) -> np.ndarray:
         idx = (prefix << (b + 1)) | (1 << b)
         grams[idx] = grams[idx - (1 << b)] + outers[b]
     return grams
-
-
-def _complement_gram_reference(key: Key) -> tuple[bool, int | None]:
-    """Gram-trust verdict with a per-mask exact-rank fallback, one table."""
-    d, D = key.d, key.D
-    a = key.matrix
-    n_masks = 1 << (D - 1)
-    counts = np.array([bin(m).count("1") for m in range(n_masks)])
-    grams = _partition_grams_reference(a)
-    eig_i = np.linalg.eigvalsh(grams)
-    eig_c = np.linalg.eigvalsh((a @ a.T)[None, :, :] - grams)
-    ratio = frame_keys._GRAM_TRUST_RATIO
-    ok_i = (counts >= d) & (eig_i[:, 0] > ratio * eig_i[:, -1]) & (eig_i[:, 0] > 0.0)
-    ok_c = (D - counts >= d) & (eig_c[:, 0] > ratio * eig_c[:, -1]) & (eig_c[:, 0] > 0.0)
-    for mask in np.nonzero(~(ok_i | ok_c))[0]:
-        mask = int(mask)
-        cols = [k for k in range(D) if mask >> k & 1]
-        comp = [k for k in range(D) if not mask >> k & 1]
-        if len(cols) >= d:
-            ok_i[mask] = rank(a[:, cols], key.tol) == d
-        if not ok_i[mask] and len(comp) >= d:
-            ok_c[mask] = rank(a[:, comp], key.tol) == d
-    bad = ~(ok_i | ok_c)
-    return (True, None) if not bad.any() else (False, int(np.argmax(bad)))
 
 
 @pytest.mark.parametrize("entries", [1, 9, 40, 1 << 20])
@@ -338,7 +296,7 @@ def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
     chunked = oracles.partition_scan(Key(mat))
-    for field in ("counts", "lam_min_i", "lam_min_c", "trusted_i", "trusted_c"):
+    for field in ("counts", "lam_min_i", "lam_min_c"):
         assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
     for entries in (frame_keys._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
         monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
@@ -348,14 +306,12 @@ def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     assert has_complement_property(Key(A_REF)).verdict
 
 
+# The names predate the walk's rank criterion: the reference is now the
+# complement property's definition, numerics.rank of every side.
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
 def test_complement_matches_gram_reference_adversarial(name):
     key = Key(ADVERSARIAL[name])
-    verdict, mask = _complement_gram_reference(key)
-    rep = has_complement_property(key)
-    assert rep.verdict == verdict
-    assert (rep.witness.mask if rep.witness is not None else None) == mask
-    assert (verdict, mask) == _complement_reference(key)
+    assert _complement(key) == oracles.complement_property(key)
 
 
 @pytest.mark.parametrize("d,D,seed", [(3, 8, 1), (4, 12, 1), (4, 10, 5), (3, 11, 6)])
@@ -364,12 +320,10 @@ def test_complement_matches_gram_reference_seeded(monkeypatch, d, D, seed):
     mat = key.matrix.copy()
     mat[:, D - 1] = mat[:, 0]  # forces exact-rank fallbacks
     for k in (key, Key(mat)):
-        expected = _complement_gram_reference(k)
-        rep = has_complement_property(k)
-        assert (rep.verdict, rep.witness.mask if rep.witness else None) == expected
+        expected = oracles.complement_property(k)
+        assert _complement(k) == expected
         monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 16)
-        rep = has_complement_property(Key(k.matrix))
-        assert (rep.verdict, rep.witness.mask if rep.witness else None) == expected
+        assert _complement(Key(k.matrix)) == expected
         monkeypatch.undo()
 
 
@@ -546,10 +500,13 @@ def test_complement_shortcut_on_nearly_dependent_subset(monkeypatch, gap, settle
     rep = has_complement_property(key)
     assert walks == ([] if settled else [key])
     assert _assert_shortcut_matches_scan(mat) == rep
-    # the split {3, 4} | {1, 2, 5} has no side its Gram alone can settle
-    scan = oracles.partition_scan(Key(mat))
-    split = 0b01100  # I = {3, 4}; column 5 is always on the complement side
-    assert not (scan.trusted_i[split] or scan.trusted_c[split])
+    # the split {3, 4} | {1, 2, 5} has no side its Gram alone can settle:
+    # side I has fewer than d columns, and side C's sigma_d^2 is below the
+    # Gram's rounding allowance, so its Gram does not factor at the margin
+    # shift and numerics.rank decides
+    _, tau = frame_keys._margin_shift(key)
+    side = mat[:, [0, 1, 4]]
+    assert not numerics.shifted_cholesky_ok((side @ side.T)[None], tau)[0]
 
 
 @pytest.mark.parametrize("factor", [1e-16, 1e-9, 1e-6])
@@ -619,19 +576,20 @@ def test_complement_walk_stops_at_the_first_violation(monkeypatch):
 
 def _near_trust_ratio_key(d, seed, delta):
     """A d x (d + 2) key: d columns with singular values 1, ..., 1 and
-    sqrt(_GRAM_TRUST_RATIO * (1 + delta)), so that their Gram sits at the
-    trust ratio with a largest eigenvalue of about B0^2, and two tiny columns
-    along their weakest direction."""
+    sqrt(1e-12 * (1 + delta)), so that their Gram sits at an eigenvalue
+    ratio of 1e-12 (the trust ratio of an earlier complement walk) with a
+    largest eigenvalue of about B0^2, and two tiny columns along their
+    weakest direction."""
     rng = np.random.Generator(np.random.PCG64(seed))
     u, _ = np.linalg.qr(rng.standard_normal((d, d)))
     v, _ = np.linalg.qr(rng.standard_normal((d, d)))
     sv = np.ones(d)
-    sv[-1] = np.sqrt(frame_keys._GRAM_TRUST_RATIO * (1.0 + delta))
+    sv[-1] = np.sqrt(1e-12 * (1.0 + delta))
     return np.hstack([u @ np.diag(sv) @ v, 1e-9 * np.outer(u[:, -1], [1.0, 2.0])])
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_complement_walk_settles_only_sides_eigvalsh_trusts(monkeypatch, d):
+def test_complement_walk_settles_only_rank_d_sides(monkeypatch, d):
     settled = []
     real = numerics.shifted_cholesky_ok_gathered
 
@@ -642,15 +600,29 @@ def test_complement_walk_settles_only_sides_eigvalsh_trusts(monkeypatch, d):
 
     monkeypatch.setattr(numerics, "shifted_cholesky_ok_gathered", recorded)
     # within rounding of the ratio, and once far enough above it to settle
+    seen = 0
     for seed in range(10):
         for delta in [*np.linspace(-3e-4, 3e-4, 25), 3.0]:
             mat = _near_trust_ratio_key(d, seed, delta)
             for factor in (1e-12, 1e-6):  # at 1e-6 the planted side is rank deficient
-                _assert_shortcut_matches_scan(mat, ToleranceConfig(rank_tol_factor=factor))
-    grams = np.concatenate(settled)
-    assert grams.shape[0] > 0
-    eig = np.linalg.eigvalsh(grams)
-    assert np.all((eig[:, 0] > frame_keys._GRAM_TRUST_RATIO * eig[:, -1]) & (eig[:, 0] > 0.0))
+                tol = ToleranceConfig(rank_tol_factor=factor)
+                settled.clear()
+                _assert_shortcut_matches_scan(mat, tol)
+                # every Gram the screen settles has sigma_d above the margin
+                margin, _ = frame_keys._margin_shift(Key(mat, tol))
+                grams = np.concatenate([np.zeros((0, d, d)), *settled])
+                assert np.all(np.linalg.eigvalsh(grams)[:, 0] > margin**2)
+                seen += grams.shape[0]
+    assert seen > 0
+
+
+def test_complement_walk_follows_the_key_tolerance_near_the_old_ratio():
+    # the planted side has sigma_d = 2e-6 sigma_1: rank 2 at the cutoff
+    # 1e-6 * 5 * sigma_1, so no side of mask 0 spans
+    mat = _near_trust_ratio_key(3, 0, 3.0)
+    tol = ToleranceConfig(rank_tol_factor=1e-6)
+    assert _scan_only(mat, tol) == (False, Partition(0, 5), "exhaustive-partitions")
+    assert has_complement_property(Key(mat, tol)).witness == Partition(0, 5)
 
 
 def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):

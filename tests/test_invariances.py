@@ -105,6 +105,18 @@ def test_scalings_cover_both_paths():
     assert len(SCALINGS) == 4 * len(KEYS) - 1
 
 
+@pytest.mark.parametrize("k", [-530, -500, 500, 530])
+def test_certificates_out_of_the_screens_range(k):
+    # beyond the Gram screens' range every search runs on exact ranks alone:
+    # at 2^530 the Grams would overflow, at 2^-530 underflow
+    exact = [name for name in sorted(KEYS)
+             if np.array_equal(KEYS[name] * 2.0**k / 2.0**k, KEYS[name])]
+    assert len(exact) >= len(KEYS) - 1  # 2^-530 times scaled-1e-200 underflows
+    for name in exact:
+        matrix = KEYS[name]
+        assert _certificates(Key(matrix * 2.0**k)) == _certificates(Key(matrix)), name
+
+
 def _assert_constants_close(matrix, moved):
     # singular values carry an absolute error of order eps * B0, so B0 is
     # the scale of the comparison, as in numerics.rank's cutoff

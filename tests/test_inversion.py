@@ -331,6 +331,27 @@ def test_omega_many_one_solve_per_chunk_at_chunk_edges(monkeypatch, name):
             _same_recovery(batch.result(i), want[j])
 
 
+def test_omega_ambiguity_on_a_certified_key_names_gap_and_tolerance():
+    # the key is certified (A0 = 7.07e-9), but two orbits of this signal have
+    # measurements closer than consistency_tol: the refusal must say so, not
+    # that the key cannot be injective
+    key = Key(ADVERSARIAL["near-parallel-first"])
+    assert is_phase_retrievable(key).verdict
+    x = np.random.Generator(np.random.PCG64(63)).standard_normal((40, 2))[1]
+    y = alpha(key, x)
+    with pytest.raises(AmbiguityDetected) as single:
+        omega(key, y)
+    message = str(single.value)
+    assert "injective" not in message
+    accept_tol = key.tol.consistency_tol * max(1.0, float(np.linalg.norm(y)))
+    assert f"acceptance tolerance {accept_tol:.3e}" in message
+    gap = float(message.split(", ")[1].split(" apart")[0])
+    assert gap > inversion._ORBIT_GAP * max(1.0, float(np.linalg.norm(x)))
+    with pytest.raises(AmbiguityDetected) as loop:
+        oracles.omega(key, y)
+    assert str(loop.value) == message
+
+
 def test_omega_many_caches_the_sign_search():
     key = generate_key(3, 8, 5)
     omega_many(key, alpha_many(key, np.ones((1, 3))))
