@@ -10,10 +10,11 @@ against each other, refusing to return silently inconsistent answers.
 Two exhaustive scans back them, each run at most once per key:
 
 - The subset scan (subset_scan) ranks the C(D, d) d-column submatrices.
-  Each chunk's d x d Grams are gathered from one A^T A and tested with a
-  shifted Cholesky factorization, which places almost every subset's
-  sigma_d above the certificate margin; only the others get a stacked SVD,
-  so the verdict and witness are those of an SVD of every subset. Full
+  Each chunk's d x d Grams are gathered from one U^T U, U = 2^-e A being
+  the key's unit copy (_unit), and tested with a shifted Cholesky
+  factorization, which places almost every subset's sigma_d above the
+  certificate margin; only the others get a stacked SVD of the key, so the
+  verdict and witness are those of an SVD of every subset. Full
   spark reads its verdict from it. It also certifies the complement
   property outright when D >= 2d - 1 and every d-subset has rank d with a
   margin: a full-spark frame with D >= 2d - 1 has the complement property
@@ -229,9 +230,10 @@ class SubsetScan:
     whether sigma_d(A_T), as the SVD computes it, is above the complement
     certificate's margin (_certificate_margin) for every d-subset T; it is
     false when a subset is deficient. Of the subsets ranked, ``settled`` were
-    shown above the margin by a shifted-Cholesky test of their Gram, and
-    ``decomposed`` got an SVD (keys with sigma_1(A) outside
-    numerics.GRAM_SCREEN_RANGE skip the test: every subset gets an SVD).
+    shown above the margin by a shifted-Cholesky test of their Gram in the
+    key's unit copy (_unit), and ``decomposed`` got an SVD. The key times a
+    power of two that holds it exactly has the same unit copy, so the same
+    subsets are settled, away from subnormal scale.
     """
 
     deficient: tuple[int, ...] | None
@@ -244,39 +246,47 @@ def subset_scan(key: Key) -> SubsetScan:
     """Rank every d-column submatrix, chunk by chunk (memoized).
 
     The verdict, the first deficient subset and clears_margin are those of
-    an SVD of every subset; only the subsets a shifted-Cholesky test of
-    their Gram cannot place above the margin get one:
+    an SVD of every subset of the key; only the subsets a shifted-Cholesky
+    test of their Gram cannot place above the margin M get one. The test
+    reads the unit copy U = 2^-e A (_unit), whose largest entry lies in
+    [1/2, 1), so no Gram entry or shift can overflow, at any scale of the key:
 
-    - Shift. With b = sigma_1(A) as numerics.sigma_k computes it and M the
-      margin, the test runs at tau = (M + err_s)^2 + err_lam (_margin_shift),
-      where err_s = c * eps * (D + d) * b and err_lam = err_s * d * b are
+    - Shift. With b = sigma_1(U) as numerics.sigma_k computes it and M_u the
+      margin computed from b, the test runs at tau = (M_u + err_s)^2 +
+      err_lam (_margin_shift), where err_s = c * (eps * (D + d) * b +
+      2^(-1074 - e)) and err_lam = err_s * d * b are
       numerics._gram_screen_errors' allowances, c being
       numerics.GRAM_SCREEN_SLACK.
-    - Gram entries. G = A^T A is formed once; the subset Gram G[T, T] is
+    - Gram entries. G = U^T U is formed once; the subset Gram G[T, T] is
       gathered from it, so each entry is a length-d dot product of two
       columns, within gamma_d * b^2 of the exact one (a column's norm is at
-      most sigma_1(A)), and the gathered Gram within d * gamma_d * b^2 in
-      the 2-norm.
+      most sigma_1(U)) plus what underflow loses, at most d subnormal
+      spacings 2^-1074, and the gathered Gram within d times that in the
+      2-norm.
     - Cholesky. numerics.shifted_cholesky_ok succeeding proves
-      lambda_min(G[T, T]) >= tau - e, with e the factorization's backward
-      error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      section 10.1) plus the rounding of the shifted diagonal: at most about
-      (d + 1)^2 * eps * max(||G[T, T]||, tau). A first pivot G_11 - tau > 0
-      means tau < ||G[T, T]|| <= b^2 (1 + d * gamma_d), so e is about
-      (d + 1)^2 * eps * b^2. With the entry error this is far below err_lam
-      >= 2 * c * eps * d^2 * b^2, which also covers the few ulps by which b
-      may differ from the exact sigma_1(A).
-    - SVD. The exact sigma_d(A_T)^2 is lambda_min of the exact Gram, hence
-      above tau - err_lam = (M + err_s)^2, and the SVD computes sigma_d(A_T)
-      within a modest multiple of eps * ||A_T|| <= eps * b of it, far below
-      err_s. So the computed sigma_d(A_T) is above M.
+      lambda_min(G[T, T]) >= tau - delta, with delta the factorization's
+      backward error (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., section 10.1) plus the rounding of the shifted
+      diagonal: at most about (d + 1)^2 * eps * max(||G[T, T]||, tau). A
+      first pivot G_11 - tau > 0 means tau < ||G[T, T]|| <= b^2 (1 + d *
+      gamma_d), so delta is about (d + 1)^2 * eps * b^2. With the entry
+      error this is far below err_lam >= 2 * c * eps * d^2 * b^2, which
+      also covers the few ulps by which b may differ from the exact
+      sigma_1(U).
+    - SVD. The exact sigma_d(U_T)^2 is lambda_min of the exact Gram, hence
+      above tau - err_lam = (M_u + err_s)^2, and the exact sigma_d(A_T) is
+      2^e times sigma_d(U_T). The SVD of the key's A_T computes it within a
+      modest multiple of eps * ||A_T|| <= eps * 2^e * b, plus, for a key at
+      subnormal scale, a few of the key's subnormal spacings 2^-1074, to
+      which LAPACK rounds its rescaled results; the same holds for the M that
+      the key's sigma_1(A) gives against 2^e * M_u. In units of the copy both
+      are far below err_s, whose second term is that spacing. So the
+      computed sigma_d(A_T) is above M.
 
     M is at least numerics.rank's cutoff for a d x d subset (D >= d, and M
     has a factor of 16 over it), so a settled subset is neither deficient
-    nor below the margin; the others get the stacked SVD, in lexicographic
-    order, and numerics.rank's criterion. Keys with b outside
-    numerics.GRAM_SCREEN_RANGE skip the test, since their Gram entries and
-    tau could under- or overflow.
+    nor below the margin; the others get the stacked SVD of the key, in
+    lexicographic order, and numerics.rank's criterion.
     """
     return _cached(key, "subset_scan", lambda: _subset_scan(key))
 
@@ -290,9 +300,9 @@ def _subset_scan(key: Key) -> SubsetScan:
         raise SearchTooLarge(
             f"C({D},{d}) = {comb(D, d)} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
         )
-    a = key.matrix
     margin, tau = _margin_shift(key)
-    gram = a.T @ a if tau is not None else None
+    unit = _unit(key)[0]
+    gram = unit.T @ unit
     subsets = itertools.combinations(range(D), d)
     per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
     clears_margin = True
@@ -303,16 +313,15 @@ def _subset_scan(key: Key) -> SubsetScan:
         cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
         if cols.size == 0:
             return SubsetScan(None, clears_margin, settled, decomposed)
-        if tau is not None:
-            # the chunk's Grams G[T, T], gathered straight into (d, d, n) layout
-            t = np.ascontiguousarray(cols.T)  # else the gathered stack is strided
-            above = numerics._shifted_cholesky_ok_inplace(gram[t[:, None], t[None, :]], tau)
-            settled += int(np.count_nonzero(above))
-            cols = cols[~above]
-            if cols.size == 0:
-                continue
+        # the chunk's Grams G[T, T], gathered straight into (d, d, n) layout
+        t = np.ascontiguousarray(cols.T)  # else the gathered stack is strided
+        above = numerics._shifted_cholesky_ok_inplace(gram[t[:, None], t[None, :]], tau)
+        settled += int(np.count_nonzero(above))
+        cols = cols[~above]
+        if cols.size == 0:
+            continue
         decomposed += len(cols)
-        s = numerics.singular_values_many(a[:, cols].transpose(1, 0, 2))
+        s = numerics.singular_values_many(key.matrix[:, cols].transpose(1, 0, 2))
         clears_margin &= bool(s[:, d - 1].min() > margin)
         deficient = numerics.ranks_from_singular_values(s, d, key.tol) < d
         if deficient.any():
@@ -429,33 +438,28 @@ def _complement_walk(key: Key) -> Partition | None:
     first block that holds a partition with no spanning side. Most spanning
     sides are settled from their Grams by numerics.shifted_cholesky_ok (one
     numerics.shifted_cholesky_ok_gathered call per side and block) at the
-    subset scan's shift tau = (M + err_s)^2 + err_lam (_margin_shift); the
+    subset scan's shift tau = (M_u + err_s)^2 + err_lam (_margin_shift); the
     partitions with no settled side are decided by numerics.rank's criterion
     (_rank_d), side I first.
 
-    A side S that factors has rank d, by subset_scan's argument with A_S in
-    place of A_T. Its Gram is a sum of at most D outer products, or A A^T
-    minus one, so it is within a small multiple of eps * D * d * b^2 of the
-    exact A_S A_S^T in the 2-norm (b = sigma_1(A) bounds every row norm);
-    with the factorization's backward error this is below err_lam, so the
-    exact sigma_d(A_S) is above M + err_s and the computed one above M. And
-    M has a factor of 16 over numerics.rank's cutoff for A_S, rank_tol_factor
-    * max(d, |S|) * sigma_1(A_S), which is at most rank_tol_factor * D * b up
-    to rounding. So the verdict and the witness are those of numerics.rank on
-    both sides of every partition. Keys with b outside
-    numerics.GRAM_SCREEN_RANGE form no Gram: every partition goes to
-    _rank_d, in blocks of ascending masks.
+    The Grams are those of the key's unit copy U = 2^-e A (_unit). A side S
+    that factors has rank d, by subset_scan's argument with U_S and A_S in
+    place of U_T and A_T. Its Gram is a sum of at most D outer products, or
+    U U^T minus one, so it is within a small multiple of eps * D * d * b^2
+    of the exact U_S U_S^T in the 2-norm (b = sigma_1(U) bounds every row
+    norm); with the factorization's backward error this is below err_lam,
+    so the exact sigma_d(U_S) is above M_u + err_s, and the computed
+    sigma_d(A_S) of the key above M. And M has a factor of 16 over
+    numerics.rank's cutoff for A_S, rank_tol_factor * max(d, |S|) *
+    sigma_1(A_S), which is at most rank_tol_factor * D * sigma_1(A) up to
+    rounding. So the verdict and the witness are those of numerics.rank on
+    both sides of every partition, which _rank_d computes on the key.
     """
-    d, D = key.d, key.D
+    D = key.D
     _, tau = _margin_shift(key)
-    if tau is None:  # no Gram: every split of a block goes to _rank_d
-        n, step = 1 << (D - 1), max(1, _SCREEN_ENTRIES // (d * d))
-        blocks = ((np.arange(s, min(n, s + step)), ()) for s in range(0, n, step))
-    else:
-        blocks = ((m, ((gi, fi), (gc, fc))) for m, gi, gc, fi, fc in _partition_blocks(key.matrix))
-    for masks, sides in blocks:
+    for masks, gi, gc, full_i, full_c in _partition_blocks(_unit(key)[0]):
         settled = np.zeros(masks.size, dtype=bool)
-        for grams, full in sides:
+        for grams, full in ((gi, full_i), (gc, full_c)):
             rows = np.flatnonzero(full & ~settled)
             settled[rows] = numerics.shifted_cholesky_ok_gathered(((grams, rows),), tau)
         rest = masks[~settled]
@@ -480,17 +484,29 @@ def _certificate_margin(key: Key, sigma_1: float) -> float:
     return _SUBSET_CERT_MARGIN * factor * key.D * sigma_1
 
 
-def _margin_shift(key: Key) -> tuple[float, float | None]:
-    """(M, tau): the certificate margin M and the shift at which a Gram that
-    factors has sigma_d above M (see subset_scan), or None for tau when the
-    key's sigma_1 is outside numerics.GRAM_SCREEN_RANGE and no Gram may be
-    read."""
-    sigma_1 = numerics.sigma_k(key.matrix, 1)
-    margin = _certificate_margin(key, sigma_1)
-    errors = numerics._gram_screen_errors(sigma_1, key.d, key.D)
-    if errors is None:
-        return margin, None
-    return margin, (margin + errors[0]) * (margin + errors[0]) + errors[1]
+def _margin_shift(key: Key) -> tuple[float, float]:
+    """(M, tau): the key's certificate margin M, and the shift at which a Gram
+    of the unit copy (_unit) that factors shows the key's sigma_d of the same
+    columns above M (see subset_scan)."""
+    unit, e = _unit(key)
+    sigma_1 = numerics.sigma_k(unit, 1)
+    unit_margin = _certificate_margin(key, sigma_1)
+    err_s, err_lam = numerics._gram_screen_errors(sigma_1, key.d, key.D, e)
+    tau = (unit_margin + err_s) * (unit_margin + err_s) + err_lam
+    return _certificate_margin(key, numerics.sigma_k(key.matrix, 1)), tau
+
+
+def _unit(key: Key) -> tuple[np.ndarray, int]:
+    """(2^-e A, e), e being the np.frexp exponent of the key's largest |entry|
+    (memoized). The copy's largest entry lies in [1/2, 1), so its Gram
+    entries are at most D, and underflow costs each a few subnormal spacings
+    at most. It is the key scaled exactly by a power of two, except that for
+    e > 0 entries below 2^(e - 1022) in magnitude are rounded to the
+    subnormal grid. Only the Gram screens read it."""
+    def unit():
+        e = int(np.frexp(np.abs(key.matrix).max())[1])
+        return np.ldexp(key.matrix, -e), e
+    return _cached(key, "unit", unit)
 
 
 def _subsets_certify_complement(key: Key) -> bool:

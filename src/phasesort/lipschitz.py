@@ -32,6 +32,7 @@ from .frame_keys import (
     Partition,
     _cached,
     _partition_blocks,
+    _unit,
 )
 
 
@@ -60,12 +61,20 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
 
     Only a few masks are visited, with the same bits as a full visit:
 
+    - Unit copy. The screen reads U = 2^-e A (frame_keys._unit), whose
+      largest entry lies in [1/2, 1), so that no Gram entry or shift can
+      overflow at any scale of the key. The brackets and shifts are in units
+      of the copy, where B0 means sigma_1(U); the exact pass gets the lower
+      ends scaled back by 2^e.
     - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
-      sigma_d^2 up to the error of the Gram sums and of eigvalsh, both at most
-      err_lam = c * eps * (D + d) * d * B0^2. Widened further by the SVD error
-      err_s, of order eps * (D + d) * B0, this puts the value the visit
-      computes in a bracket [lo, hi] per mask (_side_bracket); c is
-      numerics.GRAM_SCREEN_SLACK.
+      sigma_d(U_S)^2 up to the error of the Gram sums and of eigvalsh, both
+      at most err_lam = err_s * d * B0. Widened further by err_s = c * (eps
+      * (D + d) * B0 + 2^(-1074 - e)), which covers the error of the visit's
+      SVDs of the key, 2^-e times the value the visit computes lies in a
+      bracket [lo, hi] per mask (_side_bracket); c is
+      numerics.GRAM_SCREEN_SLACK. The second term of err_s is the key's
+      subnormal spacing, to which a key at subnormal scale rounds its
+      singular values, and to which scaling lo back by 2^e rounds it.
     - Possible records. The best so far always lies in [runmin, runmin + tie],
       where runmin is the smallest value so far. So a mask can become the best
       only if its value is below runmin, hence below prev_hi, the smallest hi
@@ -76,11 +85,11 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       so that hi_run at the start of a block is >= prev_hi of every mask in
       it. Each mask of a block after the first is tested before any eigvalsh:
       numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
-      lambda_min(G) >= tau - e, with e of order d^2 * eps * B0^2 (Higham,
-      Accuracy and Stability of Numerical Algorithms, 2nd ed., section 10.1;
-      tau stays near B0^2 or below, as hi_run <= hi of mask 0, whose value
-      sigma_d(A) <= B0 bounds every partition's);
-      eigvalsh's lambda is within a like amount of lambda_min(G), and the two
+      lambda_min(G) >= tau - delta, with delta of order d^2 * eps * B0^2
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 10.1; tau stays near B0^2 or below, as hi_run <= hi of mask 0,
+      whose value sigma_d(U) <= B0 bounds every partition's); eigvalsh's
+      lambda is within a like amount of lambda_min(G), and the two
       together stay below err_lam. The shifts are those at which the bracket
       algebra gives lo >= hi_run, raised by err_lam: one spanning side at
       (hi_run + 2 err_s)^2 + 2 err_lam, or both sides at
@@ -111,9 +120,10 @@ class LowerConstantSearch:
     ``result`` is (A0, I0). Of the 2^(D-1) canonical masks, ``settled`` were
     ruled out by the shifted-Cholesky test, ``diagonalized`` were bracketed
     with eigvalsh, and ``visited`` got the exact SVD values; visited masks
-    are among the kept ones, which are among the diagonalized ones (keys
-    with B0 outside numerics.GRAM_SCREEN_RANGE skip the screen: every mask is
-    kept).
+    are among the kept ones, which are among the diagonalized ones. The
+    screen reads the key's unit copy (frame_keys._unit): the key times a
+    power of two that holds it exactly has the same one, and so the same
+    ``settled`` and ``diagonalized``, away from subnormal scale.
     """
 
     result: tuple[float, Partition]
@@ -136,7 +146,7 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
     a = key.matrix
     b0 = upper_constant(key)
     tie = _TIE_WINDOW * b0
-    masks, lo, settled, diagonalized = _screen(key, b0)
+    masks, lo, settled, diagonalized = _screen(key)
     best_val = np.inf
     best_mask = 0
     visited = 0
@@ -165,19 +175,18 @@ def _side_bracket(lam, full, err_lam, err_s):
     return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
 
 
-def _screen(key: Key, b0: float) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Masks that may become the best, ascending, with the lower ends of their
-    brackets, and the numbers of masks settled and diagonalized."""
-    errors = numerics._gram_screen_errors(b0, key.d, key.D)
-    if errors is None:
-        # the Gram entries could under- or overflow: every mask to the exact pass
-        n_masks = 1 << (key.D - 1)
-        return np.arange(n_masks), np.zeros(n_masks), 0, 0
-    err_s, err_lam = errors
+    brackets, and the numbers of masks settled and diagonalized. The brackets
+    are those of the unit copy 2^-e A (frame_keys._unit), with its own B0;
+    their lower ends are scaled back by 2^e."""
+    unit, e = _unit(key)
+    b0 = numerics.sigma_k(unit, 1)
+    err_s, err_lam = numerics._gram_screen_errors(b0, key.d, key.D, e)
     kept_masks, kept_lo = [], []
     hi_run = np.inf
     settled = diagonalized = 0
-    for block, gi, gc, full_i, full_c in _partition_blocks(key.matrix):
+    for block, gi, gc, full_i, full_c in _partition_blocks(unit):
         unsettled = np.flatnonzero(~_settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam))
         settled += block.size - unsettled.size
         diagonalized += unsettled.size
@@ -192,7 +201,7 @@ def _screen(key: Key, b0: float) -> tuple[np.ndarray, np.ndarray, int, int]:
         keep = np.flatnonzero(lo < prev_hi[:-1])
         kept_masks.append(block[unsettled[keep]])
         kept_lo.append(lo[keep])
-    return np.concatenate(kept_masks), np.concatenate(kept_lo), settled, diagonalized
+    return np.concatenate(kept_masks), np.ldexp(np.concatenate(kept_lo), e), settled, diagonalized
 
 
 def _lam_min(grams: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -311,8 +320,7 @@ def _dth_left_vector(key: Key, cols: list[int]) -> tuple[np.ndarray, bool]:
     else:
         sub = a[:, cols]
         u_full, s, _ = np.linalg.svd(sub, full_matrices=True)
-        cutoff = key.tol.rank_tol_factor * max(sub.shape) * (s[0] if s.size else 0.0)
-        rank = int(np.count_nonzero(s > cutoff))
+        rank = int(numerics.ranks_from_singular_values(s[None], max(sub.shape), key.tol)[0])
         basis = u_full[:, rank:]
     return _earliest_leading_unit(basis.T), True
 

@@ -202,25 +202,26 @@ def ranks_from_singular_values(s: np.ndarray, size: int, tol: ToleranceConfig) -
 
 
 # Error allowance of the Gram screens (lipschitz's A0 screen, frame_keys'
-# subset scan and complement walk), in units of eps * (D + d) * sigma_1 for a
-# singular value and of eps * (D + d) * d * sigma_1^2 for a Gram eigenvalue,
-# sigma_1 being that of the d x D key. Both are generous over the
-# backward-error bounds the screens rely on; a wider allowance only sends a
-# few more matrices to the exact path.
+# subset scan and complement walk). The screens read the key's unit copy
+# 2^-e A (frame_keys._unit, largest entry in [1/2, 1)), so no Gram entry or
+# shift can overflow, and underflow costs a Gram entry a few subnormal
+# spacings at most. In copy units the allowance is this many times eps * (D +
+# d) * sigma_1 plus the key's own subnormal spacing 2^(-1074 - e) for a
+# singular value, and that times d * sigma_1 for a Gram eigenvalue, sigma_1
+# being the copy's. The spacing term covers the exact path's SVDs of a key at
+# subnormal scale, whose results LAPACK rounds to that grid; for a nonzero key
+# with e > -969 it is below half an ulp of the first term and changes no bit.
+# Both are generous over the error bounds the screens rely on; a wider
+# allowance only sends a few more matrices to the exact path.
 GRAM_SCREEN_SLACK = 64.0
 
-# Keys whose sigma_1 lies outside this range skip the Gram screens: their
-# Gram entries and shifts could under- or overflow.
-GRAM_SCREEN_RANGE = (2.0**-400, 2.0**400)
 
-
-def _gram_screen_errors(sigma_1: float, d: int, D: int) -> tuple[float, float] | None:
+def _gram_screen_errors(sigma_1: float, d: int, D: int, e: int) -> tuple[float, float]:
     """(err_s, err_lam), the Gram screens' allowances for a singular value and
-    a Gram eigenvalue of a d x D key with largest singular value sigma_1, or
-    None when sigma_1 is outside GRAM_SCREEN_RANGE and no Gram may be read."""
-    if not GRAM_SCREEN_RANGE[0] <= sigma_1 <= GRAM_SCREEN_RANGE[1]:
-        return None
-    err_s = GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * sigma_1
+    a Gram eigenvalue of the unit copy 2^-e A of a d x D key A, sigma_1 being
+    the copy's largest singular value."""
+    spacing = np.ldexp(np.finfo(float).smallest_subnormal, -e)
+    err_s = GRAM_SCREEN_SLACK * (np.finfo(float).eps * (D + d) * sigma_1 + spacing)
     return err_s, err_s * d * sigma_1
 
 

@@ -311,16 +311,16 @@ def complement_property(key):
 
 def lower_constant_screen(key):
     """The masks the A0 search may visit, ascending, with their bracket lower
-    ends: every mask bracketed from partition_scan's smallest eigenvalues,
-    kept when its lower end is below the smallest upper end before it. Reads
-    the screen constants at call time, so they can be patched."""
+    ends: every mask bracketed from partition_scan's smallest eigenvalues of
+    the unit copy 2^-e A (frame_keys._unit), kept when its lower end is below
+    the smallest upper end before it, and the lower ends scaled back by 2^e.
+    Reads the screen constants at call time, so they can be patched."""
     d, D = key.d, key.D
-    scan = partition_scan(key)
-    b0 = lipschitz.upper_constant(key)
-    n_masks = scan.counts.size
-    if not numerics.GRAM_SCREEN_RANGE[0] <= b0 <= numerics.GRAM_SCREEN_RANGE[1]:
-        return np.arange(n_masks), np.zeros(n_masks)
-    err_s = numerics.GRAM_SCREEN_SLACK * np.finfo(float).eps * (D + d) * b0
+    unit, e = frame_keys._unit(key)
+    scan = partition_scan(frame_keys.Key(unit, key.tol))
+    b0 = sigma_k(unit, 1)
+    spacing = np.ldexp(np.finfo(float).smallest_subnormal, -e)
+    err_s = numerics.GRAM_SCREEN_SLACK * (np.finfo(float).eps * (D + d) * b0 + spacing)
     err_lam = err_s * d * b0
     sides = []
     for lam, full in ((scan.lam_min_i, scan.counts >= d), (scan.lam_min_c, D - scan.counts >= d)):
@@ -332,7 +332,7 @@ def lower_constant_screen(key):
     hi = np.hypot(hi_i, hi_c) + err_s
     prev_hi = np.minimum.accumulate(np.concatenate(([np.inf], hi[:-1])))
     keep = np.flatnonzero(lo < prev_hi)
-    return keep, lo[keep]
+    return keep, np.ldexp(lo[keep], e)
 
 
 def lower_constant(key):

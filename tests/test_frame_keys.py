@@ -502,10 +502,11 @@ def test_complement_shortcut_on_nearly_dependent_subset(monkeypatch, gap, settle
     assert _assert_shortcut_matches_scan(mat) == rep
     # the split {3, 4} | {1, 2, 5} has no side its Gram alone can settle:
     # side I has fewer than d columns, and side C's sigma_d^2 is below the
-    # Gram's rounding allowance, so its Gram does not factor at the margin
-    # shift and numerics.rank decides
+    # Gram's rounding allowance, so its Gram (of the unit copy, which the
+    # screens read) does not factor at the margin shift and numerics.rank
+    # decides
     _, tau = frame_keys._margin_shift(key)
-    side = mat[:, [0, 1, 4]]
+    side = frame_keys._unit(key)[0][:, [0, 1, 4]]
     assert not numerics.shifted_cholesky_ok((side @ side.T)[None], tau)[0]
 
 
@@ -608,10 +609,12 @@ def test_complement_walk_settles_only_rank_d_sides(monkeypatch, d):
                 tol = ToleranceConfig(rank_tol_factor=factor)
                 settled.clear()
                 _assert_shortcut_matches_scan(mat, tol)
-                # every Gram the screen settles has sigma_d above the margin
+                # every Gram the screen settles, of the unit copy 2^-e A, has
+                # sigma_d above the margin scaled by 2^-e
                 margin, _ = frame_keys._margin_shift(Key(mat, tol))
+                unit_margin = np.ldexp(margin, -frame_keys._unit(Key(mat, tol))[1])
                 grams = np.concatenate([np.zeros((0, d, d)), *settled])
-                assert np.all(np.linalg.eigvalsh(grams)[:, 0] > margin**2)
+                assert np.all(np.linalg.eigvalsh(grams)[:, 0] > unit_margin**2)
                 seen += grams.shape[0]
     assert seen > 0
 
@@ -749,9 +752,13 @@ def test_subset_scan_matches_svd_oracle_near_its_bounds(seed, target, factor):
 @pytest.mark.parametrize("name", ["rank-deficient", "repeated-columns", "identity-twice",
                                   "near-parallel-first", "near-singular"])
 def test_subset_scan_skips_the_screen_out_of_range(name, exponent):
+    # named when keys this far from unit scale skipped the screen; now every
+    # key is screened on its unit copy, which is that of the unscaled key, so
+    # the work is the unscaled key's
     matrix = ADVERSARIAL[name] * 2.0**exponent
     scan = _assert_subset_scan_matches_oracle(matrix)
-    assert scan.settled == 0
+    plain = frame_keys.subset_scan(Key(ADVERSARIAL[name]))
+    assert (scan.settled, scan.decomposed) == (plain.settled, plain.decomposed)
 
 
 @pytest.mark.parametrize("gap", [1e-7, 1e-9, 3e-11])

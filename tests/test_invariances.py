@@ -11,6 +11,8 @@ commute with scaling: alpha(cA, x) = c alpha(A, x), and omega on the key cA
 recovers the same x.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,10 @@ from phasesort import (
     is_full_spark,
     is_phase_retrievable,
     is_universal_key,
+    lower_constant,
     omega,
 )
-from phasesort import frame_keys
+from phasesort import frame_keys, lipschitz
 
 from conftest import ADVERSARIAL
 
@@ -70,6 +73,13 @@ def _subset_decision(key):
     return scan.deficient, scan.clears_margin
 
 
+def _work(key):
+    """The Gram screens' work counts: they read the key's unit copy, which is
+    the same for every power-of-two scaling of a key held exactly."""
+    scan, search = frame_keys.subset_scan(key), lipschitz.lower_constant_search(key)
+    return scan.settled, scan.decomposed, search.settled, search.diagonalized, search.visited
+
+
 def _lapack_rescales(matrix):
     top = float(np.abs(matrix).max())
     return not _LAPACK_UNSCALED[0] <= top <= _LAPACK_UNSCALED[1]
@@ -92,11 +102,12 @@ def test_power_of_two_scaling(name, k):
     assert rep_c.degenerate_lower == rep.degenerate_lower
     assert _certificates(scaled) == _certificates(key)
     assert _subset_decision(scaled) == _subset_decision(key)
+    assert _work(scaled) == _work(key)
 
 
 def test_scalings_cover_both_paths():
-    # the bit-for-bit branch runs inside and outside the Gram screens' range,
-    # and the rescaled branch runs at all
+    # the bit-for-bit branch runs at 2^-450 and 2^450, and the rescaled
+    # branch runs at all
     rescaled = [(n, k) for n, k in SCALINGS
                 if _lapack_rescales(KEYS[n]) or _lapack_rescales(KEYS[n] * 2.0**k)]
     assert sorted(rescaled) == [("scaled-1e-200", -40), ("scaled-1e-200", 40),
@@ -107,14 +118,28 @@ def test_scalings_cover_both_paths():
 
 @pytest.mark.parametrize("k", [-530, -500, 500, 530])
 def test_certificates_out_of_the_screens_range(k):
-    # beyond the Gram screens' range every search runs on exact ranks alone:
-    # at 2^530 the Grams would overflow, at 2^-530 underflow
+    # named for the range the Gram screens once stopped at: at 2^530 the
+    # key's Grams would overflow, at 2^-530 underflow, so the screens read
+    # the unit copy
     exact = [name for name in sorted(KEYS)
              if np.array_equal(KEYS[name] * 2.0**k / 2.0**k, KEYS[name])]
     assert len(exact) >= len(KEYS) - 1  # 2^-530 times scaled-1e-200 underflows
     for name in exact:
         matrix = KEYS[name]
         assert _certificates(Key(matrix * 2.0**k)) == _certificates(Key(matrix)), name
+
+
+@pytest.mark.parametrize("d,D", [(2, 4), (3, 5)])
+def test_searches_warn_nothing_near_the_overflow_scale(d, D):
+    # these keys' own Gram entries are near 2^800, which the Cholesky
+    # kernel's unit pivots for failed Grams would square; the screens read
+    # the unit copies, so nothing overflows
+    key = Key(generate_key(d, D, 7).matrix * 2.0**399)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lower_constant(key)
+        is_full_spark(key)
+        has_complement_property(key)
 
 
 def _assert_constants_close(matrix, moved):

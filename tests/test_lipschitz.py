@@ -265,12 +265,8 @@ def test_lower_constant_matches_loop_seeded(d, D):
     _assert_matches_loop(generate_key(d, D, 1).matrix)
 
 
-def _screen(key):
-    return lipschitz._screen(key, upper_constant(key))
-
-
 def test_screen_keeps_few_masks():
-    masks, lo, settled, diagonalized = _screen(generate_key(4, 16, 1))
+    masks, lo, settled, diagonalized = lipschitz._screen(generate_key(4, 16, 1))
     assert 0 < masks.size <= 64  # of 32768
     assert masks[0] == 0 and np.all(np.diff(masks) > 0)
     assert settled + diagonalized == 1 << 15
@@ -280,19 +276,19 @@ def test_screen_keeps_few_masks():
 def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
     # by default the 256 masks are one Gram chunk, in blocks of 1, 1, 2, ..., 128
     key = generate_key(3, 9, 4)
-    masks, lo, _, _ = _screen(key)
+    masks, lo, _, _ = lipschitz._screen(key)
     if chunk == "gram-chunks-of-one-mask":
         monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
     else:
         monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9 * chunk)  # blocks of <= chunk masks
-    blocked = _screen(Key(key.matrix))
+    blocked = lipschitz._screen(Key(key.matrix))
     assert blocked[0].tobytes() == masks.tobytes() and blocked[1].tobytes() == lo.tobytes()
     assert blocked[2] + blocked[3] == 1 << 8
     _assert_matches_loop(key.matrix)
 
 
 def _assert_screen_matches_oracle(key):
-    masks, lo, _, _ = _screen(key)
+    masks, lo, _, _ = lipschitz._screen(key)
     ref_masks, ref_lo = oracles.lower_constant_screen(Key(key.matrix))
     assert masks.tobytes() == ref_masks.tobytes() and lo.tobytes() == ref_lo.tobytes()
 
@@ -363,10 +359,36 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
 
 @pytest.mark.parametrize("scale", [2.0**-450, 2.0**450])
 def test_keys_outside_the_screen_range_skip_it(scale):
+    # named when keys this far from unit scale skipped the screen; now every
+    # key is screened on its unit copy, which is that of the unscaled key, so
+    # the work is the unscaled key's
     matrix = A_REF * scale
     _assert_matches_loop(matrix)
     search = lipschitz.lower_constant_search(Key(matrix))
-    assert (search.settled, search.diagonalized) == (0, 0)  # every mask kept
+    plain = lipschitz.lower_constant_search(Key(A_REF))
+    assert (search.settled, search.diagonalized, search.visited) == (
+        plain.settled, plain.diagonalized, plain.visited)
+
+
+_SUBNORMAL_KEYS = {f"{d}x{D}": generate_key(d, D, 1).matrix for d, D in ((3, 5), (3, 8), (4, 10))}
+_SUBNORMAL_KEYS.update({name: m for name, m in ADVERSARIAL.items() if np.any(m)})
+
+
+@pytest.mark.parametrize("k", [-1060, -1070])
+@pytest.mark.parametrize("name", sorted(_SUBNORMAL_KEYS))
+def test_keys_at_subnormal_scale(name, k):
+    # the exact path's SVDs round to the subnormal grid, a spacing the screens'
+    # allowance carries; certificates and A0 are still those of their
+    # definitions
+    key = Key(_SUBNORMAL_KEYS[name] * 2.0**k)
+    rep = has_complement_property(key)
+    assert (rep.verdict, rep.witness, rep.method) == oracles.complement_property(key)
+    deficient, clears = oracles.subset_decision(key)
+    spark = frame_keys.is_full_spark(key)
+    assert (spark.verdict, spark.witness) == (deficient is None, deficient)
+    scan = frame_keys.subset_scan(key)
+    assert (scan.deficient, scan.clears_margin) == (deficient, clears)
+    _assert_matches_loop(key.matrix)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
