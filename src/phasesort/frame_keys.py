@@ -313,9 +313,9 @@ def _subset_scan(key: Key) -> SubsetScan:
         cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
         if cols.size == 0:
             return SubsetScan(None, clears_margin, settled, decomposed)
-        # the chunk's Grams G[T, T], gathered straight into (d, d, n) layout
-        t = np.ascontiguousarray(cols.T)  # else the gathered stack is strided
-        above = numerics._shifted_cholesky_ok_inplace(gram[t[:, None], t[None, :]], tau)
+        # the chunk's Grams G[T, T], gathered straight into the packed layout
+        above = numerics._shifted_cholesky_ok_inplace(
+            numerics.packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
         settled += int(np.count_nonzero(above))
         cols = cols[~above]
         if cols.size == 0:
@@ -330,63 +330,74 @@ def _subset_scan(key: Key) -> SubsetScan:
 
 
 def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
-    """Complete a table of subset Grams from the entry of mask 0, in place.
+    """Complete a packed (P, 2^n) table of subset Grams from the entry of mask
+    0 in column 0, in place.
 
-    Row ``m`` (m < 2^len(outers)) becomes the entry of mask 0 plus the outer
-    products of the bits set in ``m``, added highest bit first: each entry is
-    the entry without its lowest set bit plus that bit's outer product. Bit b
-    is one add over a strided view of the contiguous table, whose axes are
-    the bits above b, bit b, and the bits below it: the rows with bit b set
-    and no lower bit are written from the rows without bit b, filled by the
-    higher bits before. The sums and their order are those of filling the
-    rows one at a time.
+    Column ``m`` becomes the entry of mask 0 plus the packed outer products
+    outers[b] (each of P entries) of the bits b set in ``m``, added highest
+    bit first: each entry is the entry without its lowest set bit plus that
+    bit's outer product. Bit b is one add over a strided view of the
+    contiguous table, whose axes are the packed entries, the bits above b,
+    bit b, and the bits below it: the columns with bit b set and no lower
+    bit are written from the columns without bit b, filled by the higher bits
+    before. The sums and their order are those of filling the columns one at
+    a time.
     """
-    n, d = len(outers), grams.shape[-1]
+    n, size = len(outers), grams.shape[0]
     for b in range(n - 1, -1, -1):
-        g = grams.reshape(1 << (n - 1 - b), 2, 1 << b, d, d)
-        np.add(g[:, 0, 0], outers[b], out=g[:, 1, 0])
+        g = grams.reshape(size, 1 << (n - 1 - b), 2, 1 << b)
+        np.add(g[:, :, 0, 0], outers[b][:, None], out=g[:, :, 1, 0])
+
+
+# The first block of a partition walk holds this many masks (or the whole
+# walk, if smaller); later blocks double up to _SCREEN_ENTRIES. No split's A0
+# value exceeds mask 0's, sigma_d(U), as G_I + G_C = G gives sigma_d(U_I)^2 +
+# sigma_d(U_C)^2 <= sigma_d(U)^2; so while the A0 screen's running bound is
+# still near mask 0's it settles almost nothing, and smaller first blocks
+# would only add their fixed cost, some hundred numpy calls each.
+_FIRST_BLOCK = 64
 
 
 def _partition_blocks(a: np.ndarray):
-    """Yield ``(masks, gi, gc, full_i, full_c)`` for every canonical mask, in
+    """Yield ``(masks, gi, full_i, full_c)`` for every canonical mask, in
     blocks of ascending masks.
 
-    ``gi`` holds the Grams A[I] A[I]^T of the block's masks, for the subsets I
-    that avoid the last column, and ``gc`` those of the complements, A A^T -
-    gi, formed per block; ``full_i`` and ``full_c`` mark the sides with at
-    least d columns. The masks [0, 2^(D-1)) are split into a high prefix and
-    the low bits that fit one chunk of at most _CHUNK_ENTRIES entries. The
-    prefix Grams and then each chunk are completed by the same lowest-bit
-    recurrence, one add over a strided view per bit (_fill_grams), so every
-    entry is the same sum, in the same order, as in a single table over all
-    masks. A mask's column count is a lookup in one table over the low bits
-    plus its prefix's count. Blocks double from one mask up to
-    _SCREEN_ENTRIES Gram entries per side: the first masks come soon, and
-    later blocks amortize the overhead.
+    ``gi`` holds the packed Grams A[I] A[I]^T (numerics.pack) of the block's
+    masks, one per column, for the subsets I that avoid the last column;
+    ``full_i`` and ``full_c`` mark the sides with at least d columns. The
+    complement's Gram is pack(A A^T)[:, None] - gi, which the walks form only
+    for the masks whose side C they read. The masks [0, 2^(D-1)) are split
+    into a high prefix and the low bits that fit one chunk of at most
+    _CHUNK_ENTRIES entries. The prefix Grams and then each chunk are
+    completed by the same lowest-bit recurrence, one add over a strided view
+    per bit (_fill_grams), so every entry is the same sum, in the same order,
+    as in a single table over all masks. A mask's column count is a lookup in
+    one table over the low bits plus its prefix's count. Blocks double from
+    _FIRST_BLOCK masks up to _SCREEN_ENTRIES Gram entries per side.
     """
     d, D = a.shape
     bits = D - 1
-    low = min(bits, max(0, (_CHUNK_ENTRIES // (d * d)).bit_length() - 1))
-    outers = np.einsum("ik,jk->kij", a, a)
-    seeds = np.zeros((1 << (bits - low), d, d))
+    rows, cols = numerics.packed_pairs(d)
+    size = len(rows)
+    low = min(bits, max(0, (_CHUNK_ENTRIES // size).bit_length() - 1))
+    outers = (a[rows] * a[cols]).T
+    seeds = np.zeros((size, 1 << (bits - low)))
     _fill_grams(seeds, outers[low:bits])
     low_counts = np.zeros(1 << low, dtype=np.int64)
     for b in range(low):
         low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
-    total = a @ a.T
-    per_block = max(1, _SCREEN_ENTRIES // (d * d))
-    for prefix, seed in enumerate(seeds):
-        # the chunk holds masks first .. stop - 1, mask m in row m - first
+    per_block = max(1, _SCREEN_ENTRIES // size)
+    for prefix in range(seeds.shape[1]):
+        # the chunk holds masks first .. stop - 1, mask m in column m - first
         first, stop = prefix << low, (prefix + 1) << low
-        grams = np.empty((1 << low, d, d))
-        grams[0] = seed
+        grams = np.empty((size, 1 << low))
+        grams[:, 0] = seeds[:, prefix]
         _fill_grams(grams, outers[:low])
         start = first
         while start < stop:
-            end = min(stop, start + per_block, max(1, 2 * start))
+            end = min(stop, start + per_block, max(_FIRST_BLOCK, 2 * start))
             counts = low_counts[start - first:end - first] + prefix.bit_count()
-            gi = grams[start - first:end - first]
-            yield (np.arange(start, end), gi, np.subtract(total, gi),
+            yield (np.arange(start, end), grams[:, start - first:end - first],
                    counts >= d, D - counts >= d)
             start = end
 
@@ -436,9 +447,12 @@ def _complement_walk(key: Key) -> Partition | None:
     A side spans when numerics.rank's criterion gives it rank d. The walk
     visits the masks in _partition_blocks' ascending blocks and stops at the
     first block that holds a partition with no spanning side. Most spanning
-    sides are settled from their Grams by numerics.shifted_cholesky_ok (one
-    numerics.shifted_cholesky_ok_gathered call per side and block) at the
-    subset scan's shift tau = (M_u + err_s)^2 + err_lam (_margin_shift); the
+    sides are settled from their packed Grams by the shifted-Cholesky test
+    (numerics.shifted_cholesky_ok, one kernel call per side and block) at the
+    subset scan's shift tau = (M_u + err_s)^2 + err_lam (_margin_shift): side
+    I of every mask, its verdict counting where side I spans, then side C
+    where it spans and side I did not settle the split, its Gram U U^T - G_I
+    formed for those masks only. The
     partitions with no settled side are decided by numerics.rank's criterion
     (_rank_d), side I first.
 
@@ -457,11 +471,16 @@ def _complement_walk(key: Key) -> Partition | None:
     """
     D = key.D
     _, tau = _margin_shift(key)
-    for masks, gi, gc, full_i, full_c in _partition_blocks(_unit(key)[0]):
-        settled = np.zeros(masks.size, dtype=bool)
-        for grams, full in ((gi, full_i), (gc, full_c)):
-            rows = np.flatnonzero(full & ~settled)
-            settled[rows] = numerics.shifted_cholesky_ok_gathered(((grams, rows),), tau)
+    unit = _unit(key)[0]
+    total = numerics.pack(unit @ unit.T)
+    for masks, gi, full_i, full_c in _partition_blocks(unit):
+        # side I of every mask, a contiguous copy of the block being cheaper
+        # than a gather; the verdicts count where side I spans
+        settled = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), tau)
+        # side C's Grams, formed only where side I did not settle the split
+        rows = np.flatnonzero(full_c & ~settled)
+        settled[rows] = numerics._shifted_cholesky_ok_inplace(
+            total[:, None] - np.take(gi, rows, axis=1), tau)
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])

@@ -81,9 +81,13 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       of the masks before it (infinite for mask 0). Masks with lo >= prev_hi
       are skipped.
     - Settled masks. The screen walks the masks in the ascending blocks of
-      frame_keys._partition_blocks and keeps hi_run, the smallest hi so far,
-      so that hi_run at the start of a block is >= prev_hi of every mask in
-      it. Each mask of a block after the first is tested before any eigvalsh:
+      frame_keys._partition_blocks, which start at 64 masks and double, and
+      keeps hi_run, the smallest hi so far, so that hi_run at the start of a
+      block is >= prev_hi of every mask in it. The Grams are packed upper
+      triangles (numerics.pack); side C's, U U^T - G_I, is formed only for
+      the masks whose side C is read: those whose side C spans and whose
+      side I does not pass the one-side test below. Each mask of a block
+      after the first is tested before any eigvalsh:
       numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
       lambda_min(G) >= tau - delta, with delta of order d^2 * eps * B0^2
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -97,8 +101,12 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       either test would get an eigvalsh bracket with lo >= hi_run >= prev_hi,
       so the rule above skips it, and its hi >= lo cannot lower prev_hi for
       the masks after it. Such a mask is settled without a bracket. The other
-      masks are bracketed from eigvalsh, so the screen keeps exactly the masks
-      the full bracket of every mask would keep.
+      masks are bracketed from eigvalsh of their Grams unpacked to full
+      symmetric matrices (numerics.unpack), which are the Grams' own bits, as
+      U U^T and the outer-product sums are exactly symmetric. So the screen
+      keeps exactly the masks the full bracket of every mask would keep; as
+      settling spares only masks the rule above skips, the kept masks and
+      their lo do not depend on the block sizes.
     - Exact pass. The kept masks are visited in ascending order with the
       full visit's body and test. Every mask that becomes the best in the full
       visit is among them, so each sees the same best as in the full visit
@@ -183,15 +191,18 @@ def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
     unit, e = _unit(key)
     b0 = numerics.sigma_k(unit, 1)
     err_s, err_lam = numerics._gram_screen_errors(b0, key.d, key.D, e)
+    total = numerics.pack(unit @ unit.T)
     kept_masks, kept_lo = [], []
     hi_run = np.inf
     settled = diagonalized = 0
-    for block, gi, gc, full_i, full_c in _partition_blocks(unit):
-        unsettled = np.flatnonzero(~_settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam))
+    for block, gi, full_i, full_c in _partition_blocks(unit):
+        ok, rows_c, gc = _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam)
+        unsettled = np.flatnonzero(~ok)
         settled += block.size - unsettled.size
         diagonalized += unsettled.size
-        lam_i, lam_c = (_lam_min(g[unsettled], full[unsettled])
-                        for g, full in ((gi, full_i), (gc, full_c)))
+        # the unsettled masks whose side C spans are the columns ~ok[rows_c] of gc
+        lam_i = _lam_min(np.take(gi, unsettled[full_i[unsettled]], axis=1), full_i[unsettled])
+        lam_c = _lam_min(gc[:, ~ok[rows_c]], full_c[unsettled])
         lo_i, hi_i = _side_bracket(lam_i, full_i[unsettled], err_lam, err_s)
         lo_c, hi_c = _side_bracket(lam_c, full_c[unsettled], err_lam, err_s)
         lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
@@ -205,39 +216,47 @@ def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 
 def _lam_min(grams: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the Grams of spanning sides; 0 for the others."""
+    """Smallest eigenvalue of the sides marked ``full``, whose packed Grams are
+    the columns of ``grams`` in order; 0 for the others."""
     lam = np.zeros(full.size)
-    lam[full] = np.linalg.eigvalsh(grams[full])[:, 0]
+    lam[full] = np.linalg.eigvalsh(numerics.unpack(grams))[:, 0]
     return lam
 
 
-def _settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam) -> np.ndarray:
-    """Masks of a block whose bracket would have lo >= hi_run (see lower_constant).
+def _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
+    """(ok, rows_c, gc): ``ok`` marks the masks of a block whose bracket would
+    have lo >= hi_run (see lower_constant); ``gc`` holds the packed
+    complement Grams total - gi of the masks ``rows_c``, those whose side C
+    spans and whose side I did not pass the one-side test.
 
     A mask is settled when a spanning side passes the one-side test, or both
-    sides span and pass the both-sides test. The sides still undecided are
-    gathered into at most three calls of numerics.shifted_cholesky_ok_gathered:
-    side I where it spans and side C where only C spans, then side C where
-    both span and I failed, both at the one-side shift; then both sides of
-    the rest at the both-sides shift. The kernel works elementwise over the
-    Grams of a call, so each Gram's verdict is the one it would get alone,
-    whatever else shares the call and in whichever order the calls run: each
-    mask gets the boolean of the rule above.
+    sides span and pass the both-sides test. The sides are tested in three
+    calls of the packed kernel (numerics._shifted_cholesky_ok_inplace): side
+    I of every mask of the block, whose verdict counts where side I spans,
+    then side C of rows_c, both at the one-side shift; then both sides of the
+    masks still undecided where both span, at the both-sides shift. The
+    kernel works elementwise over the Grams of a call, so each Gram's verdict
+    is the one it would get alone, whatever else shares the call and in
+    whichever order the calls run: each mask gets the boolean of the rule
+    above. At hi_run = inf no mask is settled and no test runs.
     """
     ok = np.zeros(full_i.size, dtype=bool)
-    if hi_run == np.inf:
-        return ok
+    finite = hi_run < np.inf
     one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
-    both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
-    rows_i, rows_c = np.flatnonzero(full_i), np.flatnonzero(full_c & ~full_i)
-    passed = numerics.shifted_cholesky_ok_gathered(((gi, rows_i), (gc, rows_c)), one_side)
-    ok[rows_i], ok[rows_c] = passed[:rows_i.size], passed[rows_i.size:]
-    rows = np.flatnonzero(full_i & full_c & ~ok)
-    ok[rows] = numerics.shifted_cholesky_ok_gathered(((gc, rows),), one_side)
-    rows = np.flatnonzero(full_i & full_c & ~ok)
-    passed = numerics.shifted_cholesky_ok_gathered(((gi, rows), (gc, rows)), both_sides)
-    ok[rows] = passed[:rows.size] & passed[rows.size:]
-    return ok
+    if finite:
+        # side I of every mask, a contiguous copy of the block being cheaper
+        # than a gather; the verdicts count where side I spans
+        ok = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), one_side)
+    rows_c = np.flatnonzero(full_c & ~ok)
+    gc = total[:, None] - np.take(gi, rows_c, axis=1)
+    if finite:
+        ok[rows_c] = numerics._shifted_cholesky_ok_inplace(gc.copy(), one_side)
+        both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
+        both = np.flatnonzero(full_i[rows_c] & ~ok[rows_c])  # columns of gc
+        rows = rows_c[both]
+        passed = numerics.shifted_cholesky_ok_gathered(((gi, rows), (gc, both)), both_sides)
+        ok[rows] = passed[:rows.size] & passed[rows.size:]
+    return ok, rows_c, gc
 
 
 @dataclass(frozen=True)
@@ -374,35 +393,46 @@ def _require_close(name: str, measured: float, expected: float, tol: float, deta
         )
 
 
+def _gap_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), taken on x scaled by 2^-e, e being the np.frexp
+    exponent of its largest |entry|, and scaled back: the squares of entries
+    near the top of the float range would overflow. Scaling by a power of
+    two is exact at normal scale, so there the bits are the plain norm's."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 def check_achievement(key: Key, report: LipschitzReport) -> AchievementResult:
     """Verify the witness pairs achieve their constants exactly.
 
     Four equalities are checked, each within achievement_tol relative: the
     two upper achievements (distance 1 against zero) and, unless the lower
     constant is degenerate, the two lower achievements (squared distance 2).
-    Any violation raises AchievementFailure naming the clause.
+    Any violation raises AchievementFailure naming the clause. The measured
+    gaps are norms of encoder differences, taken by _gap_norm so that a key
+    with entries near the top of the float range does not overflow them.
     """
     tol = key.tol.achievement_tol
     w = report.witnesses
     details: dict = {}
 
-    gap = float(np.linalg.norm(alpha(key, w.x_max) - alpha(key, w.y_max)))
+    gap = _gap_norm(alpha(key, w.x_max) - alpha(key, w.y_max))
     _require_close("alpha-upper", gap, report.B0 * dist_hat_H(w.x_max, w.y_max), tol, details)
 
     dv_max = dist_hat_V(w.X_max, w.Y_max)[0]
     _require_close("beta-upper-distance", dv_max, 1.0, tol, details)
-    gap = float(np.linalg.norm(beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix))
+    gap = _gap_norm(beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix)
     _require_close("beta-upper", gap, report.B0 * dv_max, tol, details)
 
     if report.degenerate_lower:
         return AchievementResult(passed=True, lower_checked=False, details=details)
 
-    gap = float(np.linalg.norm(alpha(key, w.x_min) - alpha(key, w.y_min)))
+    gap = _gap_norm(alpha(key, w.x_min) - alpha(key, w.y_min))
     _require_close("alpha-lower", gap, report.A0 * dist_hat_H(w.x_min, w.y_min), tol, details)
 
     dv_min = dist_hat_V(w.X_min, w.Y_min)[0]
     _require_close("beta-lower-distance-squared", dv_min**2, 2.0, tol, details)
-    gap = float(np.linalg.norm(beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix))
+    gap = _gap_norm(beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix)
     _require_close("beta-lower", gap, report.A0 * dv_min, tol, details)
 
     return AchievementResult(passed=True, lower_checked=True, details=details)

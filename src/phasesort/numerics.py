@@ -10,6 +10,8 @@ rank threshold.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +227,72 @@ def _gram_screen_errors(sigma_1: float, d: int, D: int, e: int) -> tuple[float, 
     return err_s, err_s * d * sigma_1
 
 
+# The Gram screens' storage format (packed layout). A symmetric d x d
+# matrix is stored as its upper triangle, row by row, in P = d(d + 1) / 2
+# entries: the entries (i, i), ..., (i, d - 1) of row i are consecutive, from
+# _row_starts(d)[i] on. A stack of n such matrices is a (P, n) array with the
+# matrices on the last axis, the layout _shifted_cholesky_ok_inplace works in.
+
+
+@functools.cache
+def packed_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the P entries of the packed layout of a d x d matrix,
+    in storage order (np.triu_indices), as read-only arrays (memoized)."""
+    pairs = np.triu_indices(d)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+@functools.cache
+def _row_starts(d: int) -> tuple[int, ...]:
+    """Where row i of the packed upper triangle starts, i = 0..d; the last
+    entry is P (memoized)."""
+    return tuple(i * d - i * (i - 1) // 2 for i in range(d + 1))
+
+
+def _packed_order(size: int) -> int:
+    """d of a packed matrix of ``size`` = d(d + 1) / 2 entries."""
+    return (math.isqrt(8 * size + 1) - 1) // 2
+
+
+def pack(stack) -> np.ndarray:
+    """The packed layout of a (d, d) matrix, (P,), or of an (n, d, d) stack,
+    (P, n), as a new contiguous array. Only the upper triangle is read."""
+    a = np.asarray(stack, dtype=np.float64)
+    rows, cols = packed_pairs(a.shape[-1])
+    return np.ascontiguousarray(np.moveaxis(a[..., rows, cols], -1, 0))
+
+
+def unpack(packed) -> np.ndarray:
+    """The (n, d, d) symmetric stack of a (P, n) packed one: each upper
+    triangle, mirrored."""
+    p = np.asarray(packed, dtype=np.float64)
+    d = _packed_order(p.shape[0])
+    rows, cols = packed_pairs(d)
+    full = np.empty((p.shape[1], d, d))
+    full[:, rows, cols] = p.T
+    full[:, cols, rows] = p.T
+    return full
+
+
+def packed_submatrices(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The packed (P, n) stack of the principal submatrices matrix[T, T] of a
+    square matrix, one for each column T of a (d, n) integer array ``index``.
+
+    Each row of the packed triangle is one take from the flattened matrix,
+    so no (P, n) index array is formed.
+    """
+    d, n = index.shape
+    start = _row_starts(d)
+    flat = np.ascontiguousarray(matrix).ravel()
+    row_base = index * matrix.shape[1]
+    w = np.empty((start[d], n))
+    for i in range(d):
+        np.take(flat, row_base[i] + index[i:], out=w[start[i]:start[i + 1]])
+    return w
+
+
 def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     """Whether an unpivoted Cholesky factorization of G - tau * I runs to
     completion with positive pivots, for each G of an (n, d, d) symmetric stack.
@@ -237,56 +305,49 @@ def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     rounding of the shifted diagonal adds eps * max(||G||_2, tau). Failure
     proves nothing.
 
-    The stack is gathered into structure-of-arrays layout (d, d, n) by
-    shifted_cholesky_ok_gathered.
+    Only the upper triangle of each G is read: the stack is packed (pack)
+    for _shifted_cholesky_ok_inplace.
     """
-    a = np.asarray(stack, dtype=np.float64)
-    return shifted_cholesky_ok_gathered(((a, np.arange(a.shape[0])),), tau)
+    return _shifted_cholesky_ok_inplace(pack(stack), tau)
 
 
 def shifted_cholesky_ok_gathered(parts, tau: float) -> np.ndarray:
-    """shifted_cholesky_ok of stack[rows] for every ``(stack, rows)`` pair of
-    ``parts``, concatenated in order, with one call of the kernel.
+    """shifted_cholesky_ok of the columns ``rows`` of each packed (P, m) stack
+    of ``(stack, rows)`` in ``parts``, concatenated in order, with one call
+    of the kernel.
 
-    The selected matrices of each (m, d, d) stack are gathered and copied,
-    transposed, straight into their columns of one (d * d, n) buffer, the
-    (d, d, n) layout of _shifted_cholesky_ok_inplace. The kernel works
+    The selected columns are taken into one new (P, n) array, which the
+    kernel overwrites; the stacks are not changed. The kernel works
     elementwise over n, so each matrix gets the verdict it would get alone.
     No rows, no call.
     """
-    parts = [(np.asarray(stack, dtype=np.float64), rows) for stack, rows in parts]
-    n = sum(len(rows) for _, rows in parts)
-    if not n:
+    taken = [np.take(stack, rows, axis=1) for stack, rows in parts]
+    if not sum(t.shape[1] for t in taken):
         return np.zeros(0, dtype=bool)
-    d = parts[0][0].shape[-1]
-    w = np.empty((d * d, n))
-    start = 0
-    for stack, rows in parts:
-        np.copyto(w[:, start:start + len(rows)], np.take(stack.reshape(-1, d * d), rows, axis=0).T)
-        start += len(rows)
-    return _shifted_cholesky_ok_inplace(w.reshape(d, d, n), tau)
+    return _shifted_cholesky_ok_inplace(
+        taken[0] if len(taken) == 1 else np.concatenate(taken, axis=1), tau)
 
 
 def _shifted_cholesky_ok_inplace(w: np.ndarray, tau: float) -> np.ndarray:
-    """shifted_cholesky_ok of each matrix w[:, :, i] of a (d, d, n) float64
+    """shifted_cholesky_ok of each matrix w[:, i] of a packed (P, n) float64
     stack, which is overwritten.
 
     Each of the d right-looking elimination steps updates the upper triangle
     of the trailing block row by row, each row one vectorized operation over
     all n matrices; there is no per-matrix LAPACK call.
     """
-    d, n = w.shape[0], w.shape[-1]
-    diag = np.arange(d)
-    w[diag, diag] -= tau
+    d, n = _packed_order(w.shape[0]), w.shape[-1]
+    start = _row_starts(d)
+    w[list(start[:-1])] -= tau
     ok = np.ones(n, dtype=bool)
     for k in range(d):
-        pivot = w[k, k]
+        pivot = w[start[k]]
         ok &= pivot > 0.0
         if k == d - 1 or not ok.any():
             break
         # rows that already failed get a unit pivot; their values are never read
-        r = w[k, k + 1:] / np.sqrt(np.where(ok, pivot, 1.0))
-        # the factorization reads only the upper triangle: update just that
+        r = w[start[k] + 1:start[k + 1]] / np.sqrt(np.where(ok, pivot, 1.0))
+        # the factorization reads only the upper triangle, all the layout holds
         for i in range(k + 1, d):
-            w[i, i:] -= r[i - k - 1] * r[i - k - 1:]
+            w[start[i]:start[i + 1]] -= r[i - k - 1] * r[i - k - 1:]
     return ok

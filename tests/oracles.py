@@ -16,7 +16,8 @@ shifted-Cholesky kernel as it was, updating the whole trailing block. So
 are the pieces of the partition walk as they were before it worked on
 strided views and gathered buffers: the Gram table filled through index
 arrays, popcounts by a loop over the bits, and the screen's settled test
-with one Cholesky call per side and shift. The column sort is here as it
+with one Cholesky call per side and shift. Their Gram tables are full
+(n, d, d) stacks, as before the screens stored packed upper triangles. The column sort is here as it
 was before two-row stacks were ordered by one comparison: one stable
 argsort for every row count. The battery's permutation loop draws in the
 kernel's blocked order (row counts, then each row count's configurations
@@ -273,17 +274,20 @@ def partition_scan(key):
     """Smallest Gram eigenvalues of both sides of every canonical mask, as
     arrays indexed by mask: ``counts`` (|I|) and ``lam_min_i``/``lam_min_c``
     (eigvalsh's smallest eigenvalue of the Grams of I and I^c; 0 for sides
-    with fewer than d columns, which are not diagonalized). Reads
-    frame_keys._CHUNK_ENTRIES and _SCREEN_ENTRIES at call time, so they can
-    be patched."""
-    D = key.D
+    with fewer than d columns, which are not diagonalized). The Grams are
+    full (n, d, d) tables over all masks: side I's filled by fill_grams from
+    the outer products, highest bit first, and side C's A A^T minus them."""
+    d, D = key.d, key.D
+    a = key.matrix
     n_masks = 1 << (D - 1)
-    counts = np.empty(n_masks, dtype=np.uint8)
-    lam_min = {"i": np.zeros(n_masks), "c": np.zeros(n_masks)}
-    for masks, gi, gc, full_i, full_c in frame_keys._partition_blocks(key.matrix):
-        counts[masks] = popcounts(masks)
-        for side, full, g in (("i", full_i, gi), ("c", full_c, gc)):
-            lam_min[side][masks[full]] = np.linalg.eigvalsh(g[full])[:, 0]
+    gi = np.zeros((n_masks, d, d))
+    fill_grams(gi, np.einsum("ik,jk->kij", a, a)[:D - 1])
+    gc = a @ a.T - gi
+    counts = popcounts(np.arange(n_masks)).astype(np.uint8)
+    lam_min = {}
+    for side, full, g in (("i", counts >= d, gi), ("c", D - counts >= d, gc)):
+        lam_min[side] = np.zeros(n_masks)
+        lam_min[side][full] = np.linalg.eigvalsh(g[full])[:, 0]
     return SimpleNamespace(counts=counts, lam_min_i=lam_min["i"], lam_min_c=lam_min["c"])
 
 

@@ -109,6 +109,28 @@ def test_bounds_random_certified_key(tmp_path):
     assert 0 < report["constants"]["A0"] <= report["constants"]["B0"]
 
 
+def test_bounds_key_near_the_top_of_the_float_range(tmp_path):
+    # entries near 2^530: the squares in the achievement gaps' norms would
+    # overflow. The unscaled key is not injective (D < 2d - 1).
+    from phasesort import generate_key
+
+    reports = {}
+    for name, scale in (("plain", 1.0), ("big", 2.0**530)):
+        keyfile = str(tmp_path / f"{name}.txt")
+        save_matrix(keyfile, generate_key(4, 6, 3).matrix * scale)
+        res = run_cli("bounds", keyfile)
+        assert res.returncode == 0, res.stderr
+        reports[name] = json.loads(res.stdout)
+    plain, big = reports["plain"], reports["big"]
+    assert plain["constants"] == {"A0": 0.0, "B0": 4.506696688470179}
+    assert (plain["I0"], plain["achievement"]) == ([1, 2, 3], {"passed": True, "lower_checked": False})
+    assert (big["I0"], big["constants"]["A0"], big["achievement"]) == (
+        plain["I0"], 0.0, plain["achievement"])
+    # LAPACK rescales a matrix with entries beyond about 2^459
+    want = 2.0**530 * plain["constants"]["B0"]
+    assert abs(big["constants"]["B0"] - want) <= 1e-14 * want
+
+
 def test_bounds_identity_degenerate(identity_file):
     res = run_cli("bounds", identity_file)
     assert res.returncode == 0

@@ -238,10 +238,11 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     masks = np.concatenate([m for m, *_ in blocks])
     assert masks.tolist() == list(range(1 << (D - 1)))
     table = _partition_grams_reference(a)
-    gi = np.concatenate([gi for _, gi, *_ in blocks])
-    gc = np.concatenate([gc for _, _, gc, *_ in blocks])
-    assert gi.tobytes() == table.tobytes()
-    assert gc.tobytes() == (a @ a.T - table).tobytes()
+    gi = np.concatenate([gi for _, gi, *_ in blocks], axis=1)
+    assert gi.tobytes() == numerics.pack(table).tobytes()
+    # the complement Grams, as the walks form them from the packed A A^T
+    gc = numerics.pack(a @ a.T)[:, None] - gi
+    assert gc.tobytes() == numerics.pack(a @ a.T - table).tobytes()
 
 
 @pytest.mark.parametrize("entries", [9, frame_keys._CHUNK_ENTRIES])
@@ -250,10 +251,12 @@ def test_fill_grams_matches_index_oracle(monkeypatch, entries):
     bits = []
 
     def checked(grams, outers):
-        want = grams.copy()
+        # the oracle fills a table with one row per mask: the packed table's
+        # transpose
+        want = grams.T.copy()
         oracles.fill_grams(want, outers)
         real(grams, outers)
-        assert grams.tobytes() == want.tobytes()
+        assert grams.T.tobytes() == want.tobytes()
         bits.append(len(outers))
 
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
@@ -271,6 +274,19 @@ def test_fill_grams_matches_index_oracle(monkeypatch, entries):
     assert (seed_bits, chunk_bits) == ((every, none) if entries == 9 else (none, every))
 
 
+def test_unit_copy_grams_are_exactly_symmetric():
+    # numerics.unpack mirrors a packed Gram's upper triangle, and eigvalsh
+    # reads the lower one: the screens' eigenvalues are those of the Grams
+    # themselves only if U U^T and U^T U, and so the sums and differences
+    # the walks form from them, are symmetric bit for bit
+    mats = list(ADVERSARIAL.values())
+    mats += [generate_key(d, D, 100 * d + D).matrix for d in range(1, 13) for D in range(1, 25)]
+    for mat in mats:
+        unit = frame_keys._unit(Key(mat))[0]
+        for gram in (unit @ unit.T, unit.T @ unit):
+            assert gram.tobytes() == gram.T.copy().tobytes()
+
+
 @pytest.mark.parametrize("chunk_masks", [16, None])
 def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
     # full_i and full_c for every d in 1..13 pin each mask's column count; in
@@ -279,9 +295,10 @@ def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
     counts = oracles.popcounts(np.arange(1 << (D - 1)))
     for d in range(1, D + 1):
         if chunk_masks:
-            monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", chunk_masks * d * d)
+            # a packed Gram has d(d + 1) / 2 entries
+            monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", chunk_masks * d * (d + 1) // 2)
         walked = 0
-        for masks, _, _, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 5).matrix):
+        for masks, _, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 5).matrix):
             assert np.array_equal(full_i, counts[masks] >= d)
             assert np.array_equal(full_c, D - counts[masks] >= d)
             walked += masks.size
@@ -291,13 +308,13 @@ def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
 def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     mat = generate_key(3, 6, 78).matrix.copy()
     mat[:, 5] = mat[:, 0]
-    whole = oracles.partition_scan(Key(mat))
+    whole = lipschitz._screen(Key(mat))
     batch = has_complement_property(Key(mat))
     assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
-    chunked = oracles.partition_scan(Key(mat))
-    for field in ("counts", "lam_min_i", "lam_min_c"):
-        assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
+    chunked = lipschitz._screen(Key(mat))
+    for field in (0, 1):  # the kept masks and their lower ends
+        assert chunked[field].tobytes() == whole[field].tobytes()
     for entries in (frame_keys._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
         monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
         rep = has_complement_property(Key(mat))
@@ -591,15 +608,25 @@ def _near_trust_ratio_key(d, seed, delta):
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_complement_walk_settles_only_rank_d_sides(monkeypatch, d):
-    settled = []
-    real = numerics.shifted_cholesky_ok_gathered
+    settled, walking = [], []
+    real_kernel, real_walk = numerics._shifted_cholesky_ok_inplace, frame_keys._complement_walk
 
-    def recorded(parts, tau):
-        ok = real(parts, tau)
-        settled.append(np.concatenate([stack[rows] for stack, rows in parts])[ok])
+    def recorded(w, tau):
+        grams = numerics.unpack(w)  # before the kernel overwrites w
+        ok = real_kernel(w, tau)
+        if walking:  # the walk's calls, not the subset scan's
+            settled.append(grams[ok])
         return ok
 
-    monkeypatch.setattr(numerics, "shifted_cholesky_ok_gathered", recorded)
+    def walk(key):
+        walking.append(key)
+        try:
+            return real_walk(key)
+        finally:
+            walking.pop()
+
+    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace", recorded)
+    monkeypatch.setattr(frame_keys, "_complement_walk", walk)
     # within rounding of the ratio, and once far enough above it to settle
     seen = 0
     for seed in range(10):
@@ -637,14 +664,18 @@ def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
                         lambda stack: svds.append(stack.copy()) or real_svd(stack))
     real_test = numerics._shifted_cholesky_ok_inplace
     monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
-                        lambda w, tau: chunks.append(w.shape[-1]) or real_test(w, tau))
+                        lambda w, tau: chunks.append(w.copy()) or real_test(w, tau))
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)  # one subset per chunk
     key = Key(mat)
     rep = is_full_spark(key)
     assert (rep.verdict, rep.witness) == (False, (1, 2, 4))
     # (1, 2, 3) is settled by its Gram; (1, 2, 4) gets the only SVD, and the
-    # scan stops after its chunk
-    assert chunks == [1, 1]
+    # scan stops after its chunk. Each chunk is one packed Gram of the unit
+    # copy, gathered from U^T U.
+    unit = frame_keys._unit(key)[0]
+    gram = unit.T @ unit
+    assert [c.tobytes() for c in chunks] == [
+        numerics.pack(gram[np.ix_(t, t)][None]).tobytes() for t in ([0, 1, 2], [0, 1, 3])]
     assert len(svds) == 1 and svds[0].tobytes() == mat[:, [0, 1, 3]][None].tobytes()
     scan = frame_keys.subset_scan(key)
     assert (scan.settled, scan.decomposed, scan.clears_margin) == (1, 1, False)

@@ -317,7 +317,7 @@ def test_search_settles_most_masks(d, D):
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
-    (4, 16, 32605, 163, 31), (8, 15, 16348, 36, 31), (5, 18, 130925, 147, 38)])
+    (4, 16, 32556, 212, 31), (8, 15, 16311, 73, 31), (5, 18, 130877, 195, 38)])
 def test_search_work_is_pinned(d, D, settled, diagonalized, visited):
     key = generate_key(d, D, 1)
     search = lipschitz.lower_constant_search(key)
@@ -340,12 +340,21 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
     real = lipschitz._settled
     settled = []
 
-    def checked(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
+    def checked(gi, total, full_i, full_c, hi_run, err_s, err_lam):
+        # the oracle reads the block's full Grams, side C's for every mask
+        full_gi, full_gc = numerics.unpack(gi), numerics.unpack(total[:, None] - gi)
         for h in (np.inf, hi_run):
-            ok = real(gi, gc, full_i, full_c, h, err_s, err_lam)
-            assert ok.tobytes() == oracles.settled(gi, gc, full_i, full_c, h, err_s, err_lam).tobytes()
+            ok, rows_c, gc = real(gi, total, full_i, full_c, h, err_s, err_lam)
+            want = oracles.settled(full_gi, full_gc, full_i, full_c, h, err_s, err_lam)
+            assert ok.tobytes() == want.tobytes()
+            # side C's Grams are formed where it spans and side I did not settle
+            # the mask, which covers every side C the screen reads
+            by_side_i = oracles.settled(full_gi, full_gc, full_i, np.zeros_like(full_c), h,
+                                        err_s, err_lam)
+            assert np.array_equal(rows_c, np.flatnonzero(full_c & ~by_side_i))
+            assert gc.tobytes() == (total[:, None] - gi)[:, rows_c].tobytes()
         settled.append(int(np.count_nonzero(ok)))
-        return ok
+        return ok, rows_c, gc
 
     monkeypatch.setattr(lipschitz, "_settled", checked)
     search = lipschitz.lower_constant_search(Key(matrix))

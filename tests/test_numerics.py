@@ -235,5 +235,42 @@ def test_shifted_cholesky_matches_full_update_oracle(d):
         assert np.array_equal(numerics.shifted_cholesky_ok(stack, tau), want)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_shifted_cholesky_reads_only_the_upper_triangle(d):
+    # the packed layout keeps the upper triangle, so whatever the lower one
+    # holds, every answer is that of the symmetric stack
+    stack = np.stack([g for g in GRAMS.values() if g.shape[0] == d])
+    junk = stack.copy()
+    lower = np.tril_indices(d, -1)
+    junk[:, lower[0], lower[1]] = np.random.Generator(np.random.PCG64(d)).standard_normal(
+        (len(stack), lower[0].size)) * 1e3
+    lam = np.linalg.eigvalsh(stack)[:, 0]
+    for tau in np.concatenate([lam, lam * (1 - 1e-9), [0.0, 1.0]]):
+        assert np.array_equal(numerics.shifted_cholesky_ok(junk, tau),
+                              oracles.shifted_cholesky_ok(stack, tau))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_packed_layout(d):
+    # row by row through the upper triangle, row i from _row_starts(d)[i] on
+    rows, cols = numerics.packed_pairs(d)
+    assert list(zip(rows.tolist(), cols.tolist())) == [
+        (i, j) for i in range(d) for j in range(i, d)]
+    start = numerics._row_starts(d)
+    for i in range(d):
+        assert rows[start[i]:start[i + 1]].tolist() == [i] * (d - i)
+    assert start[d] == rows.size == d * (d + 1) // 2
+    a = np.random.Generator(np.random.PCG64(40 + d)).standard_normal((5, d, d + 2))
+    stack = a @ a.transpose(0, 2, 1)
+    sym = (stack + stack.transpose(0, 2, 1)) / 2  # exactly symmetric
+    packed = numerics.pack(sym)
+    assert packed.shape == (rows.size, 5) and packed.flags.c_contiguous
+    assert numerics.pack(sym[2]).tobytes() == packed[:, 2].tobytes()
+    assert numerics.unpack(packed).tobytes() == sym.tobytes()
+    # unpacking mirrors the upper triangle, whatever the lower one held
+    junk = sym + np.tril(np.ones((d, d)), -1)
+    assert numerics.unpack(numerics.pack(junk)).tobytes() == sym.tobytes()
+
+
 def test_shifted_cholesky_empty_stack():
     assert numerics.shifted_cholesky_ok(np.zeros((0, 3, 3)), 1.0).shape == (0,)
