@@ -316,9 +316,7 @@ def test_search_settles_most_masks(d, D):
     assert 0 < search.visited <= 64
 
 
-@pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
-    (4, 16, 32556, 212, 31), (8, 15, 16311, 73, 31), (5, 18, 130877, 195, 38)])
-def test_search_work_is_pinned(d, D, settled, diagonalized, visited):
+def _assert_search_work(d, D, settled, diagonalized, visited):
     key = generate_key(d, D, 1)
     search = lipschitz.lower_constant_search(key)
     assert (search.settled, search.diagonalized, search.visited) == (settled, diagonalized, visited)
@@ -326,6 +324,27 @@ def test_search_work_is_pinned(d, D, settled, diagonalized, visited):
     ref_a0, ref_mask = oracles.lower_constant(Key(key.matrix))
     assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
     assert part.mask == ref_mask
+
+
+@pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
+    (4, 16, 32556, 212, 31), (8, 15, 16311, 73, 31), (5, 18, 130877, 195, 38)])
+def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized, visited):
+    _assert_search_work(d, D, settled, diagonalized, visited)
+
+
+@pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
+    (4, 16, 32605, 163, 31), (8, 15, 16348, 36, 31), (5, 18, 130925, 147, 38)])
+def test_search_work_is_pinned(monkeypatch, d, D, settled, diagonalized, visited):
+    # the blocks the full (d, d) Gram layout cut: doubling from one mask, d * d
+    # entries per Gram in a chunk and in a block. The running bound moves once
+    # per block, so the counts depend on where blocks end; on these blocks the
+    # packed screen does the work that layout did, mask for mask
+    p, full = d * (d + 1) // 2, d * d
+    chunk_masks = 1 << ((frame_keys._CHUNK_ENTRIES // full).bit_length() - 1)
+    monkeypatch.setattr(frame_keys, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", chunk_masks * p)
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", frame_keys._SCREEN_ENTRIES // full * p)
+    _assert_search_work(d, D, settled, diagonalized, visited)
 
 
 _SETTLED_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matrix
