@@ -10,11 +10,14 @@ against each other, refusing to return silently inconsistent answers.
 Two exhaustive scans back them, each run at most once per key:
 
 - The subset scan (subset_scan) ranks the C(D, d) d-column submatrices.
-  Each chunk's d x d Grams are gathered from one U^T U, U = 2^-e A being
-  the key's unit copy (_unit), and tested with a shifted Cholesky
-  factorization, which places almost every subset's sigma_d above the
-  certificate margin; only the others get a stacked SVD of the key, so the
-  verdict and witness are those of an SVD of every subset. Full
+  A shifted Cholesky factorization of each subset's d x d Gram in U^T U,
+  U = 2^-e A being the key's unit copy (_unit), places almost every
+  subset's sigma_d above the certificate margin; only the others get a
+  stacked SVD of the key, so the verdict and witness are those of an SVD
+  of every subset. The factorizations share their prefixes: a walk of the
+  lexicographic prefix tree of the subsets (_unsettled_subsets) does each
+  elimination step once per prefix, for all subsets that start with it,
+  with the operations the packed kernel does on each subset's Gram. Full
   spark reads its verdict from it. It also certifies the complement
   property outright when D >= 2d - 1 and every d-subset has rank d with a
   margin: a full-spark frame with D >= 2d - 1 has the complement property
@@ -37,7 +40,7 @@ diagonalizes only the partitions that screen cannot rule out.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -257,13 +260,17 @@ def subset_scan(key: Key) -> SubsetScan:
       2^(-1074 - e)) and err_lam = err_s * d * b are
       numerics._gram_screen_errors' allowances, c being
       numerics.GRAM_SCREEN_SLACK.
-    - Gram entries. G = U^T U is formed once; the subset Gram G[T, T] is
-      gathered from it, so each entry is a length-d dot product of two
-      columns, within gamma_d * b^2 of the exact one (a column's norm is at
-      most sigma_1(U)) plus what underflow loses, at most d subnormal
-      spacings 2^-1074, and the gathered Gram within d times that in the
-      2-norm.
-    - Cholesky. numerics.shifted_cholesky_ok succeeding proves
+    - Gram entries. G = U^T U is formed once, and the test reads the
+      entries of the subset Gram G[T, T] from it, so each entry is a
+      length-d dot product of two columns, within gamma_d * b^2 of the
+      exact one (a column's norm is at most sigma_1(U)) plus what underflow
+      loses, at most d subnormal spacings 2^-1074, and G[T, T] within d
+      times that in the 2-norm.
+    - Cholesky. The walk of the prefix tree of the subsets
+      (_unsettled_subsets) does, for every subset, the operations of
+      numerics.shifted_cholesky_ok on G[T, T], in the kernel's order, once
+      per prefix; so each subset gets the kernel's verdict bit for bit, and
+      this argument is the kernel's. Its succeeding proves
       lambda_min(G[T, T]) >= tau - delta, with delta the factorization's
       backward error (Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., section 10.1) plus the rounding of the shifted
@@ -296,37 +303,278 @@ def _subset_scan(key: Key) -> SubsetScan:
     if D < d:
         # fewer than d columns can never span
         return SubsetScan(tuple(range(1, D + 1)), False, 0, 0)
-    if comb(D, d) > FULL_SPARK_MAX_SUBSETS:
+    total = comb(D, d)
+    if total > FULL_SPARK_MAX_SUBSETS:
         raise SearchTooLarge(
-            f"C({D},{d}) = {comb(D, d)} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
+            f"C({D},{d}) = {total} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
         )
     margin, tau = _margin_shift(key)
-    unit = _unit(key)[0]
-    gram = unit.T @ unit
-    subsets = itertools.combinations(range(D), d)
+    starts, counts = _unsettled_subsets(key, tau)
+    ends = starts + counts
     per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
     clears_margin = True
-    settled = decomposed = 0
-    while True:
-        # one chunk of d-subsets in lexicographic order, one row each
-        chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
-        cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
-        if cols.size == 0:
-            return SubsetScan(None, clears_margin, settled, decomposed)
-        # the chunk's Grams G[T, T], gathered straight into the packed layout
-        above = numerics._shifted_cholesky_ok_inplace(
-            numerics.packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
-        settled += int(np.count_nonzero(above))
-        cols = cols[~above]
-        if cols.size == 0:
-            continue
+    decomposed = ranked = k = 0
+    while k < starts.size:
+        # the unsettled subsets of the next chunk of per_chunk lexicographic
+        # ranks that holds any: ranges k .. j - 1, less what earlier chunks took
+        lowest = max(int(starts[k]), ranked)
+        ranked = (lowest // per_chunk + 1) * per_chunk
+        j = int(np.searchsorted(starts, ranked))
+        lo = np.maximum(starts[k:j], lowest)
+        cols = _unrank(_ranges(lo, np.minimum(ends[k:j], ranked) - lo), d, D)
         decomposed += len(cols)
         s = numerics.singular_values_many(key.matrix[:, cols].transpose(1, 0, 2))
         clears_margin &= bool(s[:, d - 1].min() > margin)
         deficient = numerics.ranks_from_singular_values(s, d, key.tol) < d
         if deficient.any():
             first = cols[int(np.argmax(deficient))]
-            return SubsetScan(tuple(int(c) + 1 for c in first), False, settled, decomposed)
+            return SubsetScan(tuple(int(c) + 1 for c in first), False,
+                              min(ranked, total) - decomposed, decomposed)
+        k = j - 1 if ends[j - 1] > ranked else j
+    return SubsetScan(None, clears_margin, total - decomposed, decomposed)
+
+
+def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
+    """The d-subsets of range(D) at the given lexicographic ranks, one row of
+    ascending columns each.
+
+    Rank q of T is C(D, d) - 1 minus the colexicographic rank of the mirrored
+    set {D - 1 - t : t in T}, sum_k C(y_k, k) over its elements y_1 < ... <
+    y_d; that sum is decoded greedily, largest mirrored element (smallest
+    column) first.
+    """
+    rest = comb(D, d) - 1 - ranks
+    cols = np.empty((ranks.size, d), dtype=np.intp)
+    for i in range(d):
+        table = np.array([comb(y, d - i) for y in range(D)], dtype=np.int64)
+        y = np.searchsorted(table, rest, side="right") - 1
+        rest = rest - table[y]
+        cols[:, i] = D - 1 - y
+    return cols
+
+
+def _unsettled_subsets(key: Key, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, counts): the lexicographic ranks of the d-subsets T whose Gram
+    G[T, T] of the unit copy U (_unit), G = U^T U, fails
+    numerics.shifted_cholesky_ok at the shift tau, as ascending disjoint
+    ranges starts[k] .. starts[k] + counts[k] - 1.
+
+    The d-subsets are the leaves of the prefix tree whose node at depth k is
+    a k-prefix t_0 < ... < t_(k-1) of them. A node holds the Schur complement
+    of its prefix in G - tau * I over the candidate columns after t_(k-1):
+    the shifted entries minus r_j[u] * r_j[v] for ascending j < k, r_j being
+    row t_j of the complement at depth j divided by the square root of its
+    pivot. These are the values, and the order of operations, of the packed
+    kernel (numerics._shifted_cholesky_ok_inplace) on each leaf's gathered
+    Gram, so every leaf gets the kernel's verdict bit for bit: it factors
+    when every pivot along its path is positive. A node with a non-positive
+    pivot passes NaN to its subtree, so all of its leaves fail, as the
+    kernel's do; an expansion (below) drops such a node instead, and its
+    leaves, consecutive ranks, become one range. A node with one pick left
+    keeps only the diagonal of its complement, which holds its leaves' last
+    pivots.
+
+    The walk goes by depth. The nodes of one depth with the same last column
+    share their candidates, so they form one block, one (entries, nodes)
+    array in the packed layout, and each block is either expanded by one
+    elimination step into the blocks of the next depth or, once its subtrees
+    are small (_subtree_entries), settled down to its leaves, both by
+    gathers through index tables that depend only on the block's shape
+    (_subset_tree). So the number of numpy calls grows with d * D, not with
+    the number of subsets. The arrays of one step hold at most a quarter of
+    _CHUNK_ENTRIES entries together (a block's nodes are taken in batches),
+    and an index table at most _CHUNK_ENTRIES / 16 (a settled block's
+    subtrees are taken in windows of their first picks), unless a single
+    node or a single first pick needs more. Each node carries the rank of
+    its first leaf.
+    """
+    d, D = key.d, key.D
+    budget = _CHUNK_ENTRIES >> 4
+    unit = _unit(key)[0]
+    gram = unit.T @ unit
+    if d == 1:
+        root = np.diagonal(gram) - tau
+    else:
+        root = numerics.pack(gram)
+        root[list(numerics._row_starts(D)[:-1])] -= tau
+    # blocks by last column, -1 for the root: (complements, first-leaf ranks)
+    blocks = {-1: (root[:, None], np.zeros(1, dtype=np.int64))}
+    unsettled = [(np.zeros(0, dtype=np.int64), 1)]  # (range starts, range length)
+    for depth in range(d):
+        picks = d - depth
+        children = {}
+        for last, (w, ranks) in blocks.items():
+            m = D - 1 - last
+            # expanding a block with three picks left would hold about m^3 / 6
+            # entries a node, more than its leaves for a key of many columns
+            if picks <= 3 or _subtree_entries(picks, m) <= budget:
+                unsettled += [(r, 1) for r in _settle_block(w, ranks, picks, m, budget)]
+                continue
+            for i, part, failed, leaves in _expand_block(w, ranks, picks, m):
+                children.setdefault(last + 1 + i, []).append(part)
+                unsettled.append((failed, leaves))
+        blocks = {last: tuple(np.concatenate(a, axis=-1) for a in zip(*parts))
+                  for last, parts in children.items()}
+    starts = np.concatenate([r for r, _ in unsettled])
+    counts = np.concatenate([np.full(r.size, n, dtype=np.int64) for r, n in unsettled])
+    order = np.argsort(starts)
+    return starts[order], counts[order]
+
+
+def _settle_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int,
+                  budget: int) -> list[np.ndarray]:
+    """The ranks of the leaves that fail, for a block of nodes with ``picks``
+    columns left to choose among ``m`` candidates (complements ``w``, first
+    leaves ``ranks``)."""
+    out = []
+    for first, stop in _windows(picks, m, budget):
+        steps, peak = _subset_tree(picks, m, first, stop, picks - 1)
+        offset = sum(comb(m - 1 - i, picks - 1) for i in range(first))
+        per_batch = max(1, _CHUNK_ENTRIES // (4 * peak))
+        for start in range(0, w.shape[1], per_batch):
+            x = w[:, start:start + per_batch]
+            for step in steps:
+                x = _eliminate(x, step)
+            leaf, node = np.nonzero(~(x > 0.0))
+            out.append(ranks[start + node] + (offset + leaf))
+    return out
+
+
+def _expand_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int):
+    """Yield ``(i, (complements, ranks), failed, leaves)`` for the children
+    of a block's nodes by their i-th candidate, one elimination step down, a
+    batch of nodes at a time: the complements and first-leaf ranks of the
+    children whose pivot is positive, and the first-leaf ranks of the
+    others, whose ``leaves`` leaves all fail."""
+    (step,), peak = _subset_tree(picks, m, 0, m - picks + 1, 1)
+    per_batch = max(1, _CHUNK_ENTRIES // (4 * peak))
+    for start in range(0, w.shape[1], per_batch):
+        x = w[:, start:start + per_batch]
+        alive = x.take(step[0], axis=0) > 0.0
+        x = _eliminate(x, step)
+        batch = ranks[start:start + per_batch]
+        row = rank = 0
+        for i in range(m - picks + 1):
+            c = m - 1 - i
+            part, keep = x[row:row + c * (c + 1) // 2], alive[i]
+            yield i, (part[:, keep], batch[keep] + rank), batch[~keep] + rank, comb(c, picks - 1)
+            row += c * (c + 1) // 2
+            rank += comb(c, picks - 1)
+
+
+def _eliminate(x: np.ndarray, step) -> np.ndarray:
+    """One elimination step of every node of a block: the complements of
+    their children, (entries, nodes), from theirs."""
+    pivots, rows, row_child, entries, u, v = step
+    pivot = x.take(pivots, axis=0)
+    # a non-positive pivot fails its child's subtree: NaN compares false
+    scale = np.sqrt(np.where(pivot > 0.0, pivot, np.nan))
+    r = x.take(rows, axis=0)
+    r /= scale.take(row_child, axis=0)
+    outer = r.take(u, axis=0)
+    outer *= outer if v is None else r.take(v, axis=0)
+    out = x.take(entries, axis=0)
+    out -= outer
+    return out
+
+
+def _stored(picks: int, c: int) -> int:
+    """Entries a node with ``picks`` columns left and c candidates holds."""
+    return c * (c + 1) // 2 if picks >= 2 else c
+
+
+@functools.cache
+def _subtree_entries(picks: int, c: int) -> int:
+    """Entries held by all descendants of a node with ``picks`` columns left
+    and c candidates, its leaves excluded."""
+    if picks <= 1:
+        return 0
+    return sum(_stored(picks - 1, c - 1 - i) + _subtree_entries(picks - 1, c - 1 - i)
+               for i in range(c - picks + 1))
+
+
+def _windows(picks: int, m: int, budget: int) -> list[tuple[int, int]]:
+    """Consecutive ranges of a node's first picks (children) whose subtrees
+    hold at most ``budget`` entries together, or one child each."""
+    if picks == 1:
+        return [(0, m)]
+    out, first, held = [], 0, 0
+    for i in range(m - picks + 1):
+        c = m - 1 - i
+        size = _stored(picks - 1, c) + _subtree_entries(picks - 1, c)
+        if held and held + size > budget:
+            out.append((first, i))
+            first, held = i, 0
+        held += size
+    out.append((first, m - picks + 1))
+    return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[k] + arange(counts[k])."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
+# the last 16 tables: every shape of a run of small keys, while a large key,
+# whose blocks each build their own, does not keep them all
+@functools.lru_cache(maxsize=16)
+def _subset_tree(picks: int, m: int, first: int, stop: int, depth: int):
+    """(steps, peak): index tables for ``depth`` elimination steps below a
+    node with ``picks`` columns left among m candidates, whose first step
+    takes the children first .. stop - 1, and the most entries per node the
+    arrays of one step hold (memoized).
+
+    A level is the nodes of one depth below the node in lexicographic order,
+    their complements concatenated. A child by candidate i of a node with c
+    candidates at offset o reads the pivot at o + rs(i), rs(i) = P(c) - P(c -
+    i) being where row i of the packed layout starts (P(c) = c(c + 1) / 2);
+    its multipliers r are the rest of row i, and its complement is the
+    trailing block after row i, which the packed layout holds contiguously
+    as the packed block of c - 1 - i candidates, minus the packed outer
+    product of r. A step is (pivots, rows, row_child, entries, u, v): the
+    level's entries the pivots and the multipliers are read from, the child
+    of each multiplier, and for each entry of the next level the entry it
+    updates and the multipliers of its row u and column v; v is None when
+    the next level holds diagonals only, where v = u.
+    """
+    tri = np.arange(m + 2) * np.arange(1, m + 3) // 2
+    pair_rows, pair_cols = numerics.packed_pairs(m)
+    cands, offsets = np.array([m]), np.array([0])
+    node, kids = np.zeros(stop - first, dtype=np.intp), np.arange(first, stop)
+    steps, peak, held = [], 0, _stored(picks, m)
+    for level in range(depth):
+        c = cands[node]
+        cc = c - 1 - kids
+        pivots = offsets[node] + tri[c] - tri[c - kids]
+        rows = _ranges(pivots + 1, cc)
+        row_start = np.cumsum(cc) - cc
+        row_child = np.repeat(np.arange(cc.size), cc)
+        if picks - level > 2:  # the children keep their full complements
+            size = tri[cc]
+            entries = _ranges(pivots + cc + 1, size)
+            pos = _ranges(tri[m] - size, size)  # the packed pairs of cc as m's tail
+            shift = np.repeat(row_start - (m - cc), size)
+            u, v = pair_rows[pos] + shift, pair_cols[pos] + shift
+        else:  # the children keep their diagonals, their leaves' last pivots
+            size = cc
+            k = _ranges(np.zeros_like(cc), cc)
+            entries = np.repeat(pivots + cc + 1 + tri[cc], cc) - tri[np.repeat(cc, cc) - k]
+            u, v = np.repeat(row_start, cc) + k, None
+        # int32 halves the memory of the cached tables, which are read-only
+        step = tuple(None if a is None else a.astype(np.int32)
+                     for a in (pivots, rows, row_child, entries, u, v))
+        for a in step:
+            if a is not None:
+                a.flags.writeable = False
+        steps.append(step)
+        peak = max(peak, held + rows.size + 2 * entries.size)
+        held = entries.size
+        left = picks - level - 1
+        cands, offsets = cc, np.cumsum(size) - size
+        node = np.repeat(np.arange(cc.size), cc - left + 1)
+        kids = _ranges(np.zeros_like(cc), cc - left + 1)
+    return steps, max(peak, held)
 
 
 def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:

@@ -276,23 +276,6 @@ def unpack(packed) -> np.ndarray:
     return full
 
 
-def packed_submatrices(matrix: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The packed (P, n) stack of the principal submatrices matrix[T, T] of a
-    square matrix, one for each column T of a (d, n) integer array ``index``.
-
-    Each row of the packed triangle is one take from the flattened matrix,
-    so no (P, n) index array is formed.
-    """
-    d, n = index.shape
-    start = _row_starts(d)
-    flat = np.ascontiguousarray(matrix).ravel()
-    row_base = index * matrix.shape[1]
-    w = np.empty((start[d], n))
-    for i in range(d):
-        np.take(flat, row_base[i] + index[i:], out=w[start[i]:start[i + 1]])
-    return w
-
-
 def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     """Whether an unpivoted Cholesky factorization of G - tau * I runs to
     completion with positive pivots, for each G of an (n, d, d) symmetric stack.

@@ -11,9 +11,11 @@ partitions in ascending blocks: eigvalsh on every spanning side of every
 partition. The A0 search is here as it was before its screen settled
 partitions with the shifted-Cholesky test: every partition bracketed from
 the eigenvalues of that scan. The d-subset scan is here as it was
-before the same test settled subsets: one SVD of every subset. So is the
-shifted-Cholesky kernel as it was, updating the whole trailing block. So
-are the pieces of the partition walk as they were before it worked on
+before the same test settled subsets: one SVD of every subset. It is also
+here as it was before it walked the prefix tree of the subsets: every
+subset's Gram gathered from U^T U and tested by the packed kernel, chunk by
+chunk. So is the shifted-Cholesky kernel as it was, updating the whole
+trailing block. So are the pieces of the partition walk as they were before it worked on
 strided views and gathered buffers: the Gram table filled through index
 arrays, popcounts by a loop over the bits, and the screen's settled test
 with one Cholesky call per side and shift. Their Gram tables are full
@@ -417,6 +419,82 @@ def shifted_cholesky_ok(stack, tau):
         r = w[k, k + 1:] / np.sqrt(np.where(ok, pivot, 1.0))
         w[k + 1:, k + 1:] -= r[:, None] * r[None, :]
     return ok
+
+
+# --- the d-subset scan with a gathered Gram for every subset ----------------
+
+def packed_submatrices(matrix, index):
+    """The packed (P, n) stack of the principal submatrices matrix[T, T] of a
+    square matrix, one for each column T of a (d, n) integer array ``index``.
+
+    Each row of the packed triangle is one take from the flattened matrix,
+    so no (P, n) index array is formed.
+    """
+    d, n = index.shape
+    start = numerics._row_starts(d)
+    flat = np.ascontiguousarray(matrix).ravel()
+    row_base = index * matrix.shape[1]
+    w = np.empty((start[d], n))
+    for i in range(d):
+        np.take(flat, row_base[i] + index[i:], out=w[start[i]:start[i + 1]])
+    return w
+
+
+def _subset_chunks(d, D):
+    """The d-subsets of range(D) in lexicographic order, one row each, in
+    chunks of frame_keys._CHUNK_ENTRIES // d^2 (read at call time)."""
+    subsets = itertools.combinations(range(D), d)
+    per_chunk = max(1, frame_keys._CHUNK_ENTRIES // (d * d))
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
+        cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
+        if cols.size == 0:
+            return
+        yield cols
+
+
+def subset_verdicts(key, tau):
+    """Whether each d-subset T, in lexicographic order, passes the packed
+    shifted-Cholesky kernel at the shift tau: its Gram G[T, T] of the unit
+    copy U (G = U^T U) gathered straight into the packed layout, chunk by
+    chunk."""
+    unit = frame_keys._unit(key)[0]
+    gram = unit.T @ unit
+    parts = [numerics._shifted_cholesky_ok_inplace(
+                 packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
+             for cols in _subset_chunks(key.d, key.D)]
+    return np.concatenate([np.zeros(0, dtype=bool), *parts])
+
+
+def cholesky_subset_scan(key):
+    """frame_keys.subset_scan as it was before the prefix-tree walk: each
+    chunk's Grams gathered and tested by the packed kernel, the subsets that
+    fail it given a stacked SVD, stopping at the chunk with a deficient
+    subset."""
+    d, D = key.d, key.D
+    if D < d:
+        return frame_keys.SubsetScan(tuple(range(1, D + 1)), False, 0, 0)
+    margin, tau = frame_keys._margin_shift(key)
+    unit = frame_keys._unit(key)[0]
+    gram = unit.T @ unit
+    clears_margin = True
+    settled = decomposed = 0
+    for cols in _subset_chunks(d, D):
+        above = numerics._shifted_cholesky_ok_inplace(
+            packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
+        settled += int(np.count_nonzero(above))
+        cols = cols[~above]
+        if cols.size == 0:
+            continue
+        decomposed += len(cols)
+        s = numerics.singular_values_many(key.matrix[:, cols].transpose(1, 0, 2))
+        clears_margin &= bool(s[:, d - 1].min() > margin)
+        deficient = numerics.ranks_from_singular_values(s, d, key.tol) < d
+        if deficient.any():
+            first = cols[int(np.argmax(deficient))]
+            return frame_keys.SubsetScan(tuple(int(c) + 1 for c in first), False,
+                                         settled, decomposed)
+    return frame_keys.SubsetScan(None, clears_margin, settled, decomposed)
 
 
 # --- sampler and battery ----------------------------------------------------

@@ -658,24 +658,20 @@ def test_complement_walk_follows_the_key_tolerance_near_the_old_ratio():
 def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
     mat = generate_key(3, 8, 7).matrix.copy()
     mat[:, 3] = mat[:, 0] - mat[:, 1]  # first deficient subset: (1, 2, 4)
-    svds, chunks = [], []
+    svds = []
     real_svd = numerics.singular_values_many
     monkeypatch.setattr(numerics, "singular_values_many",
                         lambda stack: svds.append(stack.copy()) or real_svd(stack))
-    real_test = numerics._shifted_cholesky_ok_inplace
-    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
-                        lambda w, tau: chunks.append(w.copy()) or real_test(w, tau))
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)  # one subset per chunk
     key = Key(mat)
     rep = is_full_spark(key)
     assert (rep.verdict, rep.witness) == (False, (1, 2, 4))
-    # (1, 2, 3) is settled by its Gram; (1, 2, 4) gets the only SVD, and the
-    # scan stops after its chunk. Each chunk is one packed Gram of the unit
-    # copy, gathered from U^T U.
-    unit = frame_keys._unit(key)[0]
-    gram = unit.T @ unit
-    assert [c.tobytes() for c in chunks] == [
-        numerics.pack(gram[np.ix_(t, t)][None]).tobytes() for t in ([0, 1, 2], [0, 1, 3])]
+    # the packed kernel on the gathered Grams of the unit copy settles
+    # (1, 2, 3) and not (1, 2, 4), and so does the walk; (1, 2, 4) gets the
+    # only SVD, and the scan stops after its chunk
+    _, tau = frame_keys._margin_shift(key)
+    assert oracles.subset_verdicts(key, tau)[:2].tolist() == [True, False]
+    assert frame_keys._unsettled_subsets(key, tau)[0][0] == 1
     assert len(svds) == 1 and svds[0].tobytes() == mat[:, [0, 1, 3]][None].tobytes()
     scan = frame_keys.subset_scan(key)
     assert (scan.settled, scan.decomposed, scan.clears_margin) == (1, 1, False)
@@ -702,9 +698,27 @@ def test_subset_scan_smallest_sigma_d_matches_loop(monkeypatch, entries):
         assert scan.decomposed >= 1  # the smallest subset cannot be settled
 
 
+def _assert_walk_matches_gathered_kernel(matrix, tol=DEFAULT_TOL):
+    """The prefix-tree walk gives every d-subset the packed kernel's verdict
+    on its gathered Gram, bit for bit, and the scan equals the gathered-Gram
+    scan field for field."""
+    want = oracles.cholesky_subset_scan(Key(matrix, tol))
+    key = Key(matrix, tol)
+    scan = frame_keys.subset_scan(key)
+    assert (scan.deficient, scan.clears_margin, scan.settled, scan.decomposed) == (
+        want.deficient, want.clears_margin, want.settled, want.decomposed)
+    if key.D >= key.d:
+        _, tau = frame_keys._margin_shift(key)
+        verdicts = oracles.subset_verdicts(key, tau)
+        assert verdicts.size == math.comb(key.D, key.d)
+        unsettled = frame_keys._ranges(*frame_keys._unsettled_subsets(key, tau))
+        assert np.array_equal(unsettled, np.flatnonzero(~verdicts))
+
+
 def _assert_subset_scan_matches_oracle(matrix, tol=DEFAULT_TOL):
     """Full spark's verdict, witness and method, the certificate's decision
-    and the scan's own decision all equal the SVD-scan oracle's."""
+    and the scan's own decision all equal the SVD-scan oracle's, and the
+    scan's work that of the gathered-Gram scan."""
     key = Key(matrix, tol)
     deficient, clears = oracles.subset_decision(Key(matrix, tol))
     rep = is_full_spark(key)
@@ -715,6 +729,7 @@ def _assert_subset_scan_matches_oracle(matrix, tol=DEFAULT_TOL):
     assert (scan.deficient, scan.clears_margin) == (deficient, clears)
     if deficient is None and key.D >= key.d:
         assert scan.settled + scan.decomposed == math.comb(key.D, key.d)
+    _assert_walk_matches_gathered_kernel(matrix, tol)
     return scan
 
 
@@ -806,6 +821,70 @@ def test_subset_scan_settles_most_subsets(d, D):
     assert scan.deficient is None and scan.clears_margin
     assert scan.settled + scan.decomposed == math.comb(D, d)
     assert scan.settled >= 0.99 * math.comb(D, d)
+
+
+# 9 entries: chunks of one subset, node batches of one node, and every block
+# with four or more columns left expanded; 4000: windows and batches of a few
+# nodes. The tests through _assert_subset_scan_matches_oracle cover the
+# default.
+SMALL_CHUNKS = [9, 4000]
+
+
+@pytest.mark.parametrize("entries", SMALL_CHUNKS)
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_subset_walk_matches_gathered_kernel_in_small_chunks(monkeypatch, name, entries):
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    for factor in (1e-16, 1e-12, 1e-9, 1e-6):
+        _assert_walk_matches_gathered_kernel(
+            ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: st.integers(1, 11).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    ),
+    st.sampled_from(SMALL_CHUNKS),
+)
+def test_subset_walk_matches_gathered_kernel_hypothesis(matrix, entries):
+    real = frame_keys._CHUNK_ENTRIES
+    frame_keys._CHUNK_ENTRIES = entries
+    try:
+        _assert_walk_matches_gathered_kernel(matrix)
+    finally:
+        frame_keys._CHUNK_ENTRIES = real
+
+
+@pytest.mark.parametrize("d,D,entries", [
+    (4, 16, frame_keys._CHUNK_ENTRIES), (8, 15, frame_keys._CHUNK_ENTRIES),
+    (10, 19, frame_keys._CHUNK_ENTRIES), (4, 16, 9), (6, 11, 9), (8, 15, 4000)])
+def test_subset_walk_matches_gathered_kernel_seeded(monkeypatch, d, D, entries):
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    key = generate_key(d, D, 1)
+    mat = key.matrix.copy()
+    # columns 1 and 2 nearly parallel: exactly the subsets with both,
+    # consecutive ranks over many chunks, fail the Cholesky test
+    mat[:, 1] = mat[:, 0] + 1e-7 * generate_key(d, 1, 2).matrix[:, 0]
+    for m in (key.matrix, mat):
+        _assert_walk_matches_gathered_kernel(m)
+    scan = frame_keys.subset_scan(Key(mat))
+    if scan.deficient is None:  # at 10 x 19 some of them are deficient
+        assert scan.decomposed == math.comb(D - 2, d - 2)
+
+
+@pytest.mark.parametrize("entries", [*SMALL_CHUNKS, frame_keys._CHUNK_ENTRIES])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 3), (5, 5), (4, 2), (6, 1)])
+def test_subset_walk_matches_gathered_kernel_edge_shapes(monkeypatch, shape, entries):
+    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    _assert_walk_matches_gathered_kernel(generate_key(*shape, 3).matrix)
+    _assert_walk_matches_gathered_kernel(np.zeros(shape))
+    _assert_walk_matches_gathered_kernel(np.zeros((5, 10)))
 
 
 def _count_complement_walks(monkeypatch) -> list:
