@@ -34,7 +34,8 @@ Two exhaustive scans back them, each run at most once per key:
   witness.
 
 The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
-ascending blocks (_partition_blocks) with its own Cholesky screen and
+ascending blocks (_partition_blocks) with its own Cholesky screen, which
+shares the walk's one-side pass (_one_side_settled) at its own shift, and
 diagonalizes only the partitions that screen cannot rule out.
 """
 
@@ -650,21 +651,64 @@ def _partition_blocks(a: np.ndarray):
             start = end
 
 
-def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
-    """Whether the columns selected by each mask have rank d (numerics.rank's
-    criterion); a side with fewer than d columns never does."""
-    d, D = key.d, key.D
-    a = key.matrix
-    full = np.zeros(col_masks.shape, dtype=bool)
+def _one_side_settled(gi, total, full_i, full_c, tau):
+    """(ok, rows_c, gc): the partition walks' one-side pass of the packed
+    kernel (numerics._shifted_cholesky_ok_inplace) over a block of
+    _partition_blocks at the shift tau.
+
+    Side I is factored where it spans (``full_i``), then side C where it
+    spans and side I did not factor; ``ok`` marks the masks with a side that
+    factored. ``gc`` holds the packed complement Grams total - gi of the
+    masks ``rows_c``, those whose side C spans and whose side I did not
+    factor, unfactored. Side I's Grams are gathered from the block, unless
+    at least seven eighths of them span: a gather then costs more than the
+    contiguous copy of the whole block, whose extra verdicts are discarded.
+    At tau = inf no Gram factors, and none is factored.
+    """
+    ok = np.zeros(full_i.size, dtype=bool)
+    finite = tau < np.inf
+    if finite:
+        rows_i = np.flatnonzero(full_i)
+        if 8 * rows_i.size >= 7 * full_i.size:
+            ok = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), tau)
+        else:
+            ok[rows_i] = numerics._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
+    rows_c = np.flatnonzero(full_c & ~ok)
+    gc = total[:, None] - np.take(gi, rows_c, axis=1)
+    if finite:
+        ok[rows_c] = numerics._shifted_cholesky_ok_inplace(gc.copy(), tau)
+    return ok, rows_c, gc
+
+
+def _side_singular_values(a: np.ndarray, col_masks: np.ndarray):
+    """Yield ``(rows, k, s)`` for the masks of ``col_masks`` that select at
+    least d columns of the d x D matrix ``a``: the positions ``rows`` of the
+    masks that select k columns, and their singular values (rows.size, d),
+    row j being numerics.singular_values of the columns of mask rows[j].
+
+    The masks are taken in chunks of at most _CHUNK_ENTRIES selection
+    entries, and the sides of one chunk with one column count k in one
+    stacked SVD (numerics.singular_values_many), ascending in k.
+    """
+    d, D = a.shape
     per_chunk = max(1, _CHUNK_ENTRIES // (d * D))
     for start in range(0, col_masks.size, per_chunk):
         masks = col_masks[start:start + per_chunk]
         member = ((masks[:, None] >> np.arange(D)) & 1).astype(bool)
         sizes = member.sum(axis=1)
-        for k in np.unique(sizes[sizes >= d]):
+        for k in np.flatnonzero(np.bincount(sizes)[d:]) + d:
             rows = np.flatnonzero(sizes == k)
             cols = np.nonzero(member[rows])[1].reshape(-1, k)
-            full[start + rows] = numerics.ranks(a[:, cols].transpose(1, 0, 2), key.tol) == d
+            yield start + rows, int(k), numerics.singular_values_many(
+                a[:, cols].transpose(1, 0, 2))
+
+
+def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
+    """Whether the columns selected by each mask have rank d (numerics.rank's
+    criterion); a side with fewer than d columns never does."""
+    full = np.zeros(col_masks.shape, dtype=bool)
+    for rows, k, s in _side_singular_values(key.matrix, col_masks):
+        full[rows] = numerics.ranks_from_singular_values(s, k, key.tol) == key.d
     return full
 
 
@@ -697,12 +741,12 @@ def _complement_walk(key: Key) -> Partition | None:
     first block that holds a partition with no spanning side. Most spanning
     sides are settled from their packed Grams by the shifted-Cholesky test
     (numerics.shifted_cholesky_ok, one kernel call per side and block) at the
-    subset scan's shift tau = (M_u + err_s)^2 + err_lam (_margin_shift): side
-    I of every mask, its verdict counting where side I spans, then side C
-    where it spans and side I did not settle the split, its Gram U U^T - G_I
-    formed for those masks only. The
-    partitions with no settled side are decided by numerics.rank's criterion
-    (_rank_d), side I first.
+    subset scan's shift tau = (M_u + err_s)^2 + err_lam (_margin_shift), in
+    _one_side_settled's pass, which lipschitz's A0 screen shares: side I
+    where it spans, then side C where it spans and side I did not settle the
+    split, its Gram U U^T - G_I formed for those masks only. The partitions
+    with no settled side are decided by numerics.rank's criterion (_rank_d),
+    side I first.
 
     The Grams are those of the key's unit copy U = 2^-e A (_unit). A side S
     that factors has rank d, by subset_scan's argument with U_S and A_S in
@@ -722,13 +766,7 @@ def _complement_walk(key: Key) -> Partition | None:
     unit = _unit(key)[0]
     total = numerics.pack(unit @ unit.T)
     for masks, gi, full_i, full_c in _partition_blocks(unit):
-        # side I of every mask, a contiguous copy of the block being cheaper
-        # than a gather; the verdicts count where side I spans
-        settled = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), tau)
-        # side C's Grams, formed only where side I did not settle the split
-        rows = np.flatnonzero(full_c & ~settled)
-        settled[rows] = numerics._shifted_cholesky_ok_inplace(
-            total[:, None] - np.take(gi, rows, axis=1), tau)
+        settled = _one_side_settled(gi, total, full_i, full_c, tau)[0]
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])

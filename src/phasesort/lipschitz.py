@@ -31,7 +31,9 @@ from .frame_keys import (
     Key,
     Partition,
     _cached,
+    _one_side_settled,
     _partition_blocks,
+    _side_singular_values,
     _unit,
 )
 
@@ -87,7 +89,9 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       triangles (numerics.pack); side C's, U U^T - G_I, is formed only for
       the masks whose side C is read: those whose side C spans and whose
       side I does not pass the one-side test below. Each mask of a block
-      after the first is tested before any eigvalsh:
+      after the first is tested before any eigvalsh, and only on sides that
+      span (_settled): side I where it spans, side C where it spans and
+      side I did not pass, then both where both span:
       numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
       lambda_min(G) >= tau - delta, with delta of order d^2 * eps * B0^2
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -112,7 +116,15 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       visit is among them, so each sees the same best as in the full visit
       and decides the same way. A mask with lo >= best - tie cannot pass the
       test, now or after the best drops; such masks are dropped whenever the
-      best changes.
+      best changes. As the best only drops, a mask is dropped by the time the
+      visit reaches it exactly when lo >= best - tie for the best at that
+      time, which the visit tests as it reaches it. The values come from
+      stacked SVDs of the key, one per side size
+      (frame_keys._side_singular_values), whose rows have the bits of
+      numerics.sigma_k on each side alone. They are taken for ascending
+      windows of the kept masks, the first of _FIRST_WINDOW masks and each
+      later one twice the one before, so a key whose first visited mask
+      drops nearly every other one decomposes one window.
 
     A0 therefore always comes from exact SVD values, never from the screen.
     Near-singular keys, whose values all sit inside the bracket's width, send
@@ -127,8 +139,10 @@ class LowerConstantSearch:
 
     ``result`` is (A0, I0). Of the 2^(D-1) canonical masks, ``settled`` were
     ruled out by the shifted-Cholesky test, ``diagonalized`` were bracketed
-    with eigvalsh, and ``visited`` got the exact SVD values; visited masks
-    are among the kept ones, which are among the diagonalized ones. The
+    with eigvalsh, and ``visited`` were decided on their exact SVD values;
+    visited masks are among the kept ones, which are among the diagonalized
+    ones (the exact pass decomposes the kept masks a window at a time, so a
+    few kept masks past the last visited one may be decomposed too). The
     screen reads the key's unit copy (frame_keys._unit): the key times a
     power of two that holds it exactly has the same one, and so the same
     ``settled`` and ``diagonalized``, away from subnormal scale.
@@ -146,34 +160,51 @@ def lower_constant_search(key: Key) -> LowerConstantSearch:
 
 
 def _lower_constant(key: Key) -> LowerConstantSearch:
-    d, D = key.d, key.D
+    D = key.D
     if D > COMPLEMENT_MAX_COLS:
         raise SearchTooLarge(
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
-    a = key.matrix
-    b0 = upper_constant(key)
-    tie = _TIE_WINDOW * b0
+    tie = _TIE_WINDOW * upper_constant(key)
     masks, lo, settled, diagonalized = _screen(key)
     best_val = np.inf
-    best_mask = 0
-    visited = 0
+    best_mask = visited = 0
+    size = _FIRST_WINDOW
     while masks.size:
-        mask = int(masks[0])
-        masks, lo = masks[1:], lo[1:]
-        visited += 1
-        part = Partition(mask, D)
-        cols_i = part.column_indices0()
-        cols_c = part.complement().column_indices0()
-        s_i = numerics.sigma_k(a[:, cols_i], d) if len(cols_i) >= d else 0.0
-        s_c = numerics.sigma_k(a[:, cols_c], d) if len(cols_c) >= d else 0.0
-        val = float(np.hypot(s_i, s_c))
-        if val < best_val - tie:
-            best_val = val
-            best_mask = mask
-            keep = lo < best_val - tie
-            masks, lo = masks[keep], lo[keep]
+        window, masks, window_lo, lo = masks[:size], masks[size:], lo[:size], lo[size:]
+        size *= 2
+        s_i, s_c = np.split(_sigma_d(key.matrix, np.concatenate(
+            (window, ((1 << D) - 1) ^ window))), 2)
+        for mask, low, si, sc in zip(window.tolist(), window_lo.tolist(),
+                                     s_i.tolist(), s_c.tolist()):
+            if not low < best_val - tie:
+                continue  # dropped when the best last changed
+            visited += 1
+            val = float(np.hypot(si, sc))
+            if val < best_val - tie:
+                best_val, best_mask = val, mask
+        keep = lo < best_val - tie
+        masks, lo = masks[keep], lo[keep]
     return LowerConstantSearch((best_val, Partition(best_mask, D)), settled, diagonalized, visited)
+
+
+# The exact pass decomposes the kept masks in ascending windows, the first of
+# this many masks and each later one twice the one before. A window's SVDs
+# are stacked, so a mask costs less than with SVDs one at a time; but a mask
+# that the pass drops before it reaches it wastes its SVDs, and a key whose
+# first visited mask drops every other one (the rank-deficient key of the
+# tests keeps 512 masks and visits one) would otherwise decompose them all.
+_FIRST_WINDOW = 16
+
+
+def _sigma_d(a: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
+    """numerics.sigma_k(a[:, cols], d) of the columns cols of each mask, from
+    stacked SVDs (frame_keys._side_singular_values), with the same bits; 0
+    for masks of fewer than d columns."""
+    sigma = np.zeros(col_masks.size)
+    for rows, _, s in _side_singular_values(a, col_masks):
+        sigma[rows] = s[:, -1]
+    return sigma
 
 
 def _side_bracket(lam, full, err_lam, err_s):
@@ -230,27 +261,22 @@ def _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
     spans and whose side I did not pass the one-side test.
 
     A mask is settled when a spanning side passes the one-side test, or both
-    sides span and pass the both-sides test. The sides are tested in three
-    calls of the packed kernel (numerics._shifted_cholesky_ok_inplace): side
-    I of every mask of the block, whose verdict counts where side I spans,
-    then side C of rows_c, both at the one-side shift; then both sides of the
-    masks still undecided where both span, at the both-sides shift. The
-    kernel works elementwise over the Grams of a call, so each Gram's verdict
-    is the one it would get alone, whatever else shares the call and in
-    whichever order the calls run: each mask gets the boolean of the rule
-    above. At hi_run = inf no mask is settled and no test runs.
+    sides span and pass the both-sides test. The sides are tested in up to
+    three calls of the packed kernel (numerics._shifted_cholesky_ok_inplace):
+    frame_keys._one_side_settled's pass at the one-side shift, side I where
+    it spans, then side C of rows_c; then both sides of the masks still
+    undecided where both span, at the both-sides shift. So no side with
+    fewer than d columns is factored, unless seven eighths of the block's
+    sides I span (_one_side_settled then factors a copy of the whole block),
+    and a side I that factors spares its side C. The kernel works
+    elementwise over the Grams of a call, so each Gram's verdict is the one
+    it would get alone, whatever else shares the call and in whichever order
+    the calls run: each mask gets the boolean of the rule above. At hi_run =
+    inf both shifts are infinite: no mask is settled and no test runs.
     """
-    ok = np.zeros(full_i.size, dtype=bool)
-    finite = hi_run < np.inf
     one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
-    if finite:
-        # side I of every mask, a contiguous copy of the block being cheaper
-        # than a gather; the verdicts count where side I spans
-        ok = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), one_side)
-    rows_c = np.flatnonzero(full_c & ~ok)
-    gc = total[:, None] - np.take(gi, rows_c, axis=1)
-    if finite:
-        ok[rows_c] = numerics._shifted_cholesky_ok_inplace(gc.copy(), one_side)
+    ok, rows_c, gc = _one_side_settled(gi, total, full_i, full_c, one_side)
+    if hi_run < np.inf:
         both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
         both = np.flatnonzero(full_i[rows_c] & ~ok[rows_c])  # columns of gc
         rows = rows_c[both]

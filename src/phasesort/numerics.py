@@ -318,19 +318,29 @@ def _shifted_cholesky_ok_inplace(w: np.ndarray, tau: float) -> np.ndarray:
     Each of the d right-looking elimination steps updates the upper triangle
     of the trailing block row by row, each row one vectorized operation over
     all n matrices; there is no per-matrix LAPACK call.
+
+    The verdict is whether the last pivot is positive: a matrix whose
+    factorization fails at an earlier step runs on, and its last pivot is NaN
+    or -inf. Up to the first pivot p that is not positive, every value is the
+    one a factorization that stops there computes. If p is negative or NaN,
+    sqrt(p) is NaN, and so is every entry after the step. If p is +-0, each
+    multiplier r_i is +-inf or NaN, so every later diagonal entry, reduced by
+    r_i^2, is -inf or NaN. No step can lift a diagonal entry that is -inf or
+    NaN, since it only ever has a square, or NaN, subtracted from it (no
+    diagonal entry is ever +inf: it starts finite and only decreases). The
+    next pivot is therefore -inf or NaN, its square root NaN, and from there
+    on every entry is NaN. So each verdict is the one a factorization that
+    stops at its first failed pivot gives. The invalid, divide and overflow
+    warnings of the failed matrices are silenced; so is the overflow of a
+    tiny positive pivot's row, which sends the next pivot to -inf or NaN.
     """
-    d, n = _packed_order(w.shape[0]), w.shape[-1]
+    d = _packed_order(w.shape[0])
     start = _row_starts(d)
     w[list(start[:-1])] -= tau
-    ok = np.ones(n, dtype=bool)
-    for k in range(d):
-        pivot = w[start[k]]
-        ok &= pivot > 0.0
-        if k == d - 1 or not ok.any():
-            break
-        # rows that already failed get a unit pivot; their values are never read
-        r = w[start[k] + 1:start[k + 1]] / np.sqrt(np.where(ok, pivot, 1.0))
-        # the factorization reads only the upper triangle, all the layout holds
-        for i in range(k + 1, d):
-            w[start[i]:start[i + 1]] -= r[i - k - 1] * r[i - k - 1:]
-    return ok
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(d - 1):
+            r = w[start[k] + 1:start[k + 1]] / np.sqrt(w[start[k]])
+            # the factorization reads only the upper triangle, all the layout holds
+            for i in range(k + 1, d):
+                w[start[i]:start[i + 1]] -= r[i - k - 1] * r[i - k - 1:]
+    return w[start[d - 1]] > 0.0

@@ -342,17 +342,25 @@ def lower_constant_screen(key):
 
 
 def lower_constant(key):
-    """(A0, mask of I0): lower_constant_screen's masks visited in ascending
-    order with two SVDs each, dropping masks that can no longer pass."""
+    """(A0, mask of I0): lower_constant_screen's masks through exact_pass."""
+    return exact_pass(key, *lower_constant_screen(key))[:2]
+
+
+def exact_pass(key, masks, lo):
+    """(A0, mask of I0, masks visited): the kept ``masks`` visited in
+    ascending order with two numerics.sigma_k calls each, one at a time,
+    dropping the masks whose bracket lower end ``lo`` shows they can no
+    longer pass whenever the best changes."""
     d, D = key.d, key.D
     a = key.matrix
     tie = lipschitz._TIE_WINDOW * lipschitz.upper_constant(key)
-    masks, lo = lower_constant_screen(key)
     best_val = np.inf
     best_mask = 0
+    visited = 0
     while masks.size:
         mask = int(masks[0])
         masks, lo = masks[1:], lo[1:]
+        visited += 1
         part = Partition(mask, D)
         cols_i = part.column_indices0()
         cols_c = part.complement().column_indices0()
@@ -364,7 +372,7 @@ def lower_constant(key):
             best_mask = mask
             keep = lo < best_val - tie
             masks, lo = masks[keep], lo[keep]
-    return best_val, best_mask
+    return best_val, best_mask, visited
 
 
 # --- the d-subset scan with an SVD of every subset ---------------------------

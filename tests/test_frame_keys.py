@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from phasesort.matrixio import save_matrix
 from phasesort.numerics import DEFAULT_TOL, ToleranceConfig
 
 import oracles
-from conftest import A_REF, ADVERSARIAL
+from conftest import A_REF, ADVERSARIAL, SRC
 
 
 def test_generate_key_deterministic():
@@ -590,6 +593,69 @@ def test_complement_walk_stops_at_the_first_violation(monkeypatch):
     # both sides of mask 2^(D-d+1) - 1 have fewer than d columns
     assert 0 < sum(walked) <= 1 << (14 - 8 + 1)
     assert (rep.verdict, rep.witness, rep.method) == oracles.complement_property(key)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
+    # D = 2d - 1: exactly one side of each split spans, and only it reaches
+    # the packed kernel, side I's Grams first and then side C's. The planted
+    # key has column 15 = c1 + c2 + 1e-9 c3, so the subset certificate
+    # declines it and the walk runs until its first violation; the seeded
+    # key's walk, called directly, visits every split
+    mat = generate_key(8, 15, 1).matrix.copy()
+    if planted:
+        mat[:, 14] = mat[:, 0] + mat[:, 1] + 1e-9 * mat[:, 2]
+    key = Key(mat)
+    assert not (planted and frame_keys._subsets_certify_complement(key))
+    log = []
+    real_blocks, real_kernel = frame_keys._partition_blocks, numerics._shifted_cholesky_ok_inplace
+
+    def blocks(a):
+        for block in real_blocks(a):
+            log.append(("block", [np.array(x) for x in block]))
+            yield block
+
+    def kernel(w, tau):
+        log.append(("kernel", w.copy()))
+        return real_kernel(w, tau)
+
+    monkeypatch.setattr(frame_keys, "_partition_blocks", blocks)
+    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace", kernel)
+    if planted:
+        rep = has_complement_property(key)
+        assert (rep.verdict, rep.witness, rep.method) == oracles.complement_property(key)
+    else:
+        assert frame_keys._complement_walk(key) is None
+    unit = frame_keys._unit(key)[0]
+    total = numerics.pack(unit @ unit.T)
+    walked = 0
+    for i in range(0, len(log), 3):
+        (tag, (masks, gi, full_i, full_c)), (_, side_i), (_, side_c) = log[i:i + 3]
+        assert tag == "block" and np.array_equal(full_i, ~full_c)
+        assert side_i.tobytes() == gi[:, full_i].tobytes()
+        assert side_c.tobytes() == (total[:, None] - gi)[:, full_c].tobytes()
+        walked += masks.size
+    assert walked == (1024 if planted else 1 << 14)
+
+
+def test_complement_walk_leaves_numpy_ma_unimported():
+    # numpy.ma, a lazy submodule, costs a fresh process its import; the walk
+    # decides the splits it cannot settle without it
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from phasesort import frame_keys, generate_key, lower_constant\n"
+        "for key in (generate_key(3, 4, 1), generate_key(5, 8, 4)):\n"
+        "    assert not frame_keys._subsets_certify_complement(key)\n"
+        "    frame_keys.has_complement_property(key)\n"
+        "    lower_constant(key)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    before, after = res.stdout.split()
+    assert before == "True" or after == "False"
 
 
 def _near_trust_ratio_key(d, seed, delta):

@@ -451,3 +451,92 @@ def test_lower_constant_memoized(monkeypatch):
     assert len(calls) == 1
     lower_constant(Key(key.matrix))
     assert len(calls) == 2
+
+
+def _assert_exact_pass_matches_loop(monkeypatch, matrix, tol=numerics.DEFAULT_TOL):
+    # the stacked exact pass against oracles.exact_pass, the loop of two
+    # numerics.sigma_k calls per mask, on the masks the search's screen kept
+    screened = []
+    with monkeypatch.context() as m:
+        real = lipschitz._screen
+        m.setattr(lipschitz, "_screen", lambda key: screened.append(real(key)) or screened[-1])
+        key = Key(matrix, tol)
+        search = lipschitz.lower_constant_search(key)
+    masks, lo, _, _ = screened[0]
+    a0, mask, visited = oracles.exact_pass(key, masks, lo)
+    assert np.float64(search.result[0]).tobytes() == np.float64(a0).tobytes()
+    assert (search.result[1].mask, search.visited) == (mask, visited)
+
+
+@pytest.mark.parametrize("factor", [1e-16, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_exact_pass_matches_loop_adversarial(monkeypatch, name, factor):
+    _assert_exact_pass_matches_loop(
+        monkeypatch, ADVERSARIAL[name], numerics.ToleranceConfig(rank_tol_factor=factor))
+
+
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_exact_pass_windows_match_loop(monkeypatch, name, window):
+    # windows of 1, 2, 4, ... and 3, 6, 12, ... masks: drops inside and
+    # across window boundaries
+    monkeypatch.setattr(lipschitz, "_FIRST_WINDOW", window)
+    _assert_exact_pass_matches_loop(monkeypatch, ADVERSARIAL[name])
+
+
+@pytest.mark.parametrize("d,D", [(3, 8), (4, 12), (4, 16), (8, 15), (5, 18), (3, 12)])
+def test_exact_pass_matches_loop_seeded(monkeypatch, d, D):
+    _assert_exact_pass_matches_loop(monkeypatch, generate_key(d, D, 1).matrix)
+
+
+def test_exact_pass_matches_loop_at_the_cap(monkeypatch):
+    # the 4x24 key of the CI A0 cap smoke step
+    _assert_exact_pass_matches_loop(monkeypatch, generate_key(4, 24, 1).matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.integers(1, 10).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    ),
+    st.sampled_from([1, 2, 16]),
+)
+def test_exact_pass_matches_loop_hypothesis(matrix, window):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(lipschitz, "_FIRST_WINDOW", window)
+        _assert_exact_pass_matches_loop(monkeypatch, matrix)
+
+
+def test_exact_pass_decomposes_one_window_of_a_rank_deficient_key(monkeypatch):
+    # the value of its first visited mask, a rounding error of a rank-2 key,
+    # drops the other 511 kept masks
+    rows = []
+    real = numerics.singular_values_many
+    monkeypatch.setattr(numerics, "singular_values_many",
+                        lambda stack: rows.append(len(stack)) or real(stack))
+    search = lipschitz.lower_constant_search(Key(ADVERSARIAL["rank-deficient"]))
+    masks, _, _, _ = lipschitz._screen(Key(ADVERSARIAL["rank-deficient"]))
+    assert (masks.size, search.visited) == (512, 1)
+    assert 0 < sum(rows) <= 32  # the first window, 16 masks, two sides each
+
+
+@pytest.mark.parametrize("d,D,most", [(8, 15, None), (4, 16, 41264), (5, 18, 155318)])
+def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
+    # the Grams the packed kernel receives during the search. At D = 2d - 1
+    # exactly one side of each split spans, and only it is factored: one
+    # Gram per mask after the first block, which no test screens
+    grams = []
+    real = numerics._shifted_cholesky_ok_inplace
+    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
+                        lambda w, tau: grams.append(w.shape[1]) or real(w, tau))
+    lipschitz.lower_constant_search(generate_key(d, D, 1))
+    if most is None:
+        assert sum(grams) == (1 << (D - 1)) - frame_keys._FIRST_BLOCK == 16320
+    else:
+        assert sum(grams) <= most

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,3 +275,57 @@ def test_packed_layout(d):
 
 def test_shifted_cholesky_empty_stack():
     assert numerics.shifted_cholesky_ok(np.zeros((0, 3, 3)), 1.0).shape == (0,)
+
+
+def _failing_grams(d: int) -> dict:
+    """Grams whose factorization at tau = 0 fails at step k, for every k:
+    a zero pivot whose row is zero or not, a negative pivot, and a tiny
+    positive pivot whose row, or its square, overflows.
+
+    G = L L^T for a unit lower-triangular L of small integers has integer
+    entries, unit pivots and, after step k, the entries L[j, k] in row k, so
+    elimination is exact up to the pivot that is changed."""
+    rng = np.random.Generator(np.random.PCG64(90 + d))
+    tiny = np.finfo(float).smallest_subnormal
+    grams = {}
+    for k in range(d):
+        low = np.tril(rng.integers(-2, 3, size=(d, d)).astype(float), -1) + np.eye(d)
+        low[k + 1:, k] = np.where(low[k + 1:, k] == 0.0, 1.0, low[k + 1:, k])
+        g = low @ low.T
+        for name, drop in (("zero", 1.0), ("negative", 3.0)):
+            grams[f"{name}-{k}"] = g - drop * np.diag(np.eye(d)[k])
+        flat = low.copy()
+        flat[k + 1:, k] = 0.0  # row k after step k is zero: 0 / 0 = NaN
+        grams[f"zero-row-{k}"] = flat @ flat.T - np.diag(np.eye(d)[k])
+        # row k of L zero before its diagonal, so pivot k is G[k, k] itself
+        lone = low.copy()
+        lone[k, :k] = 0.0
+        g = lone @ lone.T
+        for name, entry in (("overflowing-row", 1e300), ("overflowing-square", 1.0)):
+            h = g.copy()
+            h[k, k] = tiny
+            h[k, k + 1:] = h[k + 1:, k] = entry
+            grams[f"{name}-{k}"] = h
+    return grams
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_shifted_cholesky_failed_pivots_run_to_nan(d):
+    # the kernel keeps factoring past a failed pivot; its verdict, the last
+    # pivot's sign, is the oracle's, which stops at the first failure
+    grams = _failing_grams(d)
+    passing = np.stack([g for g in GRAMS.values() if g.shape[0] == d])
+    for tau in (0.0, 0.5):
+        shift = tau * np.eye(d)
+        stack = np.concatenate([np.stack(list(grams.values())) + shift, passing])
+        with np.errstate(all="ignore"):  # the oracle's own overflow and NaN
+            want = oracles.shifted_cholesky_ok(stack, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numerics.shifted_cholesky_ok(stack, tau)
+        assert np.array_equal(got, want)
+        if tau == 0.0:  # a shift of 0.5 absorbs the tiny pivots
+            for name, verdict in zip(grams, want):
+                step = int(name.rsplit("-", 1)[1])
+                # a tiny positive last pivot factors; every other planted one fails
+                assert verdict == (name.startswith("overflowing") and step == d - 1), name
