@@ -24,11 +24,13 @@ Two exhaustive scans back them, each run at most once per key:
   (Balan, Casazza and Edidin, "On signal reconstruction without phase",
   ACHA 2006), and the margin makes the floating-point verdict the same.
 - The complement walk (_complement_walk) visits the 2^(D-1) column
-  partitions in ascending blocks and stops at the first violating split. A
-  side spans when numerics.rank's criterion gives it rank d; the subset
-  scan's shifted-Cholesky test, at the same margin shift (_margin_shift),
-  settles most spanning sides from their Grams, and numerics.rank decides
-  the rest, so the verdict and witness are those of the rank of every side.
+  partitions in ascending blocks (_partition_blocks: aligned power-of-two
+  ranges of masks, each with its own table of Grams) and stops at the first
+  violating split. A side spans when numerics.rank's criterion gives it
+  rank d; the subset scan's shifted-Cholesky test, at the same margin shift
+  (_margin_shift), settles most spanning sides from their Grams, and
+  numerics.rank decides the rest, so the verdict and witness are those of
+  the rank of every side.
   The complement property falls back to the walk when the subset certificate
   does not apply, and it is the only source of a false verdict and its
   witness.
@@ -62,13 +64,14 @@ COMPLEMENT_MAX_COLS = 24
 FULL_SPARK_MAX_SUBSETS = 5_000_000
 
 # Batched kernels work on at most this many stacked matrix entries at a time
-# (memory, not correctness): partition Grams are built, and column subsets
-# ranked, one chunk at a time.
+# (memory, not correctness): the subset scan's arrays and the stacked SVDs of
+# partition sides are taken one chunk at a time.
 _CHUNK_ENTRIES = 1 << 20
 
-# Gram entries per block of the partition walks, which bounds their memory; a
-# block holds at most this many entries of each side's Grams.
-_SCREEN_ENTRIES = 1 << 16
+# Gram entries per block of the partition walks (_partition_blocks), which
+# bounds their memory: a block holds at most the largest power of two of
+# masks whose Grams of one side fit, 8192 masks at d = 4 and 2048 at d = 8.
+_SCREEN_ENTRIES = 1 << 17
 
 
 @dataclass(eq=False, frozen=True)
@@ -391,7 +394,7 @@ def _unsettled_subsets(key: Key, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """
     d, D = key.d, key.D
     budget = _CHUNK_ENTRIES >> 4
-    unit = _unit(key)[0]
+    unit = _unit(key).matrix
     gram = unit.T @ unit
     if d == 1:
         root = np.diagonal(gram) - tau
@@ -580,7 +583,8 @@ def _subset_tree(picks: int, m: int, first: int, stop: int, depth: int):
 
 def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
     """Complete a packed (P, 2^n) table of subset Grams from the entry of mask
-    0 in column 0, in place.
+    0 in column 0, in place: a block of _partition_blocks, whose column m
+    holds the block's first mask plus the low bits m.
 
     Column ``m`` becomes the entry of mask 0 plus the packed outer products
     outers[b] (each of P entries) of the bits b set in ``m``, added highest
@@ -615,40 +619,36 @@ def _partition_blocks(a: np.ndarray):
     masks, one per column, for the subsets I that avoid the last column;
     ``full_i`` and ``full_c`` mark the sides with at least d columns. The
     complement's Gram is pack(A A^T)[:, None] - gi, which the walks form only
-    for the masks whose side C they read. The masks [0, 2^(D-1)) are split
-    into a high prefix and the low bits that fit one chunk of at most
-    _CHUNK_ENTRIES entries. The prefix Grams and then each chunk are
-    completed by the same lowest-bit recurrence, one add over a strided view
-    per bit (_fill_grams), so every entry is the same sum, in the same order,
-    as in a single table over all masks. A mask's column count is a lookup in
-    one table over the low bits plus its prefix's count. Blocks double from
-    _FIRST_BLOCK masks up to _SCREEN_ENTRIES Gram entries per side.
+    for the masks whose side C they read.
+
+    A block is an aligned range of masks [start, start + 2^k), and its Grams
+    are one contiguous (P, 2^k) table of its own: column 0 is mask start's
+    Gram, its outer products summed highest bit first, and _fill_grams adds
+    the k low bits. So every entry is the same sum, in the same order, as in
+    a single table over all masks. Blocks double from _FIRST_BLOCK masks to
+    the largest power of two whose Grams fit _SCREEN_ENTRIES entries. A
+    mask's column count is start's plus a lookup in one table over the low
+    bits.
     """
     d, D = a.shape
     bits = D - 1
     rows, cols = numerics.packed_pairs(d)
     size = len(rows)
-    low = min(bits, max(0, (_CHUNK_ENTRIES // size).bit_length() - 1))
     outers = (a[rows] * a[cols]).T
-    seeds = np.zeros((size, 1 << (bits - low)))
-    _fill_grams(seeds, outers[low:bits])
-    low_counts = np.zeros(1 << low, dtype=np.int64)
-    for b in range(low):
+    top = min(bits, max(0, (_SCREEN_ENTRIES // size).bit_length() - 1))
+    low_counts = np.zeros(1 << top, dtype=np.int64)
+    for b in range(top):
         low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
-    per_block = max(1, _SCREEN_ENTRIES // size)
-    for prefix in range(seeds.shape[1]):
-        # the chunk holds masks first .. stop - 1, mask m in column m - first
-        first, stop = prefix << low, (prefix + 1) << low
-        grams = np.empty((size, 1 << low))
-        grams[:, 0] = seeds[:, prefix]
-        _fill_grams(grams, outers[:low])
-        start = first
-        while start < stop:
-            end = min(stop, start + per_block, max(_FIRST_BLOCK, 2 * start))
-            counts = low_counts[start - first:end - first] + prefix.bit_count()
-            yield (np.arange(start, end), grams[:, start - first:end - first],
-                   counts >= d, D - counts >= d)
-            start = end
+    start = 0
+    while start < 1 << bits:
+        k = min(top, max(_FIRST_BLOCK.bit_length(), start.bit_length()) - 1)
+        grams = np.empty((size, 1 << k))
+        # mask start's Gram, summed from 0 highest bit first, as _fill_grams sums
+        grams[:, 0] = sum(outers[b] for b in range(bits - 1, k - 1, -1) if start >> b & 1)
+        _fill_grams(grams, outers[:k])
+        counts = low_counts[:1 << k] + start.bit_count()
+        yield np.arange(start, start + (1 << k)), grams, counts >= d, D - counts >= d
+        start += 1 << k
 
 
 def _one_side_settled(gi, total, full_i, full_c, tau):
@@ -763,10 +763,9 @@ def _complement_walk(key: Key) -> Partition | None:
     """
     D = key.D
     _, tau = _margin_shift(key)
-    unit = _unit(key)[0]
-    total = numerics.pack(unit @ unit.T)
-    for masks, gi, full_i, full_c in _partition_blocks(unit):
-        settled = _one_side_settled(gi, total, full_i, full_c, tau)[0]
+    unit = _unit(key)
+    for masks, gi, full_i, full_c in _partition_blocks(unit.matrix):
+        settled = _one_side_settled(gi, unit.gram, full_i, full_c, tau)[0]
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])
@@ -793,24 +792,41 @@ def _margin_shift(key: Key) -> tuple[float, float]:
     """(M, tau): the key's certificate margin M, and the shift at which a Gram
     of the unit copy (_unit) that factors shows the key's sigma_d of the same
     columns above M (see subset_scan)."""
-    unit, e = _unit(key)
-    sigma_1 = numerics.sigma_k(unit, 1)
-    unit_margin = _certificate_margin(key, sigma_1)
-    err_s, err_lam = numerics._gram_screen_errors(sigma_1, key.d, key.D, e)
-    tau = (unit_margin + err_s) * (unit_margin + err_s) + err_lam
+    unit = _unit(key)
+    unit_margin = _certificate_margin(key, unit.sigma_1)
+    tau = (unit_margin + unit.err_s) * (unit_margin + unit.err_s) + unit.err_lam
     return _certificate_margin(key, numerics.sigma_k(key.matrix, 1)), tau
 
 
-def _unit(key: Key) -> tuple[np.ndarray, int]:
-    """(2^-e A, e), e being the np.frexp exponent of the key's largest |entry|
-    (memoized). The copy's largest entry lies in [1/2, 1), so its Gram
+@dataclass(frozen=True, eq=False)
+class UnitCopy:
+    """What the Gram screens read of a key (_unit): the copy ``matrix`` = U =
+    2^-e A, its sigma_1 from numerics.sigma_k, the allowances (err_s,
+    err_lam) of numerics._gram_screen_errors for it, and ``gram``, the packed
+    U U^T (numerics.pack) from which the partition walks form side C's
+    Grams."""
+
+    matrix: np.ndarray
+    e: int
+    sigma_1: float
+    err_s: float
+    err_lam: float
+    gram: np.ndarray
+
+
+def _unit(key: Key) -> UnitCopy:
+    """The key's UnitCopy (memoized), e being the np.frexp exponent of its
+    largest |entry|. The copy's largest entry lies in [1/2, 1), so its Gram
     entries are at most D, and underflow costs each a few subnormal spacings
     at most. It is the key scaled exactly by a power of two, except that for
     e > 0 entries below 2^(e - 1022) in magnitude are rounded to the
     subnormal grid. Only the Gram screens read it."""
     def unit():
         e = int(np.frexp(np.abs(key.matrix).max())[1])
-        return np.ldexp(key.matrix, -e), e
+        u = np.ldexp(key.matrix, -e)
+        sigma_1 = numerics.sigma_k(u, 1)
+        err_s, err_lam = numerics._gram_screen_errors(sigma_1, key.d, key.D, e)
+        return UnitCopy(u, e, sigma_1, err_s, err_lam, numerics.pack(u @ u.T))
     return _cached(key, "unit", unit)
 
 

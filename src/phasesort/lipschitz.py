@@ -83,15 +83,18 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       of the masks before it (infinite for mask 0). Masks with lo >= prev_hi
       are skipped.
     - Settled masks. The screen walks the masks in the ascending blocks of
-      frame_keys._partition_blocks, which start at 64 masks and double, and
-      keeps hi_run, the smallest hi so far, so that hi_run at the start of a
-      block is >= prev_hi of every mask in it. The Grams are packed upper
-      triangles (numerics.pack); side C's, U U^T - G_I, is formed only for
-      the masks whose side C is read: those whose side C spans and whose
-      side I does not pass the one-side test below. Each mask of a block
-      after the first is tested before any eigvalsh, and only on sides that
-      span (_settled): side I where it spans, side C where it spans and
-      side I did not pass, then both where both span:
+      frame_keys._partition_blocks, aligned power-of-two ranges of masks
+      that start at 64 masks and double up to the most whose Grams fit
+      frame_keys._SCREEN_ENTRIES, and keeps hi_run, the smallest hi so far,
+      so that hi_run at the start of a block is >= prev_hi of every mask in
+      it. Each block's Grams are one contiguous table, the same bits as a
+      single table over all masks. They are packed upper triangles
+      (numerics.pack); side C's, U U^T - G_I, is formed only for the masks
+      whose side C is read: those whose side C spans and whose side I does
+      not pass the one-side test below. Each mask of a block after the
+      first is tested before any eigvalsh, and only on sides that span
+      (_settled): side I where it spans, side C where it spans and side I
+      did not pass, then both where both span:
       numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
       lambda_min(G) >= tau - delta, with delta of order d^2 * eps * B0^2
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -219,15 +222,13 @@ def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
     brackets, and the numbers of masks settled and diagonalized. The brackets
     are those of the unit copy 2^-e A (frame_keys._unit), with its own B0;
     their lower ends are scaled back by 2^e."""
-    unit, e = _unit(key)
-    b0 = numerics.sigma_k(unit, 1)
-    err_s, err_lam = numerics._gram_screen_errors(b0, key.d, key.D, e)
-    total = numerics.pack(unit @ unit.T)
+    unit = _unit(key)
+    err_s, err_lam = unit.err_s, unit.err_lam
     kept_masks, kept_lo = [], []
     hi_run = np.inf
     settled = diagonalized = 0
-    for block, gi, full_i, full_c in _partition_blocks(unit):
-        ok, rows_c, gc = _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam)
+    for block, gi, full_i, full_c in _partition_blocks(unit.matrix):
+        ok, rows_c, gc = _settled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
         unsettled = np.flatnonzero(~ok)
         settled += block.size - unsettled.size
         diagonalized += unsettled.size
@@ -243,7 +244,8 @@ def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
         keep = np.flatnonzero(lo < prev_hi[:-1])
         kept_masks.append(block[unsettled[keep]])
         kept_lo.append(lo[keep])
-    return np.concatenate(kept_masks), np.ldexp(np.concatenate(kept_lo), e), settled, diagonalized
+    return (np.concatenate(kept_masks), np.ldexp(np.concatenate(kept_lo), unit.e),
+            settled, diagonalized)
 
 
 def _lam_min(grams: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -276,11 +278,12 @@ def _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
     """
     one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
     ok, rows_c, gc = _one_side_settled(gi, total, full_i, full_c, one_side)
-    if hi_run < np.inf:
+    both = np.flatnonzero(full_i[rows_c] & ~ok[rows_c])  # columns of gc
+    if hi_run < np.inf and both.size:
         both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
-        both = np.flatnonzero(full_i[rows_c] & ~ok[rows_c])  # columns of gc
         rows = rows_c[both]
-        passed = numerics.shifted_cholesky_ok_gathered(((gi, rows), (gc, both)), both_sides)
+        passed = numerics._shifted_cholesky_ok_inplace(
+            np.concatenate((np.take(gi, rows, axis=1), gc[:, both]), axis=1), both_sides)
         ok[rows] = passed[:rows.size] & passed[rows.size:]
     return ok, rows_c, gc
 

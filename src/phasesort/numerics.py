@@ -294,23 +294,6 @@ def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
     return _shifted_cholesky_ok_inplace(pack(stack), tau)
 
 
-def shifted_cholesky_ok_gathered(parts, tau: float) -> np.ndarray:
-    """shifted_cholesky_ok of the columns ``rows`` of each packed (P, m) stack
-    of ``(stack, rows)`` in ``parts``, concatenated in order, with one call
-    of the kernel.
-
-    The selected columns are taken into one new (P, n) array, which the
-    kernel overwrites; the stacks are not changed. The kernel works
-    elementwise over n, so each matrix gets the verdict it would get alone.
-    No rows, no call.
-    """
-    taken = [np.take(stack, rows, axis=1) for stack, rows in parts]
-    if not sum(t.shape[1] for t in taken):
-        return np.zeros(0, dtype=bool)
-    return _shifted_cholesky_ok_inplace(
-        taken[0] if len(taken) == 1 else np.concatenate(taken, axis=1), tau)
-
-
 def _shifted_cholesky_ok_inplace(w: np.ndarray, tau: float) -> np.ndarray:
     """shifted_cholesky_ok of each matrix w[:, i] of a packed (P, n) float64
     stack, which is overwritten.

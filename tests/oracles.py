@@ -322,7 +322,8 @@ def lower_constant_screen(key):
     the smallest upper end before it, and the lower ends scaled back by 2^e.
     Reads the screen constants at call time, so they can be patched."""
     d, D = key.d, key.D
-    unit, e = frame_keys._unit(key)
+    copy = frame_keys._unit(key)
+    unit, e = copy.matrix, copy.e
     scan = partition_scan(frame_keys.Key(unit, key.tol))
     b0 = sigma_k(unit, 1)
     spacing = np.ldexp(np.finfo(float).smallest_subnormal, -e)
@@ -466,7 +467,7 @@ def subset_verdicts(key, tau):
     shifted-Cholesky kernel at the shift tau: its Gram G[T, T] of the unit
     copy U (G = U^T U) gathered straight into the packed layout, chunk by
     chunk."""
-    unit = frame_keys._unit(key)[0]
+    unit = frame_keys._unit(key).matrix
     gram = unit.T @ unit
     parts = [numerics._shifted_cholesky_ok_inplace(
                  packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
@@ -483,7 +484,7 @@ def cholesky_subset_scan(key):
     if D < d:
         return frame_keys.SubsetScan(tuple(range(1, D + 1)), False, 0, 0)
     margin, tau = frame_keys._margin_shift(key)
-    unit = frame_keys._unit(key)[0]
+    unit = frame_keys._unit(key).matrix
     gram = unit.T @ unit
     clears_margin = True
     settled = decomposed = 0

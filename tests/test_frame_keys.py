@@ -234,8 +234,10 @@ def _partition_grams_reference(a: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("entries", [1, 9, 40, 1 << 20])
 @pytest.mark.parametrize("d,D", [(1, 1), (2, 5), (3, 8), (4, 9)])
 def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
+    # blocks of one mask (at 1 entry, and at 9 for d >= 3) up to the default
+    # schedule's, 64 masks doubling
     a = generate_key(d, D, 70 + d + D).matrix
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
     blocks = list(frame_keys._partition_blocks(a))
     # the blocks cover every mask once, in ascending order
     masks = np.concatenate([m for m, *_ in blocks])
@@ -248,10 +250,10 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     assert gc.tobytes() == numerics.pack(a @ a.T - table).tobytes()
 
 
-@pytest.mark.parametrize("entries", [9, frame_keys._CHUNK_ENTRIES])
+@pytest.mark.parametrize("entries", [9, 1 << 20])
 def test_fill_grams_matches_index_oracle(monkeypatch, entries):
     real = frame_keys._fill_grams
-    bits = []
+    fills = []
 
     def checked(grams, outers):
         # the oracle fills a table with one row per mask: the packed table's
@@ -260,21 +262,46 @@ def test_fill_grams_matches_index_oracle(monkeypatch, entries):
         oracles.fill_grams(want, outers)
         real(grams, outers)
         assert grams.T.tobytes() == want.tobytes()
-        bits.append(len(outers))
+        fills.append((grams, len(outers)))
 
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
     monkeypatch.setattr(frame_keys, "_fill_grams", checked)
-    seed_bits, chunk_bits = set(), set()
+    bits = set()
     for D in range(1, 14):
-        bits.clear()
-        for _ in frame_keys._partition_blocks(generate_key(3, D, 90 + D).matrix):
-            pass
-        seed_bits.add(bits[0])
-        chunk_bits.update(bits[1:])
-    # d = 3: at 9 entries the seed table holds every bit and each chunk none,
-    # at the default the other way round
-    every, none = set(range(13)), {0}
-    assert (seed_bits, chunk_bits) == ((every, none) if entries == 9 else (none, every))
+        for masks, gi, _, _ in frame_keys._partition_blocks(generate_key(3, D, 90 + D).matrix):
+            # one fill per block, of the block's own table, over its low bits
+            ((grams, n),) = fills
+            assert grams is gi and masks.size == 1 << n
+            bits.add(n)
+            fills.clear()
+    # d = 3: at 9 entries every block is one mask, its seed; at 2^20 the
+    # blocks double from 64 masks to the whole walk, 2^11 masks at D = 13
+    assert bits == ({0} if entries == 9 else {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+
+
+@pytest.mark.parametrize("d,D,entries,largest", [
+    (4, 16, None, 8192), (8, 15, None, 2048), (5, 18, None, 8192), (3, 9, 40, 4),
+    (2, 7, 1, 1), (3, 12, 6 * 100, 64), (1, 1, None, 1)])
+def test_partition_blocks_are_aligned_powers_of_two(monkeypatch, d, D, entries, largest):
+    # blocks are aligned ranges [start, start + 2^k) that cover the canonical
+    # masks in ascending order, each with its own contiguous (P, 2^k) table;
+    # they double from _FIRST_BLOCK masks to the largest power of two whose
+    # Grams fit _SCREEN_ENTRIES, or to the whole walk
+    if entries:
+        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+    p = d * (d + 1) // 2
+    sizes = []
+    for masks, gi, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 3).matrix):
+        n, start = masks.size, sum(sizes)
+        assert n & (n - 1) == 0 and start % n == 0
+        assert np.array_equal(masks, np.arange(start, start + n))
+        assert gi.shape == (p, n) and gi.flags.c_contiguous
+        assert full_i.shape == full_c.shape == (n,)
+        sizes.append(n)
+    assert sum(sizes) == 1 << (D - 1)
+    assert max(sizes) == largest and largest * p <= max(p, frame_keys._SCREEN_ENTRIES)
+    assert sizes[0] == min(frame_keys._FIRST_BLOCK, largest)
+    assert sizes == sorted(sizes)
 
 
 def test_unit_copy_grams_are_exactly_symmetric():
@@ -285,21 +312,22 @@ def test_unit_copy_grams_are_exactly_symmetric():
     mats = list(ADVERSARIAL.values())
     mats += [generate_key(d, D, 100 * d + D).matrix for d in range(1, 13) for D in range(1, 25)]
     for mat in mats:
-        unit = frame_keys._unit(Key(mat))[0]
+        unit = frame_keys._unit(Key(mat)).matrix
         for gram in (unit @ unit.T, unit.T @ unit):
             assert gram.tobytes() == gram.T.copy().tobytes()
 
 
 @pytest.mark.parametrize("chunk_masks", [16, None])
 def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
-    # full_i and full_c for every d in 1..13 pin each mask's column count; in
-    # chunks of 16 masks the count is a low-bit lookup plus the prefix's count
+    # full_i and full_c for every d in 1..13 pin each mask's column count, a
+    # low-bit lookup plus the count of the block's first mask; blocks of at
+    # most 16 masks, or the default blocks
     D = 13
     counts = oracles.popcounts(np.arange(1 << (D - 1)))
     for d in range(1, D + 1):
         if chunk_masks:
             # a packed Gram has d(d + 1) / 2 entries
-            monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", chunk_masks * d * (d + 1) // 2)
+            monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", chunk_masks * d * (d + 1) // 2)
         walked = 0
         for masks, _, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 5).matrix):
             assert np.array_equal(full_i, counts[masks] >= d)
@@ -314,7 +342,7 @@ def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     whole = lipschitz._screen(Key(mat))
     batch = has_complement_property(Key(mat))
     assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9)  # blocks of one mask
     chunked = lipschitz._screen(Key(mat))
     for field in (0, 1):  # the kept masks and their lower ends
         assert chunked[field].tobytes() == whole[field].tobytes()
@@ -342,7 +370,7 @@ def test_complement_matches_gram_reference_seeded(monkeypatch, d, D, seed):
     for k in (key, Key(mat)):
         expected = oracles.complement_property(k)
         assert _complement(k) == expected
-        monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 16)
+        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 16)  # blocks of 1 or 2 masks
         assert _complement(Key(k.matrix)) == expected
         monkeypatch.undo()
 
@@ -526,7 +554,7 @@ def test_complement_shortcut_on_nearly_dependent_subset(monkeypatch, gap, settle
     # screens read) does not factor at the margin shift and numerics.rank
     # decides
     _, tau = frame_keys._margin_shift(key)
-    side = frame_keys._unit(key)[0][:, [0, 1, 4]]
+    side = frame_keys._unit(key).matrix[:, [0, 1, 4]]
     assert not numerics.shifted_cholesky_ok((side @ side.T)[None], tau)[0]
 
 
@@ -570,7 +598,8 @@ def test_complement_walk_matches_scan_oracle_too_few_columns(d, D, seed):
 @pytest.mark.parametrize("entries", [1, 40])
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
 def test_complement_walk_chunks_match_scan_oracle(monkeypatch, name, entries):
-    # Gram chunks of one mask; walk blocks of one mask, or of up to 40 // d^2
+    # walk blocks of one mask, or of up to 40 // P masks, and side SVDs one
+    # mask at a time
     monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
     monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
     for factor in (1e-12, 1e-6):
@@ -626,7 +655,7 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
         assert (rep.verdict, rep.witness, rep.method) == oracles.complement_property(key)
     else:
         assert frame_keys._complement_walk(key) is None
-    unit = frame_keys._unit(key)[0]
+    unit = frame_keys._unit(key).matrix
     total = numerics.pack(unit @ unit.T)
     walked = 0
     for i in range(0, len(log), 3):
@@ -705,7 +734,7 @@ def test_complement_walk_settles_only_rank_d_sides(monkeypatch, d):
                 # every Gram the screen settles, of the unit copy 2^-e A, has
                 # sigma_d above the margin scaled by 2^-e
                 margin, _ = frame_keys._margin_shift(Key(mat, tol))
-                unit_margin = np.ldexp(margin, -frame_keys._unit(Key(mat, tol))[1])
+                unit_margin = np.ldexp(margin, -frame_keys._unit(Key(mat, tol)).e)
                 grams = np.concatenate([np.zeros((0, d, d)), *settled])
                 assert np.all(np.linalg.eigvalsh(grams)[:, 0] > unit_margin**2)
                 seen += grams.shape[0]

@@ -274,13 +274,14 @@ def test_screen_keeps_few_masks():
 
 @pytest.mark.parametrize("chunk", [1, 7, "gram-chunks-of-one-mask"])
 def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
-    # by default the 256 masks are one Gram chunk, in blocks of 1, 1, 2, ..., 128
+    # by default the 256 masks are in blocks of 64, 64 and 128; a block is a
+    # power of two of masks whose packed Grams (6 entries each) fit
+    # _SCREEN_ENTRIES: 9 * chunk gives blocks of one and of eight masks, and
+    # exactly one Gram's entries blocks of one mask, each its own seed
     key = generate_key(3, 9, 4)
     masks, lo, _, _ = lipschitz._screen(key)
-    if chunk == "gram-chunks-of-one-mask":
-        monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
-    else:
-        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9 * chunk)  # blocks of <= chunk masks
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 6 if chunk == "gram-chunks-of-one-mask"
+                        else 9 * chunk)
     blocked = lipschitz._screen(Key(key.matrix))
     assert blocked[0].tobytes() == masks.tobytes() and blocked[1].tobytes() == lo.tobytes()
     assert blocked[2] + blocked[3] == 1 << 8
@@ -327,7 +328,7 @@ def _assert_search_work(d, D, settled, diagonalized, visited):
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
-    (4, 16, 32556, 212, 31), (8, 15, 16311, 73, 31), (5, 18, 130877, 195, 38)])
+    (4, 16, 32556, 212, 31), (8, 15, 16311, 73, 31), (5, 18, 130875, 197, 38)])
 def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized, visited):
     _assert_search_work(d, D, settled, diagonalized, visited)
 
@@ -335,15 +336,15 @@ def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
     (4, 16, 32605, 163, 31), (8, 15, 16348, 36, 31), (5, 18, 130925, 147, 38)])
 def test_search_work_is_pinned(monkeypatch, d, D, settled, diagonalized, visited):
-    # the blocks the full (d, d) Gram layout cut: doubling from one mask, d * d
-    # entries per Gram in a chunk and in a block. The running bound moves once
-    # per block, so the counts depend on where blocks end; on these blocks the
-    # packed screen does the work that layout did, mask for mask
+    # the blocks the full (d, d) Gram layout cut: doubling from one mask up to
+    # 1 << 16 entries at d * d per Gram, 4096 masks at d = 4 and 1024 at d = 8.
+    # The running bound moves once per block, so the counts depend on where
+    # blocks end; on these blocks the packed screen does the work that layout
+    # did, mask for mask. At d = 5 that layout's 2621-mask blocks are not a
+    # power of two; the aligned 2048-mask blocks give the same counts
     p, full = d * (d + 1) // 2, d * d
-    chunk_masks = 1 << ((frame_keys._CHUNK_ENTRIES // full).bit_length() - 1)
     monkeypatch.setattr(frame_keys, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", chunk_masks * p)
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", frame_keys._SCREEN_ENTRIES // full * p)
+    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", (1 << 16) // full * p)
     _assert_search_work(d, D, settled, diagonalized, visited)
 
 
