@@ -652,32 +652,45 @@ def _partition_blocks(a: np.ndarray):
 
 
 def _one_side_settled(gi, total, full_i, full_c, tau):
-    """(ok, rows_c, gc): the partition walks' one-side pass of the packed
-    kernel (numerics._shifted_cholesky_ok_inplace) over a block of
-    _partition_blocks at the shift tau.
+    """The masks of a block of _partition_blocks with a spanning side that
+    passes the packed kernel (numerics._shifted_cholesky_ok_inplace) at the
+    shift tau: the partition walks' one-side pass.
 
-    Side I is factored where it spans (``full_i``), then side C where it
-    spans and side I did not factor; ``ok`` marks the masks with a side that
-    factored. ``gc`` holds the packed complement Grams total - gi of the
-    masks ``rows_c``, those whose side C spans and whose side I did not
-    factor, unfactored. Side I's Grams are gathered from the block, unless
-    at least seven eighths of them span: a gather then costs more than the
-    contiguous copy of the whole block, whose extra verdicts are discarded.
-    At tau = inf no Gram factors, and none is factored.
+    One buffer holds side I's Grams where side I spans (``full_i``) and side
+    C's, total - gi formed in place, where only side C spans, and one kernel
+    call factors it: side I's Grams gathered from the block, then side C's.
+    When at least seven eighths of the block's sides I span, a gather costs
+    more than a contiguous copy of the whole block, and the buffer is that
+    copy, with side C's Grams in the columns of the masks whose side I does
+    not span; the verdicts of the other such columns are discarded. A
+    second call factors side C of the masks whose two sides span and whose
+    side I failed. The kernel works elementwise over the Grams of a call,
+    so each verdict is the one the Gram would get alone. At tau = inf no
+    Gram factors, and none is factored.
     """
-    ok = np.zeros(full_i.size, dtype=bool)
-    finite = tau < np.inf
-    if finite:
-        rows_i = np.flatnonzero(full_i)
-        if 8 * rows_i.size >= 7 * full_i.size:
-            ok = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), tau)
-        else:
-            ok[rows_i] = numerics._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
-    rows_c = np.flatnonzero(full_c & ~ok)
-    gc = total[:, None] - np.take(gi, rows_c, axis=1)
-    if finite:
-        ok[rows_c] = numerics._shifted_cholesky_ok_inplace(gc.copy(), tau)
-    return ok, rows_c, gc
+    if tau == np.inf:
+        return np.zeros(full_i.size, dtype=bool)
+    only_c = full_c & ~full_i
+    if 8 * np.count_nonzero(full_i) >= 7 * full_i.size:
+        rows_c = np.flatnonzero(only_c)
+        w = gi.copy()
+        w[:, rows_c] = total[:, None] - w[:, rows_c]
+        ok = (full_i | full_c) & numerics._shifted_cholesky_ok_inplace(w, tau)
+    else:
+        rows_i, rows_c = np.flatnonzero(full_i), np.flatnonzero(only_c)
+        w = np.take(gi, np.concatenate((rows_i, rows_c)), axis=1)
+        side_c = w[:, rows_i.size:]
+        np.subtract(total[:, None], side_c, out=side_c)
+        passed = numerics._shifted_cholesky_ok_inplace(w, tau)
+        ok = np.zeros(full_i.size, dtype=bool)
+        ok[rows_i] = passed[:rows_i.size]
+        ok[rows_c] = passed[rows_i.size:]
+    both = np.flatnonzero(full_i & full_c & ~ok)
+    if both.size:
+        side_c = np.take(gi, both, axis=1)
+        ok[both] = numerics._shifted_cholesky_ok_inplace(
+            np.subtract(total[:, None], side_c, out=side_c), tau)
+    return ok
 
 
 def _side_singular_values(a: np.ndarray, col_masks: np.ndarray):
@@ -740,13 +753,13 @@ def _complement_walk(key: Key) -> Partition | None:
     visits the masks in _partition_blocks' ascending blocks and stops at the
     first block that holds a partition with no spanning side. Most spanning
     sides are settled from their packed Grams by the shifted-Cholesky test
-    (numerics.shifted_cholesky_ok, one kernel call per side and block) at the
-    subset scan's shift tau = (M_u + err_s)^2 + err_lam (_margin_shift), in
-    _one_side_settled's pass, which lipschitz's A0 screen shares: side I
-    where it spans, then side C where it spans and side I did not settle the
-    split, its Gram U U^T - G_I formed for those masks only. The partitions
-    with no settled side are decided by numerics.rank's criterion (_rank_d),
-    side I first.
+    (numerics.shifted_cholesky_ok) at the subset scan's shift tau = (M_u +
+    err_s)^2 + err_lam (_margin_shift), in _one_side_settled's pass, which
+    lipschitz's A0 screen shares: side I where it spans and side C where
+    only it spans in one kernel call per block, then side C where both span
+    and side I did not settle the split, its Gram U U^T - G_I formed for
+    those masks only. The partitions with no settled side are decided by
+    numerics.rank's criterion (_rank_d), side I first.
 
     The Grams are those of the key's unit copy U = 2^-e A (_unit). A side S
     that factors has rank d, by subset_scan's argument with U_S and A_S in
@@ -765,7 +778,7 @@ def _complement_walk(key: Key) -> Partition | None:
     _, tau = _margin_shift(key)
     unit = _unit(key)
     for masks, gi, full_i, full_c in _partition_blocks(unit.matrix):
-        settled = _one_side_settled(gi, unit.gram, full_i, full_c, tau)[0]
+        settled = _one_side_settled(gi, unit.gram, full_i, full_c, tau)
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])
@@ -795,7 +808,13 @@ def _margin_shift(key: Key) -> tuple[float, float]:
     unit = _unit(key)
     unit_margin = _certificate_margin(key, unit.sigma_1)
     tau = (unit_margin + unit.err_s) * (unit_margin + unit.err_s) + unit.err_lam
-    return _certificate_margin(key, numerics.sigma_k(key.matrix, 1)), tau
+    return _certificate_margin(key, _sigma_1(key)), tau
+
+
+def _sigma_1(key: Key) -> float:
+    """numerics.sigma_k(key.matrix, 1), the key's largest singular value
+    (memoized): the certificate margin and lipschitz's B0 read it."""
+    return _cached(key, "sigma_1", lambda: numerics.sigma_k(key.matrix, 1))
 
 
 @dataclass(frozen=True, eq=False)

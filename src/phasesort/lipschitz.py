@@ -34,13 +34,14 @@ from .frame_keys import (
     _one_side_settled,
     _partition_blocks,
     _side_singular_values,
+    _sigma_1,
     _unit,
 )
 
 
 def upper_constant(key: Key) -> float:
-    """Optimal upper Lipschitz constant: the largest singular value."""
-    return numerics.sigma_k(key.matrix, 1)
+    """Optimal upper Lipschitz constant: the largest singular value (memoized)."""
+    return _sigma_1(key)
 
 
 # Relative window inside which partition values count as tied, so the
@@ -89,9 +90,10 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       so that hi_run at the start of a block is >= prev_hi of every mask in
       it. Each block's Grams are one contiguous table, the same bits as a
       single table over all masks. They are packed upper triangles
-      (numerics.pack); side C's, U U^T - G_I, is formed only for the masks
-      whose side C is read: those whose side C spans and whose side I does
-      not pass the one-side test below. Each mask of a block after the
+      (numerics.pack); side C's, U U^T - G_I, is formed only where it is
+      read: for the one-side test below where side C spans and side I does
+      not pass it, and for the both-sides test and eigvalsh where side C
+      spans and the mask is still unsettled. Each mask of a block after the
       first is tested before any eigvalsh, and only on sides that span
       (_settled): side I where it spans, side C where it spans and side I
       did not pass, then both where both span:
@@ -110,7 +112,9 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       the masks after it. Such a mask is settled without a bracket. The other
       masks are bracketed from eigvalsh of their Grams unpacked to full
       symmetric matrices (numerics.unpack), which are the Grams' own bits, as
-      U U^T and the outer-product sums are exactly symmetric. So the screen
+      U U^T and the outer-product sums are exactly symmetric; one stacked
+      eigvalsh per block takes both sides, each row with the bits of its
+      matrix alone. So the screen
       keeps exactly the masks the full bracket of every mask would keep; as
       settling spares only masks the rule above skips, the kept masks and
       their lo do not depend on the block sizes.
@@ -231,14 +235,18 @@ def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
         ok, rows_c, gc = _settled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
         unsettled = np.flatnonzero(~ok)
         settled += block.size - unsettled.size
+        if not unsettled.size:
+            continue  # hi_run stays, and no mask is kept
         diagonalized += unsettled.size
-        # the unsettled masks whose side C spans are the columns ~ok[rows_c] of gc
-        lam_i = _lam_min(np.take(gi, unsettled[full_i[unsettled]], axis=1), full_i[unsettled])
-        lam_c = _lam_min(gc[:, ~ok[rows_c]], full_c[unsettled])
-        lo_i, hi_i = _side_bracket(lam_i, full_i[unsettled], err_lam, err_s)
-        lo_c, hi_c = _side_bracket(lam_c, full_c[unsettled], err_lam, err_s)
-        lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
-        hi = np.hypot(hi_i, hi_c) + err_s
+        # both sides' Grams in one eigvalsh: side I's where it spans, then
+        # side C's, the columns ~ok[rows_c] of gc
+        full = np.stack((full_i[unsettled], full_c[unsettled]))
+        lam = np.zeros(full.shape)
+        lam[full] = np.linalg.eigvalsh(numerics.unpack(np.concatenate(
+            (np.take(gi, unsettled[full[0]], axis=1), gc[:, ~ok[rows_c]]), axis=1)))[:, 0]
+        lo, hi = _side_bracket(lam, full, err_lam, err_s)
+        lo = np.maximum(np.hypot(*lo) - err_s, 0.0)
+        hi = np.hypot(*hi) + err_s
         prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
         hi_run = prev_hi[-1]
         keep = np.flatnonzero(lo < prev_hi[:-1])
@@ -248,37 +256,35 @@ def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
             settled, diagonalized)
 
 
-def _lam_min(grams: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the sides marked ``full``, whose packed Grams are
-    the columns of ``grams`` in order; 0 for the others."""
-    lam = np.zeros(full.size)
-    lam[full] = np.linalg.eigvalsh(numerics.unpack(grams))[:, 0]
-    return lam
-
-
 def _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
     """(ok, rows_c, gc): ``ok`` marks the masks of a block whose bracket would
     have lo >= hi_run (see lower_constant); ``gc`` holds the packed
     complement Grams total - gi of the masks ``rows_c``, those whose side C
-    spans and whose side I did not pass the one-side test.
+    spans and which the one-side pass left unsettled.
 
     A mask is settled when a spanning side passes the one-side test, or both
-    sides span and pass the both-sides test. The sides are tested in up to
-    three calls of the packed kernel (numerics._shifted_cholesky_ok_inplace):
-    frame_keys._one_side_settled's pass at the one-side shift, side I where
-    it spans, then side C of rows_c; then both sides of the masks still
-    undecided where both span, at the both-sides shift. So no side with
-    fewer than d columns is factored, unless seven eighths of the block's
-    sides I span (_one_side_settled then factors a copy of the whole block),
-    and a side I that factors spares its side C. The kernel works
-    elementwise over the Grams of a call, so each Gram's verdict is the one
-    it would get alone, whatever else shares the call and in whichever order
-    the calls run: each mask gets the boolean of the rule above. At hi_run =
-    inf both shifts are infinite: no mask is settled and no test runs.
+    sides span and pass the both-sides test. frame_keys._one_side_settled's
+    pass runs the one-side test, in one call of the packed kernel
+    (numerics._shifted_cholesky_ok_inplace) on side I where it spans and
+    side C where only it spans, and a second on side C of the masks whose
+    two sides span and whose side I failed. Side C's Grams of the masks it
+    leaves unsettled are then formed, the only ones the both-sides test and
+    the brackets read; one more call tests both sides of the masks among
+    them where both span, at the both-sides shift. So no side with fewer
+    than d columns is factored, unless seven eighths of the block's sides I
+    span (_one_side_settled then factors a copy of the whole block). The
+    kernel works elementwise over the Grams of a call, so each Gram's
+    verdict is the one it would get alone, whatever else shares the call
+    and in whichever order the calls run: each mask gets the boolean of the
+    rule above. At hi_run = inf both shifts are infinite: no mask is settled
+    and no test runs.
     """
     one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
-    ok, rows_c, gc = _one_side_settled(gi, total, full_i, full_c, one_side)
-    both = np.flatnonzero(full_i[rows_c] & ~ok[rows_c])  # columns of gc
+    ok = _one_side_settled(gi, total, full_i, full_c, one_side)
+    rows_c = np.flatnonzero(full_c & ~ok)
+    gc = np.take(gi, rows_c, axis=1)
+    np.subtract(total[:, None], gc, out=gc)
+    both = np.flatnonzero(full_i[rows_c])  # columns of gc
     if hi_run < np.inf and both.size:
         both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
         rows = rows_c[both]

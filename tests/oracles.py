@@ -18,10 +18,11 @@ chunk. So is the shifted-Cholesky kernel as it was, updating the whole
 trailing block. So are the pieces of the partition walk as they were before it worked on
 strided views and gathered buffers: the Gram table filled through index
 arrays, popcounts by a loop over the bits, and the screen's settled test
-with one Cholesky call per side and shift. Their Gram tables are full
-(n, d, d) stacks, as before the screens stored packed upper triangles. The column sort is here as it
-was before two-row stacks were ordered by one comparison: one stable
-argsort for every row count. The battery's permutation loop draws in the
+with one Cholesky call per side and shift, and the walks' one-side pass
+with one call per side, as before sides I and C shared a call. Their Gram
+tables are full (n, d, d) stacks, as before the screens stored packed upper
+triangles. The column sort is here as it was before two-row stacks were
+ordered by one comparison: one stable argsort for every row count. The battery's permutation loop draws in the
 kernel's blocked order (row counts, then each row count's configurations
 and row orders) but checks one sample at a time.
 """
@@ -250,6 +251,27 @@ def fill_grams(grams, outers):
         prefix = np.arange(1 << (len(outers) - 1 - b), dtype=np.int64)
         idx = (prefix << (b + 1)) | (1 << b)
         grams[idx] = grams[idx - (1 << b)] + outers[b]
+
+
+def one_side_settled(gi, total, full_i, full_c, tau):
+    """frame_keys._one_side_settled as two calls of the packed kernel over a
+    block of packed Grams ``gi``: side I where it spans (a contiguous copy of
+    the whole block when seven eighths of its sides I span), then side C,
+    total - gi, where it spans and side I did not factor. Returns ``ok``,
+    the masks with a side that factored."""
+    ok = np.zeros(full_i.size, dtype=bool)
+    finite = tau < np.inf
+    if finite:
+        rows_i = np.flatnonzero(full_i)
+        if 8 * rows_i.size >= 7 * full_i.size:
+            ok = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), tau)
+        else:
+            ok[rows_i] = numerics._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
+    rows_c = np.flatnonzero(full_c & ~ok)
+    gc = total[:, None] - np.take(gi, rows_c, axis=1)
+    if finite:
+        ok[rows_c] = numerics._shifted_cholesky_ok_inplace(gc.copy(), tau)
+    return ok
 
 
 def settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phasesort import Key, cli, frame_keys, generate_key, numerics
 from phasesort.matrixio import load_matrix, save_matrix
 
 from conftest import A_REF, run_cli
@@ -324,3 +325,32 @@ def test_verify_rejects_nonpositive_samples(a_ref_file, samples):
     assert res.returncode == 2
     assert b"samples must be >= 1" in res.stderr
     assert res.stdout == b""
+
+
+def test_each_command_takes_sigma_1_of_its_key_once(monkeypatch, tmp_path, capsys):
+    # column 12 = c1 + c2 + c3 + 1e-9 c4: the subset certificate declines the
+    # key, so check reads the margin in the subset scan and again in the
+    # complement walk; bounds reads B0 for the tie window and the report, and
+    # verify for the certificate-agreement check too. Each command loads its
+    # own key and takes one SVD of it for all of them
+    mat = generate_key(4, 12, 1).matrix.copy()
+    mat[:, 11] = mat[:, 0] + mat[:, 1] + mat[:, 2] + 1e-9 * mat[:, 3]
+    path = tmp_path / "declined.txt"
+    save_matrix(path, mat)
+    key = Key(load_matrix(path))
+    assert not frame_keys._subsets_certify_complement(key)
+    assert frame_keys._unit(key).e != 0  # so the unit copy's sigma_1 is another call
+    calls = []
+    real = numerics.sigma_k
+
+    def counted(m, k):
+        if k == 1 and np.array_equal(m, key.matrix):
+            calls.append(m)
+        return real(m, k)
+
+    monkeypatch.setattr(numerics, "sigma_k", counted)
+    for i, argv in enumerate((["check", str(path)], ["bounds", str(path)],
+                              ["verify", str(path), "--samples", "20", "--seed", "3"])):
+        assert cli.main(argv) == 0
+        assert len(calls) == i + 1
+    capsys.readouterr()

@@ -627,7 +627,8 @@ def test_complement_walk_stops_at_the_first_violation(monkeypatch):
 @pytest.mark.parametrize("planted", [False, True])
 def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
     # D = 2d - 1: exactly one side of each split spans, and only it reaches
-    # the packed kernel, side I's Grams first and then side C's. The planted
+    # the packed kernel, in one call per block: side I's Grams first and then
+    # side C's, formed in the same buffer. The planted
     # key has column 15 = c1 + c2 + 1e-9 c3, so the subset certificate
     # declines it and the walk runs until its first violation; the seeded
     # key's walk, called directly, visits every split
@@ -658,13 +659,82 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
     unit = frame_keys._unit(key).matrix
     total = numerics.pack(unit @ unit.T)
     walked = 0
-    for i in range(0, len(log), 3):
-        (tag, (masks, gi, full_i, full_c)), (_, side_i), (_, side_c) = log[i:i + 3]
+    for i in range(0, len(log), 2):
+        (tag, (masks, gi, full_i, full_c)), (_, sides) = log[i:i + 2]
         assert tag == "block" and np.array_equal(full_i, ~full_c)
-        assert side_i.tobytes() == gi[:, full_i].tobytes()
-        assert side_c.tobytes() == (total[:, None] - gi)[:, full_c].tobytes()
+        want = np.concatenate((gi[:, full_i], (total[:, None] - gi)[:, full_c]), axis=1)
+        assert sides.tobytes() == want.tobytes()
         walked += masks.size
     assert walked == (1024 if planted else 1 << 14)
+
+
+def _assert_one_side_pass_matches_oracle(monkeypatch, matrix, tol=DEFAULT_TOL):
+    """Every call of the one-side pass, the complement walk's at the margin
+    shift and the A0 screen's at its running shifts, against the two-call
+    pass of oracles.one_side_settled on the same block. Returns what the
+    calls covered: a block copied whole with sides I that do not span, a
+    second call (both sides span and side I failed), a mask with no
+    spanning side."""
+    real = frame_keys._one_side_settled
+    seen = {"whole": False, "second": False, "no_side": False}
+
+    def checked(gi, total, full_i, full_c, tau):
+        before = gi.copy()
+        ok = real(gi, total, full_i, full_c, tau)
+        assert gi.tobytes() == before.tobytes()  # the block is left as it was
+        assert ok.tobytes() == oracles.one_side_settled(gi, total, full_i, full_c, tau).tobytes()
+        if tau < np.inf:
+            spanning = np.count_nonzero(full_i)
+            seen["whole"] |= 7 * full_i.size <= 8 * spanning < 8 * full_i.size
+            seen["second"] |= bool(np.any(full_i & full_c & ~ok))
+            seen["no_side"] |= bool(np.any(~full_i & ~full_c))
+        return ok
+
+    with monkeypatch.context() as m:
+        m.setattr(frame_keys, "_one_side_settled", checked)
+        m.setattr(lipschitz, "_one_side_settled", checked)
+        key = Key(matrix, tol)
+        frame_keys._complement_walk(key)
+        lipschitz.lower_constant_search(key)
+    return seen
+
+
+@pytest.mark.parametrize("factor", [1e-16, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_one_side_pass_matches_two_call_oracle_adversarial(monkeypatch, name, factor):
+    _assert_one_side_pass_matches_oracle(
+        monkeypatch, ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
+
+
+def test_one_side_pass_matches_two_call_oracle_seeded(monkeypatch):
+    # 4x16 copies blocks whole and makes second calls; 5x8 (D < 2d - 1) and
+    # 6x9 have masks with no spanning side, in blocks of one mask too
+    seen = {}
+    for d, D, entries in ((4, 16, None), (4, 12, None), (5, 8, None), (6, 9, None), (5, 8, 9)):
+        with monkeypatch.context() as m:
+            if entries:
+                m.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+            for key, covered in _assert_one_side_pass_matches_oracle(
+                    monkeypatch, generate_key(d, D, 1).matrix).items():
+                seen[key] = seen.get(key, False) or covered
+    assert all(seen.values()), seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.integers(1, 10).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    )
+)
+def test_one_side_pass_matches_two_call_oracle_hypothesis(matrix):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_one_side_pass_matches_oracle(monkeypatch, matrix)
 
 
 def test_complement_walk_leaves_numpy_ma_unimported():

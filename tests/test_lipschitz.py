@@ -367,11 +367,14 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
             ok, rows_c, gc = real(gi, total, full_i, full_c, h, err_s, err_lam)
             want = oracles.settled(full_gi, full_gc, full_i, full_c, h, err_s, err_lam)
             assert ok.tobytes() == want.tobytes()
-            # side C's Grams are formed where it spans and side I did not settle
-            # the mask, which covers every side C the screen reads
-            by_side_i = oracles.settled(full_gi, full_gc, full_i, np.zeros_like(full_c), h,
-                                        err_s, err_lam)
-            assert np.array_equal(rows_c, np.flatnonzero(full_c & ~by_side_i))
+            # side C's Grams are formed where it spans and the one-side pass
+            # left the mask unsettled, which covers every side C the
+            # both-sides test and the screen read. With no other side marked
+            # as spanning, the oracle runs the one-side test of one side
+            no_side = np.zeros_like(full_c)
+            one_side = (oracles.settled(full_gi, full_gc, full_i, no_side, h, err_s, err_lam)
+                        | oracles.settled(full_gc, full_gi, full_c, no_side, h, err_s, err_lam))
+            assert np.array_equal(rows_c, np.flatnonzero(full_c & ~one_side))
             assert gc.tobytes() == (total[:, None] - gi)[:, rows_c].tobytes()
         settled.append(int(np.count_nonzero(ok)))
         return ok, rows_c, gc
@@ -541,3 +544,24 @@ def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
         assert sum(grams) == (1 << (D - 1)) - frame_keys._FIRST_BLOCK == 16320
     else:
         assert sum(grams) <= most
+
+
+@pytest.mark.parametrize("d,D,grams,calls", [
+    (8, 15, 16320, 12), (4, 16, 40398, 30), (5, 18, 152266, 55), (4, 12, 2584, 15)])
+def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
+    # one call per block after the first, which no test screens, for side I
+    # where it spans and side C where only it spans; at D = 2d - 1 that is
+    # every call. Elsewhere a block may add a call for side C where both
+    # sides span and side I failed, and one for the both-sides test. In a
+    # block copied whole, side C takes the columns of the sides I that do
+    # not span
+    sizes = []
+    real = numerics._shifted_cholesky_ok_inplace
+    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
+                        lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
+    lipschitz.lower_constant_search(generate_key(d, D, 1))
+    assert sum(sizes) == grams
+    if D == 2 * d - 1:
+        assert len(sizes) == calls
+    else:
+        assert len(sizes) <= calls
