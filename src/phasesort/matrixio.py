@@ -30,10 +30,14 @@ def serialize_matrix(m) -> str:
 def parse_matrix(text: str) -> np.ndarray:
     rows = []
     width = None
+    blank = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip() == "" and lineno > 1:
-            # tolerate a final blank line only
+            # tolerate trailing blank lines only
+            blank = blank or lineno
             continue
+        if blank is not None:
+            raise ValueError(f"line {blank}: blank line inside the matrix")
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:

@@ -48,21 +48,21 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
-def exact_half_identities(u: float, v: float) -> bool:
-    """Check max/min = (u + v +- |u - v|) / 2 in error-free arithmetic.
+def exact_half_identities(u, v) -> np.ndarray:
+    """Check max/min = (u + v +- |u - v|) / 2 exactly, one boolean per pair.
 
-    Both doubles are scaled to integers over a common power-of-two
-    denominator; the identities are then exact integer statements. Direct
-    float evaluation would round the intermediate sums and fail spuriously.
+    Over the reals, 2 mx = u + v + |u - v| holds exactly when mx = max(u, v),
+    and 2 mn = u + v - |u - v| exactly when mn = min(u, v). So the halved
+    forms hold for numpy's maximum and minimum exactly when each equals one of
+    the pair and bounds both. ``==`` and ``>=`` compare the exact values of
+    finite doubles, so this states both identities without rounding a sum;
+    direct float evaluation of the sums would round and fail spuriously.
     """
-    pu, qu = float(u).as_integer_ratio()
-    pv, qv = float(v).as_integer_ratio()
-    q = max(qu, qv)
-    iu = pu * (q // qu)
-    iv = pv * (q // qv)
-    s = iu + iv
-    spread = abs(iu - iv)
-    return 2 * max(iu, iv) == s + spread and 2 * min(iu, iv) == s - spread
+    mx, mn = np.maximum(u, v), np.minimum(u, v)
+    return (
+        ((mx == u) | (mx == v)) & (mx >= u) & (mx >= v)
+        & ((mn == u) | (mn == v)) & (mn <= u) & (mn <= v)
+    )
 
 
 def minmax_identity_failures(u: np.ndarray, v: np.ndarray) -> int:
@@ -70,17 +70,15 @@ def minmax_identity_failures(u: np.ndarray, v: np.ndarray) -> int:
 
     The sum, difference, and folded-magnitude identities are bit-exact in
     float arithmetic and are checked directly; the two halved forms are
-    checked in exact arithmetic.
+    checked exactly by ``exact_half_identities``, on numpy's maximum and
+    minimum. All five are elementwise array expressions over every pair.
     """
     mx, mn = np.maximum(u, v), np.minimum(u, v)
     ok = np.abs(u - v) == mx - mn
     ok &= (u + v) == (mx + mn)
     ok &= np.abs(np.abs(u) - np.abs(v)) == np.minimum(np.abs(u - v), np.abs(u + v))
-    failures = int(ok.size - np.count_nonzero(ok))
-    for uu, vv in zip(u.ravel(), v.ravel()):
-        if not exact_half_identities(uu, vv):
-            failures += 1
-    return failures
+    ok &= exact_half_identities(u, v)
+    return int(ok.size - np.count_nonzero(ok))
 
 
 def _rel_close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:

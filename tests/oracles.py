@@ -24,7 +24,9 @@ tables are full (n, d, d) stacks, as before the screens stored packed upper
 triangles. The column sort is here as it was before two-row stacks were
 ordered by one comparison: one stable argsort for every row count. The battery's permutation loop draws in the
 kernel's blocked order (row counts, then each row count's configurations
-and row orders) but checks one sample at a time.
+and row orders) but checks one sample at a time. The min/max identities are
+checked one pair at a time too, the halved forms in integer arithmetic as
+before they became one array predicate, but on numpy's maximum and minimum.
 """
 
 import itertools
@@ -58,7 +60,7 @@ from phasesort.inversion import (
     _greedy_pivot_columns,
 )
 from phasesort.numerics import as_matrix, as_vector, rank, sigma_k
-from phasesort.verify import SKIPPED, PropertyResult, _rng, minmax_identity_failures
+from phasesort.verify import SKIPPED, PropertyResult, _rng
 
 
 # --- encoders and metrics ---------------------------------------------------
@@ -599,6 +601,41 @@ def ratio_scan(key, samples, seed, include_witnesses=False):
                 f"{label} ratios [{lo!r}, {hi!r}] escape [{a0!r}, {b0!r}]"
             )
     return result
+
+
+def halved_identities(u, v):
+    """Per pair: 2 max = u + v + |u - v| and 2 min = u + v - |u - v|, exactly.
+
+    u, v and numpy's maximum and minimum of them are scaled to integers over
+    one power-of-two denominator, so both identities become integer
+    statements about the values numpy returned.
+    """
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    mx, mn = np.maximum(u, v), np.minimum(u, v)
+    ok = []
+    for vals in zip(u.ravel().tolist(), v.ravel().tolist(), mx.ravel().tolist(), mn.ravel().tolist()):
+        ratios = [x.as_integer_ratio() for x in vals]
+        q = max(den for _, den in ratios)
+        iu, iv, imx, imn = (num * (q // den) for num, den in ratios)
+        s, spread = iu + iv, abs(iu - iv)
+        ok.append(2 * imx == s + spread and 2 * imn == s - spread)
+    return np.array(ok, dtype=bool).reshape(u.shape)
+
+
+def minmax_identity_failures(u, v):
+    """Pairs failing any of the five min/max/abs identities, one pair at a time."""
+    halved = halved_identities(u, v)
+    mx, mn = np.maximum(u, v), np.minimum(u, v)
+    bad = 0
+    for a, b, hi, lo, h in zip(u.tolist(), v.tolist(), mx.tolist(), mn.tolist(), halved.tolist()):
+        if not (
+            abs(a - b) == hi - lo
+            and a + b == hi + lo
+            and abs(abs(a) - abs(b)) == min(abs(a - b), abs(a + b))
+            and h
+        ):
+            bad += 1
+    return bad
 
 
 def _rel_close(a, b, tol):

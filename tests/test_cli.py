@@ -43,6 +43,14 @@ def test_keygen_unwritable_path():
     assert res.returncode == 2
 
 
+def test_blank_line_inside_key_file_is_a_usage_error(tmp_path):
+    keyfile = tmp_path / "k.txt"
+    keyfile.write_text("1.0,0.0,1.0\n\n0.0,1.0,1.0\n")
+    res = run_cli("check", str(keyfile))
+    assert res.returncode == 2
+    assert b"line 2: blank line inside the matrix" in res.stderr
+
+
 def test_keygen_check_pipeline(tmp_path):
     keyfile = tmp_path / "k.txt"
     run_cli("keygen", "--rows", "3", "--cols", "7", "--seed", "13", "--out", str(keyfile))

@@ -38,6 +38,21 @@ def test_parse_tolerates_missing_final_newline():
     np.testing.assert_array_equal(parse_matrix("1.0,2.0\n3.0,4.0"), [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n\n", "1.0,2.0\n3.0,4.0\n  \n\t\n"])
+def test_parse_tolerates_trailing_blank_lines(text):
+    np.testing.assert_array_equal(parse_matrix(text), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("1,2\n\n3,4\n", 2), ("1,2\n   \n3,4", 2), ("1,2\n3,4\n\n\n5,6\n\n", 3)],
+)
+def test_parse_rejects_blank_line_inside_matrix(text, line):
+    # two matrices pasted into one file must not load as one taller matrix
+    with pytest.raises(ValueError, match=f"^line {line}: blank line inside the matrix$"):
+        parse_matrix(text)
+
+
 def test_parse_rejects_ragged_rows():
     with pytest.raises(DimensionError):
         parse_matrix("1.0,2.0\n3.0\n")

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from phasesort import Key, LipschitzViolation, generate_key, lipschitz, ratio_scan, verify
@@ -36,6 +38,67 @@ def test_battery_counts_violations(monkeypatch):
     for name in ("minmax-identities", "hadamard-split-identity"):
         assert (results[name].status, results[name].detail) == ("fail", "7 violations")
     assert results["roundtrip-beta"].status == "pass"
+
+
+# zeros of both signs, the smallest subnormal and normal, the largest finite,
+# neighbouring floats and far-apart magnitudes, each with both signs; every
+# ordered pair of them, so u = v, u = -v and both orders all occur
+_EDGE = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 3.0,
+         float(np.nextafter(3.0, np.inf)), 1e300, 1e-300]
+_EDGE = _EDGE + [-x for x in _EDGE]
+EDGE_U, EDGE_V = (np.array(t) for t in zip(*itertools.product(_EDGE, repeat=2)))
+
+
+def test_half_identities_match_integer_oracle_on_edge_pairs():
+    got = verify.exact_half_identities(EDGE_U, EDGE_V)
+    assert got.dtype == bool and got.shape == EDGE_U.shape
+    assert np.array_equal(got, oracles.halved_identities(EDGE_U, EDGE_V))
+    assert got.all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                          st.floats(allow_nan=False, allow_infinity=False, width=64)),
+                min_size=1, max_size=20))
+def test_half_identities_match_integer_oracle(pairs):
+    u, v = (np.array(t) for t in zip(*pairs))
+    assert np.array_equal(verify.exact_half_identities(u, v), oracles.halved_identities(u, v))
+
+
+def _one_ulp_up(real):
+    def wrong(a, b):
+        out = real(a, b)
+        return np.where(np.asarray(a) != np.asarray(b), np.nextafter(out, np.inf), out)
+    return wrong
+
+
+# The oracle scales finite doubles only, so pairs holding the largest finite
+# value, whose next float is inf, are left out of the mutation cases.
+_KEEP = np.maximum(np.abs(EDGE_U), np.abs(EDGE_V)) < np.finfo(np.float64).max
+MUT_U, MUT_V = EDGE_U[_KEEP], EDGE_V[_KEEP]
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("maximum", _one_ulp_up),  # equals neither of the pair
+    ("minimum", _one_ulp_up),  # exceeds the smaller of the pair
+    ("maximum", lambda real: np.minimum),  # below the larger of the pair
+])
+def test_half_identities_flag_wrong_extremes_like_the_oracle(monkeypatch, name, wrong):
+    # a wrong np.maximum or np.minimum wherever u != v: exactly those pairs fail
+    with monkeypatch.context() as m:
+        m.setattr(np, name, wrong(getattr(np, name)))
+        got = verify.exact_half_identities(MUT_U, MUT_V)
+        want = oracles.halved_identities(MUT_U, MUT_V)
+    assert np.array_equal(got, MUT_U == MUT_V)
+    assert np.array_equal(want, MUT_U == MUT_V)
+
+
+def test_battery_counts_a_wrong_maximum_like_the_oracle(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(np, "maximum", _one_ulp_up(np.maximum))
+        counts = (verify.minmax_identity_failures(MUT_U, MUT_V),
+                  oracles.minmax_identity_failures(MUT_U, MUT_V))
+    assert counts == (np.count_nonzero(MUT_U != MUT_V),) * 2
 
 
 def test_battery_counts_permutation_violations_of_one_row_count(monkeypatch):
