@@ -7,49 +7,51 @@ side), and the derived phase-retrievable / universal-key verdicts. When
 D = 2d - 1 the first two are equivalent and the code cross-checks them
 against each other, refusing to return silently inconsistent answers.
 
-Two exhaustive scans back them, each run at most once per key:
+Two exhaustive scans back them, each run at most once per key. Their Gram
+screens, the shifted-Cholesky tests that settle most sides without an SVD,
+are in the screens module; this one holds what the scans decide with them:
 
 - The subset scan (subset_scan) ranks the C(D, d) d-column submatrices.
   A shifted Cholesky factorization of each subset's d x d Gram in U^T U,
   U = 2^-e A being the key's unit copy (_unit), places almost every
   subset's sigma_d above the certificate margin; only the others get a
-  stacked SVD of the key, so the verdict and witness are those of an SVD
-  of every subset. The factorizations share their prefixes: a walk of the
-  lexicographic prefix tree of the subsets (_unsettled_subsets) does each
-  elimination step once per prefix, for all subsets that start with it,
-  with the operations the packed kernel does on each subset's Gram. Full
-  spark reads its verdict from it. It also certifies the complement
-  property outright when D >= 2d - 1 and every d-subset has rank d with a
-  margin: a full-spark frame with D >= 2d - 1 has the complement property
-  (Balan, Casazza and Edidin, "On signal reconstruction without phase",
-  ACHA 2006), and the margin makes the floating-point verdict the same.
+  stacked SVD of the key, chunk by chunk, so the verdict and witness are
+  those of an SVD of every subset. The factorizations share their
+  prefixes: a walk of the lexicographic prefix tree of the subsets
+  (screens._unsettled_subsets) does each elimination step once per prefix,
+  for all subsets that start with it, with the operations the packed
+  kernel does on each subset's Gram. Full spark reads its verdict from it.
+  It also certifies the complement property outright when D >= 2d - 1 and
+  every d-subset has rank d with a margin: a full-spark frame with D >=
+  2d - 1 has the complement property (Balan, Casazza and Edidin, "On
+  signal reconstruction without phase", ACHA 2006), and the margin makes
+  the floating-point verdict the same.
 - The complement walk (_complement_walk) visits the 2^(D-1) column
-  partitions in ascending blocks (_partition_blocks: aligned power-of-two
-  ranges of masks, each with its own table of Grams) and stops at the first
-  violating split. A side spans when numerics.rank's criterion gives it
-  rank d; the subset scan's shifted-Cholesky test, at the same margin shift
-  (_margin_shift), settles most spanning sides from their Grams, and
-  numerics.rank decides the rest, so the verdict and witness are those of
-  the rank of every side.
+  partitions in ascending blocks (screens._partition_blocks: aligned
+  power-of-two ranges of masks, each with its own table of Grams) and
+  stops at the first violating split. A side spans when numerics.rank's
+  criterion gives it rank d; the subset scan's shifted-Cholesky test, at
+  the same margin shift (_margin_shift), settles most spanning sides from
+  their Grams (screens._one_side_settled), and numerics.rank decides the
+  rest, so the verdict and witness are those of the rank of every side.
   The complement property falls back to the walk when the subset certificate
   does not apply, and it is the only source of a false verdict and its
   witness.
 
 The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
-ascending blocks (_partition_blocks) with its own Cholesky screen, which
-shares the walk's one-side pass (_one_side_settled) at its own shift, and
-diagonalizes only the partitions that screen cannot rule out.
+ascending blocks with its own Cholesky screen (screens._screen), which
+shares the walk's one-side pass at its own shift, and diagonalizes only
+the partitions that screen cannot rule out.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from . import numerics
+from . import numerics, screens
 from .errors import (
     DimensionError,
     InternalInconsistency,
@@ -62,17 +64,6 @@ from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, as_stack, as_vect
 # SearchTooLarge instead of degrading to sampling.
 COMPLEMENT_MAX_COLS = 24
 FULL_SPARK_MAX_SUBSETS = 5_000_000
-
-# Batched kernels work on at most this many stacked matrix entries at a time
-# (memory, not correctness): the subset scan's arrays and the stacked SVDs of
-# partition sides are taken one chunk at a time.
-_CHUNK_ENTRIES = 1 << 20
-
-# Gram entries per block of the partition walks (_partition_blocks), which
-# bounds their memory: a block holds at most the largest power of two of
-# masks whose Grams of one side fit, 8192 masks at d = 4 and 2048 at d = 8.
-_SCREEN_ENTRIES = 1 << 17
-
 
 @dataclass(eq=False, frozen=True)
 class Key:
@@ -262,8 +253,8 @@ def subset_scan(key: Key) -> SubsetScan:
       margin computed from b, the test runs at tau = (M_u + err_s)^2 +
       err_lam (_margin_shift), where err_s = c * (eps * (D + d) * b +
       2^(-1074 - e)) and err_lam = err_s * d * b are
-      numerics._gram_screen_errors' allowances, c being
-      numerics.GRAM_SCREEN_SLACK.
+      screens._gram_screen_errors' allowances, c being
+      screens.GRAM_SCREEN_SLACK.
     - Gram entries. G = U^T U is formed once, and the test reads the
       entries of the subset Gram G[T, T] from it, so each entry is a
       length-d dot product of two columns, within gamma_d * b^2 of the
@@ -271,8 +262,8 @@ def subset_scan(key: Key) -> SubsetScan:
       loses, at most d subnormal spacings 2^-1074, and G[T, T] within d
       times that in the 2-norm.
     - Cholesky. The walk of the prefix tree of the subsets
-      (_unsettled_subsets) does, for every subset, the operations of
-      numerics.shifted_cholesky_ok on G[T, T], in the kernel's order, once
+      (screens._unsettled_subsets) does, for every subset, the operations of
+      screens.shifted_cholesky_ok on G[T, T], in the kernel's order, once
       per prefix; so each subset gets the kernel's verdict bit for bit, and
       this argument is the kernel's. Its succeeding proves
       lambda_min(G[T, T]) >= tau - delta, with delta the factorization's
@@ -313,9 +304,9 @@ def _subset_scan(key: Key) -> SubsetScan:
             f"C({D},{d}) = {total} exceeds the cap of {FULL_SPARK_MAX_SUBSETS}"
         )
     margin, tau = _margin_shift(key)
-    starts, counts = _unsettled_subsets(key, tau)
+    starts, counts = screens._unsettled_subsets(_unit(key).matrix, tau)
     ends = starts + counts
-    per_chunk = max(1, _CHUNK_ENTRIES // (d * d))
+    per_chunk = max(1, screens._CHUNK_ENTRIES // (d * d))
     clears_margin = True
     decomposed = ranked = k = 0
     while k < starts.size:
@@ -325,7 +316,7 @@ def _subset_scan(key: Key) -> SubsetScan:
         ranked = (lowest // per_chunk + 1) * per_chunk
         j = int(np.searchsorted(starts, ranked))
         lo = np.maximum(starts[k:j], lowest)
-        cols = _unrank(_ranges(lo, np.minimum(ends[k:j], ranked) - lo), d, D)
+        cols = _unrank(screens._ranges(lo, np.minimum(ends[k:j], ranked) - lo), d, D)
         decomposed += len(cols)
         s = numerics.singular_values_many(key.matrix[:, cols].transpose(1, 0, 2))
         clears_margin &= bool(s[:, d - 1].min() > margin)
@@ -357,370 +348,11 @@ def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
     return cols
 
 
-def _unsettled_subsets(key: Key, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, counts): the lexicographic ranks of the d-subsets T whose Gram
-    G[T, T] of the unit copy U (_unit), G = U^T U, fails
-    numerics.shifted_cholesky_ok at the shift tau, as ascending disjoint
-    ranges starts[k] .. starts[k] + counts[k] - 1.
-
-    The d-subsets are the leaves of the prefix tree whose node at depth k is
-    a k-prefix t_0 < ... < t_(k-1) of them. A node holds the Schur complement
-    of its prefix in G - tau * I over the candidate columns after t_(k-1):
-    the shifted entries minus r_j[u] * r_j[v] for ascending j < k, r_j being
-    row t_j of the complement at depth j divided by the square root of its
-    pivot. These are the values, and the order of operations, of the packed
-    kernel (numerics._shifted_cholesky_ok_inplace) on each leaf's gathered
-    Gram, so every leaf gets the kernel's verdict bit for bit: it factors
-    when every pivot along its path is positive. A node with a non-positive
-    pivot passes NaN to its subtree, so all of its leaves fail, as the
-    kernel's do; an expansion (below) drops such a node instead, and its
-    leaves, consecutive ranks, become one range. A node with one pick left
-    keeps only the diagonal of its complement, which holds its leaves' last
-    pivots.
-
-    The walk goes by depth. The nodes of one depth with the same last column
-    share their candidates, so they form one block, one (entries, nodes)
-    array in the packed layout, and each block is either expanded by one
-    elimination step into the blocks of the next depth or, once its subtrees
-    are small (_subtree_entries), settled down to its leaves, both by
-    gathers through index tables that depend only on the block's shape
-    (_subset_tree). So the number of numpy calls grows with d * D, not with
-    the number of subsets. The arrays of one step hold at most a quarter of
-    _CHUNK_ENTRIES entries together (a block's nodes are taken in batches),
-    and an index table at most _CHUNK_ENTRIES / 16 (a settled block's
-    subtrees are taken in windows of their first picks), unless a single
-    node or a single first pick needs more. Each node carries the rank of
-    its first leaf.
-    """
-    d, D = key.d, key.D
-    budget = _CHUNK_ENTRIES >> 4
-    unit = _unit(key).matrix
-    gram = unit.T @ unit
-    if d == 1:
-        root = np.diagonal(gram) - tau
-    else:
-        root = numerics.pack(gram)
-        root[list(numerics._row_starts(D)[:-1])] -= tau
-    # blocks by last column, -1 for the root: (complements, first-leaf ranks)
-    blocks = {-1: (root[:, None], np.zeros(1, dtype=np.int64))}
-    unsettled = [(np.zeros(0, dtype=np.int64), 1)]  # (range starts, range length)
-    for depth in range(d):
-        picks = d - depth
-        children = {}
-        for last, (w, ranks) in blocks.items():
-            m = D - 1 - last
-            # expanding a block with three picks left would hold about m^3 / 6
-            # entries a node, more than its leaves for a key of many columns
-            if picks <= 3 or _subtree_entries(picks, m) <= budget:
-                unsettled += [(r, 1) for r in _settle_block(w, ranks, picks, m, budget)]
-                continue
-            for i, part, failed, leaves in _expand_block(w, ranks, picks, m):
-                children.setdefault(last + 1 + i, []).append(part)
-                unsettled.append((failed, leaves))
-        blocks = {last: tuple(np.concatenate(a, axis=-1) for a in zip(*parts))
-                  for last, parts in children.items()}
-    starts = np.concatenate([r for r, _ in unsettled])
-    counts = np.concatenate([np.full(r.size, n, dtype=np.int64) for r, n in unsettled])
-    order = np.argsort(starts)
-    return starts[order], counts[order]
-
-
-def _settle_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int,
-                  budget: int) -> list[np.ndarray]:
-    """The ranks of the leaves that fail, for a block of nodes with ``picks``
-    columns left to choose among ``m`` candidates (complements ``w``, first
-    leaves ``ranks``)."""
-    out = []
-    for first, stop in _windows(picks, m, budget):
-        steps, peak = _subset_tree(picks, m, first, stop, picks - 1)
-        offset = sum(comb(m - 1 - i, picks - 1) for i in range(first))
-        per_batch = max(1, _CHUNK_ENTRIES // (4 * peak))
-        for start in range(0, w.shape[1], per_batch):
-            x = w[:, start:start + per_batch]
-            for step in steps:
-                x = _eliminate(x, step)
-            leaf, node = np.nonzero(~(x > 0.0))
-            out.append(ranks[start + node] + (offset + leaf))
-    return out
-
-
-def _expand_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int):
-    """Yield ``(i, (complements, ranks), failed, leaves)`` for the children
-    of a block's nodes by their i-th candidate, one elimination step down, a
-    batch of nodes at a time: the complements and first-leaf ranks of the
-    children whose pivot is positive, and the first-leaf ranks of the
-    others, whose ``leaves`` leaves all fail."""
-    (step,), peak = _subset_tree(picks, m, 0, m - picks + 1, 1)
-    per_batch = max(1, _CHUNK_ENTRIES // (4 * peak))
-    for start in range(0, w.shape[1], per_batch):
-        x = w[:, start:start + per_batch]
-        alive = x.take(step[0], axis=0) > 0.0
-        x = _eliminate(x, step)
-        batch = ranks[start:start + per_batch]
-        row = rank = 0
-        for i in range(m - picks + 1):
-            c = m - 1 - i
-            part, keep = x[row:row + c * (c + 1) // 2], alive[i]
-            yield i, (part[:, keep], batch[keep] + rank), batch[~keep] + rank, comb(c, picks - 1)
-            row += c * (c + 1) // 2
-            rank += comb(c, picks - 1)
-
-
-def _eliminate(x: np.ndarray, step) -> np.ndarray:
-    """One elimination step of every node of a block: the complements of
-    their children, (entries, nodes), from theirs."""
-    pivots, rows, row_child, entries, u, v = step
-    pivot = x.take(pivots, axis=0)
-    # a non-positive pivot fails its child's subtree: NaN compares false
-    scale = np.sqrt(np.where(pivot > 0.0, pivot, np.nan))
-    r = x.take(rows, axis=0)
-    r /= scale.take(row_child, axis=0)
-    outer = r.take(u, axis=0)
-    outer *= outer if v is None else r.take(v, axis=0)
-    out = x.take(entries, axis=0)
-    out -= outer
-    return out
-
-
-def _stored(picks: int, c: int) -> int:
-    """Entries a node with ``picks`` columns left and c candidates holds."""
-    return c * (c + 1) // 2 if picks >= 2 else c
-
-
-@functools.cache
-def _subtree_entries(picks: int, c: int) -> int:
-    """Entries held by all descendants of a node with ``picks`` columns left
-    and c candidates, its leaves excluded."""
-    if picks <= 1:
-        return 0
-    return sum(_stored(picks - 1, c - 1 - i) + _subtree_entries(picks - 1, c - 1 - i)
-               for i in range(c - picks + 1))
-
-
-def _windows(picks: int, m: int, budget: int) -> list[tuple[int, int]]:
-    """Consecutive ranges of a node's first picks (children) whose subtrees
-    hold at most ``budget`` entries together, or one child each."""
-    if picks == 1:
-        return [(0, m)]
-    out, first, held = [], 0, 0
-    for i in range(m - picks + 1):
-        c = m - 1 - i
-        size = _stored(picks - 1, c) + _subtree_entries(picks - 1, c)
-        if held and held + size > budget:
-            out.append((first, i))
-            first, held = i, 0
-        held += size
-    out.append((first, m - picks + 1))
-    return out
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated ranges starts[k] + arange(counts[k])."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
-
-
-# the last 16 tables: every shape of a run of small keys, while a large key,
-# whose blocks each build their own, does not keep them all
-@functools.lru_cache(maxsize=16)
-def _subset_tree(picks: int, m: int, first: int, stop: int, depth: int):
-    """(steps, peak): index tables for ``depth`` elimination steps below a
-    node with ``picks`` columns left among m candidates, whose first step
-    takes the children first .. stop - 1, and the most entries per node the
-    arrays of one step hold (memoized).
-
-    A level is the nodes of one depth below the node in lexicographic order,
-    their complements concatenated. A child by candidate i of a node with c
-    candidates at offset o reads the pivot at o + rs(i), rs(i) = P(c) - P(c -
-    i) being where row i of the packed layout starts (P(c) = c(c + 1) / 2);
-    its multipliers r are the rest of row i, and its complement is the
-    trailing block after row i, which the packed layout holds contiguously
-    as the packed block of c - 1 - i candidates, minus the packed outer
-    product of r. A step is (pivots, rows, row_child, entries, u, v): the
-    level's entries the pivots and the multipliers are read from, the child
-    of each multiplier, and for each entry of the next level the entry it
-    updates and the multipliers of its row u and column v; v is None when
-    the next level holds diagonals only, where v = u.
-    """
-    tri = np.arange(m + 2) * np.arange(1, m + 3) // 2
-    pair_rows, pair_cols = numerics.packed_pairs(m)
-    cands, offsets = np.array([m]), np.array([0])
-    node, kids = np.zeros(stop - first, dtype=np.intp), np.arange(first, stop)
-    steps, peak, held = [], 0, _stored(picks, m)
-    for level in range(depth):
-        c = cands[node]
-        cc = c - 1 - kids
-        pivots = offsets[node] + tri[c] - tri[c - kids]
-        rows = _ranges(pivots + 1, cc)
-        row_start = np.cumsum(cc) - cc
-        row_child = np.repeat(np.arange(cc.size), cc)
-        if picks - level > 2:  # the children keep their full complements
-            size = tri[cc]
-            entries = _ranges(pivots + cc + 1, size)
-            pos = _ranges(tri[m] - size, size)  # the packed pairs of cc as m's tail
-            shift = np.repeat(row_start - (m - cc), size)
-            u, v = pair_rows[pos] + shift, pair_cols[pos] + shift
-        else:  # the children keep their diagonals, their leaves' last pivots
-            size = cc
-            k = _ranges(np.zeros_like(cc), cc)
-            entries = np.repeat(pivots + cc + 1 + tri[cc], cc) - tri[np.repeat(cc, cc) - k]
-            u, v = np.repeat(row_start, cc) + k, None
-        # int32 halves the memory of the cached tables, which are read-only
-        step = tuple(None if a is None else a.astype(np.int32)
-                     for a in (pivots, rows, row_child, entries, u, v))
-        for a in step:
-            if a is not None:
-                a.flags.writeable = False
-        steps.append(step)
-        peak = max(peak, held + rows.size + 2 * entries.size)
-        held = entries.size
-        left = picks - level - 1
-        cands, offsets = cc, np.cumsum(size) - size
-        node = np.repeat(np.arange(cc.size), cc - left + 1)
-        kids = _ranges(np.zeros_like(cc), cc - left + 1)
-    return steps, max(peak, held)
-
-
-def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
-    """Complete a packed (P, 2^n) table of subset Grams from the entry of mask
-    0 in column 0, in place: a block of _partition_blocks, whose column m
-    holds the block's first mask plus the low bits m.
-
-    Column ``m`` becomes the entry of mask 0 plus the packed outer products
-    outers[b] (each of P entries) of the bits b set in ``m``, added highest
-    bit first: each entry is the entry without its lowest set bit plus that
-    bit's outer product. Bit b is one add over a strided view of the
-    contiguous table, whose axes are the packed entries, the bits above b,
-    bit b, and the bits below it: the columns with bit b set and no lower
-    bit are written from the columns without bit b, filled by the higher bits
-    before. The sums and their order are those of filling the columns one at
-    a time.
-    """
-    n, size = len(outers), grams.shape[0]
-    for b in range(n - 1, -1, -1):
-        g = grams.reshape(size, 1 << (n - 1 - b), 2, 1 << b)
-        np.add(g[:, :, 0, 0], outers[b][:, None], out=g[:, :, 1, 0])
-
-
-# The first block of a partition walk holds this many masks (or the whole
-# walk, if smaller); later blocks double up to _SCREEN_ENTRIES. No split's A0
-# value exceeds mask 0's, sigma_d(U), as G_I + G_C = G gives sigma_d(U_I)^2 +
-# sigma_d(U_C)^2 <= sigma_d(U)^2; so while the A0 screen's running bound is
-# still near mask 0's it settles almost nothing, and smaller first blocks
-# would only add their fixed cost, some hundred numpy calls each.
-_FIRST_BLOCK = 64
-
-
-def _partition_blocks(a: np.ndarray):
-    """Yield ``(masks, gi, full_i, full_c)`` for every canonical mask, in
-    blocks of ascending masks.
-
-    ``gi`` holds the packed Grams A[I] A[I]^T (numerics.pack) of the block's
-    masks, one per column, for the subsets I that avoid the last column;
-    ``full_i`` and ``full_c`` mark the sides with at least d columns. The
-    complement's Gram is pack(A A^T)[:, None] - gi, which the walks form only
-    for the masks whose side C they read.
-
-    A block is an aligned range of masks [start, start + 2^k), and its Grams
-    are one contiguous (P, 2^k) table of its own: column 0 is mask start's
-    Gram, its outer products summed highest bit first, and _fill_grams adds
-    the k low bits. So every entry is the same sum, in the same order, as in
-    a single table over all masks. Blocks double from _FIRST_BLOCK masks to
-    the largest power of two whose Grams fit _SCREEN_ENTRIES entries. A
-    mask's column count is start's plus a lookup in one table over the low
-    bits.
-    """
-    d, D = a.shape
-    bits = D - 1
-    rows, cols = numerics.packed_pairs(d)
-    size = len(rows)
-    outers = (a[rows] * a[cols]).T
-    top = min(bits, max(0, (_SCREEN_ENTRIES // size).bit_length() - 1))
-    low_counts = np.zeros(1 << top, dtype=np.int64)
-    for b in range(top):
-        low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
-    start = 0
-    while start < 1 << bits:
-        k = min(top, max(_FIRST_BLOCK.bit_length(), start.bit_length()) - 1)
-        grams = np.empty((size, 1 << k))
-        # mask start's Gram, summed from 0 highest bit first, as _fill_grams sums
-        grams[:, 0] = sum(outers[b] for b in range(bits - 1, k - 1, -1) if start >> b & 1)
-        _fill_grams(grams, outers[:k])
-        counts = low_counts[:1 << k] + start.bit_count()
-        yield np.arange(start, start + (1 << k)), grams, counts >= d, D - counts >= d
-        start += 1 << k
-
-
-def _one_side_settled(gi, total, full_i, full_c, tau):
-    """The masks of a block of _partition_blocks with a spanning side that
-    passes the packed kernel (numerics._shifted_cholesky_ok_inplace) at the
-    shift tau: the partition walks' one-side pass.
-
-    One buffer holds side I's Grams where side I spans (``full_i``) and side
-    C's, total - gi formed in place, where only side C spans, and one kernel
-    call factors it: side I's Grams gathered from the block, then side C's.
-    When at least seven eighths of the block's sides I span, a gather costs
-    more than a contiguous copy of the whole block, and the buffer is that
-    copy, with side C's Grams in the columns of the masks whose side I does
-    not span; the verdicts of the other such columns are discarded. A
-    second call factors side C of the masks whose two sides span and whose
-    side I failed. The kernel works elementwise over the Grams of a call,
-    so each verdict is the one the Gram would get alone. At tau = inf no
-    Gram factors, and none is factored.
-    """
-    if tau == np.inf:
-        return np.zeros(full_i.size, dtype=bool)
-    only_c = full_c & ~full_i
-    if 8 * np.count_nonzero(full_i) >= 7 * full_i.size:
-        rows_c = np.flatnonzero(only_c)
-        w = gi.copy()
-        w[:, rows_c] = total[:, None] - w[:, rows_c]
-        ok = (full_i | full_c) & numerics._shifted_cholesky_ok_inplace(w, tau)
-    else:
-        rows_i, rows_c = np.flatnonzero(full_i), np.flatnonzero(only_c)
-        w = np.take(gi, np.concatenate((rows_i, rows_c)), axis=1)
-        side_c = w[:, rows_i.size:]
-        np.subtract(total[:, None], side_c, out=side_c)
-        passed = numerics._shifted_cholesky_ok_inplace(w, tau)
-        ok = np.zeros(full_i.size, dtype=bool)
-        ok[rows_i] = passed[:rows_i.size]
-        ok[rows_c] = passed[rows_i.size:]
-    both = np.flatnonzero(full_i & full_c & ~ok)
-    if both.size:
-        side_c = np.take(gi, both, axis=1)
-        ok[both] = numerics._shifted_cholesky_ok_inplace(
-            np.subtract(total[:, None], side_c, out=side_c), tau)
-    return ok
-
-
-def _side_singular_values(a: np.ndarray, col_masks: np.ndarray):
-    """Yield ``(rows, k, s)`` for the masks of ``col_masks`` that select at
-    least d columns of the d x D matrix ``a``: the positions ``rows`` of the
-    masks that select k columns, and their singular values (rows.size, d),
-    row j being numerics.singular_values of the columns of mask rows[j].
-
-    The masks are taken in chunks of at most _CHUNK_ENTRIES selection
-    entries, and the sides of one chunk with one column count k in one
-    stacked SVD (numerics.singular_values_many), ascending in k.
-    """
-    d, D = a.shape
-    per_chunk = max(1, _CHUNK_ENTRIES // (d * D))
-    for start in range(0, col_masks.size, per_chunk):
-        masks = col_masks[start:start + per_chunk]
-        member = ((masks[:, None] >> np.arange(D)) & 1).astype(bool)
-        sizes = member.sum(axis=1)
-        for k in np.flatnonzero(np.bincount(sizes)[d:]) + d:
-            rows = np.flatnonzero(sizes == k)
-            cols = np.nonzero(member[rows])[1].reshape(-1, k)
-            yield start + rows, int(k), numerics.singular_values_many(
-                a[:, cols].transpose(1, 0, 2))
-
-
 def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
     """Whether the columns selected by each mask have rank d (numerics.rank's
     criterion); a side with fewer than d columns never does."""
     full = np.zeros(col_masks.shape, dtype=bool)
-    for rows, k, s in _side_singular_values(key.matrix, col_masks):
+    for rows, k, s in screens._side_singular_values(key.matrix, col_masks):
         full[rows] = numerics.ranks_from_singular_values(s, k, key.tol) == key.d
     return full
 
@@ -750,16 +382,17 @@ def _complement_walk(key: Key) -> Partition | None:
     """The violating partition with the smallest canonical mask, or None.
 
     A side spans when numerics.rank's criterion gives it rank d. The walk
-    visits the masks in _partition_blocks' ascending blocks and stops at the
-    first block that holds a partition with no spanning side. Most spanning
-    sides are settled from their packed Grams by the shifted-Cholesky test
-    (numerics.shifted_cholesky_ok) at the subset scan's shift tau = (M_u +
-    err_s)^2 + err_lam (_margin_shift), in _one_side_settled's pass, which
-    lipschitz's A0 screen shares: side I where it spans and side C where
-    only it spans in one kernel call per block, then side C where both span
-    and side I did not settle the split, its Gram U U^T - G_I formed for
-    those masks only. The partitions with no settled side are decided by
-    numerics.rank's criterion (_rank_d), side I first.
+    visits the masks in screens._partition_blocks' ascending blocks and
+    stops at the first block that holds a partition with no spanning side.
+    Most spanning sides are settled from their packed Grams by the
+    shifted-Cholesky test (screens.shifted_cholesky_ok) at the subset scan's
+    shift tau = (M_u + err_s)^2 + err_lam (_margin_shift), in
+    screens._one_side_settled's pass, which the A0 screen shares: side I
+    where it spans and side C where only it spans in one kernel call per
+    block, then side C where both span and side I did not settle the split,
+    its Gram U U^T - G_I formed for those masks only. The partitions with no
+    settled side are decided by numerics.rank's criterion (_rank_d), side I
+    first.
 
     The Grams are those of the key's unit copy U = 2^-e A (_unit). A side S
     that factors has rank d, by subset_scan's argument with U_S and A_S in
@@ -777,8 +410,8 @@ def _complement_walk(key: Key) -> Partition | None:
     D = key.D
     _, tau = _margin_shift(key)
     unit = _unit(key)
-    for masks, gi, full_i, full_c in _partition_blocks(unit.matrix):
-        settled = _one_side_settled(gi, unit.gram, full_i, full_c, tau)
+    for masks, gi, full_i, full_c in screens._partition_blocks(unit.matrix):
+        settled = screens._one_side_settled(gi, unit.gram, full_i, full_c, tau)
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])
@@ -817,36 +450,10 @@ def _sigma_1(key: Key) -> float:
     return _cached(key, "sigma_1", lambda: numerics.sigma_k(key.matrix, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class UnitCopy:
-    """What the Gram screens read of a key (_unit): the copy ``matrix`` = U =
-    2^-e A, its sigma_1 from numerics.sigma_k, the allowances (err_s,
-    err_lam) of numerics._gram_screen_errors for it, and ``gram``, the packed
-    U U^T (numerics.pack) from which the partition walks form side C's
-    Grams."""
-
-    matrix: np.ndarray
-    e: int
-    sigma_1: float
-    err_s: float
-    err_lam: float
-    gram: np.ndarray
-
-
-def _unit(key: Key) -> UnitCopy:
-    """The key's UnitCopy (memoized), e being the np.frexp exponent of its
-    largest |entry|. The copy's largest entry lies in [1/2, 1), so its Gram
-    entries are at most D, and underflow costs each a few subnormal spacings
-    at most. It is the key scaled exactly by a power of two, except that for
-    e > 0 entries below 2^(e - 1022) in magnitude are rounded to the
-    subnormal grid. Only the Gram screens read it."""
-    def unit():
-        e = int(np.frexp(np.abs(key.matrix).max())[1])
-        u = np.ldexp(key.matrix, -e)
-        sigma_1 = numerics.sigma_k(u, 1)
-        err_s, err_lam = numerics._gram_screen_errors(sigma_1, key.d, key.D, e)
-        return UnitCopy(u, e, sigma_1, err_s, err_lam, numerics.pack(u @ u.T))
-    return _cached(key, "unit", unit)
+def _unit(key: Key) -> screens.UnitCopy:
+    """The key's unit copy, screens._unit_copy(key.matrix) (memoized): what
+    the Gram screens read of it."""
+    return _cached(key, "unit", lambda: screens._unit_copy(key.matrix))
 
 
 def _subsets_certify_complement(key: Key) -> bool:

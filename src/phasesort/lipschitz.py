@@ -3,7 +3,9 @@
 The upper constant is the largest singular value of the key. The lower
 constant is an exact minimum over all unordered column partitions of
 sqrt(sigma_d(A[I])^2 + sigma_d(A[I^c])^2), found by exhaustive search at
-desk scale. Both constants are achieved by explicit vector pairs built from
+desk scale: the Gram screen of screens._screen keeps the few partitions
+that may hold the minimum, and the exact pass here decides them on SVD
+values of the key. Both constants are achieved by explicit vector pairs built from
 singular vectors; ``check_achievement`` verifies those equalities and
 ``ratio_scan`` samples random pairs to confirm the sandwich empirically.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
+from . import numerics, screens
 from .encoders import (
     alpha,
     alpha_many,
@@ -31,9 +33,6 @@ from .frame_keys import (
     Key,
     Partition,
     _cached,
-    _one_side_settled,
-    _partition_blocks,
-    _side_singular_values,
     _sigma_1,
     _unit,
 )
@@ -69,55 +68,18 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       overflow at any scale of the key. The brackets and shifts are in units
       of the copy, where B0 means sigma_1(U); the exact pass gets the lower
       ends scaled back by 2^e.
-    - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
-      sigma_d(U_S)^2 up to the error of the Gram sums and of eigvalsh, both
-      at most err_lam = err_s * d * B0. Widened further by err_s = c * (eps
-      * (D + d) * B0 + 2^(-1074 - e)), which covers the error of the visit's
-      SVDs of the key, 2^-e times the value the visit computes lies in a
-      bracket [lo, hi] per mask (_side_bracket); c is
-      numerics.GRAM_SCREEN_SLACK. The second term of err_s is the key's
-      subnormal spacing, to which a key at subnormal scale rounds its
-      singular values, and to which scaling lo back by 2^e rounds it.
     - Possible records. The best so far always lies in [runmin, runmin + tie],
       where runmin is the smallest value so far. So a mask can become the best
       only if its value is below runmin, hence below prev_hi, the smallest hi
       of the masks before it (infinite for mask 0). Masks with lo >= prev_hi
       are skipped.
-    - Settled masks. The screen walks the masks in the ascending blocks of
-      frame_keys._partition_blocks, aligned power-of-two ranges of masks
-      that start at 64 masks and double up to the most whose Grams fit
-      frame_keys._SCREEN_ENTRIES, and keeps hi_run, the smallest hi so far,
-      so that hi_run at the start of a block is >= prev_hi of every mask in
-      it. Each block's Grams are one contiguous table, the same bits as a
-      single table over all masks. They are packed upper triangles
-      (numerics.pack); side C's, U U^T - G_I, is formed only where it is
-      read: for the one-side test below where side C spans and side I does
-      not pass it, and for the both-sides test and eigvalsh where side C
-      spans and the mask is still unsettled. Each mask of a block after the
-      first is tested before any eigvalsh, and only on sides that span
-      (_settled): side I where it spans, side C where it spans and side I
-      did not pass, then both where both span:
-      numerics.shifted_cholesky_ok of a side's Gram G at a shift tau proves
-      lambda_min(G) >= tau - delta, with delta of order d^2 * eps * B0^2
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      section 10.1; tau stays near B0^2 or below, as hi_run <= hi of mask 0,
-      whose value sigma_d(U) <= B0 bounds every partition's); eigvalsh's
-      lambda is within a like amount of lambda_min(G), and the two
-      together stay below err_lam. The shifts are those at which the bracket
-      algebra gives lo >= hi_run, raised by err_lam: one spanning side at
-      (hi_run + 2 err_s)^2 + 2 err_lam, or both sides at
-      ((hi_run + err_s) / sqrt(2) + err_s)^2 + 2 err_lam. A mask that passes
-      either test would get an eigvalsh bracket with lo >= hi_run >= prev_hi,
-      so the rule above skips it, and its hi >= lo cannot lower prev_hi for
-      the masks after it. Such a mask is settled without a bracket. The other
-      masks are bracketed from eigvalsh of their Grams unpacked to full
-      symmetric matrices (numerics.unpack), which are the Grams' own bits, as
-      U U^T and the outer-product sums are exactly symmetric; one stacked
-      eigvalsh per block takes both sides, each row with the bits of its
-      matrix alone. So the screen
-      keeps exactly the masks the full bracket of every mask would keep; as
-      settling spares only masks the rule above skips, the kept masks and
-      their lo do not depend on the block sizes.
+    - Screen. screens._screen brackets the value of every mask, 2^-e times
+      the value the visit computes, from Gram eigenvalues of the copy,
+      settles most masks without a bracket by a shifted-Cholesky test that
+      shows lo >= prev_hi, and keeps, in ascending order, the masks with lo
+      < prev_hi and the lower ends of their brackets. Its docstring has the
+      argument that it keeps exactly the masks the full bracket of every
+      mask would keep.
     - Exact pass. The kept masks are visited in ascending order with the
       full visit's body and test. Every mask that becomes the best in the full
       visit is among them, so each sees the same best as in the full visit
@@ -127,7 +89,7 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       visit reaches it exactly when lo >= best - tie for the best at that
       time, which the visit tests as it reaches it. The values come from
       stacked SVDs of the key, one per side size
-      (frame_keys._side_singular_values), whose rows have the bits of
+      (screens._side_singular_values), whose rows have the bits of
       numerics.sigma_k on each side alone. They are taken for ascending
       windows of the kept masks, the first of _FIRST_WINDOW masks and each
       later one twice the one before, so a key whose first visited mask
@@ -173,7 +135,7 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
     tie = _TIE_WINDOW * upper_constant(key)
-    masks, lo, settled, diagonalized = _screen(key)
+    masks, lo, settled, diagonalized = screens._screen(_unit(key))
     best_val = np.inf
     best_mask = visited = 0
     size = _FIRST_WINDOW
@@ -206,92 +168,12 @@ _FIRST_WINDOW = 16
 
 def _sigma_d(a: np.ndarray, col_masks: np.ndarray) -> np.ndarray:
     """numerics.sigma_k(a[:, cols], d) of the columns cols of each mask, from
-    stacked SVDs (frame_keys._side_singular_values), with the same bits; 0
+    stacked SVDs (screens._side_singular_values), with the same bits; 0
     for masks of fewer than d columns."""
     sigma = np.zeros(col_masks.size)
-    for rows, _, s in _side_singular_values(a, col_masks):
+    for rows, _, s in screens._side_singular_values(a, col_masks):
         sigma[rows] = s[:, -1]
     return sigma
-
-
-def _side_bracket(lam, full, err_lam, err_s):
-    """Bracket of sigma_d for sides with Gram eigenvalue ``lam``; 0 where not ``full``."""
-    lo = np.maximum(np.sqrt(np.maximum(lam - err_lam, 0.0)) - err_s, 0.0)
-    hi = np.sqrt(np.maximum(lam + err_lam, 0.0)) + err_s
-    return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
-
-
-def _screen(key: Key) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Masks that may become the best, ascending, with the lower ends of their
-    brackets, and the numbers of masks settled and diagonalized. The brackets
-    are those of the unit copy 2^-e A (frame_keys._unit), with its own B0;
-    their lower ends are scaled back by 2^e."""
-    unit = _unit(key)
-    err_s, err_lam = unit.err_s, unit.err_lam
-    kept_masks, kept_lo = [], []
-    hi_run = np.inf
-    settled = diagonalized = 0
-    for block, gi, full_i, full_c in _partition_blocks(unit.matrix):
-        ok, rows_c, gc = _settled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
-        unsettled = np.flatnonzero(~ok)
-        settled += block.size - unsettled.size
-        if not unsettled.size:
-            continue  # hi_run stays, and no mask is kept
-        diagonalized += unsettled.size
-        # both sides' Grams in one eigvalsh: side I's where it spans, then
-        # side C's, the columns ~ok[rows_c] of gc
-        full = np.stack((full_i[unsettled], full_c[unsettled]))
-        lam = np.zeros(full.shape)
-        lam[full] = np.linalg.eigvalsh(numerics.unpack(np.concatenate(
-            (np.take(gi, unsettled[full[0]], axis=1), gc[:, ~ok[rows_c]]), axis=1)))[:, 0]
-        lo, hi = _side_bracket(lam, full, err_lam, err_s)
-        lo = np.maximum(np.hypot(*lo) - err_s, 0.0)
-        hi = np.hypot(*hi) + err_s
-        prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
-        hi_run = prev_hi[-1]
-        keep = np.flatnonzero(lo < prev_hi[:-1])
-        kept_masks.append(block[unsettled[keep]])
-        kept_lo.append(lo[keep])
-    return (np.concatenate(kept_masks), np.ldexp(np.concatenate(kept_lo), unit.e),
-            settled, diagonalized)
-
-
-def _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
-    """(ok, rows_c, gc): ``ok`` marks the masks of a block whose bracket would
-    have lo >= hi_run (see lower_constant); ``gc`` holds the packed
-    complement Grams total - gi of the masks ``rows_c``, those whose side C
-    spans and which the one-side pass left unsettled.
-
-    A mask is settled when a spanning side passes the one-side test, or both
-    sides span and pass the both-sides test. frame_keys._one_side_settled's
-    pass runs the one-side test, in one call of the packed kernel
-    (numerics._shifted_cholesky_ok_inplace) on side I where it spans and
-    side C where only it spans, and a second on side C of the masks whose
-    two sides span and whose side I failed. Side C's Grams of the masks it
-    leaves unsettled are then formed, the only ones the both-sides test and
-    the brackets read; one more call tests both sides of the masks among
-    them where both span, at the both-sides shift. So no side with fewer
-    than d columns is factored, unless seven eighths of the block's sides I
-    span (_one_side_settled then factors a copy of the whole block). The
-    kernel works elementwise over the Grams of a call, so each Gram's
-    verdict is the one it would get alone, whatever else shares the call
-    and in whichever order the calls run: each mask gets the boolean of the
-    rule above. At hi_run = inf both shifts are infinite: no mask is settled
-    and no test runs.
-    """
-    one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
-    ok = _one_side_settled(gi, total, full_i, full_c, one_side)
-    rows_c = np.flatnonzero(full_c & ~ok)
-    gc = np.take(gi, rows_c, axis=1)
-    np.subtract(total[:, None], gc, out=gc)
-    both = np.flatnonzero(full_i[rows_c])  # columns of gc
-    if hi_run < np.inf and both.size:
-        both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
-        rows = rows_c[both]
-        passed = numerics._shifted_cholesky_ok_inplace(
-            np.concatenate((np.take(gi, rows, axis=1), gc[:, both]), axis=1), both_sides)
-        ok[rows] = passed[:rows.size] & passed[rows.size:]
-    return ok, rows_c, gc
 
 
 @dataclass(frozen=True)

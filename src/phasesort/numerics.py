@@ -2,16 +2,15 @@
 tolerance policy.
 
 Everything downstream (certificates, decoders, Lipschitz constants) builds on
-these four operations. Factorizations are delegated to LAPACK via numpy; this
+these operations. Factorizations are delegated to LAPACK via numpy; this
 module owns the conventions layered on top: a deterministic sign convention
 for singular vectors, the sigma_k out-of-range convention, and the relative
-rank threshold.
+rank threshold. The Gram screens' packed layout, Cholesky kernel and error
+allowances are in the screens module.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,129 +200,3 @@ def ranks_from_singular_values(s: np.ndarray, size: int, tol: ToleranceConfig) -
     """
     cutoff = tol.rank_tol_factor * size * s[:, :1]
     return np.count_nonzero(s > cutoff, axis=1)
-
-
-# Error allowance of the Gram screens (lipschitz's A0 screen, frame_keys'
-# subset scan and complement walk). The screens read the key's unit copy
-# 2^-e A (frame_keys._unit, largest entry in [1/2, 1)), so no Gram entry or
-# shift can overflow, and underflow costs a Gram entry a few subnormal
-# spacings at most. In copy units the allowance is this many times eps * (D +
-# d) * sigma_1 plus the key's own subnormal spacing 2^(-1074 - e) for a
-# singular value, and that times d * sigma_1 for a Gram eigenvalue, sigma_1
-# being the copy's. The spacing term covers the exact path's SVDs of a key at
-# subnormal scale, whose results LAPACK rounds to that grid; for a nonzero key
-# with e > -969 it is below half an ulp of the first term and changes no bit.
-# Both are generous over the error bounds the screens rely on; a wider
-# allowance only sends a few more matrices to the exact path.
-GRAM_SCREEN_SLACK = 64.0
-
-
-def _gram_screen_errors(sigma_1: float, d: int, D: int, e: int) -> tuple[float, float]:
-    """(err_s, err_lam), the Gram screens' allowances for a singular value and
-    a Gram eigenvalue of the unit copy 2^-e A of a d x D key A, sigma_1 being
-    the copy's largest singular value."""
-    spacing = np.ldexp(np.finfo(float).smallest_subnormal, -e)
-    err_s = GRAM_SCREEN_SLACK * (np.finfo(float).eps * (D + d) * sigma_1 + spacing)
-    return err_s, err_s * d * sigma_1
-
-
-# The Gram screens' storage format (packed layout). A symmetric d x d
-# matrix is stored as its upper triangle, row by row, in P = d(d + 1) / 2
-# entries: the entries (i, i), ..., (i, d - 1) of row i are consecutive, from
-# _row_starts(d)[i] on. A stack of n such matrices is a (P, n) array with the
-# matrices on the last axis, the layout _shifted_cholesky_ok_inplace works in.
-
-
-@functools.cache
-def packed_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the P entries of the packed layout of a d x d matrix,
-    in storage order (np.triu_indices), as read-only arrays (memoized)."""
-    pairs = np.triu_indices(d)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
-
-
-@functools.cache
-def _row_starts(d: int) -> tuple[int, ...]:
-    """Where row i of the packed upper triangle starts, i = 0..d; the last
-    entry is P (memoized)."""
-    return tuple(i * d - i * (i - 1) // 2 for i in range(d + 1))
-
-
-def _packed_order(size: int) -> int:
-    """d of a packed matrix of ``size`` = d(d + 1) / 2 entries."""
-    return (math.isqrt(8 * size + 1) - 1) // 2
-
-
-def pack(stack) -> np.ndarray:
-    """The packed layout of a (d, d) matrix, (P,), or of an (n, d, d) stack,
-    (P, n), as a new contiguous array. Only the upper triangle is read."""
-    a = np.asarray(stack, dtype=np.float64)
-    rows, cols = packed_pairs(a.shape[-1])
-    return np.ascontiguousarray(np.moveaxis(a[..., rows, cols], -1, 0))
-
-
-def unpack(packed) -> np.ndarray:
-    """The (n, d, d) symmetric stack of a (P, n) packed one: each upper
-    triangle, mirrored."""
-    p = np.asarray(packed, dtype=np.float64)
-    d = _packed_order(p.shape[0])
-    rows, cols = packed_pairs(d)
-    full = np.empty((p.shape[1], d, d))
-    full[:, rows, cols] = p.T
-    full[:, cols, rows] = p.T
-    return full
-
-
-def shifted_cholesky_ok(stack, tau: float) -> np.ndarray:
-    """Whether an unpivoted Cholesky factorization of G - tau * I runs to
-    completion with positive pivots, for each G of an (n, d, d) symmetric stack.
-
-    Success proves lambda_min(G) >= tau - e with e of order d^2 * eps *
-    max(||G||_2, tau): the computed factor R satisfies R^T R = G - tau * I +
-    dG with |dG| <= gamma_(d+1) |R^T| |R| (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., section 10.1), and, for tau >= 0,
-    || |R^T| |R| ||_2 <= trace(R^T R) <= d * ||G||_2 up to second order; the
-    rounding of the shifted diagonal adds eps * max(||G||_2, tau). Failure
-    proves nothing.
-
-    Only the upper triangle of each G is read: the stack is packed (pack)
-    for _shifted_cholesky_ok_inplace.
-    """
-    return _shifted_cholesky_ok_inplace(pack(stack), tau)
-
-
-def _shifted_cholesky_ok_inplace(w: np.ndarray, tau: float) -> np.ndarray:
-    """shifted_cholesky_ok of each matrix w[:, i] of a packed (P, n) float64
-    stack, which is overwritten.
-
-    Each of the d right-looking elimination steps updates the upper triangle
-    of the trailing block row by row, each row one vectorized operation over
-    all n matrices; there is no per-matrix LAPACK call.
-
-    The verdict is whether the last pivot is positive: a matrix whose
-    factorization fails at an earlier step runs on, and its last pivot is NaN
-    or -inf. Up to the first pivot p that is not positive, every value is the
-    one a factorization that stops there computes. If p is negative or NaN,
-    sqrt(p) is NaN, and so is every entry after the step. If p is +-0, each
-    multiplier r_i is +-inf or NaN, so every later diagonal entry, reduced by
-    r_i^2, is -inf or NaN. No step can lift a diagonal entry that is -inf or
-    NaN, since it only ever has a square, or NaN, subtracted from it (no
-    diagonal entry is ever +inf: it starts finite and only decreases). The
-    next pivot is therefore -inf or NaN, its square root NaN, and from there
-    on every entry is NaN. So each verdict is the one a factorization that
-    stops at its first failed pivot gives. The invalid, divide and overflow
-    warnings of the failed matrices are silenced; so is the overflow of a
-    tiny positive pivot's row, which sends the next pivot to -inf or NaN.
-    """
-    d = _packed_order(w.shape[0])
-    start = _row_starts(d)
-    w[list(start[:-1])] -= tau
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for k in range(d - 1):
-            r = w[start[k] + 1:start[k + 1]] / np.sqrt(w[start[k]])
-            # the factorization reads only the upper triangle, all the layout holds
-            for i in range(k + 1, d):
-                w[start[i]:start[i + 1]] -= r[i - k - 1] * r[i - k - 1:]
-    return w[start[d - 1]] > 0.0

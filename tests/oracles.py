@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from phasesort import frame_keys, lipschitz, numerics
+from phasesort import frame_keys, lipschitz, numerics, screens
 from phasesort.errors import (
     AmbiguityDetected,
     DimensionError,
@@ -246,7 +246,7 @@ def popcounts(masks):
 
 
 def fill_grams(grams, outers):
-    """frame_keys._fill_grams through index arrays: for each bit b, highest
+    """screens._fill_grams through index arrays: for each bit b, highest
     first, the rows with bit b set and no lower bit become the row without
     bit b plus outers[b]."""
     for b in range(len(outers) - 1, -1, -1):
@@ -256,7 +256,7 @@ def fill_grams(grams, outers):
 
 
 def one_side_settled(gi, total, full_i, full_c, tau):
-    """frame_keys._one_side_settled as two calls of the packed kernel over a
+    """screens._one_side_settled as two calls of the packed kernel over a
     block of packed Grams ``gi``: side I where it spans (a contiguous copy of
     the whole block when seven eighths of its sides I span), then side C,
     total - gi, where it spans and side I did not factor. Returns ``ok``,
@@ -266,18 +266,18 @@ def one_side_settled(gi, total, full_i, full_c, tau):
     if finite:
         rows_i = np.flatnonzero(full_i)
         if 8 * rows_i.size >= 7 * full_i.size:
-            ok = full_i & numerics._shifted_cholesky_ok_inplace(gi.copy(), tau)
+            ok = full_i & screens._shifted_cholesky_ok_inplace(gi.copy(), tau)
         else:
-            ok[rows_i] = numerics._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
+            ok[rows_i] = screens._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
     rows_c = np.flatnonzero(full_c & ~ok)
     gc = total[:, None] - np.take(gi, rows_c, axis=1)
     if finite:
-        ok[rows_c] = numerics._shifted_cholesky_ok_inplace(gc.copy(), tau)
+        ok[rows_c] = screens._shifted_cholesky_ok_inplace(gc.copy(), tau)
     return ok
 
 
 def settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
-    """lipschitz._settled with four Cholesky calls: side I, then side C of the
+    """screens._settled with four Cholesky calls: side I, then side C of the
     masks not yet settled, at the one-side shift; then side I and, where it
     passed, side C of the rest at the both-sides shift."""
     ok = np.zeros(full_i.size, dtype=bool)
@@ -287,10 +287,10 @@ def settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
     both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
     for g, full in ((gi, full_i), (gc, full_c)):
         rows = np.flatnonzero(full & ~ok)
-        ok[rows] = numerics.shifted_cholesky_ok(g[rows], one_side)
+        ok[rows] = screens.shifted_cholesky_ok(g[rows], one_side)
     rows = np.flatnonzero(full_i & full_c & ~ok)
-    rows = rows[numerics.shifted_cholesky_ok(gi[rows], both_sides)]
-    ok[rows] = numerics.shifted_cholesky_ok(gc[rows], both_sides)
+    rows = rows[screens.shifted_cholesky_ok(gi[rows], both_sides)]
+    ok[rows] = screens.shifted_cholesky_ok(gc[rows], both_sides)
     return ok
 
 
@@ -351,7 +351,7 @@ def lower_constant_screen(key):
     scan = partition_scan(frame_keys.Key(unit, key.tol))
     b0 = sigma_k(unit, 1)
     spacing = np.ldexp(np.finfo(float).smallest_subnormal, -e)
-    err_s = numerics.GRAM_SCREEN_SLACK * (np.finfo(float).eps * (D + d) * b0 + spacing)
+    err_s = screens.GRAM_SCREEN_SLACK * (np.finfo(float).eps * (D + d) * b0 + spacing)
     err_lam = err_s * d * b0
     sides = []
     for lam, full in ((scan.lam_min_i, scan.counts >= d), (scan.lam_min_c, D - scan.counts >= d)):
@@ -406,13 +406,13 @@ def subset_scan(key):
     """(first deficient d-subset or None, smallest sigma_d ranked): every
     subset's singular values from a stacked SVD, chunk by chunk in
     lexicographic order, stopping at the chunk with a deficient subset.
-    Reads frame_keys._CHUNK_ENTRIES at call time, so it can be patched."""
+    Reads screens._CHUNK_ENTRIES at call time, so it can be patched."""
     d, D = key.d, key.D
     if D < d:
         return tuple(range(1, D + 1)), 0.0
     a = key.matrix
     subsets = itertools.combinations(range(D), d)
-    per_chunk = max(1, frame_keys._CHUNK_ENTRIES // (d * d))
+    per_chunk = max(1, screens._CHUNK_ENTRIES // (d * d))
     sigma_d_min = np.inf
     while True:
         chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
@@ -464,7 +464,7 @@ def packed_submatrices(matrix, index):
     so no (P, n) index array is formed.
     """
     d, n = index.shape
-    start = numerics._row_starts(d)
+    start = screens._row_starts(d)
     flat = np.ascontiguousarray(matrix).ravel()
     row_base = index * matrix.shape[1]
     w = np.empty((start[d], n))
@@ -475,9 +475,9 @@ def packed_submatrices(matrix, index):
 
 def _subset_chunks(d, D):
     """The d-subsets of range(D) in lexicographic order, one row each, in
-    chunks of frame_keys._CHUNK_ENTRIES // d^2 (read at call time)."""
+    chunks of screens._CHUNK_ENTRIES // d^2 (read at call time)."""
     subsets = itertools.combinations(range(D), d)
-    per_chunk = max(1, frame_keys._CHUNK_ENTRIES // (d * d))
+    per_chunk = max(1, screens._CHUNK_ENTRIES // (d * d))
     while True:
         chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_chunk))
         cols = np.fromiter(chunk, dtype=np.intp).reshape(-1, d)
@@ -493,7 +493,7 @@ def subset_verdicts(key, tau):
     chunk."""
     unit = frame_keys._unit(key).matrix
     gram = unit.T @ unit
-    parts = [numerics._shifted_cholesky_ok_inplace(
+    parts = [screens._shifted_cholesky_ok_inplace(
                  packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
              for cols in _subset_chunks(key.d, key.D)]
     return np.concatenate([np.zeros(0, dtype=bool), *parts])
@@ -513,7 +513,7 @@ def cholesky_subset_scan(key):
     clears_margin = True
     settled = decomposed = 0
     for cols in _subset_chunks(d, D):
-        above = numerics._shifted_cholesky_ok_inplace(
+        above = screens._shifted_cholesky_ok_inplace(
             packed_submatrices(gram, np.ascontiguousarray(cols.T)), tau)
         settled += int(np.count_nonzero(above))
         cols = cols[~above]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasesort.frame_keys as frame_keys
-from phasesort import cli, lipschitz, numerics
+from phasesort import cli, lipschitz, numerics, screens
 from phasesort import (
     DimensionError,
     InternalInconsistency,
@@ -237,22 +237,22 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     # blocks of one mask (at 1 entry, and at 9 for d >= 3) up to the default
     # schedule's, 64 masks doubling
     a = generate_key(d, D, 70 + d + D).matrix
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
-    blocks = list(frame_keys._partition_blocks(a))
+    monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
+    blocks = list(screens._partition_blocks(a))
     # the blocks cover every mask once, in ascending order
     masks = np.concatenate([m for m, *_ in blocks])
     assert masks.tolist() == list(range(1 << (D - 1)))
     table = _partition_grams_reference(a)
     gi = np.concatenate([gi for _, gi, *_ in blocks], axis=1)
-    assert gi.tobytes() == numerics.pack(table).tobytes()
+    assert gi.tobytes() == screens.pack(table).tobytes()
     # the complement Grams, as the walks form them from the packed A A^T
-    gc = numerics.pack(a @ a.T)[:, None] - gi
-    assert gc.tobytes() == numerics.pack(a @ a.T - table).tobytes()
+    gc = screens.pack(a @ a.T)[:, None] - gi
+    assert gc.tobytes() == screens.pack(a @ a.T - table).tobytes()
 
 
 @pytest.mark.parametrize("entries", [9, 1 << 20])
 def test_fill_grams_matches_index_oracle(monkeypatch, entries):
-    real = frame_keys._fill_grams
+    real = screens._fill_grams
     fills = []
 
     def checked(grams, outers):
@@ -264,11 +264,11 @@ def test_fill_grams_matches_index_oracle(monkeypatch, entries):
         assert grams.T.tobytes() == want.tobytes()
         fills.append((grams, len(outers)))
 
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
-    monkeypatch.setattr(frame_keys, "_fill_grams", checked)
+    monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_fill_grams", checked)
     bits = set()
     for D in range(1, 14):
-        for masks, gi, _, _ in frame_keys._partition_blocks(generate_key(3, D, 90 + D).matrix):
+        for masks, gi, _, _ in screens._partition_blocks(generate_key(3, D, 90 + D).matrix):
             # one fill per block, of the block's own table, over its low bits
             ((grams, n),) = fills
             assert grams is gi and masks.size == 1 << n
@@ -288,10 +288,10 @@ def test_partition_blocks_are_aligned_powers_of_two(monkeypatch, d, D, entries, 
     # they double from _FIRST_BLOCK masks to the largest power of two whose
     # Grams fit _SCREEN_ENTRIES, or to the whole walk
     if entries:
-        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+        monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
     p = d * (d + 1) // 2
     sizes = []
-    for masks, gi, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 3).matrix):
+    for masks, gi, full_i, full_c in screens._partition_blocks(generate_key(d, D, 3).matrix):
         n, start = masks.size, sum(sizes)
         assert n & (n - 1) == 0 and start % n == 0
         assert np.array_equal(masks, np.arange(start, start + n))
@@ -299,13 +299,13 @@ def test_partition_blocks_are_aligned_powers_of_two(monkeypatch, d, D, entries, 
         assert full_i.shape == full_c.shape == (n,)
         sizes.append(n)
     assert sum(sizes) == 1 << (D - 1)
-    assert max(sizes) == largest and largest * p <= max(p, frame_keys._SCREEN_ENTRIES)
-    assert sizes[0] == min(frame_keys._FIRST_BLOCK, largest)
+    assert max(sizes) == largest and largest * p <= max(p, screens._SCREEN_ENTRIES)
+    assert sizes[0] == min(screens._FIRST_BLOCK, largest)
     assert sizes == sorted(sizes)
 
 
 def test_unit_copy_grams_are_exactly_symmetric():
-    # numerics.unpack mirrors a packed Gram's upper triangle, and eigvalsh
+    # screens.unpack mirrors a packed Gram's upper triangle, and eigvalsh
     # reads the lower one: the screens' eigenvalues are those of the Grams
     # themselves only if U U^T and U^T U, and so the sums and differences
     # the walks form from them, are symmetric bit for bit
@@ -327,9 +327,9 @@ def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
     for d in range(1, D + 1):
         if chunk_masks:
             # a packed Gram has d(d + 1) / 2 entries
-            monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", chunk_masks * d * (d + 1) // 2)
+            monkeypatch.setattr(screens, "_SCREEN_ENTRIES", chunk_masks * d * (d + 1) // 2)
         walked = 0
-        for masks, _, full_i, full_c in frame_keys._partition_blocks(generate_key(d, D, 5).matrix):
+        for masks, _, full_i, full_c in screens._partition_blocks(generate_key(d, D, 5).matrix):
             assert np.array_equal(full_i, counts[masks] >= d)
             assert np.array_equal(full_c, D - counts[masks] >= d)
             walked += masks.size
@@ -339,15 +339,15 @@ def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
 def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     mat = generate_key(3, 6, 78).matrix.copy()
     mat[:, 5] = mat[:, 0]
-    whole = lipschitz._screen(Key(mat))
+    whole = screens._screen(frame_keys._unit(Key(mat)))
     batch = has_complement_property(Key(mat))
     assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9)  # blocks of one mask
-    chunked = lipschitz._screen(Key(mat))
+    monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 9)  # blocks of one mask
+    chunked = screens._screen(frame_keys._unit(Key(mat)))
     for field in (0, 1):  # the kept masks and their lower ends
         assert chunked[field].tobytes() == whole[field].tobytes()
-    for entries in (frame_keys._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
-        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+    for entries in (screens._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
+        monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
         rep = has_complement_property(Key(mat))
         assert (rep.verdict, rep.witness, rep.method) == (
             batch.verdict, batch.witness, batch.method)
@@ -370,7 +370,7 @@ def test_complement_matches_gram_reference_seeded(monkeypatch, d, D, seed):
     for k in (key, Key(mat)):
         expected = oracles.complement_property(k)
         assert _complement(k) == expected
-        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 16)  # blocks of 1 or 2 masks
+        monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 16)  # blocks of 1 or 2 masks
         assert _complement(Key(k.matrix)) == expected
         monkeypatch.undo()
 
@@ -384,7 +384,7 @@ def _full_spark_reference(key: Key):
 
 @pytest.mark.parametrize("entries", [1, 30, 1 << 20])
 def test_full_spark_batched_matches_loop(monkeypatch, entries):
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", entries)
     keys = [generate_key(3, 7, 5), generate_key(4, 9, 6), Key(A_REF), Key(np.eye(3))]
     late = generate_key(3, 8, 7).matrix.copy()
     late[:, 7] = late[:, 6] * 2.0  # deficient only with both of the last two columns
@@ -555,7 +555,7 @@ def test_complement_shortcut_on_nearly_dependent_subset(monkeypatch, gap, settle
     # decides
     _, tau = frame_keys._margin_shift(key)
     side = frame_keys._unit(key).matrix[:, [0, 1, 4]]
-    assert not numerics.shifted_cholesky_ok((side @ side.T)[None], tau)[0]
+    assert not screens.shifted_cholesky_ok((side @ side.T)[None], tau)[0]
 
 
 @pytest.mark.parametrize("factor", [1e-16, 1e-9, 1e-6])
@@ -600,8 +600,8 @@ def test_complement_walk_matches_scan_oracle_too_few_columns(d, D, seed):
 def test_complement_walk_chunks_match_scan_oracle(monkeypatch, name, entries):
     # walk blocks of one mask, or of up to 40 // P masks, and side SVDs one
     # mask at a time
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 9)
+    monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
     for factor in (1e-12, 1e-6):
         _assert_shortcut_matches_scan(ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
 
@@ -609,14 +609,14 @@ def test_complement_walk_chunks_match_scan_oracle(monkeypatch, name, entries):
 def test_complement_walk_stops_at_the_first_violation(monkeypatch):
     key = generate_key(8, 14, 1)
     walked = []
-    real = frame_keys._partition_blocks
+    real = screens._partition_blocks
 
     def counted(a):
         for block in real(a):
             walked.append(block[0].size)
             yield block
 
-    monkeypatch.setattr(frame_keys, "_partition_blocks", counted)
+    monkeypatch.setattr(screens, "_partition_blocks", counted)
     rep = has_complement_property(key)
     assert (rep.verdict, rep.witness) == (False, Partition(127, 14))
     # both sides of mask 2^(D-d+1) - 1 have fewer than d columns
@@ -638,7 +638,7 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
     key = Key(mat)
     assert not (planted and frame_keys._subsets_certify_complement(key))
     log = []
-    real_blocks, real_kernel = frame_keys._partition_blocks, numerics._shifted_cholesky_ok_inplace
+    real_blocks, real_kernel = screens._partition_blocks, screens._shifted_cholesky_ok_inplace
 
     def blocks(a):
         for block in real_blocks(a):
@@ -649,15 +649,15 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
         log.append(("kernel", w.copy()))
         return real_kernel(w, tau)
 
-    monkeypatch.setattr(frame_keys, "_partition_blocks", blocks)
-    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace", kernel)
+    monkeypatch.setattr(screens, "_partition_blocks", blocks)
+    monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace", kernel)
     if planted:
         rep = has_complement_property(key)
         assert (rep.verdict, rep.witness, rep.method) == oracles.complement_property(key)
     else:
         assert frame_keys._complement_walk(key) is None
     unit = frame_keys._unit(key).matrix
-    total = numerics.pack(unit @ unit.T)
+    total = screens.pack(unit @ unit.T)
     walked = 0
     for i in range(0, len(log), 2):
         (tag, (masks, gi, full_i, full_c)), (_, sides) = log[i:i + 2]
@@ -675,7 +675,7 @@ def _assert_one_side_pass_matches_oracle(monkeypatch, matrix, tol=DEFAULT_TOL):
     calls covered: a block copied whole with sides I that do not span, a
     second call (both sides span and side I failed), a mask with no
     spanning side."""
-    real = frame_keys._one_side_settled
+    real = screens._one_side_settled
     seen = {"whole": False, "second": False, "no_side": False}
 
     def checked(gi, total, full_i, full_c, tau):
@@ -691,8 +691,7 @@ def _assert_one_side_pass_matches_oracle(monkeypatch, matrix, tol=DEFAULT_TOL):
         return ok
 
     with monkeypatch.context() as m:
-        m.setattr(frame_keys, "_one_side_settled", checked)
-        m.setattr(lipschitz, "_one_side_settled", checked)
+        m.setattr(screens, "_one_side_settled", checked)
         key = Key(matrix, tol)
         frame_keys._complement_walk(key)
         lipschitz.lower_constant_search(key)
@@ -713,7 +712,7 @@ def test_one_side_pass_matches_two_call_oracle_seeded(monkeypatch):
     for d, D, entries in ((4, 16, None), (4, 12, None), (5, 8, None), (6, 9, None), (5, 8, 9)):
         with monkeypatch.context() as m:
             if entries:
-                m.setattr(frame_keys, "_SCREEN_ENTRIES", entries)
+                m.setattr(screens, "_SCREEN_ENTRIES", entries)
             for key, covered in _assert_one_side_pass_matches_oracle(
                     monkeypatch, generate_key(d, D, 1).matrix).items():
                 seen[key] = seen.get(key, False) or covered
@@ -774,10 +773,10 @@ def _near_trust_ratio_key(d, seed, delta):
 @pytest.mark.parametrize("d", [3, 4])
 def test_complement_walk_settles_only_rank_d_sides(monkeypatch, d):
     settled, walking = [], []
-    real_kernel, real_walk = numerics._shifted_cholesky_ok_inplace, frame_keys._complement_walk
+    real_kernel, real_walk = screens._shifted_cholesky_ok_inplace, frame_keys._complement_walk
 
     def recorded(w, tau):
-        grams = numerics.unpack(w)  # before the kernel overwrites w
+        grams = screens.unpack(w)  # before the kernel overwrites w
         ok = real_kernel(w, tau)
         if walking:  # the walk's calls, not the subset scan's
             settled.append(grams[ok])
@@ -790,7 +789,7 @@ def test_complement_walk_settles_only_rank_d_sides(monkeypatch, d):
         finally:
             walking.pop()
 
-    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace", recorded)
+    monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace", recorded)
     monkeypatch.setattr(frame_keys, "_complement_walk", walk)
     # within rounding of the ratio, and once far enough above it to settle
     seen = 0
@@ -827,7 +826,7 @@ def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
     real_svd = numerics.singular_values_many
     monkeypatch.setattr(numerics, "singular_values_many",
                         lambda stack: svds.append(stack.copy()) or real_svd(stack))
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", 9)  # one subset per chunk
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 9)  # one subset per chunk
     key = Key(mat)
     rep = is_full_spark(key)
     assert (rep.verdict, rep.witness) == (False, (1, 2, 4))
@@ -836,7 +835,7 @@ def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
     # only SVD, and the scan stops after its chunk
     _, tau = frame_keys._margin_shift(key)
     assert oracles.subset_verdicts(key, tau)[:2].tolist() == [True, False]
-    assert frame_keys._unsettled_subsets(key, tau)[0][0] == 1
+    assert screens._unsettled_subsets(frame_keys._unit(key).matrix, tau)[0][0] == 1
     assert len(svds) == 1 and svds[0].tobytes() == mat[:, [0, 1, 3]][None].tobytes()
     scan = frame_keys.subset_scan(key)
     assert (scan.settled, scan.decomposed, scan.clears_margin) == (1, 1, False)
@@ -847,7 +846,7 @@ def test_subset_scan_smallest_sigma_d_matches_loop(monkeypatch, entries):
     # the scan keeps no minimum, but its margin decision pins the smallest
     # sigma_d bit for bit: with the margin moved onto the loop's smallest
     # value the decision is false, one ulp below it true
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", entries)
     key = generate_key(3, 7, 12)
     smallest = min(
         numerics.sigma_k(key.matrix[:, cols], 3)
@@ -876,7 +875,7 @@ def _assert_walk_matches_gathered_kernel(matrix, tol=DEFAULT_TOL):
         _, tau = frame_keys._margin_shift(key)
         verdicts = oracles.subset_verdicts(key, tau)
         assert verdicts.size == math.comb(key.D, key.d)
-        unsettled = frame_keys._ranges(*frame_keys._unsettled_subsets(key, tau))
+        unsettled = screens._ranges(*screens._unsettled_subsets(frame_keys._unit(key).matrix, tau))
         assert np.array_equal(unsettled, np.flatnonzero(~verdicts))
 
 
@@ -998,7 +997,7 @@ SMALL_CHUNKS = [9, 4000]
 @pytest.mark.parametrize("entries", SMALL_CHUNKS)
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
 def test_subset_walk_matches_gathered_kernel_in_small_chunks(monkeypatch, name, entries):
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", entries)
     for factor in (1e-16, 1e-12, 1e-9, 1e-6):
         _assert_walk_matches_gathered_kernel(
             ADVERSARIAL[name], ToleranceConfig(rank_tol_factor=factor))
@@ -1018,19 +1017,19 @@ def test_subset_walk_matches_gathered_kernel_in_small_chunks(monkeypatch, name, 
     st.sampled_from(SMALL_CHUNKS),
 )
 def test_subset_walk_matches_gathered_kernel_hypothesis(matrix, entries):
-    real = frame_keys._CHUNK_ENTRIES
-    frame_keys._CHUNK_ENTRIES = entries
+    real = screens._CHUNK_ENTRIES
+    screens._CHUNK_ENTRIES = entries
     try:
         _assert_walk_matches_gathered_kernel(matrix)
     finally:
-        frame_keys._CHUNK_ENTRIES = real
+        screens._CHUNK_ENTRIES = real
 
 
 @pytest.mark.parametrize("d,D,entries", [
-    (4, 16, frame_keys._CHUNK_ENTRIES), (8, 15, frame_keys._CHUNK_ENTRIES),
-    (10, 19, frame_keys._CHUNK_ENTRIES), (4, 16, 9), (6, 11, 9), (8, 15, 4000)])
+    (4, 16, screens._CHUNK_ENTRIES), (8, 15, screens._CHUNK_ENTRIES),
+    (10, 19, screens._CHUNK_ENTRIES), (4, 16, 9), (6, 11, 9), (8, 15, 4000)])
 def test_subset_walk_matches_gathered_kernel_seeded(monkeypatch, d, D, entries):
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", entries)
     key = generate_key(d, D, 1)
     mat = key.matrix.copy()
     # columns 1 and 2 nearly parallel: exactly the subsets with both,
@@ -1043,10 +1042,10 @@ def test_subset_walk_matches_gathered_kernel_seeded(monkeypatch, d, D, entries):
         assert scan.decomposed == math.comb(D - 2, d - 2)
 
 
-@pytest.mark.parametrize("entries", [*SMALL_CHUNKS, frame_keys._CHUNK_ENTRIES])
+@pytest.mark.parametrize("entries", [*SMALL_CHUNKS, screens._CHUNK_ENTRIES])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (3, 3), (5, 5), (4, 2), (6, 1)])
 def test_subset_walk_matches_gathered_kernel_edge_shapes(monkeypatch, shape, entries):
-    monkeypatch.setattr(frame_keys, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", entries)
     _assert_walk_matches_gathered_kernel(generate_key(*shape, 3).matrix)
     _assert_walk_matches_gathered_kernel(np.zeros(shape))
     _assert_walk_matches_gathered_kernel(np.zeros((5, 10)))

@@ -20,7 +20,7 @@ from phasesort import (
     ratio_scan,
     upper_constant,
 )
-from phasesort import frame_keys, lipschitz, numerics, verify
+from phasesort import frame_keys, lipschitz, numerics, screens, verify
 from phasesort.lipschitz import LipschitzReport
 
 import oracles
@@ -266,7 +266,7 @@ def test_lower_constant_matches_loop_seeded(d, D):
 
 
 def test_screen_keeps_few_masks():
-    masks, lo, settled, diagonalized = lipschitz._screen(generate_key(4, 16, 1))
+    masks, lo, settled, diagonalized = screens._screen(frame_keys._unit(generate_key(4, 16, 1)))
     assert 0 < masks.size <= 64  # of 32768
     assert masks[0] == 0 and np.all(np.diff(masks) > 0)
     assert settled + diagonalized == 1 << 15
@@ -279,17 +279,17 @@ def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
     # _SCREEN_ENTRIES: 9 * chunk gives blocks of one and of eight masks, and
     # exactly one Gram's entries blocks of one mask, each its own seed
     key = generate_key(3, 9, 4)
-    masks, lo, _, _ = lipschitz._screen(key)
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 6 if chunk == "gram-chunks-of-one-mask"
+    masks, lo, _, _ = screens._screen(frame_keys._unit(key))
+    monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 6 if chunk == "gram-chunks-of-one-mask"
                         else 9 * chunk)
-    blocked = lipschitz._screen(Key(key.matrix))
+    blocked = screens._screen(frame_keys._unit(Key(key.matrix)))
     assert blocked[0].tobytes() == masks.tobytes() and blocked[1].tobytes() == lo.tobytes()
     assert blocked[2] + blocked[3] == 1 << 8
     _assert_matches_loop(key.matrix)
 
 
 def _assert_screen_matches_oracle(key):
-    masks, lo, _, _ = lipschitz._screen(key)
+    masks, lo, _, _ = screens._screen(frame_keys._unit(key))
     ref_masks, ref_lo = oracles.lower_constant_screen(Key(key.matrix))
     assert masks.tobytes() == ref_masks.tobytes() and lo.tobytes() == ref_lo.tobytes()
 
@@ -343,8 +343,8 @@ def test_search_work_is_pinned(monkeypatch, d, D, settled, diagonalized, visited
     # did, mask for mask. At d = 5 that layout's 2621-mask blocks are not a
     # power of two; the aligned 2048-mask blocks give the same counts
     p, full = d * (d + 1) // 2, d * d
-    monkeypatch.setattr(frame_keys, "_FIRST_BLOCK", 1)
-    monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", (1 << 16) // full * p)
+    monkeypatch.setattr(screens, "_FIRST_BLOCK", 1)
+    monkeypatch.setattr(screens, "_SCREEN_ENTRIES", (1 << 16) // full * p)
     _assert_search_work(d, D, settled, diagonalized, visited)
 
 
@@ -357,12 +357,12 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
     # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
     # has D < 2d - 1
     matrix = _SETTLED_KEYS[name]
-    real = lipschitz._settled
+    real = screens._settled
     settled = []
 
     def checked(gi, total, full_i, full_c, hi_run, err_s, err_lam):
         # the oracle reads the block's full Grams, side C's for every mask
-        full_gi, full_gc = numerics.unpack(gi), numerics.unpack(total[:, None] - gi)
+        full_gi, full_gc = screens.unpack(gi), screens.unpack(total[:, None] - gi)
         for h in (np.inf, hi_run):
             ok, rows_c, gc = real(gi, total, full_i, full_c, h, err_s, err_lam)
             want = oracles.settled(full_gi, full_gc, full_i, full_c, h, err_s, err_lam)
@@ -379,11 +379,11 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
         settled.append(int(np.count_nonzero(ok)))
         return ok, rows_c, gc
 
-    monkeypatch.setattr(lipschitz, "_settled", checked)
+    monkeypatch.setattr(screens, "_settled", checked)
     search = lipschitz.lower_constant_search(Key(matrix))
     assert sum(settled) == search.settled
     if matrix.shape[1] <= 12:  # and in blocks of one mask
-        monkeypatch.setattr(frame_keys, "_SCREEN_ENTRIES", 9)
+        monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 9)
         settled.clear()
         search = lipschitz.lower_constant_search(Key(matrix))
         assert sum(settled) == search.settled
@@ -462,8 +462,8 @@ def _assert_exact_pass_matches_loop(monkeypatch, matrix, tol=numerics.DEFAULT_TO
     # numerics.sigma_k calls per mask, on the masks the search's screen kept
     screened = []
     with monkeypatch.context() as m:
-        real = lipschitz._screen
-        m.setattr(lipschitz, "_screen", lambda key: screened.append(real(key)) or screened[-1])
+        real = screens._screen
+        m.setattr(screens, "_screen", lambda unit: screened.append(real(unit)) or screened[-1])
         key = Key(matrix, tol)
         search = lipschitz.lower_constant_search(key)
     masks, lo, _, _ = screened[0]
@@ -525,7 +525,7 @@ def test_exact_pass_decomposes_one_window_of_a_rank_deficient_key(monkeypatch):
     monkeypatch.setattr(numerics, "singular_values_many",
                         lambda stack: rows.append(len(stack)) or real(stack))
     search = lipschitz.lower_constant_search(Key(ADVERSARIAL["rank-deficient"]))
-    masks, _, _, _ = lipschitz._screen(Key(ADVERSARIAL["rank-deficient"]))
+    masks, _, _, _ = screens._screen(frame_keys._unit(Key(ADVERSARIAL["rank-deficient"])))
     assert (masks.size, search.visited) == (512, 1)
     assert 0 < sum(rows) <= 32  # the first window, 16 masks, two sides each
 
@@ -536,12 +536,12 @@ def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
     # exactly one side of each split spans, and only it is factored: one
     # Gram per mask after the first block, which no test screens
     grams = []
-    real = numerics._shifted_cholesky_ok_inplace
-    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
+    real = screens._shifted_cholesky_ok_inplace
+    monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
                         lambda w, tau: grams.append(w.shape[1]) or real(w, tau))
     lipschitz.lower_constant_search(generate_key(d, D, 1))
     if most is None:
-        assert sum(grams) == (1 << (D - 1)) - frame_keys._FIRST_BLOCK == 16320
+        assert sum(grams) == (1 << (D - 1)) - screens._FIRST_BLOCK == 16320
     else:
         assert sum(grams) <= most
 
@@ -556,8 +556,8 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
     # block copied whole, side C takes the columns of the sides I that do
     # not span
     sizes = []
-    real = numerics._shifted_cholesky_ok_inplace
-    monkeypatch.setattr(numerics, "_shifted_cholesky_ok_inplace",
+    real = screens._shifted_cholesky_ok_inplace
+    monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
                         lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
     lipschitz.lower_constant_search(generate_key(d, D, 1))
     assert sum(sizes) == grams

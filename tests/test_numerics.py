@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasesort import DimensionError, SvdResult, ToleranceConfig, least_squares, rank, sigma_k, svd
-from phasesort import numerics
+from phasesort import numerics, screens
 from phasesort.numerics import ranks
 
 import oracles
@@ -211,7 +211,7 @@ def test_shifted_cholesky_never_settles_below_the_shift(name):
     taus += [lam * f for f in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0)] + [0.0, -norm, norm, 2 * norm]
     stack = np.repeat(g[None], len(taus), axis=0)
     before = stack.copy()
-    ok = np.array([numerics.shifted_cholesky_ok(g[None], tau)[0] for tau in taus])
+    ok = np.array([screens.shifted_cholesky_ok(g[None], tau)[0] for tau in taus])
     assert g.tobytes() == stack[0].tobytes()  # a stack of one is not factored in place
     for tau, passed in zip(taus, ok):
         # e of the docstring plus eigvalsh's error, far below the screen's err_lam
@@ -222,7 +222,7 @@ def test_shifted_cholesky_never_settles_below_the_shift(name):
             assert passed, (tau, lam)
     # one tau over a stack gives the answers of the matrices one by one
     for tau, passed in zip(taus, ok):
-        assert np.array_equal(numerics.shifted_cholesky_ok(stack, tau), np.full(len(taus), passed))
+        assert np.array_equal(screens.shifted_cholesky_ok(stack, tau), np.full(len(taus), passed))
     assert stack.tobytes() == before.tobytes()
 
 
@@ -233,7 +233,7 @@ def test_shifted_cholesky_matches_full_update_oracle(d):
     lam = np.linalg.eigvalsh(stack)[:, 0]
     for tau in np.concatenate([lam, lam * (1 + 1e-9), lam * (1 - 1e-9), [0.0, 1e-12, 1.0]]):
         want = oracles.shifted_cholesky_ok(stack, tau)
-        assert np.array_equal(numerics.shifted_cholesky_ok(stack, tau), want)
+        assert np.array_equal(screens.shifted_cholesky_ok(stack, tau), want)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -247,34 +247,34 @@ def test_shifted_cholesky_reads_only_the_upper_triangle(d):
         (len(stack), lower[0].size)) * 1e3
     lam = np.linalg.eigvalsh(stack)[:, 0]
     for tau in np.concatenate([lam, lam * (1 - 1e-9), [0.0, 1.0]]):
-        assert np.array_equal(numerics.shifted_cholesky_ok(junk, tau),
+        assert np.array_equal(screens.shifted_cholesky_ok(junk, tau),
                               oracles.shifted_cholesky_ok(stack, tau))
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_packed_layout(d):
     # row by row through the upper triangle, row i from _row_starts(d)[i] on
-    rows, cols = numerics.packed_pairs(d)
+    rows, cols = screens.packed_pairs(d)
     assert list(zip(rows.tolist(), cols.tolist())) == [
         (i, j) for i in range(d) for j in range(i, d)]
-    start = numerics._row_starts(d)
+    start = screens._row_starts(d)
     for i in range(d):
         assert rows[start[i]:start[i + 1]].tolist() == [i] * (d - i)
     assert start[d] == rows.size == d * (d + 1) // 2
     a = np.random.Generator(np.random.PCG64(40 + d)).standard_normal((5, d, d + 2))
     stack = a @ a.transpose(0, 2, 1)
     sym = (stack + stack.transpose(0, 2, 1)) / 2  # exactly symmetric
-    packed = numerics.pack(sym)
+    packed = screens.pack(sym)
     assert packed.shape == (rows.size, 5) and packed.flags.c_contiguous
-    assert numerics.pack(sym[2]).tobytes() == packed[:, 2].tobytes()
-    assert numerics.unpack(packed).tobytes() == sym.tobytes()
+    assert screens.pack(sym[2]).tobytes() == packed[:, 2].tobytes()
+    assert screens.unpack(packed).tobytes() == sym.tobytes()
     # unpacking mirrors the upper triangle, whatever the lower one held
     junk = sym + np.tril(np.ones((d, d)), -1)
-    assert numerics.unpack(numerics.pack(junk)).tobytes() == sym.tobytes()
+    assert screens.unpack(screens.pack(junk)).tobytes() == sym.tobytes()
 
 
 def test_shifted_cholesky_empty_stack():
-    assert numerics.shifted_cholesky_ok(np.zeros((0, 3, 3)), 1.0).shape == (0,)
+    assert screens.shifted_cholesky_ok(np.zeros((0, 3, 3)), 1.0).shape == (0,)
 
 
 def _failing_grams(d: int) -> dict:
@@ -322,7 +322,7 @@ def test_shifted_cholesky_failed_pivots_run_to_nan(d):
             want = oracles.shifted_cholesky_ok(stack, tau)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = numerics.shifted_cholesky_ok(stack, tau)
+            got = screens.shifted_cholesky_ok(stack, tau)
         assert np.array_equal(got, want)
         if tau == 0.0:  # a shift of 0.5 absorbs the tiny pivots
             for name, verdict in zip(grams, want):
