@@ -464,7 +464,7 @@ def _partition_blocks(a: np.ndarray):
     one per column, for the subsets I that avoid the last column; ``full_i``
     and ``full_c`` mark the sides with at least d columns. The complement's
     Gram is pack(A A^T)[:, None] - gi, which the walks form only for the
-    masks whose side C they read.
+    masks whose side C they may read.
 
     A block is an aligned range of masks [start, start + 2^k), and its Grams
     are one contiguous (P, 2^k) table of its own: column 0 is mask start's
@@ -501,35 +501,21 @@ def _one_side_settled(gi, total, full_i, full_c, tau):
     passes the packed kernel (_shifted_cholesky_ok_inplace) at the shift
     tau: the partition walks' one-side pass.
 
-    One buffer holds side I's Grams where side I spans (``full_i``) and side
-    C's, total - gi formed in place, where only side C spans, and one kernel
-    call factors it: side I's Grams gathered from the block, then side C's.
-    When at least seven eighths of the block's sides I span, a gather costs
-    more than a contiguous copy of the whole block, and the buffer is that
-    copy, with side C's Grams in the columns of the masks whose side I does
-    not span; the verdicts of the other such columns are discarded. A
-    second call factors side C of the masks whose two sides span and whose
-    side I failed. The kernel works elementwise over the Grams of a call,
-    so each verdict is the one the Gram would get alone. At tau = inf no
-    Gram factors, and none is factored.
+    One kernel call factors a copy of the block in which side C's Grams,
+    total - gi, replace side I's where only side C spans: each column holds
+    side I's Gram where side I spans (``full_i``) and side C's where only it
+    does. The verdicts of the masks with no spanning side, which D >= 2d - 1
+    rules out, are discarded. A second call factors side C of the masks
+    whose two sides span and whose side I failed. The kernel works
+    elementwise over the Grams of a call, so each verdict is the one the
+    Gram would get alone. At tau = inf no Gram factors, and none is
+    factored.
     """
     if tau == np.inf:
         return np.zeros(full_i.size, dtype=bool)
-    only_c = full_c & ~full_i
-    if 8 * np.count_nonzero(full_i) >= 7 * full_i.size:
-        rows_c = np.flatnonzero(only_c)
-        w = gi.copy()
-        w[:, rows_c] = total[:, None] - w[:, rows_c]
-        ok = (full_i | full_c) & _shifted_cholesky_ok_inplace(w, tau)
-    else:
-        rows_i, rows_c = np.flatnonzero(full_i), np.flatnonzero(only_c)
-        w = np.take(gi, np.concatenate((rows_i, rows_c)), axis=1)
-        side_c = w[:, rows_i.size:]
-        np.subtract(total[:, None], side_c, out=side_c)
-        passed = _shifted_cholesky_ok_inplace(w, tau)
-        ok = np.zeros(full_i.size, dtype=bool)
-        ok[rows_i] = passed[:rows_i.size]
-        ok[rows_c] = passed[rows_i.size:]
+    w = gi.copy()
+    np.subtract(total[:, None], gi, out=w, where=full_c & ~full_i)
+    ok = (full_i | full_c) & _shifted_cholesky_ok_inplace(w, tau)
     both = np.flatnonzero(full_i & full_c & ~ok)
     if both.size:
         side_c = np.take(gi, both, axis=1)
@@ -596,13 +582,13 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, np.ndarray, int, int]:
       hi_run at the start of a block is >= prev_hi of every mask in it.
       Each block's Grams are one contiguous table, the same bits as a single
       table over all masks. They are packed upper triangles (pack); side
-      C's, U U^T - G_I, is formed only where it is read: for the one-side
-      test below where side C spans and side I does not pass it, and for
-      the both-sides test and eigvalsh where side C spans and the mask is
-      still unsettled. Each mask of a block after the first is tested
-      before any eigvalsh, and only on sides that span (_settled): side I
-      where it spans, side C where it spans and side I did not pass, then
-      both where both span: shifted_cholesky_ok of a side's Gram G at a
+      C's, U U^T - G_I, is formed for the one-side test below where only
+      side C spans or side I does not pass it, and, from one gather of
+      their side I's, for the masks that test leaves unsettled. Each mask
+      of a block after the first is tested before any eigvalsh, on sides
+      that span (_one_side_settled, _unsettled): side I where it spans,
+      side C where it spans and side I did not pass, then both where both
+      span: shifted_cholesky_ok of a side's Gram G at a
       shift tau proves lambda_min(G) >= tau - delta, with delta of order
       d^2 * eps * B0^2 (Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., section 10.1; tau stays near B0^2 or below, as
@@ -629,63 +615,55 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, np.ndarray, int, int]:
     hi_run = np.inf
     settled = diagonalized = 0
     for block, gi, full_i, full_c in _partition_blocks(unit.matrix):
-        ok, rows_c, gc = _settled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
-        unsettled = np.flatnonzero(~ok)
-        settled += block.size - unsettled.size
-        if not unsettled.size:
+        rows, gu, gc = _unsettled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
+        settled += block.size - rows.size
+        if not rows.size:
             continue  # hi_run stays, and no mask is kept
-        diagonalized += unsettled.size
+        diagonalized += rows.size
         # both sides' Grams in one eigvalsh: side I's where it spans, then
-        # side C's, the columns ~ok[rows_c] of gc
-        full = np.stack((full_i[unsettled], full_c[unsettled]))
+        # side C's
+        full = np.stack((full_i[rows], full_c[rows]))
         lam = np.zeros(full.shape)
         lam[full] = np.linalg.eigvalsh(unpack(np.concatenate(
-            (np.take(gi, unsettled[full[0]], axis=1), gc[:, ~ok[rows_c]]), axis=1)))[:, 0]
+            (gu[:, full[0]], gc[:, full[1]]), axis=1)))[:, 0]
         lo, hi = _side_bracket(lam, full, err_lam, err_s)
         lo = np.maximum(np.hypot(*lo) - err_s, 0.0)
         hi = np.hypot(*hi) + err_s
         prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
         hi_run = prev_hi[-1]
         keep = np.flatnonzero(lo < prev_hi[:-1])
-        kept_masks.append(block[unsettled[keep]])
+        kept_masks.append(block[rows[keep]])
         kept_lo.append(lo[keep])
     return (np.concatenate(kept_masks), np.ldexp(np.concatenate(kept_lo), unit.e),
             settled, diagonalized)
 
 
-def _settled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
-    """(ok, rows_c, gc): ``ok`` marks the masks of a block whose bracket would
-    have lo >= hi_run (see _screen); ``gc`` holds the packed complement
-    Grams total - gi of the masks ``rows_c``, those whose side C spans and
-    which the one-side pass left unsettled.
+def _unsettled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
+    """(rows, gu, gc): the masks ``rows`` of a block whose bracket the tests
+    below cannot show to have lo >= hi_run (see _screen), and their packed
+    Grams of side I, ``gu`` = gi[:, rows], and of side C, ``gc`` = total -
+    gu, which the both-sides test and the brackets read.
 
-    A mask is settled when a spanning side passes the one-side test, or both
-    sides span and pass the both-sides test. _one_side_settled's pass runs
-    the one-side test, in one call of the packed kernel
-    (_shifted_cholesky_ok_inplace) on side I where it spans and side C where
-    only it spans, and a second on side C of the masks whose two sides span
-    and whose side I failed. Side C's Grams of the masks it leaves unsettled
-    are then formed, the only ones the both-sides test and the brackets
-    read; one more call tests both sides of the masks among them where both
-    span, at the both-sides shift. So no side with fewer than d columns is
-    factored, unless seven eighths of the block's sides I span
-    (_one_side_settled then factors a copy of the whole block). The kernel
-    works elementwise over the Grams of a call, so each Gram's verdict is
-    the one it would get alone, whatever else shares the call and in
-    whichever order the calls run: each mask gets the boolean of the rule
-    above. At hi_run = inf both shifts are infinite: no mask is settled and
-    no test runs.
+    A mask is settled when a spanning side passes the one-side test
+    (_one_side_settled), or both sides span and pass the both-sides test:
+    one more call of the packed kernel (_shifted_cholesky_ok_inplace), on
+    the Grams of both sides of the masks the one-side test left where both
+    span. The kernel works elementwise over the Grams of a call, so each
+    Gram's verdict is the one it would get alone, whatever else shares the
+    call and in whichever order the calls run: each mask gets the boolean
+    of the rule above. At hi_run = inf both shifts are infinite: no mask is
+    settled and no test runs.
     """
     one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
-    ok = _one_side_settled(gi, total, full_i, full_c, one_side)
-    rows_c = np.flatnonzero(full_c & ~ok)
-    gc = np.take(gi, rows_c, axis=1)
-    np.subtract(total[:, None], gc, out=gc)
-    both = np.flatnonzero(full_i[rows_c])  # columns of gc
+    rows = np.flatnonzero(~_one_side_settled(gi, total, full_i, full_c, one_side))
+    gu = np.take(gi, rows, axis=1)
+    gc = total[:, None] - gu
+    both = np.flatnonzero(full_i[rows] & full_c[rows])
     if hi_run < np.inf and both.size:
         both_sides = ((hi_run + err_s) / np.sqrt(2.0) + err_s) ** 2 + 2.0 * err_lam
-        rows = rows_c[both]
         passed = _shifted_cholesky_ok_inplace(
-            np.concatenate((np.take(gi, rows, axis=1), gc[:, both]), axis=1), both_sides)
-        ok[rows] = passed[:rows.size] & passed[rows.size:]
-    return ok, rows_c, gc
+            np.concatenate((gu[:, both], gc[:, both]), axis=1), both_sides)
+        keep = np.ones(rows.size, dtype=bool)
+        keep[both] = ~(passed[:both.size] & passed[both.size:])
+        rows, gu, gc = rows[keep], gu[:, keep], gc[:, keep]
+    return rows, gu, gc

@@ -257,18 +257,14 @@ def fill_grams(grams, outers):
 
 def one_side_settled(gi, total, full_i, full_c, tau):
     """screens._one_side_settled as two calls of the packed kernel over a
-    block of packed Grams ``gi``: side I where it spans (a contiguous copy of
-    the whole block when seven eighths of its sides I span), then side C,
-    total - gi, where it spans and side I did not factor. Returns ``ok``,
-    the masks with a side that factored."""
+    block of packed Grams ``gi``: side I where it spans, then side C, total -
+    gi, where it spans and side I did not factor. Returns ``ok``, the masks
+    with a side that factored."""
     ok = np.zeros(full_i.size, dtype=bool)
     finite = tau < np.inf
     if finite:
         rows_i = np.flatnonzero(full_i)
-        if 8 * rows_i.size >= 7 * full_i.size:
-            ok = full_i & screens._shifted_cholesky_ok_inplace(gi.copy(), tau)
-        else:
-            ok[rows_i] = screens._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
+        ok[rows_i] = screens._shifted_cholesky_ok_inplace(np.take(gi, rows_i, axis=1), tau)
     rows_c = np.flatnonzero(full_c & ~ok)
     gc = total[:, None] - np.take(gi, rows_c, axis=1)
     if finite:
@@ -277,7 +273,8 @@ def one_side_settled(gi, total, full_i, full_c, tau):
 
 
 def settled(gi, gc, full_i, full_c, hi_run, err_s, err_lam):
-    """screens._settled with four Cholesky calls: side I, then side C of the
+    """The masks the A0 screen settles in a block (those screens._unsettled
+    does not return), with four Cholesky calls: side I, then side C of the
     masks not yet settled, at the one-side shift; then side I and, where it
     passed, side C of the rest at the both-sides shift."""
     ok = np.zeros(full_i.size, dtype=bool)

@@ -627,8 +627,9 @@ def test_complement_walk_stops_at_the_first_violation(monkeypatch):
 @pytest.mark.parametrize("planted", [False, True])
 def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
     # D = 2d - 1: exactly one side of each split spans, and only it reaches
-    # the packed kernel, in one call per block: side I's Grams first and then
-    # side C's, formed in the same buffer. The planted
+    # the packed kernel, in one call per block: each split's column holds
+    # side I's Gram where side I spans and side C's, formed in the same
+    # buffer, where side C spans. The planted
     # key has column 15 = c1 + c2 + 1e-9 c3, so the subset certificate
     # declines it and the walk runs until its first violation; the seeded
     # key's walk, called directly, visits every split
@@ -662,7 +663,7 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
     for i in range(0, len(log), 2):
         (tag, (masks, gi, full_i, full_c)), (_, sides) = log[i:i + 2]
         assert tag == "block" and np.array_equal(full_i, ~full_c)
-        want = np.concatenate((gi[:, full_i], (total[:, None] - gi)[:, full_c]), axis=1)
+        want = np.where(full_c, total[:, None] - gi, gi)
         assert sides.tobytes() == want.tobytes()
         walked += masks.size
     assert walked == (1024 if planted else 1 << 14)

@@ -357,29 +357,24 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
     # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
     # has D < 2d - 1
     matrix = _SETTLED_KEYS[name]
-    real = screens._settled
+    real = screens._unsettled
     settled = []
 
     def checked(gi, total, full_i, full_c, hi_run, err_s, err_lam):
         # the oracle reads the block's full Grams, side C's for every mask
         full_gi, full_gc = screens.unpack(gi), screens.unpack(total[:, None] - gi)
         for h in (np.inf, hi_run):
-            ok, rows_c, gc = real(gi, total, full_i, full_c, h, err_s, err_lam)
+            rows, gu, gc = real(gi, total, full_i, full_c, h, err_s, err_lam)
             want = oracles.settled(full_gi, full_gc, full_i, full_c, h, err_s, err_lam)
-            assert ok.tobytes() == want.tobytes()
-            # side C's Grams are formed where it spans and the one-side pass
-            # left the mask unsettled, which covers every side C the
-            # both-sides test and the screen read. With no other side marked
-            # as spanning, the oracle runs the one-side test of one side
-            no_side = np.zeros_like(full_c)
-            one_side = (oracles.settled(full_gi, full_gc, full_i, no_side, h, err_s, err_lam)
-                        | oracles.settled(full_gc, full_gi, full_c, no_side, h, err_s, err_lam))
-            assert np.array_equal(rows_c, np.flatnonzero(full_c & ~one_side))
-            assert gc.tobytes() == (total[:, None] - gi)[:, rows_c].tobytes()
-        settled.append(int(np.count_nonzero(ok)))
-        return ok, rows_c, gc
+            assert np.array_equal(rows, np.flatnonzero(~want))
+            # both sides' Grams of the masks left unsettled, every side the
+            # screen's eigvalsh reads
+            assert gu.tobytes() == gi[:, rows].tobytes()
+            assert gc.tobytes() == (total[:, None] - gi)[:, rows].tobytes()
+        settled.append(full_i.size - rows.size)
+        return rows, gu, gc
 
-    monkeypatch.setattr(screens, "_settled", checked)
+    monkeypatch.setattr(screens, "_unsettled", checked)
     search = lipschitz.lower_constant_search(Key(matrix))
     assert sum(settled) == search.settled
     if matrix.shape[1] <= 12:  # and in blocks of one mask
