@@ -5,9 +5,10 @@ constant is an exact minimum over all unordered column partitions of
 sqrt(sigma_d(A[I])^2 + sigma_d(A[I^c])^2), found by exhaustive search at
 desk scale: the Gram screen of screens._screen keeps the few partitions
 that may hold the minimum, and the exact pass here decides them on SVD
-values of the key. Both constants are achieved by explicit vector pairs built from
-singular vectors; ``check_achievement`` verifies those equalities and
-``ratio_scan`` samples random pairs to confirm the sandwich empirically.
+values of the key. Both constants are achieved by explicit vector pairs
+built from singular vectors; ``check_achievement`` verifies those
+equalities and ``ratio_scan`` samples random pairs to confirm the sandwich
+empirically.
 """
 
 from __future__ import annotations

@@ -121,12 +121,9 @@ def svd(m) -> SvdResult:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values only (nonincreasing), skipping the vector work."""
-    a = as_matrix(m)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    """Singular values only (nonincreasing), skipping the vector work: the row
+    of singular_values_many for a stack of one."""
+    return singular_values_many(as_matrix(m)[None])[0]
 
 
 def sigma_k(m, k: int) -> float:

@@ -823,18 +823,20 @@ def test_complement_walk_follows_the_key_tolerance_near_the_old_ratio():
 def test_subset_scan_stops_at_the_first_deficient_chunk(monkeypatch):
     mat = generate_key(3, 8, 7).matrix.copy()
     mat[:, 3] = mat[:, 0] - mat[:, 1]  # first deficient subset: (1, 2, 4)
+    key = Key(mat)
+    # the margin's SVDs of the key and of its unit copy, taken before the
+    # subset SVDs are counted
+    _, tau = frame_keys._margin_shift(key)
     svds = []
     real_svd = numerics.singular_values_many
     monkeypatch.setattr(numerics, "singular_values_many",
                         lambda stack: svds.append(stack.copy()) or real_svd(stack))
     monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 9)  # one subset per chunk
-    key = Key(mat)
     rep = is_full_spark(key)
     assert (rep.verdict, rep.witness) == (False, (1, 2, 4))
     # the packed kernel on the gathered Grams of the unit copy settles
     # (1, 2, 3) and not (1, 2, 4), and so does the walk; (1, 2, 4) gets the
     # only SVD, and the scan stops after its chunk
-    _, tau = frame_keys._margin_shift(key)
     assert oracles.subset_verdicts(key, tau)[:2].tolist() == [True, False]
     assert screens._unsettled_subsets(frame_keys._unit(key).matrix, tau)[0][0] == 1
     assert len(svds) == 1 and svds[0].tobytes() == mat[:, [0, 1, 3]][None].tobytes()

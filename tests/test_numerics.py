@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasesort import DimensionError, SvdResult, ToleranceConfig, least_squares, rank, sigma_k, svd
-from phasesort import numerics, screens
+from phasesort import screens
 from phasesort.numerics import ranks
 
 import oracles
