@@ -67,8 +67,7 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
     - Unit copy. The screen reads U = 2^-e A (frame_keys._unit), whose
       largest entry lies in [1/2, 1), so that no Gram entry or shift can
       overflow at any scale of the key. The brackets and shifts are in units
-      of the copy, where B0 means sigma_1(U); the exact pass gets the lower
-      ends scaled back by 2^e.
+      of the copy, where B0 means sigma_1(U).
     - Possible records. The best so far always lies in [runmin, runmin + tie],
       where runmin is the smallest value so far. So a mask can become the best
       only if its value is below runmin, hence below prev_hi, the smallest hi
@@ -78,23 +77,21 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       the value the visit computes, from Gram eigenvalues of the copy,
       settles most masks without a bracket by a shifted-Cholesky test that
       shows lo >= prev_hi, and keeps, in ascending order, the masks with lo
-      < prev_hi and the lower ends of their brackets. Its docstring has the
-      argument that it keeps exactly the masks the full bracket of every
-      mask would keep.
+      < prev_hi. Its docstring has the argument that it keeps exactly the
+      masks the full bracket of every mask would keep.
     - Exact pass. The kept masks are visited in ascending order with the
       full visit's body and test. Every mask that becomes the best in the full
       visit is among them, so each sees the same best as in the full visit
-      and decides the same way. A mask with lo >= best - tie cannot pass the
-      test, now or after the best drops; such masks are dropped whenever the
-      best changes. As the best only drops, a mask is dropped by the time the
-      visit reaches it exactly when lo >= best - tie for the best at that
-      time, which the visit tests as it reaches it. The values come from
-      stacked SVDs of the key, one per side size
-      (screens._side_singular_values), whose rows have the bits of
-      numerics.sigma_k on each side alone. They are taken for ascending
-      windows of the kept masks, the first of _FIRST_WINDOW masks and each
-      later one twice the one before, so a key whose first visited mask
-      drops nearly every other one decomposes one window.
+      and decides the same way. The values come from one stack of SVDs of
+      the key per side size (screens._side_singular_values), whose rows have
+      the bits of numerics.sigma_k on each side alone.
+    - Stops. Values are >= 0, so once the best is at most tie no later mask
+      can pass the test, and the search stops where it knows this without a
+      Gram. Mask 0, always kept first, has the value sigma_d(A): when that is
+      at most tie it is the answer, and the screen is not called. When
+      d <= D <= 2d - 2, mask 2^(D-d+1) - 1 is the first with no side of d
+      columns, and its value is 0; no test settles it, and the screen stops
+      after the block that holds it.
 
     A0 therefore always comes from exact SVD values, never from the screen.
     Near-singular keys, whose values all sit inside the bracket's width, send
@@ -109,13 +106,14 @@ class LowerConstantSearch:
 
     ``result`` is (A0, I0). Of the 2^(D-1) canonical masks, ``settled`` were
     ruled out by the shifted-Cholesky test, ``diagonalized`` were bracketed
-    with eigvalsh, and ``visited`` were decided on their exact SVD values;
-    visited masks are among the kept ones, which are among the diagonalized
-    ones (the exact pass decomposes the kept masks a window at a time, so a
-    few kept masks past the last visited one may be decomposed too). The
-    screen reads the key's unit copy (frame_keys._unit): the key times a
-    power of two that holds it exactly has the same one, and so the same
-    ``settled`` and ``diagonalized``, away from subnormal scale.
+    with eigvalsh, and ``visited`` were decided on their exact SVD values:
+    every kept mask, which is among the diagonalized ones, or only mask 0
+    when its value decides (work (0, 0, 1)). When the screen stops at a
+    mask with no side of d columns, settled + diagonalized counts the masks
+    up to the end of its block, fewer than 2^(D-1) unless that block is the
+    last. The screen reads the key's unit copy (frame_keys._unit): the key
+    times a power of two that holds it exactly has the same one, and so the
+    same ``settled`` and ``diagonalized``, away from subnormal scale.
     """
 
     result: tuple[float, Partition]
@@ -136,35 +134,19 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
     tie = _TIE_WINDOW * upper_constant(key)
-    masks, lo, settled, diagonalized = screens._screen(_unit(key))
-    best_val = np.inf
-    best_mask = visited = 0
-    size = _FIRST_WINDOW
-    while masks.size:
-        window, masks, window_lo, lo = masks[:size], masks[size:], lo[:size], lo[size:]
-        size *= 2
-        s_i, s_c = np.split(_sigma_d(key.matrix, np.concatenate(
-            (window, ((1 << D) - 1) ^ window))), 2)
-        for mask, low, si, sc in zip(window.tolist(), window_lo.tolist(),
-                                     s_i.tolist(), s_c.tolist()):
-            if not low < best_val - tie:
-                continue  # dropped when the best last changed
-            visited += 1
-            val = float(np.hypot(si, sc))
-            if val < best_val - tie:
-                best_val, best_mask = val, mask
-        keep = lo < best_val - tie
-        masks, lo = masks[keep], lo[keep]
-    return LowerConstantSearch((best_val, Partition(best_mask, D)), settled, diagonalized, visited)
-
-
-# The exact pass decomposes the kept masks in ascending windows, the first of
-# this many masks and each later one twice the one before. A window's SVDs
-# are stacked, so a mask costs less than with SVDs one at a time; but a mask
-# that the pass drops before it reaches it wastes its SVDs, and a key whose
-# first visited mask drops every other one (the rank-deficient key of the
-# tests keeps 512 masks and visits one) would otherwise decompose them all.
-_FIRST_WINDOW = 16
+    full = (1 << D) - 1
+    first = float(_sigma_d(key.matrix, np.array([full]))[0])  # mask 0's value
+    if not first > tie:
+        return LowerConstantSearch((first, Partition(0, D)), 0, 0, 1)
+    masks, settled, diagonalized = screens._screen(_unit(key))
+    rest = masks[1:]
+    s_i, s_c = np.split(_sigma_d(key.matrix, np.concatenate((rest, full ^ rest))), 2)
+    best_val, best_mask = first, 0
+    for mask, val in zip(rest.tolist(), np.hypot(s_i, s_c).tolist()):
+        if val < best_val - tie:
+            best_val, best_mask = val, mask
+    return LowerConstantSearch((best_val, Partition(best_mask, D)), settled, diagonalized,
+                               masks.size)
 
 
 def _sigma_d(a: np.ndarray, col_masks: np.ndarray) -> np.ndarray:

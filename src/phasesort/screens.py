@@ -556,12 +556,11 @@ def _side_bracket(lam, full, err_lam, err_s):
     return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
 
 
-def _screen(unit: UnitCopy) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
     """The A0 screen of lipschitz.lower_constant on a key's unit copy: the
-    masks that may become the best, ascending, with the lower ends of their
-    brackets, and the numbers of masks settled and diagonalized. The
-    brackets are those of the copy 2^-e A, with its own B0; their lower ends
-    are scaled back by 2^e.
+    masks that may become the best, ascending, and the numbers of masks
+    settled and diagonalized. The brackets are those of the copy 2^-e A,
+    with its own B0.
 
     - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
       sigma_d(U_S)^2 up to the error of the Gram sums and of eigvalsh, both
@@ -607,11 +606,18 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, np.ndarray, int, int]:
       symmetric; one stacked eigvalsh per block takes both sides, each row
       with the bits of its matrix alone. So the screen keeps exactly the
       masks the full bracket of every mask would keep; as settling spares
-      only masks the rule above skips, the kept masks and their lo do not
-      depend on the block sizes.
+      only masks the rule above skips, the kept masks do not depend on the
+      block sizes.
+    - Stop. When D <= 2d - 2, some masks have no side of d columns, the
+      first being 2^(D-d+1) - 1, the first with D - d + 1 columns (mask 0
+      when D < d). Such a mask has the value 0 and lo = 0 < prev_hi, and no
+      test settles it, so it is kept; once the visit reaches it, no later
+      mask can become the best. The walk stops after the block that holds
+      the first such mask, so settled + diagonalized counts the masks up to
+      the end of that block, fewer than 2^(D-1) unless it is the last.
     """
     err_s, err_lam = unit.err_s, unit.err_lam
-    kept_masks, kept_lo = [], []
+    kept = []
     hi_run = np.inf
     settled = diagonalized = 0
     for block, gi, full_i, full_c in _partition_blocks(unit.matrix):
@@ -631,11 +637,10 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, np.ndarray, int, int]:
         hi = np.hypot(*hi) + err_s
         prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
         hi_run = prev_hi[-1]
-        keep = np.flatnonzero(lo < prev_hi[:-1])
-        kept_masks.append(block[rows[keep]])
-        kept_lo.append(lo[keep])
-    return (np.concatenate(kept_masks), np.ldexp(np.concatenate(kept_lo), unit.e),
-            settled, diagonalized)
+        kept.append(block[rows[lo < prev_hi[:-1]]])
+        if not (full_i | full_c).all():
+            break  # a mask with no side of d columns, kept: see Stop above
+    return np.concatenate(kept), settled, diagonalized
 
 
 def _unsettled(gi, total, full_i, full_c, hi_run, err_s, err_lam):

@@ -344,8 +344,7 @@ def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
     monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 9)  # blocks of one mask
     chunked = screens._screen(frame_keys._unit(Key(mat)))
-    for field in (0, 1):  # the kept masks and their lower ends
-        assert chunked[field].tobytes() == whole[field].tobytes()
+    assert chunked[0].tobytes() == whole[0].tobytes()  # the kept masks
     for entries in (screens._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
         rep = has_complement_property(Key(mat))
@@ -673,11 +672,11 @@ def _assert_one_side_pass_matches_oracle(monkeypatch, matrix, tol=DEFAULT_TOL):
     """Every call of the one-side pass, the complement walk's at the margin
     shift and the A0 screen's at its running shifts, against the two-call
     pass of oracles.one_side_settled on the same block. Returns what the
-    calls covered: a block copied whole with sides I that do not span, a
-    second call (both sides span and side I failed), a mask with no
-    spanning side."""
+    calls covered: side C's Grams written into the copy (side C spans where
+    side I does not), a second call (both sides span and side I failed), a
+    mask with no spanning side."""
     real = screens._one_side_settled
-    seen = {"whole": False, "second": False, "no_side": False}
+    seen = {"side_c": False, "second": False, "no_side": False}
 
     def checked(gi, total, full_i, full_c, tau):
         before = gi.copy()
@@ -685,8 +684,7 @@ def _assert_one_side_pass_matches_oracle(monkeypatch, matrix, tol=DEFAULT_TOL):
         assert gi.tobytes() == before.tobytes()  # the block is left as it was
         assert ok.tobytes() == oracles.one_side_settled(gi, total, full_i, full_c, tau).tobytes()
         if tau < np.inf:
-            spanning = np.count_nonzero(full_i)
-            seen["whole"] |= 7 * full_i.size <= 8 * spanning < 8 * full_i.size
+            seen["side_c"] |= bool(np.any(full_c & ~full_i))
             seen["second"] |= bool(np.any(full_i & full_c & ~ok))
             seen["no_side"] |= bool(np.any(~full_i & ~full_c))
         return ok
@@ -707,8 +705,9 @@ def test_one_side_pass_matches_two_call_oracle_adversarial(monkeypatch, name, fa
 
 
 def test_one_side_pass_matches_two_call_oracle_seeded(monkeypatch):
-    # 4x16 copies blocks whole and makes second calls; 5x8 (D < 2d - 1) and
-    # 6x9 have masks with no spanning side, in blocks of one mask too
+    # 4x16 writes side C's Grams into the copy and makes second calls; 5x8
+    # (D < 2d - 1) and 6x9 have masks with no spanning side, in blocks of one
+    # mask too
     seen = {}
     for d, D, entries in ((4, 16, None), (4, 12, None), (5, 8, None), (6, 9, None), (5, 8, 9)):
         with monkeypatch.context() as m:

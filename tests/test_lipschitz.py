@@ -266,7 +266,7 @@ def test_lower_constant_matches_loop_seeded(d, D):
 
 
 def test_screen_keeps_few_masks():
-    masks, lo, settled, diagonalized = screens._screen(frame_keys._unit(generate_key(4, 16, 1)))
+    masks, settled, diagonalized = screens._screen(frame_keys._unit(generate_key(4, 16, 1)))
     assert 0 < masks.size <= 64  # of 32768
     assert masks[0] == 0 and np.all(np.diff(masks) > 0)
     assert settled + diagonalized == 1 << 15
@@ -279,19 +279,52 @@ def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
     # _SCREEN_ENTRIES: 9 * chunk gives blocks of one and of eight masks, and
     # exactly one Gram's entries blocks of one mask, each its own seed
     key = generate_key(3, 9, 4)
-    masks, lo, _, _ = screens._screen(frame_keys._unit(key))
+    masks, _, _ = screens._screen(frame_keys._unit(key))
     monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 6 if chunk == "gram-chunks-of-one-mask"
                         else 9 * chunk)
     blocked = screens._screen(frame_keys._unit(Key(key.matrix)))
-    assert blocked[0].tobytes() == masks.tobytes() and blocked[1].tobytes() == lo.tobytes()
-    assert blocked[2] + blocked[3] == 1 << 8
+    assert blocked[0].tobytes() == masks.tobytes()
+    assert blocked[1] + blocked[2] == 1 << 8
     _assert_matches_loop(key.matrix)
 
 
+def _walked(run):
+    """run()'s result and the blocks of _partition_blocks it took, (start, end)."""
+    blocks = []
+    real = screens._partition_blocks
+
+    def logged(a):
+        for block in real(a):
+            blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
+            yield block
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(screens, "_partition_blocks", logged)
+        return run(), blocks
+
+
+def _first_mask_without_a_spanning_side(d, D):
+    """2^(D-d+1) - 1 when d <= D <= 2d - 2, 0 when D < d, else None."""
+    if D < d:
+        return 0
+    return (1 << (D - d + 1)) - 1 if D <= 2 * d - 2 else None
+
+
 def _assert_screen_matches_oracle(key):
-    masks, lo, _, _ = screens._screen(frame_keys._unit(key))
-    ref_masks, ref_lo = oracles.lower_constant_screen(Key(key.matrix))
-    assert masks.tobytes() == ref_masks.tobytes() and lo.tobytes() == ref_lo.tobytes()
+    # the kept masks of the full bracket oracle, up to the end of the walk:
+    # the block that holds the first mask with no side of d columns, or the
+    # last block
+    (masks, settled, diagonalized), blocks = _walked(
+        lambda: screens._screen(frame_keys._unit(key)))
+    stop = _first_mask_without_a_spanning_side(key.d, key.D)
+    end = blocks[-1][1]
+    if stop is None:
+        assert end == 1 << (key.D - 1)
+    else:
+        assert blocks[-1][0] <= stop < end
+    assert settled + diagonalized == end
+    ref_masks, _ = oracles.lower_constant_screen(Key(key.matrix))
+    assert masks.tobytes() == ref_masks[ref_masks < end].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
@@ -454,17 +487,27 @@ def test_lower_constant_memoized(monkeypatch):
 
 def _assert_exact_pass_matches_loop(monkeypatch, matrix, tol=numerics.DEFAULT_TOL):
     # the stacked exact pass against oracles.exact_pass, the loop of two
-    # numerics.sigma_k calls per mask, on the masks the search's screen kept
+    # numerics.sigma_k calls per mask, on the masks the search's screen kept;
+    # every value is >= 0, so 0 is a lower end for each. The pass visits
+    # every kept mask. A search that mask 0 decides takes no screen, and
+    # matches the full bracket oracle
     screened = []
     with monkeypatch.context() as m:
         real = screens._screen
         m.setattr(screens, "_screen", lambda unit: screened.append(real(unit)) or screened[-1])
         key = Key(matrix, tol)
         search = lipschitz.lower_constant_search(key)
-    masks, lo, _, _ = screened[0]
-    a0, mask, visited = oracles.exact_pass(key, masks, lo)
+    if screened:
+        masks, settled, diagonalized = screened[0]
+        a0, mask, _ = oracles.exact_pass(key, masks, np.zeros(masks.size))
+        assert (search.settled, search.diagonalized, search.visited) == (
+            settled, diagonalized, masks.size)
+    else:
+        a0, mask = oracles.lower_constant(key)
+        assert (search.settled, search.diagonalized, search.visited) == (0, 0, 1)
+        assert mask == 0
     assert np.float64(search.result[0]).tobytes() == np.float64(a0).tobytes()
-    assert (search.result[1].mask, search.visited) == (mask, visited)
+    assert search.result[1].mask == mask
 
 
 @pytest.mark.parametrize("factor", [1e-16, 1e-12, 1e-9, 1e-6])
@@ -477,9 +520,10 @@ def test_exact_pass_matches_loop_adversarial(monkeypatch, name, factor):
 @pytest.mark.parametrize("window", [1, 3])
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
 def test_exact_pass_windows_match_loop(monkeypatch, name, window):
-    # windows of 1, 2, 4, ... and 3, 6, 12, ... masks: drops inside and
-    # across window boundaries
-    monkeypatch.setattr(lipschitz, "_FIRST_WINDOW", window)
+    # the pass's stacked SVDs taken in windows of 1 and of 3 masks
+    # (screens._CHUNK_ENTRIES): window ends inside and between the stacks
+    # of one side size, and between side I's masks and side C's
+    monkeypatch.setattr(screens, "_CHUNK_ENTRIES", window * ADVERSARIAL[name].size)
     _assert_exact_pass_matches_loop(monkeypatch, ADVERSARIAL[name])
 
 
@@ -493,36 +537,130 @@ def test_exact_pass_matches_loop_at_the_cap(monkeypatch):
     _assert_exact_pass_matches_loop(monkeypatch, generate_key(4, 24, 1).matrix)
 
 
+def _entries(n):
+    return st.lists(st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def _keys_with_rank_deficient(draw):
+    """A d x D key, d <= 4 and D <= 10, with float or integer entries: drawn
+    whole, or as the product of d x r and r x D factors with r < d."""
+    d, D = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    r = draw(st.integers(0, d))
+    if r == d:
+        return np.array(draw(_entries(d * D))).reshape(d, D)
+    left = np.array(draw(_entries(d * r))).reshape(d, r)
+    return left @ np.array(draw(_entries(r * D))).reshape(r, D)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda d: st.integers(1, 10).flatmap(
-            lambda D: st.lists(
-                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
-                min_size=d * D,
-                max_size=d * D,
-            ).map(lambda v: np.array(v).reshape(d, D))
-        )
-    ),
-    st.sampled_from([1, 2, 16]),
-)
-def test_exact_pass_matches_loop_hypothesis(matrix, window):
+@given(_keys_with_rank_deficient())
+def test_exact_pass_matches_loop_hypothesis(matrix):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(lipschitz, "_FIRST_WINDOW", window)
         _assert_exact_pass_matches_loop(monkeypatch, matrix)
+    a0, part = lower_constant(Key(matrix))
+    ref_a0, ref_mask = oracles.lower_constant(Key(matrix))
+    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+    assert part.mask == ref_mask
 
 
-def test_exact_pass_decomposes_one_window_of_a_rank_deficient_key(monkeypatch):
-    # the value of its first visited mask, a rounding error of a rank-2 key,
-    # drops the other 511 kept masks
+def _search_decided_by_mask_0(monkeypatch, matrix):
+    # sigma_d(A), the value of mask 0, is within the tie window of 0: no
+    # other split can pass the visit's test, and the screen is not called
+    def refuse(unit):
+        raise AssertionError("the screen ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(screens, "_screen", refuse)
+        search = lipschitz.lower_constant_search(Key(matrix))
+    assert (search.settled, search.diagonalized, search.visited) == (0, 0, 1)
+    assert search.result[1].mask == 0
+    return search.result
+
+
+@pytest.mark.parametrize("name", ["rank-deficient", "zero", "all-ones", "rank-3-4x12"])
+def test_mask_0_decides_a_rank_deficient_key(monkeypatch, name):
+    matrix = ADVERSARIAL.get(name)
+    if matrix is None:
+        matrix = generate_key(4, 3, 1).matrix @ generate_key(3, 12, 2).matrix
+    a0, part = _search_decided_by_mask_0(monkeypatch, matrix)
+    ref_a0, ref_mask = oracles.lower_constant(Key(matrix))
+    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+    assert part.mask == ref_mask
+
+
+def test_mask_0_decides_a_rank_deficient_key_at_the_cap(monkeypatch):
+    # rank 3 at d = 4: every split has the value 0 up to rounding; the search
+    # is the one SVD of the key. One more column is over the cap
+    product = generate_key(4, 3, 1).matrix @ generate_key(3, 24, 2).matrix
+    a0, part = _search_decided_by_mask_0(monkeypatch, product)
+    assert part.indices() == ()
+    assert np.float64(a0).tobytes() == np.float64(numerics.sigma_k(product, 4)).tobytes()
+    wide = generate_key(4, 3, 1).matrix @ generate_key(3, 25, 2).matrix
+    with pytest.raises(SearchTooLarge):
+        lipschitz.lower_constant_search(Key(wide))
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.5, 3.0])
+def test_mask_0_decides_only_within_the_tie_window(c):
+    # sigma_2 of diag(1, c * 1e-12) is c times the tie window 1e-12 * B0;
+    # the split {1} | {2} has the value 0 and replaces mask 0 only when
+    # mask 0's value is above the window
+    matrix = np.diag([1.0, c * lipschitz._TIE_WINDOW])
+    search = lipschitz.lower_constant_search(Key(matrix))
+    assert search.result[1].mask == (1 if c > 1 else 0)
+    assert (search.visited == 1) == (c <= 1)
+    _assert_matches_loop(matrix)
+
+
+def test_exact_pass_decomposes_mask_0_only_of_a_rank_deficient_key(monkeypatch):
+    # the value of mask 0, a rounding error of a rank-2 key, decides: one
+    # SVD of the key, where the screen would keep 512 masks
     rows = []
     real = numerics.singular_values_many
     monkeypatch.setattr(numerics, "singular_values_many",
                         lambda stack: rows.append(len(stack)) or real(stack))
     search = lipschitz.lower_constant_search(Key(ADVERSARIAL["rank-deficient"]))
-    masks, _, _, _ = screens._screen(frame_keys._unit(Key(ADVERSARIAL["rank-deficient"])))
+    masks, _, _ = screens._screen(frame_keys._unit(Key(ADVERSARIAL["rank-deficient"])))
     assert (masks.size, search.visited) == (512, 1)
-    assert 0 < sum(rows) <= 32  # the first window, 16 masks, two sides each
+    assert rows[0] == 1 and search.result[1].mask == 0
+
+
+@pytest.mark.parametrize("name", ["5x8", "6x9", "7x12", "too-few-columns", "identity"])
+def test_screen_stops_at_the_first_split_without_a_spanning_side(monkeypatch, name):
+    # D <= 2d - 2: mask 2^(D-d+1) - 1 has no side of d columns and the value
+    # 0, so the search's walk ends with the block that holds it, and the
+    # pass visits every mask the screen kept, that one among them
+    if name in ADVERSARIAL:
+        matrix = ADVERSARIAL[name]
+    else:
+        d, D = map(int, name.split("x"))
+        matrix = generate_key(d, D, 1).matrix
+    screened = []
+    real = screens._screen
+    monkeypatch.setattr(screens, "_screen", lambda unit: screened.append(real(unit)) or screened[-1])
+    key = Key(matrix)
+    search, blocks = _walked(lambda: lipschitz.lower_constant_search(key))
+    stop = _first_mask_without_a_spanning_side(key.d, key.D)
+    assert blocks[-1][0] <= stop < blocks[-1][1] == search.settled + search.diagonalized
+    (masks, settled, diagonalized), = screened
+    assert (search.settled, search.diagonalized, search.visited) == (
+        settled, diagonalized, masks.size)
+    assert stop in masks.tolist()
+    a0, part = search.result
+    ref_a0, ref_mask = oracles.lower_constant(Key(matrix))
+    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+    assert part.mask == ref_mask
+
+
+def test_search_stops_early_on_the_11x20_key():
+    # the complement-walk smoke key of CI: mask 1023 = {1..10} has the value
+    # 0, and the search ends with its block, [512, 1024), of 2^19 splits
+    search = lipschitz.lower_constant_search(generate_key(11, 20, 1))
+    assert (search.settled, search.diagonalized, search.visited) == (915, 109, 34)
+    a0, part = search.result
+    assert a0 == 0.0 and part.mask == 1023
 
 
 @pytest.mark.parametrize("d,D,most", [(8, 15, None), (4, 16, 41264), (5, 18, 155318)])
