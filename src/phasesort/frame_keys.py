@@ -40,8 +40,10 @@ are in the screens module; this one holds what the scans decide with them:
 
 The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
 ascending blocks with its own Cholesky screen (screens._screen), which
-shares the walk's one-side pass at its own shift, and diagonalizes only
-the partitions that screen cannot rule out.
+shares the walk's one-side pass at its own shift, and the subset scan's
+prefix-tree walk once, at the shift of its first full-size block, to
+settle the partitions with a side that holds a d-subset that factors
+there; it diagonalizes only the partitions that screen cannot rule out.
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ def _subset_scan(key: Key) -> SubsetScan:
         ranked = (lowest // per_chunk + 1) * per_chunk
         j = int(np.searchsorted(starts, ranked))
         lo = np.maximum(starts[k:j], lowest)
-        cols = _unrank(screens._ranges(lo, np.minimum(ends[k:j], ranked) - lo), d, D)
+        cols = screens._unrank(screens._ranges(lo, np.minimum(ends[k:j], ranked) - lo), d, D)
         decomposed += len(cols)
         s = numerics.singular_values_many(key.matrix[:, cols].transpose(1, 0, 2))
         clears_margin &= bool(s[:, d - 1].min() > margin)
@@ -327,25 +329,6 @@ def _subset_scan(key: Key) -> SubsetScan:
                               min(ranked, total) - decomposed, decomposed)
         k = j - 1 if ends[j - 1] > ranked else j
     return SubsetScan(None, clears_margin, total - decomposed, decomposed)
-
-
-def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
-    """The d-subsets of range(D) at the given lexicographic ranks, one row of
-    ascending columns each.
-
-    Rank q of T is C(D, d) - 1 minus the colexicographic rank of the mirrored
-    set {D - 1 - t : t in T}, sum_k C(y_k, k) over its elements y_1 < ... <
-    y_d; that sum is decoded greedily, largest mirrored element (smallest
-    column) first.
-    """
-    rest = comb(D, d) - 1 - ranks
-    cols = np.empty((ranks.size, d), dtype=np.intp)
-    for i in range(d):
-        table = np.array([comb(y, d - i) for y in range(D)], dtype=np.int64)
-        y = np.searchsorted(table, rest, side="right") - 1
-        rest = rest - table[y]
-        cols[:, i] = D - 1 - y
-    return cols
 
 
 def _rank_d(key: Key, col_masks: np.ndarray) -> np.ndarray:
@@ -410,8 +393,8 @@ def _complement_walk(key: Key) -> Partition | None:
     D = key.D
     _, tau = _margin_shift(key)
     unit = _unit(key)
-    for masks, gi, full_i, full_c in screens._partition_blocks(unit.matrix):
-        settled = screens._one_side_settled(gi, unit.gram, full_i, full_c, tau)
+    for masks, grams, full_i, full_c in screens._partition_blocks(unit.matrix):
+        settled = screens._one_side_settled(grams.table(), unit.gram, full_i, full_c, tau)
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])

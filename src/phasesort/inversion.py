@@ -96,8 +96,9 @@ class RecoveryBatch:
     """Stacked omega results: ``result(i)`` is what omega returns for row i.
 
     ``x`` is (m, d), ``residual`` (m,) and ``sign_pattern`` (m, d).
-    ``trivial`` marks the zero recoveries, whose sign pattern and pivots are
-    empty; ``pivot_columns`` are those of every other row.
+    ``trivial`` marks the zero recoveries, of the rows y = 0, whose sign
+    pattern and pivots are empty; ``pivot_columns`` are those of every other
+    row.
     """
 
     x: np.ndarray
@@ -153,14 +154,21 @@ class _RowErrors:
             raise self.exc
 
 
-def _sign_search(key: Key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pivot columns, transposed pivot block and sign patterns (memoized per key)."""
+def _sign_search(key: Key) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """(pivots, a_piv_t, unit, e, patterns), memoized per key: the pivot
+    columns, the transposed pivot block of the unit copy ``unit`` = 2^-e A,
+    e being the np.frexp exponent of the key's largest |entry|, and the sign
+    patterns. The sign search works on the copy, so no norm or residual of a
+    key at the ends of the float range under- or overflows; at normal scale
+    every value is the key's own times 2^-e exactly, so the pivots, the
+    decisions and the recovered bits are those of the key."""
 
     def compute():
-        a = key.matrix
+        e = int(np.frexp(np.abs(key.matrix).max())[1])
+        a = np.ldexp(key.matrix, -e)
         pivot_scale = key.tol.rank_tol_factor * max(a.shape) * float(np.linalg.norm(a))
         pivots = np.array(_greedy_pivot_columns(a, key.d, pivot_scale))
-        return pivots, a[:, pivots].T, _gray_sign_patterns(key.d)
+        return pivots, a[:, pivots].T, a, e, _gray_sign_patterns(key.d)
 
     return _cached(key, "sign_search", compute)
 
@@ -171,11 +179,14 @@ def omega(key: Key, y) -> RecoveryResult:
     The key must pass the phase-retrievability certificate. All 2^(d-1)
     sign patterns on the pivot subset are evaluated; the candidate with the
     smallest enumeration index whose residual against the full measurement
-    vector is within consistency_tol is accepted. Finding consistent
-    candidates on two distinct orbits raises AmbiguityDetected, with their
-    distance and the acceptance tolerance: the measurements of the two orbits
-    differ by less than the tolerance, which a certified but ill-conditioned
-    key (A0 small against consistency_tol) can allow.
+    vector is within consistency_tol * ||y|| is accepted. The tolerance is
+    relative, so scaling the key or the signal by c > 0 scales the
+    recovery by c or keeps it; only y = 0 is decoded as x = 0 without a
+    search. Finding consistent candidates on two distinct orbits, more than
+    _ORBIT_GAP * ||x|| apart, raises AmbiguityDetected, with their distance
+    and the acceptance tolerance: the measurements of the two orbits differ
+    by less than the tolerance, which a certified but ill-conditioned key
+    (A0 small against consistency_tol * B0) can allow.
     """
     return omega_many(key, as_vector(y)[None]).result(0)
 
@@ -203,41 +214,49 @@ def _omega_rows(key: Key, y: np.ndarray, errors: _RowErrors) -> RecoveryBatch:
     if not is_phase_retrievable(key).verdict:
         errors.stop(NotPhaseRetrievable("key fails the phase-retrievability certificate"))
     m, d = y.shape[0], key.d
-    tol = key.tol
-    y_norm = row_norms(y)
-    accept_tol = tol.consistency_tol * np.maximum(1.0, y_norm)
+    # each row times the power of two 2^-ey that puts its largest |entry| in
+    # [1/2, 1), exact at normal scale, as the key is scaled (_sign_search)
+    ey = np.frexp(np.abs(y).max(axis=1))[1]
+    y = np.ldexp(y, -ey[:, None])
+    accept_tol = key.tol.consistency_tol * row_norms(y)
     negative = y.min(axis=1) < -accept_tol
     errors.add(negative, lambda _: NotInRange("measurements have significantly negative entries"))
-    trivial = ~negative & (y_norm <= tol.consistency_tol)
-    x, residual, signs = np.zeros((m, d)), y_norm.copy(), np.zeros((m, d))
+    trivial = ~y.any(axis=1)
+    x, residual, signs = np.zeros((m, d)), np.zeros(m), np.zeros((m, d))
     live = np.flatnonzero(~negative & ~trivial)
     if live.size == 0:
         return RecoveryBatch(x, residual, signs, (), trivial)
 
     try:
-        pivots, _, patterns = _sign_search(key)
+        pivots, *_, patterns = _sign_search(key)
     except NotAFrame as exc:
         errors.stop(exc, int(live[0]))
     per_chunk = max(1, _SOLVE_CHUNK // (key.D * len(patterns)))
     for start in range(0, live.size, per_chunk):
         rows = live[start:start + per_chunk]
         x[rows], residual[rows], signs[rows] = _sign_search_rows(
-            key, y[rows], accept_tol[rows], rows, errors
+            key, y[rows], ey[rows], accept_tol[rows], rows, errors
         )
     return RecoveryBatch(x, residual, signs, tuple(int(p) for p in pivots), trivial)
 
 
-def _sign_search_rows(key: Key, y: np.ndarray, accept_tol: np.ndarray, rows: np.ndarray,
-                      errors: _RowErrors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recovered x, residual and sign pattern of the nonzero measurement rows ``rows``.
+def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.ndarray,
+                      rows: np.ndarray, errors: _RowErrors
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recovered x, residual and sign pattern of the nonzero measurement rows
+    ``rows``, given as 2^-ey times the measurements, with their acceptance
+    tolerances in the same units.
 
-    Every row's sign patterns are the right-hand sides of one solve against
-    the pivot block, laid out (d, rows * patterns), so LAPACK factors the
-    block once per chunk; a stacked right-hand side would be broadcast and
-    factor it once per row. Each column of the solve is that of the row's
+    The search solves against the key's unit copy 2^-e A (_sign_search), so
+    its candidates are 2^(e - ey) times the signals and its residuals 2^-ey
+    times the measurements' ones; both are scaled back, and so are the
+    figures of the errors. Every row's sign patterns are the right-hand
+    sides of one solve against the pivot block, laid out (d, rows *
+    patterns), so LAPACK factors the block once per chunk; a stacked
+    right-hand side would be broadcast and factor it once per row. Each column of the solve is that of the row's
     single call (a one-row batch makes the very call, nrhs = 2^(d-1)).
     """
-    pivots, a_piv_t, patterns = _sign_search(key)
+    pivots, a_piv_t, unit, e, patterns = _sign_search(key)
     n_rows, (n_pat, d) = len(rows), patterns.shape
     rhs = (patterns * y[:, None, pivots]).transpose(2, 0, 1).reshape(d, n_rows * n_pat)
     candidates = np.linalg.solve(a_piv_t, rhs)
@@ -245,15 +264,15 @@ def _sign_search_rows(key: Key, y: np.ndarray, accept_tol: np.ndarray, rows: np.
     candidates = candidates.reshape(d, n_rows, n_pat).transpose(1, 0, 2)  # (n, d, patterns)
     # residual norms as np.linalg.norm(..., axis=1) computes them, but with
     # one (n, D, patterns) temporary instead of three
-    res = key.matrix.T @ candidates
+    res = unit.T @ candidates
     np.abs(res, out=res)
     res -= y[:, :, None]
     res *= res
     res = np.sqrt(np.add.reduce(res, axis=1))
     consistent = res <= accept_tol[:, None]
     errors.add(~consistent.any(axis=1), lambda j: NotInRange(
-        f"no sign pattern is consistent (best residual {res[j].min():.3e}, "
-        f"tolerance {accept_tol[j]:.3e})"
+        f"no sign pattern is consistent (best residual {np.ldexp(res[j].min(), ey[j]):.3e}, "
+        f"tolerance {np.ldexp(accept_tol[j], ey[j]):.3e})"
     ), rows=rows)
 
     n = np.arange(len(rows))
@@ -264,18 +283,19 @@ def _sign_search_rows(key: Key, y: np.ndarray, accept_tol: np.ndarray, rows: np.
     others[n, first] = False
     if others.any():  # only a second consistent candidate can be ambiguous
         apart = np.minimum(row_norms(cands - xs[:, None]), row_norms(cands + xs[:, None]))
-        x_scale = np.maximum(1.0, row_norms(xs))
-        far = others & (apart > _ORBIT_GAP * x_scale[:, None])
+        far = others & (apart > _ORBIT_GAP * row_norms(xs)[:, None])
         errors.add(far.any(axis=1), lambda j: AmbiguityDetected(
-            f"two consistent candidates on distinct orbits, {apart[j, np.argmax(far[j])]:.3e} "
-            f"apart up to sign, fit within the acceptance tolerance {accept_tol[j]:.3e}"
+            "two consistent candidates on distinct orbits, "
+            f"{np.ldexp(apart[j, np.argmax(far[j])], ey[j] - e):.3e} apart up to sign, fit "
+            f"within the acceptance tolerance {np.ldexp(accept_tol[j], ey[j]):.3e}"
         ), rows=rows)
 
     # canonical sign: the leading entry above the rank tolerance is positive
     mags = np.abs(xs)
     lead = np.argmax(mags > key.tol.rank_tol_factor * mags.max(axis=1, keepdims=True), axis=1)
     flip = np.where(xs[n, lead] < 0.0, -1.0, 1.0)[:, None]
-    return flip * xs, res[n, first], flip * patterns[first]
+    x = np.ldexp(flip * xs, (ey - e)[:, None])
+    return x, np.ldexp(res[n, first], ey), flip * patterns[first]
 
 
 def invert_beta(key: Key, embedding) -> np.ndarray:
@@ -343,10 +363,11 @@ def invert_beta_tilde_many(key: Key, ys) -> np.ndarray:
 
 
 def _check_reencoding(key: Key, reencoded: np.ndarray, given: np.ndarray, errors: _RowErrors):
-    """Reject rows whose decoding does not re-encode to the input."""
+    """Reject rows whose decoding does not re-encode to the input, within
+    consistency_tol times the input's norm."""
     m = given.shape[0]
     err = row_norms((reencoded - given).reshape(m, -1))
-    bound = key.tol.consistency_tol * np.maximum(1.0, row_norms(given.reshape(m, -1)))
+    bound = key.tol.consistency_tol * row_norms(given.reshape(m, -1))
     errors.add(err > bound, lambda r: NotInRange(
         f"re-encoding residual {err[r]:.3e} exceeds tolerance {bound[r]:.3e}"
     ))

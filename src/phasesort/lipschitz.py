@@ -77,8 +77,12 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       the value the visit computes, from Gram eigenvalues of the copy,
       settles most masks without a bracket by a shifted-Cholesky test that
       shows lo >= prev_hi, and keeps, in ascending order, the masks with lo
-      < prev_hi. Its docstring has the argument that it keeps exactly the
-      masks the full bracket of every mask would keep.
+      < prev_hi. From its first full-size block on, the test is mostly
+      taken once per d-subset instead of once per mask: a mask is settled
+      with no Gram of its own when a side holds d columns whose Gram
+      passes it, as sigma_d of a side is at least that of any d of its
+      columns (the cover). Its docstring has the argument that it keeps
+      exactly the masks the full bracket of every mask would keep.
     - Exact pass. The kept masks are visited in ascending order with the
       full visit's body and test. Every mask that becomes the best in the full
       visit is among them, so each sees the same best as in the full visit
@@ -105,7 +109,8 @@ class LowerConstantSearch:
     """Result of the A0 search with the work it did, in masks.
 
     ``result`` is (A0, I0). Of the 2^(D-1) canonical masks, ``settled`` were
-    ruled out by the shifted-Cholesky test, ``diagonalized`` were bracketed
+    ruled out by the shifted-Cholesky test, of a side's Gram or of the Gram
+    of d columns of a side (the screen's cover), ``diagonalized`` were bracketed
     with eigvalsh, and ``visited`` were decided on their exact SVD values:
     every kept mask, which is among the diagonalized ones, or only mask 0
     when its value decides (work (0, 0, 1)). When the screen stops at a

@@ -8,7 +8,10 @@ Three scans use them, each over all sides of one shape:
 - the complement walk (frame_keys._complement_walk) over the 2^(D-1) column
   partitions, through the one-side pass (_one_side_settled);
 - the A0 screen (_screen) of lipschitz.lower_constant over the same
-  partitions.
+  partitions. From its first full-size block on, it settles a partition
+  with no Gram when a side holds a d-subset that the subset scan's walk
+  factors at the block's shift (the cover, _cover), and runs the
+  one-side pass on the others.
 
 All read the key's unit copy U = 2^-e A (UnitCopy), so no Gram entry or
 shift can overflow, and allow for the rounding of the Grams, of the
@@ -16,9 +19,10 @@ factorization and of the exact path's SVDs with _gram_screen_errors.
 Grams are stored in one packed layout (pack), which the shifted-Cholesky
 kernel (shifted_cholesky_ok) works in. The partition scans walk the masks
 in ascending blocks (_partition_blocks), aligned power-of-two ranges of
-masks, each with its own table of side I's Grams; side C's is U U^T minus
-side I's. The sides no screen settles get stacked SVDs of the key
-(_side_singular_values).
+masks, each with its own table of side I's Grams (_BlockGrams), filled
+when a walk asks for it, or summed for a few masks alone; side C's is
+U U^T minus side I's. The sides no screen settles get stacked SVDs of the
+key (_side_singular_values).
 """
 
 from __future__ import annotations
@@ -205,7 +209,21 @@ def _unsettled_subsets(unit: np.ndarray, tau: float) -> tuple[np.ndarray, np.nda
     """(starts, counts): the lexicographic ranks of the d-subsets T whose Gram
     G[T, T] of the d x D unit copy ``unit`` = U, G = U^T U, fails
     shifted_cholesky_ok at the shift tau, as ascending disjoint ranges
-    starts[k] .. starts[k] + counts[k] - 1.
+    starts[k] .. starts[k] + counts[k] - 1: _subset_verdicts' ranges, sorted.
+    """
+    ranges = [(np.zeros(0, dtype=np.int64), 1), *_subset_verdicts(unit, tau, passing=False)]
+    starts = np.concatenate([r for r, _ in ranges])
+    counts = np.concatenate([np.full(r.size, n, dtype=np.int64) for r, n in ranges])
+    order = np.argsort(starts)
+    return starts[order], counts[order]
+
+
+def _subset_verdicts(unit: np.ndarray, tau: float, passing: bool):
+    """Yield ``(starts, length)``: the lexicographic ranks of the d-subsets T
+    whose Gram G[T, T] of the d x D unit copy ``unit`` = U, G = U^T U, fails
+    shifted_cholesky_ok at the shift tau, as disjoint ranges starts[k] ..
+    starts[k] + length - 1, or, with ``passing``, of those that pass it, one
+    rank each (length 1), in the walk's order, not in rank order.
 
     The d-subsets are the leaves of the prefix tree whose node at depth k is
     a k-prefix t_0 < ... < t_(k-1) of them. A node holds the Schur complement
@@ -246,7 +264,6 @@ def _unsettled_subsets(unit: np.ndarray, tau: float) -> tuple[np.ndarray, np.nda
         root[list(_row_starts(D)[:-1])] -= tau
     # blocks by last column, -1 for the root: (complements, first-leaf ranks)
     blocks = {-1: (root[:, None], np.zeros(1, dtype=np.int64))}
-    unsettled = [(np.zeros(0, dtype=np.int64), 1)]  # (range starts, range length)
     for depth in range(d):
         picks = d - depth
         children = {}
@@ -255,25 +272,23 @@ def _unsettled_subsets(unit: np.ndarray, tau: float) -> tuple[np.ndarray, np.nda
             # expanding a block with three picks left would hold about m^3 / 6
             # entries a node, more than its leaves for a key of many columns
             if picks <= 3 or _subtree_entries(picks, m) <= budget:
-                unsettled += [(r, 1) for r in _settle_block(w, ranks, picks, m, budget)]
+                for r in _settle_block(w, ranks, picks, m, budget, passing):
+                    yield r, 1
                 continue
             for i, part, failed, leaves in _expand_block(w, ranks, picks, m):
                 children.setdefault(last + 1 + i, []).append(part)
-                unsettled.append((failed, leaves))
+                if not passing:
+                    yield failed, leaves
         blocks = {last: tuple(np.concatenate(a, axis=-1) for a in zip(*parts))
                   for last, parts in children.items()}
-    starts = np.concatenate([r for r, _ in unsettled])
-    counts = np.concatenate([np.full(r.size, n, dtype=np.int64) for r, n in unsettled])
-    order = np.argsort(starts)
-    return starts[order], counts[order]
 
 
-def _settle_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int,
-                  budget: int) -> list[np.ndarray]:
-    """The ranks of the leaves that fail, for a block of nodes with ``picks``
-    columns left to choose among ``m`` candidates (complements ``w``, first
-    leaves ``ranks``)."""
-    out = []
+def _settle_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int, budget: int,
+                  passing: bool):
+    """Yield the ranks of the leaves that fail, or with ``passing`` of those
+    that pass, a batch of nodes at a time, for a block of nodes with
+    ``picks`` columns left to choose among ``m`` candidates (complements
+    ``w``, first leaves ``ranks``)."""
     for first, stop in _windows(picks, m, budget):
         steps, peak = _subset_tree(picks, m, first, stop, picks - 1)
         offset = sum(comb(m - 1 - i, picks - 1) for i in range(first))
@@ -282,9 +297,8 @@ def _settle_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int,
             x = w[:, start:start + per_batch]
             for step in steps:
                 x = _eliminate(x, step)
-            leaf, node = np.nonzero(~(x > 0.0))
-            out.append(ranks[start + node] + (offset + leaf))
-    return out
+            leaf, node = np.nonzero((x > 0.0) == passing)
+            yield ranks[start + node] + (offset + leaf)
 
 
 def _expand_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int):
@@ -361,6 +375,67 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenated ranges starts[k] + arange(counts[k])."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
+def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
+    """The d-subsets of range(D) at the given lexicographic ranks, one row of
+    ascending columns each.
+
+    Rank q of T is C(D, d) - 1 minus the colexicographic rank of the mirrored
+    set {D - 1 - t : t in T}, sum_k C(y_k, k) over its elements y_1 < ... <
+    y_d; that sum is decoded greedily, largest mirrored element (smallest
+    column) first.
+    """
+    rest = comb(D, d) - 1 - ranks
+    cols = np.empty((ranks.size, d), dtype=np.intp)
+    for i in range(d):
+        table = np.array([comb(y, d - i) for y in range(D)], dtype=np.int64)
+        y = np.searchsorted(table, rest, side="right") - 1
+        rest = rest - table[y]
+        cols[:, i] = D - 1 - y
+    return cols
+
+
+def _cover(unit: np.ndarray, tau: float) -> np.ndarray | None:
+    """The cover of the d x D unit copy ``unit`` at the shift tau: 2^D bits,
+    bit S (bit S & 7 of byte S >> 3) set when the column set S holds a
+    d-subset T whose Gram G[T, T], G = U^T U, passes the packed kernel at
+    tau, as the subset scan's walk decides it (_subset_verdicts); None when
+    no d-subset passes.
+
+    The passing subsets are unranked (_unrank) as the walk yields them, at
+    most a sixteenth of _CHUNK_ENTRIES columns at a time, so no array holds
+    them all. Each sets the bits of its supersets within its byte, the sets
+    that differ from it in columns 0-2 only (``up``); then one pass per
+    column b >= 3 ORs every byte of sets without b into the byte of the
+    same sets with b, in place over strided halves of the bytes, which
+    completes the upward closure.
+    """
+    d, D = unit.shape
+    if D < d:
+        return None
+    low = range(min(8, 1 << D))
+    up = np.array([sum(1 << w for w in low if w & v == v) for v in range(8)], dtype=np.uint8)
+    cover = np.zeros(max(1, (1 << D) >> 3), dtype=np.uint8)
+    per_window = max(1, (_CHUNK_ENTRIES >> 4) // d)
+    for ranks, _ in _subset_verdicts(unit, tau, passing=True):
+        for start in range(0, ranks.size, per_window):
+            sets = (1 << _unrank(ranks[start:start + per_window], d, D)).sum(axis=1)
+            np.bitwise_or.at(cover, sets >> 3, up[sets & 7])
+    if not cover.any():
+        return None
+    for b in range(3, D):
+        halves = cover.reshape(-1, 2, 1 << (b - 3))
+        halves[:, 1] |= halves[:, 0]
+    return cover
+
+
+def _covered(cover: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Whether each of the n column sets start .. start + n - 1 (bitmasks)
+    has its bit in the cover."""
+    first = start >> 3
+    bits = np.unpackbits(cover[first:((start + n - 1) >> 3) + 1], bitorder="little")
+    return bits[start - 8 * first:start - 8 * first + n].view(bool)
 
 
 # the last 16 tables: every shape of a run of small keys, while a large key,
@@ -456,43 +531,91 @@ def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
 _FIRST_BLOCK = 64
 
 
+class _BlockGrams:
+    """Side I's packed Grams of a block of _partition_blocks, formed on
+    demand: column m is the Gram of the block's first mask, ``head``, plus
+    the outer products ``outers[b]`` of the low bits b set in m, added
+    highest bit first.
+
+    The table's buffer is allocated with the block, while the walk still
+    holds the block before it, as when every table was filled up front: a
+    buffer freed before the next is allocated lets the allocator return
+    the pages, and the next block's fill faults them in again. Until it is
+    filled no page of it is touched."""
+
+    def __init__(self, head: np.ndarray, outers: np.ndarray):
+        self.head, self.outers = head, outers
+        self._table = np.empty((head.size, 1 << len(outers)))
+        self._filled = False
+
+    def table(self) -> np.ndarray:
+        """The contiguous (P, 2^k) table of every column, filled once
+        (_fill_grams)."""
+        if not self._filled:
+            self._table[:, 0] = self.head
+            _fill_grams(self._table, self.outers)
+            self._filled = True
+        return self._table
+
+    def cheaper_alone(self, n: int) -> bool:
+        """Whether summing n columns alone (sums), k adds over each, costs
+        less than filling the table of 2^k columns."""
+        k = len(self.outers)
+        return n * k < 1 << k
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """table()[:, rows], with the same bits, each column summed alone,
+        without filling the table: head plus outers[b] where bit b is set,
+        for b from k - 1 down, the sums and the order _fill_grams makes."""
+        grams = np.repeat(self.head[:, None], rows.size, axis=1)
+        for b in range(len(self.outers) - 1, -1, -1):
+            np.add(grams, self.outers[b][:, None], out=grams, where=(rows >> b & 1).astype(bool))
+        return grams
+
+
+def _block_bits(d: int, D: int) -> int:
+    """k of the largest blocks of _partition_blocks, 2^k masks: the most whose
+    packed Grams fit _SCREEN_ENTRIES, or the whole walk."""
+    return min(D - 1, max(0, (_SCREEN_ENTRIES // (d * (d + 1) // 2)).bit_length() - 1))
+
+
 def _partition_blocks(a: np.ndarray):
-    """Yield ``(masks, gi, full_i, full_c)`` for every canonical mask, in
+    """Yield ``(masks, grams, full_i, full_c)`` for every canonical mask, in
     blocks of ascending masks.
 
-    ``gi`` holds the packed Grams A[I] A[I]^T (pack) of the block's masks,
-    one per column, for the subsets I that avoid the last column; ``full_i``
-    and ``full_c`` mark the sides with at least d columns. The complement's
-    Gram is pack(A A^T)[:, None] - gi, which the walks form only for the
-    masks whose side C they may read.
+    ``grams`` (_BlockGrams) gives the packed Grams A[I] A[I]^T (pack) of the
+    block's masks, one per column, for the subsets I that avoid the last
+    column; ``full_i`` and ``full_c`` mark the sides with at least d
+    columns. The complement's Gram is pack(A A^T)[:, None] - gi, which the
+    walks form only for the masks whose side C they may read.
 
     A block is an aligned range of masks [start, start + 2^k), and its Grams
     are one contiguous (P, 2^k) table of its own: column 0 is mask start's
     Gram, its outer products summed highest bit first, and _fill_grams adds
     the k low bits. So every entry is the same sum, in the same order, as in
     a single table over all masks. Blocks double from _FIRST_BLOCK masks to
-    the largest power of two whose Grams fit _SCREEN_ENTRIES entries. A
-    mask's column count is start's plus a lookup in one table over the low
-    bits.
+    the largest power of two whose Grams fit _SCREEN_ENTRIES entries
+    (_block_bits). A mask's column count is start's plus a lookup in one
+    table over the low bits.
     """
     d, D = a.shape
     bits = D - 1
     rows, cols = packed_pairs(d)
     size = len(rows)
     outers = (a[rows] * a[cols]).T
-    top = min(bits, max(0, (_SCREEN_ENTRIES // size).bit_length() - 1))
+    top = _block_bits(d, D)
     low_counts = np.zeros(1 << top, dtype=np.int64)
     for b in range(top):
         low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
     start = 0
     while start < 1 << bits:
         k = min(top, max(_FIRST_BLOCK.bit_length(), start.bit_length()) - 1)
-        grams = np.empty((size, 1 << k))
         # mask start's Gram, summed from 0 highest bit first, as _fill_grams sums
-        grams[:, 0] = sum(outers[b] for b in range(bits - 1, k - 1, -1) if start >> b & 1)
-        _fill_grams(grams, outers[:k])
+        head = sum((outers[b] for b in range(bits - 1, k - 1, -1) if start >> b & 1),
+                   np.zeros(size))
         counts = low_counts[:1 << k] + start.bit_count()
-        yield np.arange(start, start + (1 << k)), grams, counts >= d, D - counts >= d
+        yield (np.arange(start, start + (1 << k)), _BlockGrams(head, outers[:k]),
+               counts >= d, D - counts >= d)
         start += 1 << k
 
 
@@ -608,6 +731,33 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
       masks the full bracket of every mask would keep; as settling spares
       only masks the rule above skips, the kept masks do not depend on the
       block sizes.
+    - Cover. At the first full-size block, where _partition_blocks stops
+      doubling, the subset scan's walk (_subset_verdicts) tests the Gram
+      G[T, T] of every d-subset T, G = U^T U, at that block's one-side
+      shift tau_0, and _cover marks every column set that holds a T that
+      passes. From that block on, a mask with a marked side S is settled
+      with no Gram and no kernel call. The argument is the one-side
+      test's, with T in place of S. The walk gives each subset the
+      kernel's verdict bit for bit, and each entry of G is a length-d dot
+      product, within the error budget of a side's Gram of up to D outer
+      products; so a pass proves sigma_d(U_T)^2 = lambda_min(U_T^T U_T) >=
+      tau_0 - err_lam, U_T being d x d. U_S U_S^T is U_T U_T^T plus the
+      outer products of the other columns of S, so sigma_d(U_S) >=
+      sigma_d(U_T) (the interlacing step of
+      frame_keys._subsets_certify_complement), and S's bracket would have
+      lo >= hi_run. That holds at every later block too: hi_run never
+      rises, so the later shifts are at most tau_0, and a side shown above
+      tau_0 - err_lam is above each of them less err_lam. The masks with no
+      marked side, the open ones, get side I's Grams, the table's bits,
+      summed for them alone or gathered from the block's filled table,
+      and the one-side, both-sides and eigvalsh steps above
+      (_open_unsettled); a block the cover leaves mostly open is walked
+      whole, as without a cover. When no d-subset passes, there is no
+      cover and every block is walked as above; so is every block before
+      the first full-size one, whose shift is not yet known. The cover
+      settles only masks the bracket rule skips, so the kept masks are
+      those above; it moves the settled and diagonalized counts only where
+      a side's Gram and a subset's round to opposite sides of a shift.
     - Stop. When D <= 2d - 2, some masks have no side of d columns, the
       first being 2^(D-d+1) - 1, the first with D - d + 1 columns (mask 0
       when D < d). Such a mask has the value 0 and lo = 0 < prev_hi, and no
@@ -617,11 +767,23 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
       the end of that block, fewer than 2^(D-1) unless it is the last.
     """
     err_s, err_lam = unit.err_s, unit.err_lam
+    d, D = unit.matrix.shape
     kept = []
     hi_run = np.inf
     settled = diagonalized = 0
-    for block, gi, full_i, full_c in _partition_blocks(unit.matrix):
-        rows, gu, gc = _unsettled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
+    cover, largest = None, 1 << _block_bits(d, D)
+    for block, grams, full_i, full_c in _partition_blocks(unit.matrix):
+        if block.size == largest:  # the first full-size block: see Cover above
+            largest = 0
+            if hi_run < np.inf:
+                cover = _cover(unit.matrix, _one_side_shift(hi_run, err_s, err_lam))
+                buffer = np.empty(unit.gram.size * block.size)
+        if cover is None:
+            rows, gu, gc = _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run,
+                                      err_s, err_lam)
+        else:
+            rows, gu, gc = _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run,
+                                           buffer)
         settled += block.size - rows.size
         if not rows.size:
             continue  # hi_run stays, and no mask is kept
@@ -643,6 +805,46 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
     return np.concatenate(kept), settled, diagonalized
 
 
+def _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run, buffer):
+    """_unsettled's (rows, gu, gc) for a block of the A0 screen walked with a
+    cover (see _screen): the masks with a side in the cover are settled,
+    and only the open ones, with neither side in it, get Grams and the
+    tests. Their Grams are summed alone where that costs less than filling
+    the block's table (_BlockGrams.cheaper_alone). Otherwise they are
+    gathered from the filled table into the front of ``buffer``, which
+    holds a largest block's Grams (an array allocated afresh for each block
+    would fault its pages in each time), where the cover settles at least a
+    quarter of the block. Gathering a column out of the table costs about
+    five times copying it, and a Gram's tests some twenty-five copies at d
+    = 8, so a block whose cover spares less than about a fifth does not win
+    the gather back; such a block is walked whole, as without a cover, and
+    the tests settle its covered masks again. The bits are the table's in
+    every case.
+    """
+    start, n = int(block[0]), block.size
+    last = (1 << unit.matrix.shape[1]) - 1 - (start + n - 1)  # side C of the block's last mask
+    rows = np.flatnonzero(~(_covered(cover, start, n) | _covered(cover, last, n)[::-1]))
+    if not rows.size:
+        return rows, None, None
+    if grams.cheaper_alone(rows.size):
+        gi = grams.sums(rows)
+    elif 4 * rows.size <= 3 * n:
+        gi = buffer[:grams.head.size * rows.size].reshape(-1, rows.size)
+        np.take(grams.table(), rows, axis=1, out=gi, mode="clip")  # rows are in range
+    else:
+        return _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run, unit.err_s,
+                          unit.err_lam)
+    part, gu, gc = _unsettled(gi, unit.gram, full_i[rows], full_c[rows], hi_run, unit.err_s,
+                              unit.err_lam)
+    return rows[part], gu, gc
+
+
+def _one_side_shift(hi_run: float, err_s: float, err_lam: float) -> float:
+    """The shift at which one side's Gram that factors settles a mask (see
+    _screen): (hi_run + 2 err_s)^2 + 2 err_lam."""
+    return (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
+
+
 def _unsettled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
     """(rows, gu, gc): the masks ``rows`` of a block whose bracket the tests
     below cannot show to have lo >= hi_run (see _screen), and their packed
@@ -659,7 +861,7 @@ def _unsettled(gi, total, full_i, full_c, hi_run, err_s, err_lam):
     of the rule above. At hi_run = inf both shifts are infinite: no mask is
     settled and no test runs.
     """
-    one_side = (hi_run + 2.0 * err_s) ** 2 + 2.0 * err_lam
+    one_side = _one_side_shift(hi_run, err_s, err_lam)
     rows = np.flatnonzero(~_one_side_settled(gi, total, full_i, full_c, one_side))
     gu = np.take(gi, rows, axis=1)
     gc = total[:, None] - gu

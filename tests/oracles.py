@@ -10,7 +10,9 @@ The partition scan is here as it was before the A0 search walked the
 partitions in ascending blocks: eigvalsh on every spanning side of every
 partition. The A0 search is here as it was before its screen settled
 partitions with the shifted-Cholesky test: every partition bracketed from
-the eigenvalues of that scan. The d-subset scan is here as it was
+the eigenvalues of that scan. The A0 screen's cover is here as its definition: every
+d-subset's Gram tested alone, and every column set compared with every
+subset that passes. The d-subset scan is here as it was
 before the same test settled subsets: one SVD of every subset. It is also
 here as it was before it walked the prefix tree of the subsets: every
 subset's Gram gathered from U^T U and tested by the packed kernel, chunk by
@@ -159,13 +161,16 @@ def omega(key, y, certificate=is_phase_retrievable):
     if not certificate(key).verdict:
         raise NotPhaseRetrievable("key fails the phase-retrievability certificate")
     tol = key.tol
-    y_norm = float(np.linalg.norm(yv))
-    accept_tol = tol.consistency_tol * max(1.0, y_norm)
+    if not yv.any():
+        return RecoveryResult(np.zeros(key.d), 0.0, np.ones(0), ())
+    # the key and y each times the power of two that puts its largest |entry|
+    # in [1/2, 1); x, the residual and the reported figures are scaled back
+    e = int(np.frexp(np.abs(key.matrix).max())[1])
+    ey = int(np.frexp(np.abs(yv).max())[1])
+    a, yv = np.ldexp(key.matrix, -e), np.ldexp(yv, -ey)
+    accept_tol = tol.consistency_tol * float(np.linalg.norm(yv))
     if float(np.min(yv)) < -accept_tol:
         raise NotInRange("measurements have significantly negative entries")
-    if y_norm <= tol.consistency_tol:
-        return RecoveryResult(np.zeros(key.d), y_norm, np.ones(0), ())
-    a = key.matrix
     d = key.d
     pivot_scale = tol.rank_tol_factor * max(a.shape) * float(np.linalg.norm(a))
     pivots = _greedy_pivot_columns(a, d, pivot_scale)
@@ -177,21 +182,23 @@ def omega(key, y, certificate=is_phase_retrievable):
     consistent = residuals <= accept_tol
     if not consistent.any():
         raise NotInRange(
-            f"no sign pattern is consistent (best residual {residuals.min():.3e}, "
-            f"tolerance {accept_tol:.3e})"
+            f"no sign pattern is consistent (best residual {np.ldexp(residuals.min(), ey):.3e}, "
+            f"tolerance {np.ldexp(accept_tol, ey):.3e})"
         )
     first = int(np.argmax(consistent))
     x = candidates[:, first]
-    x_scale = max(1.0, float(np.linalg.norm(x)))
+    x_scale = float(np.linalg.norm(x))
     for j in np.nonzero(consistent)[0]:
         gap = dist_hat_H(candidates[:, j], x)
         if j != first and gap > _ORBIT_GAP * x_scale:
             raise AmbiguityDetected(
-                f"two consistent candidates on distinct orbits, {gap:.3e} "
-                f"apart up to sign, fit within the acceptance tolerance {accept_tol:.3e}"
+                f"two consistent candidates on distinct orbits, {np.ldexp(gap, ey - e):.3e} "
+                f"apart up to sign, fit within the acceptance tolerance "
+                f"{np.ldexp(accept_tol, ey):.3e}"
             )
     flip = _canonicalize_sign(x, tol.rank_tol_factor)
-    return RecoveryResult(flip * x, float(residuals[first]), flip * eps[first], tuple(pivots))
+    return RecoveryResult(np.ldexp(flip * x, ey - e), float(np.ldexp(residuals[first], ey)),
+                          flip * eps[first], tuple(pivots))
 
 
 def synthesis_left_inverse(key, y):
@@ -213,7 +220,7 @@ def invert_beta(key, embedding):
     diff_part = omega(key, yq[0] - yq[1]).x
     decoded = np.vstack([0.5 * (mean_part + diff_part), 0.5 * (mean_part - diff_part)])
     err = float(np.linalg.norm(beta(key, decoded)[0] - yq))
-    bound = key.tol.consistency_tol * max(1.0, float(np.linalg.norm(yq)))
+    bound = key.tol.consistency_tol * float(np.linalg.norm(yq))
     if err > bound:
         raise NotInRange(f"re-encoding residual {err:.3e} exceeds tolerance {bound:.3e}")
     return decoded
@@ -227,7 +234,7 @@ def invert_beta_tilde(key, y):
     diff_part = omega(key, yv[key.d:]).x
     decoded = np.vstack([mean_part + 0.5 * diff_part, mean_part - 0.5 * diff_part])
     err = float(np.linalg.norm(beta_tilde(key, decoded) - yv))
-    bound = key.tol.consistency_tol * max(1.0, float(np.linalg.norm(yv)))
+    bound = key.tol.consistency_tol * float(np.linalg.norm(yv))
     if err > bound:
         raise NotInRange(f"re-encoding residual {err:.3e} exceeds tolerance {bound:.3e}")
     return decoded
@@ -338,10 +345,20 @@ def complement_property(key):
 
 def lower_constant_screen(key):
     """The masks the A0 search may visit, ascending, with their bracket lower
-    ends: every mask bracketed from partition_scan's smallest eigenvalues of
-    the unit copy 2^-e A (frame_keys._unit), kept when its lower end is below
-    the smallest upper end before it, and the lower ends scaled back by 2^e.
-    Reads the screen constants at call time, so they can be patched."""
+    ends: every mask bracketed (screen_brackets), kept when its lower end is
+    below the smallest upper end before it, and the lower ends scaled back by
+    2^e, the unit copy's exponent."""
+    lo, hi = screen_brackets(key)
+    prev_hi = np.minimum.accumulate(np.concatenate(([np.inf], hi[:-1])))
+    keep = np.flatnonzero(lo < prev_hi)
+    return keep, np.ldexp(lo[keep], frame_keys._unit(key).e)
+
+
+def screen_brackets(key):
+    """(lo, hi): the bracket of every canonical mask's value on the unit copy
+    2^-e A (frame_keys._unit), from partition_scan's smallest eigenvalues of
+    the copy. Reads the screen constants at call time, so they can be
+    patched."""
     d, D = key.d, key.D
     copy = frame_keys._unit(key)
     unit, e = copy.matrix, copy.e
@@ -357,10 +374,26 @@ def lower_constant_screen(key):
         sides.append((np.where(full, lo, 0.0), np.where(full, hi, 0.0)))
     (lo_i, hi_i), (lo_c, hi_c) = sides
     lo = np.maximum(np.hypot(lo_i, lo_c) - err_s, 0.0)
-    hi = np.hypot(hi_i, hi_c) + err_s
-    prev_hi = np.minimum.accumulate(np.concatenate(([np.inf], hi[:-1])))
-    keep = np.flatnonzero(lo < prev_hi)
-    return keep, np.ldexp(lo[keep], e)
+    return lo, np.hypot(hi_i, hi_c) + err_s
+
+
+# --- the A0 screen's cover, one d-subset at a time --------------------------
+
+def cover(unit, tau):
+    """Whether each column set S of range(D), indexed by its bitmask, holds a
+    d-subset T whose Gram G[T, T] passes screens.shifted_cholesky_ok at the
+    shift tau, G = U^T U being the Gram of the d x D unit copy ``unit``: every
+    d-subset tested alone, and every set compared with every subset that
+    passes."""
+    d, D = unit.shape
+    gram = unit.T @ unit
+    sets = np.arange(1 << D)
+    out = np.zeros(1 << D, dtype=bool)
+    for t in itertools.combinations(range(D), d):
+        if screens.shifted_cholesky_ok(gram[np.ix_(t, t)][None], tau)[0]:
+            mask = sum(1 << c for c in t)
+            out |= (sets & mask) == mask
+    return out
 
 
 def lower_constant(key):

@@ -195,14 +195,7 @@ def test_column_permutation_keeps_verdicts(name):
         assert [f(moved).verdict for f in (is_full_spark, has_complement_property)] == expected
 
 
-_SMALL_MEASUREMENTS = pytest.mark.xfail(
-    strict=True,
-    reason="omega_many's acceptance tolerance consistency_tol * max(1, ||y||) is absolute "
-           "for measurements with ||y|| < 1, so it returns the zero vector")
-
-
-@pytest.mark.parametrize("k", [40, pytest.param(-40, marks=_SMALL_MEASUREMENTS),
-                               pytest.param(-200, marks=_SMALL_MEASUREMENTS)])
+@pytest.mark.parametrize("k", [40, -40, -200])
 @pytest.mark.parametrize("name", ["4x12", "8x15"])
 def test_decoder_scaling(name, k):
     matrix = KEYS[name]

@@ -213,7 +213,8 @@ def _same_recovery(got, want):
 
 
 def _measurement_rows(key, rng, m):
-    """Encoded random signals, with zero and near-zero rows mixed in."""
+    """Encoded random signals, with zero and near-zero rows mixed in: only
+    the zero row is a trivial recovery."""
     y = alpha_many(key, rng.standard_normal((m, key.d)))
     y[1] = 0.0
     y[3] *= 1e-12
@@ -225,7 +226,7 @@ def test_omega_many_rows_match_single_and_oracle(d, D, seed):
     key = generate_key(d, D, seed)
     y = _measurement_rows(key, np.random.Generator(np.random.PCG64(60 + seed)), 40)
     batch = omega_many(key, y)
-    assert batch.trivial[1] and batch.trivial[3]
+    assert batch.trivial[1] and not batch.trivial[3]
     for i, row in enumerate(y):
         _same_recovery(batch.result(i), omega(key, row))
         _same_recovery(omega(key, row), oracles.omega(key, row))

@@ -303,6 +303,50 @@ def _walked(run):
         return run(), blocks
 
 
+def _cover_settled(run):
+    """run()'s result and the masks the A0 screen's cover settled in it (0
+    when no cover was built). From the block the screen built its cover at
+    on, a block's masks with a side that oracles.cover marks at the cover's
+    shift are settled by it, and only the others reach _unsettled, unless
+    the block is mostly open: then the whole block reaches _unsettled, as
+    without a cover."""
+    blocks, calls, tested = [], [], {}
+    real_blocks, real_cover, real_unsettled = (
+        screens._partition_blocks, screens._cover, screens._unsettled)
+
+    def logged(a):
+        for block in real_blocks(a):
+            blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
+            yield block
+
+    def recorded(unit, tau):
+        calls.append((len(blocks) - 1, unit, tau))
+        return real_cover(unit, tau)
+
+    def counted(gi, total, full_i, full_c, *rest):
+        tested[len(blocks) - 1] = full_i.size
+        return real_unsettled(gi, total, full_i, full_c, *rest)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(screens, "_partition_blocks", logged)
+        m.setattr(screens, "_cover", recorded)
+        m.setattr(screens, "_unsettled", counted)
+        result = run()
+    if not calls:
+        return result, 0
+    ((first, unit, tau),) = calls
+    covered = oracles.cover(unit, tau)
+    full = (1 << unit.shape[1]) - 1
+    by_cover = 0
+    for i in range(first, len(blocks)):
+        masks = np.arange(*blocks[i])
+        n = int(np.count_nonzero(covered[masks] | covered[full ^ masks]))
+        if tested.get(i) != masks.size or not n:  # not walked whole
+            assert tested.get(i, 0) == masks.size - n
+            by_cover += n
+    return result, by_cover
+
+
 def _first_mask_without_a_spanning_side(d, D):
     """2^(D-d+1) - 1 when d <= D <= 2d - 2, 0 when D < d, else None."""
     if D < d:
@@ -388,7 +432,9 @@ _SETTLED_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matrix
 @pytest.mark.parametrize("name", sorted(_SETTLED_KEYS))
 def test_settled_matches_four_call_oracle(monkeypatch, name):
     # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
-    # has D < 2d - 1
+    # has D < 2d - 1. From the first full-size block on, the masks with a
+    # side the cover marks are settled without a Gram, and the others reach
+    # _unsettled, so the search's settled count is the two together
     matrix = _SETTLED_KEYS[name]
     real = screens._unsettled
     settled = []
@@ -408,13 +454,13 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
         return rows, gu, gc
 
     monkeypatch.setattr(screens, "_unsettled", checked)
-    search = lipschitz.lower_constant_search(Key(matrix))
-    assert sum(settled) == search.settled
-    if matrix.shape[1] <= 12:  # and in blocks of one mask
+    search, by_cover = _cover_settled(lambda: lipschitz.lower_constant_search(Key(matrix)))
+    assert sum(settled) + by_cover == search.settled
+    if matrix.shape[1] <= 12:  # and in blocks of one mask, every one full-size
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 9)
         settled.clear()
-        search = lipschitz.lower_constant_search(Key(matrix))
-        assert sum(settled) == search.settled
+        search, by_cover = _cover_settled(lambda: lipschitz.lower_constant_search(Key(matrix)))
+        assert sum(settled) == search.settled and by_cover == 0
 
 
 @pytest.mark.parametrize("scale", [2.0**-450, 2.0**450])
@@ -667,16 +713,30 @@ def test_search_stops_early_on_the_11x20_key():
 def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
     # the Grams the packed kernel receives during the search. At D = 2d - 1
     # exactly one side of each split spans, and only it is factored: one
-    # Gram per mask after the first block, which no test screens
+    # Gram per mask after the first block, which no test screens, except the
+    # masks the cover settles with no Gram. At 8x15 that is all but 2 of the
+    # 14,336 masks of the full-size blocks
     grams = []
     real = screens._shifted_cholesky_ok_inplace
     monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
                         lambda w, tau: grams.append(w.shape[1]) or real(w, tau))
-    lipschitz.lower_constant_search(generate_key(d, D, 1))
+
+    def search():
+        lipschitz.lower_constant_search(generate_key(d, D, 1))
+        return sum(grams)  # before the cover oracle's own kernel calls
+
     if most is None:
-        assert sum(grams) == (1 << (D - 1)) - screens._FIRST_BLOCK == 16320
+        factored, by_cover = _cover_settled(search)
+        assert factored + by_cover == (1 << (D - 1)) - screens._FIRST_BLOCK == 16320
+        assert (factored, by_cover) == (1986, 14334)
     else:
-        assert sum(grams) <= most
+        assert search() <= most
+
+
+# the kernel's Grams and calls with the cover, against the parametrized
+# figures of the walk without one; 4x12's walk has no full-size block
+_COVERED_KERNEL_WORK = {(8, 15): (1986, 6), (4, 16): (12434, 30), (5, 18): (12282, 41),
+                        (4, 12): (2584, 15)}
 
 
 @pytest.mark.parametrize("d,D,grams,calls", [
@@ -687,14 +747,21 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
     # every call. Elsewhere a block may add a call for side C where both
     # sides span and side I failed, and one for the both-sides test. In a
     # block copied whole, side C takes the columns of the sides I that do
-    # not span
-    sizes = []
-    real = screens._shifted_cholesky_ok_inplace
-    monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
-                        lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
-    lipschitz.lower_constant_search(generate_key(d, D, 1))
-    assert sum(sizes) == grams
-    if D == 2 * d - 1:
-        assert len(sizes) == calls
-    else:
-        assert len(sizes) <= calls
+    # not span. The parametrized figures are those of the walk with no
+    # cover, which every key without a passing d-subset takes; with the
+    # cover, a block calls the kernel only for its open masks, and not at
+    # all when it has none
+    for work in ((grams, calls), _COVERED_KERNEL_WORK[d, D]):
+        sizes = []
+        with monkeypatch.context() as m:
+            real = screens._shifted_cholesky_ok_inplace
+            m.setattr(screens, "_shifted_cholesky_ok_inplace",
+                      lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
+            if work == (grams, calls):
+                m.setattr(screens, "_cover", lambda unit, tau: None)
+            lipschitz.lower_constant_search(generate_key(d, D, 1))
+        assert sum(sizes) == work[0]
+        if D == 2 * d - 1:
+            assert len(sizes) == work[1]
+        else:
+            assert len(sizes) <= work[1]

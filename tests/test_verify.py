@@ -21,6 +21,16 @@ KEYS = {
 }
 
 
+def test_battery_passes_on_a_key_scaled_by_1e_minus_6():
+    # the decoders accept at consistency_tol * ||y||: measurements of this key
+    # are far below 1, where an absolute tolerance accepted two orbits and
+    # the battery raised AmbiguityDetected out of its round trips
+    key = Key(generate_key(4, 12, 1).matrix * 1e-6)
+    results = run_battery(key, 100, 1)
+    assert [r.status for r in results] == ["pass"] * 12, results
+    assert results == oracles.run_battery(Key(key.matrix), 100, 1)
+
+
 @pytest.mark.parametrize("samples", [1, 7, 200])
 @pytest.mark.parametrize("name", sorted(KEYS))
 def test_battery_matches_loop_oracle(name, samples):
