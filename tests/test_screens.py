@@ -85,7 +85,7 @@ def _assert_cover_matches_oracle(matrix):
     """Returns, per shift, whether the cover was None."""
     key = Key(matrix)
     unit = frame_keys._unit(key).matrix
-    d, D = unit.shape
+    D = unit.shape[1]
     nones = []
     for tau in _cover_shifts(key):
         cover = screens._cover(unit, tau)
