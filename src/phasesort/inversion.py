@@ -29,7 +29,7 @@ from .errors import (
     NotInRange,
     NotPhaseRetrievable,
 )
-from .frame_keys import Key, _cached, is_phase_retrievable, synthesis_left_inverse_many
+from .frame_keys import Key, _cached, _unit, is_phase_retrievable, synthesis_left_inverse_many
 from .numerics import as_matrix, as_stack, as_vector, row_norms
 
 
@@ -154,21 +154,19 @@ class _RowErrors:
             raise self.exc
 
 
-def _sign_search(key: Key) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """(pivots, a_piv_t, unit, e, patterns), memoized per key: the pivot
-    columns, the transposed pivot block of the unit copy ``unit`` = 2^-e A,
-    e being the np.frexp exponent of the key's largest |entry|, and the sign
-    patterns. The sign search works on the copy, so no norm or residual of a
-    key at the ends of the float range under- or overflows; at normal scale
-    every value is the key's own times 2^-e exactly, so the pivots, the
-    decisions and the recovered bits are those of the key."""
+def _sign_search(key: Key) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pivots, a_piv_t, patterns), memoized per key: the pivot columns, the
+    transposed pivot block of the key's unit copy U = 2^-e A (_unit) and
+    the sign patterns. The sign search works on the copy, so no norm or
+    residual of a key at the ends of the float range under- or overflows;
+    at normal scale every value is the key's own times 2^-e exactly, so the
+    pivots, the decisions and the recovered bits are those of the key."""
 
     def compute():
-        e = int(np.frexp(np.abs(key.matrix).max())[1])
-        a = np.ldexp(key.matrix, -e)
+        a = _unit(key).matrix
         pivot_scale = key.tol.rank_tol_factor * max(a.shape) * float(np.linalg.norm(a))
         pivots = np.array(_greedy_pivot_columns(a, key.d, pivot_scale))
-        return pivots, a[:, pivots].T, a, e, _gray_sign_patterns(key.d)
+        return pivots, a[:, pivots].T, _gray_sign_patterns(key.d)
 
     return _cached(key, "sign_search", compute)
 
@@ -228,7 +226,7 @@ def _omega_rows(key: Key, y: np.ndarray, errors: _RowErrors) -> RecoveryBatch:
         return RecoveryBatch(x, residual, signs, (), trivial)
 
     try:
-        pivots, *_, patterns = _sign_search(key)
+        pivots, _, patterns = _sign_search(key)
     except NotAFrame as exc:
         errors.stop(exc, int(live[0]))
     per_chunk = max(1, _SOLVE_CHUNK // (key.D * len(patterns)))
@@ -247,16 +245,19 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     ``rows``, given as 2^-ey times the measurements, with their acceptance
     tolerances in the same units.
 
-    The search solves against the key's unit copy 2^-e A (_sign_search), so
-    its candidates are 2^(e - ey) times the signals and its residuals 2^-ey
+    The search solves against the key's unit copy 2^-e A (_unit), so its
+    candidates are 2^(e - ey) times the signals and its residuals 2^-ey
     times the measurements' ones; both are scaled back, and so are the
     figures of the errors. Every row's sign patterns are the right-hand
     sides of one solve against the pivot block, laid out (d, rows *
     patterns), so LAPACK factors the block once per chunk; a stacked
-    right-hand side would be broadcast and factor it once per row. Each column of the solve is that of the row's
-    single call (a one-row batch makes the very call, nrhs = 2^(d-1)).
+    right-hand side would be broadcast and factor it once per row. Each
+    column of the solve is that of the row's single call (a one-row batch
+    makes the very call, nrhs = 2^(d-1)).
     """
-    pivots, a_piv_t, unit, e, patterns = _sign_search(key)
+    pivots, a_piv_t, patterns = _sign_search(key)
+    unit = _unit(key)
+    e = unit.e
     n_rows, (n_pat, d) = len(rows), patterns.shape
     rhs = (patterns * y[:, None, pivots]).transpose(2, 0, 1).reshape(d, n_rows * n_pat)
     candidates = np.linalg.solve(a_piv_t, rhs)
@@ -264,7 +265,7 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     candidates = candidates.reshape(d, n_rows, n_pat).transpose(1, 0, 2)  # (n, d, patterns)
     # residual norms as np.linalg.norm(..., axis=1) computes them, but with
     # one (n, D, patterns) temporary instead of three
-    res = unit.T @ candidates
+    res = unit.matrix.T @ candidates
     np.abs(res, out=res)
     res -= y[:, :, None]
     res *= res

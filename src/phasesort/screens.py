@@ -247,12 +247,13 @@ def _subset_verdicts(unit: np.ndarray, tau: float, passing: bool):
     are small (_subtree_entries), settled down to its leaves, both by
     gathers through index tables that depend only on the block's shape
     (_subset_tree). So the number of numpy calls grows with d * D, not with
-    the number of subsets. The arrays of one step hold at most a quarter of
-    _CHUNK_ENTRIES entries together (a block's nodes are taken in batches),
-    and an index table at most _CHUNK_ENTRIES / 16 (a settled block's
-    subtrees are taken in windows of their first picks), unless a single
-    node or a single first pick needs more. Each node carries the rank of
-    its first leaf.
+    the number of subsets. The arrays of one step hold at most a sixteenth
+    of _CHUNK_ENTRIES entries together (a block's nodes are taken in
+    batches), and an index table at most _CHUNK_ENTRIES / 16 (a settled
+    block's subtrees are taken in windows of their first picks), unless a
+    single node or a single first pick needs more. Only the root's and the
+    expansions' tables are kept for later walks (_subset_tree). Each node
+    carries the rank of its first leaf.
     """
     d, D = unit.shape
     budget = _CHUNK_ENTRIES >> 4
@@ -272,7 +273,8 @@ def _subset_verdicts(unit: np.ndarray, tau: float, passing: bool):
             # expanding a block with three picks left would hold about m^3 / 6
             # entries a node, more than its leaves for a key of many columns
             if picks <= 3 or _subtree_entries(picks, m) <= budget:
-                for r in _settle_block(w, ranks, picks, m, budget, passing):
+                tree = _subset_tree if depth == 0 else _build_subset_tree
+                for r in _settle_block(w, ranks, picks, m, budget, passing, tree):
                     yield r, 1
                 continue
             for i, part, failed, leaves in _expand_block(w, ranks, picks, m):
@@ -284,15 +286,16 @@ def _subset_verdicts(unit: np.ndarray, tau: float, passing: bool):
 
 
 def _settle_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int, budget: int,
-                  passing: bool):
+                  passing: bool, tree):
     """Yield the ranks of the leaves that fail, or with ``passing`` of those
     that pass, a batch of nodes at a time, for a block of nodes with
     ``picks`` columns left to choose among ``m`` candidates (complements
-    ``w``, first leaves ``ranks``)."""
+    ``w``, first leaves ``ranks``), through the index tables ``tree``
+    (_build_subset_tree or its memoized _subset_tree)."""
     for first, stop in _windows(picks, m, budget):
-        steps, peak = _subset_tree(picks, m, first, stop, picks - 1)
+        steps, peak = tree(picks, m, first, stop, picks - 1)
         offset = sum(comb(m - 1 - i, picks - 1) for i in range(first))
-        per_batch = max(1, _CHUNK_ENTRIES // (4 * peak))
+        per_batch = max(1, _CHUNK_ENTRIES // (16 * peak))
         for start in range(0, w.shape[1], per_batch):
             x = w[:, start:start + per_batch]
             for step in steps:
@@ -308,7 +311,7 @@ def _expand_block(w: np.ndarray, ranks: np.ndarray, picks: int, m: int):
     children whose pivot is positive, and the first-leaf ranks of the
     others, whose ``leaves`` leaves all fail."""
     (step,), peak = _subset_tree(picks, m, 0, m - picks + 1, 1)
-    per_batch = max(1, _CHUNK_ENTRIES // (4 * peak))
+    per_batch = max(1, _CHUNK_ENTRIES // (16 * peak))
     for start in range(0, w.shape[1], per_batch):
         x = w[:, start:start + per_batch]
         alive = x.take(step[0], axis=0) > 0.0
@@ -372,9 +375,12 @@ def _windows(picks: int, m: int, budget: int) -> list[tuple[int, int]]:
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated ranges starts[k] + arange(counts[k])."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+    """The concatenated ranges starts[k] + arange(counts[k]), in the integer
+    type of starts and counts (int32 for the index tables of _build_subset_tree)."""
+    ends = np.cumsum(counts, dtype=counts.dtype)
+    out = np.repeat(starts - (ends - counts), counts)
+    out += np.arange(out.size, dtype=out.dtype)
+    return out
 
 
 def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
@@ -396,12 +402,12 @@ def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
     return cols
 
 
-def _cover(unit: np.ndarray, tau: float) -> np.ndarray | None:
+def _cover(unit: np.ndarray, tau: float, least: int = 1) -> np.ndarray | None:
     """The cover of the d x D unit copy ``unit`` at the shift tau: 2^D bits,
     bit S (bit S & 7 of byte S >> 3) set when the column set S holds a
     d-subset T whose Gram G[T, T], G = U^T U, passes the packed kernel at
     tau, as the subset scan's walk decides it (_subset_verdicts); None when
-    no d-subset passes.
+    fewer than ``least`` d-subsets pass (by default, when none does).
 
     The passing subsets are unranked (_unrank) as the walk yields them, at
     most a sixteenth of _CHUNK_ENTRIES columns at a time, so no array holds
@@ -418,11 +424,13 @@ def _cover(unit: np.ndarray, tau: float) -> np.ndarray | None:
     up = np.array([sum(1 << w for w in low if w & v == v) for v in range(8)], dtype=np.uint8)
     cover = np.zeros(max(1, (1 << D) >> 3), dtype=np.uint8)
     per_window = max(1, (_CHUNK_ENTRIES >> 4) // d)
+    passed = 0
     for ranks, _ in _subset_verdicts(unit, tau, passing=True):
+        passed += ranks.size
         for start in range(0, ranks.size, per_window):
             sets = (1 << _unrank(ranks[start:start + per_window], d, D)).sum(axis=1)
             np.bitwise_or.at(cover, sets >> 3, up[sets & 7])
-    if not cover.any():
+    if passed < least:
         return None
     for b in range(3, D):
         halves = cover.reshape(-1, 2, 1 << (b - 3))
@@ -438,14 +446,11 @@ def _covered(cover: np.ndarray, start: int, n: int) -> np.ndarray:
     return bits[start - 8 * first:start - 8 * first + n].view(bool)
 
 
-# the last 16 tables: every shape of a run of small keys, while a large key,
-# whose blocks each build their own, does not keep them all
-@functools.lru_cache(maxsize=16)
-def _subset_tree(picks: int, m: int, first: int, stop: int, depth: int):
+def _build_subset_tree(picks: int, m: int, first: int, stop: int, depth: int):
     """(steps, peak): index tables for ``depth`` elimination steps below a
     node with ``picks`` columns left among m candidates, whose first step
     takes the children first .. stop - 1, and the most entries per node the
-    arrays of one step hold (memoized).
+    arrays of one step hold; _subset_tree memoizes it.
 
     A level is the nodes of one depth below the node in lexicographic order,
     their complements concatenated. A child by candidate i of a node with c
@@ -458,45 +463,53 @@ def _subset_tree(picks: int, m: int, first: int, stop: int, depth: int):
     level's entries the pivots and the multipliers are read from, the child
     of each multiplier, and for each entry of the next level the entry it
     updates and the multipliers of its row u and column v; v is None when
-    the next level holds diagonals only, where v = u.
+    the next level holds diagonals only, where v = u. The tables are int32
+    from the start, which halves their memory and that of their build.
     """
-    tri = np.arange(m + 2) * np.arange(1, m + 3) // 2
-    pair_rows, pair_cols = packed_pairs(m)
-    cands, offsets = np.array([m]), np.array([0])
-    node, kids = np.zeros(stop - first, dtype=np.intp), np.arange(first, stop)
+    i32 = np.int32
+    tri = (np.arange(m + 2) * np.arange(1, m + 3) // 2).astype(i32)
+    pair_rows, pair_cols = (a.astype(i32) for a in packed_pairs(m))
+    cands, offsets = np.array([m], dtype=i32), np.array([0], dtype=i32)
+    node, kids = np.zeros(stop - first, dtype=i32), np.arange(first, stop, dtype=i32)
     steps, peak, held = [], 0, _stored(picks, m)
     for level in range(depth):
         c = cands[node]
         cc = c - 1 - kids
         pivots = offsets[node] + tri[c] - tri[c - kids]
         rows = _ranges(pivots + 1, cc)
-        row_start = np.cumsum(cc) - cc
-        row_child = np.repeat(np.arange(cc.size), cc)
+        row_start = np.cumsum(cc, dtype=i32) - cc
+        row_child = np.repeat(np.arange(cc.size, dtype=i32), cc)
         if picks - level > 2:  # the children keep their full complements
             size = tri[cc]
             entries = _ranges(pivots + cc + 1, size)
             pos = _ranges(tri[m] - size, size)  # the packed pairs of cc as m's tail
             shift = np.repeat(row_start - (m - cc), size)
-            u, v = pair_rows[pos] + shift, pair_cols[pos] + shift
+            u, v = pair_rows[pos], pair_cols[pos]
+            u += shift
+            v += shift
         else:  # the children keep their diagonals, their leaves' last pivots
             size = cc
             k = _ranges(np.zeros_like(cc), cc)
             entries = np.repeat(pivots + cc + 1 + tri[cc], cc) - tri[np.repeat(cc, cc) - k]
             u, v = np.repeat(row_start, cc) + k, None
-        # int32 halves the memory of the cached tables, which are read-only
-        step = tuple(None if a is None else a.astype(np.int32)
-                     for a in (pivots, rows, row_child, entries, u, v))
+        step = (pivots, rows, row_child, entries, u, v)
         for a in step:
             if a is not None:
-                a.flags.writeable = False
+                a.flags.writeable = False  # shared by the walks that memoize it
         steps.append(step)
         peak = max(peak, held + rows.size + 2 * entries.size)
         held = entries.size
         left = picks - level - 1
-        cands, offsets = cc, np.cumsum(size) - size
-        node = np.repeat(np.arange(cc.size), cc - left + 1)
+        cands, offsets = cc, np.cumsum(size, dtype=i32) - size
+        node = np.repeat(np.arange(cc.size, dtype=i32), cc - left + 1)
         kids = _ranges(np.zeros_like(cc), cc - left + 1)
     return steps, max(peak, held)
+
+
+# the last 16 tables of the walks' roots and expansions, which a run of small
+# keys reuses; the settled blocks below the root of a large key each build
+# their own (_build_subset_tree), which no later block reads
+_subset_tree = functools.lru_cache(maxsize=16)(_build_subset_tree)
 
 
 # --- the partition walks' blocks ----------------------------------------------
@@ -557,20 +570,16 @@ class _BlockGrams:
             self._filled = True
         return self._table
 
-    def cheaper_alone(self, n: int) -> bool:
-        """Whether summing n columns alone (sums), k adds over each, costs
-        less than filling the table of 2^k columns."""
-        k = len(self.outers)
-        return n * k < 1 << k
-
     def sums(self, rows: np.ndarray) -> np.ndarray:
         """table()[:, rows], with the same bits, each column summed alone,
         without filling the table: head plus outers[b] where bit b is set,
-        for b from k - 1 down, the sums and the order _fill_grams makes."""
-        grams = np.repeat(self.head[:, None], rows.size, axis=1)
+        for b from k - 1 down, the sums and the order _fill_grams makes.
+        They are formed one contiguous row per mask, which halves the time
+        of the masked adds, and transposed at the end."""
+        grams = np.repeat(self.head[None], rows.size, axis=0)
         for b in range(len(self.outers) - 1, -1, -1):
-            np.add(grams, self.outers[b][:, None], out=grams, where=(rows >> b & 1).astype(bool))
-        return grams
+            np.add(grams, self.outers[b], out=grams, where=(rows >> b & 1).astype(bool)[:, None])
+        return np.ascontiguousarray(grams.T)
 
 
 def _block_bits(d: int, D: int) -> int:
@@ -749,15 +758,22 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
       rises, so the later shifts are at most tau_0, and a side shown above
       tau_0 - err_lam is above each of them less err_lam. The masks with no
       marked side, the open ones, get side I's Grams, the table's bits,
-      summed for them alone or gathered from the block's filled table,
-      and the one-side, both-sides and eigvalsh steps above
-      (_open_unsettled); a block the cover leaves mostly open is walked
-      whole, as without a cover. When no d-subset passes, there is no
-      cover and every block is walked as above; so is every block before
-      the first full-size one, whose shift is not yet known. The cover
-      settles only masks the bracket rule skips, so the kept masks are
-      those above; it moves the settled and diagonalized counts only where
-      a side's Gram and a subset's round to opposite sides of a shift.
+      each summed alone, and the one-side, both-sides and eigvalsh steps
+      above (_open_unsettled); a block the cover leaves more than half
+      open is walked whole, as without a cover. A passing T lies in a side
+      of at most 2^(D-d) of the 2^(D-1) masks, so p passing subsets settle
+      at most a share 2p / 2^d of them, a bound that counts a mask once
+      per passing subset in its sides. The cover is built only when that
+      bound reaches 1, p >= 2^(d-1): at 8x24 (keygen seed 1) 65 subsets
+      pass, the bound is 0.51, and the cover settles a median 12.5% of a
+      block, which pays for neither it nor its lookups, while the keys
+      whose covers pay, from 4x16 to 12x23, have bounds of 15 to 550.
+      Without a cover every block is walked as above; so is every block
+      before the first full-size one, whose shift is not yet known. The
+      cover settles only masks the bracket rule skips, so the kept masks
+      are those above; it moves the settled and diagonalized counts only
+      where a side's Gram and a subset's round to opposite sides of a
+      shift.
     - Stop. When D <= 2d - 2, some masks have no side of d columns, the
       first being 2^(D-d+1) - 1, the first with D - d + 1 columns (mask 0
       when D < d). Such a mask has the value 0 and lo = 0 < prev_hi, and no
@@ -776,14 +792,13 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
         if block.size == largest:  # the first full-size block: see Cover above
             largest = 0
             if hi_run < np.inf:
-                cover = _cover(unit.matrix, _one_side_shift(hi_run, err_s, err_lam))
-                buffer = np.empty(unit.gram.size * block.size)
+                cover = _cover(unit.matrix, _one_side_shift(hi_run, err_s, err_lam),
+                               least=1 << (d - 1))
         if cover is None:
             rows, gu, gc = _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run,
                                       err_s, err_lam)
         else:
-            rows, gu, gc = _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run,
-                                           buffer)
+            rows, gu, gc = _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run)
         settled += block.size - rows.size
         if not rows.size:
             continue  # hi_run stays, and no mask is kept
@@ -805,37 +820,28 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
     return np.concatenate(kept), settled, diagonalized
 
 
-def _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run, buffer):
+def _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run):
     """_unsettled's (rows, gu, gc) for a block of the A0 screen walked with a
     cover (see _screen): the masks with a side in the cover are settled,
-    and only the open ones, with neither side in it, get Grams and the
-    tests. Their Grams are summed alone where that costs less than filling
-    the block's table (_BlockGrams.cheaper_alone). Otherwise they are
-    gathered from the filled table into the front of ``buffer``, which
-    holds a largest block's Grams (an array allocated afresh for each block
-    would fault its pages in each time), where the cover settles at least a
-    quarter of the block. Gathering a column out of the table costs about
-    five times copying it, and a Gram's tests some twenty-five copies at d
-    = 8, so a block whose cover spares less than about a fifth does not win
-    the gather back; such a block is walked whole, as without a cover, and
-    the tests settle its covered masks again. The bits are the table's in
-    every case.
+    and only the open ones, with neither side in it, get Grams, each summed
+    alone with the table's bits (_BlockGrams.sums), and the tests. Summing
+    a mask alone costs about twice its share of filling the table and
+    testing it (blocks of 8x24, 10x22 and 12x23 keys, whose covers leave
+    from 5% to 95% of a block open, timed both ways: the two break even at
+    45-50% open), so a block the cover leaves more than half open is
+    walked whole, as without a cover, from its table, and the tests settle
+    its covered masks again.
     """
     start, n = int(block[0]), block.size
     last = (1 << unit.matrix.shape[1]) - 1 - (start + n - 1)  # side C of the block's last mask
     rows = np.flatnonzero(~(_covered(cover, start, n) | _covered(cover, last, n)[::-1]))
-    if not rows.size:
-        return rows, None, None
-    if grams.cheaper_alone(rows.size):
-        gi = grams.sums(rows)
-    elif 4 * rows.size <= 3 * n:
-        gi = buffer[:grams.head.size * rows.size].reshape(-1, rows.size)
-        np.take(grams.table(), rows, axis=1, out=gi, mode="clip")  # rows are in range
-    else:
+    if 2 * rows.size > n:
         return _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run, unit.err_s,
                           unit.err_lam)
-    part, gu, gc = _unsettled(gi, unit.gram, full_i[rows], full_c[rows], hi_run, unit.err_s,
-                              unit.err_lam)
+    if not rows.size:
+        return rows, None, None
+    part, gu, gc = _unsettled(grams.sums(rows), unit.gram, full_i[rows], full_c[rows], hi_run,
+                              unit.err_s, unit.err_lam)
     return rows[part], gu, gc
 
 

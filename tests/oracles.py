@@ -163,11 +163,13 @@ def omega(key, y, certificate=is_phase_retrievable):
     tol = key.tol
     if not yv.any():
         return RecoveryResult(np.zeros(key.d), 0.0, np.ones(0), ())
-    # the key and y each times the power of two that puts its largest |entry|
-    # in [1/2, 1); x, the residual and the reported figures are scaled back
-    e = int(np.frexp(np.abs(key.matrix).max())[1])
+    # the key's unit copy 2^-e A, and y times the power of two that puts its
+    # largest |entry| in [1/2, 1); x, the residual and the reported figures
+    # are scaled back
+    unit = frame_keys._unit(key)
+    a, e = unit.matrix, unit.e
     ey = int(np.frexp(np.abs(yv).max())[1])
-    a, yv = np.ldexp(key.matrix, -e), np.ldexp(yv, -ey)
+    yv = np.ldexp(yv, -ey)
     accept_tol = tol.consistency_tol * float(np.linalg.norm(yv))
     if float(np.min(yv)) < -accept_tol:
         raise NotInRange("measurements have significantly negative entries")

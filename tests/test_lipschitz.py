@@ -319,9 +319,10 @@ def _cover_settled(run):
             blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
             yield block
 
-    def recorded(unit, tau):
-        calls.append((len(blocks) - 1, unit, tau))
-        return real_cover(unit, tau)
+    def recorded(unit, tau, least):
+        cover = real_cover(unit, tau, least)
+        calls.append((len(blocks) - 1, unit, tau, cover is None))
+        return cover
 
     def counted(gi, total, full_i, full_c, *rest):
         tested[len(blocks) - 1] = full_i.size
@@ -332,9 +333,9 @@ def _cover_settled(run):
         m.setattr(screens, "_cover", recorded)
         m.setattr(screens, "_unsettled", counted)
         result = run()
-    if not calls:
+    if not calls or calls[0][3]:
         return result, 0
-    ((first, unit, tau),) = calls
+    ((first, unit, tau, _),) = calls
     covered = oracles.cover(unit, tau)
     full = (1 << unit.shape[1]) - 1
     by_cover = 0
@@ -758,7 +759,7 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
             m.setattr(screens, "_shifted_cholesky_ok_inplace",
                       lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
             if work == (grams, calls):
-                m.setattr(screens, "_cover", lambda unit, tau: None)
+                m.setattr(screens, "_cover", lambda unit, tau, least: None)
             lipschitz.lower_constant_search(generate_key(d, D, 1))
         assert sum(sizes) == work[0]
         if D == 2 * d - 1:

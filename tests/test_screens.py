@@ -68,7 +68,7 @@ def _walk_shifts(key):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(screens, "_unsettled", recorded)
-        m.setattr(screens, "_cover", lambda unit, tau: None)  # every block reaches _unsettled
+        m.setattr(screens, "_cover", lambda unit, tau, least: None)  # every block reaches _unsettled
         screens._screen(unit)
     return [screens._one_side_shift(h, unit.err_s, unit.err_lam) for h in runs]
 
@@ -137,6 +137,18 @@ def test_cover_windows_match_one_window(monkeypatch):
         assert screens._cover(unit, tau).tobytes() == whole.tobytes()
 
 
+def test_cover_needs_least_passing_subsets():
+    # p d-subsets pass: least = p builds the cover, least = p + 1 does not
+    key = generate_key(4, 12, 1)
+    unit = frame_keys._unit(key).matrix
+    sizes = np.bitwise_count(np.arange(1 << 12))
+    passing = {tau: int(np.count_nonzero(oracles.cover(unit, tau) & (sizes == 4)))
+               for tau in _cover_shifts(key)}
+    tau, p = next((tau, p) for tau, p in passing.items() if 0 < p < 495)  # some fail
+    assert screens._cover(unit, tau, least=p).tobytes() == screens._cover(unit, tau).tobytes()
+    assert screens._cover(unit, tau, least=p + 1) is None
+
+
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18), (6, 14)])
 def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
     # at the one-side shift of the running bound the block starts at, the
@@ -151,17 +163,18 @@ def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
             blocks.append(block[0])
             yield block
 
-    def cover(u, tau):
-        calls.append((len(blocks), tau))
-        return real_cover(u, tau)
+    def cover(u, tau, least):
+        calls.append((len(blocks), tau, least))
+        return real_cover(u, tau, least)
 
     monkeypatch.setattr(screens, "_partition_blocks", logged)
     monkeypatch.setattr(screens, "_cover", cover)
     screens._screen(unit)
     largest = 1 << screens._block_bits(d, D)
     first = next(i for i, b in enumerate(blocks) if b.size == largest)
-    ((walked, tau),) = calls
+    ((walked, tau, least),) = calls
     assert walked == first + 1 and first > 0
+    assert least == 1 << (d - 1)  # 2 * least / 2^d >= 1
     _, hi = oracles.screen_brackets(Key(key.matrix))
     hi_run = hi[:blocks[first][0]].min()
     assert np.float64(tau).tobytes() == np.float64(
@@ -170,11 +183,9 @@ def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
 
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (3, 12)])
 def test_block_columns_match_the_table(d, D):
-    # a block's Grams summed for a few masks alone (fewer than 2^k / k of
-    # them, where that costs less than filling the table), or for all of
-    # them, are the table's columns, bit for bit. The columns have entries
-    # of very different size, so an order other than highest bit first
-    # shows
+    # a block's Grams summed for a few masks alone, or for all of them, are
+    # the table's columns, bit for bit. The columns have entries of very
+    # different size, so an order other than highest bit first shows
     rng = np.random.Generator(np.random.PCG64(d * D))
     a = generate_key(d, D, 2).matrix * np.ldexp(1.0, rng.integers(-30, 30, size=D))
     reordered = False
@@ -183,7 +194,6 @@ def test_block_columns_match_the_table(d, D):
         if k < 4:
             continue
         few = np.sort(rng.choice(masks.size, size=max(1, (1 << k) // (2 * k)), replace=False))
-        assert grams.cheaper_alone(few.size) and not grams.cheaper_alone((1 << k) // k + 1)
         alone = grams.sums(few)
         assert not grams._filled
         table = grams.table()
