@@ -11,8 +11,13 @@ Each decoder is a stacked kernel (``omega_many``, ``invert_beta_many``,
 ``invert_beta_tilde_many``) that decodes a batch of rows at once; the
 single-row functions call it with a batch of one. The pivots, the pivot
 block and the sign patterns are computed once per key, and ``omega_many``
-solves a chunk of rows as one system with all their sign patterns as
-right-hand sides, so the pivot block is factored once per chunk.
+solves a chunk of rows as one system with their (row, sign pattern) pairs
+as right-hand sides, so the pivot block is factored once per chunk. A
+large enough chunk first screens its pairs on one non-pivot column
+(_PatternScreen): a pair whose prediction of that column's measurement
+misses it by more than the tolerance plus a proven rounding allowance
+cannot be consistent, and only the other pairs are solved, with the bits
+they have unscreened.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     NotPhaseRetrievable,
 )
 from .frame_keys import Key, _cached, _unit, is_phase_retrievable, synthesis_left_inverse_many
-from .numerics import as_matrix, as_stack, as_vector, row_norms
+from .numerics import as_matrix, as_stack, as_vector, row_norms, singular_values
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,14 @@ _ORBIT_GAP = 1e-6
 # Residual entries (rows x D x sign patterns) the sign search builds at a
 # time (memory, not correctness).
 _SOLVE_CHUNK = 1 << 16
+
+# (row, pattern) pairs of a chunk of two or more rows from which omega_many
+# screens them (_PatternScreen) before solving. Measured with the key's
+# screen built, the break-even lies at 128-512 pairs over 2x3 to 10x19
+# keys; below it the screen costs more than the solves it saves. A one-row
+# call, what a one-off decode makes, is never screened: building the key's
+# screen (an SVD and a solve) would not pay back there.
+_SCREEN_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -232,14 +245,108 @@ def _omega_rows(key: Key, y: np.ndarray, errors: _RowErrors) -> RecoveryBatch:
     per_chunk = max(1, _SOLVE_CHUNK // (key.D * len(patterns)))
     for start in range(0, live.size, per_chunk):
         rows = live[start:start + per_chunk]
+        keep = None
+        if rows.size > 1 and rows.size * len(patterns) >= _SCREEN_PAIRS:
+            screen = _pattern_screen(key)
+            keep = None if screen is None else screen.keep(y[rows], accept_tol[rows])
         x[rows], residual[rows], signs[rows] = _sign_search_rows(
-            key, y[rows], ey[rows], accept_tol[rows], rows, errors
+            key, y[rows], ey[rows], accept_tol[rows], rows, errors, keep
         )
     return RecoveryBatch(x, residual, signs, tuple(int(p) for p in pivots), trivial)
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: the relative error bound
+    of n successive roundings."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
+
+
+@dataclass(frozen=True)
+class _PatternScreen:
+    """omega_many's screen of (row, pattern) pairs on the non-pivot column
+    ``column`` of the unit copy (see keep); ``g`` is solve(U_piv, u_k) as
+    computed, and a pair's allowance is ``tol_factor`` times its acceptance
+    tolerance plus ``weight`` times its row's ||y[pivots]|| plus ``floor``."""
+
+    pivots: np.ndarray
+    patterns_t: np.ndarray
+    column: int
+    g: np.ndarray
+    weight: float
+    tol_factor: float
+    floor: float
+
+    def keep(self, y: np.ndarray, accept_tol: np.ndarray) -> np.ndarray:
+        """(rows, patterns) mask of the pairs that may be consistent: those
+        with | |z . g| - y_k | within the allowance, z = pattern * y[pivots]."""
+        y_piv = y[:, self.pivots]
+        gap = (y_piv * self.g) @ self.patterns_t
+        np.abs(gap, out=gap)
+        gap -= y[:, self.column, None]
+        np.abs(gap, out=gap)
+        allowance = (self.tol_factor * accept_tol + self.weight * np.linalg.norm(y_piv, axis=1)
+                     + self.floor)
+        return gap <= allowance[:, None]
+
+
+def _pattern_screen(key: Key) -> _PatternScreen | None:
+    """The key's pattern screen (memoized), or None where it cannot work: one
+    sign pattern (d = 1), a pivot block too ill-conditioned for its bound, or
+    no non-pivot column whose screen tells every single pivot flip apart.
+
+    Writing M = U_piv^T for the transposed pivot block of the unit copy, the
+    bound needs upper bounds on ||M|| (its computed Frobenius norm, doubled)
+    and ||M^-1|| (2 / sigma_d(M) as computed: LAPACK's singular values are
+    within a modest multiple p(d) u ||M|| of the exact ones, with p(d) <= d^2
+    assumed, which the theta <= 1/4 test below keeps far under sigma_d / 2),
+    and eta, the normwise backward error of LU with partial pivoting:
+    (M + dM) c = z with |dM| <= gamma_3d |L||U| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 9.4), || |L||U| ||_inf
+    <= (1 + 2 (d^2 - d) rho) ||M||_inf (Lemma 9.6) with growth factor rho <=
+    2^(d-1), and a factor d between the inf-norms and the 2-norm. Then
+    theta = kappa(M) eta, and the screen needs theta <= 1/4. The column k
+    maximizes min_i |g_i| / (||u_k|| ||M^-1|| + ||g||), the least change a
+    single sign flip makes to z . g against the bound's scale (first on
+    ties); a k with a zero g_i cannot tell two patterns apart, and a pivot
+    column (g a unit vector) none.
+    """
+
+    def compute():
+        pivots, a_piv_t, patterns = _sign_search(key)
+        d, D = key.d, key.D
+        rest = np.ones(D, dtype=bool)
+        rest[pivots] = False
+        rest = np.flatnonzero(rest)
+        if len(patterns) < 2 or rest.size == 0:
+            return None
+        s = singular_values(a_piv_t)
+        if not s[-1] > 0.0:
+            return None
+        norm, inv_norm = 2.0 * float(np.linalg.norm(a_piv_t)), 2.0 / float(s[-1])
+        eta = d * _gamma(3 * d) * (1.0 + 2.0 * (d * d - d) * 2.0 ** (d - 1))
+        theta = norm * inv_norm * eta
+        if not theta <= 0.25:
+            return None
+        u = _unit(key).matrix[:, rest]
+        g = np.linalg.solve(a_piv_t.T, u)
+        u_norm, g_norm = np.linalg.norm(u, axis=0), np.linalg.norm(g, axis=0)
+        scale = u_norm * inv_norm + g_norm
+        score = np.divide(np.abs(g).min(axis=0), scale, out=np.zeros_like(scale),
+                          where=scale > 0.0)
+        j = int(np.argmax(score))
+        if not score[j] > 0.0:
+            return None
+        weight = 2.0 * ((2.0 * _gamma(d) + 2.0 * theta) * u_norm[j] * inv_norm
+                        + (4.0 * theta + _gamma(d)) * g_norm[j])
+        return _PatternScreen(pivots, np.ascontiguousarray(patterns.T), int(rest[j]),
+                              g[:, j].copy(), weight, 1.0 + 4.0 * _gamma(D + 6), 2.0 ** -900)
+
+    return _cached(key, "pattern_screen", compute)
+
+
 def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.ndarray,
-                      rows: np.ndarray, errors: _RowErrors
+                      rows: np.ndarray, errors: _RowErrors, keep: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recovered x, residual and sign pattern of the nonzero measurement rows
     ``rows``, given as 2^-ey times the measurements, with their acceptance
@@ -254,31 +361,75 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     right-hand side would be broadcast and factor it once per row. Each
     column of the solve is that of the row's single call (a one-row batch
     makes the very call, nrhs = 2^(d-1)).
+
+    ``keep`` (rows, patterns), from _PatternScreen.keep, names the (row,
+    pattern) pairs that may be consistent, and only those are solved, laid
+    out (d, pairs) row by row. It drops a pair only when its computed
+    residual is sure to exceed the acceptance tolerance. With z = pattern *
+    y[pivots], M = U_piv^T, the computed candidate c^ of M c = z and the
+    computed g^ of M^T g = u_k, a non-pivot column k, exactly u_k . c = g .
+    z. With theta = kappa(M) eta <= 1/4 (_pattern_screen), the backward
+    error gives ||c^ - c|| <= 2 theta ||c||, ||c|| <= ||M^-1|| ||z||, ||g||
+    <= 2 ||g^|| and ||g^ - g|| <= 4 theta ||g^||. The residual's k-th entry
+    u_k . c^ is computed within gamma_d ||u_k|| ||c^||, the screen's t^ =
+    (y[pivots] * g^) @ pattern within gamma_d ||z|| ||g^||, so
+
+        | |u_k . c^| - |t^| | <= ||z|| [(2 gamma_d + 2 theta) ||u_k|| ||M^-1||
+                                      + (4 theta + gamma_d) ||g^||],
+
+    and ||z|| = ||y[pivots]||. The residual norm, a sum of nonnegative
+    squares, is at least (1 - gamma_(D+3)) times its k-th entry's magnitude,
+    and the screen's | |t^| - y_k | is rounded once. The allowance doubles
+    the bracket (for the rounding of the bound itself and of the norms),
+    raises the tolerance by 4 gamma_(D+6), and adds 2^-900 for what gradual
+    underflow can add on the unit copy (at most 2^-1075 an operation,
+    amplified by ||M^-1|| < 2^53). A screen on a pivot column keeps every
+    pattern, as z . g is then +-y_k.
+
+    Kept pairs have the bits they have unscreened: a pair's column of the
+    solve, of the (D, pairs) residual product and of its reduction over D
+    does not depend on which pairs share them, as long as there are at least
+    two, so a lone kept pair is solved twice (one right-hand side goes
+    through LAPACK's one-vector path, and a (D, 1) reduction is summed
+    pairwise, and both move bits). Dropped pairs enter the steps below with
+    an infinite residual, so the first consistent pattern, the ambiguity
+    check among consistent patterns and the canonical sign are those of the
+    unscreened search. A row with no consistent kept pattern has none at
+    all; it is searched again unscreened, so its error names its best
+    residual over all patterns.
     """
     pivots, a_piv_t, patterns = _sign_search(key)
     unit = _unit(key)
     e = unit.e
     n_rows, (n_pat, d) = len(rows), patterns.shape
-    rhs = (patterns * y[:, None, pivots]).transpose(2, 0, 1).reshape(d, n_rows * n_pat)
-    candidates = np.linalg.solve(a_piv_t, rhs)
-    del rhs
-    candidates = candidates.reshape(d, n_rows, n_pat).transpose(1, 0, 2)  # (n, d, patterns)
-    # residual norms as np.linalg.norm(..., axis=1) computes them, but with
-    # one (n, D, patterns) temporary instead of three
-    res = unit.matrix.T @ candidates
-    np.abs(res, out=res)
-    res -= y[:, :, None]
-    res *= res
-    res = np.sqrt(np.add.reduce(res, axis=1))
+    if keep is not None and not keep.any():
+        keep = None
+    if keep is None:
+        rhs = (patterns * y[:, None, pivots]).transpose(2, 0, 1).reshape(d, n_rows * n_pat)
+        candidates = np.linalg.solve(a_piv_t, rhs)
+        del rhs
+        candidates = candidates.reshape(d, n_rows, n_pat).transpose(1, 0, 2)  # (n, d, patterns)
+        res = _residual_norms(unit.matrix.T @ candidates, y[:, :, None], axis=1)
+        cands = np.ascontiguousarray(candidates.transpose(0, 2, 1))    # (n, patterns, d)
+    else:
+        pairs = np.flatnonzero(keep)
+        pairs = pairs if pairs.size > 1 else np.repeat(pairs, 2)
+        row, pat = np.divmod(pairs, n_pat)
+        kept = np.linalg.solve(a_piv_t, (patterns.take(pat, 0) * y[:, pivots].take(row, 0)).T)
+        res = np.full((n_rows, n_pat), np.inf)
+        res.flat[pairs] = _residual_norms(unit.matrix.T @ kept, y.take(row, 0).T, axis=0)
+        cands = np.zeros((n_rows, n_pat, d))
+        cands.reshape(-1, d)[pairs] = kept.T
     consistent = res <= accept_tol[:, None]
-    errors.add(~consistent.any(axis=1), lambda j: NotInRange(
-        f"no sign pattern is consistent (best residual {np.ldexp(res[j].min(), ey[j]):.3e}, "
-        f"tolerance {np.ldexp(accept_tol[j], ey[j]):.3e})"
-    ), rows=rows)
+    found = consistent.any(axis=1)
+    if keep is None:
+        errors.add(~found, lambda j: NotInRange(
+            f"no sign pattern is consistent (best residual {np.ldexp(res[j].min(), ey[j]):.3e}, "
+            f"tolerance {np.ldexp(accept_tol[j], ey[j]):.3e})"
+        ), rows=rows)
 
     n = np.arange(len(rows))
     first = np.argmax(consistent, axis=1)
-    cands = np.ascontiguousarray(candidates.transpose(0, 2, 1))    # (n, patterns, d)
     xs = cands[n, first]
     others = consistent.copy()
     others[n, first] = False
@@ -296,7 +447,22 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     lead = np.argmax(mags > key.tol.rank_tol_factor * mags.max(axis=1, keepdims=True), axis=1)
     flip = np.where(xs[n, lead] < 0.0, -1.0, 1.0)[:, None]
     x = np.ldexp(flip * xs, (ey - e)[:, None])
-    return x, np.ldexp(res[n, first], ey), flip * patterns[first]
+    residual, signs = np.ldexp(res[n, first], ey), flip * patterns[first]
+    if keep is not None and not found.all():
+        redo = np.flatnonzero(~found)
+        x[redo], residual[redo], signs[redo] = _sign_search_rows(
+            key, y[redo], ey[redo], accept_tol[redo], rows[redo], errors
+        )
+    return x, residual, signs
+
+
+def _residual_norms(predicted: np.ndarray, given: np.ndarray, axis: int) -> np.ndarray:
+    """|| |predicted| - given || along ``axis``, as np.linalg.norm computes it
+    but with one temporary instead of three; ``predicted`` is overwritten."""
+    np.abs(predicted, out=predicted)
+    predicted -= given
+    predicted *= predicted
+    return np.sqrt(np.add.reduce(predicted, axis=axis))
 
 
 def invert_beta(key: Key, embedding) -> np.ndarray:

@@ -367,8 +367,9 @@ def ratio_scan(
     encoder and one random signal pair under the magnitude encoder. With
     ``include_witnesses`` the extremal pairs from the report are rated too,
     pinning the extremes to the constants themselves. A ratio escaping the
-    sandwich (beyond consistency_tol) raises LipschitzViolation: it would
-    falsify the implementation, not the bounds.
+    sandwich (beyond consistency_tol * B0, which scales with the key as the
+    ratios do) raises LipschitzViolation: it would falsify the
+    implementation, not the bounds.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -383,11 +384,18 @@ def ratio_scan(
             extra.append((w.X_min, w.Y_min, w.x_min, w.y_min))
         pairs = [np.concatenate([s, [e[k] for e in extra]]) for k, s in enumerate(pairs)]
     x_cfg, y_cfg, x_sig, y_sig = pairs
-    gaps = beta_many(key, x_cfg)[0] - beta_many(key, y_cfg)[0]
-    dv = dist_hat_V_many(x_cfg, y_cfg)[0]
-    beta_ratios = numerics.row_norms(gaps.reshape(len(gaps), -1)) / dv
-    gaps = alpha_many(key, x_sig) - alpha_many(key, y_sig)
-    alpha_ratios = numerics.row_norms(gaps) / dist_hat_H_many(x_sig, y_sig)
+    e = _unit(key).e
+
+    def gap_norms(gaps):
+        # taken on the key's unit scale 2^-e and scaled back, so the squares
+        # neither under- nor overflow at the ends of the float range; at
+        # normal scale both steps are exact and the norms' bits are kept
+        return np.ldexp(numerics.row_norms(np.ldexp(gaps.reshape(len(gaps), -1), -e)), e)
+
+    beta_ratios = (gap_norms(beta_many(key, x_cfg)[0] - beta_many(key, y_cfg)[0])
+                   / dist_hat_V_many(x_cfg, y_cfg)[0])
+    alpha_ratios = (gap_norms(alpha_many(key, x_sig) - alpha_many(key, y_sig))
+                    / dist_hat_H_many(x_sig, y_sig))
 
     result = RatioScanReport(
         min_ratio=float(beta_ratios.min()),
@@ -395,7 +403,7 @@ def ratio_scan(
         alpha_min_ratio=float(alpha_ratios.min()),
         alpha_max_ratio=float(alpha_ratios.max()),
     )
-    slack = key.tol.consistency_tol
+    slack = key.tol.consistency_tol * b0
     for lo, hi, label in (
         (result.min_ratio, result.max_ratio, "beta"),
         (result.alpha_min_ratio, result.alpha_max_ratio, "alpha"),

@@ -154,15 +154,10 @@ def _canonicalize_sign(x, rank_tol_factor):
     return -1.0 if x[lead] < 0.0 else 1.0
 
 
-def omega(key, y, certificate=is_phase_retrievable):
-    yv = as_vector(y)
-    if yv.shape[0] != key.D:
-        raise DimensionError(f"measurements have length {yv.shape[0]}, key expects {key.D}")
-    if not certificate(key).verdict:
-        raise NotPhaseRetrievable("key fails the phase-retrievability certificate")
-    tol = key.tol
-    if not yv.any():
-        return RecoveryResult(np.zeros(key.d), 0.0, np.ones(0), ())
+def _pattern_residuals(key, yv):
+    """omega's search on the nonzero measurement vector yv, one pattern per
+    column: (unit exponent e, row exponent ey, tolerance, pivots, patterns,
+    candidates, residuals), all in the units of the scaled copies."""
     # the key's unit copy 2^-e A, and y times the power of two that puts its
     # largest |entry| in [1/2, 1); x, the residual and the reported figures
     # are scaled back
@@ -170,17 +165,33 @@ def omega(key, y, certificate=is_phase_retrievable):
     a, e = unit.matrix, unit.e
     ey = int(np.frexp(np.abs(yv).max())[1])
     yv = np.ldexp(yv, -ey)
-    accept_tol = tol.consistency_tol * float(np.linalg.norm(yv))
+    accept_tol = key.tol.consistency_tol * float(np.linalg.norm(yv))
     if float(np.min(yv)) < -accept_tol:
         raise NotInRange("measurements have significantly negative entries")
-    d = key.d
-    pivot_scale = tol.rank_tol_factor * max(a.shape) * float(np.linalg.norm(a))
-    pivots = _greedy_pivot_columns(a, d, pivot_scale)
-    a_piv = a[:, pivots]
-    eps = _gray_sign_patterns(d)
-    rhs = (eps * yv[pivots]).T
-    candidates = np.linalg.solve(a_piv.T, rhs)
+    pivot_scale = key.tol.rank_tol_factor * max(a.shape) * float(np.linalg.norm(a))
+    pivots = _greedy_pivot_columns(a, key.d, pivot_scale)
+    eps = _gray_sign_patterns(key.d)
+    candidates = np.linalg.solve(a[:, pivots].T, (eps * yv[pivots]).T)
     residuals = np.linalg.norm(np.abs(a.T @ candidates) - yv[:, None], axis=0)
+    return e, ey, accept_tol, pivots, eps, candidates, residuals
+
+
+def consistent_patterns(key, y):
+    """Which of omega's sign patterns fit the nonzero measurement vector y
+    within the acceptance tolerance, in enumeration order."""
+    *_, accept_tol, _, _, _, residuals = _pattern_residuals(key, as_vector(y))
+    return residuals <= accept_tol
+
+
+def omega(key, y, certificate=is_phase_retrievable):
+    yv = as_vector(y)
+    if yv.shape[0] != key.D:
+        raise DimensionError(f"measurements have length {yv.shape[0]}, key expects {key.D}")
+    if not certificate(key).verdict:
+        raise NotPhaseRetrievable("key fails the phase-retrievability certificate")
+    if not yv.any():
+        return RecoveryResult(np.zeros(key.d), 0.0, np.ones(0), ())
+    e, ey, accept_tol, pivots, eps, candidates, residuals = _pattern_residuals(key, yv)
     consistent = residuals <= accept_tol
     if not consistent.any():
         raise NotInRange(
@@ -198,7 +209,7 @@ def omega(key, y, certificate=is_phase_retrievable):
                 f"apart up to sign, fit within the acceptance tolerance "
                 f"{np.ldexp(accept_tol, ey):.3e}"
             )
-    flip = _canonicalize_sign(x, tol.rank_tol_factor)
+    flip = _canonicalize_sign(x, key.tol.rank_tol_factor)
     return RecoveryResult(np.ldexp(flip * x, ey - e), float(np.ldexp(residuals[first], ey)),
                           flip * eps[first], tuple(pivots))
 
@@ -623,7 +634,7 @@ def ratio_scan(key, samples, seed, include_witnesses=False):
     result = lipschitz.RatioScanReport(
         min(beta_ratios), max(beta_ratios), min(alpha_ratios), max(alpha_ratios)
     )
-    slack = key.tol.consistency_tol
+    slack = key.tol.consistency_tol * b0
     for lo, hi, label in (
         (result.min_ratio, result.max_ratio, "beta"),
         (result.alpha_min_ratio, result.alpha_max_ratio, "alpha"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasesort.inversion as inversion
 import oracles
@@ -29,6 +31,7 @@ from phasesort import (
 )
 
 from conftest import A_REF, ADVERSARIAL, brute_force_magnitude_recovery
+from phasesort.numerics import row_norms
 
 
 def test_omega_reference_measurements(a_ref_key):
@@ -359,6 +362,233 @@ def test_omega_many_caches_the_sign_search():
     cached = key._cache["sign_search"]
     omega(key, alpha(key, [1.0, -2.0, 0.5]))
     assert key._cache["sign_search"] is cached
+
+
+# --- omega_many's pattern screen ----------------------------------------------
+
+def _screen_masks(monkeypatch):
+    """The keep mask of every chunk omega_many screens, in order."""
+    masks = []
+    real = inversion._PatternScreen.keep
+
+    def keep(self, y, accept_tol):
+        masks.append(real(self, y, accept_tol))
+        return masks[-1]
+
+    monkeypatch.setattr(inversion._PatternScreen, "keep", keep)
+    return masks
+
+
+def _screened_rows(key):
+    """Rows from which a chunk holds enough (row, pattern) pairs to be screened."""
+    return max(2, -(-inversion._SCREEN_PAIRS // (1 << (key.d - 1))))
+
+
+def _mixed_batch(key, rng, m):
+    """m encoded signals, with a zero row, a row scaled by 1e-12 and a row no
+    sign pattern fits: its screen column (or its last) moved by half its
+    largest entry."""
+    y = alpha_many(key, rng.standard_normal((m, key.d)))
+    y[1] = 0.0
+    y[3] *= 1e-12
+    screen = inversion._pattern_screen(key)
+    column = key.D - 1 if screen is None else screen.column
+    y[m // 2, column] += 0.5 * np.abs(y[m // 2]).max()
+    return y
+
+
+def _assert_batch_matches_oracle(key, y):
+    """omega_many(key, y) raises the oracle's error on its first failing row,
+    and its stages give every other row the oracle's bits; returns the
+    failing rows."""
+    want, failing = {}, []
+    for i, row in enumerate(y):
+        try:
+            want[i] = oracles.omega(key, row)
+        except PhasesortError:
+            failing.append(i)
+    if failing:
+        _raises_like_single(lambda: omega_many(key, y),
+                            lambda: oracles.omega(key, y[failing[0]]))
+    batch = inversion._omega_rows(key, np.array(y), inversion._RowErrors())
+    for i, result in want.items():
+        _same_recovery(batch.result(i), result)
+    return failing
+
+
+def _error_of(key, row):
+    try:
+        oracles.omega(key, row)
+    except PhasesortError as exc:
+        return exc
+    return None
+
+
+def _assert_screened_batches_match_oracle(key, masks, seed, ambiguous=False):
+    """A mixed batch just below and just above the screen's cut; with
+    ``ambiguous``, one more row with two orbits that fit (the signal of
+    test_omega_ambiguity_on_a_certified_key_names_gap_and_tolerance)."""
+    if not is_phase_retrievable(key).verdict:
+        with pytest.raises(NotPhaseRetrievable):
+            omega_many(key, np.ones((2, key.D)))
+        return
+    rng = np.random.Generator(np.random.PCG64(seed))
+    screened = _screened_rows(key)  # one zero row, so the first batch is just below
+    for m, engages in ((screened, False), (screened + 1, True)):
+        y = _mixed_batch(key, rng, m)
+        if ambiguous:
+            x = np.random.Generator(np.random.PCG64(63)).standard_normal((40, 2))[1]
+            y[5] = alpha(key, x)
+            assert isinstance(_error_of(key, y[5]), AmbiguityDetected)
+        masks.clear()
+        failing = _assert_batch_matches_oracle(key, y)
+        assert failing and isinstance(_error_of(key, y[m // 2]), NotInRange)
+        assert bool(masks) == (engages and inversion._pattern_screen(key) is not None)
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNK_EDGE_KEYS))
+def test_screened_batches_match_oracle(monkeypatch, name):
+    _assert_screened_batches_match_oracle(_CHUNK_EDGE_KEYS[name](), _screen_masks(monkeypatch),
+                                          64, ambiguous=name == "near-parallel-first")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.integers(2 * d - 1, 10).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    )
+)
+def test_screened_batches_match_oracle_hypothesis(matrix):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        masks = _screen_masks(monkeypatch)
+        _assert_screened_batches_match_oracle(Key(matrix), masks, 65)
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNK_EDGE_KEYS))
+def test_screened_chunks_at_chunk_edges(monkeypatch, name):
+    # chunks of exactly the rows the screen needs: every full chunk is
+    # screened, a remainder of one row is not
+    key = _CHUNK_EDGE_KEYS[name]()
+    if not is_phase_retrievable(key).verdict:
+        return
+    per_chunk = _screened_rows(key)
+    monkeypatch.setattr(inversion, "_SOLVE_CHUNK", per_chunk * key.D * (1 << (key.d - 1)))
+    masks = _screen_masks(monkeypatch)
+    rng = np.random.Generator(np.random.PCG64(66))
+    for m in (per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
+        y = alpha_many(key, rng.standard_normal((m, key.d)))
+        y[m // 2, -1] += 0.5 * np.abs(y[m // 2]).max()
+        masks.clear()
+        calls = 1 + bool(_assert_batch_matches_oracle(key, y))  # a failing batch runs twice
+        screened = inversion._pattern_screen(key) is not None
+        assert len(masks) == (calls * (m // per_chunk) if screened else 0)
+
+
+@pytest.mark.parametrize("d, D, seed", [(3, 8, 1), (4, 12, 1), (8, 15, 3)])
+def test_a_lone_kept_pair_keeps_its_bits(monkeypatch, d, D, seed):
+    # every row but the first fits no pattern and keeps no pair, so the chunk
+    # solves a single pair; it must keep the bits of its one-row call
+    key = generate_key(d, D, seed)
+    screen = inversion._pattern_screen(key)
+    m = _screened_rows(key)
+    y = alpha_many(key, np.random.Generator(np.random.PCG64(67)).standard_normal((m, d)))
+    y[1:, screen.column] += 0.5 * np.abs(y[1:]).max(axis=1)
+    masks = _screen_masks(monkeypatch)
+    assert _assert_batch_matches_oracle(key, y) == list(range(1, m))
+    assert [mask.sum() for mask in masks] == [1, 1]  # the raising batch, then its stages
+
+
+def test_screen_keeps_one_pattern_per_row_on_the_verify_keys(monkeypatch):
+    # verify decodes 1000 rows at a time on a 3x8 and a 4x12 key; the screen
+    # leaves one (row, pattern) pair per row to solve, of 4 and 8
+    masks = _screen_masks(monkeypatch)
+    for d, D in ((3, 8), (4, 12)):
+        key = generate_key(d, D, 1)
+        x = np.random.Generator(np.random.PCG64(68)).standard_normal((1000, d))
+        masks.clear()
+        omega_many(key, alpha_many(key, x))
+        assert sum(len(mask) for mask in masks) == 1000
+        assert sum(int(mask.sum()) for mask in masks) == 1000
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_screen_keeps_few_patterns_on_adversarial_keys(monkeypatch, name):
+    key = Key(ADVERSARIAL[name])
+    if not is_phase_retrievable(key).verdict or inversion._pattern_screen(key) is None:
+        return
+    # near-parallel keys have signals with two orbits that fit: both
+    # patterns are consistent, and the screen must keep them
+    masks = _screen_masks(monkeypatch)
+    y = alpha_many(key, np.random.Generator(np.random.PCG64(69)).standard_normal((1000, key.d)))
+    try:
+        omega_many(key, y)
+    except AmbiguityDetected:
+        pass
+    keep = np.concatenate(masks)
+    consistent = np.array([oracles.consistent_patterns(key, row) for row in y])
+    assert keep[consistent].all()
+    assert keep.sum() - consistent.sum() <= 5
+
+
+def _thin_key(scale):
+    """A 3x8 key whose last row is scaled down: every pivot block is ill conditioned."""
+    m = generate_key(3, 8, 11).matrix.copy()
+    m[2] *= scale
+    return Key(m)
+
+
+_NEAR_SINGULAR_KEYS = {
+    "near-singular": lambda: Key(ADVERSARIAL["near-singular"]),
+    "thin-1e-4": lambda: _thin_key(1e-4),
+    "thin-1e-6": lambda: _thin_key(1e-6),
+    "3x8": lambda: generate_key(3, 8, 1),
+    "4x12": lambda: generate_key(4, 12, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_SINGULAR_KEYS))
+def test_screen_keeps_every_consistent_pattern(monkeypatch, name):
+    # rows whose screen column is moved to within a few ulps of the
+    # acceptance tolerance, on either side: the screen must keep every
+    # pattern the exact residual accepts, here by its allowance alone
+    key = _NEAR_SINGULAR_KEYS[name]()
+    screen = inversion._pattern_screen(key)
+    y = alpha_many(key, np.random.Generator(np.random.PCG64(70)).standard_normal((40, key.d)))
+    rows = []
+    for ulps in range(-2, 6):
+        moved = y.copy()
+        for _ in range(2):  # the tolerance moves with the row
+            tol = key.tol.consistency_tol * row_norms(moved)
+            moved[:, screen.column] = y[:, screen.column] + tol * (1.0 - ulps * 2.0**-52)
+        rows.append(moved)
+    y = np.concatenate(rows)
+    masks = _screen_masks(monkeypatch)
+    with pytest.raises(NotInRange):
+        omega_many(key, y)
+    keep = np.concatenate(masks)
+    consistent = np.array([oracles.consistent_patterns(key, row) for row in y])
+    assert 0 < consistent.any(axis=1).sum() < len(y)
+    assert keep[consistent].all()
+
+
+def test_one_row_calls_and_small_batches_build_no_screen():
+    key = generate_key(4, 12, 3)
+    rng = np.random.Generator(np.random.PCG64(71))
+    y = alpha_many(key, rng.standard_normal((40, 4)))
+    cfg = rng.standard_normal((2, 4))
+    omega(key, y[0])
+    invert_beta(key, beta(key, cfg).matrix)
+    invert_beta_tilde(key, beta_tilde(key, cfg))
+    omega_many(key, y[:_screened_rows(key) - 1])
+    assert "pattern_screen" not in key._cache
+    omega_many(key, y[:_screened_rows(key)])
+    assert "pattern_screen" in key._cache
 
 
 @pytest.mark.parametrize("d, D, seed", [(3, 8, 1), (4, 12, 2), (2, 4, 3)])

@@ -31,6 +31,17 @@ def test_battery_passes_on_a_key_scaled_by_1e_minus_6():
     assert results == oracles.run_battery(Key(key.matrix), 100, 1)
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e-6, 1e-200])
+def test_battery_passes_on_scaled_keys(scale):
+    # ratio_scan's sandwich slack is consistency_tol * B0, so it scales with
+    # the key as the ratios do (an absolute slack failed the sandwich at 1e100
+    # by 3e84), and the gaps' norms are taken on the unit scale (at 1e-200
+    # their squares underflowed to ratios of 0)
+    key = Key(generate_key(4, 12, 1).matrix * scale)
+    results = run_battery(key, 100, 1)
+    assert [r.status for r in results] == ["pass"] * 12, results
+
+
 @pytest.mark.parametrize("samples", [1, 7, 200])
 @pytest.mark.parametrize("name", sorted(KEYS))
 def test_battery_matches_loop_oracle(name, samples):
