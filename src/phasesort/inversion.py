@@ -11,13 +11,14 @@ Each decoder is a stacked kernel (``omega_many``, ``invert_beta_many``,
 ``invert_beta_tilde_many``) that decodes a batch of rows at once; the
 single-row functions call it with a batch of one. The pivots, the pivot
 block and the sign patterns are computed once per key, and ``omega_many``
-solves a chunk of rows as one system with their (row, sign pattern) pairs
-as right-hand sides, so the pivot block is factored once per chunk. A
-large enough chunk first screens its pairs on one non-pivot column
-(_PatternScreen): a pair whose prediction of that column's measurement
-misses it by more than the tolerance plus a proven rounding allowance
-cannot be consistent, and only the other pairs are solved, with the bits
-they have unscreened.
+solves a chunk of rows as one system whose right-hand sides are the (row,
+sign pattern) pairs of a keep mask, so the pivot block is factored once per
+chunk. The mask keeps every pair, except in a chunk large enough to be
+screened on one non-pivot column (_PatternScreen): there a pair whose
+prediction of that column's measurement misses it by more than the
+tolerance plus a proven rounding allowance cannot be consistent, and is not
+solved. A pair's bits do not depend on which other pairs are solved with
+it, so every row has the bits of its single call.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     NotPhaseRetrievable,
 )
 from .frame_keys import Key, _cached, _unit, is_phase_retrievable, synthesis_left_inverse_many
-from .numerics import as_matrix, as_stack, as_vector, row_norms, singular_values
+from .numerics import as_matrix, as_stack, as_vector, row_norms, scaled_row_norms, singular_values
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,11 @@ def omega_many(key: Key, ys) -> RecoveryBatch:
     """omega of every row of an (m, D) stack of measurements.
 
     Each chunk of rows is one solve against the cached pivot block, with
-    every row's sign patterns as right-hand sides. Each row keeps its own
-    zero shortcut, range checks, ambiguity check and sign canonicalization,
-    and has the bits of its single call. A failing row raises what its
-    single call raises, the first such row winning.
+    the (row, sign pattern) pairs of its keep mask as right-hand sides
+    (_sign_search_rows). Each row keeps its own zero shortcut, range
+    checks, ambiguity check and sign canonicalization, and has the bits of
+    its single call. A failing row raises what its single call raises, the
+    first such row winning.
     """
     y = as_stack(ys, 2)
     if y.shape[1] != key.D:
@@ -245,10 +247,11 @@ def _omega_rows(key: Key, y: np.ndarray, errors: _RowErrors) -> RecoveryBatch:
     per_chunk = max(1, _SOLVE_CHUNK // (key.D * len(patterns)))
     for start in range(0, live.size, per_chunk):
         rows = live[start:start + per_chunk]
-        keep = None
+        screen = None
         if rows.size > 1 and rows.size * len(patterns) >= _SCREEN_PAIRS:
             screen = _pattern_screen(key)
-            keep = None if screen is None else screen.keep(y[rows], accept_tol[rows])
+        keep = (np.ones((rows.size, len(patterns)), dtype=bool) if screen is None
+                else screen.keep(y[rows], accept_tol[rows]))
         x[rows], residual[rows], signs[rows] = _sign_search_rows(
             key, y[rows], ey[rows], accept_tol[rows], rows, errors, keep
         )
@@ -346,7 +349,7 @@ def _pattern_screen(key: Key) -> _PatternScreen | None:
 
 
 def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.ndarray,
-                      rows: np.ndarray, errors: _RowErrors, keep: np.ndarray | None = None
+                      rows: np.ndarray, errors: _RowErrors, keep: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recovered x, residual and sign pattern of the nonzero measurement rows
     ``rows``, given as 2^-ey times the measurements, with their acceptance
@@ -355,23 +358,30 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     The search solves against the key's unit copy 2^-e A (_unit), so its
     candidates are 2^(e - ey) times the signals and its residuals 2^-ey
     times the measurements' ones; both are scaled back, and so are the
-    figures of the errors. Every row's sign patterns are the right-hand
-    sides of one solve against the pivot block, laid out (d, rows *
-    patterns), so LAPACK factors the block once per chunk; a stacked
-    right-hand side would be broadcast and factor it once per row. Each
-    column of the solve is that of the row's single call (a one-row batch
-    makes the very call, nrhs = 2^(d-1)).
+    figures of the errors.
 
-    ``keep`` (rows, patterns), from _PatternScreen.keep, names the (row,
-    pattern) pairs that may be consistent, and only those are solved, laid
-    out (d, pairs) row by row. It drops a pair only when its computed
-    residual is sure to exceed the acceptance tolerance. With z = pattern *
-    y[pivots], M = U_piv^T, the computed candidate c^ of M c = z and the
-    computed g^ of M^T g = u_k, a non-pivot column k, exactly u_k . c = g .
-    z. With theta = kappa(M) eta <= 1/4 (_pattern_screen), the backward
-    error gives ||c^ - c|| <= 2 theta ||c||, ||c|| <= ||M^-1|| ||z||, ||g||
-    <= 2 ||g^|| and ||g^ - g|| <= 4 theta ||g^||. The residual's k-th entry
-    u_k . c^ is computed within gamma_d ||u_k|| ||c^||, the screen's t^ =
+    ``keep`` (rows, patterns) names the (row, pattern) pairs to solve: every
+    pair, or those _PatternScreen.keep finds may be consistent. The kept
+    pairs are the right-hand sides of one solve against the pivot block,
+    laid out (d, pairs) row by row, so LAPACK factors the block once per
+    chunk (a stacked right-hand side would be broadcast and factor it once
+    per row). Their residuals are reduced as (D, pairs) over axis 0 and
+    scattered into (rows, patterns), with inf for the dropped pairs. A
+    pair's column of the solve, of the residual product and of its
+    reduction does not depend on which pairs share them, as long as there
+    are at least two, so a lone pair is solved twice (one right-hand side
+    goes through LAPACK's one-vector path, and a (D, 1) reduction is summed
+    pairwise, and both move bits). So a row has the bits of its single call
+    in every chunk and under every mask.
+
+    The screen drops a pair only when its computed residual is sure to
+    exceed the acceptance tolerance. With z = pattern * y[pivots], M =
+    U_piv^T, the computed candidate c^ of M c = z and the computed g^ of
+    M^T g = u_k, a non-pivot column k, exactly u_k . c = g . z. With
+    theta = kappa(M) eta <= 1/4 (_pattern_screen), the backward error gives
+    ||c^ - c|| <= 2 theta ||c||, ||c|| <= ||M^-1|| ||z||, ||g|| <= 2 ||g^||
+    and ||g^ - g|| <= 4 theta ||g^||. The residual's k-th entry u_k . c^ is
+    computed within gamma_d ||u_k|| ||c^||, the screen's t^ =
     (y[pivots] * g^) @ pattern within gamma_d ||z|| ||g^||, so
 
         | |u_k . c^| - |t^| | <= ||z|| [(2 gamma_d + 2 theta) ||u_k|| ||M^-1||
@@ -386,48 +396,26 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     amplified by ||M^-1|| < 2^53). A screen on a pivot column keeps every
     pattern, as z . g is then +-y_k.
 
-    Kept pairs have the bits they have unscreened: a pair's column of the
-    solve, of the (D, pairs) residual product and of its reduction over D
-    does not depend on which pairs share them, as long as there are at least
-    two, so a lone kept pair is solved twice (one right-hand side goes
-    through LAPACK's one-vector path, and a (D, 1) reduction is summed
-    pairwise, and both move bits). Dropped pairs enter the steps below with
-    an infinite residual, so the first consistent pattern, the ambiguity
-    check among consistent patterns and the canonical sign are those of the
-    unscreened search. A row with no consistent kept pattern has none at
-    all; it is searched again unscreened, so its error names its best
-    residual over all patterns.
+    Dropped pairs enter the steps below with an infinite residual, so the
+    first consistent pattern, the ambiguity check among consistent patterns
+    and the canonical sign are those of a search of every pair. A row with
+    no consistent pattern raises NotInRange, naming its best residual, when
+    its keep row is full; otherwise it is searched once more with a full
+    keep row, so its error names its best residual over all patterns.
     """
     pivots, a_piv_t, patterns = _sign_search(key)
     unit = _unit(key)
     e = unit.e
     n_rows, (n_pat, d) = len(rows), patterns.shape
-    if keep is not None and not keep.any():
-        keep = None
-    if keep is None:
-        rhs = (patterns * y[:, None, pivots]).transpose(2, 0, 1).reshape(d, n_rows * n_pat)
-        candidates = np.linalg.solve(a_piv_t, rhs)
-        del rhs
-        candidates = candidates.reshape(d, n_rows, n_pat).transpose(1, 0, 2)  # (n, d, patterns)
-        res = _residual_norms(unit.matrix.T @ candidates, y[:, :, None], axis=1)
-        cands = np.ascontiguousarray(candidates.transpose(0, 2, 1))    # (n, patterns, d)
-    else:
-        pairs = np.flatnonzero(keep)
-        pairs = pairs if pairs.size > 1 else np.repeat(pairs, 2)
-        row, pat = np.divmod(pairs, n_pat)
-        kept = np.linalg.solve(a_piv_t, (patterns.take(pat, 0) * y[:, pivots].take(row, 0)).T)
-        res = np.full((n_rows, n_pat), np.inf)
-        res.flat[pairs] = _residual_norms(unit.matrix.T @ kept, y.take(row, 0).T, axis=0)
-        cands = np.zeros((n_rows, n_pat, d))
-        cands.reshape(-1, d)[pairs] = kept.T
+    pairs = np.flatnonzero(keep)
+    pairs = pairs if pairs.size > 1 else np.repeat(pairs, 2)
+    row, pat = np.divmod(pairs, n_pat)
+    kept = np.linalg.solve(a_piv_t, (patterns.take(pat, 0) * y[:, pivots].take(row, 0)).T)
+    res = np.full((n_rows, n_pat), np.inf)
+    res.flat[pairs] = _residual_norms(unit.matrix.T @ kept, y.take(row, 0).T)
+    cands = np.zeros((n_rows, n_pat, d))
+    cands.reshape(-1, d)[pairs] = kept.T
     consistent = res <= accept_tol[:, None]
-    found = consistent.any(axis=1)
-    if keep is None:
-        errors.add(~found, lambda j: NotInRange(
-            f"no sign pattern is consistent (best residual {np.ldexp(res[j].min(), ey[j]):.3e}, "
-            f"tolerance {np.ldexp(accept_tol[j], ey[j]):.3e})"
-        ), rows=rows)
-
     n = np.arange(len(rows))
     first = np.argmax(consistent, axis=1)
     xs = cands[n, first]
@@ -448,21 +436,30 @@ def _sign_search_rows(key: Key, y: np.ndarray, ey: np.ndarray, accept_tol: np.nd
     flip = np.where(xs[n, lead] < 0.0, -1.0, 1.0)[:, None]
     x = np.ldexp(flip * xs, (ey - e)[:, None])
     residual, signs = np.ldexp(res[n, first], ey), flip * patterns[first]
-    if keep is not None and not found.all():
-        redo = np.flatnonzero(~found)
-        x[redo], residual[redo], signs[redo] = _sign_search_rows(
-            key, y[redo], ey[redo], accept_tol[redo], rows[redo], errors
-        )
+
+    found = consistent.any(axis=1)
+    if not found.all():
+        full = keep.all(axis=1)
+        errors.add(~found & full, lambda j: NotInRange(
+            f"no sign pattern is consistent (best residual {np.ldexp(res[j].min(), ey[j]):.3e}, "
+            f"tolerance {np.ldexp(accept_tol[j], ey[j]):.3e})"
+        ), rows=rows)
+        redo = np.flatnonzero(~found & ~full)
+        if redo.size:
+            x[redo], residual[redo], signs[redo] = _sign_search_rows(
+                key, y[redo], ey[redo], accept_tol[redo], rows[redo], errors,
+                np.ones((redo.size, n_pat), dtype=bool)
+            )
     return x, residual, signs
 
 
-def _residual_norms(predicted: np.ndarray, given: np.ndarray, axis: int) -> np.ndarray:
-    """|| |predicted| - given || along ``axis``, as np.linalg.norm computes it
+def _residual_norms(predicted: np.ndarray, given: np.ndarray) -> np.ndarray:
+    """|| |predicted| - given || of every column, as np.linalg.norm computes it
     but with one temporary instead of three; ``predicted`` is overwritten."""
     np.abs(predicted, out=predicted)
     predicted -= given
     predicted *= predicted
-    return np.sqrt(np.add.reduce(predicted, axis=axis))
+    return np.sqrt(np.add.reduce(predicted, axis=0))
 
 
 def invert_beta(key: Key, embedding) -> np.ndarray:
@@ -531,10 +528,16 @@ def invert_beta_tilde_many(key: Key, ys) -> np.ndarray:
 
 def _check_reencoding(key: Key, reencoded: np.ndarray, given: np.ndarray, errors: _RowErrors):
     """Reject rows whose decoding does not re-encode to the input, within
-    consistency_tol times the input's norm."""
+    consistency_tol times the input's norm. Both norms are taken on each
+    row's own scale 2^-e, as _omega_rows scales its measurements, so their
+    squares neither over- nor underflow; the figures of the error are scaled
+    back."""
     m = given.shape[0]
-    err = row_norms((reencoded - given).reshape(m, -1))
-    bound = key.tol.consistency_tol * row_norms(given.reshape(m, -1))
+    given = given.reshape(m, -1)
+    e = np.frexp(np.abs(given).max(axis=1))[1][:, None]
+    err = scaled_row_norms(reencoded.reshape(m, -1) - given, e)
+    bound = key.tol.consistency_tol * scaled_row_norms(given, e)
     errors.add(err > bound, lambda r: NotInRange(
-        f"re-encoding residual {err[r]:.3e} exceeds tolerance {bound[r]:.3e}"
+        f"re-encoding residual {np.ldexp(err[r], e[r, 0]):.3e} "
+        f"exceeds tolerance {np.ldexp(bound[r], e[r, 0]):.3e}"
     ))

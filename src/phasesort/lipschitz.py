@@ -250,7 +250,12 @@ def _dth_left_vector(key: Key, cols: list[int]) -> tuple[np.ndarray, bool]:
 
 
 def build_report(key: Key) -> LipschitzReport:
-    """Assemble constants, optimal partition, singular vectors and witnesses."""
+    """Assemble constants, optimal partition, singular vectors and witnesses
+    (memoized per key)."""
+    return _cached(key, "report", lambda: _build_report(key))
+
+
+def _build_report(key: Key) -> LipschitzReport:
     a0, part = lower_constant(key)
     b0 = upper_constant(key)
     u = numerics.svd(key.matrix).left_vectors[:, 0]
@@ -298,15 +303,6 @@ def _require_close(name: str, measured: float, expected: float, tol: float, deta
         )
 
 
-def _gap_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x), taken on x scaled by 2^-e, e being the np.frexp
-    exponent of its largest |entry|, and scaled back: the squares of entries
-    near the top of the float range would overflow. Scaling by a power of
-    two is exact at normal scale, so there the bits are the plain norm's."""
-    e = int(np.frexp(np.abs(x).max())[1])
-    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
-
-
 def check_achievement(key: Key, report: LipschitzReport) -> AchievementResult:
     """Verify the witness pairs achieve their constants exactly.
 
@@ -314,30 +310,37 @@ def check_achievement(key: Key, report: LipschitzReport) -> AchievementResult:
     two upper achievements (distance 1 against zero) and, unless the lower
     constant is degenerate, the two lower achievements (squared distance 2).
     Any violation raises AchievementFailure naming the clause. The measured
-    gaps are norms of encoder differences, taken by _gap_norm so that a key
-    with entries near the top of the float range does not overflow them.
+    gaps are norms of encoder differences, taken on the key's unit scale
+    2^-e (numerics.scaled_row_norms) and scaled back, so that a key with
+    entries near the ends of the float range neither over- nor underflows
+    their squares.
     """
     tol = key.tol.achievement_tol
     w = report.witnesses
     details: dict = {}
+    e = _unit(key).e
 
-    gap = _gap_norm(alpha(key, w.x_max) - alpha(key, w.y_max))
+    gap = alpha(key, w.x_max) - alpha(key, w.y_max)
+    gap = float(np.ldexp(numerics.scaled_row_norms(gap, e), e))
     _require_close("alpha-upper", gap, report.B0 * dist_hat_H(w.x_max, w.y_max), tol, details)
 
     dv_max = dist_hat_V(w.X_max, w.Y_max)[0]
     _require_close("beta-upper-distance", dv_max, 1.0, tol, details)
-    gap = _gap_norm(beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix)
+    gap = beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix
+    gap = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
     _require_close("beta-upper", gap, report.B0 * dv_max, tol, details)
 
     if report.degenerate_lower:
         return AchievementResult(passed=True, lower_checked=False, details=details)
 
-    gap = _gap_norm(alpha(key, w.x_min) - alpha(key, w.y_min))
+    gap = alpha(key, w.x_min) - alpha(key, w.y_min)
+    gap = float(np.ldexp(numerics.scaled_row_norms(gap, e), e))
     _require_close("alpha-lower", gap, report.A0 * dist_hat_H(w.x_min, w.y_min), tol, details)
 
     dv_min = dist_hat_V(w.X_min, w.Y_min)[0]
     _require_close("beta-lower-distance-squared", dv_min**2, 2.0, tol, details)
-    gap = _gap_norm(beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix)
+    gap = beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix
+    gap = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
     _require_close("beta-lower", gap, report.A0 * dv_min, tol, details)
 
     return AchievementResult(passed=True, lower_checked=True, details=details)
@@ -384,17 +387,14 @@ def ratio_scan(
             extra.append((w.X_min, w.Y_min, w.x_min, w.y_min))
         pairs = [np.concatenate([s, [e[k] for e in extra]]) for k, s in enumerate(pairs)]
     x_cfg, y_cfg, x_sig, y_sig = pairs
+    # the gaps' norms are taken on the key's unit scale 2^-e and scaled back
+    # (numerics.scaled_row_norms), so no square under- or overflows
     e = _unit(key).e
-
-    def gap_norms(gaps):
-        # taken on the key's unit scale 2^-e and scaled back, so the squares
-        # neither under- nor overflow at the ends of the float range; at
-        # normal scale both steps are exact and the norms' bits are kept
-        return np.ldexp(numerics.row_norms(np.ldexp(gaps.reshape(len(gaps), -1), -e)), e)
-
-    beta_ratios = (gap_norms(beta_many(key, x_cfg)[0] - beta_many(key, y_cfg)[0])
+    beta_gaps = (beta_many(key, x_cfg)[0] - beta_many(key, y_cfg)[0]).reshape(len(x_cfg), -1)
+    beta_ratios = (np.ldexp(numerics.scaled_row_norms(beta_gaps, e), e)
                    / dist_hat_V_many(x_cfg, y_cfg)[0])
-    alpha_ratios = (gap_norms(alpha_many(key, x_sig) - alpha_many(key, y_sig))
+    alpha_gaps = alpha_many(key, x_sig) - alpha_many(key, y_sig)
+    alpha_ratios = (np.ldexp(numerics.scaled_row_norms(alpha_gaps, e), e)
                     / dist_hat_H_many(x_sig, y_sig))
 
     result = RatioScanReport(

@@ -84,6 +84,14 @@ def row_norms(stack) -> np.ndarray:
     return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
+def scaled_row_norms(stack, e) -> np.ndarray:
+    """row_norms of 2^-e times the stack, ``e`` an exponent or exponents that
+    broadcast against it: norms on a scale where the squares of entries near
+    2^e neither over- nor underflow. np.ldexp(norms, e) scales them back; at
+    normal scale both steps are exact, so that has row_norms' bits."""
+    return row_norms(np.ldexp(stack, -e))
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Singular values (nonincreasing) with aligned singular vectors.

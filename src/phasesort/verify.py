@@ -24,6 +24,7 @@ from .encoders import (
 from .errors import PhasesortError
 from .frame_keys import (
     Key,
+    _unit,
     analysis_many,
     has_complement_property,
     is_full_spark,
@@ -31,7 +32,7 @@ from .frame_keys import (
     is_universal_key,
 )
 from .inversion import invert_beta_many, invert_beta_tilde_many, omega_many
-from .numerics import row_norms
+from .numerics import row_norms, scaled_row_norms
 
 SKIPPED = "skipped (not injective)"
 
@@ -81,14 +82,17 @@ def minmax_identity_failures(u: np.ndarray, v: np.ndarray) -> int:
     return int(ok.size - np.count_nonzero(ok))
 
 
-def _rel_close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Per row: |a - b| <= tol * max(1, |b|)."""
-    return row_norms(a - b) <= tol * np.maximum(1.0, row_norms(b))
+def _rel_close(a: np.ndarray, b: np.ndarray, tol: float, e: int) -> np.ndarray:
+    """Per row, on the key's unit scale 2^-e: |a - b| <= tol * max(1, |b|)."""
+    return scaled_row_norms(a - b, e) <= tol * np.maximum(1.0, scaled_row_norms(b, e))
 
 
 # Each check below draws all its samples from its generator, checks them with
 # the stacked encoders, decoders and metrics, and returns how many failed.
 # Running each in its own call frees its arrays before the next one starts.
+# The identities are compared on the key's unit scale 2^-e (frame_keys._unit),
+# so their tolerances mean the same at every scale of the key and no square
+# of a measurement over- or underflows.
 
 def _minmax(key: Key, rng: np.random.Generator, samples: int):
     """Lattice identities on random pairs."""
@@ -101,8 +105,9 @@ def _hadamard_split(key: Key, rng: np.random.Generator, samples: int):
     """The sorted embedding against the magnitude/analysis split."""
     cfg = rng.standard_normal((samples, 2, key.d))
     diff, total = hadamard_split(beta_many(key, cfg)[0])
-    bad = ~_rel_close(diff, alpha_many(key, cfg[:, 0] - cfg[:, 1]), 1e-12)
-    bad |= ~_rel_close(total, analysis_many(key, cfg[:, 0] + cfg[:, 1]), 1e-12)
+    e = _unit(key).e
+    bad = ~_rel_close(diff, alpha_many(key, cfg[:, 0] - cfg[:, 1]), 1e-12, e)
+    bad |= ~_rel_close(total, analysis_many(key, cfg[:, 0] + cfg[:, 1]), 1e-12, e)
     return np.count_nonzero(bad)
 
 
@@ -139,14 +144,15 @@ def _auxiliary_set(key: Key, rng: np.random.Generator, samples: int):
     """Split of the squared magnitude gap along the comparison set."""
     xy = rng.standard_normal((samples, 2, key.d))
     x, y = xy[:, 0], xy[:, 1]
-    lhs = np.sum((alpha_many(key, x) - alpha_many(key, y)) ** 2, axis=1)
+    e = _unit(key).e
+    lhs = scaled_row_norms(alpha_many(key, x) - alpha_many(key, y), e) ** 2
     cd = analysis_many(key, x - y)
     cs = analysis_many(key, x + y)
     in_s = np.abs(cd) <= np.abs(cs)
     # the sum over the set plus the sum over its complement, other terms zeroed
-    rhs = np.sum(np.where(in_s, cd, 0.0) ** 2, axis=1)
-    rhs += np.sum(np.where(in_s, 0.0, cs) ** 2, axis=1)
-    return np.count_nonzero(np.abs(lhs - rhs) > 1e-12 * np.maximum(1.0, np.abs(rhs)))
+    rhs = scaled_row_norms(np.where(in_s, cd, 0.0), e) ** 2
+    rhs += scaled_row_norms(np.where(in_s, 0.0, cs), e) ** 2
+    return np.count_nonzero(np.abs(lhs - rhs) > 1e-12 * np.maximum(1.0, rhs))
 
 
 def _quotient_stack(key: Key, rng: np.random.Generator, samples: int):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,20 @@ def test_omega_many_rows_match_single_and_oracle(d, D, seed):
     for i, row in enumerate(y):
         _same_recovery(batch.result(i), omega(key, row))
         _same_recovery(omega(key, row), oracles.omega(key, row))
+
+
+@pytest.mark.parametrize("D, seed", [(12, 3), (5, 1)])
+def test_d1_batch_rows_keep_their_single_call_bits(D, seed):
+    # d = 1 has one sign pattern, so a one-row call solves a lone (row,
+    # pattern) pair; it is padded to two columns as in any chunk, so its bits
+    # are those of the row in a batch
+    key = generate_key(1, D, seed)
+    y = alpha_many(key, np.random.Generator(np.random.PCG64(72)).standard_normal((50, 1)))
+    batch = omega_many(key, y)
+    for i, row in enumerate(y):
+        _same_recovery(batch.result(i), omega(key, row))
+        want = oracles.omega(key, row)
+        np.testing.assert_allclose(batch.x[i], want.x, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
@@ -644,3 +660,27 @@ def test_invert_beta_tilde_many_error_parity(a_ref_key):
                             lambda: oracles.invert_beta_tilde(a_ref_key, rows[1]))
     with pytest.raises(DimensionError):
         invert_beta_tilde_many(a_ref_key, np.zeros((2, 4)))
+
+
+def _moved_sum_row_error(scale):
+    """invert_beta_many's error on embeddings of the 4x12 key times scale
+    whose row 1 has its sum row moved out of the range of A^T."""
+    base = generate_key(4, 12, 1).matrix
+    key = Key(base * scale)
+    emb = beta_many(key, np.random.Generator(np.random.PCG64(73)).standard_normal((3, 2, 4)))[0]
+    off_range = np.linalg.qr(base.T, mode="complete")[0][:, 4]  # orthogonal to A's rows
+    emb[1] += 0.025 * np.abs(emb[1]).max() * off_range  # both rows alike: still sorted
+    with pytest.raises(NotInRange, match="re-encoding residual") as exc:
+        invert_beta_many(key, emb)
+    return [float(f) for f in re.findall(r"\d\.\d+e[+-]\d+", str(exc.value))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_reencoding_check_is_scale_free(scale):
+    # each row's norms are taken on its own power-of-two scale: at 1e-200
+    # their squares underflowed to 0 and the moved embedding was accepted,
+    # at 1e200 they overflowed; the figures of the message are scaled back
+    want = _moved_sum_row_error(1.0)
+    got = _moved_sum_row_error(scale)
+    np.testing.assert_allclose(np.array(got) / scale, want, rtol=2e-3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phasesort import DimensionError, SvdResult, ToleranceConfig, least_squares, rank, sigma_k, svd
-from phasesort import screens
+from phasesort import numerics, screens
 from phasesort.numerics import ranks
 
 import oracles
@@ -329,3 +329,22 @@ def test_shifted_cholesky_failed_pivots_run_to_nan(d):
                 step = int(name.rsplit("-", 1)[1])
                 # a tiny positive last pivot factors; every other planted one fails
                 assert verdict == (name.startswith("overflowing") and step == d - 1), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scaled_row_norms_keep_bits_and_survive_the_float_range():
+    # at normal scale scaling back gives row_norms' bits; rows near the ends
+    # of the float range, whose squares would over- or underflow, get the
+    # norm of their unit-scale copy times the scale
+    rng = np.random.Generator(np.random.PCG64(80))
+    stack = rng.standard_normal((20, 7))
+    for e in (0, 3, -5):
+        got = np.ldexp(numerics.scaled_row_norms(stack, e), e)
+        assert got.tobytes() == numerics.row_norms(stack).tobytes()
+    per_row = np.array([[0], [2], [-1]])
+    assert numerics.scaled_row_norms(stack[:3], per_row).tobytes() == np.array(
+        [numerics.row_norms(np.ldexp(r, -int(k))) for r, k in zip(stack[:3], per_row[:, 0])]
+    ).tobytes()
+    for scale, e in ((2.0**1000, 1001), (2.0**-1000, -999)):
+        got = np.ldexp(numerics.scaled_row_norms(stack * scale, e), e)
+        assert np.array_equal(got, numerics.row_norms(stack) * scale)

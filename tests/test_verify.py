@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from phasesort import Key, LipschitzViolation, generate_key, lipschitz, ratio_scan, verify
 from phasesort.encoders import dist_hat_H_many, dist_hat_V_many
+from phasesort.frame_keys import analysis_many
 from phasesort.verify import run_battery
 
 from conftest import A_REF
@@ -31,15 +32,41 @@ def test_battery_passes_on_a_key_scaled_by_1e_minus_6():
     assert results == oracles.run_battery(Key(key.matrix), 100, 1)
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e-6, 1e-200])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e100, 1e-6, 1e-200, 1e300])
 def test_battery_passes_on_scaled_keys(scale):
     # ratio_scan's sandwich slack is consistency_tol * B0, so it scales with
     # the key as the ratios do (an absolute slack failed the sandwich at 1e100
     # by 3e84), and the gaps' norms are taken on the unit scale (at 1e-200
-    # their squares underflowed to ratios of 0)
+    # their squares underflowed to ratios of 0); at 1e300 the split
+    # identities' squares overflowed, and they passed on inf and NaN compares
     key = Key(generate_key(4, 12, 1).matrix * scale)
     results = run_battery(key, 100, 1)
     assert [r.status for r in results] == ["pass"] * 12, results
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e300])
+def test_split_identities_see_a_defect_at_every_scale(monkeypatch, scale):
+    # the two split identities compare on the key's unit scale, so a relative
+    # defect of 1e-6 in the analysis fails every sample at any scale; at
+    # 1e-200 their absolute floor of 1 hid it, at 1e300 their squares overflowed
+    key = Key(generate_key(4, 12, 1).matrix * scale)
+    monkeypatch.setattr(verify, "analysis_many", lambda k, x: (1 + 1e-6) * analysis_many(k, x))
+    results = {r.name: r for r in run_battery(key, 50, 1)}
+    for name in ("hadamard-split-identity", "auxiliary-set-decomposition"):
+        assert (results[name].status, results[name].detail) == ("fail", "50 violations")
+
+
+def test_battery_builds_one_report_per_key(monkeypatch):
+    # ratio_scan and the achievement check share the key's memoized report
+    calls = []
+    real = lipschitz._build_report
+    monkeypatch.setattr(lipschitz, "_build_report", lambda key: calls.append(key) or real(key))
+    key = KEYS["4x12"]()
+    run_battery(key, 20, 1)
+    run_battery(key, 20, 2)
+    assert calls == [key]
 
 
 @pytest.mark.parametrize("samples", [1, 7, 200])
