@@ -11,6 +11,7 @@ to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -264,6 +265,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of every subcommand; main reuses one (_parser)."""
     parser = argparse.ArgumentParser(
         prog="phasesort",
         description="Frame keys, invariant encoders, exact decoders, and bi-Lipschitz bounds.",
@@ -321,9 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once per process. Reuse is safe:
+    parse_args writes only to the fresh Namespace it returns, and the help
+    width is read when help is formatted, not when the parser is built."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     try:
         code = args.func(args)

@@ -295,9 +295,10 @@ class AchievementResult:
     details: dict = field(default_factory=dict)
 
 
-def _require_close(name: str, measured: float, expected: float, tol: float, details: dict):
+def _require_close(name: str, measured: float, expected: float, tol: float, details: dict,
+                   floor: float = 1.0):
     details[name] = {"measured": measured, "expected": expected}
-    if abs(measured - expected) > tol * max(1.0, abs(expected)):
+    if abs(measured - expected) > tol * max(floor, abs(expected)):
         raise AchievementFailure(
             f"{name}: measured {measured!r}, expected {expected!r} (tol {tol})"
         )
@@ -313,35 +314,41 @@ def check_achievement(key: Key, report: LipschitzReport) -> AchievementResult:
     gaps are norms of encoder differences, taken on the key's unit scale
     2^-e (numerics.scaled_row_norms) and scaled back, so that a key with
     entries near the ends of the float range neither over- nor underflows
-    their squares.
+    their squares. The four gap clauses are relative to at least
+    2^min(e, 0), so a key below unit scale is held to its own scale, not to
+    an absolute 1; the two distance clauses have no units and keep the
+    floor 1.
     """
     tol = key.tol.achievement_tol
     w = report.witnesses
     details: dict = {}
     e = _unit(key).e
+    floor = float(np.ldexp(1.0, min(e, 0)))
 
     gap = alpha(key, w.x_max) - alpha(key, w.y_max)
     gap = float(np.ldexp(numerics.scaled_row_norms(gap, e), e))
-    _require_close("alpha-upper", gap, report.B0 * dist_hat_H(w.x_max, w.y_max), tol, details)
+    _require_close("alpha-upper", gap, report.B0 * dist_hat_H(w.x_max, w.y_max), tol, details,
+                   floor)
 
     dv_max = dist_hat_V(w.X_max, w.Y_max)[0]
     _require_close("beta-upper-distance", dv_max, 1.0, tol, details)
     gap = beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix
     gap = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
-    _require_close("beta-upper", gap, report.B0 * dv_max, tol, details)
+    _require_close("beta-upper", gap, report.B0 * dv_max, tol, details, floor)
 
     if report.degenerate_lower:
         return AchievementResult(passed=True, lower_checked=False, details=details)
 
     gap = alpha(key, w.x_min) - alpha(key, w.y_min)
     gap = float(np.ldexp(numerics.scaled_row_norms(gap, e), e))
-    _require_close("alpha-lower", gap, report.A0 * dist_hat_H(w.x_min, w.y_min), tol, details)
+    _require_close("alpha-lower", gap, report.A0 * dist_hat_H(w.x_min, w.y_min), tol, details,
+                   floor)
 
     dv_min = dist_hat_V(w.X_min, w.Y_min)[0]
     _require_close("beta-lower-distance-squared", dv_min**2, 2.0, tol, details)
     gap = beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix
     gap = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
-    _require_close("beta-lower", gap, report.A0 * dv_min, tol, details)
+    _require_close("beta-lower", gap, report.A0 * dv_min, tol, details, floor)
 
     return AchievementResult(passed=True, lower_checked=True, details=details)
 

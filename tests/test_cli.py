@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -362,3 +364,68 @@ def test_each_command_takes_sigma_1_of_its_key_once(monkeypatch, tmp_path, capsy
         assert cli.main(argv) == 0
         assert len(calls) == i + 1
     capsys.readouterr()
+
+
+def _usage_error(parse, argv) -> tuple:
+    """(exit code, stderr) of a parse that must stop on a usage error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, err.getvalue()
+
+
+def test_reused_parser_parses_as_a_fresh_one(a_ref_file, tmp_path, capsys):
+    # main builds its parser once per process; run every kind of command
+    # through it twice, with usage errors between, and each parse must be
+    # the one a freshly built parser gives
+    xfile, yfile = tmp_path / "X.txt", tmp_path / "Y.txt"
+    save_matrix(xfile, np.array([[0.25, -1.5], [2.0, 0.75]]))
+    assert cli.main(["encode", "--encoder", "beta", "--key", a_ref_file,
+                     "--input", str(xfile), "--out", str(yfile)]) == 0
+    decode = ["decode", "--encoder", "beta", "--key", a_ref_file,
+              "--input", str(yfile), "--out", str(tmp_path / "B.txt")]
+    commands = [
+        ["keygen", "--rows", "2", "--cols", "3", "--seed", "7", "--out", str(tmp_path / "k.txt")],
+        ["check", a_ref_file],
+        ["check", a_ref_file, "--certificate", "complement"],
+        ["bounds", a_ref_file],
+        decode,
+        decode + ["--report", str(tmp_path / "rep.json")],
+        ["verify", a_ref_file],
+        ["verify", a_ref_file, "--samples", "20", "--seed", "3"],
+    ]
+    usage_errors = [["decode", "--encoder", "alpha", "--key", a_ref_file, "--input",
+                     str(yfile), "--out", str(tmp_path / "B.txt")], ["nonsense"], []]
+    stdouts = []
+    for _ in range(2):
+        for argv in commands:
+            assert cli.main(argv) == 0
+            stdouts.append(capsys.readouterr().out)
+            fresh = cli.build_parser().parse_args(argv)
+            assert vars(cli._parser().parse_args(argv)) == vars(fresh)
+        for argv in usage_errors:
+            code, err = _usage_error(cli.main, argv)
+            assert code == 2
+            assert (code, err) == _usage_error(cli.build_parser().parse_args, argv)
+    assert stdouts[:len(commands)] == stdouts[len(commands):]
+    assert cli._parser().format_help() == cli.build_parser().format_help()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_builds_its_parser_once(monkeypatch, a_ref_file, capsys):
+    calls = []
+    real = cli.build_parser
+
+    def counted():
+        calls.append(None)
+        return real()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for argv in (["check", a_ref_file], ["bounds", a_ref_file], ["check", a_ref_file]):
+            assert cli.main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1

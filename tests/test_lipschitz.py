@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,6 +189,19 @@ def test_check_achievement_detects_tampering(a_ref_key):
     )
     with pytest.raises(AchievementFailure, match="alpha-upper"):
         check_achievement(a_ref_key, broken)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-200])
+def test_check_achievement_detects_tampering_below_unit_scale(scale):
+    # the gap clauses are relative to the key's own scale: constants 1.5x
+    # too large fail far below unit scale as they do at scale 1, while the
+    # report of the key itself still passes there
+    key = Key(generate_key(4, 12, 1).matrix * scale)
+    rep = build_report(key)
+    assert check_achievement(key, rep).passed
+    broken = dataclasses.replace(rep, A0=rep.A0 * 1.5, B0=rep.B0 * 1.5)
+    with pytest.raises(AchievementFailure, match="alpha-upper"):
+        check_achievement(key, broken)
 
 
 def test_placeholder_is_orthogonal_to_side():
