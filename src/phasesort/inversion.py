@@ -295,8 +295,9 @@ class _PatternScreen:
 
 def _pattern_screen(key: Key) -> _PatternScreen | None:
     """The key's pattern screen (memoized), or None where it cannot work: one
-    sign pattern (d = 1), a pivot block too ill-conditioned for its bound, or
-    no non-pivot column whose screen tells every single pivot flip apart.
+    sign pattern (d = 1), a pivot block too ill-conditioned for its bound,
+    no non-pivot column whose screen tells every single pivot flip apart, or
+    an allowance that would keep every pattern.
 
     Writing M = U_piv^T for the transposed pivot block of the unit copy, the
     bound needs upper bounds on ||M|| (its computed Frobenius norm, doubled)
@@ -312,7 +313,10 @@ def _pattern_screen(key: Key) -> _PatternScreen | None:
     maximizes min_i |g_i| / (||u_k|| ||M^-1|| + ||g||), the least change a
     single sign flip makes to z . g against the bound's scale (first on
     ties); a k with a zero g_i cannot tell two patterns apart, and a pivot
-    column (g a unit vector) none.
+    column (g a unit vector) none. The z . g of two patterns differ by at
+    most ||z - z'|| ||g|| <= 2 ||y[pivots]|| ||g|| <= 4 ||y[pivots]|| ||g^||,
+    so a weight of at least 4 ||g^|| keeps every pattern of a row that one
+    pattern fits, and the screen would only cost time.
     """
 
     def compute():
@@ -338,10 +342,10 @@ def _pattern_screen(key: Key) -> _PatternScreen | None:
         score = np.divide(np.abs(g).min(axis=0), scale, out=np.zeros_like(scale),
                           where=scale > 0.0)
         j = int(np.argmax(score))
-        if not score[j] > 0.0:
-            return None
         weight = 2.0 * ((2.0 * _gamma(d) + 2.0 * theta) * u_norm[j] * inv_norm
                         + (4.0 * theta + _gamma(d)) * g_norm[j])
+        if not (score[j] > 0.0 and weight < 4.0 * g_norm[j]):
+            return None
         return _PatternScreen(pivots, np.ascontiguousarray(patterns.T), int(rest[j]),
                               g[:, j].copy(), weight, 1.0 + 4.0 * _gamma(D + 6), 2.0 ** -900)
 

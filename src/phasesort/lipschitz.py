@@ -89,13 +89,20 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       and decides the same way. The values come from one stack of SVDs of
       the key per side size (screens._side_singular_values), whose rows have
       the bits of numerics.sigma_k on each side alone.
-    - Stops. Values are >= 0, so once the best is at most tie no later mask
-      can pass the test, and the search stops where it knows this without a
-      Gram. Mask 0, always kept first, has the value sigma_d(A): when that is
-      at most tie it is the answer, and the screen is not called. When
-      d <= D <= 2d - 2, mask 2^(D-d+1) - 1 is the first with no side of d
-      columns, and its value is 0; no test settles it, and the screen stops
-      after the block that holds it.
+    - Stop. Values are >= 0, so once the best is at most tie no later mask
+      can pass the test: the search ends with the first block whose exact
+      best is at most tie. The kept masks of each block wait, and the
+      exact pass visits them after a block that holds a kept mask with
+      2^e * lo <= tie, and after the last block. The value the visit
+      computes for a mask is at least 2^e times its lo, so while no
+      waiting mask has one within the window, the best cannot be within it
+      either: the wait moves only when masks are visited, never the
+      answer. Mask 0, the first kept mask, is visited like any other; its
+      value sigma_d(A) ends the search after the first block when it is
+      within the window, as for a rank-deficient key. When D <= 2d - 2,
+      mask 2^(D-d+1) - 1 (mask 0 when D < d) has no side of d columns, the
+      value 0 and lo = 0, so the search ends at the latest with the block
+      that holds it.
 
     A0 therefore always comes from exact SVD values, never from the screen.
     Near-singular keys, whose values all sit inside the bracket's width, send
@@ -112,13 +119,14 @@ class LowerConstantSearch:
     ruled out by the shifted-Cholesky test, of a side's Gram or of the Gram
     of d columns of a side (the screen's cover), ``diagonalized`` were bracketed
     with eigvalsh, and ``visited`` were decided on their exact SVD values:
-    every kept mask, which is among the diagonalized ones, or only mask 0
-    when its value decides (work (0, 0, 1)). When the screen stops at a
-    mask with no side of d columns, settled + diagonalized counts the masks
-    up to the end of its block, fewer than 2^(D-1) unless that block is the
-    last. The screen reads the key's unit copy (frame_keys._unit): the key
-    times a power of two that holds it exactly has the same one, and so the
-    same ``settled`` and ``diagonalized``, away from subnormal scale.
+    the kept masks of the blocks the screen walked, which are among the
+    diagonalized ones. The search stops with the first block whose exact
+    best is within the tie window (see lower_constant), so settled +
+    diagonalized counts the masks up to the end of that block, fewer than
+    2^(D-1) unless it is the last. The screen reads the key's unit copy
+    (frame_keys._unit): the key times a power of two that holds it exactly
+    has the same one, and so the same ``settled`` and ``diagonalized``, away
+    from subnormal scale.
     """
 
     result: tuple[float, Partition]
@@ -139,19 +147,24 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
     tie = _TIE_WINDOW * upper_constant(key)
-    full = (1 << D) - 1
-    first = float(_sigma_d(key.matrix, np.array([full]))[0])  # mask 0's value
-    if not first > tie:
-        return LowerConstantSearch((first, Partition(0, D)), 0, 0, 1)
-    masks, settled, diagonalized = screens._screen(_unit(key))
-    rest = masks[1:]
-    s_i, s_c = np.split(_sigma_d(key.matrix, np.concatenate((rest, full ^ rest))), 2)
-    best_val, best_mask = first, 0
-    for mask, val in zip(rest.tolist(), np.hypot(s_i, s_c).tolist()):
-        if val < best_val - tie:
-            best_val, best_mask = val, mask
+    unit, full = _unit(key), (1 << D) - 1
+    best_val, best_mask, pending = np.inf, 0, []
+    settled = diagonalized = visited = 0
+    for masks, lo, s, g in screens._screen(unit):
+        settled, diagonalized = settled + s, diagonalized + g
+        pending.append(masks)
+        if settled + diagonalized < 1 << (D - 1) and not (np.ldexp(lo, unit.e) <= tie).any():
+            continue  # no waiting mask can reach the tie window: see lower_constant
+        rest = np.concatenate(pending)
+        pending, visited = [], visited + rest.size
+        s_i, s_c = np.split(_sigma_d(key.matrix, np.concatenate((rest, full ^ rest))), 2)
+        for mask, val in zip(rest.tolist(), np.hypot(s_i, s_c).tolist()):
+            if val < best_val - tie:
+                best_val, best_mask = val, mask
+        if best_val <= tie:
+            break
     return LowerConstantSearch((best_val, Partition(best_mask, D)), settled, diagonalized,
-                               masks.size)
+                               visited)
 
 
 def _sigma_d(a: np.ndarray, col_masks: np.ndarray) -> np.ndarray:

@@ -8,10 +8,11 @@ Three scans use them, each over all sides of one shape:
 - the complement walk (frame_keys._complement_walk) over the 2^(D-1) column
   partitions, through the one-side pass (_one_side_settled);
 - the A0 screen (_screen) of lipschitz.lower_constant over the same
-  partitions. From its first full-size block on, it settles a partition
-  with no Gram when a side holds a d-subset that the subset scan's walk
-  factors at the block's shift (the cover, _cover), and runs the
-  one-side pass on the others.
+  partitions, which yields the partitions it keeps one block at a time,
+  so that the search can stop between blocks. From its first full-size
+  block on, it settles a partition with no Gram when a side holds a
+  d-subset that the subset scan's walk factors at the block's shift (the
+  cover, _cover), and runs the one-side pass on the others.
 
 All read the key's unit copy U = 2^-e A (UnitCopy), so no Gram entry or
 shift can overflow, and allow for the rounding of the Grams, of the
@@ -688,11 +689,14 @@ def _side_bracket(lam, full, err_lam, err_s):
     return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
 
 
-def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
-    """The A0 screen of lipschitz.lower_constant on a key's unit copy: the
-    masks that may become the best, ascending, and the numbers of masks
-    settled and diagonalized. The brackets are those of the copy 2^-e A,
-    with its own B0.
+def _screen(unit: UnitCopy):
+    """The A0 screen of lipschitz.lower_constant on a key's unit copy, one
+    block of _partition_blocks at a time, ascending: yield ``(masks, lo,
+    settled, diagonalized)`` for each block, its masks that may become the
+    best, ascending, the lower ends lo of their brackets, and the numbers of
+    its masks settled and diagonalized. The brackets are those of the copy
+    2^-e A, with its own B0. The screen walks every block; when to stop is
+    the search's to decide (lipschitz.lower_constant).
 
     - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
       sigma_d(U_S)^2 up to the error of the Gram sums and of eigvalsh, both
@@ -774,19 +778,10 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
       are those above; it moves the settled and diagonalized counts only
       where a side's Gram and a subset's round to opposite sides of a
       shift.
-    - Stop. When D <= 2d - 2, some masks have no side of d columns, the
-      first being 2^(D-d+1) - 1, the first with D - d + 1 columns (mask 0
-      when D < d). Such a mask has the value 0 and lo = 0 < prev_hi, and no
-      test settles it, so it is kept; once the visit reaches it, no later
-      mask can become the best. The walk stops after the block that holds
-      the first such mask, so settled + diagonalized counts the masks up to
-      the end of that block, fewer than 2^(D-1) unless it is the last.
     """
     err_s, err_lam = unit.err_s, unit.err_lam
     d, D = unit.matrix.shape
-    kept = []
     hi_run = np.inf
-    settled = diagonalized = 0
     cover, largest = None, 1 << _block_bits(d, D)
     for block, grams, full_i, full_c in _partition_blocks(unit.matrix):
         if block.size == largest:  # the first full-size block: see Cover above
@@ -799,10 +794,9 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
                                       err_s, err_lam)
         else:
             rows, gu, gc = _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run)
-        settled += block.size - rows.size
         if not rows.size:
-            continue  # hi_run stays, and no mask is kept
-        diagonalized += rows.size
+            yield block[rows], np.zeros(0), block.size, 0  # hi_run stays
+            continue
         # both sides' Grams in one eigvalsh: side I's where it spans, then
         # side C's
         full = np.stack((full_i[rows], full_c[rows]))
@@ -814,10 +808,8 @@ def _screen(unit: UnitCopy) -> tuple[np.ndarray, int, int]:
         hi = np.hypot(*hi) + err_s
         prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
         hi_run = prev_hi[-1]
-        kept.append(block[rows[lo < prev_hi[:-1]]])
-        if not (full_i | full_c).all():
-            break  # a mask with no side of d columns, kept: see Stop above
-    return np.concatenate(kept), settled, diagonalized
+        keep = lo < prev_hi[:-1]
+        yield block[rows[keep]], lo[keep], block.size - rows.size, rows.size
 
 
 def _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run):

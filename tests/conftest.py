@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasesort import Key
+from phasesort import Key, screens
 
 # Reference key used throughout: columns (1,0), (0,1), (1,1).
 A_REF = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
@@ -39,6 +39,15 @@ def _adversarial_matrices():
 
 
 ADVERSARIAL = _adversarial_matrices()
+
+def drain_screen(unit):
+    """(masks, settled, diagonalized): screens._screen(unit) walked to its
+    end, the kept masks of every block, ascending, and the blocks' work
+    counts summed."""
+    blocks = list(screens._screen(unit))
+    return (np.concatenate([masks for masks, _, _, _ in blocks]),
+            sum(b[2] for b in blocks), sum(b[3] for b in blocks))
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -34,7 +34,7 @@ from phasesort.matrixio import save_matrix
 from phasesort.numerics import DEFAULT_TOL, ToleranceConfig
 
 import oracles
-from conftest import A_REF, ADVERSARIAL, SRC
+from conftest import A_REF, ADVERSARIAL, SRC, drain_screen
 
 
 def test_generate_key_deterministic():
@@ -343,11 +343,11 @@ def test_block_popcounts_match_bit_loop(monkeypatch, chunk_masks):
 def test_complement_chunked_scan_matches_single_chunk(monkeypatch):
     mat = generate_key(3, 6, 78).matrix.copy()
     mat[:, 5] = mat[:, 0]
-    whole = screens._screen(frame_keys._unit(Key(mat)))
+    whole = drain_screen(frame_keys._unit(Key(mat)))
     batch = has_complement_property(Key(mat))
     assert (batch.verdict, batch.witness, batch.method) == oracles.complement_property(Key(mat))
     monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 9)  # blocks of one mask
-    chunked = screens._screen(frame_keys._unit(Key(mat)))
+    chunked = drain_screen(frame_keys._unit(Key(mat)))
     assert chunked[0].tobytes() == whole[0].tobytes()  # the kept masks
     for entries in (screens._SCREEN_ENTRIES, 9):  # default walk blocks, then one mask each
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)

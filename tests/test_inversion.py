@@ -572,25 +572,54 @@ _NEAR_SINGULAR_KEYS = {
 def test_screen_keeps_every_consistent_pattern(monkeypatch, name):
     # rows whose screen column is moved to within a few ulps of the
     # acceptance tolerance, on either side: the screen must keep every
-    # pattern the exact residual accepts, here by its allowance alone
+    # pattern the exact residual accepts, here by its allowance alone. A key
+    # with no screen (thin-1e-6) solves every pair, its last column moved
     key = _NEAR_SINGULAR_KEYS[name]()
     screen = inversion._pattern_screen(key)
+    column = key.D - 1 if screen is None else screen.column
     y = alpha_many(key, np.random.Generator(np.random.PCG64(70)).standard_normal((40, key.d)))
     rows = []
     for ulps in range(-2, 6):
         moved = y.copy()
         for _ in range(2):  # the tolerance moves with the row
             tol = key.tol.consistency_tol * row_norms(moved)
-            moved[:, screen.column] = y[:, screen.column] + tol * (1.0 - ulps * 2.0**-52)
+            moved[:, column] = y[:, column] + tol * (1.0 - ulps * 2.0**-52)
         rows.append(moved)
     y = np.concatenate(rows)
     masks = _screen_masks(monkeypatch)
     with pytest.raises(NotInRange):
         omega_many(key, y)
-    keep = np.concatenate(masks)
     consistent = np.array([oracles.consistent_patterns(key, row) for row in y])
     assert 0 < consistent.any(axis=1).sum() < len(y)
-    assert keep[consistent].all()
+    assert bool(masks) == (screen is not None)
+    if masks:
+        assert np.concatenate(masks)[consistent].all()
+
+
+def test_no_screen_where_its_allowance_keeps_every_pattern(monkeypatch):
+    # the z . g of two sign patterns differ by at most 2 ||g|| ||y[pivots]||
+    # <= 4 ||g^|| ||y[pivots]||, so a weight of 4 ||g^|| or more keeps every
+    # pattern of every row in range. With the last row of the 3x8 key times
+    # 1e-6 the weight is 3.27 against 4 ||g^|| = 2.26: no screen. Times 1e-4
+    # it is 3.3e-4, and the screen keeps a quarter of the pairs. Either way
+    # every row of omega_many has the bits of its one-row call, which is
+    # never screened
+    masks = _screen_masks(monkeypatch)
+    for scale, screened in ((1e-6, False), (1e-4, True)):
+        key = _thin_key(scale)
+        screen = inversion._pattern_screen(key)
+        assert (screen is not None) == screened
+        if screened:
+            assert screen.weight < 4.0 * np.linalg.norm(screen.g)
+        y = alpha_many(key, np.random.Generator(np.random.PCG64(72)).standard_normal((200, 3)))
+        masks.clear()
+        batch = omega_many(key, y)
+        assert bool(masks) == screened
+        if screened:
+            kept = np.concatenate(masks)
+            assert kept.mean() < 0.5 and kept.any(axis=1).all()
+        for i in range(len(y)):
+            _same_recovery(batch.result(i), omega(key, y[i]))
 
 
 def test_one_row_calls_and_small_batches_build_no_screen():

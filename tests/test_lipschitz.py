@@ -25,17 +25,18 @@ from phasesort import frame_keys, lipschitz, numerics, screens, verify
 from phasesort.lipschitz import LipschitzReport
 
 import oracles
-from conftest import A_REF, ADVERSARIAL, sym2x2_eigenvalues
+from conftest import A_REF, ADVERSARIAL, drain_screen, sym2x2_eigenvalues
 
 
-def _lower_constant_loop(key: Key) -> tuple[float, int]:
-    """Every canonical mask in ascending order, two SVDs each: the oracle."""
+def _lower_constant_loop(key: Key, stop: int | None = None) -> tuple[float, int]:
+    """Every canonical mask in ascending order, two SVDs each: the oracle;
+    with ``stop``, the best of the masks below it."""
     d, D = key.d, key.D
     a = key.matrix
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
     best_val = np.inf
     best_mask = 0
-    for mask in range(1 << (D - 1)):
+    for mask in range(1 << (D - 1) if stop is None else stop):
         part = Partition(mask, D)
         cols_i = part.column_indices0()
         cols_c = part.complement().column_indices0()
@@ -280,7 +281,7 @@ def test_lower_constant_matches_loop_seeded(d, D):
 
 
 def test_screen_keeps_few_masks():
-    masks, settled, diagonalized = screens._screen(frame_keys._unit(generate_key(4, 16, 1)))
+    masks, settled, diagonalized = drain_screen(frame_keys._unit(generate_key(4, 16, 1)))
     assert 0 < masks.size <= 64  # of 32768
     assert masks[0] == 0 and np.all(np.diff(masks) > 0)
     assert settled + diagonalized == 1 << 15
@@ -293,10 +294,10 @@ def test_screen_chunks_match_single_chunk(monkeypatch, chunk):
     # _SCREEN_ENTRIES: 9 * chunk gives blocks of one and of eight masks, and
     # exactly one Gram's entries blocks of one mask, each its own seed
     key = generate_key(3, 9, 4)
-    masks, _, _ = screens._screen(frame_keys._unit(key))
+    masks, _, _ = drain_screen(frame_keys._unit(key))
     monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 6 if chunk == "gram-chunks-of-one-mask"
                         else 9 * chunk)
-    blocked = screens._screen(frame_keys._unit(Key(key.matrix)))
+    blocked = drain_screen(frame_keys._unit(Key(key.matrix)))
     assert blocked[0].tobytes() == masks.tobytes()
     assert blocked[1] + blocked[2] == 1 << 8
     _assert_matches_loop(key.matrix)
@@ -362,28 +363,13 @@ def _cover_settled(run):
     return result, by_cover
 
 
-def _first_mask_without_a_spanning_side(d, D):
-    """2^(D-d+1) - 1 when d <= D <= 2d - 2, 0 when D < d, else None."""
-    if D < d:
-        return 0
-    return (1 << (D - d + 1)) - 1 if D <= 2 * d - 2 else None
-
-
 def _assert_screen_matches_oracle(key):
-    # the kept masks of the full bracket oracle, up to the end of the walk:
-    # the block that holds the first mask with no side of d columns, or the
-    # last block
+    # the kept masks of the full bracket oracle: the screen walks every block
     (masks, settled, diagonalized), blocks = _walked(
-        lambda: screens._screen(frame_keys._unit(key)))
-    stop = _first_mask_without_a_spanning_side(key.d, key.D)
-    end = blocks[-1][1]
-    if stop is None:
-        assert end == 1 << (key.D - 1)
-    else:
-        assert blocks[-1][0] <= stop < end
-    assert settled + diagonalized == end
+        lambda: drain_screen(frame_keys._unit(key)))
+    assert blocks[-1][1] == settled + diagonalized == 1 << (key.D - 1)
     ref_masks, _ = oracles.lower_constant_screen(Key(key.matrix))
-    assert masks.tobytes() == ref_masks[ref_masks < end].tobytes()
+    assert masks.tobytes() == ref_masks.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
@@ -517,16 +503,30 @@ def test_lower_constant_matches_loop_adversarial(name):
     _assert_matches_loop(ADVERSARIAL[name])
 
 
+@st.composite
+def _repeated_identities(draw):
+    """[I_d I_d ... I_d], d <= 4 and at most 9 columns, its columns shuffled
+    and scaled by 1, 1e-200 or 1e200: a key whose splits tie in many ways."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 9 // d))
+    order = draw(st.permutations(range(d * k)))
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200]))
+    return np.hstack([np.eye(d)] * k)[:, order] * scale
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 4).flatmap(
-        lambda d: st.integers(1, 9).flatmap(
-            lambda D: st.lists(
-                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
-                min_size=d * D,
-                max_size=d * D,
-            ).map(lambda v: np.array(v).reshape(d, D))
-        )
+    st.one_of(
+        st.integers(1, 4).flatmap(
+            lambda d: st.integers(1, 9).flatmap(
+                lambda D: st.lists(
+                    st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                    min_size=d * D,
+                    max_size=d * D,
+                ).map(lambda v: np.array(v).reshape(d, D))
+            )
+        ),
+        _repeated_identities(),
     )
 )
 def test_lower_constant_matches_loop_hypothesis(matrix):
@@ -546,27 +546,34 @@ def test_lower_constant_memoized(monkeypatch):
     assert len(calls) == 2
 
 
+def _searched(monkeypatch, key):
+    """The key's A0 search and the blocks of screens._screen it read, each
+    (masks, lo, settled, diagonalized)."""
+    blocks = []
+    real = screens._screen
+
+    def recorded(unit):
+        for block in real(unit):
+            blocks.append(block)
+            yield block
+
+    with monkeypatch.context() as m:
+        m.setattr(screens, "_screen", recorded)
+        search = lipschitz.lower_constant_search(key)
+    return search, blocks
+
+
 def _assert_exact_pass_matches_loop(monkeypatch, matrix, tol=numerics.DEFAULT_TOL):
     # the stacked exact pass against oracles.exact_pass, the loop of two
-    # numerics.sigma_k calls per mask, on the masks the search's screen kept;
-    # every value is >= 0, so 0 is a lower end for each. The pass visits
-    # every kept mask. A search that mask 0 decides takes no screen, and
-    # matches the full bracket oracle
-    screened = []
-    with monkeypatch.context() as m:
-        real = screens._screen
-        m.setattr(screens, "_screen", lambda unit: screened.append(real(unit)) or screened[-1])
-        key = Key(matrix, tol)
-        search = lipschitz.lower_constant_search(key)
-    if screened:
-        masks, settled, diagonalized = screened[0]
-        a0, mask, _ = oracles.exact_pass(key, masks, np.zeros(masks.size))
-        assert (search.settled, search.diagonalized, search.visited) == (
-            settled, diagonalized, masks.size)
-    else:
-        a0, mask = oracles.lower_constant(key)
-        assert (search.settled, search.diagonalized, search.visited) == (0, 0, 1)
-        assert mask == 0
+    # numerics.sigma_k calls per mask, on the masks the screen kept in the
+    # blocks the search read; every value is >= 0, so 0 is a lower end for
+    # each. The pass visits every kept mask of those blocks
+    key = Key(matrix, tol)
+    search, blocks = _searched(monkeypatch, key)
+    masks = np.concatenate([b[0] for b in blocks])
+    a0, mask, _ = oracles.exact_pass(key, masks, np.zeros(masks.size))
+    assert (search.settled, search.diagonalized, search.visited) == (
+        sum(b[2] for b in blocks), sum(b[3] for b in blocks), masks.size)
     assert np.float64(search.result[0]).tobytes() == np.float64(a0).tobytes()
     assert search.result[1].mask == mask
 
@@ -626,36 +633,36 @@ def test_exact_pass_matches_loop_hypothesis(matrix):
     assert part.mask == ref_mask
 
 
-def _search_decided_by_mask_0(monkeypatch, matrix):
-    # sigma_d(A), the value of mask 0, is within the tie window of 0: no
-    # other split can pass the visit's test, and the screen is not called
-    def refuse(unit):
-        raise AssertionError("the screen ran")
-
-    with monkeypatch.context() as m:
-        m.setattr(screens, "_screen", refuse)
-        search = lipschitz.lower_constant_search(Key(matrix))
-    assert (search.settled, search.diagonalized, search.visited) == (0, 0, 1)
-    assert search.result[1].mask == 0
-    return search.result
+def _r24():
+    """The rank-3 4x24 key of the CI degenerate smoke step: every split has
+    the value 0 up to rounding."""
+    return generate_key(4, 3, 1).matrix @ generate_key(3, 24, 2).matrix
 
 
 @pytest.mark.parametrize("name", ["rank-deficient", "zero", "all-ones", "rank-3-4x12"])
-def test_mask_0_decides_a_rank_deficient_key(monkeypatch, name):
+def test_mask_0_decides_a_rank_deficient_key(name):
+    # sigma_d(A), the value of mask 0, is within the tie window of 0: no
+    # other split can pass the visit's test, and the search ends with its
+    # first block, in which no test settles a mask
     matrix = ADVERSARIAL.get(name)
     if matrix is None:
         matrix = generate_key(4, 3, 1).matrix @ generate_key(3, 12, 2).matrix
-    a0, part = _search_decided_by_mask_0(monkeypatch, matrix)
+    search = lipschitz.lower_constant_search(Key(matrix))
+    first = min(screens._FIRST_BLOCK, 1 << (matrix.shape[1] - 1))
+    assert (search.settled, search.diagonalized) == (0, first)
+    a0, part = search.result
     ref_a0, ref_mask = oracles.lower_constant(Key(matrix))
     assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
-    assert part.mask == ref_mask
+    assert part.mask == ref_mask == 0
 
 
-def test_mask_0_decides_a_rank_deficient_key_at_the_cap(monkeypatch):
-    # rank 3 at d = 4: every split has the value 0 up to rounding; the search
-    # is the one SVD of the key. One more column is over the cap
-    product = generate_key(4, 3, 1).matrix @ generate_key(3, 24, 2).matrix
-    a0, part = _search_decided_by_mask_0(monkeypatch, product)
+def test_mask_0_decides_a_rank_deficient_key_at_the_cap():
+    # rank 3 at d = 4: the search ends with its first block of 64 splits,
+    # every one diagonalized and kept. One more column is over the cap
+    product = _r24()
+    search = lipschitz.lower_constant_search(Key(product))
+    assert (search.settled, search.diagonalized, search.visited) == (0, 64, 64)
+    a0, part = search.result
     assert part.indices() == ()
     assert np.float64(a0).tobytes() == np.float64(numerics.sigma_k(product, 4)).tobytes()
     wide = generate_key(4, 3, 1).matrix @ generate_key(3, 25, 2).matrix
@@ -671,48 +678,57 @@ def test_mask_0_decides_only_within_the_tie_window(c):
     matrix = np.diag([1.0, c * lipschitz._TIE_WINDOW])
     search = lipschitz.lower_constant_search(Key(matrix))
     assert search.result[1].mask == (1 if c > 1 else 0)
-    assert (search.visited == 1) == (c <= 1)
     _assert_matches_loop(matrix)
 
 
-def test_exact_pass_decomposes_mask_0_only_of_a_rank_deficient_key(monkeypatch):
-    # the value of mask 0, a rounding error of a rank-2 key, decides: one
-    # SVD of the key, where the screen would keep 512 masks
-    rows = []
-    real = numerics.singular_values_many
-    monkeypatch.setattr(numerics, "singular_values_many",
-                        lambda stack: rows.append(len(stack)) or real(stack))
-    search = lipschitz.lower_constant_search(Key(ADVERSARIAL["rank-deficient"]))
-    masks, _, _ = screens._screen(frame_keys._unit(Key(ADVERSARIAL["rank-deficient"])))
-    assert (masks.size, search.visited) == (512, 1)
-    assert rows[0] == 1 and search.result[1].mask == 0
+def _planted_8x15():
+    """The 8x15 key (keygen seed 1) with column 15 = c1 + c2 + 1e-9 c3."""
+    matrix = generate_key(8, 15, 1).matrix.copy()
+    matrix[:, 14] = matrix[:, 0] + matrix[:, 1] + 1e-9 * matrix[:, 2]
+    return matrix
 
 
-@pytest.mark.parametrize("name", ["5x8", "6x9", "7x12", "too-few-columns", "identity"])
-def test_screen_stops_at_the_first_split_without_a_spanning_side(monkeypatch, name):
-    # D <= 2d - 2: mask 2^(D-d+1) - 1 has no side of d columns and the value
-    # 0, so the search's walk ends with the block that holds it, and the
-    # pass visits every mask the screen kept, that one among them
-    if name in ADVERSARIAL:
-        matrix = ADVERSARIAL[name]
+_STOP_KEYS = {
+    **ADVERSARIAL,
+    **{f"{d}x{D}": generate_key(d, D, 1).matrix for d, D in ((5, 8), (6, 9), (7, 12))},
+    **{f"I{d}x{k}": np.hstack([np.eye(d)] * k)
+       for d, ks in ((1, (2, 5)), (2, (2, 3, 5)), (3, (2, 3, 4)), (4, (2, 3, 4))) for k in ks},
+    "planted-8x15": _planted_8x15(),
+    "r24": _r24(),
+}
+
+# (settled, diagonalized, visited) of tie-heavy keys whose exact best
+# reaches the tie window before the last block
+_STOP_WORK = {"planted-8x15": (949, 75, 32), "I4x4": (6079, 2113, 938), "r24": (0, 64, 64)}
+
+
+@pytest.mark.parametrize("name", sorted(_STOP_KEYS))
+def test_search_stops_with_the_first_block_within_the_tie_window(monkeypatch, name):
+    # the search ends with the first block after which the full visit's
+    # best, over every mask up to the block's end (the loop oracle), is
+    # within the tie window, or with the last block; no later mask can pass
+    # the visit's test, so the answer is the full visit's
+    key = Key(_STOP_KEYS[name])
+    search, blocks = _searched(monkeypatch, key)
+    walked = search.settled + search.diagonalized
+    start = walked - blocks[-1][2] - blocks[-1][3]  # where the last block starts
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    if start:
+        assert _lower_constant_loop(key, start)[0] > tie
+    if walked < 1 << (key.D - 1):
+        best_val, best_mask = _lower_constant_loop(key, walked)
+        assert best_val <= tie
     else:
-        d, D = map(int, name.split("x"))
-        matrix = generate_key(d, D, 1).matrix
-    screened = []
-    real = screens._screen
-    monkeypatch.setattr(screens, "_screen", lambda unit: screened.append(real(unit)) or screened[-1])
-    key = Key(matrix)
-    search, blocks = _walked(lambda: lipschitz.lower_constant_search(key))
-    stop = _first_mask_without_a_spanning_side(key.d, key.D)
-    assert blocks[-1][0] <= stop < blocks[-1][1] == search.settled + search.diagonalized
-    (masks, settled, diagonalized), = screened
-    assert (search.settled, search.diagonalized, search.visited) == (
-        settled, diagonalized, masks.size)
-    assert stop in masks.tolist()
+        best_val, best_mask = _lower_constant_loop(key)
     a0, part = search.result
-    ref_a0, ref_mask = oracles.lower_constant(Key(matrix))
-    assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
-    assert part.mask == ref_mask
+    assert np.float64(a0).tobytes() == np.float64(best_val).tobytes()
+    assert part.mask == best_mask
+    if key.D <= 16:
+        ref_a0, ref_mask = oracles.lower_constant(Key(key.matrix))
+        assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+        assert part.mask == ref_mask
+    if name in _STOP_WORK:
+        assert (search.settled, search.diagonalized, search.visited) == _STOP_WORK[name]
 
 
 def test_search_stops_early_on_the_11x20_key():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import phasesort
-from conftest import ADVERSARIAL
+from conftest import ADVERSARIAL, drain_screen
 from phasesort import Key, frame_keys, generate_key, screens
 
 # The packed Gram layout, the shifted-Cholesky kernel and the screens' error
@@ -69,7 +69,7 @@ def _walk_shifts(key):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(screens, "_unsettled", recorded)
         m.setattr(screens, "_cover", lambda unit, tau, least: None)  # every block reaches _unsettled
-        screens._screen(unit)
+        drain_screen(unit)
     return [screens._one_side_shift(h, unit.err_s, unit.err_lam) for h in runs]
 
 
@@ -169,7 +169,7 @@ def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
 
     monkeypatch.setattr(screens, "_partition_blocks", logged)
     monkeypatch.setattr(screens, "_cover", cover)
-    screens._screen(unit)
+    drain_screen(unit)
     largest = 1 << screens._block_bits(d, D)
     first = next(i for i, b in enumerate(blocks) if b.size == largest)
     ((walked, tau, least),) = calls
