@@ -13,6 +13,7 @@ empirically.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,19 +77,42 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
     - Screen. screens._screen brackets the value of every mask, 2^-e times
       the value the visit computes, from Gram eigenvalues of the copy,
       settles most masks without a bracket by a shifted-Cholesky test that
-      shows lo >= prev_hi, and keeps, in ascending order, the masks with lo
-      < prev_hi. From its first full-size block on, the test is mostly
-      taken once per d-subset instead of once per mask: a mask is settled
-      with no Gram of its own when a side holds d columns whose Gram
-      passes it, as sigma_d of a side is at least that of any d of its
-      columns (the cover). Its docstring has the argument that it keeps
-      exactly the masks the full bracket of every mask would keep.
+      shows lo >= min(c, prev_hi), and keeps, in ascending order, the masks
+      with lo < min(c, prev_hi), c being the cut of the Bound below (2^-e
+      times it on the copy; infinite for an unseeded walk). From its first
+      full-size block on, the test is mostly taken once per d-subset
+      instead of once per mask: a mask is settled with no Gram of its own
+      when a side holds d columns whose Gram passes it, as sigma_d of a
+      side is at least that of any d of its columns (the cover). Its
+      docstring has the argument that it keeps exactly the masks the full
+      bracket of every mask would keep.
     - Exact pass. The kept masks are visited in ascending order with the
-      full visit's body and test. Every mask that becomes the best in the full
-      visit is among them, so each sees the same best as in the full visit
-      and decides the same way. The values come from one stack of SVDs of
-      the key per side size (screens._side_singular_values), whose rows have
-      the bits of numerics.sigma_k on each side alone.
+      full visit's body and test. Without a cut, every mask that becomes the
+      best in the full visit is among them, so each sees the same best as in
+      the full visit and decides the same way. The values come from one
+      stack of SVDs of the key per side size (screens._side_singular_values),
+      whose rows have the bits of numerics.sigma_k on each side alone.
+    - Bound. Before the walk, h, the value the visit computes for mask 0 or
+      for the split an alternating descent on the copy ends at, whichever
+      is smaller (_descent_bound), bounds m*, the smallest value the visit
+      computes, from above; the screen gets the cut c = h + 2 tie. Call a
+      mask low when its value v < c. The full visit's final best f has
+      v_f <= m* + tie < c, and once the best is low no mask with v >= c
+      can pass val < best - tie. Suppose no visited value lies in the band
+      [c - tie, c). Then the first low mask visited passes the test
+      whatever high best precedes it, here as in the full visit, where no
+      low mask before it is a record (a low mask is dropped only for lo >=
+      prev_hi). From there on the two visits see the same best, as every
+      later record of the full visit is low and kept; so the walk ends at
+      f with the same bits. A mask the screen drops has v >= 2^e lo >= c
+      or cannot be a record, so only visited values can break this, and
+      the exact pass checks each against the band. On a hit the search is
+      redone unseeded, and the work of both walks is counted. The band is
+      needed: with tie = 1 and values 4.5, 3.6, 2.9, 2.0 in mask order, the
+      full visit returns the third mask; h = 2.0 gives c = 4.0, the screen
+      may drop the first, and the visit of the rest returns the fourth;
+      3.6 lies in [3.0, 4.0). The seeded screen starts with full-size
+      blocks and its cover (screens._screen's Start bound).
     - Stop. Values are >= 0, so once the best is at most tie no later mask
       can pass the test: the search ends with the first block whose exact
       best is at most tie. The kept masks of each block wait, and the
@@ -97,12 +121,12 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       computes for a mask is at least 2^e times its lo, so while no
       waiting mask has one within the window, the best cannot be within it
       either: the wait moves only when masks are visited, never the
-      answer. Mask 0, the first kept mask, is visited like any other; its
-      value sigma_d(A) ends the search after the first block when it is
-      within the window, as for a rank-deficient key. When D <= 2d - 2,
-      mask 2^(D-d+1) - 1 (mask 0 when D < d) has no side of d columns, the
-      value 0 and lo = 0, so the search ends at the latest with the block
-      that holds it.
+      answer. Mask 0, the first kept mask of an unseeded walk, is visited
+      like any other; its value sigma_d(A) ends the search after the first
+      block when it is within the window, as for a rank-deficient key.
+      When D <= 2d - 2, mask 2^(D-d+1) - 1 (mask 0 when D < d) has no side
+      of d columns, the value 0 and lo = 0, so the search ends at the
+      latest with the block that holds it.
 
     A0 therefore always comes from exact SVD values, never from the screen.
     Near-singular keys, whose values all sit inside the bracket's width, send
@@ -123,10 +147,13 @@ class LowerConstantSearch:
     diagonalized ones. The search stops with the first block whose exact
     best is within the tie window (see lower_constant), so settled +
     diagonalized counts the masks up to the end of that block, fewer than
-    2^(D-1) unless it is the last. The screen reads the key's unit copy
-    (frame_keys._unit): the key times a power of two that holds it exactly
-    has the same one, and so the same ``settled`` and ``diagonalized``, away
-    from subnormal scale.
+    2^(D-1) unless it is the last. A search seeded with a descent bound
+    (lower_constant's Bound) keeps only masks below its cut, so it settles
+    all but a few hundred of the 2^23 masks of the generic cap keys; a
+    search redone unseeded after a band hit counts the work of both walks.
+    The screen reads the key's unit copy (frame_keys._unit): the key times
+    a power of two that holds it exactly has the same one, and so the same
+    ``settled`` and ``diagonalized``, away from subnormal scale.
     """
 
     result: tuple[float, Partition]
@@ -147,24 +174,143 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
     tie = _TIE_WINDOW * upper_constant(key)
-    unit, full = _unit(key), (1 << D) - 1
+    result, *work = _search(key, tie, _descent_bound(key, tie) + 2.0 * tie)
+    if result is None:  # a visited value in the band: see lower_constant's Bound
+        result, *more = _search(key, tie, np.inf)
+        work = [a + b for a, b in zip(work, more)]
+    return LowerConstantSearch(result, *work)
+
+
+def _search(key: Key, tie: float, cut: float):
+    """(result, settled, diagonalized, visited): lower_constant's walk with
+    the cut c, infinite for an unseeded walk. The result is None when the
+    walk visits a value in the band [c - tie, c)."""
+    unit = _unit(key)
     best_val, best_mask, pending = np.inf, 0, []
     settled = diagonalized = visited = 0
-    for masks, lo, s, g in screens._screen(unit):
+    # c on the unit copy, exactly: c is at least 2 tie, so the scaled c is
+    # far above the subnormal range
+    for masks, lo, s, g in screens._screen(unit, np.ldexp(cut, -unit.e)):
         settled, diagonalized = settled + s, diagonalized + g
         pending.append(masks)
-        if settled + diagonalized < 1 << (D - 1) and not (np.ldexp(lo, unit.e) <= tie).any():
+        if (settled + diagonalized < 1 << (key.D - 1)
+                and not (np.ldexp(lo, unit.e) <= tie).any()):
             continue  # no waiting mask can reach the tie window: see lower_constant
         rest = np.concatenate(pending)
         pending, visited = [], visited + rest.size
-        s_i, s_c = np.split(_sigma_d(key.matrix, np.concatenate((rest, full ^ rest))), 2)
-        for mask, val in zip(rest.tolist(), np.hypot(s_i, s_c).tolist()):
+        values = _split_values(key.matrix, rest)
+        if ((values >= cut - tie) & (values < cut)).any():
+            return None, settled, diagonalized, visited
+        for mask, val in zip(rest.tolist(), values.tolist()):
             if val < best_val - tie:
                 best_val, best_mask = val, mask
         if best_val <= tie:
             break
-    return LowerConstantSearch((best_val, Partition(best_mask, D)), settled, diagonalized,
-                               visited)
+    return (best_val, Partition(best_mask, key.D)), settled, diagonalized, visited
+
+
+def _descent_bound(key: Key, tie: float) -> float:
+    """h of lower_constant's Bound: the smaller of mask 0's value and the
+    value of the split _descent ends at, both as the visit computes them;
+    or inf where the search runs unseeded.
+
+    No descent runs where it cannot pay: for tie = 0 (the zero key); for
+    D <= 2d - 2, where split 2^(D-d+1) - 1 has no side of d columns and the
+    value 0, so the search ends with the block that holds it; for walks of
+    at most 4 * screens._FIRST_BLOCK masks, D <= 9, where the descent costs
+    about what it saves (in process, keygen keys of seeds 1-3: a median
+    0.1 ms lost at D = 9, 0.1 ms won at D = 10 and 0.8 ms at D = 11); and
+    when mask 0's value sigma_d(A) is within the tie window, as for a
+    rank-deficient key. An h within the window is not used either: the
+    search then ends with the first block that holds a value within it,
+    and a seed would only build the cover early.
+    """
+    d, D = key.d, key.D
+    if tie == 0.0 or D <= 2 * d - 2 or 1 << (D - 1) <= 4 * screens._FIRST_BLOCK:
+        return np.inf
+    h = _split_values(key.matrix, np.zeros(1, dtype=np.int64))[0]
+    if h > tie:
+        h = min(h, _split_values(key.matrix, np.array([_descent(_unit(key).matrix)]))[0])
+    return float(h) if h > tie else np.inf
+
+
+# The descent's direction pairs and its most rounds
+_DESCENT_STARTS = 8
+_DESCENT_ROUNDS = 6
+
+
+def _descent(u: np.ndarray) -> int:
+    """The canonical mask of a split of low value of the d x D unit copy
+    ``u``, by an alternating descent and then single-column moves.
+
+    Each of _DESCENT_STARTS direction pairs (v, w), entries drawn uniform
+    in [-1, 1) from random.Random(0) (Python's own generator: numpy's would
+    load numpy.random, about 6 MB of peak RSS for a bounds command that
+    does not otherwise use it), puts column u_j on side I when (v . u_j)^2
+    < (w . u_j)^2, the whole assignment flipped when column D - 1 lands on
+    side I; then v and w become the bottom eigenvectors of the two sides'
+    Grams (eigh). No round raises the sum over the columns of min((v .
+    u_j)^2, (w . u_j)^2): the assignment takes the smaller square of each
+    column, and the new v and w attain the minimum of v^T G_I v + w^T G_C w
+    over unit vectors, lambda_min(G_I) + lambda_min(G_C) (Rayleigh), the
+    split's squared value on the copy. The rounds end when no assignment
+    changes, or after _DESCENT_ROUNDS. The split of the start with the
+    smallest sum then moves one column at a time, column D - 1 never, to
+    the other side while the best such move lowers its squared value as
+    eigvalsh of the sides' Grams gives it, at most _DESCENT_ROUNDS times;
+    on the generic 24-column cap keys that brings the split from up to 1.9
+    to within 1.14 times A0. Reading the copy, nothing over- or underflows
+    at any scale of the key.
+    """
+    d, D = u.shape
+    rng = random.Random(0)
+    vw = np.array([rng.uniform(-1.0, 1.0) for _ in range(2 * _DESCENT_STARTS * d)])
+    side, bound = _descent_sides(vw.reshape(2, _DESCENT_STARTS, d), u)
+    for _ in range(_DESCENT_ROUNDS):
+        vw = np.linalg.eigh(_side_grams(u, side))[1][..., 0].reshape(2, _DESCENT_STARTS, d)
+        assigned, bound = _descent_sides(vw, u)
+        if np.array_equal(assigned, side):
+            break
+        side = assigned
+    side = side[np.argmin(bound)]
+    value = _squared_values(u, side[None])[0]
+    for _ in range(_DESCENT_ROUNDS):
+        moves = side ^ np.eye(D, dtype=bool)[:-1]
+        values = _squared_values(u, moves)
+        best = int(np.argmin(values))
+        if values[best] >= value:
+            break
+        side, value = moves[best], values[best]
+    return int((side << np.arange(D)).sum())
+
+
+def _descent_sides(vw: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(side, bound): for each direction pair (vw[0], vw[1]) of _descent,
+    whether each column of ``u`` goes to side I, column D - 1 on side C, and
+    the sum over the columns of min((v . u_j)^2, (w . u_j)^2)."""
+    proj = np.square(vw @ u)
+    side = proj[0] < proj[1]
+    return side ^ side[:, -1:], np.minimum(proj[0], proj[1]).sum(axis=1)
+
+
+def _squared_values(u: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """The squared value on the copy ``u`` of the split of each row of
+    ``sides`` (True on side I), lambda_min(G_I) + lambda_min(G_C) from one
+    stacked eigvalsh (about 0 for a side of fewer than d columns)."""
+    return np.linalg.eigvalsh(_side_grams(u, sides))[:, 0].reshape(2, -1).sum(axis=0)
+
+
+def _side_grams(u: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """The Grams U_S U_S^T on the copy ``u`` of side I of each row of
+    ``sides``, then of side C of each, one (2n, d, d) stack."""
+    return (u * np.concatenate((sides, ~sides))[:, None, :]) @ u.T
+
+
+def _split_values(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The value the visit computes for each canonical mask of the key
+    matrix ``a``: hypot(sigma_d(A_I), sigma_d(A_C)) (_sigma_d)."""
+    full = (1 << a.shape[1]) - 1
+    return np.hypot(*np.split(_sigma_d(a, np.concatenate((masks, full ^ masks))), 2))
 
 
 def _sigma_d(a: np.ndarray, col_masks: np.ndarray) -> np.ndarray:

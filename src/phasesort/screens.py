@@ -541,7 +541,10 @@ def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
 # value exceeds mask 0's, sigma_d(U), as G_I + G_C = G gives sigma_d(U_I)^2 +
 # sigma_d(U_C)^2 <= sigma_d(U)^2; so while the A0 screen's running bound is
 # still near mask 0's it settles almost nothing, and smaller first blocks
-# would only add their fixed cost, some hundred numpy calls each.
+# would only add their fixed cost, some hundred numpy calls each. An A0
+# screen given a start bound (the search's descent cut) has a tight running
+# bound from mask 0 on, so it starts at full size instead; walks of at most
+# 4 * _FIRST_BLOCK masks are never seeded (lipschitz._descent_bound).
 _FIRST_BLOCK = 64
 
 
@@ -589,9 +592,10 @@ def _block_bits(d: int, D: int) -> int:
     return min(D - 1, max(0, (_SCREEN_ENTRIES // (d * (d + 1) // 2)).bit_length() - 1))
 
 
-def _partition_blocks(a: np.ndarray):
+def _partition_blocks(a: np.ndarray, first: int | None = None):
     """Yield ``(masks, grams, full_i, full_c)`` for every canonical mask, in
-    blocks of ascending masks.
+    blocks of ascending masks, the first of ``first`` masks (_FIRST_BLOCK by
+    default).
 
     ``grams`` (_BlockGrams) gives the packed Grams A[I] A[I]^T (pack) of the
     block's masks, one per column, for the subsets I that avoid the last
@@ -603,12 +607,13 @@ def _partition_blocks(a: np.ndarray):
     are one contiguous (P, 2^k) table of its own: column 0 is mask start's
     Gram, its outer products summed highest bit first, and _fill_grams adds
     the k low bits. So every entry is the same sum, in the same order, as in
-    a single table over all masks. Blocks double from _FIRST_BLOCK masks to
-    the largest power of two whose Grams fit _SCREEN_ENTRIES entries
-    (_block_bits). A mask's column count is start's plus a lookup in one
-    table over the low bits.
+    a single table over all masks. Blocks double from ``first`` masks, a
+    power of two, to the largest power of two whose Grams fit
+    _SCREEN_ENTRIES entries (_block_bits). A mask's column count is start's
+    plus a lookup in one table over the low bits.
     """
     d, D = a.shape
+    first = _FIRST_BLOCK if first is None else first
     bits = D - 1
     rows, cols = packed_pairs(d)
     size = len(rows)
@@ -619,7 +624,7 @@ def _partition_blocks(a: np.ndarray):
         low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
     start = 0
     while start < 1 << bits:
-        k = min(top, max(_FIRST_BLOCK.bit_length(), start.bit_length()) - 1)
+        k = min(top, max(first.bit_length(), start.bit_length()) - 1)
         # mask start's Gram, summed from 0 highest bit first, as _fill_grams sums
         head = sum((outers[b] for b in range(bits - 1, k - 1, -1) if start >> b & 1),
                    np.zeros(size))
@@ -689,14 +694,15 @@ def _side_bracket(lam, full, err_lam, err_s):
     return np.where(full, lo, 0.0), np.where(full, hi, 0.0)
 
 
-def _screen(unit: UnitCopy):
+def _screen(unit: UnitCopy, bound: float = np.inf):
     """The A0 screen of lipschitz.lower_constant on a key's unit copy, one
     block of _partition_blocks at a time, ascending: yield ``(masks, lo,
     settled, diagonalized)`` for each block, its masks that may become the
-    best, ascending, the lower ends lo of their brackets, and the numbers of
-    its masks settled and diagonalized. The brackets are those of the copy
-    2^-e A, with its own B0. The screen walks every block; when to stop is
-    the search's to decide (lipschitz.lower_constant).
+    best and have lo < ``bound``, ascending, the lower ends lo of their
+    brackets, and the numbers of its masks settled and diagonalized. The
+    brackets and ``bound`` are those of the copy 2^-e A, with its own B0.
+    The screen walks every block; when to stop is the search's to decide
+    (lipschitz.lower_constant).
 
     - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
       sigma_d(U_S)^2 up to the error of the Gram sums and of eigvalsh, both
@@ -710,11 +716,19 @@ def _screen(unit: UnitCopy):
     - Kept masks. A mask can become the best only if its value is below
       prev_hi, the smallest hi of the masks before it (infinite for mask 0;
       see lipschitz.lower_constant). Masks with lo >= prev_hi are skipped.
+    - Start bound. With a finite ``bound`` the screen keeps a mask only when
+      lo < min(bound, prev_hi): it runs as if a mask before mask 0 had hi =
+      bound, so every rule below holds with hi_run starting at ``bound``
+      instead of infinity. The search passes the cut of its descent bound
+      (lipschitz.lower_constant's Bound), and then the walk starts with
+      full-size blocks and builds its cover at block 0: no block is spent
+      waiting for hi_run to come down.
     - Settled masks. The screen walks the masks in the ascending blocks of
       _partition_blocks, aligned power-of-two ranges of masks that start at
-      _FIRST_BLOCK masks and double up to the most whose Grams fit
-      _SCREEN_ENTRIES, and keeps hi_run, the smallest hi so far, so that
-      hi_run at the start of a block is >= prev_hi of every mask in it.
+      _FIRST_BLOCK masks, or at full size with a finite ``bound``, and
+      double up to the most whose Grams fit _SCREEN_ENTRIES, and keeps
+      hi_run, the smallest of ``bound`` and the hi so far, so that hi_run at
+      the start of a block is >= min(bound, prev_hi) of every mask in it.
       Each block's Grams are one contiguous table, the same bits as a single
       table over all masks. They are packed upper triangles (pack); side
       C's, U U^T - G_I, is formed for the one-side test below where only
@@ -727,36 +741,37 @@ def _screen(unit: UnitCopy):
       shift tau proves lambda_min(G) >= tau - delta, with delta of order
       d^2 * eps * B0^2 (Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., section 10.1; tau stays near B0^2 or below, as
-      hi_run <= hi of mask 0, whose value sigma_d(U) <= B0 bounds every
+      hi_run is at most hi of mask 0 or ``bound``, a split's value plus two
+      tie windows, and mask 0's value sigma_d(U) <= B0 bounds every
       partition's); eigvalsh's lambda is within a like amount of
       lambda_min(G), and the two together stay below err_lam. The shifts
       are those at which the bracket algebra gives lo >= hi_run, raised by
       err_lam: one spanning side at (hi_run + 2 err_s)^2 + 2 err_lam, or
       both sides at ((hi_run + err_s) / sqrt(2) + err_s)^2 + 2 err_lam. A
       mask that passes either test would get an eigvalsh bracket with lo >=
-      hi_run >= prev_hi, so the rule above skips it, and its hi >= lo
-      cannot lower prev_hi for the masks after it. Such a mask is settled
-      without a bracket. The other masks are bracketed from eigvalsh of
+      hi_run >= min(bound, prev_hi), so the rules above skip it, and its
+      hi >= lo cannot lower prev_hi for the masks after it. Such a mask is
+      settled without a bracket. The other masks are bracketed from eigvalsh of
       their Grams unpacked to full symmetric matrices (unpack), which are
       the Grams' own bits, as U U^T and the outer-product sums are exactly
       symmetric; one stacked eigvalsh per block takes both sides, each row
       with the bits of its matrix alone. So the screen keeps exactly the
       masks the full bracket of every mask would keep; as settling spares
-      only masks the rule above skips, the kept masks do not depend on the
+      only masks the rules above skip, the kept masks do not depend on the
       block sizes.
     - Cover. At the first full-size block, where _partition_blocks stops
-      doubling, the subset scan's walk (_subset_verdicts) tests the Gram
-      G[T, T] of every d-subset T, G = U^T U, at that block's one-side
-      shift tau_0, and _cover marks every column set that holds a T that
-      passes. From that block on, a mask with a marked side S is settled
-      with no Gram and no kernel call. The argument is the one-side
-      test's, with T in place of S. The walk gives each subset the
-      kernel's verdict bit for bit, and each entry of G is a length-d dot
-      product, within the error budget of a side's Gram of up to D outer
-      products; so a pass proves sigma_d(U_T)^2 = lambda_min(U_T^T U_T) >=
-      tau_0 - err_lam, U_T being d x d. U_S U_S^T is U_T U_T^T plus the
-      outer products of the other columns of S, so sigma_d(U_S) >=
-      sigma_d(U_T) (the interlacing step of
+      doubling (block 0 with a finite ``bound``), the subset scan's walk
+      (_subset_verdicts) tests the Gram G[T, T] of every d-subset T, G =
+      U^T U, at that block's one-side shift tau_0, and _cover marks every
+      column set that holds a T that passes. From that block on, a mask
+      with a marked side S is settled with no Gram and no kernel call. The
+      argument is the one-side test's, with T in place of S. The walk gives
+      each subset the kernel's verdict bit for bit, and each entry of G is
+      a length-d dot product, within the error budget of a side's Gram of
+      up to D outer products; so a pass proves sigma_d(U_T)^2 =
+      lambda_min(U_T^T U_T) >= tau_0 - err_lam, U_T being d x d. U_S U_S^T
+      is U_T U_T^T plus the outer products of the other columns of S, so
+      sigma_d(U_S) >= sigma_d(U_T) (the interlacing step of
       frame_keys._subsets_certify_complement), and S's bracket would have
       lo >= hi_run. That holds at every later block too: hi_run never
       rises, so the later shifts are at most tau_0, and a side shown above
@@ -768,12 +783,15 @@ def _screen(unit: UnitCopy):
       of at most 2^(D-d) of the 2^(D-1) masks, so p passing subsets settle
       at most a share 2p / 2^d of them, a bound that counts a mask once
       per passing subset in its sides. The cover is built only when that
-      bound reaches 1, p >= 2^(d-1): at 8x24 (keygen seed 1) 65 subsets
-      pass, the bound is 0.51, and the cover settles a median 12.5% of a
-      block, which pays for neither it nor its lookups, while the keys
-      whose covers pay, from 4x16 to 12x23, have bounds of 15 to 550.
+      bound reaches 1, p >= 2^(d-1): at 8x24 (keygen seed 1), walked
+      without a start bound, 65 subsets pass, the bound is 0.51, and the
+      cover settles a median 12.5% of a block, which pays for neither it
+      nor its lookups, while the keys whose covers pay, from 4x16 to 12x23,
+      have bounds of 15 to 550 (at the search's start bound, 238,682 pass
+      at 8x24).
       Without a cover every block is walked as above; so is every block
-      before the first full-size one, whose shift is not yet known. The
+      before the first full-size one, whose shift is not yet known, and
+      every block of a walk whose hi_run is still infinite there. The
       cover settles only masks the bracket rule skips, so the kept masks
       are those above; it moves the settled and diagonalized counts only
       where a side's Gram and a subset's round to opposite sides of a
@@ -781,9 +799,10 @@ def _screen(unit: UnitCopy):
     """
     err_s, err_lam = unit.err_s, unit.err_lam
     d, D = unit.matrix.shape
-    hi_run = np.inf
+    hi_run = bound
     cover, largest = None, 1 << _block_bits(d, D)
-    for block, grams, full_i, full_c in _partition_blocks(unit.matrix):
+    first = largest if bound < np.inf else _FIRST_BLOCK
+    for block, grams, full_i, full_c in _partition_blocks(unit.matrix, first):
         if block.size == largest:  # the first full-size block: see Cover above
             largest = 0
             if hi_run < np.inf:

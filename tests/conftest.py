@@ -40,11 +40,11 @@ def _adversarial_matrices():
 
 ADVERSARIAL = _adversarial_matrices()
 
-def drain_screen(unit):
-    """(masks, settled, diagonalized): screens._screen(unit) walked to its
-    end, the kept masks of every block, ascending, and the blocks' work
+def drain_screen(unit, bound=np.inf):
+    """(masks, settled, diagonalized): screens._screen(unit, bound) walked to
+    its end, the kept masks of every block, ascending, and the blocks' work
     counts summed."""
-    blocks = list(screens._screen(unit))
+    blocks = list(screens._screen(unit, bound))
     return (np.concatenate([masks for masks, _, _, _ in blocks]),
             sum(b[2] for b in blocks), sum(b[3] for b in blocks))
 

@@ -356,13 +356,14 @@ def complement_property(key):
 
 # --- the A0 search with a bracket for every partition -----------------------
 
-def lower_constant_screen(key):
+def lower_constant_screen(key, bound=np.inf):
     """The masks the A0 search may visit, ascending, with their bracket lower
     ends: every mask bracketed (screen_brackets), kept when its lower end is
-    below the smallest upper end before it, and the lower ends scaled back by
-    2^e, the unit copy's exponent."""
+    below the smallest upper end before it and below ``bound``, a start
+    bound on the unit copy, and the lower ends scaled back by 2^e, the unit
+    copy's exponent."""
     lo, hi = screen_brackets(key)
-    prev_hi = np.minimum.accumulate(np.concatenate(([np.inf], hi[:-1])))
+    prev_hi = np.minimum.accumulate(np.concatenate(([bound], hi[:-1])))
     keep = np.flatnonzero(lo < prev_hi)
     return keep, np.ldexp(lo[keep], frame_keys._unit(key).e)
 

@@ -308,8 +308,8 @@ def _walked(run):
     blocks = []
     real = screens._partition_blocks
 
-    def logged(a):
-        for block in real(a):
+    def logged(*args):
+        for block in real(*args):
             blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
             yield block
 
@@ -329,8 +329,8 @@ def _cover_settled(run):
     real_blocks, real_cover, real_unsettled = (
         screens._partition_blocks, screens._cover, screens._unsettled)
 
-    def logged(a):
-        for block in real_blocks(a):
+    def logged(*args):
+        for block in real_blocks(*args):
             blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
             yield block
 
@@ -395,9 +395,16 @@ def test_search_settles_most_masks(d, D):
     assert 0 < search.visited <= 64
 
 
-def _assert_search_work(d, D, settled, diagonalized, visited):
+def _unseeded(key):
+    """The A0 search with no descent bound, as it runs on the keys that get
+    none: the walk the work pins made before the bound describe."""
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    return lipschitz.LowerConstantSearch(*lipschitz._search(key, tie, np.inf))
+
+
+def _assert_search_work(d, D, settled, diagonalized, visited, run=_unseeded):
     key = generate_key(d, D, 1)
-    search = lipschitz.lower_constant_search(key)
+    search = run(key)
     assert (search.settled, search.diagonalized, search.visited) == (settled, diagonalized, visited)
     a0, part = search.result
     ref_a0, ref_mask = oracles.lower_constant(Key(key.matrix))
@@ -408,7 +415,16 @@ def _assert_search_work(d, D, settled, diagonalized, visited):
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
     (4, 16, 32556, 212, 31), (8, 15, 16311, 73, 31), (5, 18, 130875, 197, 38)])
 def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized, visited):
+    # the unseeded walk: blocks double from _FIRST_BLOCK masks
     _assert_search_work(d, D, settled, diagonalized, visited)
+
+
+@pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
+    (4, 16, 32766, 2, 1), (8, 15, 16300, 84, 7), (5, 18, 131063, 9, 1)])
+def test_seeded_search_work_is_pinned(d, D, settled, diagonalized, visited):
+    # the search as it runs: the descent bound's cut keeps only masks below
+    # it, in full-size blocks with the cover from block 0 on
+    _assert_search_work(d, D, settled, diagonalized, visited, lipschitz.lower_constant_search)
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
@@ -514,21 +530,23 @@ def _repeated_identities(draw):
     return np.hstack([np.eye(d)] * k)[:, order] * scale
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.one_of(
-        st.integers(1, 4).flatmap(
-            lambda d: st.integers(1, 9).flatmap(
-                lambda D: st.lists(
-                    st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
-                    min_size=d * D,
-                    max_size=d * D,
-                ).map(lambda v: np.array(v).reshape(d, D))
-            )
-        ),
-        _repeated_identities(),
-    )
+# float or integer keys, d <= 4 and D <= 9, and repeated identities
+_SMALL_KEYS = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda d: st.integers(1, 9).flatmap(
+            lambda D: st.lists(
+                st.one_of(st.floats(-1e3, 1e3), st.integers(-2, 2).map(float)),
+                min_size=d * D,
+                max_size=d * D,
+            ).map(lambda v: np.array(v).reshape(d, D))
+        )
+    ),
+    _repeated_identities(),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_KEYS)
 def test_lower_constant_matches_loop_hypothesis(matrix):
     _assert_matches_loop(matrix)
 
@@ -552,8 +570,8 @@ def _searched(monkeypatch, key):
     blocks = []
     real = screens._screen
 
-    def recorded(unit):
-        for block in real(unit):
+    def recorded(*args):
+        for block in real(*args):
             blocks.append(block)
             yield block
 
@@ -698,8 +716,14 @@ _STOP_KEYS = {
 }
 
 # (settled, diagonalized, visited) of tie-heavy keys whose exact best
-# reaches the tie window before the last block
-_STOP_WORK = {"planted-8x15": (949, 75, 32), "I4x4": (6079, 2113, 938), "r24": (0, 64, 64)}
+# reaches the tie window before the last block. All but planted-8x15 run
+# unseeded: their descent bound is within the window, or none is sought.
+# planted-8x15's descent misses its split of value 1.6e-16 and bounds A0
+# by 5.2e-10, above the window, so its walk is seeded; unseeded it did the
+# work of _UNSEEDED_STOP_WORK
+_STOP_WORK = {"planted-8x15": (2012, 36, 36), "I4x4": (6079, 2113, 938), "r24": (0, 64, 64),
+              "zero": (0, 32, 32)}
+_UNSEEDED_STOP_WORK = {"planted-8x15": (949, 75, 32)}
 
 
 @pytest.mark.parametrize("name", sorted(_STOP_KEYS))
@@ -729,6 +753,9 @@ def test_search_stops_with_the_first_block_within_the_tie_window(monkeypatch, na
         assert part.mask == ref_mask
     if name in _STOP_WORK:
         assert (search.settled, search.diagonalized, search.visited) == _STOP_WORK[name]
+    if name in _UNSEEDED_STOP_WORK:
+        plain = _unseeded(Key(key.matrix))
+        assert (plain.settled, plain.diagonalized, plain.visited) == _UNSEEDED_STOP_WORK[name]
 
 
 def test_search_stops_early_on_the_11x20_key():
@@ -742,18 +769,18 @@ def test_search_stops_early_on_the_11x20_key():
 
 @pytest.mark.parametrize("d,D,most", [(8, 15, None), (4, 16, 41264), (5, 18, 155318)])
 def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
-    # the Grams the packed kernel receives during the search. At D = 2d - 1
-    # exactly one side of each split spans, and only it is factored: one
-    # Gram per mask after the first block, which no test screens, except the
-    # masks the cover settles with no Gram. At 8x15 that is all but 2 of the
-    # 14,336 masks of the full-size blocks
+    # the Grams the packed kernel receives during the unseeded search. At
+    # D = 2d - 1 exactly one side of each split spans, and only it is
+    # factored: one Gram per mask after the first block, which no test
+    # screens, except the masks the cover settles with no Gram. At 8x15
+    # that is all but 2 of the 14,336 masks of the full-size blocks
     grams = []
     real = screens._shifted_cholesky_ok_inplace
     monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
                         lambda w, tau: grams.append(w.shape[1]) or real(w, tau))
 
     def search():
-        lipschitz.lower_constant_search(generate_key(d, D, 1))
+        _unseeded(generate_key(d, D, 1))
         return sum(grams)  # before the cover oracle's own kernel calls
 
     if most is None:
@@ -778,21 +805,185 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
     # every call. Elsewhere a block may add a call for side C where both
     # sides span and side I failed, and one for the both-sides test. In a
     # block copied whole, side C takes the columns of the sides I that do
-    # not span. The parametrized figures are those of the walk with no
-    # cover, which every key without a passing d-subset takes; with the
-    # cover, a block calls the kernel only for its open masks, and not at
-    # all when it has none
+    # not span. The parametrized figures are those of the unseeded walk
+    # with no cover, which every key without a passing d-subset takes; with
+    # the cover, a block calls the kernel only for its open masks, and not
+    # at all when it has none
     for work in ((grams, calls), _COVERED_KERNEL_WORK[d, D]):
-        sizes = []
-        with monkeypatch.context() as m:
-            real = screens._shifted_cholesky_ok_inplace
-            m.setattr(screens, "_shifted_cholesky_ok_inplace",
-                      lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
-            if work == (grams, calls):
-                m.setattr(screens, "_cover", lambda unit, tau, least: None)
-            lipschitz.lower_constant_search(generate_key(d, D, 1))
-        assert sum(sizes) == work[0]
-        if D == 2 * d - 1:
-            assert len(sizes) == work[1]
-        else:
-            assert len(sizes) <= work[1]
+        _assert_kernel_work(monkeypatch, d, D, work, _unseeded, cover=work != (grams, calls))
+
+
+# the kernel's Grams and calls in the search as it runs, seeded with the
+# descent bound, whose cover is built at block 0
+_SEEDED_KERNEL_WORK = {(8, 15): (1112, 8), (4, 16): (26, 6), (5, 18): (147, 20),
+                       (4, 12): (92, 3)}
+
+
+@pytest.mark.parametrize("d,D", sorted(_SEEDED_KERNEL_WORK))
+def test_seeded_search_kernel_calls_are_pinned(monkeypatch, d, D):
+    _assert_kernel_work(monkeypatch, d, D, _SEEDED_KERNEL_WORK[d, D],
+                        lipschitz.lower_constant_search)
+
+
+def _assert_kernel_work(monkeypatch, d, D, work, run, cover=True):
+    """(Grams, calls) the packed kernel receives in run(key) on the keygen
+    seed-1 d x D key, with the screen's cover or with none; at D = 2d - 1
+    the calls are pinned exactly, elsewhere as a ceiling."""
+    sizes = []
+    with monkeypatch.context() as m:
+        real = screens._shifted_cholesky_ok_inplace
+        m.setattr(screens, "_shifted_cholesky_ok_inplace",
+                  lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
+        if not cover:
+            m.setattr(screens, "_cover", lambda unit, tau, least: None)
+        run(generate_key(d, D, 1))
+    assert sum(sizes) == work[0]
+    if D == 2 * d - 1:
+        assert len(sizes) == work[1]
+    else:
+        assert len(sizes) <= work[1]
+
+
+# --- the descent bound ----------------------------------------------------------
+
+def _bounds(key, tie, plain):
+    """Start bounds h the search could be given, each the value the visit
+    computes for a split, above the tie window: mask 0's, I0's (h = A0, the
+    tightest), the descent's split's (where D > 2d - 2 and D > 1, as in the
+    searches it serves) and those of a few seeded masks."""
+    d, D = key.d, key.D
+    masks = [0, plain.result[1].mask]
+    if D > max(2 * d - 2, 1):
+        masks.append(lipschitz._descent(frame_keys._unit(key).matrix))
+    rng = np.random.Generator(np.random.PCG64(D))
+    masks += rng.integers(0, 1 << (D - 1), size=3).tolist()
+    values = lipschitz._split_values(key.matrix, np.array(masks))
+    return values[values > tie]
+
+
+def _assert_seeded_matches_unseeded(matrix, tol=numerics.DEFAULT_TOL):
+    """The walk with the cut h + 2 tie gives the unseeded walk's A0 bits and
+    I0 for every h of _bounds, unless it reports a band hit; so does the
+    search as it runs. Returns the number of band hits."""
+    key = Key(matrix, tol)
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    plain = _unseeded(key)
+    hits = 0
+    for h in _bounds(key, tie, plain):
+        result, settled, diagonalized, visited = lipschitz._search(key, tie, h + 2 * tie)
+        if result is None:
+            hits += 1
+            continue
+        assert np.float64(result[0]).tobytes() == np.float64(plain.result[0]).tobytes(), h
+        assert result[1].mask == plain.result[1].mask, h
+        assert settled + diagonalized <= 1 << (key.D - 1) and visited <= diagonalized
+    a0, part = lipschitz.lower_constant_search(Key(matrix, tol)).result
+    assert np.float64(a0).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert part.mask == plain.result[1].mask
+    return hits
+
+
+@pytest.mark.parametrize("factor", [1e-16, 1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_seeded_search_matches_unseeded_adversarial(name, factor):
+    _assert_seeded_matches_unseeded(
+        ADVERSARIAL[name], numerics.ToleranceConfig(rank_tol_factor=factor))
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18), (4, 12), (6, 14)])
+def test_seeded_search_matches_unseeded_seeded_keys(d, D):
+    assert _assert_seeded_matches_unseeded(generate_key(d, D, 1).matrix) == 0
+
+
+def test_seeded_search_matches_unseeded_at_the_cap():
+    # the 4x24 key of the CI A0 cap smoke step; the unseeded walk screens all
+    # 2^23 splits (about 0.7 s), the seeded one settles all but 812
+    key = generate_key(4, 24, 1)
+    search, plain = lipschitz.lower_constant_search(key), _unseeded(Key(key.matrix))
+    assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert search.result[1].mask == plain.result[1].mask
+    assert (search.settled, search.diagonalized, search.visited) == (8387796, 812, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SMALL_KEYS)
+def test_seeded_search_matches_unseeded_hypothesis(matrix):
+    _assert_seeded_matches_unseeded(matrix)
+
+
+def test_band_hit_redoes_the_search_unseeded(monkeypatch):
+    # h = A0 - 1.5 tie puts A0 itself in the band [c - tie, c): I0 is below
+    # the cut and a record, so the seeded walk keeps and visits it, reports
+    # the hit, and the search is redone unseeded; the counts add both walks'
+    key = generate_key(4, 16, 1)
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    plain = _unseeded(key)
+    cut = (plain.result[0] - 1.5 * tie) + 2 * tie
+    assert cut - tie <= plain.result[0] < cut
+    seeded = lipschitz._search(Key(key.matrix), tie, cut)
+    assert seeded[0] is None
+    cuts, real = [], lipschitz._search
+    monkeypatch.setattr(lipschitz, "_descent_bound", lambda key, tie: plain.result[0] - 1.5 * tie)
+    monkeypatch.setattr(lipschitz, "_search",
+                        lambda key, tie, c: cuts.append(c) or real(key, tie, c))
+    search = lipschitz.lower_constant_search(Key(key.matrix))
+    assert cuts == [cut, np.inf]
+    assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert search.result[1].mask == plain.result[1].mask
+    assert (search.settled, search.diagonalized, search.visited) == tuple(
+        a + b for a, b in zip(seeded[1:], (plain.settled, plain.diagonalized, plain.visited)))
+
+
+_SEEDED_SCREEN_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matrix
+                                         for d, D in ((4, 16), (8, 15), (4, 12))}}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_SCREEN_KEYS))
+def test_seeded_screen_matches_full_bracket_oracle(name):
+    # with a start bound, the screen keeps the masks of the full bracket
+    # oracle whose lower end is also below it, in full-size blocks
+    key = Key(_SEEDED_SCREEN_KEYS[name])
+    unit = frame_keys._unit(key)
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    for h in _bounds(key, tie, _unseeded(key)):
+        bound = np.ldexp(h + 2 * tie, -unit.e)
+        (masks, settled, diagonalized), blocks = _walked(lambda: drain_screen(unit, bound))
+        assert settled + diagonalized == 1 << (key.D - 1)
+        largest = 1 << screens._block_bits(key.d, key.D)
+        assert all(end - start == largest for start, end in blocks)
+        ref_masks, _ = oracles.lower_constant_screen(Key(key.matrix), bound)
+        assert masks.tobytes() == ref_masks.tobytes()
+
+
+@pytest.mark.parametrize("name", ["zero-3x12", "11x20", "3x8", "r24", "3x9"])
+def test_no_descent_where_the_search_runs_unseeded(monkeypatch, name):
+    # tie = 0; D <= 2d - 2; walks of at most 4 * _FIRST_BLOCK masks; and
+    # sigma_d(A), mask 0's value, within the tie window: the search is the
+    # unseeded walk, with its work
+    matrix = {"zero-3x12": np.zeros((3, 12)), "11x20": generate_key(11, 20, 1).matrix,
+              "3x8": generate_key(3, 8, 1).matrix, "r24": _r24(),
+              "3x9": generate_key(3, 9, 1).matrix}[name]
+    plain = _unseeded(Key(matrix))
+
+    def refused(u):
+        raise AssertionError("descent ran")
+
+    monkeypatch.setattr(lipschitz, "_descent", refused)
+    search = lipschitz.lower_constant_search(Key(matrix))
+    assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert (search.result[1].mask, search.settled, search.diagonalized, search.visited) == (
+        plain.result[1].mask, plain.settled, plain.diagonalized, plain.visited)
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (3, 12), (1, 12), (6, 11)])
+def test_descent_ends_at_a_canonical_split_at_any_scale(d, D):
+    # the descent reads the unit copy: the key times a power of two far from
+    # 1 gives the same split, and no floating-point warning
+    matrix = generate_key(d, D, 2).matrix
+    mask = lipschitz._descent(frame_keys._unit(Key(matrix)).matrix)
+    assert 0 <= mask < 1 << (D - 1)
+    for scale in (2.0**-1000, 2.0**1000):
+        unit = frame_keys._unit(Key(matrix * scale)).matrix
+        with np.errstate(all="raise"):
+            assert lipschitz._descent(unit) == mask
+

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 import phasesort
 from conftest import ADVERSARIAL, drain_screen
-from phasesort import Key, frame_keys, generate_key, screens
+from phasesort import Key, frame_keys, generate_key, lipschitz, screens
 
 # The packed Gram layout, the shifted-Cholesky kernel and the screens' error
 # allowances
@@ -158,8 +158,8 @@ def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
     blocks, calls = [], []
     real_blocks, real_cover = screens._partition_blocks, screens._cover
 
-    def logged(a):
-        for block in real_blocks(a):
+    def logged(*args):
+        for block in real_blocks(*args):
             blocks.append(block[0])
             yield block
 
@@ -179,6 +179,37 @@ def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
     hi_run = hi[:blocks[first][0]].min()
     assert np.float64(tau).tobytes() == np.float64(
         screens._one_side_shift(hi_run, unit.err_s, unit.err_lam)).tobytes()
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18), (6, 14)])
+def test_seeded_cover_is_built_at_block_0(monkeypatch, d, D):
+    # with the search's start bound every block is full size, and the cover
+    # is built once, at block 0, at the bound's one-side shift
+    key = generate_key(d, D, 1)
+    unit = frame_keys._unit(key)
+    tie = lipschitz._TIE_WINDOW * lipschitz.upper_constant(key)
+    bound = np.ldexp(lipschitz._descent_bound(key, tie) + 2 * tie, -unit.e)
+    assert bound < np.inf
+    sizes, calls = [], []
+    real_blocks, real_cover = screens._partition_blocks, screens._cover
+
+    def logged(*args):
+        for block in real_blocks(*args):
+            sizes.append(block[0].size)
+            yield block
+
+    def cover(u, tau, least):
+        calls.append((len(sizes), tau, least))
+        return real_cover(u, tau, least)
+
+    monkeypatch.setattr(screens, "_partition_blocks", logged)
+    monkeypatch.setattr(screens, "_cover", cover)
+    drain_screen(unit, bound)
+    assert set(sizes) == {1 << screens._block_bits(d, D)}
+    ((walked, tau, least),) = calls
+    assert (walked, least) == (1, 1 << (d - 1))
+    assert np.float64(tau).tobytes() == np.float64(
+        screens._one_side_shift(bound, unit.err_s, unit.err_lam)).tobytes()
 
 
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (3, 12)])
