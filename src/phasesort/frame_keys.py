@@ -40,10 +40,11 @@ are in the screens module; this one holds what the scans decide with them:
 
 The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
 ascending blocks with its own Cholesky screen (screens._screen), which
-shares the walk's one-side pass at its own shift, and the subset scan's
-prefix-tree walk once, at the shift of its first full-size block, to
-settle the partitions with a side that holds a d-subset that factors
-there; it diagonalizes only the partitions that screen cannot rule out.
+shares the walk's one-side pass at its own shift. A walk seeded with a
+start bound also runs the subset scan's prefix-tree walk once, before its
+first block, at the bound's shift, to settle the partitions with a side
+that holds a d-subset that factors there. The search diagonalizes only the
+partitions that screen cannot rule out.
 """
 
 from __future__ import annotations

@@ -79,11 +79,11 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       settles most masks without a bracket by a shifted-Cholesky test that
       shows lo >= min(c, prev_hi), and keeps, in ascending order, the masks
       with lo < min(c, prev_hi), c being the cut of the Bound below (2^-e
-      times it on the copy; infinite for an unseeded walk). From its first
-      full-size block on, the test is mostly taken once per d-subset
-      instead of once per mask: a mask is settled with no Gram of its own
-      when a side holds d columns whose Gram passes it, as sigma_d of a
-      side is at least that of any d of its columns (the cover). Its
+      times it on the copy; infinite for an unseeded walk). In a seeded
+      walk the test is mostly taken once per d-subset, before the first
+      block, instead of once per mask: a mask is settled with no Gram of
+      its own when a side holds d columns whose Gram passes it, as sigma_d
+      of a side is at least that of any d of its columns (the cover). Its
       docstring has the argument that it keeps exactly the masks the full
       bracket of every mask would keep.
     - Exact pass. The kept masks are visited in ascending order with the

@@ -9,10 +9,11 @@ Three scans use them, each over all sides of one shape:
   partitions, through the one-side pass (_one_side_settled);
 - the A0 screen (_screen) of lipschitz.lower_constant over the same
   partitions, which yields the partitions it keeps one block at a time,
-  so that the search can stop between blocks. From its first full-size
-  block on, it settles a partition with no Gram when a side holds a
-  d-subset that the subset scan's walk factors at the block's shift (the
-  cover, _cover), and runs the one-side pass on the others.
+  so that the search can stop between blocks. Given a start bound, it
+  settles a partition with no Gram when a side holds a d-subset that the
+  subset scan's walk, run once before its first block, factors at the
+  bound's shift (the cover, _cover); it runs the one-side pass on the
+  others, and on every partition of a walk without a start bound.
 
 All read the key's unit copy U = 2^-e A (UnitCopy), so no Gram entry or
 shift can overflow, and allow for the rounding of the Grams, of the
@@ -403,12 +404,12 @@ def _unrank(ranks: np.ndarray, d: int, D: int) -> np.ndarray:
     return cols
 
 
-def _cover(unit: np.ndarray, tau: float, least: int = 1) -> np.ndarray | None:
+def _cover(unit: np.ndarray, tau: float) -> np.ndarray | None:
     """The cover of the d x D unit copy ``unit`` at the shift tau: 2^D bits,
     bit S (bit S & 7 of byte S >> 3) set when the column set S holds a
     d-subset T whose Gram G[T, T], G = U^T U, passes the packed kernel at
     tau, as the subset scan's walk decides it (_subset_verdicts); None when
-    fewer than ``least`` d-subsets pass (by default, when none does).
+    no d-subset passes.
 
     The passing subsets are unranked (_unrank) as the walk yields them, at
     most a sixteenth of _CHUNK_ENTRIES columns at a time, so no array holds
@@ -425,13 +426,11 @@ def _cover(unit: np.ndarray, tau: float, least: int = 1) -> np.ndarray | None:
     up = np.array([sum(1 << w for w in low if w & v == v) for v in range(8)], dtype=np.uint8)
     cover = np.zeros(max(1, (1 << D) >> 3), dtype=np.uint8)
     per_window = max(1, (_CHUNK_ENTRIES >> 4) // d)
-    passed = 0
     for ranks, _ in _subset_verdicts(unit, tau, passing=True):
-        passed += ranks.size
         for start in range(0, ranks.size, per_window):
             sets = (1 << _unrank(ranks[start:start + per_window], d, D)).sum(axis=1)
             np.bitwise_or.at(cover, sets >> 3, up[sets & 7])
-    if passed < least:
+    if not cover.any():  # each passing subset sets its own bit
         return None
     for b in range(3, D):
         halves = cover.reshape(-1, 2, 1 << (b - 3))
@@ -543,8 +542,9 @@ def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
 # still near mask 0's it settles almost nothing, and smaller first blocks
 # would only add their fixed cost, some hundred numpy calls each. An A0
 # screen given a start bound (the search's descent cut) has a tight running
-# bound from mask 0 on, so it starts at full size instead; walks of at most
-# 4 * _FIRST_BLOCK masks are never seeded (lipschitz._descent_bound).
+# bound and its cover from mask 0 on, so it starts at full size instead;
+# walks of at most 4 * _FIRST_BLOCK masks are never seeded
+# (lipschitz._descent_bound), and an unseeded walk builds no cover.
 _FIRST_BLOCK = 64
 
 
@@ -720,9 +720,9 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       lo < min(bound, prev_hi): it runs as if a mask before mask 0 had hi =
       bound, so every rule below holds with hi_run starting at ``bound``
       instead of infinity. The search passes the cut of its descent bound
-      (lipschitz.lower_constant's Bound), and then the walk starts with
-      full-size blocks and builds its cover at block 0: no block is spent
-      waiting for hi_run to come down.
+      (lipschitz.lower_constant's Bound), and then the walk builds its
+      cover before block 0 and starts with full-size blocks: no block is
+      spent waiting for hi_run to come down.
     - Settled masks. The screen walks the masks in the ascending blocks of
       _partition_blocks, aligned power-of-two ranges of masks that start at
       _FIRST_BLOCK masks, or at full size with a finite ``bound``, and
@@ -734,7 +734,7 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       C's, U U^T - G_I, is formed for the one-side test below where only
       side C spans or side I does not pass it, and, from one gather of
       their side I's, for the masks that test leaves unsettled. Each mask
-      of a block after the first is tested before any eigvalsh, on sides
+      of a block with a finite hi_run is tested before any eigvalsh, on sides
       that span (_one_side_settled, _unsettled): side I where it spans,
       side C where it spans and side I did not pass, then both where both
       span: shifted_cholesky_ok of a side's Gram G at a
@@ -759,60 +759,53 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       masks the full bracket of every mask would keep; as settling spares
       only masks the rules above skip, the kept masks do not depend on the
       block sizes.
-    - Cover. At the first full-size block, where _partition_blocks stops
-      doubling (block 0 with a finite ``bound``), the subset scan's walk
-      (_subset_verdicts) tests the Gram G[T, T] of every d-subset T, G =
-      U^T U, at that block's one-side shift tau_0, and _cover marks every
-      column set that holds a T that passes. From that block on, a mask
-      with a marked side S is settled with no Gram and no kernel call. The
-      argument is the one-side test's, with T in place of S. The walk gives
-      each subset the kernel's verdict bit for bit, and each entry of G is
-      a length-d dot product, within the error budget of a side's Gram of
-      up to D outer products; so a pass proves sigma_d(U_T)^2 =
-      lambda_min(U_T^T U_T) >= tau_0 - err_lam, U_T being d x d. U_S U_S^T
-      is U_T U_T^T plus the outer products of the other columns of S, so
-      sigma_d(U_S) >= sigma_d(U_T) (the interlacing step of
+    - Cover. With a finite ``bound``, before block 0, the subset scan's
+      walk (_subset_verdicts) tests the Gram G[T, T] of every d-subset T,
+      G = U^T U, at the one-side shift tau_0 of ``bound``, and _cover marks
+      every column set that holds a T that passes. A mask with a marked
+      side S is settled with no Gram and no kernel call. The argument is
+      the one-side test's, with T in place of S. The walk gives each subset
+      the kernel's verdict bit for bit, and each entry of G is a length-d
+      dot product, within the error budget of a side's Gram of up to D
+      outer products; so a pass proves sigma_d(U_T)^2 = lambda_min(U_T^T
+      U_T) >= tau_0 - err_lam, U_T being d x d. U_S U_S^T is U_T U_T^T plus
+      the outer products of the other columns of S, so sigma_d(U_S) >=
+      sigma_d(U_T) (the interlacing step of
       frame_keys._subsets_certify_complement), and S's bracket would have
-      lo >= hi_run. That holds at every later block too: hi_run never
-      rises, so the later shifts are at most tau_0, and a side shown above
-      tau_0 - err_lam is above each of them less err_lam. The masks with no
-      marked side, the open ones, get side I's Grams, the table's bits,
-      each summed alone, and the one-side, both-sides and eigvalsh steps
-      above (_open_unsettled); a block the cover leaves more than half
-      open is walked whole, as without a cover. A passing T lies in a side
-      of at most 2^(D-d) of the 2^(D-1) masks, so p passing subsets settle
-      at most a share 2p / 2^d of them, a bound that counts a mask once
-      per passing subset in its sides. The cover is built only when that
-      bound reaches 1, p >= 2^(d-1): at 8x24 (keygen seed 1), walked
-      without a start bound, 65 subsets pass, the bound is 0.51, and the
-      cover settles a median 12.5% of a block, which pays for neither it
-      nor its lookups, while the keys whose covers pay, from 4x16 to 12x23,
-      have bounds of 15 to 550 (at the search's start bound, 238,682 pass
-      at 8x24).
-      Without a cover every block is walked as above; so is every block
-      before the first full-size one, whose shift is not yet known, and
-      every block of a walk whose hi_run is still infinite there. The
-      cover settles only masks the bracket rule skips, so the kept masks
-      are those above; it moves the settled and diagonalized counts only
-      where a side's Gram and a subset's round to opposite sides of a
-      shift.
+      lo >= hi_run. That holds at every block: hi_run never rises above
+      ``bound``, so the blocks' shifts are at most tau_0, and a side shown
+      above tau_0 - err_lam is above each of them less err_lam. The masks
+      with no marked side, the open ones, get side I's Grams, the table's
+      bits, each summed alone (_BlockGrams.sums), and the one-side,
+      both-sides and eigvalsh steps above; a block with no open mask makes
+      no kernel call. No cover is built when no d-subset passes, nor for
+      a walk without a start bound, whose shift is infinite until its
+      first block ends: the search runs such walks where a cover would not
+      pay (lipschitz._descent_bound), as at D <= 2d - 2, where it ends
+      with the block that holds mask 2^(D-d+1) - 1. Without a cover every
+      block is walked as above. The cover
+      settles only masks the bracket rule skips, so the kept masks are
+      those above; it moves the settled and diagonalized counts only where
+      a side's Gram and a subset's round to opposite sides of a shift.
     """
     err_s, err_lam = unit.err_s, unit.err_lam
     d, D = unit.matrix.shape
-    hi_run = bound
-    cover, largest = None, 1 << _block_bits(d, D)
-    first = largest if bound < np.inf else _FIRST_BLOCK
+    hi_run, cover, first = bound, None, _FIRST_BLOCK
+    if bound < np.inf:  # see Start bound and Cover above
+        cover = _cover(unit.matrix, _one_side_shift(bound, err_s, err_lam))
+        first = 1 << _block_bits(d, D)
     for block, grams, full_i, full_c in _partition_blocks(unit.matrix, first):
-        if block.size == largest:  # the first full-size block: see Cover above
-            largest = 0
-            if hi_run < np.inf:
-                cover = _cover(unit.matrix, _one_side_shift(hi_run, err_s, err_lam),
-                               least=1 << (d - 1))
         if cover is None:
             rows, gu, gc = _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run,
                                       err_s, err_lam)
         else:
-            rows, gu, gc = _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run)
+            start, n = int(block[0]), block.size
+            last = (1 << D) - 1 - (start + n - 1)  # side C of the block's last mask
+            rows = np.flatnonzero(~(_covered(cover, start, n) | _covered(cover, last, n)[::-1]))
+            if rows.size:
+                left, gu, gc = _unsettled(grams.sums(rows), unit.gram, full_i[rows],
+                                          full_c[rows], hi_run, err_s, err_lam)
+                rows = rows[left]
         if not rows.size:
             yield block[rows], np.zeros(0), block.size, 0  # hi_run stays
             continue
@@ -829,31 +822,6 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
         hi_run = prev_hi[-1]
         keep = lo < prev_hi[:-1]
         yield block[rows[keep]], lo[keep], block.size - rows.size, rows.size
-
-
-def _open_unsettled(cover, block, grams, unit, full_i, full_c, hi_run):
-    """_unsettled's (rows, gu, gc) for a block of the A0 screen walked with a
-    cover (see _screen): the masks with a side in the cover are settled,
-    and only the open ones, with neither side in it, get Grams, each summed
-    alone with the table's bits (_BlockGrams.sums), and the tests. Summing
-    a mask alone costs about twice its share of filling the table and
-    testing it (blocks of 8x24, 10x22 and 12x23 keys, whose covers leave
-    from 5% to 95% of a block open, timed both ways: the two break even at
-    45-50% open), so a block the cover leaves more than half open is
-    walked whole, as without a cover, from its table, and the tests settle
-    its covered masks again.
-    """
-    start, n = int(block[0]), block.size
-    last = (1 << unit.matrix.shape[1]) - 1 - (start + n - 1)  # side C of the block's last mask
-    rows = np.flatnonzero(~(_covered(cover, start, n) | _covered(cover, last, n)[::-1]))
-    if 2 * rows.size > n:
-        return _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run, unit.err_s,
-                          unit.err_lam)
-    if not rows.size:
-        return rows, None, None
-    part, gu, gc = _unsettled(grams.sums(rows), unit.gram, full_i[rows], full_c[rows], hi_run,
-                              unit.err_s, unit.err_lam)
-    return rows[part], gu, gc
 
 
 def _one_side_shift(hi_run: float, err_s: float, err_lam: float) -> float:

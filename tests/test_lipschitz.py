@@ -320,11 +320,10 @@ def _walked(run):
 
 def _cover_settled(run):
     """run()'s result and the masks the A0 screen's cover settled in it (0
-    when no cover was built). From the block the screen built its cover at
-    on, a block's masks with a side that oracles.cover marks at the cover's
-    shift are settled by it, and only the others reach _unsettled, unless
-    the block is mostly open: then the whole block reaches _unsettled, as
-    without a cover."""
+    when no cover was built). The screen builds its cover before its first
+    block; then a block's masks with a side that oracles.cover marks at the
+    cover's shift are settled by it, and only the others reach _unsettled,
+    which a block with none does not call."""
     blocks, calls, tested = [], [], {}
     real_blocks, real_cover, real_unsettled = (
         screens._partition_blocks, screens._cover, screens._unsettled)
@@ -334,9 +333,9 @@ def _cover_settled(run):
             blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
             yield block
 
-    def recorded(unit, tau, least):
-        cover = real_cover(unit, tau, least)
-        calls.append((len(blocks) - 1, unit, tau, cover is None))
+    def recorded(unit, tau):
+        cover = real_cover(unit, tau)
+        calls.append((len(blocks), unit, tau, cover is None))
         return cover
 
     def counted(gi, total, full_i, full_c, *rest):
@@ -350,16 +349,16 @@ def _cover_settled(run):
         result = run()
     if not calls or calls[0][3]:
         return result, 0
-    ((first, unit, tau, _),) = calls
+    ((walked, unit, tau, _),) = calls
+    assert walked == 0
     covered = oracles.cover(unit, tau)
     full = (1 << unit.shape[1]) - 1
     by_cover = 0
-    for i in range(first, len(blocks)):
-        masks = np.arange(*blocks[i])
+    for i, block in enumerate(blocks):
+        masks = np.arange(*block)
         n = int(np.count_nonzero(covered[masks] | covered[full ^ masks]))
-        if tested.get(i) != masks.size or not n:  # not walked whole
-            assert tested.get(i, 0) == masks.size - n
-            by_cover += n
+        assert tested.get(i, 0) == masks.size - n
+        by_cover += n
     return result, by_cover
 
 
@@ -449,9 +448,9 @@ _SETTLED_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matrix
 @pytest.mark.parametrize("name", sorted(_SETTLED_KEYS))
 def test_settled_matches_four_call_oracle(monkeypatch, name):
     # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
-    # has D < 2d - 1. From the first full-size block on, the masks with a
-    # side the cover marks are settled without a Gram, and the others reach
-    # _unsettled, so the search's settled count is the two together
+    # has D < 2d - 1. In a seeded walk the masks with a side the cover
+    # marks are settled without a Gram, and the others reach _unsettled, so
+    # the search's settled count is the two together
     matrix = _SETTLED_KEYS[name]
     real = screens._unsettled
     settled = []
@@ -473,7 +472,7 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
     monkeypatch.setattr(screens, "_unsettled", checked)
     search, by_cover = _cover_settled(lambda: lipschitz.lower_constant_search(Key(matrix)))
     assert sum(settled) + by_cover == search.settled
-    if matrix.shape[1] <= 12:  # and in blocks of one mask, every one full-size
+    if matrix.shape[1] <= 12:  # and in blocks of one mask: unseeded walks, with no cover
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 9)
         settled.clear()
         search, by_cover = _cover_settled(lambda: lipschitz.lower_constant_search(Key(matrix)))
@@ -769,11 +768,10 @@ def test_search_stops_early_on_the_11x20_key():
 
 @pytest.mark.parametrize("d,D,most", [(8, 15, None), (4, 16, 41264), (5, 18, 155318)])
 def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
-    # the Grams the packed kernel receives during the unseeded search. At
-    # D = 2d - 1 exactly one side of each split spans, and only it is
-    # factored: one Gram per mask after the first block, which no test
-    # screens, except the masks the cover settles with no Gram. At 8x15
-    # that is all but 2 of the 14,336 masks of the full-size blocks
+    # the Grams the packed kernel receives during the unseeded search, which
+    # builds no cover. At D = 2d - 1 exactly one side of each split spans,
+    # and only it is factored: one Gram per mask after the first block,
+    # which no test screens
     grams = []
     real = screens._shifted_cholesky_ok_inplace
     monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
@@ -785,16 +783,9 @@ def test_search_kernel_work_is_pinned(monkeypatch, d, D, most):
 
     if most is None:
         factored, by_cover = _cover_settled(search)
-        assert factored + by_cover == (1 << (D - 1)) - screens._FIRST_BLOCK == 16320
-        assert (factored, by_cover) == (1986, 14334)
+        assert (factored, by_cover) == ((1 << (D - 1)) - screens._FIRST_BLOCK, 0) == (16320, 0)
     else:
         assert search() <= most
-
-
-# the kernel's Grams and calls with the cover, against the parametrized
-# figures of the walk without one; 4x12's walk has no full-size block
-_COVERED_KERNEL_WORK = {(8, 15): (1986, 6), (4, 16): (12434, 30), (5, 18): (12282, 41),
-                        (4, 12): (2584, 15)}
 
 
 @pytest.mark.parametrize("d,D,grams,calls", [
@@ -805,12 +796,8 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
     # every call. Elsewhere a block may add a call for side C where both
     # sides span and side I failed, and one for the both-sides test. In a
     # block copied whole, side C takes the columns of the sides I that do
-    # not span. The parametrized figures are those of the unseeded walk
-    # with no cover, which every key without a passing d-subset takes; with
-    # the cover, a block calls the kernel only for its open masks, and not
-    # at all when it has none
-    for work in ((grams, calls), _COVERED_KERNEL_WORK[d, D]):
-        _assert_kernel_work(monkeypatch, d, D, work, _unseeded, cover=work != (grams, calls))
+    # not span. These are the unseeded walk's figures, which builds no cover
+    _assert_kernel_work(monkeypatch, d, D, (grams, calls), _unseeded)
 
 
 # the kernel's Grams and calls in the search as it runs, seeded with the
@@ -825,17 +812,15 @@ def test_seeded_search_kernel_calls_are_pinned(monkeypatch, d, D):
                         lipschitz.lower_constant_search)
 
 
-def _assert_kernel_work(monkeypatch, d, D, work, run, cover=True):
+def _assert_kernel_work(monkeypatch, d, D, work, run):
     """(Grams, calls) the packed kernel receives in run(key) on the keygen
-    seed-1 d x D key, with the screen's cover or with none; at D = 2d - 1
-    the calls are pinned exactly, elsewhere as a ceiling."""
+    seed-1 d x D key; at D = 2d - 1 the calls are pinned exactly, elsewhere
+    as a ceiling."""
     sizes = []
     with monkeypatch.context() as m:
         real = screens._shifted_cholesky_ok_inplace
         m.setattr(screens, "_shifted_cholesky_ok_inplace",
                   lambda w, tau: sizes.append(w.shape[1]) or real(w, tau))
-        if not cover:
-            m.setattr(screens, "_cover", lambda unit, tau, least: None)
         run(generate_key(d, D, 1))
     assert sum(sizes) == work[0]
     if D == 2 * d - 1:

@@ -68,8 +68,7 @@ def _walk_shifts(key):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(screens, "_unsettled", recorded)
-        m.setattr(screens, "_cover", lambda unit, tau, least: None)  # every block reaches _unsettled
-        drain_screen(unit)
+        drain_screen(unit)  # unseeded: no cover, so every block reaches _unsettled
     return [screens._one_side_shift(h, unit.err_s, unit.err_lam) for h in runs]
 
 
@@ -137,58 +136,52 @@ def test_cover_windows_match_one_window(monkeypatch):
         assert screens._cover(unit, tau).tobytes() == whole.tobytes()
 
 
-def test_cover_needs_least_passing_subsets():
-    # p d-subsets pass: least = p builds the cover, least = p + 1 does not
-    key = generate_key(4, 12, 1)
-    unit = frame_keys._unit(key).matrix
-    sizes = np.bitwise_count(np.arange(1 << 12))
-    passing = {tau: int(np.count_nonzero(oracles.cover(unit, tau) & (sizes == 4)))
-               for tau in _cover_shifts(key)}
-    tau, p = next((tau, p) for tau, p in passing.items() if 0 < p < 495)  # some fail
-    assert screens._cover(unit, tau, least=p).tobytes() == screens._cover(unit, tau).tobytes()
-    assert screens._cover(unit, tau, least=p + 1) is None
+def _unseeded_key(name):
+    """Keys whose search runs unseeded: 13x24 and 12x22 have D <= 2d - 2,
+    and [I8 I8 I8] a split of value 0 that the descent finds; 5x18 is
+    walked here without its descent bound."""
+    if name == "I8x3":
+        return Key(np.hstack([np.eye(8)] * 3))
+    return generate_key(*map(int, name.split("x")), 1)
 
 
-@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18), (6, 14)])
-def test_cover_is_built_once_at_the_first_full_size_block(monkeypatch, d, D):
-    # at the one-side shift of the running bound the block starts at, the
-    # smallest hi of the masks before it in the full bracket oracle
-    key = generate_key(d, D, 1)
-    unit = frame_keys._unit(key)
-    blocks, calls = [], []
-    real_blocks, real_cover = screens._partition_blocks, screens._cover
+@pytest.mark.parametrize("name", ["13x24", "12x22", "I8x3", "5x18"])
+def test_unseeded_walk_builds_no_cover(monkeypatch, name):
+    # hi_run is infinite until the first block ends, so an unseeded walk
+    # has no shift to build a cover at before it; it builds none after
+    # either, and its answer is the full visit's
+    key = _unseeded_key(name)
 
-    def logged(*args):
-        for block in real_blocks(*args):
-            blocks.append(block[0])
-            yield block
+    def refused(unit, tau):
+        raise AssertionError("cover built")
 
-    def cover(u, tau, least):
-        calls.append((len(blocks), tau, least))
-        return real_cover(u, tau, least)
+    monkeypatch.setattr(screens, "_cover", refused)
+    tie = lipschitz._TIE_WINDOW * lipschitz.upper_constant(key)
+    (a0, part), *_ = lipschitz._search(key, tie, np.inf)
+    if name in ("13x24", "12x22"):  # split 2^(D-d+1) - 1 has no side of d columns
+        assert (a0, part.mask) == (0.0, (1 << (key.D - key.d + 1)) - 1)
+    elif name == "I8x3":
+        assert (a0, part.indices()) == (0.0, (1, 9, 17))
+    else:
+        ref_a0, ref_mask = oracles.lower_constant(Key(key.matrix))
+        assert np.float64(a0).tobytes() == np.float64(ref_a0).tobytes()
+        assert part.mask == ref_mask
 
-    monkeypatch.setattr(screens, "_partition_blocks", logged)
-    monkeypatch.setattr(screens, "_cover", cover)
-    drain_screen(unit)
-    largest = 1 << screens._block_bits(d, D)
-    first = next(i for i, b in enumerate(blocks) if b.size == largest)
-    ((walked, tau, least),) = calls
-    assert walked == first + 1 and first > 0
-    assert least == 1 << (d - 1)  # 2 * least / 2^d >= 1
-    _, hi = oracles.screen_brackets(Key(key.matrix))
-    hi_run = hi[:blocks[first][0]].min()
-    assert np.float64(tau).tobytes() == np.float64(
-        screens._one_side_shift(hi_run, unit.err_s, unit.err_lam)).tobytes()
+
+def _seeded_bound(key):
+    """The start bound the search gives the A0 screen on the key's unit copy:
+    the cut of its descent bound."""
+    tie = lipschitz._TIE_WINDOW * lipschitz.upper_constant(key)
+    return np.ldexp(lipschitz._descent_bound(key, tie) + 2 * tie, -frame_keys._unit(key).e)
 
 
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18), (6, 14)])
 def test_seeded_cover_is_built_at_block_0(monkeypatch, d, D):
     # with the search's start bound every block is full size, and the cover
-    # is built once, at block 0, at the bound's one-side shift
+    # is built once, before block 0, at the bound's one-side shift
     key = generate_key(d, D, 1)
     unit = frame_keys._unit(key)
-    tie = lipschitz._TIE_WINDOW * lipschitz.upper_constant(key)
-    bound = np.ldexp(lipschitz._descent_bound(key, tie) + 2 * tie, -unit.e)
+    bound = _seeded_bound(key)
     assert bound < np.inf
     sizes, calls = [], []
     real_blocks, real_cover = screens._partition_blocks, screens._cover
@@ -198,18 +191,52 @@ def test_seeded_cover_is_built_at_block_0(monkeypatch, d, D):
             sizes.append(block[0].size)
             yield block
 
-    def cover(u, tau, least):
-        calls.append((len(sizes), tau, least))
-        return real_cover(u, tau, least)
+    def cover(u, tau):
+        calls.append((len(sizes), tau))
+        return real_cover(u, tau)
 
     monkeypatch.setattr(screens, "_partition_blocks", logged)
     monkeypatch.setattr(screens, "_cover", cover)
     drain_screen(unit, bound)
     assert set(sizes) == {1 << screens._block_bits(d, D)}
-    ((walked, tau, least),) = calls
-    assert (walked, least) == (1, 1 << (d - 1))
+    ((walked, tau),) = calls
+    assert walked == 0
     assert np.float64(tau).tobytes() == np.float64(
         screens._one_side_shift(bound, unit.err_s, unit.err_lam)).tobytes()
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (5, 18)])
+def test_seeded_block_with_every_mask_covered_makes_no_test(monkeypatch, d, D):
+    # a block whose masks all have a side in the cover (oracles.cover, at
+    # the bound's one-side shift) settles them with no _unsettled call and
+    # no kernel call; the other blocks test their open masks only
+    key = generate_key(d, D, 1)
+    unit = frame_keys._unit(key)
+    bound = _seeded_bound(key)
+    blocks, unsettled, kernel = [], [], []
+    real_blocks, real_unsettled = screens._partition_blocks, screens._unsettled
+    real_kernel = screens._shifted_cholesky_ok_inplace
+
+    def logged(*args):
+        for block in real_blocks(*args):
+            blocks.append(block[0])
+            yield block
+
+    def counted(gi, *rest):
+        unsettled.append((len(blocks) - 1, gi.shape[1]))
+        return real_unsettled(gi, *rest)
+
+    monkeypatch.setattr(screens, "_partition_blocks", logged)
+    monkeypatch.setattr(screens, "_unsettled", counted)
+    monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
+                        lambda w, tau: kernel.append(len(blocks) - 1) or real_kernel(w, tau))
+    drain_screen(unit, bound)
+    covered = oracles.cover(unit.matrix, screens._one_side_shift(bound, unit.err_s, unit.err_lam))
+    full = (1 << D) - 1
+    open_masks = [int(np.count_nonzero(~(covered[b] | covered[full ^ b]))) for b in blocks]
+    assert 0 in open_masks
+    assert unsettled == [(i, n) for i, n in enumerate(open_masks) if n]
+    assert set(kernel) <= {i for i, n in enumerate(open_masks) if n}
 
 
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (3, 12)])
