@@ -5,7 +5,9 @@ constant is an exact minimum over all unordered column partitions of
 sqrt(sigma_d(A[I])^2 + sigma_d(A[I^c])^2), found by exhaustive search at
 desk scale: the Gram screen of screens._screen keeps the few partitions
 that may hold the minimum, and the exact pass here decides them on SVD
-values of the key. Both constants are achieved by explicit vector pairs
+values of the key. At D = 2d - 1 the partitions to decide grow instead
+from the d-subsets whose Grams fail the screen's test, with no walk over
+the partitions. Both constants are achieved by explicit vector pairs
 built from singular vectors; ``check_achievement`` verifies those
 equalities and ``ratio_scan`` samples random pairs to confirm the sandwich
 empirically.
@@ -127,6 +129,36 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       When D <= 2d - 2, mask 2^(D-d+1) - 1 (mask 0 when D < d) has no side
       of d columns, the value 0 and lo = 0, so the search ends at the
       latest with the block that holds it.
+    - D = 2d - 1. With a finite cut c the search walks no blocks
+      (_open_split_search). Every split then has exactly one side S of d
+      or more columns, the other has at most d - 1 and sigma_d = 0, so the
+      visit computes the split's value as hypot(sigma_d(A_S), 0) =
+      sigma_d(A_S). That is at least sigma_d of any d columns of S
+      (interlacing, as in screens._screen's Cover), so A0 is the smallest
+      sigma_d of a d-subset, and a split can be low only when no d-subset
+      of S passes the kernel at c's one-side shift (the Cover's argument,
+      with the split's single spanning side). The subset scan's walk
+      (screens._unsettled_subsets) gives F, the d-subsets that fail that
+      shift. Their Grams, gathered once from U^T U, are factored again at
+      shifts falling 16x a step, each step on the Grams that failed the
+      step before (screens._lowest), and the exact values of at most
+      _CUT_SUBSETS of the last ones give h2, a value the visit computes,
+      so h2 bounds m* from above and c2 = min(c, h2 + 2 tie) is a cut as
+      c is. F', the members of F that fail c2's one-side shift, take one
+      more kernel call: a subset outside F passed at c's shift, which
+      shows it above c2's as well, as the Cover's blocks are shown at
+      shifts at most its own. A split is open when every d-subset of its
+      spanning side is in F', and the open splits grow level by level
+      from F' (screens._open_splits); every split with a value below c2
+      is among them. They are visited in ascending order, in chunks of
+      _FIRST_BLOCK masks that double, with the visit's test, each value
+      checked against the band [c2 - tie, c2), so the Bound's argument
+      gives the full visit's bits; a hit redoes the search unseeded. The
+      visit ends with the first chunk after which the best is within the
+      tie window (Stop). Where F's Grams would exceed
+      screens._CHUNK_ENTRIES entries, or the open splits one block of the
+      walk (screens._block_bits), the seeded walk runs instead, at c or
+      c2.
 
     A0 therefore always comes from exact SVD values, never from the screen.
     Near-singular keys, whose values all sit inside the bracket's width, send
@@ -154,6 +186,17 @@ class LowerConstantSearch:
     The screen reads the key's unit copy (frame_keys._unit): the key times
     a power of two that holds it exactly has the same one, and so the same
     ``settled`` and ``diagonalized``, away from subnormal scale.
+
+    At D = 2d - 1 with a descent bound the search walks no blocks (see
+    lower_constant's D = 2d - 1 bullet), and the counts mean: ``settled``,
+    the masks whose spanning side holds a d-subset that passes the kernel
+    at the second cut's one-side shift; ``diagonalized``, the open masks,
+    the others, which take the place of the masks no test settles, though
+    no eigvalsh runs on them, so settled + diagonalized = 2^(D-1); and
+    ``visited``, the open masks visited up to the chunk the visit ends
+    with. The at most _CUT_SUBSETS exact values that set the second cut
+    are not counted. Where that search runs the seeded walk instead, the
+    counts are the walk's.
     """
 
     result: tuple[float, Partition]
@@ -174,7 +217,9 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
     tie = _TIE_WINDOW * upper_constant(key)
-    result, *work = _search(key, tie, _descent_bound(key, tie) + 2.0 * tie)
+    cut = _descent_bound(key, tie) + 2.0 * tie
+    search = _open_split_search if cut < np.inf and D == 2 * key.d - 1 else _search
+    result, *work = search(key, tie, cut)
     if result is None:  # a visited value in the band: see lower_constant's Bound
         result, *more = _search(key, tie, np.inf)
         work = [a + b for a, b in zip(work, more)]
@@ -186,7 +231,7 @@ def _search(key: Key, tie: float, cut: float):
     the cut c, infinite for an unseeded walk. The result is None when the
     walk visits a value in the band [c - tie, c)."""
     unit = _unit(key)
-    best_val, best_mask, pending = np.inf, 0, []
+    best, pending = (np.inf, 0), []
     settled = diagonalized = visited = 0
     # c on the unit copy, exactly: c is at least 2 tie, so the scaled c is
     # far above the subnormal range
@@ -198,15 +243,66 @@ def _search(key: Key, tie: float, cut: float):
             continue  # no waiting mask can reach the tie window: see lower_constant
         rest = np.concatenate(pending)
         pending, visited = [], visited + rest.size
-        values = _split_values(key.matrix, rest)
-        if ((values >= cut - tie) & (values < cut)).any():
+        best = _visit(key.matrix, rest, best, tie, cut)
+        if best is None:
             return None, settled, diagonalized, visited
-        for mask, val in zip(rest.tolist(), values.tolist()):
-            if val < best_val - tie:
-                best_val, best_mask = val, mask
-        if best_val <= tie:
+        if best[0] <= tie:
             break
-    return (best_val, Partition(best_mask, key.D)), settled, diagonalized, visited
+    return (best[0], Partition(best[1], key.D)), settled, diagonalized, visited
+
+
+def _visit(a: np.ndarray, masks: np.ndarray, best: tuple[float, int], tie: float,
+           cut: float) -> tuple[float, int] | None:
+    """The best (value, mask) after the visit's test on ``masks``, ascending,
+    from the best so far; None when a value lies in the band [cut - tie,
+    cut) (lower_constant's Bound)."""
+    values = _split_values(a, masks)
+    if ((values >= cut - tie) & (values < cut)).any():
+        return None
+    best_val, best_mask = best
+    for mask, val in zip(masks.tolist(), values.tolist()):
+        if val < best_val - tie:
+            best_val, best_mask = val, mask
+    return best_val, best_mask
+
+
+# At most this many failing d-subsets get exact values for the second cut of
+# _open_split_search
+_CUT_SUBSETS = 8
+
+
+def _open_split_search(key: Key, tie: float, cut: float):
+    """_search's (result, settled, diagonalized, visited) at D = 2d - 1 for a
+    finite cut c, from the d-subsets that fail c's one-side shift, with no
+    block walk: lower_constant's D = 2d - 1 bullet. It runs the seeded walk
+    (_search) instead when their Grams would exceed screens._CHUNK_ENTRIES,
+    or the open splits one block of the walk (screens._block_bits)."""
+    unit = _unit(key)
+    d, D = key.d, key.D
+
+    def shift(c):
+        return screens._one_side_shift(np.ldexp(c, -unit.e), unit.err_s, unit.err_lam)
+
+    starts, counts = screens._unsettled_subsets(unit.matrix, shift(cut))
+    if not 0 < counts.sum() <= screens._CHUNK_ENTRIES // (d * (d + 1) // 2):
+        return _search(key, tie, cut)
+    cols = screens._unrank(screens._ranges(starts, counts), d, D)
+    sets, grams = (1 << cols).sum(axis=1), screens._subset_grams(unit.matrix, cols)
+    low = screens._lowest(grams, shift(cut), np.ldexp(tie, -unit.e) ** 2, _CUT_SUBSETS)
+    cut = min(cut, _split_values(key.matrix, screens._canonical(sets[low], D)).min() + 2.0 * tie)
+    masks = screens._open_splits(sets, grams, shift(cut), D, 1 << screens._block_bits(d, D))
+    if masks is None:
+        return _search(key, tie, cut)
+    settled, diagonalized = (1 << (D - 1)) - masks.size, masks.size
+    best, visited, size = (np.inf, 0), 0, screens._FIRST_BLOCK
+    while visited < masks.size:
+        best = _visit(key.matrix, masks[visited:visited + size], best, tie, cut)
+        visited, size = min(masks.size, visited + size), 2 * size
+        if best is None:
+            return None, settled, diagonalized, visited
+        if best[0] <= tie:
+            break
+    return (best[0], Partition(best[1], D)), settled, diagonalized, visited
 
 
 def _descent_bound(key: Key, tie: float) -> float:

@@ -13,7 +13,10 @@ Three scans use them, each over all sides of one shape:
   settles a partition with no Gram when a side holds a d-subset that the
   subset scan's walk, run once before its first block, factors at the
   bound's shift (the cover, _cover); it runs the one-side pass on the
-  others, and on every partition of a walk without a start bound.
+  others, and on every partition of a walk without a start bound. At
+  D = 2d - 1 the search takes no walk: it gathers the Grams of the
+  d-subsets the subset scan's walk fails (_subset_grams, _lowest) and
+  grows the partitions left open from them (_open_splits).
 
 All read the key's unit copy U = 2^-e A (UnitCopy), so no Gram entry or
 shift can overflow, and allow for the rounding of the Grams, of the
@@ -444,6 +447,76 @@ def _covered(cover: np.ndarray, start: int, n: int) -> np.ndarray:
     first = start >> 3
     bits = np.unpackbits(cover[first:((start + n - 1) >> 3) + 1], bitorder="little")
     return bits[start - 8 * first:start - 8 * first + n].view(bool)
+
+
+# --- the A0 search at D = 2d - 1: the failing d-subsets -----------------------
+
+def _subset_grams(unit: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The packed Grams G[T, T], (P, n), G = U^T U, of the d-subsets T of the
+    d x D unit copy ``unit`` given as rows of ascending columns ``cols``: the
+    Grams the subset scan's walk factors, gathered from the same G."""
+    D = unit.shape[1]
+    rows, cc = packed_pairs(cols.shape[1])
+    return (unit.T @ unit).ravel()[(cols[:, rows] * D + cols[:, cc]).T]
+
+
+def _lowest(grams: np.ndarray, tau: float, floor: float, most: int) -> np.ndarray:
+    """The indices of at most ``most`` of the packed Grams ``grams`` (P, n),
+    all of which fail the packed kernel at the shift tau, that fail it at a
+    lower shift: the shift falls 16x a step, and each step factors only the
+    Grams that failed the step before. The steps end when at most ``most``
+    fail, when the shift is at most ``floor``, or when the step cannot tell
+    the Grams apart: when all of them fail it, as a cluster of tied or
+    rounding-level values does, or none, which keeps those of the step
+    before."""
+    alive = np.arange(grams.shape[1])
+    while alive.size > most and tau > floor:
+        tau /= 16.0
+        failing = alive[~_shifted_cholesky_ok_inplace(np.take(grams, alive, axis=1), tau)]
+        if failing.size in (0, alive.size):
+            break
+        alive = failing
+    return alive[:most]
+
+
+def _canonical(sets: np.ndarray, D: int) -> np.ndarray:
+    """The canonical mask of the split of range(D) with side ``sets``
+    (bitmasks): the side that avoids column D - 1."""
+    return np.where(sets >> (D - 1) & 1, ((1 << D) - 1) ^ sets, sets)
+
+
+def _open_splits(sets: np.ndarray, grams: np.ndarray, tau: float, D: int,
+                 limit: int) -> np.ndarray | None:
+    """The canonical masks, ascending, of the splits of range(D), D = 2d - 1,
+    whose side of at least d columns has each of its d-subsets among
+    ``sets`` (bitmasks of d-subsets) with a packed Gram in ``grams`` (P, n),
+    which is overwritten, that fails the packed kernel at the shift tau;
+    None when there are more than ``limit``.
+
+    One kernel call finds the failing subsets, the open sets of d columns.
+    The open sets grow level by level: a set of k + 1 > d columns is open
+    exactly when each of its k-column subsets is. A candidate of the next
+    level is an open set plus a column above its highest, so each is formed
+    once, and its k-subsets are looked up in the sorted level by
+    searchsorted (np.isin would import numpy.ma). At D = 2d - 1 a split has
+    exactly one side of d or more columns, so each open set is the side of
+    one split.
+    """
+    bits = 1 << np.arange(D, dtype=np.int64)
+    level = np.sort(sets[~_shifted_cholesky_ok_inplace(grams, tau)])
+    found, total = [level], level.size
+    while level.size and total <= limit:
+        grown = (level[:, None] | bits)[bits > level[:, None]]
+        member = (grown[:, None] & bits) != 0
+        subs = (grown[:, None] ^ bits)[member]
+        held = np.ones(member.shape, dtype=bool)
+        held[member] = level[np.minimum(np.searchsorted(level, subs), level.size - 1)] == subs
+        level = np.sort(grown[held.all(axis=1)])
+        found.append(level)
+        total += level.size
+    if total > limit:
+        return None
+    return np.sort(_canonical(np.concatenate(found), D))
 
 
 def _build_subset_tree(picks: int, m: int, first: int, stop: int, depth: int):

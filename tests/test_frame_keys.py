@@ -744,15 +744,23 @@ def test_one_side_pass_matches_two_call_oracle_hypothesis(matrix):
 
 def test_complement_walk_leaves_numpy_ma_unimported():
     # numpy.ma, a lazy submodule, costs a fresh process its import; the walk
-    # decides the splits it cannot settle without it
+    # decides the splits it cannot settle without it, and neither does the
+    # A0 search at D = 2d - 1 (8x15), which grows its open splits from the
+    # failing d-subsets with searchsorted, where np.isin or np.unique would
+    # import it
     code = (
         "import sys, numpy\n"
         "before = 'numpy.ma' in sys.modules\n"
-        "from phasesort import frame_keys, generate_key, lower_constant\n"
+        "from phasesort import frame_keys, generate_key, lipschitz, lower_constant\n"
         "for key in (generate_key(3, 4, 1), generate_key(5, 8, 4)):\n"
         "    assert not frame_keys._subsets_certify_complement(key)\n"
         "    frame_keys.has_complement_property(key)\n"
         "    lower_constant(key)\n"
+        "taken = []\n"
+        "real = lipschitz._open_split_search\n"
+        "lipschitz._open_split_search = lambda *args: taken.append(1) or real(*args)\n"
+        "lower_constant(generate_key(8, 15, 1))\n"
+        "assert taken\n"
         "print(before, 'numpy.ma' in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -419,10 +420,12 @@ def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
-    (4, 16, 32766, 2, 1), (8, 15, 16300, 84, 7), (5, 18, 131063, 9, 1)])
+    (4, 16, 32766, 2, 1), (8, 15, 16382, 2, 2), (5, 18, 131063, 9, 1)])
 def test_seeded_search_work_is_pinned(d, D, settled, diagonalized, visited):
     # the search as it runs: the descent bound's cut keeps only masks below
-    # it, in full-size blocks with the cover from block 0 on
+    # it, in full-size blocks with the cover from block 0 on; at 8x15 (D =
+    # 2d - 1) it walks no blocks, and 2 of the 2^14 splits are open. The
+    # seeded walk did (16300, 84, 7) there
     _assert_search_work(d, D, settled, diagonalized, visited, lipschitz.lower_constant_search)
 
 
@@ -450,10 +453,12 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
     # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
     # has D < 2d - 1. In a seeded walk the masks with a side the cover
     # marks are settled without a Gram, and the others reach _unsettled, so
-    # the search's settled count is the two together
+    # the search's settled count is the two together. At D = 2d - 1 (8x15)
+    # the search as it runs walks no blocks, so the seeded walk is forced
     matrix = _SETTLED_KEYS[name]
     real = screens._unsettled
     settled = []
+    monkeypatch.setattr(lipschitz, "_open_split_search", lipschitz._search)
 
     def checked(gi, total, full_i, full_c, hi_run, err_s, err_lam):
         # the oracle reads the block's full Grams, side C's for every mask
@@ -565,7 +570,9 @@ def test_lower_constant_memoized(monkeypatch):
 
 def _searched(monkeypatch, key):
     """The key's A0 search and the blocks of screens._screen it read, each
-    (masks, lo, settled, diagonalized)."""
+    (masks, lo, settled, diagonalized). At D = 2d - 1 the search as it runs
+    walks no blocks (lipschitz._open_split_search), so the seeded walk is
+    forced in its place."""
     blocks = []
     real = screens._screen
 
@@ -576,6 +583,7 @@ def _searched(monkeypatch, key):
 
     with monkeypatch.context() as m:
         m.setattr(screens, "_screen", recorded)
+        m.setattr(lipschitz, "_open_split_search", lipschitz._search)
         search = lipschitz.lower_constant_search(key)
     return search, blocks
 
@@ -801,8 +809,11 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
 
 
 # the kernel's Grams and calls in the search as it runs, seeded with the
-# descent bound, whose cover is built at block 0
-_SEEDED_KERNEL_WORK = {(8, 15): (1112, 8), (4, 16): (26, 6), (5, 18): (147, 20),
+# descent bound, whose cover is built at block 0. At 8x15 (D = 2d - 1) the
+# search walks no blocks: the 1050 8-subsets that fail the cut's shift are
+# factored at falling shifts, 242, 60 and 17 of them failing in turn, then
+# all of them at the second cut's; the seeded walk made (1112, 8) there
+_SEEDED_KERNEL_WORK = {(8, 15): (2419, 5), (4, 16): (26, 6), (5, 18): (147, 20),
                        (4, 12): (92, 3)}
 
 
@@ -972,3 +983,165 @@ def test_descent_ends_at_a_canonical_split_at_any_scale(d, D):
         with np.errstate(all="raise"):
             assert lipschitz._descent(unit) == mask
 
+
+# --- the search at D = 2d - 1 ----------------------------------------------------
+
+def _block_walk(matrix):
+    """The search with the seeded block walk forced at D = 2d - 1, where
+    lipschitz._open_split_search takes its place: that search's oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lipschitz, "_open_split_search", lipschitz._search)
+        return lipschitz.lower_constant_search(Key(matrix))
+
+
+def _assert_open_splits_match_block_walk(matrix):
+    """The search as it runs gives the forced block walk's A0 bits and I0;
+    returns whether it took _open_split_search, and its work."""
+    taken = []
+    real = lipschitz._open_split_search
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lipschitz, "_open_split_search",
+                  lambda *args: taken.append(1) or real(*args))
+        search = lipschitz.lower_constant_search(Key(matrix))
+    walk = _block_walk(matrix)
+    assert np.float64(search.result[0]).tobytes() == np.float64(walk.result[0]).tobytes()
+    assert search.result[1].mask == walk.result[1].mask
+    return bool(taken), search
+
+
+def _odd_keys(d):
+    """(d, 2d - 1) keys: keygen seed 1; seed 2 with one column replaced by a
+    combination of three others plus 1e-9 times a fourth; entries drawn
+    from {-1, 0, 1}; and seed 3 times 2^-600."""
+    D = 2 * d - 1
+    rng = np.random.Generator(np.random.PCG64(d))
+    near = generate_key(d, D, 2).matrix.copy()
+    picks = rng.permutation(D)[:5]
+    near[:, picks[0]] = near[:, picks[1:4]] @ rng.standard_normal(3) + 1e-9 * near[:, picks[4]]
+    return {"keygen": generate_key(d, D, 1).matrix, "near-dependent": near,
+            "integer": rng.integers(-1, 2, size=(d, D)).astype(float),
+            "tiny": generate_key(d, D, 3).matrix * 2.0**-600}
+
+
+@pytest.mark.parametrize("d", [6, 7, 8, 9, 10])
+def test_open_split_search_matches_block_walk(d):
+    # the search at D = 2d - 1 walks no blocks when the descent gives a cut,
+    # as on the generic keys at any scale; the descent may find a value
+    # within the tie window on the others, and then no cut is used
+    for name, matrix in _odd_keys(d).items():
+        taken, _ = _assert_open_splits_match_block_walk(matrix)
+        assert taken or name in ("near-dependent", "integer"), name
+
+
+@pytest.mark.parametrize("d", [11, 12])
+def test_open_split_search_matches_block_walk_at_the_cap(d):
+    # 12x23 is the CI cap key; its seeded walk took about 1 s, this search
+    # about 0.15 s (2-vCPU x86-64 VM, BLAS on one thread)
+    taken, search = _assert_open_splits_match_block_walk(generate_key(d, 2 * d - 1, 1).matrix)
+    assert taken
+    if d == 12:
+        assert (search.settled, search.diagonalized, search.visited) == (4194198, 106, 106)
+
+
+def test_open_split_search_on_the_planted_8x15_key():
+    # the 792 8-subsets that hold columns 1, 2 and 15 fail the cut's shift,
+    # and all of them fail the first falling shift too, which ends the
+    # steps: the second cut comes from the first 8, which also hold column
+    # 3 and have values of rounding size. The 792 open splits are those
+    # subsets' own, no larger set is open, and the first chunk of 64 holds
+    # a value within the tie window, which ends the visit
+    matrix = _planted_8x15()
+    taken, search = _assert_open_splits_match_block_walk(matrix)
+    assert taken
+    a0, part = search.result
+    assert a0 == 1.6324844100427064e-16 and part.indices() == (4, 5, 6, 7, 8, 9, 10)
+    assert (search.settled, search.diagonalized, search.visited) == (15592, 792, 64)
+
+
+@st.composite
+def _odd_shapes(draw):
+    """A d x (2d - 1) key, d = 6 or 7, float or integer entries, times 1 or
+    1e-200."""
+    d = draw(st.integers(6, 7))
+    matrix = np.array(draw(_entries(d * (2 * d - 1)))).reshape(d, 2 * d - 1)
+    return matrix * draw(st.sampled_from([1.0, 1e-200]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_odd_shapes())
+def test_open_split_search_matches_block_walk_hypothesis(matrix):
+    _assert_open_splits_match_block_walk(matrix)
+
+
+def test_open_split_search_band_hit_redoes_the_search_unseeded(monkeypatch):
+    # h = A0 - 1.5 tie puts A0 in the band [c - tie, c) of the cut c = h +
+    # 2 tie; no value the visit computes is below A0, so the second cut is
+    # c, the split of A0 is open, and its visit reports the hit; the search
+    # is redone unseeded, and the counts add both searches'
+    key = generate_key(8, 15, 1)
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    plain = _unseeded(key)
+    cut = (plain.result[0] - 1.5 * tie) + 2 * tie
+    first = lipschitz._open_split_search(Key(key.matrix), tie, cut)
+    assert first[0] is None
+    calls, real = [], lipschitz._search
+    monkeypatch.setattr(lipschitz, "_descent_bound", lambda key, tie: plain.result[0] - 1.5 * tie)
+    monkeypatch.setattr(lipschitz, "_search", lambda key, tie, c: calls.append(c) or real(key, tie, c))
+    search = lipschitz.lower_constant_search(Key(key.matrix))
+    assert calls == [np.inf]
+    assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert search.result[1].mask == plain.result[1].mask
+    assert (search.settled, search.diagonalized, search.visited) == tuple(
+        a + b for a, b in zip(first[1:], (plain.settled, plain.diagonalized, plain.visited)))
+
+
+@pytest.mark.parametrize("limit", ["subset-grams", "open-splits"])
+def test_open_split_search_falls_back_to_the_seeded_walk(monkeypatch, limit):
+    # F's Grams over screens._CHUNK_ENTRIES (1050 failing 8-subsets of the
+    # 8x15 key, 36 entries each), or more open splits than one block of the
+    # walk (792 on the planted 8x15 key, in blocks of 512): the seeded walk
+    # runs instead, at the descent's cut or at the second cut below it
+    matrix = generate_key(8, 15, 1).matrix if limit == "subset-grams" else _planted_8x15()
+    key = Key(matrix)
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    cut = lipschitz._descent_bound(key, tie) + 2 * tie
+    if limit == "subset-grams":
+        monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 36 * 1049)
+    else:
+        monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 36 * 512)
+    calls, real = [], lipschitz._search
+    monkeypatch.setattr(lipschitz, "_search", lambda key, tie, c: calls.append(c) or real(key, tie, c))
+    search = lipschitz.lower_constant_search(Key(matrix))
+    assert len(calls) == 1
+    assert calls[0] == cut if limit == "subset-grams" else calls[0] < cut
+    walk = real(Key(matrix), tie, calls[0])
+    assert (search.result[0], search.result[1].mask, search.settled, search.diagonalized,
+            search.visited) == (walk[0][0], walk[0][1].mask, *walk[1:])
+    want = _block_walk(matrix).result
+    assert np.float64(search.result[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert search.result[1].mask == want[1].mask
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_open_splits_match_every_split(d):
+    # the level-wise closure against every split: open when each d-subset of
+    # its side of at least d columns fails the kernel at the shift, here a
+    # random choice of the d-subsets made to fail with a negative Gram entry
+    D = 2 * d - 1
+    rng = np.random.Generator(np.random.PCG64(d))
+    subsets = list(itertools.combinations(range(D), d))
+    for share in (0.2, 0.6, 0.9, 1.0):
+        fail = rng.random(len(subsets)) < share
+        sets = np.array([sum(1 << c for c in t) for t in subsets], dtype=np.int64)
+        grams = np.repeat(screens.pack(np.eye(d))[:, None], len(subsets), axis=1)
+        grams[0, fail] = -1.0  # the first pivot of each failing Gram; the others factor at 0.5
+        want = []
+        for mask in range(1 << (D - 1)):
+            side = mask if bin(mask).count("1") >= d else ((1 << D) - 1) ^ mask
+            want.append(all(fail[i] for i, t in enumerate(subsets)
+                            if all(side >> c & 1 for c in t)))
+        want = np.flatnonzero(want)
+        got = screens._open_splits(sets, grams.copy(), 0.5, D, 1 << (D - 1))
+        assert got.tobytes() == want.astype(got.dtype).tobytes()
+        if want.size:
+            assert screens._open_splits(sets, grams.copy(), 0.5, D, want.size - 1) is None
