@@ -420,13 +420,19 @@ def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
-    (4, 16, 32766, 2, 1), (8, 15, 16382, 2, 2), (5, 18, 131063, 9, 1)])
-def test_seeded_search_work_is_pinned(d, D, settled, diagonalized, visited):
-    # the search as it runs: the descent bound's cut keeps only masks below
-    # it, in full-size blocks with the cover from block 0 on; at 8x15 (D =
-    # 2d - 1) it walks no blocks, and 2 of the 2^14 splits are open. The
-    # seeded walk did (16300, 84, 7) there
+    (4, 16, 32766, 2, 1), (8, 15, 16300, 84, 7), (5, 18, 131063, 9, 1)])
+def test_seeded_search_work_is_pinned(monkeypatch, d, D, settled, diagonalized, visited):
+    # the seeded walk: the descent bound's cut keeps only masks below it, in
+    # full-size blocks with the cover from block 0 on. At 8x15 (D = 2d - 1)
+    # the search as it runs walks no blocks, so the walk is forced there
+    monkeypatch.setattr(lipschitz, "_open_split_search", lipschitz._search)
     _assert_search_work(d, D, settled, diagonalized, visited, lipschitz.lower_constant_search)
+
+
+def test_open_split_search_work_is_pinned():
+    # the search as it runs at 8x15 (D = 2d - 1): it walks no blocks, and 2
+    # of the 2^14 splits are open
+    _assert_search_work(8, 15, 16382, 2, 2, lipschitz.lower_constant_search)
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
