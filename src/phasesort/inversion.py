@@ -13,12 +13,12 @@ single-row functions call it with a batch of one. The pivots, the pivot
 block and the sign patterns are computed once per key, and ``omega_many``
 solves a chunk of rows as one system whose right-hand sides are the (row,
 sign pattern) pairs of a keep mask, so the pivot block is factored once per
-chunk. The mask keeps every pair, except in a chunk large enough to be
-screened on one non-pivot column (_PatternScreen): there a pair whose
-prediction of that column's measurement misses it by more than the
-tolerance plus a proven rounding allowance cannot be consistent, and is not
-solved. A pair's bits do not depend on which other pairs are solved with
-it, so every row has the bits of its single call.
+chunk. The mask keeps every pair, except in a call with two or more rows
+to search, which is screened on one non-pivot column (_PatternScreen):
+there a pair whose prediction of that column's measurement misses it by
+more than the tolerance plus a proven rounding allowance cannot be
+consistent, and is not solved. A pair's bits do not depend on which other
+pairs are solved with it, so every row has the bits of its single call.
 """
 
 from __future__ import annotations
@@ -92,17 +92,10 @@ def _gray_sign_patterns(d: int) -> np.ndarray:
 # orbits, which the measurements do not tell apart within the tolerance.
 _ORBIT_GAP = 1e-6
 
-# Residual entries (rows x D x sign patterns) the sign search builds at a
-# time (memory, not correctness).
+# Entries the sign search builds per chunk of rows (memory, not
+# correctness): D residual entries per (row, sign pattern) pair when every
+# pair is solved, d candidate entries per pair when the chunk is screened.
 _SOLVE_CHUNK = 1 << 16
-
-# (row, pattern) pairs of a chunk of two or more rows from which omega_many
-# screens them (_PatternScreen) before solving. Measured with the key's
-# screen built, the break-even lies at 128-512 pairs over 2x3 to 10x19
-# keys; below it the screen costs more than the solves it saves. A one-row
-# call, what a one-off decode makes, is never screened: building the key's
-# screen (an SVD and a solve) would not pay back there.
-_SCREEN_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -244,12 +237,12 @@ def _omega_rows(key: Key, y: np.ndarray, errors: _RowErrors) -> RecoveryBatch:
         pivots, _, patterns = _sign_search(key)
     except NotAFrame as exc:
         errors.stop(exc, int(live[0]))
-    per_chunk = max(1, _SOLVE_CHUNK // (key.D * len(patterns)))
+    # a one-row call, what a one-off decode makes, is never screened:
+    # building the key's screen (an SVD and a solve) would not pay back there
+    screen = _pattern_screen(key) if live.size > 1 else None
+    per_chunk = max(1, _SOLVE_CHUNK // ((key.D if screen is None else d) * len(patterns)))
     for start in range(0, live.size, per_chunk):
         rows = live[start:start + per_chunk]
-        screen = None
-        if rows.size > 1 and rows.size * len(patterns) >= _SCREEN_PAIRS:
-            screen = _pattern_screen(key)
         keep = (np.ones((rows.size, len(patterns)), dtype=bool) if screen is None
                 else screen.keep(y[rows], accept_tol[rows]))
         x[rows], residual[rows], signs[rows] = _sign_search_rows(

@@ -396,8 +396,10 @@ def _screen_masks(monkeypatch):
 
 
 def _screened_rows(key):
-    """Rows from which a chunk holds enough (row, pattern) pairs to be screened."""
-    return max(2, -(-inversion._SCREEN_PAIRS // (1 << (key.d - 1))))
+    """Rows of the screened batches below: at least two, and enough for 256
+    (row, pattern) pairs, so the screen drops many pairs while the loop
+    oracle stays quick."""
+    return max(2, -(-256 // (1 << (key.d - 1))))
 
 
 def _mixed_batch(key, rng, m):
@@ -441,24 +443,28 @@ def _error_of(key, row):
 
 
 def _assert_screened_batches_match_oracle(key, masks, seed, ambiguous=False):
-    """A mixed batch just below and just above the screen's cut; with
-    ``ambiguous``, one more row with two orbits that fit (the signal of
-    test_omega_ambiguity_on_a_certified_key_names_gap_and_tolerance)."""
+    """A mixed batch cut to its zero row and the row no pattern fits, so one
+    row is live and the call is not screened, then a whole mixed batch,
+    which is; with ``ambiguous``, one more row with two orbits that fit (the
+    signal of test_omega_ambiguity_on_a_certified_key_names_gap_and_tolerance)."""
     if not is_phase_retrievable(key).verdict:
         with pytest.raises(NotPhaseRetrievable):
             omega_many(key, np.ones((2, key.D)))
         return
     rng = np.random.Generator(np.random.PCG64(seed))
-    screened = _screened_rows(key)  # one zero row, so the first batch is just below
+    screened = _screened_rows(key)
     for m, engages in ((screened, False), (screened + 1, True)):
         y = _mixed_batch(key, rng, m)
         if ambiguous:
             x = np.random.Generator(np.random.PCG64(63)).standard_normal((40, 2))[1]
             y[5] = alpha(key, x)
             assert isinstance(_error_of(key, y[5]), AmbiguityDetected)
+        bad = m // 2
+        if not engages:
+            y, bad = y[[1, bad]], 1
         masks.clear()
         failing = _assert_batch_matches_oracle(key, y)
-        assert failing and isinstance(_error_of(key, y[m // 2]), NotInRange)
+        assert failing and isinstance(_error_of(key, y[bad]), NotInRange)
         assert bool(masks) == (engages and inversion._pattern_screen(key) is not None)
 
 
@@ -488,13 +494,13 @@ def test_screened_batches_match_oracle_hypothesis(matrix):
 
 @pytest.mark.parametrize("name", sorted(_CHUNK_EDGE_KEYS))
 def test_screened_chunks_at_chunk_edges(monkeypatch, name):
-    # chunks of exactly the rows the screen needs: every full chunk is
-    # screened, a remainder of one row is not
+    # screened chunks of per_chunk rows (d candidate entries per pair): every
+    # chunk of a screened call is screened, a remainder of one row too
     key = _CHUNK_EDGE_KEYS[name]()
     if not is_phase_retrievable(key).verdict:
         return
     per_chunk = _screened_rows(key)
-    monkeypatch.setattr(inversion, "_SOLVE_CHUNK", per_chunk * key.D * (1 << (key.d - 1)))
+    monkeypatch.setattr(inversion, "_SOLVE_CHUNK", per_chunk * key.d * (1 << (key.d - 1)))
     masks = _screen_masks(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(66))
     for m in (per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 1):
@@ -502,22 +508,97 @@ def test_screened_chunks_at_chunk_edges(monkeypatch, name):
         y[m // 2, -1] += 0.5 * np.abs(y[m // 2]).max()
         masks.clear()
         calls = 1 + bool(_assert_batch_matches_oracle(key, y))  # a failing batch runs twice
-        screened = inversion._pattern_screen(key) is not None
-        assert len(masks) == (calls * (m // per_chunk) if screened else 0)
+        screened = m > 1 and inversion._pattern_screen(key) is not None
+        assert len(masks) == (calls * -(-m // per_chunk) if screened else 0)
 
 
 @pytest.mark.parametrize("d, D, seed", [(3, 8, 1), (4, 12, 1), (8, 15, 3)])
 def test_a_lone_kept_pair_keeps_its_bits(monkeypatch, d, D, seed):
-    # every row but the first fits no pattern and keeps no pair, so the chunk
-    # solves a single pair; it must keep the bits of its one-row call
+    # every row but the first fits no pattern and keeps no pair, so the
+    # screened call's one chunk solves a single pair; it must keep the bits
+    # of its one-row call
     key = generate_key(d, D, seed)
     screen = inversion._pattern_screen(key)
     m = _screened_rows(key)
+    assert m <= inversion._SOLVE_CHUNK // (d << (d - 1))  # one chunk
     y = alpha_many(key, np.random.Generator(np.random.PCG64(67)).standard_normal((m, d)))
     y[1:, screen.column] += 0.5 * np.abs(y[1:]).max(axis=1)
     masks = _screen_masks(monkeypatch)
     assert _assert_batch_matches_oracle(key, y) == list(range(1, m))
     assert [mask.sum() for mask in masks] == [1, 1]  # the raising batch, then its stages
+
+
+@pytest.mark.parametrize("D", [23, 24])
+def test_d12_batches_are_screened_and_keep_their_bits(monkeypatch, D):
+    # an unscreened chunk holds one row at d = 12 (D residual entries for
+    # each of 2048 patterns), a screened one two; a batch of many rows is
+    # screened, each row keeps the bits of its one-row call, which is not,
+    # and the row no pattern fits raises its own error
+    key = generate_key(12, D, 1)
+    y = alpha_many(key, np.random.Generator(np.random.PCG64(74)).standard_normal((300, 12)))
+    y[7] = 0.0
+    y[150, -1] += 0.5 * np.abs(y[150]).max()
+    masks = _screen_masks(monkeypatch)
+    _raises_like_single(lambda: omega_many(key, y), lambda: omega(key, y[150]))
+    assert isinstance(_error_of(key, y[150]), NotInRange)
+    assert "pattern_screen" in key._cache
+    batch = inversion._omega_rows(key, y, inversion._RowErrors())
+    assert [len(mask) for mask in masks] == ([2] * 149 + [1]) * 2  # 299 live rows, each call
+    masks.clear()
+    for i in range(len(y)):
+        if i != 150:
+            _same_recovery(batch.result(i), omega(key, y[i]))
+    assert batch.trivial[7] and not masks
+
+
+_FOOTPRINT_KEYS = {
+    **{f"{d}x{D}": (lambda d=d, D=D: generate_key(d, D, 1))
+       for d, D in ((2, 3), (3, 8), (4, 12), (8, 15), (10, 19), (12, 23), (12, 24))},
+    **{name: (lambda m=m: Key(m)) for name, m in ADVERSARIAL.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FOOTPRINT_KEYS))
+def test_every_chunk_of_a_call_takes_its_path_and_fits(monkeypatch, name):
+    # a call of two or more live rows is screened when the key has a screen,
+    # in chunks of _SOLVE_CHUNK // (d * patterns) rows, its last chunk too;
+    # any other call solves every pair, in chunks of _SOLVE_CHUNK // (D *
+    # patterns) rows. A chunk of one row is the least a call can take
+    key = _FOOTPRINT_KEYS[name]()
+    if name in ADVERSARIAL and not is_phase_retrievable(key).verdict:
+        return
+    screen = inversion._pattern_screen(key)
+    patterns = 1 << (key.d - 1)
+    entries = key.D if screen is None else key.d
+    per_chunk = max(1, inversion._SOLVE_CHUNK // (entries * patterns))
+    masks = _screen_masks(monkeypatch)
+    chunks, depth = [], [0]
+    search = inversion._sign_search_rows
+
+    def first_level(*args):
+        if not depth[0]:  # not the search again of a row that fits no kept pair
+            chunks.append(args[-1])
+        depth[0] += 1
+        try:
+            return search(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(inversion, "_sign_search_rows", first_level)
+    rng = np.random.Generator(np.random.PCG64(75))
+    for m in sorted({1, 2, per_chunk - 1, per_chunk, per_chunk + 1} - {0}):
+        y = alpha_many(key, rng.standard_normal((m, key.d)))
+        assert y.any(axis=1).all()
+        masks.clear()
+        chunks.clear()
+        inversion._omega_rows(key, y, inversion._RowErrors())
+        screened = m > 1 and screen is not None
+        assert [any(keep is mask for mask in masks) for keep in chunks] == [screened] * len(chunks)
+        rows = per_chunk if m > 1 else 1
+        assert [len(keep) for keep in chunks] == [rows] * (m // rows) + [m % rows] * (m % rows > 0)
+        width = key.d if screened else key.D
+        assert all(len(keep) == 1 or len(keep) * width * patterns <= inversion._SOLVE_CHUNK
+                   for keep in chunks)
 
 
 def test_screen_keeps_one_pattern_per_row_on_the_verify_keys(monkeypatch):
@@ -630,9 +711,10 @@ def test_one_row_calls_and_small_batches_build_no_screen():
     omega(key, y[0])
     invert_beta(key, beta(key, cfg).matrix)
     invert_beta_tilde(key, beta_tilde(key, cfg))
-    omega_many(key, y[:_screened_rows(key) - 1])
+    omega_many(key, y[:1])
+    omega_many(key, np.stack([y[1], np.zeros(key.D)]))  # one live row
     assert "pattern_screen" not in key._cache
-    omega_many(key, y[:_screened_rows(key)])
+    omega_many(key, y[:2])
     assert "pattern_screen" in key._cache
 
 
