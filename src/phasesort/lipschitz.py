@@ -21,16 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics, screens
-from .encoders import (
-    alpha,
-    alpha_many,
-    beta,
-    beta_many,
-    dist_hat_H,
-    dist_hat_H_many,
-    dist_hat_V,
-    dist_hat_V_many,
-)
+from .encoders import alpha_many, beta_many, dist_hat_H_many, dist_hat_V_many
 from .errors import AchievementFailure, LipschitzViolation, SearchTooLarge
 from .frame_keys import (
     COMPLEMENT_MAX_COLS,
@@ -82,12 +73,14 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       shows lo >= min(c, prev_hi), and keeps, in ascending order, the masks
       with lo < min(c, prev_hi), c being the cut of the Bound below (2^-e
       times it on the copy; infinite for an unseeded walk). In a seeded
-      walk the test is mostly taken once per d-subset, before the first
-      block, instead of once per mask: a mask is settled with no Gram of
-      its own when a side holds d columns whose Gram passes it, as sigma_d
-      of a side is at least that of any d of its columns (the cover). Its
-      docstring has the argument that it keeps exactly the masks the full
-      bracket of every mask would keep.
+      walk the test is mostly taken once per d-subset, before any mask,
+      instead of once per mask: a mask is settled with no Gram of its own
+      when a side holds d columns whose Gram passes it, as sigma_d of a
+      side is at least that of any d of its columns (the cover). The other
+      masks, the open ones, are then read from the cover's bits in one pass
+      and screened in ascending windows of at most one block's Grams, in
+      place of the blocks. Its docstring has the argument that it keeps
+      exactly the masks the full bracket of every mask would keep.
     - Exact pass. The kept masks are visited in ascending order with the
       full visit's body and test. Without a cut, every mask that becomes the
       best in the full visit is among them, so each sees the same best as in
@@ -95,8 +88,9 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       stack of SVDs of the key per side size (screens._side_singular_values),
       whose rows have the bits of numerics.sigma_k on each side alone.
     - Bound. Before the walk, h, the value the visit computes for mask 0 or
-      for the split an alternating descent on the copy ends at, whichever
-      is smaller (_descent_bound), bounds m*, the smallest value the visit
+      for the split an alternating descent on the copy ends at (at D = 2d -
+      1 a one-sided one, _subset_descent), whichever is smaller
+      (_descent_bound), bounds m*, the smallest value the visit
       computes, from above; the screen gets the cut c = h + 2 tie. Call a
       mask low when its value v < c. The full visit's final best f has
       v_f <= m* + tie < c, and once the best is low no mask with v >= c
@@ -113,13 +107,18 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       needed: with tie = 1 and values 4.5, 3.6, 2.9, 2.0 in mask order, the
       full visit returns the third mask; h = 2.0 gives c = 4.0, the screen
       may drop the first, and the visit of the rest returns the fourth;
-      3.6 lies in [3.0, 4.0). The seeded screen starts with full-size
-      blocks and its cover (screens._screen's Start bound).
+      3.6 lies in [3.0, 4.0). The seeded screen starts with its cover and
+      full-size blocks or windows (screens._screen's Start bound). A
+      window's visit takes all of its kept masks, up to whole blocks past
+      the block that a walk in blocks would stop with, so it may meet a
+      band value that such a walk would not, and redo the search where that
+      walk would not; the bits are the full visit's either way.
     - Stop. Values are >= 0, so once the best is at most tie no later mask
-      can pass the test: the search ends with the first block whose exact
-      best is at most tie. The kept masks of each block wait, and the
-      exact pass visits them after a block that holds a kept mask with
-      2^e * lo <= tie, and after the last block. The value the visit
+      can pass the test: the search ends with the first block, or window of
+      a seeded walk's open masks, whose exact best is at most tie. The kept
+      masks of each block or window wait, and the exact pass visits them
+      after one that holds a kept mask with 2^e * lo <= tie, and after the
+      last. The value the visit
       computes for a mask is at least 2^e times its lo, so while no
       waiting mask has one within the window, the best cannot be within it
       either: the wait moves only when masks are visited, never the
@@ -130,7 +129,10 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       of d columns, the value 0 and lo = 0, so the search ends at the
       latest with the block that holds it.
     - D = 2d - 1. With a finite cut c the search walks no blocks
-      (_open_split_search). Every split then has exactly one side S of d
+      (_open_split_search); the cut comes from a descent over d-subsets
+      (_subset_descent) whose split has a side of exactly d columns, and h
+      is still the value the visit computes for that split or mask 0,
+      whichever is smaller. Every split then has exactly one side S of d
       or more columns, the other has at most d - 1 and sigma_d = 0, so the
       visit computes the split's value as hypot(sigma_d(A_S), 0) =
       sigma_d(A_S). That is at least sigma_d of any d columns of S
@@ -183,6 +185,12 @@ class LowerConstantSearch:
     (lower_constant's Bound) keeps only masks below its cut, so it settles
     all but a few hundred of the 2^23 masks of the generic cap keys; a
     search redone unseeded after a band hit counts the work of both walks.
+    A seeded walk with a cover counts by windows of its open masks instead
+    of blocks: ``settled`` holds the masks of a window's range that the
+    cover settles and those its tests settle, and the counts end with the
+    window the search stops with. Its tests read the running bound at a
+    window's start, so it may diagonalize more masks than a walk in blocks,
+    and keeps the same ones.
     The screen reads the key's unit copy (frame_keys._unit): the key times
     a power of two that holds it exactly has the same one, and so the same
     ``settled`` and ``diagonalized``, away from subnormal scale.
@@ -307,8 +315,10 @@ def _open_split_search(key: Key, tie: float, cut: float):
 
 def _descent_bound(key: Key, tie: float) -> float:
     """h of lower_constant's Bound: the smaller of mask 0's value and the
-    value of the split _descent ends at, both as the visit computes them;
-    or inf where the search runs unseeded.
+    value of the split _descent ends at, both as the visit computes them
+    (_split_values), or inf where the search runs unseeded. At D = 2d - 1
+    _descent's split is that of a d-subset (_subset_descent), whose value
+    is sigma_d of those d columns.
 
     No descent runs where it cannot pay: for tie = 0 (the zero key); for
     D <= 2d - 2, where split 2^(D-d+1) - 1 has no side of d columns and the
@@ -337,7 +347,8 @@ _DESCENT_ROUNDS = 6
 
 def _descent(u: np.ndarray) -> int:
     """The canonical mask of a split of low value of the d x D unit copy
-    ``u``, by an alternating descent and then single-column moves.
+    ``u``, by an alternating descent and then single-column moves, or at
+    D = 2d - 1 by the one-sided descent of _subset_descent.
 
     Each of _DESCENT_STARTS direction pairs (v, w), entries drawn uniform
     in [-1, 1) from random.Random(0) (Python's own generator: numpy's would
@@ -359,6 +370,8 @@ def _descent(u: np.ndarray) -> int:
     at any scale of the key.
     """
     d, D = u.shape
+    if D == 2 * d - 1:
+        return _subset_descent(u)
     rng = random.Random(0)
     vw = np.array([rng.uniform(-1.0, 1.0) for _ in range(2 * _DESCENT_STARTS * d)])
     side, bound = _descent_sides(vw.reshape(2, _DESCENT_STARTS, d), u)
@@ -378,6 +391,38 @@ def _descent(u: np.ndarray) -> int:
             break
         side, value = moves[best], values[best]
     return int((side << np.arange(D)).sum())
+
+
+def _subset_descent(u: np.ndarray) -> int:
+    """_descent at D = 2d - 1: the canonical mask of the split whose side of
+    d columns a one-sided alternating descent on the copy ``u`` ends at.
+
+    A split's value there is sigma_d of its one side of d or more columns
+    (lower_constant's D = 2d - 1 bullet), so the descent looks for a
+    d-subset T of small sigma_d(U_T)^2 = lambda_min(U_T U_T^T). Each of
+    _DESCENT_STARTS directions v, entries drawn as _descent draws them,
+    takes the d columns u_j of smallest (v . u_j)^2, ties to the lower
+    column; then v becomes the bottom eigenvector of their Gram (eigh). No
+    round raises lambda_min: the new columns' squares sum to at most v^T
+    G_T v = lambda_min(G_T) of the old T, and the new v attains the minimum
+    of v^T G v over unit vectors for the new T (Rayleigh). The rounds end
+    when no start's columns change, or after _DESCENT_ROUNDS, and the start
+    of the smallest lambda_min gives T. Its split's other side has d - 1
+    columns and sigma_d = 0.
+    """
+    d, D = u.shape
+    rng = random.Random(0)
+    v = np.array([rng.uniform(-1.0, 1.0) for _ in range(_DESCENT_STARTS * d)])
+    v, cols = v.reshape(_DESCENT_STARTS, d), None
+    for _ in range(_DESCENT_ROUNDS):
+        picked = np.sort(np.argsort(np.square(v @ u), axis=1, kind="stable")[:, :d], axis=1)
+        if np.array_equal(picked, cols):
+            break
+        sub = u[:, picked].transpose(1, 0, 2)
+        lam, vec = np.linalg.eigh(sub @ sub.transpose(0, 2, 1))
+        v, cols = vec[..., 0], picked
+    side = int((1 << cols[np.argmin(lam[:, 0])]).sum())
+    return int(screens._canonical(np.array([side]), D)[0])
 
 
 def _descent_sides(vw: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -573,37 +618,40 @@ def check_achievement(key: Key, report: LipschitzReport) -> AchievementResult:
     2^min(e, 0), so a key below unit scale is held to its own scale, not to
     an absolute 1; the two distance clauses have no units and keep the
     floor 1.
+
+    The witness pairs, the upper one and, unless degenerate, the lower one,
+    are measured in one stacked call of each encoder and metric (alpha_many,
+    beta_many, dist_hat_H_many, dist_hat_V_many) and one of
+    numerics.scaled_row_norms per gap shape; each row has the bits of its
+    single call, and the clauses are checked in the order above.
     """
     tol = key.tol.achievement_tol
     w = report.witnesses
     details: dict = {}
     e = _unit(key).e
     floor = float(np.ldexp(1.0, min(e, 0)))
+    pairs = 1 if report.degenerate_lower else 2
+    x, y = np.array([w.x_max, w.x_min][:pairs]), np.array([w.y_max, w.y_min][:pairs])
+    xx, yy = np.array([w.X_max, w.X_min][:pairs]), np.array([w.Y_max, w.Y_min][:pairs])
+    alpha_gaps = np.ldexp(numerics.scaled_row_norms(alpha_many(key, x) - alpha_many(key, y), e), e)
+    beta_gaps = (beta_many(key, xx)[0] - beta_many(key, yy)[0]).reshape(pairs, -1)
+    beta_gaps = np.ldexp(numerics.scaled_row_norms(beta_gaps, e), e)
+    dh, dv = dist_hat_H_many(x, y), dist_hat_V_many(xx, yy)[0]
 
-    gap = alpha(key, w.x_max) - alpha(key, w.y_max)
-    gap = float(np.ldexp(numerics.scaled_row_norms(gap, e), e))
-    _require_close("alpha-upper", gap, report.B0 * dist_hat_H(w.x_max, w.y_max), tol, details,
+    dv_max = float(dv[0])
+    _require_close("alpha-upper", float(alpha_gaps[0]), report.B0 * float(dh[0]), tol, details,
                    floor)
-
-    dv_max = dist_hat_V(w.X_max, w.Y_max)[0]
     _require_close("beta-upper-distance", dv_max, 1.0, tol, details)
-    gap = beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix
-    gap = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
-    _require_close("beta-upper", gap, report.B0 * dv_max, tol, details, floor)
+    _require_close("beta-upper", float(beta_gaps[0]), report.B0 * dv_max, tol, details, floor)
 
     if report.degenerate_lower:
         return AchievementResult(passed=True, lower_checked=False, details=details)
 
-    gap = alpha(key, w.x_min) - alpha(key, w.y_min)
-    gap = float(np.ldexp(numerics.scaled_row_norms(gap, e), e))
-    _require_close("alpha-lower", gap, report.A0 * dist_hat_H(w.x_min, w.y_min), tol, details,
+    dv_min = float(dv[1])
+    _require_close("alpha-lower", float(alpha_gaps[1]), report.A0 * float(dh[1]), tol, details,
                    floor)
-
-    dv_min = dist_hat_V(w.X_min, w.Y_min)[0]
     _require_close("beta-lower-distance-squared", dv_min**2, 2.0, tol, details)
-    gap = beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix
-    gap = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
-    _require_close("beta-lower", gap, report.A0 * dv_min, tol, details, floor)
+    _require_close("beta-lower", float(beta_gaps[1]), report.A0 * dv_min, tol, details, floor)
 
     return AchievementResult(passed=True, lower_checked=True, details=details)
 

@@ -8,12 +8,13 @@ Three scans use them, each over all sides of one shape:
 - the complement walk (frame_keys._complement_walk) over the 2^(D-1) column
   partitions, through the one-side pass (_one_side_settled);
 - the A0 screen (_screen) of lipschitz.lower_constant over the same
-  partitions, which yields the partitions it keeps one block at a time,
-  so that the search can stop between blocks. Given a start bound, it
-  settles a partition with no Gram when a side holds a d-subset that the
-  subset scan's walk, run once before its first block, factors at the
-  bound's shift (the cover, _cover); it runs the one-side pass on the
-  others, and on every partition of a walk without a start bound. At
+  partitions, which yields the partitions it keeps one block, or window,
+  at a time, so that the search can stop between them. Given a start
+  bound, it settles a partition with no Gram when a side holds a d-subset
+  that the subset scan's walk, run once before any partition, factors at
+  the bound's shift (the cover, _cover); it runs the one-side pass on the
+  others, the open ones, in windows of them (_open_windows), and on every
+  partition of a walk without a start bound or a cover. At
   D = 2d - 1 the search takes no walk: it gathers the Grams of the
   d-subsets the subset scan's walk fails (_subset_grams, _lowest) and
   grows the partitions left open from them (_open_splits).
@@ -25,8 +26,9 @@ Grams are stored in one packed layout (pack), which the shifted-Cholesky
 kernel (shifted_cholesky_ok) works in. The partition scans walk the masks
 in ascending blocks (_partition_blocks), aligned power-of-two ranges of
 masks, each with its own table of side I's Grams (_BlockGrams), filled
-when a walk asks for it, or summed for a few masks alone; side C's is
-U U^T minus side I's. The sides no screen settles get stacked SVDs of the
+when a walk asks for it; a window of open partitions reads its Grams from
+those tables or sums them for a few masks alone (_open_grams). Side C's
+is U U^T minus side I's. The sides no screen settles get stacked SVDs of the
 key (_side_singular_values).
 """
 
@@ -615,9 +617,10 @@ def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
 # still near mask 0's it settles almost nothing, and smaller first blocks
 # would only add their fixed cost, some hundred numpy calls each. An A0
 # screen given a start bound (the search's descent cut) has a tight running
-# bound and its cover from mask 0 on, so it starts at full size instead;
-# walks of at most 4 * _FIRST_BLOCK masks are never seeded
-# (lipschitz._descent_bound), and an unseeded walk builds no cover.
+# bound and its cover from mask 0 on, so its blocks, or windows of open
+# masks, are full size from the start; walks of at most 4 * _FIRST_BLOCK
+# masks are never seeded (lipschitz._descent_bound), and an unseeded walk
+# builds no cover.
 _FIRST_BLOCK = 64
 
 
@@ -646,17 +649,6 @@ class _BlockGrams:
             _fill_grams(self._table, self.outers)
             self._filled = True
         return self._table
-
-    def sums(self, rows: np.ndarray) -> np.ndarray:
-        """table()[:, rows], with the same bits, each column summed alone,
-        without filling the table: head plus outers[b] where bit b is set,
-        for b from k - 1 down, the sums and the order _fill_grams makes.
-        They are formed one contiguous row per mask, which halves the time
-        of the masked adds, and transposed at the end."""
-        grams = np.repeat(self.head[None], rows.size, axis=0)
-        for b in range(len(self.outers) - 1, -1, -1):
-            np.add(grams, self.outers[b], out=grams, where=(rows >> b & 1).astype(bool)[:, None])
-        return np.ascontiguousarray(grams.T)
 
 
 def _block_bits(d: int, D: int) -> int:
@@ -687,24 +679,57 @@ def _partition_blocks(a: np.ndarray, first: int | None = None):
     """
     d, D = a.shape
     first = _FIRST_BLOCK if first is None else first
-    bits = D - 1
-    rows, cols = packed_pairs(d)
-    size = len(rows)
-    outers = (a[rows] * a[cols]).T
+    outers = _outers(a)
     top = _block_bits(d, D)
-    low_counts = np.zeros(1 << top, dtype=np.int64)
-    for b in range(top):
-        low_counts[1 << b:2 << b] = low_counts[:1 << b] + 1
+    low_counts = _popcounts(np.arange(1 << top))
     start = 0
-    while start < 1 << bits:
+    while start < 1 << (D - 1):
         k = min(top, max(first.bit_length(), start.bit_length()) - 1)
-        # mask start's Gram, summed from 0 highest bit first, as _fill_grams sums
-        head = sum((outers[b] for b in range(bits - 1, k - 1, -1) if start >> b & 1),
-                   np.zeros(size))
         counts = low_counts[:1 << k] + start.bit_count()
-        yield (np.arange(start, start + (1 << k)), _BlockGrams(head, outers[:k]),
+        yield (np.arange(start, start + (1 << k)), _BlockGrams(_head(outers, start), outers[:k]),
                counts >= d, D - counts >= d)
         start += 1 << k
+
+
+def _outers(a: np.ndarray) -> np.ndarray:
+    """The packed outer products a_j a_j^T (pack) of the columns of ``a``,
+    one row of P entries each."""
+    rows, cols = packed_pairs(a.shape[0])
+    return (a[rows] * a[cols]).T
+
+
+def _head(outers: np.ndarray, mask: int) -> np.ndarray:
+    """The packed Gram of side I of one mask: outers[b] of the bits b set,
+    added to 0 highest bit first, as _fill_grams sums them."""
+    return sum((outers[b] for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1),
+               np.zeros(outers.shape[1]))
+
+
+def _mask_grams(outers: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The packed Grams (P, n) of side I of ``masks``, each summed alone with
+    the bits of _partition_blocks' tables: 0 plus outers[b] where bit b is
+    set, for b from the highest down, the sums and the order _fill_grams
+    makes. They are formed one contiguous row per mask, which halves the
+    time of the masked adds, and transposed at the end."""
+    grams = np.zeros((masks.size, outers.shape[1]))
+    for b in range(int(masks.max(initial=0)).bit_length() - 1, -1, -1):
+        np.add(grams, outers[b], out=grams, where=(masks >> b & 1).astype(bool)[:, None])
+    return np.ascontiguousarray(grams.T)
+
+
+@functools.cache
+def _popcount_table() -> np.ndarray:
+    """The number of set bits of every 12-bit value (memoized)."""
+    return np.array([bin(v).count("1") for v in range(1 << 12)], dtype=np.int64)
+
+
+def _popcounts(masks: np.ndarray) -> np.ndarray:
+    """The number of columns of each mask, 12 bits a lookup."""
+    counts = np.zeros(masks.shape, dtype=np.int64)
+    while masks.any():
+        counts += _popcount_table()[masks & 4095]
+        masks = masks >> 12
+    return counts
 
 
 def _one_side_settled(gi, total, full_i, full_c, tau):
@@ -769,13 +794,14 @@ def _side_bracket(lam, full, err_lam, err_s):
 
 def _screen(unit: UnitCopy, bound: float = np.inf):
     """The A0 screen of lipschitz.lower_constant on a key's unit copy, one
-    block of _partition_blocks at a time, ascending: yield ``(masks, lo,
-    settled, diagonalized)`` for each block, its masks that may become the
-    best and have lo < ``bound``, ascending, the lower ends lo of their
-    brackets, and the numbers of its masks settled and diagonalized. The
+    block of _partition_blocks, or with a cover one window of open masks, at
+    a time, ascending: yield ``(masks, lo, settled, diagonalized)`` for each
+    block or window, its masks that may become the best and have lo <
+    ``bound``, ascending, the lower ends lo of their brackets, and the
+    numbers of the masks of its range settled and diagonalized. The
     brackets and ``bound`` are those of the copy 2^-e A, with its own B0.
-    The screen walks every block; when to stop is the search's to decide
-    (lipschitz.lower_constant).
+    The screen walks every block or window; when to stop is the search's to
+    decide (lipschitz.lower_constant).
 
     - Bracket. A side's smallest Gram eigenvalue lambda from eigvalsh equals
       sigma_d(U_S)^2 up to the error of the Gram sums and of eigvalsh, both
@@ -794,8 +820,9 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       bound, so every rule below holds with hi_run starting at ``bound``
       instead of infinity. The search passes the cut of its descent bound
       (lipschitz.lower_constant's Bound), and then the walk builds its
-      cover before block 0 and starts with full-size blocks: no block is
-      spent waiting for hi_run to come down.
+      cover before it screens any mask, and screens in full-size blocks or
+      windows from the start: none is spent waiting for hi_run to come
+      down.
     - Settled masks. The screen walks the masks in the ascending blocks of
       _partition_blocks, aligned power-of-two ranges of masks that start at
       _FIRST_BLOCK masks, or at full size with a finite ``bound``, and
@@ -831,8 +858,8 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       with the bits of its matrix alone. So the screen keeps exactly the
       masks the full bracket of every mask would keep; as settling spares
       only masks the rules above skip, the kept masks do not depend on the
-      block sizes.
-    - Cover. With a finite ``bound``, before block 0, the subset scan's
+      block sizes, nor on where the windows below end.
+    - Cover. With a finite ``bound``, before any mask, the subset scan's
       walk (_subset_verdicts) tests the Gram G[T, T] of every d-subset T,
       G = U^T U, at the one-side shift tau_0 of ``bound``, and _cover marks
       every column set that holds a T that passes. A mask with a marked
@@ -845,56 +872,125 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       the outer products of the other columns of S, so sigma_d(U_S) >=
       sigma_d(U_T) (the interlacing step of
       frame_keys._subsets_certify_complement), and S's bracket would have
-      lo >= hi_run. That holds at every block: hi_run never rises above
-      ``bound``, so the blocks' shifts are at most tau_0, and a side shown
+      lo >= hi_run. That holds at every window: hi_run never rises above
+      ``bound``, so the windows' shifts are at most tau_0, and a side shown
       above tau_0 - err_lam is above each of them less err_lam. The masks
-      with no marked side, the open ones, get side I's Grams, the table's
-      bits, each summed alone (_BlockGrams.sums), and the one-side,
-      both-sides and eigvalsh steps above; a block with no open mask makes
-      no kernel call. No cover is built when no d-subset passes, nor for
-      a walk without a start bound, whose shift is infinite until its
-      first block ends: the search runs such walks where a cover would not
-      pay (lipschitz._descent_bound), as at D <= 2d - 2, where it ends
-      with the block that holds mask 2^(D-d+1) - 1. Without a cover every
-      block is walked as above. The cover
-      settles only masks the bracket rule skips, so the kept masks are
-      those above; it moves the settled and diagonalized counts only where
-      a side's Gram and a subset's round to opposite sides of a shift.
+      with no marked side, the open ones, are read from the cover's bits in
+      one pass (_open_windows) and screened in ascending windows of at most
+      one full-size block's Grams, each a run of whole aligned blocks, with
+      the one-side, both-sides and eigvalsh steps above, hi_run carried from
+      window to window as from block to block; a window with no open mask
+      makes no kernel call, and a block with none adds no mask to any
+      window. Side I's Grams are the tables' bits (_open_grams): a block's
+      open masks are read from its table where summing each alone would
+      take as many adds, and summed alone otherwise. No cover is built when
+      no d-subset passes, nor for a walk without a start bound, whose shift
+      is infinite until its first block ends: the search runs such walks
+      where a cover would not pay (lipschitz._descent_bound), as at D <= 2d
+      - 2, where it ends with the block that holds mask 2^(D-d+1) - 1.
+      Without a cover every block is walked as above. The cover settles
+      only masks the bracket rule skips, so the kept masks are those above;
+      with the windows, whose tests read hi_run at a window's start, not at
+      each block's, it moves the settled and diagonalized counts, never the
+      kept masks.
     """
-    err_s, err_lam = unit.err_s, unit.err_lam
     d, D = unit.matrix.shape
-    hi_run, cover, first = bound, None, _FIRST_BLOCK
+    first = _FIRST_BLOCK
     if bound < np.inf:  # see Start bound and Cover above
-        cover = _cover(unit.matrix, _one_side_shift(bound, err_s, err_lam))
+        cover = _cover(unit.matrix, _one_side_shift(bound, unit.err_s, unit.err_lam))
+        if cover is not None:
+            yield from _open_screen(unit, cover, bound)
+            return
         first = 1 << _block_bits(d, D)
+    hi_run = bound
     for block, grams, full_i, full_c in _partition_blocks(unit.matrix, first):
-        if cover is None:
-            rows, gu, gc = _unsettled(grams.table(), unit.gram, full_i, full_c, hi_run,
-                                      err_s, err_lam)
+        rows, kept, lo, hi_run = _screen_masks(unit, block, grams.table(), full_i, full_c, hi_run)
+        yield kept, lo, block.size - rows.size, rows.size
+
+
+def _open_screen(unit: UnitCopy, cover: np.ndarray, bound: float):
+    """_screen's walk with a cover: yield ``(masks, lo, settled,
+    diagonalized)`` for each window of the open masks (_open_windows), side
+    I's Grams those of _partition_blocks' tables (_open_grams), the window's
+    settled count its covered masks and those its tests settle."""
+    d, D = unit.matrix.shape
+    k, outers = _block_bits(d, D), _outers(unit.matrix)
+    hi_run, start = bound, 0
+    for masks, end in _open_windows(cover, D, k):
+        if not masks.size:  # a window with no open mask makes no test
+            yield masks, np.zeros(0), end - start, 0
         else:
-            start, n = int(block[0]), block.size
-            last = (1 << D) - 1 - (start + n - 1)  # side C of the block's last mask
-            rows = np.flatnonzero(~(_covered(cover, start, n) | _covered(cover, last, n)[::-1]))
-            if rows.size:
-                left, gu, gc = _unsettled(grams.sums(rows), unit.gram, full_i[rows],
-                                          full_c[rows], hi_run, err_s, err_lam)
-                rows = rows[left]
-        if not rows.size:
-            yield block[rows], np.zeros(0), block.size, 0  # hi_run stays
-            continue
-        # both sides' Grams in one eigvalsh: side I's where it spans, then
-        # side C's
-        full = np.stack((full_i[rows], full_c[rows]))
-        lam = np.zeros(full.shape)
-        lam[full] = np.linalg.eigvalsh(unpack(np.concatenate(
-            (gu[:, full[0]], gc[:, full[1]]), axis=1)))[:, 0]
-        lo, hi = _side_bracket(lam, full, err_lam, err_s)
-        lo = np.maximum(np.hypot(*lo) - err_s, 0.0)
-        hi = np.hypot(*hi) + err_s
-        prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
-        hi_run = prev_hi[-1]
-        keep = lo < prev_hi[:-1]
-        yield block[rows[keep]], lo[keep], block.size - rows.size, rows.size
+            counts = _popcounts(masks)
+            rows, kept, lo, hi_run = _screen_masks(unit, masks, _open_grams(outers, masks, k),
+                                                   counts >= d, D - counts >= d, hi_run)
+            yield kept, lo, end - start - rows.size, rows.size
+        start = end
+
+
+def _open_windows(cover: np.ndarray, D: int, k: int):
+    """Yield ``(masks, end)``: the open canonical masks, those with neither
+    side in the cover (_covered), ascending, in windows of at most 2^k masks
+    that never split an aligned block of 2^k masks, and where the window's
+    range of masks ends: at the first block of the next window, or 2^(D -
+    1). The cover's bits are read in one pass, a power of two of masks at a
+    time, _CHUNK_ENTRIES / 16 of them or one block, so no array holds a bit
+    per mask."""
+    half = 1 << (D - 1)
+    step = 1 << max(k, (_CHUNK_ENTRIES >> 4).bit_length() - 1)
+    window, held = [], 0
+    for start in range(0, half, step):
+        n = min(step, half - start)
+        # side C of mask m is 2^D - 1 - m: the bits from 2^D - start - n on, reversed
+        masks = start + np.flatnonzero(
+            ~(_covered(cover, start, n) | _covered(cover, (1 << D) - start - n, n)[::-1]))
+        for part in np.split(masks, np.flatnonzero(np.diff(masks >> k)) + 1):
+            if held + part.size > 1 << k:
+                yield np.concatenate(window), int(part[0]) >> k << k
+                window, held = [], 0
+            window.append(part)
+            held += part.size
+    yield np.concatenate(window), half
+
+
+def _open_grams(outers: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
+    """Side I's packed Grams (P, n) of the ascending ``masks`` of a window of
+    _open_windows, with the bits of _partition_blocks' tables: the n masks
+    of an aligned block of 2^k are taken from its table (_BlockGrams) when
+    summing them alone would take as many adds, n * k >= 2^k, and are
+    summed alone (_mask_grams) otherwise."""
+    grams = np.empty((outers.shape[1], masks.size))
+    starts = np.flatnonzero(np.diff(masks >> k, prepend=-1))
+    counts = np.diff(starts, append=masks.size)
+    table = counts * k >= 1 << k
+    alone = ~np.repeat(table, counts)
+    grams[:, alone] = _mask_grams(outers, masks[alone])
+    for first, n in zip(starts[table].tolist(), counts[table].tolist()):
+        block = int(masks[first]) >> k << k
+        rows = masks[first:first + n] - block
+        grams[:, first:first + n] = _BlockGrams(_head(outers, block), outers[:k]).table()[:, rows]
+    return grams
+
+
+def _screen_masks(unit: UnitCopy, masks, gi, full_i, full_c, hi_run):
+    """(rows, kept, lo, hi_run) of _screen for ascending ``masks`` with side
+    I's packed Grams ``gi``: the positions ``rows`` of the masks no test
+    settles (_unsettled), the masks ``kept`` among them with the lower ends
+    ``lo`` of their brackets, and the running bound after them."""
+    err_s, err_lam = unit.err_s, unit.err_lam
+    rows, gu, gc = _unsettled(gi, unit.gram, full_i, full_c, hi_run, err_s, err_lam)
+    if not rows.size:
+        return rows, masks[rows], np.zeros(0), hi_run
+    # both sides' Grams in one eigvalsh: side I's where it spans, then side C's
+    full = np.stack((full_i[rows], full_c[rows]))
+    lam = np.zeros(full.shape)
+    lam[full] = np.linalg.eigvalsh(unpack(np.concatenate(
+        (gu[:, full[0]], gc[:, full[1]]), axis=1)))[:, 0]
+    lo, hi = _side_bracket(lam, full, err_lam, err_s)
+    lo = np.maximum(np.hypot(*lo) - err_s, 0.0)
+    hi = np.hypot(*hi) + err_s
+    prev_hi = np.minimum.accumulate(np.concatenate(([hi_run], hi)))
+    keep = lo < prev_hi[:-1]
+    return rows, masks[rows[keep]], lo[keep], prev_hi[-1]
 
 
 def _one_side_shift(hi_run: float, err_s: float, err_lam: float) -> float:

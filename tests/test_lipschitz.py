@@ -14,8 +14,11 @@ from phasesort import (
     Partition,
     SearchTooLarge,
     alpha,
+    beta,
     build_report,
     check_achievement,
+    dist_hat_H,
+    dist_hat_V,
     generate_key,
     has_complement_property,
     lower_constant,
@@ -206,6 +209,80 @@ def test_check_achievement_detects_tampering_below_unit_scale(scale):
         check_achievement(key, broken)
 
 
+def _achievement_clauses(key, report):
+    """check_achievement's clauses, one witness pair and one single-item
+    encoder or metric call at a time: (details, the failure message or
+    None), ending at the first clause that fails."""
+    tol = key.tol.achievement_tol
+    w = report.witnesses
+    e = frame_keys._unit(key).e
+    floor = float(np.ldexp(1.0, min(e, 0)))
+
+    def gap(v):
+        return float(np.ldexp(numerics.scaled_row_norms(v, e), e))
+
+    dv_max = dist_hat_V(w.X_max, w.Y_max)[0]
+    clauses = [
+        ("alpha-upper", gap(alpha(key, w.x_max) - alpha(key, w.y_max)),
+         report.B0 * dist_hat_H(w.x_max, w.y_max), floor),
+        ("beta-upper-distance", dv_max, 1.0, 1.0),
+        ("beta-upper", gap((beta(key, w.X_max).matrix - beta(key, w.Y_max).matrix).ravel()),
+         report.B0 * dv_max, floor)]
+    if not report.degenerate_lower:
+        dv_min = dist_hat_V(w.X_min, w.Y_min)[0]
+        clauses += [
+            ("alpha-lower", gap(alpha(key, w.x_min) - alpha(key, w.y_min)),
+             report.A0 * dist_hat_H(w.x_min, w.y_min), floor),
+            ("beta-lower-distance-squared", dv_min**2, 2.0, 1.0),
+            ("beta-lower", gap((beta(key, w.X_min).matrix - beta(key, w.Y_min).matrix).ravel()),
+             report.A0 * dv_min, floor)]
+    details = {}
+    for name, measured, expected, least in clauses:
+        details[name] = {"measured": measured, "expected": expected}
+        if abs(measured - expected) > tol * max(least, abs(expected)):
+            return details, f"{name}: measured {measured!r}, expected {expected!r} (tol {tol})"
+    return details, None
+
+
+def _achievement_keys():
+    keys = {}
+    for name, m in ADVERSARIAL.items():
+        for label, scale in (("", 1.0), ("x1e-200", 1e-200), ("x2^530", 2.0**530)):
+            keys[name + label] = m * scale
+    return keys
+
+
+_ACHIEVEMENT_KEYS = _achievement_keys()
+
+
+@pytest.mark.parametrize("name", sorted(_ACHIEVEMENT_KEYS))
+def test_check_achievement_details_match_one_pair_at_a_time(name):
+    # the stacked witness pairs give each clause the bits of its single
+    # calls, the clauses run in the same order, and a report with constants
+    # 1.5x too large fails at the same clause with the same message
+    key = Key(_ACHIEVEMENT_KEYS[name])
+    rep = build_report(key)
+    for report in (rep, dataclasses.replace(rep, A0=rep.A0 * 1.5, B0=rep.B0 * 1.5),
+                   dataclasses.replace(rep, A0=rep.A0 * 1.5)):
+        want, failure = _achievement_clauses(key, report)
+        if failure is None:
+            res = check_achievement(key, report)
+            assert (res.passed, res.lower_checked) == (True, not report.degenerate_lower)
+            got = res.details
+        else:
+            got = {}
+            with pytest.raises(AchievementFailure) as err:
+                check_achievement(key, report)
+            assert str(err.value) == failure
+            continue
+        assert list(got) == list(want)
+        for clause, values in want.items():
+            assert {k: type(v) for k, v in got[clause].items()} == {"measured": float,
+                                                                   "expected": float}
+            assert {k: float(v).hex() for k, v in got[clause].items()} == {
+                k: float(v).hex() for k, v in values.items()}
+
+
 def test_placeholder_is_orthogonal_to_side():
     # optimal partitions with a thin side get a null-direction stand-in
     for seed in range(10):
@@ -322,44 +399,47 @@ def _walked(run):
 def _cover_settled(run):
     """run()'s result and the masks the A0 screen's cover settled in it (0
     when no cover was built). The screen builds its cover before its first
-    block; then a block's masks with a side that oracles.cover marks at the
-    cover's shift are settled by it, and only the others reach _unsettled,
-    which a block with none does not call."""
-    blocks, calls, tested = [], [], {}
-    real_blocks, real_cover, real_unsettled = (
-        screens._partition_blocks, screens._cover, screens._unsettled)
+    window; then the masks with a side that oracles.cover marks at the
+    cover's shift are settled by it, and the others, exactly the masks of
+    the windows of screens._open_windows over each window's range, reach
+    _unsettled, one call a window, which a window with none does not make."""
+    windows, calls, tested = [], [], {}
+    real_windows, real_cover, real_unsettled = (
+        screens._open_windows, screens._cover, screens._unsettled)
 
     def logged(*args):
-        for block in real_blocks(*args):
-            blocks.append((int(block[0][0]), int(block[0][-1]) + 1))
-            yield block
+        for window in real_windows(*args):
+            windows.append(window)
+            yield window
 
     def recorded(unit, tau):
         cover = real_cover(unit, tau)
-        calls.append((len(blocks), unit, tau, cover is None))
+        calls.append((len(windows), unit, tau, cover is None))
         return cover
 
     def counted(gi, total, full_i, full_c, *rest):
-        tested[len(blocks) - 1] = full_i.size
+        tested.setdefault(len(windows) - 1, []).append(full_i.size)
         return real_unsettled(gi, total, full_i, full_c, *rest)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(screens, "_partition_blocks", logged)
+        m.setattr(screens, "_open_windows", logged)
         m.setattr(screens, "_cover", recorded)
         m.setattr(screens, "_unsettled", counted)
         result = run()
     if not calls or calls[0][3]:
+        assert not windows
         return result, 0
     ((walked, unit, tau, _),) = calls
     assert walked == 0
     covered = oracles.cover(unit, tau)
     full = (1 << unit.shape[1]) - 1
-    by_cover = 0
-    for i, block in enumerate(blocks):
-        masks = np.arange(*block)
-        n = int(np.count_nonzero(covered[masks] | covered[full ^ masks]))
-        assert tested.get(i, 0) == masks.size - n
-        by_cover += n
+    by_cover = start = 0
+    for i, (masks, end) in enumerate(windows):
+        span = np.arange(start, end)
+        assert masks.tobytes() == span[~(covered[span] | covered[full ^ span])].tobytes()
+        assert tested.get(i, []) == ([masks.size] if masks.size else [])
+        by_cover += span.size - masks.size
+        start = end
     return result, by_cover
 
 
@@ -420,11 +500,14 @@ def test_search_work_is_pinned_at_the_default_blocks(d, D, settled, diagonalized
 
 
 @pytest.mark.parametrize("d,D,settled,diagonalized,visited", [
-    (4, 16, 32766, 2, 1), (8, 15, 16300, 84, 7), (5, 18, 131063, 9, 1)])
+    (4, 16, 32766, 2, 1), (8, 15, 16171, 213, 6), (5, 18, 131063, 9, 1)])
 def test_seeded_search_work_is_pinned(monkeypatch, d, D, settled, diagonalized, visited):
-    # the seeded walk: the descent bound's cut keeps only masks below it, in
-    # full-size blocks with the cover from block 0 on. At 8x15 (D = 2d - 1)
-    # the search as it runs walks no blocks, so the walk is forced there
+    # the seeded walk: the descent bound's cut keeps only masks below it,
+    # and the cover, built before the first window, settles every mask with
+    # a covered side; the open masks are screened in windows of at most one
+    # block's Grams. At 8x15 (D = 2d - 1) the search as it runs walks no
+    # blocks, so the walk is forced there, at the cut of the one-sided
+    # descent (lipschitz._subset_descent)
     monkeypatch.setattr(lipschitz, "_open_split_search", lipschitz._search)
     _assert_search_work(d, D, settled, diagonalized, visited, lipschitz.lower_constant_search)
 
@@ -456,11 +539,12 @@ _SETTLED_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matrix
 
 @pytest.mark.parametrize("name", sorted(_SETTLED_KEYS))
 def test_settled_matches_four_call_oracle(monkeypatch, name):
-    # every block of the walk, at the running hi_run and at hi_run = inf; 5x8
-    # has D < 2d - 1. In a seeded walk the masks with a side the cover
-    # marks are settled without a Gram, and the others reach _unsettled, so
-    # the search's settled count is the two together. At D = 2d - 1 (8x15)
-    # the search as it runs walks no blocks, so the seeded walk is forced
+    # every block of the walk, and every window of a seeded walk's open
+    # masks, at the running hi_run and at hi_run = inf; 5x8 has D < 2d - 1.
+    # In a seeded walk the masks with a side the cover marks are settled
+    # without a Gram, and the others reach _unsettled, so the search's
+    # settled count is the two together. At D = 2d - 1 (8x15) the search as
+    # it runs walks no blocks, so the seeded walk is forced
     matrix = _SETTLED_KEYS[name]
     real = screens._unsettled
     settled = []
@@ -574,17 +658,23 @@ def test_lower_constant_memoized(monkeypatch):
     assert len(calls) == 2
 
 
-def _searched(monkeypatch, key):
+def _searched(monkeypatch, key, walks=None):
     """The key's A0 search and the blocks of screens._screen it read, each
-    (masks, lo, settled, diagonalized). At D = 2d - 1 the search as it runs
-    walks no blocks (lipschitz._open_split_search), so the seeded walk is
-    forced in its place."""
+    (masks, lo, settled, diagonalized); with a list ``walks``, the blocks of
+    each walk, a seeded one and the unseeded one that a band hit adds, are
+    appended to it as a list of their own. At D = 2d - 1 the search as it
+    runs walks no blocks (lipschitz._open_split_search), so the seeded walk
+    is forced in its place."""
     blocks = []
     real = screens._screen
 
     def recorded(*args):
+        if walks is not None:
+            walks.append([])
         for block in real(*args):
             blocks.append(block)
+            if walks is not None:
+                walks[-1].append(block)
             yield block
 
     with monkeypatch.context() as m:
@@ -732,9 +822,15 @@ _STOP_KEYS = {
 # reaches the tie window before the last block. All but planted-8x15 run
 # unseeded: their descent bound is within the window, or none is sought.
 # planted-8x15's descent misses its split of value 1.6e-16 and bounds A0
-# by 5.2e-10, above the window, so its walk is seeded; unseeded it did the
-# work of _UNSEEDED_STOP_WORK
-_STOP_WORK = {"planted-8x15": (2012, 36, 36), "I4x4": (6079, 2113, 938), "r24": (0, 64, 64),
+# above the window, so its walk is seeded, and forced here in place of the
+# search at D = 2d - 1 (_searched); unseeded it does the work of
+# _UNSEEDED_STOP_WORK. The seeded walk screens its open masks in windows of
+# up to one block's Grams, 2048 masks: one window holds all 792 open masks,
+# the splits of the 8-subsets that hold columns 1, 2 and 15, and its visit
+# meets a value in the band below the cut, so the search is redone
+# unseeded, and its work, (15592, 792, 792) + (949, 75, 32), counts both
+# walks
+_STOP_WORK = {"planted-8x15": (16541, 867, 824), "I4x4": (6079, 2113, 938), "r24": (0, 64, 64),
               "zero": (0, 32, 32)}
 _UNSEEDED_STOP_WORK = {"planted-8x15": (949, 75, 32)}
 
@@ -744,10 +840,14 @@ def test_search_stops_with_the_first_block_within_the_tie_window(monkeypatch, na
     # the search ends with the first block after which the full visit's
     # best, over every mask up to the block's end (the loop oracle), is
     # within the tie window, or with the last block; no later mask can pass
-    # the visit's test, so the answer is the full visit's
+    # the visit's test, so the answer is the full visit's. The blocks are
+    # those of the walk that gave the answer: after a band hit, the
+    # unseeded walk's
     key = Key(_STOP_KEYS[name])
-    search, blocks = _searched(monkeypatch, key)
-    walked = search.settled + search.diagonalized
+    walks = []
+    search, _ = _searched(monkeypatch, key, walks)
+    blocks = walks[-1]
+    walked = sum(b[2] + b[3] for b in blocks)
     start = walked - blocks[-1][2] - blocks[-1][3]  # where the last block starts
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
     if start:
@@ -815,11 +915,12 @@ def test_search_kernel_calls_are_pinned(monkeypatch, d, D, grams, calls):
 
 
 # the kernel's Grams and calls in the search as it runs, seeded with the
-# descent bound, whose cover is built at block 0. At 8x15 (D = 2d - 1) the
-# search walks no blocks: the 1050 8-subsets that fail the cut's shift are
-# factored at falling shifts, 242, 60 and 17 of them failing in turn, then
-# all of them at the second cut's; the seeded walk made (1112, 8) there
-_SEEDED_KERNEL_WORK = {(8, 15): (2419, 5), (4, 16): (26, 6), (5, 18): (147, 20),
+# descent bound, whose cover is built before the first window. At 8x15 (D
+# = 2d - 1) the search walks no blocks: the 210 8-subsets that fail the
+# cut's shift, with the one-sided descent's cut, are factored at falling
+# shifts, 49 and 15 of them failing the first two, then all of them at the
+# second cut's. At 4x16, 5x18 and 4x12 the open masks fit one window each
+_SEEDED_KERNEL_WORK = {(8, 15): (484, 4), (4, 16): (26, 3), (5, 18): (147, 3),
                        (4, 12): (92, 3)}
 
 
@@ -899,12 +1000,14 @@ def test_seeded_search_matches_unseeded_seeded_keys(d, D):
 
 def test_seeded_search_matches_unseeded_at_the_cap():
     # the 4x24 key of the CI A0 cap smoke step; the unseeded walk screens all
-    # 2^23 splits (about 0.7 s), the seeded one settles all but 812
+    # 2^23 splits (about 0.7 s), the seeded one settles all but 853. Its
+    # open masks are screened in windows of up to 8192, the running bound
+    # moving between windows
     key = generate_key(4, 24, 1)
     search, plain = lipschitz.lower_constant_search(key), _unseeded(Key(key.matrix))
     assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
     assert search.result[1].mask == plain.result[1].mask
-    assert (search.settled, search.diagonalized, search.visited) == (8387796, 812, 6)
+    assert (search.settled, search.diagonalized, search.visited) == (8387755, 853, 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1103,7 +1206,7 @@ def test_open_split_search_band_hit_redoes_the_search_unseeded(monkeypatch):
 
 @pytest.mark.parametrize("limit", ["subset-grams", "open-splits"])
 def test_open_split_search_falls_back_to_the_seeded_walk(monkeypatch, limit):
-    # F's Grams over screens._CHUNK_ENTRIES (1050 failing 8-subsets of the
+    # F's Grams over screens._CHUNK_ENTRIES (210 failing 8-subsets of the
     # 8x15 key, 36 entries each), or more open splits than one block of the
     # walk (792 on the planted 8x15 key, in blocks of 512): the seeded walk
     # runs instead, at the descent's cut or at the second cut below it
@@ -1112,7 +1215,7 @@ def test_open_split_search_falls_back_to_the_seeded_walk(monkeypatch, limit):
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
     cut = lipschitz._descent_bound(key, tie) + 2 * tie
     if limit == "subset-grams":
-        monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 36 * 1049)
+        monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 36 * 209)
     else:
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 36 * 512)
     calls, real = [], lipschitz._search
@@ -1151,3 +1254,168 @@ def test_open_splits_match_every_split(d):
         assert got.tobytes() == want.astype(got.dtype).tobytes()
         if want.size:
             assert screens._open_splits(sets, grams.copy(), 0.5, D, want.size - 1) is None
+
+
+# --- the seeded walk's open windows ------------------------------------------
+
+def _without_cover(run):
+    """run() with screens._cover refused, as when no d-subset passes, so
+    that a seeded walk screens the aligned blocks of _partition_blocks, full
+    size from block 0, where it screens the cover's open masks in windows:
+    the windows' oracle, as _block_walk is _open_split_search's."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(screens, "_cover", lambda unit, tau: None)
+        return run()
+
+
+def _bench_seed(seed, *path):
+    """The bench workloads' sub_seed: keys of the audit pass of ``seed`` are
+    generate_key(4, 16, _bench_seed(seed, 1, 0)) and (8, 15, ... 1, 1)."""
+    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1)[0])
+
+
+def _assert_open_windows_match_block_walk(matrix, every_bound=True, oracle=True):
+    """The seeded walk (_search) at the cut h + 2 tie of each h of _bounds,
+    or of the search's own descent bound only, against the walk with the
+    cover refused (_without_cover): where the block walk meets a value in
+    the band the windows meet it too, and otherwise the same A0 bits and
+    I0 as the unseeded walk, unless the windows meet one (they visit every
+    kept mask of a window, up to whole blocks past the block the block walk
+    stops with). The kept masks are the full bracket oracle's at the cut
+    (oracles.lower_constant_screen). Returns (band hits of both walks,
+    band hits of the windows alone)."""
+    key = Key(matrix)
+    tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    plain = _unseeded(key)
+    unit = frame_keys._unit(key)
+    bounds = (_bounds(key, tie, plain) if every_bound
+              else [lipschitz._descent_bound(key, tie)])
+    hits = [0, 0]
+    for h in bounds:
+        cut = h + 2 * tie
+        got = lipschitz._search(Key(matrix), tie, cut)
+        want = _without_cover(lambda: lipschitz._search(Key(matrix), tie, cut))
+        if want[0] is None or got[0] is None:
+            assert got[0] is None, h
+            hits[want[0] is not None] += 1
+        else:
+            for result in (got[0], want[0]):
+                assert np.float64(result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
+                assert result[1].mask == plain.result[1].mask
+        assert got[1] + got[2] <= 1 << (key.D - 1) and got[3] <= got[2]
+        if oracle:
+            bound = np.ldexp(cut, -unit.e)
+            masks, settled, diagonalized = drain_screen(unit, bound)
+            assert settled + diagonalized == 1 << (key.D - 1)
+            ref_masks, _ = oracles.lower_constant_screen(Key(matrix), bound)
+            assert masks.tobytes() == ref_masks.tobytes()
+    a0, part = lipschitz.lower_constant_search(Key(matrix)).result
+    assert np.float64(a0).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert part.mask == plain.result[1].mask
+    return hits
+
+
+@pytest.mark.parametrize("seeds", [range(300, 320), range(320, 340)])
+def test_open_windows_match_block_walk_on_audit_keys(seeds):
+    # the 4x16 audit keys of bench seeds 300-339, among them the ones whose
+    # cover leaves 7-49% of the masks open (seeds 301, 306, 313, 316, 317):
+    # the search's own cut, and the search as it runs
+    for seed in seeds:
+        matrix = generate_key(4, 16, _bench_seed(seed, 1, 0)).matrix
+        assert _assert_open_windows_match_block_walk(matrix, every_bound=False) == [0, 0]
+
+
+def _one_passing_pair_2x15():
+    """A 2x15 key of which one 2-subset passes the kernel at the shift of
+    the search's cut, so that half of every block is open: the shape that
+    summing each open mask alone made slower than the unseeded walk."""
+    return np.random.Generator(np.random.PCG64(1)).standard_normal((2, 15))
+
+
+@pytest.mark.parametrize("name", ["5x18", "6x14", "2x15-one-passing-pair"])
+def test_open_windows_match_block_walk(name):
+    if name == "2x15-one-passing-pair":
+        matrix = _one_passing_pair_2x15()
+        key = Key(matrix)
+        unit = frame_keys._unit(key)
+        tie = lipschitz._TIE_WINDOW * upper_constant(key)
+        bound = np.ldexp(lipschitz._descent_bound(key, tie) + 2 * tie, -unit.e)
+        tau = screens._one_side_shift(bound, unit.err_s, unit.err_lam)
+        passing = screens._subset_verdicts(unit.matrix, tau, passing=True)
+        assert sum(ranks.size for ranks, _ in passing) == 1
+    else:
+        matrix = generate_key(*map(int, name.split("x")), 1).matrix
+    # the oracle brackets all 2^17 masks of 5x18 once a bound; its own cut only
+    assert _assert_open_windows_match_block_walk(matrix, oracle=name != "5x18") == [0, 0]
+    if name == "5x18":
+        _assert_open_windows_match_block_walk(matrix, every_bound=False)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-500], ids=["x1", "x2^-500"])
+def test_open_windows_match_block_walk_at_the_cap(d, scale):
+    # the 4x24, 6x24 and 8x24 keys of the CI A0 cap smoke step, and their
+    # copies times 2^-500: the search as it runs, against the same search
+    # with the cover refused, which walks all 2^23 masks in full-size blocks
+    # (about 0.5-2.5 s on a 2-vCPU x86-64 VM)
+    matrix = generate_key(d, 24, 1).matrix * scale
+    search = lipschitz.lower_constant_search(Key(matrix))
+    walk = _without_cover(lambda: lipschitz.lower_constant_search(Key(matrix)))
+    assert np.float64(search.result[0]).tobytes() == np.float64(walk.result[0]).tobytes()
+    assert search.result[1].mask == walk.result[1].mask
+    assert search.settled + search.diagonalized == walk.settled + walk.diagonalized == 1 << 23
+
+
+@st.composite
+def _scaled_small_keys(draw):
+    """_SMALL_KEYS, times 1 or 1e-200."""
+    return draw(_SMALL_KEYS) * draw(st.sampled_from([1.0, 1e-200]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_small_keys())
+def test_open_windows_match_block_walk_hypothesis(matrix):
+    _assert_open_windows_match_block_walk(matrix)
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_open_windows_match_block_walk_adversarial(name):
+    assert _assert_open_windows_match_block_walk(ADVERSARIAL[name]) == [0, 0]
+
+
+def _subset_descent_keys(name):
+    if name == "audit-8x15":
+        return [generate_key(8, 15, _bench_seed(seed, 1, 1)).matrix for seed in range(60)]
+    if name == "planted-8x15":
+        return [_planted_8x15()]
+    return [generate_key(12, 23, 1).matrix]
+
+
+@pytest.mark.parametrize("name", ["audit-8x15", "planted-8x15", "12x23"])
+def test_subset_descent_seeds_the_search_at_d_2d_minus_1(name):
+    # at D = 2d - 1 the descent ends at a split whose side of d or more
+    # columns has exactly d; h is the smaller of _split_values of that split
+    # and of mask 0, so a value the visit computes, and at least A0. A0 and
+    # I0 are the forced block walk's: on the 60 audit 8x15 keys of bench
+    # seeds 0-59 and on planted 8x15 here, on 12x23 in
+    # test_open_split_search_matches_block_walk_at_the_cap
+    for matrix in _subset_descent_keys(name):
+        key = Key(matrix)
+        d, D = key.d, key.D
+        mask = lipschitz._descent(frame_keys._unit(key).matrix)
+        assert 0 <= mask < 1 << (D - 1)
+        side = mask if bin(mask).count("1") >= d else ((1 << D) - 1) ^ mask
+        cols = [c for c in range(D) if side >> c & 1]
+        assert len(cols) == d
+        value = lipschitz._split_values(key.matrix, np.array([mask]))[0]
+        assert np.float64(value).tobytes() == np.float64(
+            numerics.sigma_k(matrix[:, cols], d)).tobytes()
+        tie = lipschitz._TIE_WINDOW * upper_constant(key)
+        h = lipschitz._descent_bound(key, tie)
+        assert h == min(value, lipschitz._split_values(key.matrix, np.zeros(1, dtype=np.int64))[0])
+        search = lipschitz.lower_constant_search(key)
+        assert h >= search.result[0]
+        if name != "12x23":
+            walk = _block_walk(matrix)
+            assert np.float64(search.result[0]).tobytes() == np.float64(walk.result[0]).tobytes()
+            assert search.result[1].mask == walk.result[1].mask

@@ -175,91 +175,141 @@ def _seeded_bound(key):
     return np.ldexp(lipschitz._descent_bound(key, tie) + 2 * tie, -frame_keys._unit(key).e)
 
 
+def _logged_windows(monkeypatch):
+    """The windows screens._open_windows yields from here on, (masks, end)
+    each, appended to the list returned as they are read."""
+    windows = []
+    real = screens._open_windows
+
+    def logged(*args):
+        for window in real(*args):
+            windows.append(window)
+            yield window
+
+    monkeypatch.setattr(screens, "_open_windows", logged)
+    return windows
+
+
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (5, 18), (6, 14)])
 def test_seeded_cover_is_built_at_block_0(monkeypatch, d, D):
-    # with the search's start bound every block is full size, and the cover
-    # is built once, before block 0, at the bound's one-side shift
+    # with the search's start bound the cover is built once, before the
+    # first window, at the bound's one-side shift, and no block of
+    # _partition_blocks is walked: the open masks come in windows of at most
+    # one block's Grams, 2^k masks, each a run of whole aligned blocks of
+    # 2^k masks, ascending, that together cover every mask once
     key = generate_key(d, D, 1)
     unit = frame_keys._unit(key)
     bound = _seeded_bound(key)
     assert bound < np.inf
-    sizes, calls = [], []
-    real_blocks, real_cover = screens._partition_blocks, screens._cover
-
-    def logged(*args):
-        for block in real_blocks(*args):
-            sizes.append(block[0].size)
-            yield block
+    calls = []
+    real_cover = screens._cover
+    windows = _logged_windows(monkeypatch)
 
     def cover(u, tau):
-        calls.append((len(sizes), tau))
+        calls.append((len(windows), tau))
         return real_cover(u, tau)
 
-    monkeypatch.setattr(screens, "_partition_blocks", logged)
+    def refused(*args):
+        raise AssertionError("block walked")
+
+    monkeypatch.setattr(screens, "_partition_blocks", refused)
     monkeypatch.setattr(screens, "_cover", cover)
     drain_screen(unit, bound)
-    assert set(sizes) == {1 << screens._block_bits(d, D)}
     ((walked, tau),) = calls
     assert walked == 0
     assert np.float64(tau).tobytes() == np.float64(
         screens._one_side_shift(bound, unit.err_s, unit.err_lam)).tobytes()
+    block = 1 << screens._block_bits(d, D)
+    start = 0
+    for masks, end in windows:
+        assert masks.size <= block and start < end and start % block == end % block == 0
+        assert np.all((start <= masks) & (masks < end)) and np.all(np.diff(masks) > 0)
+        start = end
+    assert start == 1 << (D - 1)
 
 
 @pytest.mark.parametrize("d,D", [(4, 16), (5, 18)])
 def test_seeded_block_with_every_mask_covered_makes_no_test(monkeypatch, d, D):
-    # a block whose masks all have a side in the cover (oracles.cover, at
-    # the bound's one-side shift) settles them with no _unsettled call and
-    # no kernel call; the other blocks test their open masks only
+    # an aligned block whose masks all have a side in the cover (oracles.cover,
+    # at the bound's one-side shift) adds no mask to any window: its masks
+    # are settled with no Gram, no _unsettled call and no kernel call. The
+    # windows hold exactly the open masks, and each window with one makes
+    # one _unsettled call, on those masks only; a window with none makes no
+    # call of either
     key = generate_key(d, D, 1)
     unit = frame_keys._unit(key)
     bound = _seeded_bound(key)
-    blocks, unsettled, kernel = [], [], []
-    real_blocks, real_unsettled = screens._partition_blocks, screens._unsettled
+    unsettled, kernel = [], []
+    real_unsettled = screens._unsettled
     real_kernel = screens._shifted_cholesky_ok_inplace
-
-    def logged(*args):
-        for block in real_blocks(*args):
-            blocks.append(block[0])
-            yield block
+    windows = _logged_windows(monkeypatch)
 
     def counted(gi, *rest):
-        unsettled.append((len(blocks) - 1, gi.shape[1]))
+        unsettled.append((len(windows) - 1, gi.shape[1]))
         return real_unsettled(gi, *rest)
 
-    monkeypatch.setattr(screens, "_partition_blocks", logged)
     monkeypatch.setattr(screens, "_unsettled", counted)
     monkeypatch.setattr(screens, "_shifted_cholesky_ok_inplace",
-                        lambda w, tau: kernel.append(len(blocks) - 1) or real_kernel(w, tau))
+                        lambda w, tau: kernel.append(len(windows) - 1) or real_kernel(w, tau))
     drain_screen(unit, bound)
     covered = oracles.cover(unit.matrix, screens._one_side_shift(bound, unit.err_s, unit.err_lam))
     full = (1 << D) - 1
-    open_masks = [int(np.count_nonzero(~(covered[b] | covered[full ^ b]))) for b in blocks]
-    assert 0 in open_masks
-    assert unsettled == [(i, n) for i, n in enumerate(open_masks) if n]
-    assert set(kernel) <= {i for i, n in enumerate(open_masks) if n}
+    masks = np.arange(1 << (D - 1))
+    open_masks = masks[~(covered[masks] | covered[full ^ masks])]
+    assert np.concatenate([w for w, _ in windows]).tobytes() == open_masks.tobytes()
+    per_block = np.bincount(open_masks >> screens._block_bits(d, D),
+                            minlength=(1 << (D - 1)) >> screens._block_bits(d, D))
+    assert 0 in per_block
+    assert unsettled == [(i, w.size) for i, (w, _) in enumerate(windows) if w.size]
+    assert set(kernel) <= {i for i, (w, _) in enumerate(windows) if w.size}
 
 
 @pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (3, 12)])
 def test_block_columns_match_the_table(d, D):
-    # a block's Grams summed for a few masks alone, or for all of them, are
-    # the table's columns, bit for bit. The columns have entries of very
-    # different size, so an order other than highest bit first shows
+    # a block's Grams summed for a few masks alone (_mask_grams), or for all
+    # of them, are the table's columns, bit for bit. The columns have
+    # entries of very different size, so an order other than highest bit
+    # first shows
     rng = np.random.Generator(np.random.PCG64(d * D))
     a = generate_key(d, D, 2).matrix * np.ldexp(1.0, rng.integers(-30, 30, size=D))
+    outers = screens._outers(a)
     reordered = False
     for masks, grams, _, _ in screens._partition_blocks(a):
         k = len(grams.outers)
         if k < 4:
             continue
         few = np.sort(rng.choice(masks.size, size=max(1, (1 << k) // (2 * k)), replace=False))
-        alone = grams.sums(few)
+        alone = screens._mask_grams(outers, masks[few])
         assert not grams._filled
         table = grams.table()
         assert alone.tobytes() == table[:, few].tobytes()
-        every = np.arange(masks.size)
-        assert grams.sums(every).tobytes() == table.tobytes()
+        assert screens._mask_grams(outers, masks).tobytes() == table.tobytes()
         lowest_first = np.repeat(grams.head[:, None], few.size, axis=1)
         for b in range(k):
             lowest_first[:, few >> b & 1 == 1] += grams.outers[b][:, None]
         reordered |= lowest_first.tobytes() != alone.tobytes()
     assert reordered
+
+
+@pytest.mark.parametrize("d,D", [(4, 16), (8, 15), (3, 12), (1, 9)])
+def test_open_grams_match_the_tables(monkeypatch, d, D):
+    # a window's Grams (_open_grams) are the columns of the tables of the
+    # aligned blocks of 2^k masks, bit for bit: a block with n of the
+    # window's masks is read from its table when n * k >= 2^k, and its
+    # masks are summed alone otherwise, every block at one density
+    rng = np.random.Generator(np.random.PCG64(d + D))
+    a = generate_key(d, D, 3).matrix * np.ldexp(1.0, rng.integers(-30, 30, size=D))
+    outers, k = screens._outers(a), screens._block_bits(d, D)
+    blocks = list(screens._partition_blocks(a, 1 << k))
+    alone = []
+    real = screens._mask_grams
+    monkeypatch.setattr(screens, "_mask_grams",
+                        lambda o, m: alone.append(m.size) or real(o, m))
+    for density in (0.0, 0.02, 1 / max(k, 1), 0.5, 1.0):
+        picked = [(m, g, np.flatnonzero(rng.random(m.size) < density)) for m, g, _, _ in blocks]
+        masks = np.concatenate([m[rows] for m, _, rows in picked])
+        want = np.concatenate([g.table()[:, rows] for _, g, rows in picked], axis=1)
+        alone.clear()
+        assert screens._open_grams(outers, masks, k).tobytes() == want.tobytes()
+        n = [rows.size for _, _, rows in picked]
+        assert alone == [sum(c for c in n if c * k < 1 << k)]
