@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import lipschitz, matrixio, verify
+from . import lipschitz, matrixio, numerics, verify
 from .encoders import alpha, beta, beta_tilde, dist_hat_H, dist_hat_V
 from .errors import (
     DimensionError,
@@ -188,15 +188,18 @@ def _cmd_decode(args) -> int:
     try:
         if args.encoder == "beta":
             decoded = invert_beta(key, data)
-            reencoded = beta(key, decoded).matrix
-            residual = float(np.linalg.norm(reencoded - data))
+            gap = beta(key, decoded).matrix - data
         else:
             vec = matrixio.as_flat_vector(data)
             decoded = invert_beta_tilde(key, vec)
-            residual = float(np.linalg.norm(beta_tilde(key, decoded) - vec))
+            gap = beta_tilde(key, decoded) - vec
     except NotInRange as exc:
         print(f"decode: input not in encoder range: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
+    # the norm on the input's power-of-two scale, where no square over- or
+    # underflows; at normal scale it has np.linalg.norm's bits
+    e = int(np.frexp(np.abs(data).max())[1])
+    residual = float(np.ldexp(numerics.scaled_row_norms(gap.ravel(), e), e))
     decoded = _canonical_rows(decoded)
     matrixio.save_matrix(args.out, decoded)
     print(f"decode: residual {residual!r}", file=sys.stderr)

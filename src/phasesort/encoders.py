@@ -154,9 +154,10 @@ def dist_hat_H(x, y) -> float:
 
 
 def dist_hat_H_many(xs, ys) -> np.ndarray:
-    """dist_hat_H of every row pair of two (m, d) stacks; each has its single call's bits."""
-    a, b = _stack_pair(xs, ys, 2)
-    return np.minimum(row_norms(a - b), row_norms(a + b))
+    """dist_hat_H of every row pair of two (m, d) stacks; each has its single
+    call's bits. Each pair is measured on its own scale (_scaled_pair)."""
+    a, b, e = _scaled_pair(xs, ys, 2)
+    return np.ldexp(np.minimum(row_norms(a - b), row_norms(a + b)), e)
 
 
 def dist_hat_V(x, y) -> tuple[float, tuple[int, ...]]:
@@ -177,9 +178,9 @@ def dist_hat_V_many(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     Returns the (m,) distances and the (m, n) minimizing row orders, each
     with its single call's bits and first-minimizer tie-break: the n! orders
     are rated in lexicographic order and a later order only wins when
-    strictly closer.
+    strictly closer. Each pair is measured on its own scale (_scaled_pair).
     """
-    a, b = _stack_pair(xs, ys, 3)
+    a, b, e = _scaled_pair(xs, ys, 3)
     m, n, d = a.shape
     if n > MAX_ROWS_FOR_METRIC:
         raise SearchTooLarge(
@@ -197,7 +198,7 @@ def dist_hat_V_many(xs, ys) -> tuple[np.ndarray, np.ndarray]:
         better = low < best
         best[better] = low[better]
         best_order[better] = start + first[better]
-    return best, orders[best_order]
+    return np.ldexp(best, e), orders[best_order]
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,8 +207,19 @@ def _row_orders(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
 
 
-def _stack_pair(xs, ys, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_pair(xs, ys, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(2^-e a, 2^-e b, e) for two stacks of m items of equal shape, e
+    holding for each pair the np.frexp exponent of its largest |entry|, so
+    that a distance taken on that scale squares no entry into over- or
+    underflow; np.ldexp(dist, e) scales it back. Where the scaling is exact,
+    as at normal scale, both steps are, and the distance has the bits of one
+    taken unscaled."""
     a, b = as_stack(xs, ndim), as_stack(ys, ndim)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape[1:]} vs {b.shape[1:]}")
-    return a, b
+    # the largest |entry| of each pair, reduced with the pairs on the last
+    # axis (.T): a reduction over the short trailing axes costs 4x as much
+    top = np.maximum(np.abs(a), np.abs(b)).T.copy()
+    e = np.frexp(top.max(axis=tuple(range(ndim - 1)), initial=0.0))[1]
+    scale = -e.reshape(-1, *[1] * (ndim - 1))
+    return np.ldexp(a, scale), np.ldexp(b, scale), e

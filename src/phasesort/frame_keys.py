@@ -38,13 +38,17 @@ are in the screens module; this one holds what the scans decide with them:
   does not apply, and it is the only source of a false verdict and its
   witness.
 
-The lower Lipschitz constant A0 (lipschitz.lower_constant) walks the same
-ascending blocks with its own Cholesky screen (screens._screen), which
-shares the walk's one-side pass at its own shift. A walk seeded with a
-start bound also runs the subset scan's prefix-tree walk once, before its
-first block, at the bound's shift, to settle the partitions with a side
-that holds a d-subset that factors there. The search diagonalizes only the
-partitions that screen cannot rule out.
+The lower Lipschitz constant A0 (lipschitz.lower_constant) screens the
+same partitions with its own Cholesky screen (screens._screen), which
+shares the walk's one-side pass at its own shift. Unseeded, it walks the
+same ascending blocks. Seeded with a start bound, it first runs the subset
+scan's prefix-tree walk once, at the bound's shift, to settle the
+partitions with a side that holds a d-subset that factors there (the
+cover), and screens the others, the open ones, in windows of them; with
+no such d-subset it walks the blocks. At D = 2d - 1 a seeded search walks
+neither: it grows the open partitions from the d-subsets that fail
+(screens._open_splits). The search diagonalizes only the partitions that
+the screen cannot rule out.
 """
 
 from __future__ import annotations
@@ -394,8 +398,8 @@ def _complement_walk(key: Key) -> Partition | None:
     D = key.D
     _, tau = _margin_shift(key)
     unit = _unit(key)
-    for masks, grams, full_i, full_c in screens._partition_blocks(unit.matrix):
-        settled = screens._one_side_settled(grams.table(), unit.gram, full_i, full_c, tau)
+    for masks, gi, full_i, full_c in screens._partition_blocks(unit.matrix):
+        settled = screens._one_side_settled(gi, unit.gram, full_i, full_c, tau)
         rest = masks[~settled]
         ok = _rank_d(key, rest)
         ok[~ok] = _rank_d(key, ((1 << D) - 1) ^ rest[~ok])

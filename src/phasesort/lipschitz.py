@@ -107,12 +107,12 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       needed: with tie = 1 and values 4.5, 3.6, 2.9, 2.0 in mask order, the
       full visit returns the third mask; h = 2.0 gives c = 4.0, the screen
       may drop the first, and the visit of the rest returns the fourth;
-      3.6 lies in [3.0, 4.0). The seeded screen starts with its cover and
-      full-size blocks or windows (screens._screen's Start bound). A
-      window's visit takes all of its kept masks, up to whole blocks past
-      the block that a walk in blocks would stop with, so it may meet a
-      band value that such a walk would not, and redo the search where that
-      walk would not; the bits are the full visit's either way.
+      3.6 lies in [3.0, 4.0). The seeded screen builds its cover before
+      any mask (screens._screen's Start bound). A window's visit takes all
+      of its kept masks, up to whole blocks past the block that a walk in
+      blocks would stop with, so it may meet a band value that such a walk
+      would not, and redo the search where that walk would not; the bits
+      are the full visit's either way.
     - Stop. Values are >= 0, so once the best is at most tie no later mask
       can pass the test: the search ends with the first block, or window of
       a seeded walk's open masks, whose exact best is at most tie. The kept
@@ -152,12 +152,8 @@ def lower_constant(key: Key) -> tuple[float, Partition]:
       shifts at most its own. A split is open when every d-subset of its
       spanning side is in F', and the open splits grow level by level
       from F' (screens._open_splits); every split with a value below c2
-      is among them. They are visited in ascending order, in chunks of
-      _FIRST_BLOCK masks that double, with the visit's test, each value
-      checked against the band [c2 - tie, c2), so the Bound's argument
-      gives the full visit's bits; a hit redoes the search unseeded. The
-      visit ends with the first chunk after which the best is within the
-      tie window (Stop). Where F's Grams would exceed
+      is among them. The visit takes them as a walk's kept masks, band
+      [c2 - tie, c2) and Stop included. Where F's Grams would exceed
       screens._CHUNK_ENTRIES entries, or the open splits one block of the
       walk (screens._block_bits), the seeded walk runs instead, at c or
       c2.
@@ -225,9 +221,7 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
             f"partition search is capped at D <= {COMPLEMENT_MAX_COLS}, got {D}"
         )
     tie = _TIE_WINDOW * upper_constant(key)
-    cut = _descent_bound(key, tie) + 2.0 * tie
-    search = _open_split_search if cut < np.inf and D == 2 * key.d - 1 else _search
-    result, *work = search(key, tie, cut)
+    result, *work = _search(key, tie, _descent_bound(key, tie) + 2.0 * tie)
     if result is None:  # a visited value in the band: see lower_constant's Bound
         result, *more = _search(key, tie, np.inf)
         work = [a + b for a, b in zip(work, more)]
@@ -236,18 +230,29 @@ def _lower_constant(key: Key) -> LowerConstantSearch:
 
 def _search(key: Key, tie: float, cut: float):
     """(result, settled, diagonalized, visited): lower_constant's walk with
-    the cut c, infinite for an unseeded walk. The result is None when the
-    walk visits a value in the band [c - tie, c)."""
-    unit = _unit(key)
+    the cut c, infinite for an unseeded walk, or at D = 2d - 1 with a finite
+    c its visit of the open splits (_open_split_search), in chunks of
+    screens._FIRST_BLOCK masks that double, each visited at once, the
+    settled and open counts on the first. The result is None when the visit
+    meets a value in the band [c - tie, c)."""
+    unit, D = _unit(key), key.D
+    masks = None
+    if cut < np.inf and D == 2 * key.d - 1:
+        cut, masks = _open_split_search(key, tie, cut)
+    if masks is None:
+        # c on the unit copy, exactly: c is at least 2 tie, so the scaled c
+        # is far above the subnormal range
+        chunks = screens._screen(unit, np.ldexp(cut, -unit.e))
+    else:  # chunks of 64, 128, 256, ... open masks, ending at 64, 192, 448, ...
+        ends = screens._FIRST_BLOCK * ((2 << np.arange(masks.size.bit_length())) - 1)
+        chunks = [(m, np.zeros(m.size), 0, 0) for m in np.split(masks, ends[ends < masks.size])]
+        chunks[0] = chunks[0][:2] + ((1 << (D - 1)) - masks.size, masks.size)
     best, pending = (np.inf, 0), []
     settled = diagonalized = visited = 0
-    # c on the unit copy, exactly: c is at least 2 tie, so the scaled c is
-    # far above the subnormal range
-    for masks, lo, s, g in screens._screen(unit, np.ldexp(cut, -unit.e)):
+    for masks, lo, s, g in chunks:
         settled, diagonalized = settled + s, diagonalized + g
         pending.append(masks)
-        if (settled + diagonalized < 1 << (key.D - 1)
-                and not (np.ldexp(lo, unit.e) <= tie).any()):
+        if settled + diagonalized < 1 << (D - 1) and not (np.ldexp(lo, unit.e) <= tie).any():
             continue  # no waiting mask can reach the tie window: see lower_constant
         rest = np.concatenate(pending)
         pending, visited = [], visited + rest.size
@@ -256,7 +261,7 @@ def _search(key: Key, tie: float, cut: float):
             return None, settled, diagonalized, visited
         if best[0] <= tie:
             break
-    return (best[0], Partition(best[1], key.D)), settled, diagonalized, visited
+    return (best[0], Partition(best[1], D)), settled, diagonalized, visited
 
 
 def _visit(a: np.ndarray, masks: np.ndarray, best: tuple[float, int], tie: float,
@@ -280,11 +285,12 @@ _CUT_SUBSETS = 8
 
 
 def _open_split_search(key: Key, tie: float, cut: float):
-    """_search's (result, settled, diagonalized, visited) at D = 2d - 1 for a
-    finite cut c, from the d-subsets that fail c's one-side shift, with no
-    block walk: lower_constant's D = 2d - 1 bullet. It runs the seeded walk
-    (_search) instead when their Grams would exceed screens._CHUNK_ENTRIES,
-    or the open splits one block of the walk (screens._block_bits)."""
+    """(cut, masks): the second cut c2 of lower_constant's D = 2d - 1 bullet
+    for a finite cut c, and the canonical masks of the open splits at c2,
+    ascending, from the d-subsets that fail c's one-side shift. masks is
+    None, and _search walks seeded at the cut returned, where the failing
+    subsets' Grams would exceed screens._CHUNK_ENTRIES (at c), or the open
+    splits one block of the walk (screens._block_bits; at c2)."""
     unit = _unit(key)
     d, D = key.d, key.D
 
@@ -293,24 +299,12 @@ def _open_split_search(key: Key, tie: float, cut: float):
 
     starts, counts = screens._unsettled_subsets(unit.matrix, shift(cut))
     if not 0 < counts.sum() <= screens._CHUNK_ENTRIES // (d * (d + 1) // 2):
-        return _search(key, tie, cut)
+        return cut, None
     cols = screens._unrank(screens._ranges(starts, counts), d, D)
     sets, grams = (1 << cols).sum(axis=1), screens._subset_grams(unit.matrix, cols)
     low = screens._lowest(grams, shift(cut), np.ldexp(tie, -unit.e) ** 2, _CUT_SUBSETS)
     cut = min(cut, _split_values(key.matrix, screens._canonical(sets[low], D)).min() + 2.0 * tie)
-    masks = screens._open_splits(sets, grams, shift(cut), D, 1 << screens._block_bits(d, D))
-    if masks is None:
-        return _search(key, tie, cut)
-    settled, diagonalized = (1 << (D - 1)) - masks.size, masks.size
-    best, visited, size = (np.inf, 0), 0, screens._FIRST_BLOCK
-    while visited < masks.size:
-        best = _visit(key.matrix, masks[visited:visited + size], best, tie, cut)
-        visited, size = min(masks.size, visited + size), 2 * size
-        if best is None:
-            return None, settled, diagonalized, visited
-        if best[0] <= tie:
-            break
-    return (best[0], Partition(best[1], D)), settled, diagonalized, visited
+    return cut, screens._open_splits(sets, grams, shift(cut), D, 1 << screens._block_bits(d, D))
 
 
 def _descent_bound(key: Key, tie: float) -> float:

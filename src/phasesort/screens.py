@@ -25,11 +25,10 @@ factorization and of the exact path's SVDs with _gram_screen_errors.
 Grams are stored in one packed layout (pack), which the shifted-Cholesky
 kernel (shifted_cholesky_ok) works in. The partition scans walk the masks
 in ascending blocks (_partition_blocks), aligned power-of-two ranges of
-masks, each with its own table of side I's Grams (_BlockGrams), filled
-when a walk asks for it; a window of open partitions reads its Grams from
-those tables or sums them for a few masks alone (_open_grams). Side C's
-is U U^T minus side I's. The sides no screen settles get stacked SVDs of the
-key (_side_singular_values).
+masks, each with its own table of side I's Grams (_block_table); a window
+of open partitions reads its Grams from those tables or sums them for a
+few masks alone (_open_grams). Side C's is U U^T minus side I's. The sides
+no screen settles get stacked SVDs of the key (_side_singular_values).
 """
 
 from __future__ import annotations
@@ -615,40 +614,9 @@ def _fill_grams(grams: np.ndarray, outers: np.ndarray) -> None:
 # value exceeds mask 0's, sigma_d(U), as G_I + G_C = G gives sigma_d(U_I)^2 +
 # sigma_d(U_C)^2 <= sigma_d(U)^2; so while the A0 screen's running bound is
 # still near mask 0's it settles almost nothing, and smaller first blocks
-# would only add their fixed cost, some hundred numpy calls each. An A0
-# screen given a start bound (the search's descent cut) has a tight running
-# bound and its cover from mask 0 on, so its blocks, or windows of open
-# masks, are full size from the start; walks of at most 4 * _FIRST_BLOCK
-# masks are never seeded (lipschitz._descent_bound), and an unseeded walk
-# builds no cover.
+# would only add their fixed cost, some hundred numpy calls each. Walks of
+# at most 4 * _FIRST_BLOCK masks are never seeded (lipschitz._descent_bound).
 _FIRST_BLOCK = 64
-
-
-class _BlockGrams:
-    """Side I's packed Grams of a block of _partition_blocks, formed on
-    demand: column m is the Gram of the block's first mask, ``head``, plus
-    the outer products ``outers[b]`` of the low bits b set in m, added
-    highest bit first.
-
-    The table's buffer is allocated with the block, while the walk still
-    holds the block before it, as when every table was filled up front: a
-    buffer freed before the next is allocated lets the allocator return
-    the pages, and the next block's fill faults them in again. Until it is
-    filled no page of it is touched."""
-
-    def __init__(self, head: np.ndarray, outers: np.ndarray):
-        self.head, self.outers = head, outers
-        self._table = np.empty((head.size, 1 << len(outers)))
-        self._filled = False
-
-    def table(self) -> np.ndarray:
-        """The contiguous (P, 2^k) table of every column, filled once
-        (_fill_grams)."""
-        if not self._filled:
-            self._table[:, 0] = self.head
-            _fill_grams(self._table, self.outers)
-            self._filled = True
-        return self._table
 
 
 def _block_bits(d: int, D: int) -> int:
@@ -657,38 +625,46 @@ def _block_bits(d: int, D: int) -> int:
     return min(D - 1, max(0, (_SCREEN_ENTRIES // (d * (d + 1) // 2)).bit_length() - 1))
 
 
-def _partition_blocks(a: np.ndarray, first: int | None = None):
-    """Yield ``(masks, grams, full_i, full_c)`` for every canonical mask, in
-    blocks of ascending masks, the first of ``first`` masks (_FIRST_BLOCK by
-    default).
+def _partition_blocks(a: np.ndarray):
+    """Yield ``(masks, gi, full_i, full_c)`` for every canonical mask, in
+    blocks of ascending masks.
 
-    ``grams`` (_BlockGrams) gives the packed Grams A[I] A[I]^T (pack) of the
+    ``gi`` (_block_table) holds the packed Grams A[I] A[I]^T (pack) of the
     block's masks, one per column, for the subsets I that avoid the last
     column; ``full_i`` and ``full_c`` mark the sides with at least d
     columns. The complement's Gram is pack(A A^T)[:, None] - gi, which the
     walks form only for the masks whose side C they may read.
 
-    A block is an aligned range of masks [start, start + 2^k), and its Grams
-    are one contiguous (P, 2^k) table of its own: column 0 is mask start's
-    Gram, its outer products summed highest bit first, and _fill_grams adds
-    the k low bits. So every entry is the same sum, in the same order, as in
-    a single table over all masks. Blocks double from ``first`` masks, a
-    power of two, to the largest power of two whose Grams fit
-    _SCREEN_ENTRIES entries (_block_bits). A mask's column count is start's
-    plus a lookup in one table over the low bits.
+    A block is an aligned range of masks [start, start + 2^k) with a
+    contiguous (P, 2^k) table of its own, each entry the same sum, in the
+    same order, as in a single table over all masks. Blocks double from
+    _FIRST_BLOCK masks to the largest power of two whose Grams fit
+    _SCREEN_ENTRIES entries (_block_bits). A block's table is filled while
+    the walk's consumer still holds the one before. A mask's column count is
+    start's plus a lookup in one table over the low bits.
     """
     d, D = a.shape
-    first = _FIRST_BLOCK if first is None else first
-    outers = _outers(a)
-    top = _block_bits(d, D)
+    outers, top = _outers(a), _block_bits(d, D)
     low_counts = _popcounts(np.arange(1 << top))
     start = 0
     while start < 1 << (D - 1):
-        k = min(top, max(first.bit_length(), start.bit_length()) - 1)
+        k = min(top, max(_FIRST_BLOCK.bit_length(), start.bit_length()) - 1)
         counts = low_counts[:1 << k] + start.bit_count()
-        yield (np.arange(start, start + (1 << k)), _BlockGrams(_head(outers, start), outers[:k]),
+        yield (np.arange(start, start + (1 << k)), _block_table(outers, start, k),
                counts >= d, D - counts >= d)
         start += 1 << k
+
+
+def _block_table(outers: np.ndarray, start: int, k: int) -> np.ndarray:
+    """Side I's packed Grams (P, 2^k) of the aligned block of masks start ..
+    start + 2^k - 1: column 0 is mask start's Gram, 0 plus the outer
+    products ``outers[b]`` of its bits b added highest bit first, and
+    _fill_grams adds the k low bits."""
+    table = np.empty((outers.shape[1], 1 << k))
+    table[:, 0] = sum((outers[b] for b in range(start.bit_length() - 1, -1, -1) if start >> b & 1),
+                      np.zeros(outers.shape[1]))
+    _fill_grams(table, outers[:k])
+    return table
 
 
 def _outers(a: np.ndarray) -> np.ndarray:
@@ -696,13 +672,6 @@ def _outers(a: np.ndarray) -> np.ndarray:
     one row of P entries each."""
     rows, cols = packed_pairs(a.shape[0])
     return (a[rows] * a[cols]).T
-
-
-def _head(outers: np.ndarray, mask: int) -> np.ndarray:
-    """The packed Gram of side I of one mask: outers[b] of the bits b set,
-    added to 0 highest bit first, as _fill_grams sums them."""
-    return sum((outers[b] for b in range(mask.bit_length() - 1, -1, -1) if mask >> b & 1),
-               np.zeros(outers.shape[1]))
 
 
 def _mask_grams(outers: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -820,13 +789,11 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       bound, so every rule below holds with hi_run starting at ``bound``
       instead of infinity. The search passes the cut of its descent bound
       (lipschitz.lower_constant's Bound), and then the walk builds its
-      cover before it screens any mask, and screens in full-size blocks or
-      windows from the start: none is spent waiting for hi_run to come
-      down.
+      cover before it screens any mask (Cover below).
     - Settled masks. The screen walks the masks in the ascending blocks of
       _partition_blocks, aligned power-of-two ranges of masks that start at
-      _FIRST_BLOCK masks, or at full size with a finite ``bound``, and
-      double up to the most whose Grams fit _SCREEN_ENTRIES, and keeps
+      _FIRST_BLOCK masks and double up to the most whose Grams fit
+      _SCREEN_ENTRIES, and keeps
       hi_run, the smallest of ``bound`` and the hi so far, so that hi_run at
       the start of a block is >= min(bound, prev_hi) of every mask in it.
       Each block's Grams are one contiguous table, the same bits as a single
@@ -888,23 +855,21 @@ def _screen(unit: UnitCopy, bound: float = np.inf):
       is infinite until its first block ends: the search runs such walks
       where a cover would not pay (lipschitz._descent_bound), as at D <= 2d
       - 2, where it ends with the block that holds mask 2^(D-d+1) - 1.
-      Without a cover every block is walked as above. The cover settles
+      Without a cover every block is walked as above, from _FIRST_BLOCK
+      masks, with or without a start bound. The cover settles
       only masks the bracket rule skips, so the kept masks are those above;
       with the windows, whose tests read hi_run at a window's start, not at
       each block's, it moves the settled and diagonalized counts, never the
       kept masks.
     """
-    d, D = unit.matrix.shape
-    first = _FIRST_BLOCK
     if bound < np.inf:  # see Start bound and Cover above
         cover = _cover(unit.matrix, _one_side_shift(bound, unit.err_s, unit.err_lam))
         if cover is not None:
             yield from _open_screen(unit, cover, bound)
             return
-        first = 1 << _block_bits(d, D)
     hi_run = bound
-    for block, grams, full_i, full_c in _partition_blocks(unit.matrix, first):
-        rows, kept, lo, hi_run = _screen_masks(unit, block, grams.table(), full_i, full_c, hi_run)
+    for block, gi, full_i, full_c in _partition_blocks(unit.matrix):
+        rows, kept, lo, hi_run = _screen_masks(unit, block, gi, full_i, full_c, hi_run)
         yield kept, lo, block.size - rows.size, rows.size
 
 
@@ -955,7 +920,7 @@ def _open_windows(cover: np.ndarray, D: int, k: int):
 def _open_grams(outers: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
     """Side I's packed Grams (P, n) of the ascending ``masks`` of a window of
     _open_windows, with the bits of _partition_blocks' tables: the n masks
-    of an aligned block of 2^k are taken from its table (_BlockGrams) when
+    of an aligned block of 2^k are taken from its table (_block_table) when
     summing them alone would take as many adds, n * k >= 2^k, and are
     summed alone (_mask_grams) otherwise."""
     grams = np.empty((outers.shape[1], masks.size))
@@ -967,7 +932,7 @@ def _open_grams(outers: np.ndarray, masks: np.ndarray, k: int) -> np.ndarray:
     for first, n in zip(starts[table].tolist(), counts[table].tolist()):
         block = int(masks[first]) >> k << k
         rows = masks[first:first + n] - block
-        grams[:, first:first + n] = _BlockGrams(_head(outers, block), outers[:k]).table()[:, rows]
+        grams[:, first:first + n] = _block_table(outers, block, k)[:, rows]
     return grams
 
 

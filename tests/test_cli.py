@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from phasesort import Key, cli, frame_keys, generate_key, numerics
+from phasesort import Key, beta, beta_tilde, cli, frame_keys, generate_key, numerics
 from phasesort.matrixio import load_matrix, save_matrix
 
 from conftest import A_REF, run_cli
@@ -226,6 +227,39 @@ def test_decode_beta_tilde_roundtrip(a_ref_file, tmp_path):
     assert gap <= 1e-8
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("encoder", ["beta", "beta-tilde"])
+@pytest.mark.parametrize("scales", [(1.0, 1.0), (1e150, 1e155)], ids=["x1", "x1e150"])
+def test_decode_report_residual_is_finite_at_any_scale(tmp_path, capsys, encoder, scales):
+    # the 3x8 key of keygen seed 1 and a 2x3 signal; times 1e150 and 1e155
+    # the re-encoding's entries are near 1e305, whose squares overflow. The
+    # residual is taken on the input's power-of-two scale: the report is
+    # standard JSON with a finite residual, and at normal scale it has the
+    # bits of np.linalg.norm of the re-encoding's gap
+    key_scale, signal_scale = scales
+    keyfile, xfile, yfile = tmp_path / "k.txt", tmp_path / "x.txt", tmp_path / "y.txt"
+    backfile, repfile = tmp_path / "b.txt", tmp_path / "rep.json"
+    key = Key(generate_key(3, 8, 1).matrix * key_scale)
+    save_matrix(keyfile, key.matrix)
+    save_matrix(xfile, np.array([[0.3, -1.2, 0.7], [1.1, 0.4, -0.5]]) * signal_scale)
+    common = ["--encoder", encoder, "--key", str(keyfile)]
+    assert cli.main(["encode", *common, "--input", str(xfile), "--out", str(yfile)]) == 0
+    assert cli.main(["decode", *common, "--input", str(yfile), "--out", str(backfile),
+                     "--report", str(repfile)]) == 0
+    report = json.loads(repfile.read_text(), parse_constant=_refuse_constant)
+    residual = report["residual"]
+    assert f"decode: residual {residual!r}" in capsys.readouterr().err
+    data, rec = load_matrix(yfile), load_matrix(backfile)
+    assert 0.0 <= residual <= 1e-12 * np.abs(data).max()
+    if key_scale == 1.0:
+        gap = (beta(key, rec).matrix - data if encoder == "beta"
+               else beta_tilde(key, rec) - data.ravel())
+        assert np.float64(residual).tobytes() == np.linalg.norm(gap).tobytes()
+
+
 def test_decode_corrupted_input(a_ref_file, tmp_path):
     xfile, yfile = tmp_path / "X.txt", tmp_path / "Y.txt"
     save_matrix(xfile, np.array([[0.3, 1.1], [-0.4, 0.2]]))
@@ -286,6 +320,24 @@ def test_metric_against_zero(tmp_path):
     save_matrix(yfile, np.zeros((2, 2)))
     res = run_cli("metric", "--space", "hatV", "--x", str(xfile), "--y", str(yfile))
     assert json.loads(res.stdout)["distance"] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("space,x,y,dist,perm", [
+    ("hatH", [[3e200, 1e200]], [[1e200, -2e200]], math.sqrt(13.0) * 1e200, None),
+    ("hatV", [[3e200, 1e200], [-1e200, 2e200]], [[1e200, -2e200], [2e200, 5e199]],
+     math.sqrt(21.25) * 1e200, [2, 1])], ids=["hatH", "hatV"])
+def test_metric_is_finite_at_1e200(tmp_path, space, x, y, dist, perm):
+    # each pair is measured on its own power-of-two scale: the squares of
+    # entries near 1e200 would overflow, and at hatV every row order would
+    # tie at inf, reporting the first order, not the minimizer
+    xfile, yfile = tmp_path / "x.txt", tmp_path / "y.txt"
+    save_matrix(xfile, np.array(x))
+    save_matrix(yfile, np.array(y))
+    res = run_cli("metric", "--space", space, "--x", str(xfile), "--y", str(yfile))
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout, parse_constant=_refuse_constant)
+    assert report["distance"] == pytest.approx(dist, rel=1e-14)
+    assert report["permutation"] == perm
 
 
 def test_metric_shape_mismatch(tmp_path):

@@ -377,6 +377,28 @@ def test_dist_hat_V_many_matches_single_and_oracle():
             assert (dist[i], tuple(perm[i])) == want
 
 
+def test_metrics_scale_exactly_by_powers_of_two():
+    # each pair is measured on its own power-of-two scale: times 2^600 the
+    # squares would overflow, times 2^-600 underflow, and a stack mixes
+    # pairs 2^-900 .. 2^900 apart; every distance scales exactly, with the
+    # same minimizing row order
+    rng = np.random.Generator(np.random.PCG64(46))
+    x, y = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
+    xx, yy = rng.standard_normal((12, 3, 2)), rng.standard_normal((12, 3, 2))
+    y[0], yy[0] = -x[0], xx[0, ::-1]
+    dist_h, (dist_v, perm) = dist_hat_H_many(x, y), dist_hat_V_many(xx, yy)
+    for scale in (2.0**600, 2.0**-600, np.ldexp(1.0, rng.integers(-900, 900, size=12))):
+        s = np.broadcast_to(scale, (12,))
+        with np.errstate(all="raise"):
+            got_h = dist_hat_H_many(x * s[:, None], y * s[:, None])
+            got_v, got_perm = dist_hat_V_many(xx * s[:, None, None], yy * s[:, None, None])
+        assert got_h.tobytes() == (dist_h * s).tobytes()
+        assert got_v.tobytes() == (dist_v * s).tobytes()
+        assert np.array_equal(got_perm, perm)
+        assert dist_hat_H(x[1] * s[1], y[1] * s[1]) == dist_h[1] * s[1]
+        assert dist_hat_V(xx[1] * s[1], yy[1] * s[1]) == (dist_v[1] * s[1], tuple(perm[1]))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_dist_hat_V_many_keeps_first_minimizer_on_ties(monkeypatch, chunk):
     # rows repeat, so several row orders reach the minimum; small chunks split

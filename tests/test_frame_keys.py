@@ -243,7 +243,7 @@ def test_chunked_grams_match_single_table(monkeypatch, entries, d, D):
     masks = np.concatenate([m for m, *_ in blocks])
     assert masks.tolist() == list(range(1 << (D - 1)))
     table = _partition_grams_reference(a)
-    gi = np.concatenate([grams.table() for _, grams, *_ in blocks], axis=1)
+    gi = np.concatenate([grams for _, grams, *_ in blocks], axis=1)
     assert gi.tobytes() == screens.pack(table).tobytes()
     # the complement Grams, as the walks form them from the packed A A^T
     gc = screens.pack(a @ a.T)[:, None] - gi
@@ -268,11 +268,8 @@ def test_fill_grams_matches_index_oracle(monkeypatch, entries):
     monkeypatch.setattr(screens, "_fill_grams", checked)
     bits = set()
     for D in range(1, 14):
-        for masks, block, _, _ in screens._partition_blocks(generate_key(3, D, 90 + D).matrix):
-            # one fill per block, of the block's own table, over its low bits,
-            # the first time the table is asked for
-            gi = block.table()
-            assert block.table() is gi
+        for masks, gi, _, _ in screens._partition_blocks(generate_key(3, D, 90 + D).matrix):
+            # one fill per block, of the block's own table, over its low bits
             ((grams, n),) = fills
             assert grams is gi and masks.size == 1 << n
             bits.add(n)
@@ -294,8 +291,7 @@ def test_partition_blocks_are_aligned_powers_of_two(monkeypatch, d, D, entries, 
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", entries)
     p = d * (d + 1) // 2
     sizes = []
-    for masks, grams, full_i, full_c in screens._partition_blocks(generate_key(d, D, 3).matrix):
-        gi = grams.table()
+    for masks, gi, full_i, full_c in screens._partition_blocks(generate_key(d, D, 3).matrix):
         n, start = masks.size, sum(sizes)
         assert n & (n - 1) == 0 and start % n == 0
         assert np.array_equal(masks, np.arange(start, start + n))
@@ -646,8 +642,8 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
 
     def blocks(a):
         for block in real_blocks(a):
-            masks, grams, full_i, full_c = block
-            log.append(("block", (masks.copy(), grams, full_i.copy(), full_c.copy())))
+            masks, gi, full_i, full_c = block
+            log.append(("block", (masks.copy(), gi.copy(), full_i.copy(), full_c.copy())))
             yield block
 
     def kernel(w, tau):
@@ -665,9 +661,8 @@ def test_complement_walk_factors_only_spanning_sides(monkeypatch, planted):
     total = screens.pack(unit @ unit.T)
     walked = 0
     for i in range(0, len(log), 2):
-        (tag, (masks, grams, full_i, full_c)), (_, sides) = log[i:i + 2]
+        (tag, (masks, gi, full_i, full_c)), (_, sides) = log[i:i + 2]
         assert tag == "block" and np.array_equal(full_i, ~full_c)
-        gi = grams.table()
         want = np.where(full_c, total[:, None] - gi, gi)
         assert sides.tobytes() == want.tobytes()
         walked += masks.size

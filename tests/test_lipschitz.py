@@ -482,6 +482,19 @@ def _unseeded(key):
     return lipschitz.LowerConstantSearch(*lipschitz._search(key, tie, np.inf))
 
 
+def _no_open_splits(key, tie, cut):
+    """lipschitz._open_split_search with no open splits: patched in, it
+    forces the seeded walk at D = 2d - 1, at the descent's cut."""
+    return cut, None
+
+
+def _seeded_walk(key, tie, cut):
+    """lipschitz._search with the seeded walk forced at D = 2d - 1."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lipschitz, "_open_split_search", _no_open_splits)
+        return lipschitz._search(key, tie, cut)
+
+
 def _assert_search_work(d, D, settled, diagonalized, visited, run=_unseeded):
     key = generate_key(d, D, 1)
     search = run(key)
@@ -508,7 +521,7 @@ def test_seeded_search_work_is_pinned(monkeypatch, d, D, settled, diagonalized, 
     # block's Grams. At 8x15 (D = 2d - 1) the search as it runs walks no
     # blocks, so the walk is forced there, at the cut of the one-sided
     # descent (lipschitz._subset_descent)
-    monkeypatch.setattr(lipschitz, "_open_split_search", lipschitz._search)
+    monkeypatch.setattr(lipschitz, "_open_split_search", _no_open_splits)
     _assert_search_work(d, D, settled, diagonalized, visited, lipschitz.lower_constant_search)
 
 
@@ -548,7 +561,7 @@ def test_settled_matches_four_call_oracle(monkeypatch, name):
     matrix = _SETTLED_KEYS[name]
     real = screens._unsettled
     settled = []
-    monkeypatch.setattr(lipschitz, "_open_split_search", lipschitz._search)
+    monkeypatch.setattr(lipschitz, "_open_split_search", _no_open_splits)
 
     def checked(gi, total, full_i, full_c, hi_run, err_s, err_lam):
         # the oracle reads the block's full Grams, side C's for every mask
@@ -679,7 +692,7 @@ def _searched(monkeypatch, key, walks=None):
 
     with monkeypatch.context() as m:
         m.setattr(screens, "_screen", recorded)
-        m.setattr(lipschitz, "_open_split_search", lipschitz._search)
+        m.setattr(lipschitz, "_open_split_search", _no_open_splits)
         search = lipschitz.lower_constant_search(key)
     return search, blocks
 
@@ -965,15 +978,17 @@ def _bounds(key, tie, plain):
 
 
 def _assert_seeded_matches_unseeded(matrix, tol=numerics.DEFAULT_TOL):
-    """The walk with the cut h + 2 tie gives the unseeded walk's A0 bits and
-    I0 for every h of _bounds, unless it reports a band hit; so does the
-    search as it runs. Returns the number of band hits."""
+    """The walk with the cut h + 2 tie, and at D = 2d - 1 both the visit of
+    the open splits and the forced seeded walk, gives the unseeded walk's A0
+    bits and I0 for every h of _bounds, unless it reports a band hit; so
+    does the search as it runs. Returns the number of band hits."""
     key = Key(matrix, tol)
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
     plain = _unseeded(key)
+    runs = [lipschitz._search] + [_seeded_walk] * (key.D == 2 * key.d - 1)
     hits = 0
-    for h in _bounds(key, tie, plain):
-        result, settled, diagonalized, visited = lipschitz._search(key, tie, h + 2 * tie)
+    for h, run in itertools.product(_bounds(key, tie, plain), runs):
+        result, settled, diagonalized, visited = run(key, tie, h + 2 * tie)
         if result is None:
             hits += 1
             continue
@@ -1046,18 +1061,46 @@ _SEEDED_SCREEN_KEYS = {**ADVERSARIAL, **{f"{d}x{D}": generate_key(d, D, 1).matri
 @pytest.mark.parametrize("name", sorted(_SEEDED_SCREEN_KEYS))
 def test_seeded_screen_matches_full_bracket_oracle(name):
     # with a start bound, the screen keeps the masks of the full bracket
-    # oracle whose lower end is also below it, in full-size blocks
+    # oracle whose lower end is also below it; where it walks blocks (no
+    # cover), they are the unseeded walk's, doubling from _FIRST_BLOCK masks
     key = Key(_SEEDED_SCREEN_KEYS[name])
     unit = frame_keys._unit(key)
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
+    _, schedule = _walked(lambda: drain_screen(unit))
     for h in _bounds(key, tie, _unseeded(key)):
         bound = np.ldexp(h + 2 * tie, -unit.e)
         (masks, settled, diagonalized), blocks = _walked(lambda: drain_screen(unit, bound))
         assert settled + diagonalized == 1 << (key.D - 1)
-        largest = 1 << screens._block_bits(key.d, key.D)
-        assert all(end - start == largest for start, end in blocks)
+        assert blocks in ([], schedule)
         ref_masks, _ = oracles.lower_constant_screen(Key(key.matrix), bound)
         assert masks.tobytes() == ref_masks.tobytes()
+
+
+@pytest.mark.parametrize("d,D,seed,work", [
+    (3, 24, 1, (8380285, 8323, 1)), (2, 20, 1, (522526, 1762, 1)), (2, 20, 2, (522338, 1950, 1))],
+    ids=["3x24-seed1", "2x20-seed1", "2x20-seed2"])
+def test_seeded_walk_with_no_cover_walks_the_doubling_blocks(d, D, seed, work):
+    # no d-subset passes at the shift of the descent's cut, so the seeded
+    # walk builds no cover and walks the unseeded walk's blocks, doubling
+    # from _FIRST_BLOCK masks to the largest, with hi_run starting at the
+    # cut; it gives the unseeded walk's A0 bits and I0, with its own work
+    key = generate_key(d, D, seed)
+    covers, real = [], screens._cover
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(screens, "_cover", lambda unit, tau: covers.append(real(unit, tau)) or covers[-1])
+        search, blocks = _walked(lambda: lipschitz.lower_constant_search(key))
+    assert len(covers) == 1 and covers[0] is None
+    largest, start, schedule = 1 << screens._block_bits(d, D), 0, []
+    while start < blocks[-1][1]:
+        n = min(largest, max(screens._FIRST_BLOCK, start))
+        schedule.append((start, start + n))
+        start += n
+    assert blocks == schedule
+    assert (search.settled, search.diagonalized, search.visited) == work
+    assert search.settled + search.diagonalized == blocks[-1][1]
+    plain = _unseeded(Key(key.matrix))
+    assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
+    assert search.result[1].mask == plain.result[1].mask
 
 
 @pytest.mark.parametrize("name", ["zero-3x12", "11x20", "3x8", "r24", "3x9"])
@@ -1099,7 +1142,7 @@ def _block_walk(matrix):
     """The search with the seeded block walk forced at D = 2d - 1, where
     lipschitz._open_split_search takes its place: that search's oracle."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(lipschitz, "_open_split_search", lipschitz._search)
+        m.setattr(lipschitz, "_open_split_search", _no_open_splits)
         return lipschitz.lower_constant_search(Key(matrix))
 
 
@@ -1191,13 +1234,15 @@ def test_open_split_search_band_hit_redoes_the_search_unseeded(monkeypatch):
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
     plain = _unseeded(key)
     cut = (plain.result[0] - 1.5 * tie) + 2 * tie
-    first = lipschitz._open_split_search(Key(key.matrix), tie, cut)
+    second, masks = lipschitz._open_split_search(Key(key.matrix), tie, cut)
+    assert second == cut and plain.result[1].mask in masks
+    first = lipschitz._search(Key(key.matrix), tie, cut)
     assert first[0] is None
     calls, real = [], lipschitz._search
     monkeypatch.setattr(lipschitz, "_descent_bound", lambda key, tie: plain.result[0] - 1.5 * tie)
     monkeypatch.setattr(lipschitz, "_search", lambda key, tie, c: calls.append(c) or real(key, tie, c))
     search = lipschitz.lower_constant_search(Key(key.matrix))
-    assert calls == [np.inf]
+    assert calls == [cut, np.inf]
     assert np.float64(search.result[0]).tobytes() == np.float64(plain.result[0]).tobytes()
     assert search.result[1].mask == plain.result[1].mask
     assert (search.settled, search.diagonalized, search.visited) == tuple(
@@ -1208,8 +1253,9 @@ def test_open_split_search_band_hit_redoes_the_search_unseeded(monkeypatch):
 def test_open_split_search_falls_back_to_the_seeded_walk(monkeypatch, limit):
     # F's Grams over screens._CHUNK_ENTRIES (210 failing 8-subsets of the
     # 8x15 key, 36 entries each), or more open splits than one block of the
-    # walk (792 on the planted 8x15 key, in blocks of 512): the seeded walk
-    # runs instead, at the descent's cut or at the second cut below it
+    # walk (792 on the planted 8x15 key, in blocks of 512): the search finds
+    # no open splits and walks seeded instead, at the descent's cut or at
+    # the second cut below it
     matrix = generate_key(8, 15, 1).matrix if limit == "subset-grams" else _planted_8x15()
     key = Key(matrix)
     tie = lipschitz._TIE_WINDOW * upper_constant(key)
@@ -1218,12 +1264,14 @@ def test_open_split_search_falls_back_to_the_seeded_walk(monkeypatch, limit):
         monkeypatch.setattr(screens, "_CHUNK_ENTRIES", 36 * 209)
     else:
         monkeypatch.setattr(screens, "_SCREEN_ENTRIES", 36 * 512)
-    calls, real = [], lipschitz._search
-    monkeypatch.setattr(lipschitz, "_search", lambda key, tie, c: calls.append(c) or real(key, tie, c))
+    calls, real = [], lipschitz._open_split_search
+    monkeypatch.setattr(lipschitz, "_open_split_search",
+                        lambda *args: calls.append(real(*args)) or calls[-1])
     search = lipschitz.lower_constant_search(Key(matrix))
-    assert len(calls) == 1
-    assert calls[0] == cut if limit == "subset-grams" else calls[0] < cut
-    walk = real(Key(matrix), tie, calls[0])
+    ((second, masks),) = calls
+    assert masks is None
+    assert second == cut if limit == "subset-grams" else second < cut
+    walk = _seeded_walk(Key(matrix), tie, second)
     assert (search.result[0], search.result[1].mask, search.settled, search.diagonalized,
             search.visited) == (walk[0][0], walk[0][1].mask, *walk[1:])
     want = _block_walk(matrix).result
@@ -1260,9 +1308,10 @@ def test_open_splits_match_every_split(d):
 
 def _without_cover(run):
     """run() with screens._cover refused, as when no d-subset passes, so
-    that a seeded walk screens the aligned blocks of _partition_blocks, full
-    size from block 0, where it screens the cover's open masks in windows:
-    the windows' oracle, as _block_walk is _open_split_search's."""
+    that a seeded walk screens the aligned blocks of _partition_blocks,
+    doubling from _FIRST_BLOCK masks, where it screens the cover's open
+    masks in windows: the windows' oracle, as _block_walk is
+    _open_split_search's."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(screens, "_cover", lambda unit, tau: None)
         return run()
@@ -1275,7 +1324,7 @@ def _bench_seed(seed, *path):
 
 
 def _assert_open_windows_match_block_walk(matrix, every_bound=True, oracle=True):
-    """The seeded walk (_search) at the cut h + 2 tie of each h of _bounds,
+    """The seeded walk (_seeded_walk) at the cut h + 2 tie of each h of _bounds,
     or of the search's own descent bound only, against the walk with the
     cover refused (_without_cover): where the block walk meets a value in
     the band the windows meet it too, and otherwise the same A0 bits and
@@ -1293,8 +1342,8 @@ def _assert_open_windows_match_block_walk(matrix, every_bound=True, oracle=True)
     hits = [0, 0]
     for h in bounds:
         cut = h + 2 * tie
-        got = lipschitz._search(Key(matrix), tie, cut)
-        want = _without_cover(lambda: lipschitz._search(Key(matrix), tie, cut))
+        got = _seeded_walk(Key(matrix), tie, cut)
+        want = _without_cover(lambda: _seeded_walk(Key(matrix), tie, cut))
         if want[0] is None or got[0] is None:
             assert got[0] is None, h
             hits[want[0] is not None] += 1
@@ -1356,8 +1405,8 @@ def test_open_windows_match_block_walk(name):
 def test_open_windows_match_block_walk_at_the_cap(d, scale):
     # the 4x24, 6x24 and 8x24 keys of the CI A0 cap smoke step, and their
     # copies times 2^-500: the search as it runs, against the same search
-    # with the cover refused, which walks all 2^23 masks in full-size blocks
-    # (about 0.5-2.5 s on a 2-vCPU x86-64 VM)
+    # with the cover refused, which walks all 2^23 masks in blocks (about
+    # 0.5-2.5 s on a 2-vCPU x86-64 VM)
     matrix = generate_key(d, 24, 1).matrix * scale
     search = lipschitz.lower_constant_search(Key(matrix))
     walk = _without_cover(lambda: lipschitz.lower_constant_search(Key(matrix)))

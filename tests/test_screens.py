@@ -274,19 +274,18 @@ def test_block_columns_match_the_table(d, D):
     a = generate_key(d, D, 2).matrix * np.ldexp(1.0, rng.integers(-30, 30, size=D))
     outers = screens._outers(a)
     reordered = False
-    for masks, grams, _, _ in screens._partition_blocks(a):
-        k = len(grams.outers)
+    for masks, table, _, _ in screens._partition_blocks(a):
+        k = masks.size.bit_length() - 1
         if k < 4:
             continue
         few = np.sort(rng.choice(masks.size, size=max(1, (1 << k) // (2 * k)), replace=False))
         alone = screens._mask_grams(outers, masks[few])
-        assert not grams._filled
-        table = grams.table()
         assert alone.tobytes() == table[:, few].tobytes()
         assert screens._mask_grams(outers, masks).tobytes() == table.tobytes()
-        lowest_first = np.repeat(grams.head[:, None], few.size, axis=1)
+        # column 0 is the block's first mask, summed highest bit first
+        lowest_first = np.repeat(table[:, :1], few.size, axis=1)
         for b in range(k):
-            lowest_first[:, few >> b & 1 == 1] += grams.outers[b][:, None]
+            lowest_first[:, few >> b & 1 == 1] += outers[b][:, None]
         reordered |= lowest_first.tobytes() != alone.tobytes()
     assert reordered
 
@@ -296,19 +295,22 @@ def test_open_grams_match_the_tables(monkeypatch, d, D):
     # a window's Grams (_open_grams) are the columns of the tables of the
     # aligned blocks of 2^k masks, bit for bit: a block with n of the
     # window's masks is read from its table when n * k >= 2^k, and its
-    # masks are summed alone otherwise, every block at one density
+    # masks are summed alone otherwise, every block at one density. The
+    # walk's doubling blocks, side by side, are one table over all masks
     rng = np.random.Generator(np.random.PCG64(d + D))
     a = generate_key(d, D, 3).matrix * np.ldexp(1.0, rng.integers(-30, 30, size=D))
     outers, k = screens._outers(a), screens._block_bits(d, D)
-    blocks = list(screens._partition_blocks(a, 1 << k))
+    table = np.concatenate([g for _, g, _, _ in screens._partition_blocks(a)], axis=1)
+    blocks = [(np.arange(start, start + (1 << k)), table[:, start:start + (1 << k)])
+              for start in range(0, 1 << (D - 1), 1 << k)]
     alone = []
     real = screens._mask_grams
     monkeypatch.setattr(screens, "_mask_grams",
                         lambda o, m: alone.append(m.size) or real(o, m))
     for density in (0.0, 0.02, 1 / max(k, 1), 0.5, 1.0):
-        picked = [(m, g, np.flatnonzero(rng.random(m.size) < density)) for m, g, _, _ in blocks]
+        picked = [(m, g, np.flatnonzero(rng.random(m.size) < density)) for m, g in blocks]
         masks = np.concatenate([m[rows] for m, _, rows in picked])
-        want = np.concatenate([g.table()[:, rows] for _, g, rows in picked], axis=1)
+        want = np.concatenate([g[:, rows] for _, g, rows in picked], axis=1)
         alone.clear()
         assert screens._open_grams(outers, masks, k).tobytes() == want.tobytes()
         n = [rows.size for _, _, rows in picked]
